@@ -21,7 +21,9 @@
 // comparable as topology sizes change between baselines.
 //
 // With -check, the freshly measured results are compared against a
-// committed baseline: any allocs/op regression in a suite the baseline
+// committed baseline, read before anything is measured or written (an
+// -out naming the baseline itself is refused, since the comparison would
+// then be against the fresh run): any allocs/op regression in a suite the baseline
 // holds at zero allocs fails the run (exit 1); other allocs growth and all
 // ns/op movement is reported as warnings only, since wall-clock numbers do
 // not transfer between machines.
@@ -37,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -100,6 +103,18 @@ func run(args []string) int {
 		}
 		return 2
 	}
+	var base Report
+	if *check != "" {
+		if *out != "" && sameFile(*out, *check) {
+			fmt.Fprintf(os.Stderr, "slpbench: -out %s would overwrite the -check baseline; write the fresh report elsewhere\n", *out)
+			return 2
+		}
+		var err error
+		if base, err = readReport(*check); err != nil {
+			fmt.Fprintf(os.Stderr, "slpbench: baseline: %v\n", err)
+			return 1
+		}
+	}
 
 	report := Report{
 		Schema:    "slpdas-bench/3",
@@ -108,7 +123,7 @@ func run(args []string) int {
 		GOARCH:    runtime.GOARCH,
 		CPU:       cpuModel(),
 	}
-	for _, bench := range suite() {
+	for _, bench := range benchmarks() {
 		r := testing.Benchmark(bench.fn)
 		res := Result{
 			Name:        bench.name,
@@ -151,12 +166,36 @@ func run(args []string) int {
 		}
 	}
 
-	if *check != "" {
-		if !compareBaseline(*check, report) {
-			return 1
-		}
+	if *check != "" && !compareBaseline(*check, base, report) {
+		return 1
 	}
 	return 0
+}
+
+// sameFile reports whether two paths name one file: the same cleaned
+// absolute path, or (when both exist) the same inode.
+func sameFile(a, b string) bool {
+	absA, errA := filepath.Abs(a)
+	absB, errB := filepath.Abs(b)
+	if errA == nil && errB == nil && absA == absB {
+		return true
+	}
+	infoA, errA := os.Stat(a)
+	infoB, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(infoA, infoB)
+}
+
+// readReport loads a report written by an earlier run.
+func readReport(path string) (Report, error) {
+	var r Report
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return r, err
+	}
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, fmt.Errorf("parse %s: %w", path, err)
+	}
+	return r, nil
 }
 
 // cpuModel best-effort-identifies the host CPU. Linux exposes the model
@@ -183,17 +222,7 @@ func cpuModel() string {
 // allocs/op is machine-independent, so growth is a real regression);
 // non-zero alloc suites warn when allocs grow (campaign-level counts can
 // wiggle with worker scheduling); ns/op is always warn-only.
-func compareBaseline(path string, fresh Report) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "slpbench: read baseline: %v\n", err)
-		return false
-	}
-	var base Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		fmt.Fprintf(os.Stderr, "slpbench: parse baseline: %v\n", err)
-		return false
-	}
+func compareBaseline(path string, base, fresh Report) bool {
 	baseline := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
 		baseline[r.Name] = r
@@ -241,6 +270,10 @@ type benchmark struct {
 	name string
 	fn   func(b *testing.B)
 }
+
+// benchmarks is the suite run builds its report from; tests substitute a
+// stub.
+var benchmarks = suite
 
 // suite returns the hot-path benchmarks, cheapest layer first.
 func suite() []benchmark {

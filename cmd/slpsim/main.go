@@ -171,9 +171,9 @@ func runOverhead(args []string) error {
 
 func runSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	what := fs.String("what", "sd", "ablation to run: sd, attacker or loss")
+	what := fs.String("what", "sd", "ablation to run: sd, attacker, strategy or loss")
 	size := fs.Int("size", 11, "grid size")
-	sd := fs.Int("sd", 3, "search distance (attacker/loss sweeps)")
+	sd := fs.Int("sd", 3, "search distance (attacker/strategy/loss sweeps)")
 	repeats := fs.Int("repeats", 30, "simulation repetitions per cell")
 	seed := fs.Uint64("seed", 1, "base random seed")
 	if err := fs.Parse(args); err != nil {

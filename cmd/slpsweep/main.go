@@ -291,8 +291,10 @@ func buildSpec(sizes, topologies, protocols, sds, attackers, strategies, counts,
 	if spec.SharedHistories, err = parseBools(shared); err != nil {
 		return spec, fmt.Errorf("-shared-history: %w", err)
 	}
-	spec.LossModels = splitList(losses)
-	spec.Channels = splitList(channels)
+	// -channels supersedes -loss; both spell the same channel axis.
+	if spec.Channels = splitList(channels); len(spec.Channels) == 0 {
+		spec.Channels = splitList(losses)
+	}
 	if spec.Collisions, err = parseBools(collisions); err != nil {
 		return spec, fmt.Errorf("-collisions: %w", err)
 	}

@@ -95,10 +95,6 @@ func ByName(name string) (Factory, error) {
 	return e.factory, nil
 }
 
-// DecisionStrategy wraps a plain Decision function as a stateless
-// Strategy, for hunts parameterised by function rather than by name.
-func DecisionStrategy(d Decision) Strategy { return funcStrategy{d} }
-
 // funcStrategy adapts a stateless Decision function.
 type funcStrategy struct{ d Decision }
 

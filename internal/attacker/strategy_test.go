@@ -210,7 +210,7 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 	shared := NewHistoryStore(4)
 	mk := func(index int) *Attacker {
 		a, err := NewWithStrategy(g, Params{R: 1, M: 1, H: 4, Start: 4},
-			DecisionStrategy(UnvisitedFirst), 0, 1, index)
+			funcStrategy{UnvisitedFirst}, 0, 1, index)
 		if err != nil {
 			t.Fatalf("NewWithStrategy: %v", err)
 		}

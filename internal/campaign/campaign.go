@@ -1,6 +1,6 @@
 // Package campaign is the sweep engine above internal/experiment: it
 // expands a declarative Spec — axes of topologies, protocols, search
-// distances, attacker strengths, loss models and collision settings —
+// distances, attacker strengths, channels and collision settings —
 // into the full Cartesian job matrix of experimental cells, executes every
 // repeat of every cell through one shared bounded worker pool, and streams
 // one summary Row per cell to pluggable sinks (JSONL, CSV, in-memory) as
@@ -26,8 +26,6 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"slpdas/internal/attacker"
 	"slpdas/internal/channel"
@@ -80,17 +78,12 @@ type Spec struct {
 	AttackerCounts []int
 	// SharedHistories is the pooled-H-window axis. Default {false}.
 	SharedHistories []bool
-	// LossModels is the legacy channel axis: "ideal", "bernoulli:<p>",
-	// "rssi". Default {"ideal"}. Superseded by Channels when that is
-	// non-empty; both feed the same loss_model row column.
-	LossModels []string
 	// Channels is the physical-channel axis in the internal/channel
-	// grammar, which extends the LossModels values with log-distance path
-	// loss, shadowing and SINR capture
-	// ("logdist:<n>:<sigma>[@sinr:<threshold>]"). When non-empty it
-	// replaces LossModels as the channel axis; specs are canonicalised
-	// through channel.Parse/Spec at Expand, and the canonical string lands
-	// in the row's loss_model column.
+	// grammar: "ideal", "bernoulli:<p>", "rssi" or
+	// "logdist:<n>:<sigma>[@sinr:<threshold>]" (log-distance path loss,
+	// shadowing and SINR capture). Default {"ideal"}. Specs are
+	// canonicalised through channel.Parse/Spec at Expand, and the
+	// canonical string lands in the row's loss_model column.
 	Channels []string
 	// Collisions is the receiver-side collision axis. Default {false}.
 	Collisions []bool
@@ -219,8 +212,8 @@ func (s Spec) withDefaults() Spec {
 	if len(s.SharedHistories) == 0 {
 		s.SharedHistories = []bool{false}
 	}
-	if len(s.LossModels) == 0 {
-		s.LossModels = []string{"ideal"}
+	if len(s.Channels) == 0 {
+		s.Channels = []string{"ideal"}
 	}
 	if len(s.Collisions) == 0 {
 		s.Collisions = []bool{false}
@@ -235,16 +228,6 @@ func (s Spec) withDefaults() Spec {
 		s.Repeats = 10
 	}
 	return s
-}
-
-// channelAxis is the effective physical-channel axis: Channels when set,
-// else the legacy LossModels (withDefaults guarantees that one is
-// non-empty). Both land in Cell.LossModel and the loss_model column.
-func (s Spec) channelAxis() []string {
-	if len(s.Channels) > 0 {
-		return s.Channels
-	}
-	return s.LossModels
 }
 
 func (s Spec) topologyAxis() []TopologySpec {
@@ -329,7 +312,6 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 	}
 	cfg := core.Default()
 	cfg.Protocol = fam.Name()
-	cfg.SLP = fam.Name() == protocol.NameSLPDAS
 	// The SD coordinate only lands in the config for families it
 	// parameterises; others keep the Table I default, exactly as the
 	// pre-registry switch left protectionless untouched.
@@ -375,9 +357,8 @@ func (s Spec) Expand() ([]Cell, error) {
 	if s.Repeats < 0 {
 		return nil, fmt.Errorf("campaign: repeats must be positive, got %d", s.Repeats)
 	}
-	chAxis := s.channelAxis()
-	channelAxis := make([]string, len(chAxis))
-	for i, c := range chAxis {
+	channelAxis := make([]string, len(s.Channels))
+	for i, c := range s.Channels {
 		m, err := channel.Parse(c)
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %w", err)
@@ -460,75 +441,6 @@ type Summary struct {
 // runner executes one repeat; tests substitute it to instrument the pool.
 type runner func(g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error)
 
-// cellState is one cell's streaming index-ordered reduction: results
-// deposited by any worker in any order are folded into the accumulator
-// strictly by repeat index, so the aggregate is identical whether the
-// cell's repeats ran on one worker or the whole pool. Out-of-order
-// arrivals park in pending (bounded by pool concurrency); folded Results
-// are released immediately.
-type cellState struct {
-	mu       sync.Mutex
-	next     int // next repeat index to fold
-	repeats  int
-	pending  map[int]pendingRun
-	acc      *experiment.Accumulator
-	failures int
-	firstErr error // lowest-repeat-index error, matching the batch engine
-	done     chan struct{}
-}
-
-type pendingRun struct {
-	res *core.Result
-	err error
-}
-
-// deposit hands repeat rep's outcome to the reducer. Exactly one call per
-// repeat; the cell's done channel closes when the last repeat has folded.
-func (cs *cellState) deposit(rep int, res *core.Result, err error) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if rep != cs.next {
-		if cs.pending == nil {
-			cs.pending = make(map[int]pendingRun)
-		}
-		cs.pending[rep] = pendingRun{res: res, err: err}
-		return
-	}
-	cs.fold(res, err)
-	for {
-		p, ok := cs.pending[cs.next]
-		if !ok {
-			break
-		}
-		delete(cs.pending, cs.next)
-		cs.fold(p.res, p.err)
-	}
-	if cs.next == cs.repeats {
-		close(cs.done)
-	}
-}
-
-func (cs *cellState) fold(res *core.Result, err error) {
-	if err != nil {
-		cs.failures++
-		if cs.firstErr == nil {
-			cs.firstErr = err
-		}
-	} else {
-		cs.acc.Add(res)
-	}
-	cs.next++
-}
-
-// resolvedCell pairs a cell with its materialised topology and config.
-type resolvedCell struct {
-	cell   Cell
-	g      *topo.Graph
-	sink   topo.NodeID
-	source topo.NodeID
-	cfg    core.Config
-}
-
 // Run expands the spec and executes every cell not excluded by Skip,
 // CompletedCells or Shard, streaming one Row per executed cell to each
 // sink in cell-index order as results become available.
@@ -536,35 +448,17 @@ type resolvedCell struct {
 // run error is returned alongside the summary of everything that
 // completed, mirroring experiment.Run's convention.
 //
-// Execution is arena-style: topologies are memoised across campaigns (see
-// resolve), and each worker keeps one wired core.Network per topology,
-// rewinding it with Network.Reset between repeats and across config cells
-// instead of rebuilding — the per-run cost is the simulation itself, not
-// its setup. Reset is pinned to be indistinguishable from fresh
-// construction, so rows remain a pure function of the Spec regardless of
-// worker count, arena reuse or cache warmth.
+// Execution goes through experiment.Engine: one bounded worker pool over
+// every (cell, repeat) job, each worker keeping one network slot that
+// Network.Reset rewinds between jobs and that is rewired only when the
+// topology changes (the outermost axis, so rarely). Topologies are
+// memoised across campaigns (see resolve). Each cell is reduced by a
+// streaming repeat-ordered fold that frees every Result as it folds, so
+// rows remain a pure function of the Spec regardless of worker count,
+// network reuse or cache warmth, and a cell's memory is O(workers)
+// Results instead of O(repeats).
 func Run(spec Spec, sinks ...Sink) (*Summary, error) {
 	return run(spec, nil, sinks...)
-}
-
-// arena is one worker's pool of reusable networks, keyed by topology (one
-// graph never maps to two different sink/source pairs within a campaign,
-// since all three come from the same builtTopology). The wire-or-reset
-// policy itself lives in experiment.RunReusable, shared with the
-// experiment harness's workers.
-type arena map[*topo.Graph]*core.Network
-
-func (a arena) run(rc resolvedCell, seed uint64) (*core.Result, error) {
-	net := a[rc.g]
-	res, err := experiment.RunReusable(&net, rc.g, rc.sink, rc.source, rc.cfg, seed)
-	if net == nil {
-		// RunReusable discards a network that failed to reset; rewire on
-		// the next job.
-		delete(a, rc.g)
-	} else {
-		a[rc.g] = net
-	}
-	return res, err
 }
 
 func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
@@ -580,20 +474,7 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	// selected marks the cells this run actually executes; skipped cells
-	// keep their indices and seed ranges but get no jobs, rows or results
-	// storage.
-	selected := make([]bool, len(cells))
-	nSelected := 0
-	for i := range cells {
-		if !skip(i) {
-			selected[i] = true
-			nSelected++
-		}
-	}
-	if nSelected == 0 {
-		return &Summary{Cells: len(cells), Skipped: len(cells)}, nil
-	}
+	sum := &Summary{Cells: len(cells)}
 
 	// Resolve every selected cell's topology and config up front so a bad
 	// axis value fails before any simulation starts. Topologies are
@@ -601,10 +482,13 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 	// them across the pool, and successive campaigns share them across
 	// calls. Skipped cells stay unresolved — a resume that has most of a
 	// huge matrix complete, or one shard of many, pays setup only for the
-	// cells it will actually run.
-	resolved := make([]resolvedCell, len(cells))
+	// cells it will actually run. Each selected cell keeps its own seed
+	// range, so skipped cells never shift another cell's seeds.
+	var selected []Cell
+	var specs []experiment.Spec
 	for i, c := range cells {
-		if !selected[i] {
+		if skip(i) {
+			sum.Skipped++
 			continue
 		}
 		bt, err := c.Topology.resolve()
@@ -615,128 +499,36 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 		if err != nil {
 			return nil, err
 		}
-		resolved[i] = resolvedCell{cell: c, g: bt.g, sink: bt.sink, source: bt.source, cfg: cfg}
+		selected = append(selected, c)
+		specs = append(specs, experiment.Spec{
+			GridSize: c.Topology.gridSize(),
+			Topology: bt.g,
+			Sink:     bt.sink,
+			Source:   bt.source,
+			Config:   cfg,
+			Repeats:  c.Repeats,
+			BaseSeed: c.BaseSeed,
+		})
+	}
+	if len(selected) == 0 {
+		return sum, nil
 	}
 
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := nSelected * spec.Repeats; workers > total {
-		workers = total
-	}
-
-	// One shared pool over every selected (cell, repeat) job, reduced per
-	// cell by a streaming index-ordered fold: workers deposit results as
-	// they finish, the reducer folds them into the cell's Accumulator
-	// strictly in repeat order (out-of-order arrivals wait in a small
-	// pending map bounded by pool concurrency) and frees each Result
-	// immediately. Rows are therefore a pure function of the Spec
-	// regardless of worker count — the fold order never depends on
-	// scheduling — and a cell's memory is O(workers) Results instead of
-	// O(repeats), which is what lets one 10⁵–10⁶-node cell run wide
-	// without buffering every repeat's n-sized assignment.
-	states := make([]*cellState, len(cells))
-	for i := range cells {
-		if !selected[i] {
-			continue
-		}
-		rc := resolved[i]
-		acc := experiment.NewAccumulator(experiment.Spec{
-			GridSize: rc.cell.Topology.gridSize(),
-			Topology: rc.g,
-			Sink:     rc.sink,
-			Source:   rc.source,
-			Config:   rc.cfg,
-			Repeats:  rc.cell.Repeats,
-			BaseSeed: rc.cell.BaseSeed,
-		}, rc.g)
-		states[i] = &cellState{repeats: spec.Repeats, acc: acc, done: make(chan struct{})}
-	}
-
-	type job struct{ cell, rep int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns an arena of reusable networks (one per
-			// topology); the instrumented exec hook used by tests bypasses
-			// it.
-			var nets arena
-			if exec == nil {
-				nets = make(arena)
-			}
-			for j := range jobs {
-				rc := resolved[j.cell]
-				seed := rc.cell.BaseSeed + uint64(j.rep)
-				var res *core.Result
-				var err error
-				if nets != nil {
-					res, err = nets.run(rc, seed)
-				} else {
-					res, err = exec(rc.g, rc.sink, rc.source, rc.cfg, seed)
-				}
-				if err != nil {
-					err = fmt.Errorf("campaign: cell %d seed %d: %w", j.cell, seed, err)
-				}
-				states[j.cell].deposit(j.rep, res, err)
-			}
-		}()
-	}
-	go func() {
-		for c := range cells {
-			if !selected[c] {
-				continue
-			}
-			for r := 0; r < spec.Repeats; r++ {
-				jobs <- job{cell: c, rep: r}
-			}
-		}
-		close(jobs)
-	}()
-
-	// abort drains the pool after a fatal sink/checkpoint failure: the
-	// stream's contract is one row per executed cell, so there is no
-	// point finishing the matrix.
-	abort := func() {
-		go func() {
-			for range jobs {
-			}
-		}()
-		wg.Wait()
-	}
-
-	// Emit rows in cell order as cells finish; earlier cells gate later
-	// ones only at the sink, not in the pool.
-	sum := &Summary{Cells: len(cells)}
 	var firstErr error
 	emitted := 0
-	for i := range cells {
-		if !selected[i] {
-			sum.Skipped++
-			continue
+	err = experiment.Engine{Workers: spec.Workers, Exec: exec}.Run(specs, func(i int, agg *experiment.Aggregate, runErr error) error {
+		c := selected[i]
+		if runErr != nil && firstErr == nil {
+			firstErr = fmt.Errorf("campaign: cell %d: %w", c.Index, runErr)
 		}
-		st := states[i]
-		<-st.done
-		rc := resolved[i]
-		agg := st.acc.Finalize()
-		agg.Failures = st.failures
-		if st.firstErr != nil && firstErr == nil {
-			firstErr = st.firstErr
-		}
-		// Release the cell's reduction state so a long campaign's memory
-		// is bounded by in-flight cells, not total runs.
-		states[i] = nil
-		row := makeRow(rc.cell, rc.g, agg)
+		row := makeRow(c, specs[i].Topology, agg)
 		sum.Rows = append(sum.Rows, row)
 		sum.Failures += agg.Failures
 		for _, snk := range sinks {
 			if err := snk.Write(row); err != nil {
-				// A sink failure is fatal: drain the pool and stop.
-				abort()
-				return sum, fmt.Errorf("campaign: sink: %w", err)
+				// A sink failure is fatal: the stream's contract is one row
+				// per executed cell, so there is no point finishing.
+				return fmt.Errorf("campaign: sink: %w", err)
 			}
 		}
 		emitted++
@@ -747,15 +539,17 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 					continue
 				}
 				if _, err := cs.Checkpoint(); err != nil {
-					abort()
-					return sum, fmt.Errorf("campaign: checkpoint: %w", err)
+					return fmt.Errorf("campaign: checkpoint: %w", err)
 				}
 			}
 		}
 		if spec.Progress != nil {
-			spec.Progress(i+1, len(cells), row)
+			spec.Progress(c.Index+1, len(cells), row)
 		}
+		return nil
+	})
+	if err != nil {
+		return sum, err
 	}
-	wg.Wait()
 	return sum, firstErr
 }

@@ -43,7 +43,7 @@ func TestExpandFullMatrix(t *testing.T) {
 		Protocols:       []string{Protectionless, SLPAware},
 		SearchDistances: []int{1, 3},
 		Attackers:       []attacker.Params{{R: 1, M: 1}, {R: 2, M: 2}},
-		LossModels:      []string{"ideal", "bernoulli:0.1"},
+		Channels:        []string{"ideal", "bernoulli:0.1"},
 		Collisions:      []bool{false, true},
 		Repeats:         5,
 		BaseSeed:        100,
@@ -88,7 +88,7 @@ func TestRunFailsFastOnBadAxis(t *testing.T) {
 	}
 	for name, spec := range map[string]Spec{
 		"attacker R=0": {GridSizes: []int{5}, Attackers: []attacker.Params{{R: 0, M: 1}}},
-		"bad loss":     {GridSizes: []int{5}, LossModels: []string{"bernoulli:2"}},
+		"bad loss":     {GridSizes: []int{5}, Channels: []string{"bernoulli:2"}},
 		"sd 0 for slp": {GridSizes: []int{5}, Protocols: []string{SLPAware}, SearchDistances: []int{0}},
 	} {
 		if _, err := run(spec, exec, &Memory{}); err == nil {

@@ -45,6 +45,7 @@ func TestParseNonCanonical(t *testing.T) {
 		{"", "ideal"},
 		{"  ideal  ", "ideal"},
 		{"bernoulli:0.250", "bernoulli:0.25"},
+		{"bernoulli:1.0", "bernoulli:1"},
 		{"logdist:2.40:4.0", "logdist:2.4:4"},
 		{"logdist:2.4:4@sinr:3.0", "logdist:2.4:4@sinr:3"},
 	} {
@@ -77,7 +78,13 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"bernoulli:-0.1",
 		"bernoulli:1.1",
 		"bernoulli:NaN",
+		"bernoulli:nan",
 		"bernoulli:+Inf",
+		"bernoulli:-Inf",
+		"bernoulli:Inf",
+		"bernoulli:1.0001",
+		"bernoulli:x",
+		"bernoulli:0.5:",
 		"logdist",
 		"logdist:",
 		"logdist:2.4",
@@ -97,9 +104,62 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"bernoulli:0.5@sinr:3",
 		"rssi@sinr:3",
 		"unknown",
+		"bogus",
 	} {
 		if m, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted garbage as %q", bad, m.Spec())
+		}
+	}
+}
+
+// FuzzParse: every accepted spec has finite, in-range parameters
+// (bernoulli p ∈ [0, 1], logdist n > 0 and σ ≥ 0, a finite SINR
+// threshold), and its canonical Spec parses back to itself.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"ideal", "rssi", "bernoulli:0.5", "bernoulli:NaN", "bernoulli:+Inf", "bernoulli:1", "bernoulli:1e-3",
+		"logdist:2.4:4", "logdist:2.4:4@sinr:3", "logdist:0:4", "logdist:2:-1@sinr:Inf",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := Parse(s)
+		if err != nil {
+			return
+		}
+		switch m := m.(type) {
+		case Bernoulli:
+			if !(m.P >= 0 && m.P <= 1) { // NaN fails this form too
+				t.Errorf("Parse(%q) produced p=%v outside [0,1]", s, m.P)
+			}
+		case *LogDistance:
+			if !(m.Exp > 0) || math.IsInf(m.Exp, 0) || !(m.Sigma >= 0) || math.IsInf(m.Sigma, 0) {
+				t.Errorf("Parse(%q) produced n=%v σ=%v", s, m.Exp, m.Sigma)
+			}
+			if math.IsNaN(m.sinrDB) || math.IsInf(m.sinrDB, 0) {
+				t.Errorf("Parse(%q) produced SINR threshold %v", s, m.sinrDB)
+			}
+		}
+		back, err := Parse(m.Spec())
+		if err != nil {
+			t.Fatalf("Parse(%q).Spec() = %q does not parse back: %v", s, m.Spec(), err)
+		}
+		if back.Spec() != m.Spec() {
+			t.Errorf("Parse(%q): Spec %q reparses as %q", s, m.Spec(), back.Spec())
+		}
+	})
+}
+
+// TestBernoulliExtremes: the admitted bounds really mean what they say —
+// p=0 never loses a frame, p=1 loses every frame.
+func TestBernoulliExtremes(t *testing.T) {
+	r := xrand.NewNamed(1, "radio")
+	for i := 0; i < 1000; i++ {
+		if (Bernoulli{P: 0}).Lost(0, 1, 1, r) {
+			t.Fatal("bernoulli:0 lost a frame")
+		}
+		if !(Bernoulli{P: 1}).Lost(0, 1, 1, r) {
+			t.Fatal("bernoulli:1 delivered a frame")
 		}
 	}
 }

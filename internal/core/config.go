@@ -16,7 +16,6 @@ import (
 	"slpdas/internal/fault"
 	"slpdas/internal/mac"
 	"slpdas/internal/protocol"
-	"slpdas/internal/radio"
 )
 
 // Config carries every protocol parameter of Table I plus the simulation
@@ -49,16 +48,8 @@ type Config struct {
 	// the Table I default Δss − SD, computed from the topology.
 	ChangeLength int
 	// Protocol selects the routing family by registry name (see
-	// protocol.Protocols); it takes precedence over SLP. Empty falls
-	// through to the SLP bool.
+	// protocol.Protocols). Empty means protectionless DAS.
 	Protocol string
-	// SLP selects the SLP-aware protocol (Phases 2 and 3) over
-	// protectionless DAS.
-	//
-	// Deprecated: the bool is the pre-registry alias for choosing between
-	// protocol.NameSLPDAS and protocol.NameProtectionless; set Protocol
-	// instead. Ignored when Protocol is non-empty.
-	SLP bool
 	// SafetyFactor (Cs) scales the protectionless capture time into the
 	// safety period: 1.5.
 	SafetyFactor float64
@@ -75,12 +66,9 @@ type Config struct {
 	// network to the sink, as in the paper.
 	Attacker attacker.Params
 	// Strategy selects the attacker decision behaviour by registry name
-	// (see attacker.Strategies); it takes precedence over Decision. Empty
-	// falls through to Decision.
+	// (see attacker.Strategies). Empty means first-heard, the paper's
+	// (1,0,1,s0,D) attacker.
 	Strategy string
-	// Decision is the attacker's D function when Strategy is empty; nil
-	// means FirstHeard, the paper's (1,0,1,s0,D) attacker.
-	Decision attacker.Decision
 	// AttackerCount is the number of simultaneous eavesdroppers, all
 	// starting at the sink with independent random streams and fresh
 	// strategy instances. 0 means the paper's single attacker. Capture is
@@ -90,16 +78,12 @@ type Config struct {
 	// collectively avoids anywhere any member has visited. Only meaningful
 	// with AttackerCount > 1 and Attacker.H > 0.
 	SharedHistory bool
-	// Loss is the legacy binary channel model; nil means radio.Ideal{}, the
-	// paper's reliable-network evaluation setting. Superseded by Channel
-	// when that is non-empty.
-	Loss radio.LossModel
 	// Channel selects the physical channel by textual spec (the
 	// internal/channel grammar: "ideal", "bernoulli:<p>", "rssi", or
 	// "logdist:<n>:<sigma>[@sinr:<threshold>]"). A string rather than a
 	// model value so Configs stay copyable across campaign workers: each
-	// Network parses and owns its instance. Non-empty takes precedence
-	// over Loss; empty falls through to Loss, then to the ideal channel.
+	// Network parses and owns its instance. Empty means the ideal channel,
+	// the paper's reliable-network evaluation setting.
 	Channel string
 	// Collisions enables receiver-side collision corruption. Ignored by
 	// channels with SINR capture, which replace the binary window with the
@@ -159,7 +143,7 @@ func Default() Config {
 		DisseminationTimeout:      5,
 		SearchDistance:            3,
 		ChangeLength:              0, // Δss − SD
-		SLP:                       false,
+		Protocol:                  protocol.NameProtectionless,
 		SafetyFactor:              1.5,
 		BootJitter:                50 * time.Millisecond,
 		Attacker:                  attacker.Params{R: 1, H: 0, M: 1},
@@ -170,7 +154,7 @@ func Default() Config {
 // the given search distance.
 func DefaultSLP(searchDistance int) Config {
 	c := Default()
-	c.SLP = true
+	c.Protocol = protocol.NameSLPDAS
 	c.SearchDistance = searchDistance
 	return c
 }
@@ -239,20 +223,16 @@ func (c Config) Validate() error {
 }
 
 // ProtocolName returns the registry name of the configured routing
-// family: the Protocol field when set (canonicalised through the registry,
-// so the "slp" alias reports "slp-das"), else the family the deprecated
-// SLP bool aliases.
+// family: the Protocol field canonicalised through the registry (so the
+// "slp" alias reports "slp-das"), protectionless when it is empty.
 func (c Config) ProtocolName() string {
-	if c.Protocol != "" {
-		if fam, err := protocol.ByName(c.Protocol); err == nil {
-			return fam.Name()
-		}
-		return c.Protocol
+	if c.Protocol == "" {
+		return protocol.NameProtectionless
 	}
-	if c.SLP {
-		return protocol.NameSLPDAS
+	if fam, err := protocol.ByName(c.Protocol); err == nil {
+		return fam.Name()
 	}
-	return protocol.NameProtectionless
+	return c.Protocol
 }
 
 // ProtocolFamily resolves the configured routing family through the
@@ -276,28 +256,17 @@ func (c Config) Attackers() int {
 	return c.AttackerCount
 }
 
-// strategyFactory resolves the configured behaviour — named strategy,
-// bare Decision func, or the first-heard default — to one per-attacker
-// instance factory.
+// strategyFactory resolves the configured strategy name, or the
+// first-heard default, to one per-attacker instance factory.
 func (c Config) strategyFactory() (attacker.Factory, error) {
-	if c.Strategy != "" {
-		return attacker.ByName(c.Strategy)
-	}
-	decide := c.Decision
-	if decide == nil {
-		decide = attacker.FirstHeard
-	}
-	return func() attacker.Strategy { return attacker.DecisionStrategy(decide) }, nil
+	return attacker.ByName(c.StrategyLabel())
 }
 
 // StrategyLabel names the attacker behaviour for reporting: the Strategy
-// registry name, "custom" for a bare Decision func, else the default.
+// registry name, else the default.
 func (c Config) StrategyLabel() string {
 	if c.Strategy != "" {
 		return c.Strategy
-	}
-	if c.Decision != nil {
-		return "custom"
 	}
 	return attacker.DefaultStrategy
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"slpdas/internal/radio"
+	"slpdas/internal/protocol"
 	"slpdas/internal/schedule"
 	"slpdas/internal/topo"
 	"slpdas/internal/verify"
@@ -47,7 +47,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MinimumSetupPeriods = 0 },
 		func(c *Config) { c.NeighbourDiscoveryPeriods = 0 },
 		func(c *Config) { c.DisseminationTimeout = 0 },
-		func(c *Config) { c.SLP = true; c.SearchDistance = 0 },
+		func(c *Config) { c.Protocol = protocol.NameSLPDAS; c.SearchDistance = 0 },
 		func(c *Config) { c.SafetyFactor = 0 },
 		func(c *Config) { c.ChangeLength = -1 },
 		func(c *Config) { c.Attacker.R = 0 },
@@ -342,7 +342,7 @@ func TestLossyChannelStillConverges(t *testing.T) {
 	const runs = 10
 	for seed := uint64(0); seed < runs; seed++ {
 		cfg := Default()
-		cfg.Loss = radio.Bernoulli{P: 0.10}
+		cfg.Channel = "bernoulli:0.1"
 		res := run(t, g, side, cfg, seed)
 		if res.ScheduleValid() {
 			valid++
@@ -527,8 +527,8 @@ func TestSingleAttackerUnchangedByMultiAttackerPlumbing(t *testing.T) {
 }
 
 func TestNamedStrategyMatchesLegacyDecision(t *testing.T) {
-	// The registry's first-heard must behave exactly like the legacy
-	// Decision-func path for a single attacker.
+	// Naming first-heard explicitly must behave exactly like leaving the
+	// strategy empty.
 	side := 7
 	g := grid(t, side)
 	named := Default()
@@ -579,8 +579,8 @@ func TestStrategiesRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunTerminatesUnderTotalLoss pins the bernoulli:1 semantics decided
-// with radio.ParseLossModel: 100% channel loss is a legitimate stress
+// TestRunTerminatesUnderTotalLoss pins the bernoulli:1 semantics of the
+// channel grammar: 100% channel loss is a legitimate stress
 // scenario, not a config error. No frame is ever delivered, so no
 // schedule can form and no capture can happen — but timers keep firing
 // and the run is bounded by simulated time, so the DES terminates
@@ -588,16 +588,16 @@ func TestStrategiesRunEndToEnd(t *testing.T) {
 func TestRunTerminatesUnderTotalLoss(t *testing.T) {
 	for _, mk := range []func() Config{Default, func() Config { return DefaultSLP(2) }} {
 		cfg := mk()
-		cfg.Loss = radio.Bernoulli{P: 1}
+		cfg.Channel = "bernoulli:1"
 		res := run(t, grid(t, 5), 5, cfg, 1)
 		if res.Captured {
-			t.Errorf("captured under 100%% loss (SLP=%v)", cfg.SLP)
+			t.Errorf("captured under 100%% loss (%s)", cfg.Protocol)
 		}
 		if res.ScheduleValid() {
-			t.Errorf("schedule formed under 100%% loss (SLP=%v)", cfg.SLP)
+			t.Errorf("schedule formed under 100%% loss (%s)", cfg.Protocol)
 		}
 		if res.SourceDeliveries != 0 {
-			t.Errorf("%d deliveries under 100%% loss (SLP=%v)", res.SourceDeliveries, cfg.SLP)
+			t.Errorf("%d deliveries under 100%% loss (%s)", res.SourceDeliveries, cfg.Protocol)
 		}
 	}
 }

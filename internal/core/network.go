@@ -365,9 +365,9 @@ func (n *Network) horizon() time.Duration {
 	return n.deadline + n.timing.PeriodDuration()
 }
 
-// resolveChannel maps the config's channel knobs onto one channel.Model:
-// Channel spec (parsed, cached per spec string), else the legacy Loss
-// model adapted, else nil — Medium.Reset's ideal default. The model is
+// resolveChannel maps the config's Channel spec onto one channel.Model
+// (parsed, cached per spec string), or nil for an empty spec —
+// Medium.Reset's ideal default. The model is
 // owned by this Network, never shared: Config carries only the string,
 // so copied Configs on campaign workers cannot alias per-run state.
 func (n *Network) resolveChannel(cfg Config) (channel.Model, error) {
@@ -380,9 +380,6 @@ func (n *Network) resolveChannel(cfg Config) (channel.Model, error) {
 			n.chanSpec, n.chanModel = cfg.Channel, m
 		}
 		return n.chanModel, nil
-	}
-	if cfg.Loss != nil {
-		return radio.FromLossModel(cfg.Loss), nil
 	}
 	return nil, nil
 }

@@ -95,9 +95,9 @@ func TestResetAcrossFamilies(t *testing.T) {
 	}
 }
 
-// TestProtocolFieldAliasesBool pins the compatibility contract: the
-// deprecated SLP bool and the Protocol string select the same families,
-// and the string wins when both are set.
+// TestProtocolFieldAliasesBool pins the compatibility contract:
+// DefaultSLP, the canonical Protocol name and the "slp" alias select the
+// same family, and an empty Protocol means protectionless.
 func TestProtocolFieldAliasesBool(t *testing.T) {
 	g, err := topo.DefaultGrid(5)
 	if err != nil {
@@ -105,28 +105,21 @@ func TestProtocolFieldAliasesBool(t *testing.T) {
 	}
 	sink, source := topo.GridCentre(5), topo.GridTopLeft()
 
-	viaBool := DefaultSLP(2)
+	viaDefault := DefaultSLP(2)
 	viaString := Default()
 	viaString.Protocol = protocol.NameSLPDAS
 	viaString.SearchDistance = 2
 	viaAlias := viaString
 	viaAlias.Protocol = protocol.AliasSLP
-	viaAlias.SLP = false // the string takes precedence regardless
 
-	want := freshResult(t, g, sink, source, viaBool, 5)
+	want := freshResult(t, g, sink, source, viaDefault, 5)
 	for name, cfg := range map[string]Config{"string": viaString, "alias": viaAlias} {
 		got := freshResult(t, g, sink, source, cfg, 5)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s config diverged from the SLP bool path:\ngot: %+v\nwant: %+v", name, got, want)
+			t.Errorf("%s config diverged from DefaultSLP:\ngot: %+v\nwant: %+v", name, got, want)
 		}
 	}
 
-	if got := (Config{Protocol: "phantom", SLP: true}).ProtocolName(); got != protocol.NamePhantom {
-		t.Errorf("Protocol string should beat the SLP bool, got %q", got)
-	}
-	if got := (Config{SLP: true}).ProtocolName(); got != protocol.NameSLPDAS {
-		t.Errorf("SLP bool alias broken, got %q", got)
-	}
 	if got := (Config{}).ProtocolName(); got != protocol.NameProtectionless {
 		t.Errorf("zero config should be protectionless, got %q", got)
 	}

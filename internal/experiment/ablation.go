@@ -7,7 +7,6 @@ import (
 	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/metrics"
-	"slpdas/internal/radio"
 	"slpdas/internal/topo"
 	"slpdas/internal/verify"
 )
@@ -26,23 +25,27 @@ func SearchDistanceSweep(gridSize int, distances []int, repeats int, baseSeed ui
 	if len(distances) == 0 {
 		distances = []int{1, 2, 3, 4, 5, 6, 7}
 	}
-	out := make([]SearchDistancePoint, 0, len(distances))
-	for _, sd := range distances {
-		agg, err := Run(Spec{
-			GridSize: gridSize,
-			Config:   core.DefaultSLP(sd),
-			Repeats:  repeats,
-			BaseSeed: baseSeed,
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: sd sweep at %d: %w", sd, err)
-		}
-		out = append(out, SearchDistancePoint{
-			SearchDistance: sd,
+	cfgs := make([]core.Config, len(distances))
+	for i, sd := range distances {
+		cfgs[i] = core.DefaultSLP(sd)
+	}
+	specs, err := gridCells(gridSize, repeats, baseSeed, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := runAll(specs, workers, func(i int) string {
+		return fmt.Sprintf("sd sweep at %d", distances[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SearchDistancePoint, len(distances))
+	for i, agg := range aggs {
+		out[i] = SearchDistancePoint{
+			SearchDistance: distances[i],
 			CaptureRatio:   agg.CaptureRatio,
 			ChangedNodes:   agg.ChangedNodes,
-		})
+		}
 	}
 	return out, nil
 }
@@ -144,29 +147,33 @@ func StrategySweep(gridSize int, base core.Config, strategies []string, counts [
 	if len(counts) == 0 {
 		counts = []int{1}
 	}
-	out := make([]StrategyPoint, 0, len(strategies)*len(counts))
+	var cfgs []core.Config
 	for _, s := range strategies {
 		for _, count := range counts {
 			cfg := base
 			cfg.Strategy = s
 			cfg.AttackerCount = count
-			agg, err := Run(Spec{
-				GridSize: gridSize,
-				Config:   cfg,
-				Repeats:  repeats,
-				BaseSeed: baseSeed,
-				Workers:  workers,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiment: strategy sweep %s x%d: %w", s, count, err)
-			}
-			out = append(out, StrategyPoint{
-				Strategy:       s,
-				Attackers:      count,
-				SharedHistory:  cfg.SharedHistory,
-				CaptureRatio:   agg.CaptureRatio,
-				CapturePeriods: agg.CapturePeriods,
-			})
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	specs, err := gridCells(gridSize, repeats, baseSeed, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := runAll(specs, workers, func(i int) string {
+		return fmt.Sprintf("strategy sweep %s x%d", cfgs[i].Strategy, cfgs[i].AttackerCount)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]StrategyPoint, len(cfgs))
+	for i, agg := range aggs {
+		out[i] = StrategyPoint{
+			Strategy:       cfgs[i].Strategy,
+			Attackers:      cfgs[i].AttackerCount,
+			SharedHistory:  cfgs[i].SharedHistory,
+			CaptureRatio:   agg.CaptureRatio,
+			CapturePeriods: agg.CapturePeriods,
 		}
 	}
 	return out, nil
@@ -192,13 +199,15 @@ type LossModelPoint struct {
 	ScheduleValid metrics.Proportion
 }
 
-// LossModelSweep measures SLP DAS robustness across channel models.
-func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, workers int, models map[string]radio.LossModel) ([]LossModelPoint, error) {
+// LossModelSweep measures SLP DAS robustness across channel models,
+// given as row label → internal/channel spec. The nil default is the
+// paper-era trio: ideal, 5% Bernoulli loss and the rssi noise substitute.
+func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, workers int, models map[string]string) ([]LossModelPoint, error) {
 	if models == nil {
-		models = map[string]radio.LossModel{
-			"ideal":          radio.Ideal{},
-			"bernoulli-0.05": radio.Bernoulli{P: 0.05},
-			"rssi-noise":     radio.DefaultRSSINoise(),
+		models = map[string]string{
+			"ideal":          "ideal",
+			"bernoulli-0.05": "bernoulli:0.05",
+			"rssi-noise":     "rssi",
 		}
 	}
 	names := make([]string, 0, len(models))
@@ -207,25 +216,28 @@ func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, work
 	}
 	// Sort for deterministic output order.
 	sort.Strings(names)
-	out := make([]LossModelPoint, 0, len(models))
-	for _, name := range names {
-		cfg := core.DefaultSLP(searchDistance)
-		cfg.Loss = models[name]
-		agg, err := Run(Spec{
-			GridSize: gridSize,
-			Config:   cfg,
-			Repeats:  repeats,
-			BaseSeed: baseSeed,
-			Workers:  workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: loss sweep %q: %w", name, err)
-		}
-		out = append(out, LossModelPoint{
-			Model:         name,
+	cfgs := make([]core.Config, len(names))
+	for i, name := range names {
+		cfgs[i] = core.DefaultSLP(searchDistance)
+		cfgs[i].Channel = models[name]
+	}
+	specs, err := gridCells(gridSize, repeats, baseSeed, cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	aggs, err := runAll(specs, workers, func(i int) string {
+		return fmt.Sprintf("loss sweep %q", names[i])
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]LossModelPoint, len(names))
+	for i, agg := range aggs {
+		out[i] = LossModelPoint{
+			Model:         names[i],
 			CaptureRatio:  agg.CaptureRatio,
 			ScheduleValid: agg.ScheduleValid,
-		})
+		}
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"slpdas/internal/core"
-	"slpdas/internal/radio"
 	"slpdas/internal/verify"
 )
 
@@ -66,9 +65,9 @@ func TestAttackerSweepMonotoneInStrength(t *testing.T) {
 }
 
 func TestLossModelSweep(t *testing.T) {
-	points, err := LossModelSweep(5, 2, 2, 9, 0, map[string]radio.LossModel{
-		"ideal":     radio.Ideal{},
-		"bern-0.05": radio.Bernoulli{P: 0.05},
+	points, err := LossModelSweep(5, 2, 2, 9, 0, map[string]string{
+		"ideal":     "ideal",
+		"bern-0.05": "bernoulli:0.05",
 	})
 	if err != nil {
 		t.Fatalf("LossModelSweep: %v", err)

@@ -7,9 +7,7 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"slpdas/internal/core"
 	"slpdas/internal/metrics"
@@ -49,47 +47,6 @@ func (s Spec) ResolveTopology() (*topo.Graph, topo.NodeID, topo.NodeID, error) {
 		return nil, 0, 0, err
 	}
 	return g, topo.GridCentre(s.GridSize), topo.GridTopLeft(), nil
-}
-
-// RunSingle executes one fully deterministic simulation of cfg on a
-// resolved topology at the given seed. It is the unit of work behind Run
-// and the campaign engine's shared worker pool.
-func RunSingle(g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error) {
-	net, err := core.NewNetwork(g, sink, source, cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	return net.Run()
-}
-
-// RunReusable is RunSingle over a caller-held reusable network slot: a nil
-// *net wires a fresh network into the slot, later calls rewind it with
-// Reset. A network that fails to reset (bad per-cell config) is discarded
-// — the slot is nilled — so the next run starts from clean wiring. This is
-// the single wire-or-reset policy shared by this package's workers and the
-// campaign engine's per-topology arenas.
-func RunReusable(net **core.Network, g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error) {
-	if *net == nil {
-		n, err := core.NewNetwork(g, sink, source, cfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		*net = n
-		return n.Run()
-	}
-	if err := (*net).Reset(cfg, seed); err != nil {
-		*net = nil
-		return nil, err
-	}
-	return (*net).Run()
-}
-
-// AggregateResults summarises already-computed per-run results of one
-// cell. Nil entries (failed runs) are skipped; callers account failures
-// separately. Exposed so external schedulers (internal/campaign) can run
-// repeats through their own pool and still share the aggregation logic.
-func AggregateResults(spec Spec, g *topo.Graph, results []*core.Result) *Aggregate {
-	return aggregate(spec, g, results)
 }
 
 // Accumulator folds the per-run Results of one cell into an Aggregate one
@@ -163,8 +120,8 @@ func NewAccumulator(spec Spec, g *topo.Graph) *Accumulator {
 }
 
 // Add folds one run's result in. Nil results (failed runs) are ignored;
-// callers account failures separately, as with AggregateResults. Results
-// must be added in repeat order for byte-identical aggregates.
+// callers account failures separately. Results must be added in repeat
+// order for byte-identical aggregates.
 func (a *Accumulator) Add(r *core.Result) {
 	if r == nil {
 		return
@@ -334,71 +291,52 @@ type Aggregate struct {
 // seeds, in parallel. Every run that errors is counted and the first
 // error is returned alongside the aggregate of the successful runs.
 func Run(spec Spec) (*Aggregate, error) {
-	if spec.Repeats <= 0 {
-		return nil, fmt.Errorf("experiment: repeats must be positive, got %d", spec.Repeats)
-	}
-	g, sink, source, err := spec.ResolveTopology()
+	var agg *Aggregate
+	var runErr error
+	err := Engine{Workers: spec.Workers, KeepResults: true}.Run([]Spec{spec}, func(_ int, a *Aggregate, err error) error {
+		agg, runErr = a, err
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if runErr != nil {
+		runErr = fmt.Errorf("experiment: %w", runErr)
 	}
-	if workers > spec.Repeats {
-		workers = spec.Repeats
-	}
-
-	results := make([]*core.Result, spec.Repeats)
-	errs := make([]error, spec.Repeats)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Arena: each worker wires one network on its first repeat and
-			// replays it via Reset for the rest — Reset is pinned to produce
-			// results identical to a fresh NewNetwork, so output stays a pure
-			// function of the spec regardless of worker count.
-			var net *core.Network
-			for r := range jobs {
-				seed := spec.BaseSeed + uint64(r)
-				res, err := RunReusable(&net, g, sink, source, spec.Config, seed)
-				if err != nil {
-					errs[r] = fmt.Errorf("experiment: seed %d: %w", seed, err)
-					continue
-				}
-				results[r] = res
-			}
-		}()
-	}
-	for r := 0; r < spec.Repeats; r++ {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
-
-	agg := aggregate(spec, g, results)
-	var firstErr error
-	for _, e := range errs {
-		if e != nil {
-			agg.Failures++
-			if firstErr == nil {
-				firstErr = e
-			}
-		}
-	}
-	return agg, firstErr
+	return agg, runErr
 }
 
-func aggregate(spec Spec, g *topo.Graph, results []*core.Result) *Aggregate {
-	acc := NewAccumulator(spec, g)
-	acc.KeepResults = true
-	for _, r := range results {
-		acc.Add(r)
+// gridCells returns one cell per config on a shared size×size grid with
+// the paper's placement, all on seeds baseSeed + r. Sharing the graph lets
+// each worker's network slot serve every cell of the size.
+func gridCells(size, repeats int, baseSeed uint64, cfgs ...core.Config) ([]Spec, error) {
+	g, sink, source, err := Spec{GridSize: size}.ResolveTopology()
+	if err != nil {
+		return nil, err
 	}
-	return acc.Finalize()
+	specs := make([]Spec, len(cfgs))
+	for i, cfg := range cfgs {
+		specs[i] = Spec{GridSize: size, Topology: g, Sink: sink, Source: source, Config: cfg, Repeats: repeats, BaseSeed: baseSeed}
+	}
+	return specs, nil
+}
+
+// runAll executes specs through one engine call, keeping every Result,
+// and returns their aggregates in spec order. The first cell with a
+// failed run stops the pool; its error is returned, labelled by what.
+func runAll(specs []Spec, workers int, what func(i int) string) ([]*Aggregate, error) {
+	aggs := make([]*Aggregate, len(specs))
+	err := Engine{Workers: workers, KeepResults: true}.Run(specs, func(i int, agg *Aggregate, err error) error {
+		if err != nil {
+			return fmt.Errorf("experiment: %s: %w", what(i), err)
+		}
+		aggs[i] = agg
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return aggs, nil
 }
 
 // protocolLabel names the configured routing family for aggregates,

@@ -125,26 +125,6 @@ func TestFigure5SmallSweep(t *testing.T) {
 	}
 }
 
-func TestFigure5MutateHook(t *testing.T) {
-	called := 0
-	_, err := RunFigure5(Figure5Spec{
-		GridSizes:      []int{5},
-		SearchDistance: 2,
-		Repeats:        2,
-		BaseSeed:       3,
-		Mutate: func(c *core.Config) {
-			called++
-			c.Attacker.R = 1
-		},
-	})
-	if err != nil {
-		t.Fatalf("RunFigure5: %v", err)
-	}
-	if called != 2 {
-		t.Errorf("mutate called %d times, want 2 (both protocols)", called)
-	}
-}
-
 func TestReductionMath(t *testing.T) {
 	p := Figure5Point{}
 	p.Protectionless.Successes, p.Protectionless.Trials = 20, 100

@@ -45,33 +45,33 @@ type Figure5Spec struct {
 	Repeats        int
 	BaseSeed       uint64
 	Workers        int
-	// Mutate, when non-nil, adjusts each cell's config (used by the
-	// ablation benches for loss models and attacker strength).
-	Mutate func(*core.Config)
 }
 
-// RunFigure5 executes the full sweep.
+// RunFigure5 executes the full sweep: both protocols at every size, all
+// through one engine call. Every cell runs on seeds BaseSeed + r, and both
+// protocols of a size share one graph, so each worker's network slot is
+// rewired once per size.
 func RunFigure5(spec Figure5Spec) (*Figure5, error) {
 	if len(spec.GridSizes) == 0 {
 		spec.GridSizes = []int{11, 15, 21}
 	}
-	fig := &Figure5{SearchDistance: spec.SearchDistance}
+	specs := make([]Spec, 0, 2*len(spec.GridSizes))
 	for _, size := range spec.GridSizes {
-		protCfg := core.Default()
-		slpCfg := core.DefaultSLP(spec.SearchDistance)
-		if spec.Mutate != nil {
-			spec.Mutate(&protCfg)
-			spec.Mutate(&slpCfg)
-			slpCfg.SLP = true
-		}
-		prot, err := Run(Spec{GridSize: size, Config: protCfg, Repeats: spec.Repeats, BaseSeed: spec.BaseSeed, Workers: spec.Workers})
+		cells, err := gridCells(size, spec.Repeats, spec.BaseSeed, core.Default(), core.DefaultSLP(spec.SearchDistance))
 		if err != nil {
-			return nil, fmt.Errorf("experiment: fig5 size %d protectionless: %w", size, err)
+			return nil, fmt.Errorf("experiment: fig5 size %d: %w", size, err)
 		}
-		slp, err := Run(Spec{GridSize: size, Config: slpCfg, Repeats: spec.Repeats, BaseSeed: spec.BaseSeed, Workers: spec.Workers})
-		if err != nil {
-			return nil, fmt.Errorf("experiment: fig5 size %d slp: %w", size, err)
-		}
+		specs = append(specs, cells...)
+	}
+	aggs, err := runAll(specs, spec.Workers, func(i int) string {
+		return fmt.Sprintf("fig5 size %d %s", specs[i].GridSize, [2]string{"protectionless", "slp"}[i%2])
+	})
+	if err != nil {
+		return nil, err
+	}
+	fig := &Figure5{SearchDistance: spec.SearchDistance}
+	for i, size := range spec.GridSizes {
+		prot, slp := aggs[2*i], aggs[2*i+1]
 		fig.Points = append(fig.Points, Figure5Point{
 			GridSize:          size,
 			Protectionless:    prot.CaptureRatio,
@@ -112,15 +112,17 @@ type OverheadComparison struct {
 
 // RunOverhead measures both protocols on one grid size.
 func RunOverhead(size, searchDistance, repeats int, baseSeed uint64, workers int) (*OverheadComparison, error) {
-	prot, err := Run(Spec{GridSize: size, Config: core.Default(), Repeats: repeats, BaseSeed: baseSeed, Workers: workers})
+	specs, err := gridCells(size, repeats, baseSeed, core.Default(), core.DefaultSLP(searchDistance))
 	if err != nil {
-		return nil, fmt.Errorf("experiment: overhead protectionless: %w", err)
+		return nil, fmt.Errorf("experiment: overhead: %w", err)
 	}
-	slp, err := Run(Spec{GridSize: size, Config: core.DefaultSLP(searchDistance), Repeats: repeats, BaseSeed: baseSeed, Workers: workers})
+	aggs, err := runAll(specs, workers, func(i int) string {
+		return "overhead " + [2]string{"protectionless", "slp"}[i]
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: overhead slp: %w", err)
+		return nil, err
 	}
-	return &OverheadComparison{GridSize: size, Protectionless: prot, SLP: slp}, nil
+	return &OverheadComparison{GridSize: size, Protectionless: aggs[0], SLP: aggs[1]}, nil
 }
 
 // Table renders mean per-run control message counts by type, the per-

@@ -296,13 +296,6 @@ func WithChannel(ch channel.Model) Option {
 	return func(r *Medium) { r.ch = ch }
 }
 
-// WithLossModel selects a legacy binary loss model, adapted onto the
-// channel interface (default Ideal). Kept for the pre-channel-registry
-// call sites; new code should use WithChannel.
-func WithLossModel(m LossModel) Option {
-	return func(r *Medium) { r.ch = FromLossModel(m) }
-}
-
 // WithEnergyMeter attaches the per-node energy meter charged for every
 // transmission and reception (default nil: charging off).
 func WithEnergyMeter(em EnergyMeter) Option {

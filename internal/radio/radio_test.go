@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slpdas/internal/channel"
 	"slpdas/internal/des"
 	"slpdas/internal/topo"
 	"slpdas/internal/xrand"
@@ -82,7 +83,7 @@ func TestBernoulliLossRate(t *testing.T) {
 		t.Fatalf("line: %v", err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithLossModel(Bernoulli{P: 0.3}))
+	m := New(sim, g, 1, WithChannel(channel.Bernoulli{P: 0.3}))
 	delivered := 0
 	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
 	const trials = 5000
@@ -123,13 +124,13 @@ func TestIdealLossless(t *testing.T) {
 }
 
 func TestRSSINoiseMonotonicInDistance(t *testing.T) {
-	model := DefaultRSSINoise()
+	var model channel.RSSI
 	r := xrand.NewNamed(3, "rssi-test")
 	lossAt := func(d float64) float64 {
 		lost := 0
 		const trials = 4000
 		for i := 0; i < trials; i++ {
-			if model.Lost(d, r) {
+			if model.Lost(0, 1, d, r) {
 				lost++
 			}
 		}
@@ -557,18 +558,6 @@ func TestPayloadCopiedNotAliased(t *testing.T) {
 	}
 	if got[0] != 1 {
 		t.Error("delivered payload aliased the caller's buffer")
-	}
-}
-
-func TestLossModelNames(t *testing.T) {
-	if (Ideal{}).Name() != "ideal" {
-		t.Error("Ideal name")
-	}
-	if (Bernoulli{P: 0.25}).Name() != "bernoulli(0.25)" {
-		t.Errorf("Bernoulli name = %q", Bernoulli{P: 0.25}.Name())
-	}
-	if DefaultRSSINoise().Name() != "rssi-noise" {
-		t.Error("RSSINoise name")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
 	"slpdas/internal/protocol"
-	"slpdas/internal/radio"
 	"slpdas/internal/topo"
 	"slpdas/internal/verify"
 )
@@ -145,11 +144,6 @@ func Strategies() []StrategyInfo {
 	return out
 }
 
-// ParseLossModel parses "ideal", "bernoulli:<p>" or "rssi".
-func ParseLossModel(s string) (radio.LossModel, error) {
-	return radio.ParseLossModel(s)
-}
-
 // CaptureSummary is the aggregate outcome of a batch of runs.
 type CaptureSummary struct {
 	Protocol           Protocol
@@ -199,9 +193,9 @@ func Run(cfg SimConfig) (CaptureSummary, error) {
 
 // RunCampaign expands a declarative campaign.Spec into its full Cartesian
 // job matrix (topologies × protocols × search distances × attackers ×
-// loss models × collisions) and executes every cell through one shared
-// worker pool, streaming a summary row per cell to the given sinks as
-// cells complete. The whole of the paper's evaluation is one such spec;
+// channels × collisions × faults × energy) and executes every cell
+// through one shared worker pool, streaming a summary row per cell to the
+// given sinks as cells complete. The whole of the paper's evaluation is one such spec;
 // see cmd/slpsweep for the command-line front end and examples/campaign
 // for reproducing Figure 5 this way.
 //

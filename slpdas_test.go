@@ -48,10 +48,20 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestParseLossModel(t *testing.T) {
-	for _, s := range []string{"", "ideal", "rssi", "bernoulli:0.25"} {
-		if _, err := ParseLossModel(s); err != nil {
-			t.Errorf("ParseLossModel(%q): %v", s, err)
+// TestSimConfigAcceptsLegacyLossSpellings: the pre-channel loss-model
+// spellings remain valid SimConfig.LossModel values, canonicalised
+// through the channel grammar.
+func TestSimConfigAcceptsLegacyLossSpellings(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"", "ideal"}, {"ideal", "ideal"}, {"rssi", "rssi"}, {"bernoulli:0.25", "bernoulli:0.25"},
+	} {
+		cfg, err := SimConfig{LossModel: tc.in}.withDefaults().coreConfig()
+		if err != nil {
+			t.Errorf("LossModel %q: %v", tc.in, err)
+			continue
+		}
+		if cfg.Channel != tc.want {
+			t.Errorf("LossModel %q: channel %q, want %q", tc.in, cfg.Channel, tc.want)
 		}
 	}
 }
