@@ -350,8 +350,10 @@ type still struct{ pos topo.Point }
 func (o still) Location() topo.Point       { return o.pos }
 func (o still) Overhear(radio.Observation) {}
 
-// benchBroadcast measures one broadcast→delivery fan-out at the centre of
-// an 11×11 grid.
+// benchBroadcast measures one broadcast at the centre of an 11×11 grid:
+// the Broadcast call that collects the four receptions, then the single
+// frame event that delivers them in neighbour order and runs the
+// eavesdropper scan.
 func benchBroadcast(collisions, observed bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		g, err := topo.DefaultGrid(11)
@@ -361,7 +363,7 @@ func benchBroadcast(collisions, observed bool) func(b *testing.B) {
 		sim := des.New()
 		m := radio.New(sim, g, 1, radio.WithCollisions(collisions))
 		for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-			m.SetReceiver(n, func(topo.NodeID, []byte) {})
+			m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 		}
 		centre := topo.GridCentre(11)
 		if observed {
@@ -384,7 +386,7 @@ func benchBroadcast(collisions, observed bool) func(b *testing.B) {
 // shadowed log-distance channel with SINR capture: two overlapping
 // transmissions per op, so every delivery runs the contention fold and the
 // capture verdict. The baseline holds this at 0 allocs/op — the SINR
-// accumulator must keep the pooled-delivery discipline (the per-link
+// accumulator must keep the pooled-frame discipline (the per-link
 // shadowing cache is warmed before timing; steady state it is read-only).
 func benchSINRDelivery(b *testing.B) {
 	g, err := topo.DefaultGrid(11)
@@ -398,7 +400,7 @@ func benchSINRDelivery(b *testing.B) {
 	sim := des.New()
 	m := radio.New(sim, g, 1, radio.WithChannel(ch))
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		m.SetReceiver(n, func(topo.NodeID, []byte) {})
+		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 	}
 	centre := topo.GridCentre(11)
 	rival := g.Neighbors(centre)[0]

@@ -254,9 +254,9 @@ func TestCampaignSimulates(t *testing.T) {
 
 // TestDeterminism re-runs the same campaign and requires byte-identical
 // JSONL output — the property that makes campaigns diffable across runs.
-// The collision axis is swept so the pooled delivery events and collision
+// The collision axis is swept so the pooled frame events and collision
 // windows in internal/radio are exercised under concurrent workers: event
-// and buffer pools are per-simulator, so recycling must never leak state
+// and frame pools are per-simulator, so recycling must never leak state
 // across runs or depend on worker scheduling.
 func TestDeterminism(t *testing.T) {
 	spec := Spec{

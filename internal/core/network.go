@@ -130,6 +130,12 @@ type Network struct {
 	outData   wire.Data    // lint:immutable: scratch, overwritten before every use
 	frame     []byte       // lint:immutable: marshal scratch, overwritten before every use
 
+	// Receive-path decode cache: decMsg is radio frame decFrame decoded
+	// (nil if it does not decode), shared read-only by all its receivers.
+	// Frame ids never repeat, so the cache needs no rewinding between runs.
+	decFrame uint64       // lint:immutable: cache key, never matches a frame of another run
+	decMsg   wire.Message // lint:immutable: scratch, overwritten with decFrame
+
 	periodTick periodTick // lint:immutable: rebound via rearm() on every setup
 }
 

@@ -130,13 +130,17 @@ func newNode(id topo.NodeID, net *Network) *node {
 	n.prc = net.engine.NewProcess(id)
 	n.install()
 	// Radio → GCN delivery is wiring, not run state: register once.
-	net.medium.SetReceiver(id, func(from topo.NodeID, payload []byte) {
-		msg, err := net.dec.Unmarshal(payload)
-		if err != nil {
+	net.medium.SetReceiver(id, func(frame uint64, from topo.NodeID, payload []byte) {
+		if frame != net.decFrame {
+			// The frame's first receiver decodes it for all of them.
+			net.decFrame = frame
+			net.decMsg, _ = net.dec.Unmarshal(payload)
+		}
+		if net.decMsg == nil {
 			net.decodeErrors++
 			return
 		}
-		net.engine.Deliver(n.prc, from, msg)
+		net.engine.Deliver(n.prc, from, net.decMsg)
 	})
 	n.reset(net.seed)
 	return n

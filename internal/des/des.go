@@ -8,7 +8,7 @@
 // queue is a 4-ary implicit heap of small value entries, and event bodies
 // live in a free list of recycled boxes, so once the simulation reaches its
 // working-set size, Schedule/ScheduleRunner allocate nothing. Hot paths
-// that would otherwise allocate a closure per event (the radio delivery
+// that would otherwise allocate a closure per event (the radio frame
 // path, the TDMA slot tasks) schedule a pre-allocated Runner instead.
 package des
 
@@ -117,8 +117,9 @@ type Simulator struct {
 // Option configures a Simulator.
 type Option func(*Simulator)
 
-// WithEventBudget bounds the total number of executed events; Run returns
-// ErrEventBudget when exceeded. Zero means unlimited.
+// WithEventBudget bounds the total number of executed events, batched ones
+// included (see CountExecuted); Run returns ErrEventBudget when exceeded.
+// Zero means unlimited.
 func WithEventBudget(n uint64) Option {
 	return func(s *Simulator) { s.maxEvents = n }
 }
@@ -135,8 +136,19 @@ func New(opts ...Option) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 
-// Executed returns the number of events executed so far.
+// Executed returns the number of events executed so far, including the
+// extra events batched bodies reported through CountExecuted.
 func (s *Simulator) Executed() uint64 { return s.executed }
+
+// CountExecuted charges n more executed events to the running event. A
+// Runner that does the work of several events in one body (the radio runs
+// a broadcast's whole fan-out as one frame event) reports the extra ones
+// here, so Executed and the event budget keep counting the same work. The
+// budget is checked between events, so a batched event runs whole and
+// may leave Executed up to its weight past the budget.
+//
+//slp:hotpath
+func (s *Simulator) CountExecuted(n uint64) { s.executed += n }
 
 // Pending returns the number of events still queued (including cancelled
 // ones not yet reaped).

@@ -213,6 +213,32 @@ func TestEventBudgetLeavesSimulatorResumable(t *testing.T) {
 	}
 }
 
+// TestCountExecutedChargesBatchedWork: an event body that reports extra
+// work through CountExecuted is charged for it in Executed and against the
+// budget. The budget is checked between events, so the batched event runs
+// whole, and the simulator stays resumable after it.
+func TestCountExecutedChargesBatchedWork(t *testing.T) {
+	s := New(WithEventBudget(5))
+	var ran []time.Duration
+	batch := func() { ran = append(ran, s.Now()); s.CountExecuted(3) }
+	s.ScheduleAfter(1*time.Second, batch)
+	s.ScheduleAfter(2*time.Second, batch)
+	s.ScheduleAfter(3*time.Second, batch)
+	if err := s.Run(); !errors.Is(err, ErrEventBudget) {
+		t.Fatalf("Run err = %v, want ErrEventBudget", err)
+	}
+	if len(ran) != 2 || s.Executed() != 8 || s.Pending() != 1 {
+		t.Fatalf("ran %v, Executed %d, Pending %d; want two batches, 8 and 1", ran, s.Executed(), s.Pending())
+	}
+	s.SetEventBudget(0)
+	if err := s.Run(); err != nil {
+		t.Fatalf("resumed Run: %v", err)
+	}
+	if len(ran) != 3 || s.Executed() != 12 {
+		t.Errorf("after resume ran %v, Executed %d; want three batches and 12", ran, s.Executed())
+	}
+}
+
 func TestRunnerEventsInterleaveWithClosures(t *testing.T) {
 	s := New()
 	var order []int

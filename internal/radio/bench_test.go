@@ -16,7 +16,7 @@ func benchMedium(b *testing.B, opts ...Option) (*des.Simulator, *topo.Graph, *Me
 	sim := des.New()
 	m := New(sim, g, 1, opts...)
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		m.SetReceiver(n, func(topo.NodeID, []byte) {})
+		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 	}
 	return sim, g, m
 }

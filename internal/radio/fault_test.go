@@ -21,7 +21,7 @@ func TestSenderDiesMidFrameDropsTail(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableNode(0) })
 	if err := sim.Run(); err != nil {
@@ -42,7 +42,7 @@ func TestReceiverDiesMidFlightDropsReception(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableNode(1) })
 	if err := sim.Run(); err != nil {
@@ -85,7 +85,7 @@ func TestEnableNodeRestoresTraffic(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 10)
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	m.DisableNode(0)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) }) // suppressed: sender down
 	sim.ScheduleAfter(time.Millisecond, func() { m.EnableNode(0) })
@@ -111,7 +111,7 @@ func TestDisableLinkBlocksBothDirections(t *testing.T) {
 	received := make(map[topo.NodeID]int)
 	for _, n := range []topo.NodeID{centre, right, up} {
 		n := n
-		m.SetReceiver(n, func(topo.NodeID, []byte) { received[n]++ })
+		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) { received[n]++ })
 	}
 	m.DisableLink(centre, right)
 	if !m.LinkDisabled(right, centre) {
@@ -141,7 +141,7 @@ func TestLinkFailsMidFlightDropsFrame(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableLink(0, 1) })
 	if err := sim.Run(); err != nil {
@@ -157,7 +157,7 @@ func TestEnableLinkRestoresLink(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 10)
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	m.DisableLink(0, 1)
 	m.EnableLink(1, 0) // symmetric undo
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
@@ -179,7 +179,7 @@ func TestResetClearsDownLinks(t *testing.T) {
 	}
 	payload := make([]byte, 10)
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

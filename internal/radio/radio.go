@@ -7,12 +7,15 @@
 // it replaces the TOSSIM radio stack used by the paper's evaluation.
 //
 // The broadcast→delivery path is the simulator's hottest loop, so it is
-// built to allocate nothing in steady state: per-neighbour deliveries and
-// per-broadcast eavesdropper scans are typed des.Runner events drawn from
-// free lists, and payload bytes live in refcounted pooled buffers shared by
-// every delivery of one broadcast. The SINR accumulator keeps that
-// discipline: contention is float accumulation into per-receiver arrays,
-// and the capture verdict at delivery is branch-and-multiply only.
+// built to allocate nothing in steady state and to cost one event per
+// broadcast, not one per reception: each broadcast is a single pooled
+// frame, a typed des.Runner that at the end of the reception window runs
+// every in-range reception in neighbour order and then the eavesdropper
+// scan. The frame owns the payload bytes, so all its receivers see one
+// buffer and one frame id, and a receiver that decodes needs to decode each
+// frame only once. The SINR accumulator keeps that discipline: contention
+// is float accumulation into per-receiver arrays, and the capture verdict
+// at delivery is branch-and-multiply only.
 package radio
 
 import (
@@ -38,9 +41,14 @@ const (
 )
 
 // Receiver consumes frames delivered to a node. The payload slice is owned
-// by the medium's buffer pool and is only valid for the duration of the
-// call; receivers that keep payload bytes must copy them.
-type Receiver func(from topo.NodeID, payload []byte)
+// by the medium's frame pool and is only valid for the duration of the
+// call; receivers that keep payload bytes must copy them. frame identifies
+// the broadcast: every receiver of one frame gets the same non-zero id and
+// the same payload, and no other frame of this medium, in this or any later
+// run after Reset, reuses the id. Receivers that decode may therefore
+// decode once per frame and share the decoded message among that frame's
+// receivers, which must treat it as read-only.
+type Receiver func(frame uint64, from topo.NodeID, payload []byte)
 
 // Observation is what an eavesdropper perceives about one transmission:
 // who transmitted, from where, and when — never the payload (the paper
@@ -120,20 +128,22 @@ type Medium struct {
 	nextObsID int
 
 	// Collision window state, per receiving node: rxEnd is the end of the
-	// latest reception window, rxLatest the delivery owning it. rxLatest is
-	// only consulted while rxEnd > now, i.e. while that delivery is still
-	// in the air, so it can never reach back into the pool. Under SINR
-	// capture, rxSum accumulates the total received power of the open
-	// window and rxBest tracks the strongest single reception in it.
+	// latest reception window, rxLatest the reception owning it (the
+	// latest-ending one, or under SINR capture the strongest). rxLatest
+	// points into a frame in the air and is cleared when that reception
+	// runs, so it never reaches back into the pool. Under SINR capture,
+	// rxSum accumulates the total received power of the open window and
+	// rxBest tracks the strongest single reception in it.
 	rxEnd    []time.Duration
-	rxLatest []*delivery
+	rxLatest []*reception
 	rxSum    []float64
 	rxBest   []float64
 
-	freeDeliveries []*delivery // lint:immutable: free list; pooled objects carry no cross-run state
-	freeScans      []*obsScan  // lint:immutable: free list; pooled objects carry no cross-run state
-	freeFrames     []*frame    // lint:immutable: free list; pooled objects carry no cross-run state
-	// scanScratch is the reusable observer snapshot each obsScan iterates,
+	freeFrames []*frame // lint:immutable: free list; pooled objects carry no cross-run state
+	// frames numbers the broadcasts this medium has carried; the latest
+	// is the id handed to the receivers of the newest frame.
+	frames uint64 // lint:immutable: frame ids must never repeat, not even across Reset, so receivers can cache per frame
+	// scanScratch is the reusable observer snapshot each scan iterates,
 	// so Overhear callbacks may add/remove observers without corrupting
 	// the walk.
 	scanScratch []observerEntry // lint:immutable: scratch, overwritten before every use
@@ -146,72 +156,101 @@ type observerEntry struct {
 	obs Observer
 }
 
-// frame is one broadcast's payload, shared by every delivery of that
-// broadcast and returned to the pool when the last reference drops.
+// frame is one broadcast in flight and its single DES event: the payload,
+// the sender, and one reception per in-range neighbour that survived the
+// loss draw, in neighbour order. Frames are pooled and recycled whole.
 type frame struct {
+	m    *Medium
+	id   uint64
+	from topo.NodeID
 	buf  []byte
-	refs int
+	rx   []reception // capacity ≥ sender degree before rxLatest takes &rx[i]
 }
 
-// delivery is the typed, pooled reception event: one per (broadcast,
-// in-range neighbour), scheduled at the end of the reception window.
-type delivery struct {
-	m         *Medium
-	f         *frame
-	from, to  topo.NodeID
+// reception is one (frame, in-range neighbour) delivery.
+type reception struct {
+	to        topo.NodeID
 	corrupted bool
 	power     float64 // received power in mW; set only under SINR capture
 }
 
-// Run implements des.Runner: the frame arrives at d.to. A reception only
-// counts if both endpoints are still up and the link is still intact at
-// the end of the reception window: a sender that died mid-frame stopped
-// keying the carrier, so the tail of its frame never arrives, and a
-// receiver that died mid-frame has no stack left to accept it. The energy
-// meter is billed before the corruption verdict — the radio pays for
-// listening whether or not the frame survives — and a receiver whose
-// battery dies on that very charge pays but does not consume, hence the
-// second disabled check before the receiver callback.
+// Run implements des.Runner at the end of the reception window: the frame
+// arrives at each receiver in neighbour order, then ends at the
+// eavesdroppers. Scheduled as separate events, the receptions and the scan
+// would share one instant and hold consecutive sequence numbers, so no
+// other event could run between them: running them as one event keeps the
+// event order. Each is still charged to the simulator as one executed
+// event, so Executed and the event budget count the same work.
+//
+// A reception only counts if both endpoints are still up and the link is
+// still intact at the end of the reception window: a sender that died
+// mid-frame stopped keying the carrier, so the tail of its frame never
+// arrives, and a receiver that died mid-frame has no stack left to accept
+// it. The energy meter is billed before the corruption verdict — the radio
+// pays for listening whether or not the frame survives — and a receiver
+// whose battery dies on that very charge pays but does not consume, hence
+// the second disabled check before the receiver callback.
+//
+// Observers within range of the sender (at their position now) then
+// overhear the transmission. Collisions do not hide the fact that a node
+// keyed up: direction finding works on the carrier, not the payload. The
+// observer set is snapshotted before the callbacks run, so an Overhear
+// that adds or removes observers affects later transmissions, not this
+// one. A sender that died while the frame was on the air never completed
+// the transmission, so it is not observed.
 //
 //slp:hotpath
-func (d *delivery) Run() {
-	m := d.m
-	if !m.disabled[d.to] && !m.disabled[d.from] && !m.linkDown(d.from, d.to) {
-		if m.meter != nil {
-			m.meter.ChargeRx(d.to, len(d.f.buf))
+func (f *frame) Run() {
+	m := f.m
+	m.sim.CountExecuted(uint64(len(f.rx)))
+	for i := range f.rx {
+		r := &f.rx[i]
+		if !m.disabled[r.to] && !m.disabled[f.from] && !m.linkDown(f.from, r.to) {
+			if m.meter != nil {
+				m.meter.ChargeRx(r.to, len(f.buf))
+			}
+			switch {
+			case r.corrupted:
+				m.stats.CollisionDrops++
+			case m.sinr && !m.sinrClears(r):
+				m.stats.SINRDrops++
+			default:
+				if recv := m.receivers[r.to]; recv != nil && !m.disabled[r.to] {
+					m.stats.Deliveries++
+					recv(f.id, f.from, f.buf)
+				}
+			}
 		}
-		switch {
-		case d.corrupted:
-			m.stats.CollisionDrops++
-		case m.sinr && !m.sinrClears(d):
-			m.stats.SINRDrops++
-		default:
-			if recv := m.receivers[d.to]; recv != nil && !m.disabled[d.to] {
-				m.stats.Deliveries++
-				recv(d.from, d.f.buf)
+		if m.rxLatest[r.to] == r {
+			m.rxLatest[r.to] = nil
+		}
+	}
+	if !m.disabled[f.from] {
+		pos := m.g.Position(f.from)
+		obs := Observation{At: m.sim.Now(), From: f.from, Pos: pos, Bytes: len(f.buf)}
+		audible := m.g.RadioRange() + 1e-9
+		m.scanScratch = append(m.scanScratch[:0], m.observers...)
+		for _, oe := range m.scanScratch {
+			if pos.DistanceTo(oe.obs.Location()) <= audible {
+				oe.obs.Overhear(obs)
 			}
 		}
 	}
-	if m.rxLatest[d.to] == d {
-		m.rxLatest[d.to] = nil
-	}
-	m.releaseFrame(d.f)
-	d.f = nil
-	m.freeDeliveries = append(m.freeDeliveries, d)
+	m.freeFrames = append(m.freeFrames, f)
 }
 
-// sinrClears applies the capture test at the end of d's reception window:
+// sinrClears applies the capture test at the end of r's reception window:
 // the frame survives iff its received power beats threshold × (noise +
 // interference), where interference is every other reception summed into
-// the window at d.to. A win over non-zero interference is a capture.
+// the window at r.to. A win over non-zero interference is a capture.
 //
 //slp:hotpath
-func (m *Medium) sinrClears(d *delivery) bool {
-	interference := m.rxSum[d.to] - d.power
+func (m *Medium) sinrClears(r *reception) bool {
+	interference := m.rxSum[r.to] - r.power
 	if interference < 0 {
 		interference = 0
 	}
-	if d.power < m.capture.ThresholdMW*(m.capture.NoiseMW+interference) {
+	if r.power < m.capture.ThresholdMW*(m.capture.NoiseMW+interference) {
 		return false
 	}
 	if interference > 0 {
@@ -220,72 +259,36 @@ func (m *Medium) sinrClears(d *delivery) bool {
 	return true
 }
 
-// contend folds a new reception into the SINR window open at d.to. The
+// contend folds a new reception into the SINR window open at r.to. The
 // strongest reception in the window stays a candidate (its final verdict
 // is sinrClears at delivery, once the whole window's interference is
 // known); every weaker one is corrupted outright — it cannot beat a
 // stronger co-channel signal whatever else arrives.
 //
 //slp:hotpath
-func (m *Medium) contend(d *delivery, now, endAt time.Duration) {
-	to := d.to
+func (m *Medium) contend(r *reception, now, endAt time.Duration) {
+	to := r.to
 	if m.rxEnd[to] <= now {
 		// Fresh window: this reception opens it.
-		m.rxSum[to] = d.power
-		m.rxBest[to] = d.power
-		m.rxLatest[to] = d
+		m.rxSum[to] = r.power
+		m.rxBest[to] = r.power
+		m.rxLatest[to] = r
 		m.rxEnd[to] = endAt
 		return
 	}
-	m.rxSum[to] += d.power
-	if d.power > m.rxBest[to] {
+	m.rxSum[to] += r.power
+	if r.power > m.rxBest[to] {
 		if cur := m.rxLatest[to]; cur != nil {
 			cur.corrupted = true
 		}
-		m.rxBest[to] = d.power
-		m.rxLatest[to] = d
+		m.rxBest[to] = r.power
+		m.rxLatest[to] = r
 	} else {
-		d.corrupted = true
+		r.corrupted = true
 	}
 	if endAt > m.rxEnd[to] {
 		m.rxEnd[to] = endAt
 	}
-}
-
-// obsScan is the pooled end-of-transmission eavesdropper scan: one per
-// broadcast, delivering Observations to every observer in range.
-type obsScan struct {
-	m     *Medium
-	from  topo.NodeID
-	pos   topo.Point
-	bytes int
-}
-
-// Run implements des.Runner: the transmission just ended; observers within
-// range of the sender (at their position now) overhear it. Collisions do
-// not hide the fact that a node keyed up: direction finding works on the
-// carrier, not the payload. The observer set is snapshotted before the
-// callbacks run, so an Overhear that adds or removes observers affects
-// later transmissions, not the one being delivered. A sender that died
-// while the frame was on the air stopped keying the carrier, so the
-// transmission never completes and is not observed.
-//
-//slp:hotpath
-func (s *obsScan) Run() {
-	m := s.m
-	if m.disabled[s.from] {
-		m.freeScans = append(m.freeScans, s)
-		return
-	}
-	obs := Observation{At: m.sim.Now(), From: s.from, Pos: s.pos, Bytes: s.bytes}
-	audible := m.g.RadioRange() + 1e-9
-	m.scanScratch = append(m.scanScratch[:0], m.observers...)
-	for _, oe := range m.scanScratch {
-		if s.pos.DistanceTo(oe.obs.Location()) <= audible {
-			oe.obs.Overhear(obs)
-		}
-	}
-	m.freeScans = append(m.freeScans, s)
 }
 
 // Option configures the medium.
@@ -327,7 +330,7 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64, opts ...Option) *Medium
 		receivers: make([]Receiver, g.Len()),
 		disabled:  make([]bool, g.Len()),
 		rxEnd:     make([]time.Duration, g.Len()),
-		rxLatest:  make([]*delivery, g.Len()),
+		rxLatest:  make([]*reception, g.Len()),
 		rxSum:     make([]float64, g.Len()),
 		rxBest:    make([]float64, g.Len()),
 	}
@@ -346,10 +349,11 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64, opts ...Option) *Medium
 // configuration (and itself Reset to the new seed so per-link shadowing
 // redraws), and all per-run state — failed nodes, collision windows, SINR
 // accumulators, observers, counters — cleared. Registered receivers
-// survive (they are wiring, not run state), as do the event, frame and
-// scan pools, which is the point: a Reset medium broadcasts with warm
-// pools from its first frame. The owning simulator must be Reset
-// alongside so in-flight delivery events from the previous run are
+// survive (they are wiring, not run state), as does the frame pool, which
+// is the point: a Reset medium broadcasts with warm pools from its first
+// frame. Frame ids keep counting, so a receiver's per-frame cache can
+// never match a frame of the previous run. The owning simulator must be
+// Reset alongside so in-flight frame events from the previous run are
 // discarded. A nil channel selects channel.Ideal, mirroring New's
 // default; a nil meter disables energy charging.
 func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter EnergyMeter) {
@@ -458,69 +462,12 @@ func (m *Medium) Airtime(bytes int) time.Duration {
 // Stats returns a copy of the medium counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// --- pools ---
-
-//slp:hotpath
-func (m *Medium) getFrame(payload []byte) *frame {
-	var f *frame
-	if n := len(m.freeFrames); n > 0 {
-		f = m.freeFrames[n-1]
-		m.freeFrames[n-1] = nil
-		m.freeFrames = m.freeFrames[:n-1]
-	} else {
-		f = &frame{}
-	}
-	f.buf = append(f.buf[:0], payload...)
-	f.refs = 1 // the broadcast's own reference, dropped once fan-out ends
-	return f
-}
-
-//slp:hotpath
-func (m *Medium) releaseFrame(f *frame) {
-	if f.refs--; f.refs == 0 {
-		m.freeFrames = append(m.freeFrames, f)
-	}
-}
-
-//slp:hotpath
-func (m *Medium) getDelivery(f *frame, from, to topo.NodeID) *delivery {
-	var d *delivery
-	if n := len(m.freeDeliveries); n > 0 {
-		d = m.freeDeliveries[n-1]
-		m.freeDeliveries[n-1] = nil
-		m.freeDeliveries = m.freeDeliveries[:n-1]
-	} else {
-		d = &delivery{m: m}
-	}
-	f.refs++
-	d.f = f
-	d.from = from
-	d.to = to
-	d.corrupted = false
-	return d
-}
-
-//slp:hotpath
-func (m *Medium) getScan(from topo.NodeID, pos topo.Point, bytes int) *obsScan {
-	var s *obsScan
-	if n := len(m.freeScans); n > 0 {
-		s = m.freeScans[n-1]
-		m.freeScans[n-1] = nil
-		m.freeScans = m.freeScans[:n-1]
-	} else {
-		s = &obsScan{m: m}
-	}
-	s.from = from
-	s.pos = pos
-	s.bytes = bytes
-	return s
-}
-
 // Broadcast transmits payload from node `from` to every node within radio
-// range. Delivery happens at now + airtime + propagation. The payload
-// slice is copied; callers may reuse their buffer. Steady state, the whole
-// fan-out allocates nothing: deliveries, observer scans and payload
-// buffers are recycled through the medium's pools.
+// range. Delivery happens at now + airtime + propagation, as one frame
+// event that runs every reception and then the eavesdropper scan. The
+// payload slice is copied; callers may reuse their buffer. Steady state,
+// the whole fan-out allocates nothing: frames, their reception slices and
+// payload buffers are recycled through the medium's frame pool.
 //
 //slp:hotpath
 func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
@@ -543,14 +490,14 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 	m.stats.BytesSent += uint64(len(payload))
 
 	now := m.sim.Now()
-	airtime := m.Airtime(len(payload))
-	delay := airtime + m.propDelay
+	delay := m.Airtime(len(payload)) + m.propDelay
 	endAt := now + delay
 	senderPos := m.g.Position(from)
-	f := m.getFrame(payload)
+	nbrs := m.g.Neighbors(from)
+	f := m.getFrame(from, payload, len(nbrs))
 
-	// Schedule deliveries to in-range nodes, applying loss and collisions.
-	for _, to := range m.g.Neighbors(from) {
+	// Collect receptions at in-range nodes, applying loss and collisions.
+	for _, to := range nbrs {
 		if m.disabled[to] || m.linkDown(from, to) {
 			continue
 		}
@@ -559,10 +506,11 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 			m.stats.LossDrops++
 			continue
 		}
-		d := m.getDelivery(f, from, to)
+		f.rx = append(f.rx, reception{to: to})
+		r := &f.rx[len(f.rx)-1]
 		if m.sinr {
-			d.power = m.ch.RxPowerMW(from, to, dist)
-			m.contend(d, now, endAt)
+			r.power = m.ch.RxPowerMW(from, to, dist)
+			m.contend(r, now, endAt)
 		} else if m.collisions {
 			if m.rxEnd[to] > now {
 				// Overlaps the reception window still open at `to`. Every
@@ -571,27 +519,50 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 				// arrival, so corrupting that one plus the newcomer keeps
 				// the invariant "a clean in-flight reception is the sole
 				// in-flight reception".
-				d.corrupted = true
+				r.corrupted = true
 				if cur := m.rxLatest[to]; cur != nil {
 					cur.corrupted = true
 				}
 				if endAt > m.rxEnd[to] {
 					m.rxEnd[to] = endAt
-					m.rxLatest[to] = d
+					m.rxLatest[to] = r
 				}
 			} else {
 				m.rxEnd[to] = endAt
-				m.rxLatest[to] = d
+				m.rxLatest[to] = r
 			}
 		}
-		m.sim.ScheduleRunnerAfter(delay, d)
 	}
 
-	// Eavesdroppers: one scan event at end of transmission, where both the
-	// observer set and observer positions are evaluated (see Observer).
-	// Scheduled unconditionally — an observer registered while the frame
+	// Scheduled unconditionally, even with no receptions: the scan at the
+	// end of transmission evaluates both the observer set and observer
+	// positions (see Observer), so an observer registered while the frame
 	// is on the air must hear it, as the convention promises.
-	m.sim.ScheduleRunnerAfter(delay, m.getScan(from, senderPos, len(payload)))
+	m.sim.ScheduleRunnerAfter(delay, f)
+}
 
-	m.releaseFrame(f)
+// getFrame draws a frame from the pool for a broadcast by a sender of the
+// given degree. The reception slice gets capacity for every neighbour up
+// front, so appends never move it and rxLatest pointers into it stay
+// valid while the frame is in the air.
+//
+//slp:hotpath
+func (m *Medium) getFrame(from topo.NodeID, payload []byte, degree int) *frame {
+	var f *frame
+	if n := len(m.freeFrames); n > 0 {
+		f = m.freeFrames[n-1]
+		m.freeFrames[n-1] = nil
+		m.freeFrames = m.freeFrames[:n-1]
+	} else {
+		f = &frame{m: m}
+	}
+	m.frames++
+	f.id = m.frames
+	f.from = from
+	f.buf = append(f.buf[:0], payload...)
+	if cap(f.rx) < degree {
+		f.rx = make([]reception, 0, degree)
+	}
+	f.rx = f.rx[:0]
+	return f
 }

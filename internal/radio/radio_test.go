@@ -26,7 +26,7 @@ func TestBroadcastReachesOnlyNeighbours(t *testing.T) {
 	received := make(map[topo.NodeID][]byte)
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
 		n := n
-		m.SetReceiver(n, func(from topo.NodeID, payload []byte) {
+		m.SetReceiver(n, func(_ uint64, from topo.NodeID, payload []byte) {
 			received[n] = payload
 		})
 	}
@@ -65,7 +65,7 @@ func TestAirtimeScalesWithPayload(t *testing.T) {
 func TestDeliveryDelayedByAirtime(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	var deliveredAt time.Duration
-	m.SetReceiver(1, func(topo.NodeID, []byte) { deliveredAt = sim.Now() })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { deliveredAt = sim.Now() })
 	payload := make([]byte, 50)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	if err := sim.Run(); err != nil {
@@ -85,7 +85,7 @@ func TestBernoulliLossRate(t *testing.T) {
 	sim := des.New()
 	m := New(sim, g, 1, WithChannel(channel.Bernoulli{P: 0.3}))
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	const trials = 5000
 	for i := 0; i < trials; i++ {
 		at := time.Duration(i) * time.Second
@@ -108,7 +108,7 @@ func TestBernoulliLossRate(t *testing.T) {
 func TestIdealLossless(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	delivered := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	for i := 0; i < 100; i++ {
 		at := time.Duration(i) * time.Second
 		if _, err := sim.Schedule(at, func() { m.Broadcast(0, []byte{1}) }); err != nil {
@@ -159,7 +159,7 @@ func TestCollisionCorruptsBothFrames(t *testing.T) {
 	got := map[topo.NodeID]int{}
 	for n := topo.NodeID(0); n < 3; n++ {
 		n := n
-		m.SetReceiver(n, func(topo.NodeID, []byte) { got[n]++ })
+		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) { got[n]++ })
 	}
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, make([]byte, 20))
@@ -184,7 +184,7 @@ func TestNoCollisionWhenSeparatedInTime(t *testing.T) {
 	sim := des.New()
 	m := New(sim, g, 1, WithCollisions(true))
 	count := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { count++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { count++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, make([]byte, 20)) })
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(2, make([]byte, 20)) })
 	if err := sim.Run(); err != nil {
@@ -215,7 +215,7 @@ func TestThreeTransmissionTailOverlap(t *testing.T) {
 	m := New(sim, g, 1, WithCollisions(true))
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
-	m.SetReceiver(centre, func(topo.NodeID, []byte) { got++ })
+	m.SetReceiver(centre, func(uint64, topo.NodeID, []byte) { got++ })
 	// Fail the corner nodes so the three senders' frames meet only at the
 	// centre and the global drop counter isolates that receiver.
 	for _, corner := range []topo.NodeID{0, 2, 6, 8} {
@@ -251,7 +251,7 @@ func TestTailTransmissionAfterWindowCloses(t *testing.T) {
 	m := New(sim, g, 1, WithCollisions(true))
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
-	m.SetReceiver(centre, func(topo.NodeID, []byte) { got++ })
+	m.SetReceiver(centre, func(uint64, topo.NodeID, []byte) { got++ })
 	for _, corner := range []topo.NodeID{0, 2, 6, 8} {
 		m.DisableNode(corner)
 	}
@@ -279,7 +279,7 @@ func TestCollisionsDisabledByDefault(t *testing.T) {
 	sim := des.New()
 	m := New(sim, g, 1)
 	count := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { count++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { count++ })
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, make([]byte, 20))
 		m.Broadcast(2, make([]byte, 20))
@@ -481,14 +481,14 @@ func TestBroadcastSteadyStateAllocFree(t *testing.T) {
 	sim := des.New()
 	m := New(sim, g, 1, WithCollisions(true))
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		m.SetReceiver(n, func(topo.NodeID, []byte) {})
+		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 	}
 	centre := topo.GridIndex(5, 2, 2)
 	m.AddObserver(nopObserver{pos: g.Position(centre)})
 	payload := make([]byte, 32)
 	fire := func() { m.Broadcast(centre, payload) }
 
-	// Warm the event, delivery, scan and frame pools.
+	// Warm the event and frame pools.
 	for i := 0; i < 16; i++ {
 		sim.ScheduleAfter(0, fire)
 		if err := sim.Run(); err != nil {
@@ -508,7 +508,7 @@ func TestBroadcastSteadyStateAllocFree(t *testing.T) {
 func TestDisabledNodeNeitherSendsNorReceives(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	count := 0
-	m.SetReceiver(1, func(topo.NodeID, []byte) { count++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { count++ })
 	m.DisableNode(1)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -533,7 +533,7 @@ func TestDisabledNodeNeitherSendsNorReceives(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
-	m.SetReceiver(1, func(topo.NodeID, []byte) {})
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) {})
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, make([]byte, 10)) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -547,7 +547,7 @@ func TestStatsCounters(t *testing.T) {
 func TestPayloadCopiedNotAliased(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	var got []byte
-	m.SetReceiver(1, func(_ topo.NodeID, p []byte) { got = p })
+	m.SetReceiver(1, func(_ uint64, _ topo.NodeID, p []byte) { got = p })
 	buf := []byte{1, 2, 3}
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, buf)
@@ -573,7 +573,7 @@ func TestMediumResetClearsRunState(t *testing.T) {
 	sim := des.New()
 	m := New(sim, g, 1, WithCollisions(true))
 	var got int
-	m.SetReceiver(1, func(topo.NodeID, []byte) { got++ })
+	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { got++ })
 	obs := &fixedObserver{pos: g.Position(0)}
 	m.AddObserver(obs)
 	m.DisableNode(2)

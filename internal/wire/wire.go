@@ -198,10 +198,13 @@ func Unmarshal(data []byte) (Message, error) {
 }
 
 // Decoder decodes frames into per-type scratch messages it owns, so a hot
-// receive path (one decode per radio delivery) allocates nothing in steady
+// receive path (one decode per radio frame) allocates nothing in steady
 // state. The returned Message is valid only until the next Unmarshal call
 // on the same Decoder; receivers that retain messages must use the
-// package-level Unmarshal instead. The zero Decoder is ready to use.
+// package-level Unmarshal instead. The simulator's receive path decodes
+// each radio frame once and hands the same Message to every receiver of
+// that frame, so receivers must treat it as read-only. The zero Decoder is
+// ready to use.
 type Decoder struct {
 	hello  Hello
 	dissem Dissem
