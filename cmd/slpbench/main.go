@@ -361,7 +361,8 @@ func benchBroadcast(collisions, observed bool) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		sim := des.New()
-		m := radio.New(sim, g, 1, radio.WithCollisions(collisions))
+		m := radio.New(sim, g, 1)
+		m.Reset(1, nil, collisions, nil)
 		for n := topo.NodeID(0); int(n) < g.Len(); n++ {
 			m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 		}
@@ -398,7 +399,8 @@ func benchSINRDelivery(b *testing.B) {
 		b.Fatal(err)
 	}
 	sim := des.New()
-	m := radio.New(sim, g, 1, radio.WithChannel(ch))
+	m := radio.New(sim, g, 1)
+	m.Reset(1, ch, false, nil)
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
 		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 	}

@@ -13,7 +13,7 @@
 //	                [-channel logdist:<n>:<sigma>[@sinr:<t>]]
 //	                [-attacker R,H,M] [-strategy NAME] [-nattackers K]
 //	                [-shared-history] [-collisions]
-//	                [-faults none|crash:<rate>|churn:<rate>:<mttr>|link:<rate>|blackout:<r>@<p>]
+//	                [-faults SPEC] (fault.Parse grammar; -help lists it)
 //	                [-energy none|battery:<capacity>[:<tx>:<rx>:<idle>]]
 //	slpsim protocols
 //	slpsim strategies
@@ -29,6 +29,7 @@ import (
 	"slpdas"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
+	"slpdas/internal/fault"
 	"slpdas/internal/verify"
 )
 
@@ -242,7 +243,7 @@ func runCustom(args []string) error {
 	nattackers := fs.Int("nattackers", 1, "eavesdropper team size")
 	sharedHistory := fs.Bool("shared-history", false, "pool one H-window across the team")
 	collisions := fs.Bool("collisions", false, "enable receiver-side collisions")
-	faults := fs.String("faults", "none", "fault injection: none, crash:<rate>, churn:<rate>:<mttr>, link:<rate>, blackout:<r>@<p>")
+	faults := fs.String("faults", "none", "fault injection: "+fault.Grammar)
 	energy := fs.String("energy", "none", "energy model: none, battery:<capacity>[:<tx>:<rx>:<idle>] (mJ)")
 	if err := fs.Parse(args); err != nil {
 		return err

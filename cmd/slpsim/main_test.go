@@ -6,32 +6,39 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
 
-// captureStdout runs the CLI with args and returns what it printed to
-// standard output and its exit code.
-func captureStdout(t *testing.T, args []string) ([]byte, int) {
+// capture runs the CLI with args and returns what it printed to standard
+// output and standard error, and its exit code.
+func capture(t *testing.T, args []string) (stdout, stderr []byte, code int) {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
+	redirect := func(f **os.File) (restore func() []byte) {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved := *f
+		*f = w
+		done := make(chan []byte)
+		go func() {
+			b, _ := io.ReadAll(r)
+			done <- b
+		}()
+		return func() []byte {
+			*f = saved
+			w.Close()
+			out := <-done
+			r.Close()
+			return out
+		}
 	}
-	saved := os.Stdout
-	os.Stdout = w
-	done := make(chan []byte)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- b
-	}()
-	code := run(args)
-	os.Stdout = saved
-	w.Close()
-	out := <-done
-	r.Close()
-	return out, code
+	restoreOut, restoreErr := redirect(&os.Stdout), redirect(&os.Stderr)
+	code = run(args)
+	return restoreOut(), restoreErr(), code
 }
 
 // TestCLIGoldens pins the stdout of every slpsim command that runs
@@ -51,7 +58,7 @@ func TestCLIGoldens(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
-			got, code := captureStdout(t, tc.args)
+			got, _, code := capture(t, tc.args)
 			if code != 0 {
 				t.Fatalf("slpsim %v exited %d", tc.args, code)
 			}
@@ -70,5 +77,19 @@ func TestCLIGoldens(t *testing.T) {
 				t.Errorf("slpsim %v output diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, got, want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsFaultOnMissingNode: a fail: spec naming a node the topology
+// lacks stops the run with an error that names the node, instead of
+// simulating a fault that cannot happen.
+func TestRunRejectsFaultOnMissingNode(t *testing.T) {
+	args := []string{"run", "-size", "5", "-repeats", "1", "-faults", "fail:25@0s"}
+	_, stderr, code := capture(t, args)
+	if code == 0 {
+		t.Fatalf("slpsim %v exited 0", args)
+	}
+	if !strings.Contains(string(stderr), "node 25") {
+		t.Errorf("slpsim %v: error does not name node 25:\n%s", args, stderr)
 	}
 }

@@ -29,7 +29,7 @@
 //	         [-loss ideal,bernoulli:<p>,rssi]
 //	         [-channels ideal,logdist:<n>:<sigma>[@sinr:<t>],...]
 //	         [-collisions false,true]
-//	         [-faults none,crash:<rate>,churn:<rate>:<mttr>,link:<rate>,blackout:<r>@<p>]
+//	         [-faults SPEC,...] (fault.Parse grammar; -help lists it)
 //	         [-energy none,battery:<capacity>[:<tx>:<rx>:<idle>]]
 //	         [-repeats N] [-seed S] [-workers W]
 //	         [-path-cap off|full|N] [-out results.jsonl] [-format jsonl|csv]
@@ -47,6 +47,7 @@ import (
 	"slpdas"
 	"slpdas/internal/attacker"
 	"slpdas/internal/campaign"
+	"slpdas/internal/fault"
 )
 
 func main() {
@@ -68,7 +69,7 @@ func run(args []string) int {
 	lossArg := fs.String("loss", "ideal", "comma-separated channel models: ideal, bernoulli:<p> with p in [0,1], rssi")
 	channelsArg := fs.String("channels", "", "comma-separated channel axis superseding -loss: ideal, bernoulli:<p>, rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
 	collArg := fs.String("collisions", "false", "comma-separated collision settings: false, true")
-	faultsArg := fs.String("faults", "none", "comma-separated fault-injection axis: none, crash:<rate>, churn:<rate>:<mttr>, link:<rate>, blackout:<r>@<p>")
+	faultsArg := fs.String("faults", "none", "comma-separated fault-injection axis: "+fault.Grammar)
 	energyArg := fs.String("energy", "none", "comma-separated energy axis: none, battery:<capacity>[:<tx>:<rx>:<idle>] (mJ)")
 	repeats := fs.Int("repeats", 10, "simulation repetitions per cell")
 	pathCapArg := fs.String("path-cap", "off", "attacker-walk recording per run: off (default; rows never render walks), full, or N to keep the first N locations")

@@ -87,9 +87,8 @@ type Spec struct {
 	Channels []string
 	// Collisions is the receiver-side collision axis. Default {false}.
 	Collisions []bool
-	// Faults is the fault-injection axis: specs in fault.Parse grammar
-	// ("none", "crash:<rate>", "churn:<rate>:<mttr>", "link:<rate>",
-	// "blackout:<r>@<p>"). Each cell's plan is minted deterministically
+	// Faults is the fault-injection axis: specs in the fault.Parse
+	// grammar. Each cell's plan is minted deterministically
 	// from the spec and the cell's per-repeat seed. Default {"none"},
 	// which keeps cell indices and seeds of fault-free campaigns
 	// identical to builds that predate the axis.

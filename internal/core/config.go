@@ -116,14 +116,11 @@ type Config struct {
 	// walk is tens of thousands of entries per attacker per run; campaigns
 	// never render walks and disable recording by default.
 	PathCap int
-	// Faults is the deterministic fault-injection plan specification: node
-	// crashes, churn (crash + rejoin), persistent link failures or a region
-	// blackout, expanded into timed events as a pure function of
+	// Faults is the deterministic fault-injection plan specification (see
+	// fault.Parse), expanded into timed events as a pure function of
 	// (spec, seed) on a dedicated named stream at Reset. The zero value
 	// injects nothing and draws nothing, so fault-free runs are
-	// byte-identical to builds that predate the subsystem. Unlike the
-	// legacy FailNode hook, the plan is part of the config and rides the
-	// arena Reset path — no re-injection after Reset needed.
+	// byte-identical to builds that predate the subsystem.
 	Faults fault.Spec
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slpdas/internal/fault"
 	"slpdas/internal/protocol"
 	"slpdas/internal/schedule"
 	"slpdas/internal/topo"
@@ -279,13 +280,12 @@ func TestRunSetupExtractsSchedule(t *testing.T) {
 func TestFailureInjection(t *testing.T) {
 	const side = 7
 	g := grid(t, side)
-	net, err := NewNetwork(g, topo.GridCentre(side), topo.GridTopLeft(), Default(), 5)
+	failed := []topo.NodeID{topo.GridIndex(side, 2, 2), topo.GridIndex(side, 4, 5)}
+	cfg := Default()
+	cfg.Faults = fault.Spec{Kind: fault.Fail, Nodes: failed, At: 0}
+	net, err := NewNetwork(g, topo.GridCentre(side), topo.GridTopLeft(), cfg, 5)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
-	}
-	failed := []topo.NodeID{topo.GridIndex(side, 2, 2), topo.GridIndex(side, 4, 5)}
-	for _, f := range failed {
-		net.FailNode(f, 0)
 	}
 	res, err := net.Run()
 	if err != nil {

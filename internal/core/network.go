@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"slpdas/internal/attacker"
@@ -82,8 +81,6 @@ type Network struct {
 	lastDeliveredSeq  uint32
 	deliveryLatencies []int
 
-	failAt map[topo.NodeID]time.Duration
-
 	// Channel plumbing: the parsed model for cfg.Channel, cached per raw
 	// spec string so arena Resets reuse one instance (per-run state inside
 	// the model is rewound by Medium.Reset).
@@ -102,12 +99,10 @@ type Network struct {
 	lifetimeEnded bool
 
 	// Fault-injection state. faultPlan is minted at Reset from cfg.Faults
-	// on the dedicated "fault" stream; faultsActive is latched at setup
-	// when the plan or the legacy failAt schedule injects anything, and
-	// gates every degradation-tracking branch so fault-free runs replay
-	// the pre-fault event order exactly.
+	// on the dedicated "fault" stream, nil when the spec injects nothing;
+	// non-nil, it gates every degradation-tracking branch so fault-free
+	// runs replay the pre-fault event order exactly.
 	faultPlan      *fault.Plan
-	faultsActive   bool
 	nodesFailed    int
 	nodesRecovered int
 	firstFaultAt   time.Duration
@@ -191,7 +186,6 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 			SinkDist: sinkDist,
 		},
 		protoCache: make(map[string]protocol.Instance),
-		failAt:     make(map[topo.NodeID]time.Duration),
 	}
 	net.periodTick = periodTick{n: net}
 
@@ -236,8 +230,6 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 // so Reset costs a small fraction of NewNetwork. Two runs of the same
 // (config, seed) produce identical Results whether they share a Network
 // via Reset or use fresh ones; the arena tests pin this.
-//
-// Scheduled failures (FailNode) are cleared: re-inject them after Reset.
 func (n *Network) Reset(cfg Config, seed uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -312,7 +304,6 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	n.sourceDeliveries = 0
 	n.lastDeliveredSeq = 0
 	n.deliveryLatencies = n.deliveryLatencies[:0]
-	clear(n.failAt)
 
 	// Mint the fault plan for this (config, seed). The expansion draws
 	// only from its own named stream — and only when the spec is non-empty
@@ -332,7 +323,6 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 		}
 		n.faultPlan = plan
 	}
-	n.faultsActive = false
 	n.nodesFailed = 0
 	n.nodesRecovered = 0
 	n.firstFaultAt = 0
@@ -434,23 +424,6 @@ func (n *Network) depleted(id topo.NodeID) {
 		n.lifetimeEnded = true
 		n.lifetimeAt = n.sim.Now()
 	}
-}
-
-// FailNode schedules node id to crash at the given absolute time (legacy
-// single-node failure injection; prefer Config.Faults, which rides the
-// arena Reset path). Must be called after Reset and before Run; the
-// schedule is cleared by Reset. The node id is validated against the
-// topology — a nonexistent id used to schedule a silent no-op — and the
-// time against the run horizon.
-func (n *Network) FailNode(id topo.NodeID, at time.Duration) error {
-	if !n.g.Valid(id) {
-		return fmt.Errorf("core: FailNode: node %d does not exist (topology has %d nodes)", id, n.g.Len())
-	}
-	if at > n.horizon() {
-		return fmt.Errorf("core: FailNode: failure at %v is after the run horizon %v", at, n.horizon())
-	}
-	n.failAt[id] = at
-	return nil
 }
 
 // crashNode fails a node mid-run: radio silent, GCN computation stopped,
@@ -568,7 +541,7 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 	}
 	// Unique-sequence tracking for the degradation windows (fault runs
 	// only): sequence numbers are origination period indices.
-	if n.faultsActive {
+	if n.faultPlan != nil {
 		if p := int(seq); p < len(n.seqDelivered) {
 			n.seqDelivered[p] = true
 		}
@@ -609,24 +582,10 @@ func (n *Network) setup() error {
 		}
 	}
 
-	// Failure injection. Schedule in NodeID order: map iteration order would
-	// vary the simulator's tie-breaking sequence numbers for failures that
-	// share a deadline, and with them the run's event interleaving.
-	var failIDs []topo.NodeID
-	for id := range n.failAt {
-		failIDs = append(failIDs, id)
-	}
-	slices.Sort(failIDs)
-	for _, id := range failIDs {
-		id := id
-		if _, err := n.sim.Schedule(n.failAt[id], func() { n.crashNode(id) }); err != nil {
-			return err
-		}
-	}
-
 	// Fault plan: schedule every event of the deterministic plan minted at
-	// Reset, and latch the fault window for the degradation metrics.
-	if !n.faultPlan.Empty() {
+	// Reset, in plan order so events sharing a time keep their (Op, Node)
+	// tie-break, and record the fault window for the degradation metrics.
+	if n.faultPlan != nil {
 		for _, ev := range n.faultPlan.Events {
 			ev := ev
 			var fn func()
@@ -644,20 +603,7 @@ func (n *Network) setup() error {
 				return err
 			}
 		}
-	}
-	if !n.faultPlan.Empty() || len(failIDs) > 0 {
-		n.faultsActive = true
-		first, last := n.faultPlan.Window()
-		for _, id := range failIDs {
-			at := n.failAt[id]
-			if first == 0 || at < first {
-				first = at
-			}
-			if at > last {
-				last = at
-			}
-		}
-		n.firstFaultAt, n.lastFaultAt = first, last
+		n.firstFaultAt, n.lastFaultAt = n.faultPlan.Window()
 		periods := int(math.Ceil(n.delta)) + 2
 		if cap(n.seqDelivered) >= periods {
 			n.seqDelivered = n.seqDelivered[:periods]
@@ -923,7 +869,7 @@ func (n *Network) collect() *Result {
 	// Degradation verdicts (fault runs only; fault-free runs report the
 	// zero values and RepairPeriods = -1).
 	res.RepairPeriods = -1
-	if n.faultsActive {
+	if n.faultPlan != nil {
 		res.NodesFailed = n.nodesFailed
 		res.NodesRecovered = n.nodesRecovered
 		if n.lastRepairAt > n.firstFaultAt {

@@ -188,9 +188,9 @@ func (n *node) install() {
 		// A HELLO during the data phase is a recovered node re-running
 		// discovery (fault injection): neighbours holding schedule state
 		// answer with a relay budget so the rejoiner re-learns hop/slot
-		// structure and can re-acquire a slot. Gated on faultsActive so
+		// structure and can re-acquire a slot. Gated on the fault plan so
 		// fault-free runs replay the pre-fault event order exactly.
-		if n.net.faultsActive && n.net.sim.Now() >= n.net.dataStart && (n.isSink() || n.slot != noValue) {
+		if n.net.faultPlan != nil && n.net.sim.Now() >= n.net.dataStart && (n.isSink() || n.slot != noValue) {
 			n.grantRelayBudget()
 		}
 	})
@@ -499,7 +499,7 @@ func (n *node) setSlot(s int32) {
 	// Schedule-repair clock (fault injection): any slot change after the
 	// first fault is self-healing activity. A plain field write — no event
 	// or random draw — so fault-free runs are unaffected.
-	if n.net.faultsActive && n.net.firstFaultAt > 0 && n.net.sim.Now() >= n.net.firstFaultAt {
+	if n.net.faultPlan != nil && n.net.firstFaultAt > 0 && n.net.sim.Now() >= n.net.firstFaultAt {
 		n.net.lastRepairAt = n.net.sim.Now()
 	}
 	n.resetDissemination()

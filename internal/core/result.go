@@ -64,7 +64,7 @@ type Result struct {
 	// runs; divide by this).
 	PeriodsRun float64
 
-	// --- Fault-injection degradation (Config.Faults / FailNode runs) ---
+	// --- Fault-injection degradation (Config.Faults runs) ---
 
 	// NodesFailed and NodesRecovered count crash and rejoin events that
 	// actually fired. Both zero for fault-free runs.

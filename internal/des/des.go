@@ -110,28 +110,13 @@ type Simulator struct {
 	free      []*eventBox
 	seq       uint64
 	executed  uint64
-	maxEvents uint64 // lint:immutable: configured budget, fixed at construction
+	maxEvents uint64 // lint:immutable: configured budget, set by SetEventBudget
 	stopped   bool
 }
 
-// Option configures a Simulator.
-type Option func(*Simulator)
-
-// WithEventBudget bounds the total number of executed events, batched ones
-// included (see CountExecuted); Run returns ErrEventBudget when exceeded.
-// Zero means unlimited.
-func WithEventBudget(n uint64) Option {
-	return func(s *Simulator) { s.maxEvents = n }
-}
-
-// New constructs an empty simulator at virtual time zero.
-func New(opts ...Option) *Simulator {
-	s := &Simulator{}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
-}
+// New constructs an empty simulator at virtual time zero with no event
+// budget (see SetEventBudget).
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }

@@ -169,7 +169,8 @@ func TestStop(t *testing.T) {
 }
 
 func TestEventBudget(t *testing.T) {
-	s := New(WithEventBudget(10))
+	s := New()
+	s.SetEventBudget(10)
 	var boom func()
 	boom = func() { s.ScheduleAfter(time.Millisecond, boom) }
 	s.ScheduleAfter(0, boom)
@@ -188,7 +189,8 @@ func TestEventBudgetLeavesSimulatorResumable(t *testing.T) {
 	// one event and left the clock in its future. Exhausting the budget
 	// must leave the next event queued and the clock on the last executed
 	// event, so raising the budget resumes without losing anything.
-	s := New(WithEventBudget(1))
+	s := New()
+	s.SetEventBudget(1)
 	var ran []time.Duration
 	s.ScheduleAfter(1*time.Second, func() { ran = append(ran, s.Now()) })
 	s.ScheduleAfter(2*time.Second, func() { ran = append(ran, s.Now()) })
@@ -218,7 +220,8 @@ func TestEventBudgetLeavesSimulatorResumable(t *testing.T) {
 // budget. The budget is checked between events, so the batched event runs
 // whole, and the simulator stays resumable after it.
 func TestCountExecutedChargesBatchedWork(t *testing.T) {
-	s := New(WithEventBudget(5))
+	s := New()
+	s.SetEventBudget(5)
 	var ran []time.Duration
 	batch := func() { ran = append(ran, s.Now()); s.CountExecuted(3) }
 	s.ScheduleAfter(1*time.Second, batch)
@@ -398,7 +401,8 @@ func TestEventTimeAccessor(t *testing.T) {
 // like a fresh New — clock at zero, empty queue, counters cleared, old
 // handles inert — while keeping its recycled boxes warm.
 func TestResetRewindsSimulator(t *testing.T) {
-	s := New(WithEventBudget(100))
+	s := New()
+	s.SetEventBudget(100)
 	var fired int
 	ev, err := s.Schedule(5*time.Millisecond, func() { fired++ })
 	if err != nil {
@@ -446,7 +450,8 @@ func TestResetRewindsSimulator(t *testing.T) {
 // TestResetPreservesEventBudget: the executed-event counter rewinds to
 // zero but the configured budget stays in force across Reset.
 func TestResetPreservesEventBudget(t *testing.T) {
-	s := New(WithEventBudget(1))
+	s := New()
+	s.SetEventBudget(1)
 	s.ScheduleAfter(0, func() {})
 	if err := s.Run(); err != nil {
 		t.Fatalf("first run within budget: %v", err)

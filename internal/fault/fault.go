@@ -1,8 +1,9 @@
 // Package fault is the deterministic fault-injection subsystem: it turns a
 // compact fault specification (a campaign axis like "churn:0.2:3") into a
 // concrete, fully-ordered plan of timed events — node crashes, crashes
-// with recovery, persistent link failures, region blackouts — as a pure
-// function of (spec, environment, seed).
+// with recovery, persistent link failures, region blackouts, named nodes
+// failing at a named time — as a pure function of (spec, environment,
+// seed).
 //
 // Determinism contract: a Plan is minted from a dedicated named xrand
 // stream (label "fault"), and that stream is only created when the spec is
@@ -14,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -40,19 +42,29 @@ const (
 	// time in the data phase.
 	Link
 	// Blackout crashes every node within Radius radio ranges of a
-	// uniformly chosen node at the start of data period Period.
+	// uniformly chosen node at the start of data period Period,
+	// permanently.
 	Blackout
+	// Fail crashes the named Nodes permanently at the absolute simulated
+	// time At, measured from the start of the run (so At = 0 kills them
+	// before neighbour discovery). It draws no randomness.
+	Fail
 )
+
+// Grammar lists the fault axis forms Parse accepts, for CLI help text.
+const Grammar = "none, crash:<rate>, churn:<rate>:<mttr>, link:<rate>, blackout:<r>@<p>, fail:<id>[+<id>...]@<duration>"
 
 // Spec is a parsed fault axis. The zero value means "no faults". Crash and
 // Churn spare the sink and the source (their loss is a different
-// experiment: see Blackout, which spares nobody).
+// experiment: see Blackout and Fail, which spare nobody).
 type Spec struct {
 	Kind   Kind
-	Rate   float64 // Crash, Churn, Link: per-node / per-link failure probability
-	MTTR   float64 // Churn: time to repair, in data periods
-	Radius float64 // Blackout: radius, in multiples of the radio range
-	Period int     // Blackout: data period index at which the region dies
+	Rate   float64       // Crash, Churn, Link: per-node / per-link failure probability
+	MTTR   float64       // Churn: time to repair, in data periods
+	Radius float64       // Blackout: radius, in multiples of the radio range
+	Period int           // Blackout: data period index at which the region dies
+	Nodes  []topo.NodeID // Fail: the victims, sorted, without duplicates
+	At     time.Duration // Fail: absolute time of the crash
 }
 
 // Empty reports whether the spec injects no faults.
@@ -64,22 +76,37 @@ func (s Spec) Validate() error {
 	case None:
 		return nil
 	case Crash, Link:
-		if s.Rate <= 0 || s.Rate > 1 {
+		if !(s.Rate > 0 && s.Rate <= 1) { // NaN fails this form too
 			return fmt.Errorf("fault: rate %g out of (0,1]", s.Rate)
 		}
 	case Churn:
-		if s.Rate <= 0 || s.Rate > 1 {
+		if !(s.Rate > 0 && s.Rate <= 1) {
 			return fmt.Errorf("fault: rate %g out of (0,1]", s.Rate)
 		}
-		if s.MTTR <= 0 {
-			return fmt.Errorf("fault: churn MTTR %g must be positive", s.MTTR)
+		if !(s.MTTR > 0) || math.IsInf(s.MTTR, 1) {
+			return fmt.Errorf("fault: churn MTTR %g must be positive and finite", s.MTTR)
 		}
 	case Blackout:
-		if s.Radius <= 0 {
-			return fmt.Errorf("fault: blackout radius %g must be positive", s.Radius)
+		if !(s.Radius > 0) || math.IsInf(s.Radius, 1) {
+			return fmt.Errorf("fault: blackout radius %g must be positive and finite", s.Radius)
 		}
 		if s.Period < 0 {
 			return fmt.Errorf("fault: blackout period %d must be non-negative", s.Period)
+		}
+	case Fail:
+		if len(s.Nodes) == 0 {
+			return fmt.Errorf("fault: fail names no nodes")
+		}
+		for i, id := range s.Nodes {
+			if id < 0 {
+				return fmt.Errorf("fault: fail names negative node id %d", id)
+			}
+			if i > 0 && id <= s.Nodes[i-1] {
+				return fmt.Errorf("fault: fail node ids must be sorted without duplicates, got %v", s.Nodes)
+			}
+		}
+		if s.At < 0 {
+			return fmt.Errorf("fault: fail time %v must be non-negative", s.At)
 		}
 	default:
 		return fmt.Errorf("fault: unknown kind %d", s.Kind)
@@ -100,6 +127,12 @@ func (s Spec) String() string {
 		return "link:" + formatFloat(s.Rate)
 	case Blackout:
 		return "blackout:" + formatFloat(s.Radius) + "@" + strconv.Itoa(s.Period)
+	case Fail:
+		ids := make([]string, len(s.Nodes))
+		for i, id := range s.Nodes {
+			ids[i] = strconv.Itoa(int(id))
+		}
+		return "fail:" + strings.Join(ids, "+") + "@" + s.At.String()
 	default:
 		return "none"
 	}
@@ -114,6 +147,11 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 //	churn:<rate>:<mttr> crashes that recover after <mttr> data periods
 //	link:<rate>         permanent link failures, per-link probability <rate>
 //	blackout:<r>@<p>    region death: radius <r> radio ranges, at period <p>
+//	fail:<id>[+<id>...]@<duration>
+//	                    the named nodes die at simulated time <duration>
+//
+// Fail ids are joined by '+' (campaign axes split on commas) and
+// canonicalised: order and repeats do not matter.
 func Parse(s string) (Spec, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "none" {
@@ -159,8 +197,27 @@ func Parse(s string) (Spec, error) {
 			return Spec{}, fmt.Errorf("fault: bad blackout period %q: %v", perStr, err)
 		}
 		spec = Spec{Kind: Blackout, Radius: radius, Period: period}
+	case "fail":
+		idsStr, atStr, ok := strings.Cut(rest, "@")
+		if !ok {
+			return Spec{}, fmt.Errorf("fault: fail wants fail:<id>[+<id>...]@<duration>, got %q", s)
+		}
+		var nodes []topo.NodeID
+		for _, f := range strings.Split(idsStr, "+") {
+			id, err := strconv.ParseInt(f, 10, 32)
+			if err != nil {
+				return Spec{}, fmt.Errorf("fault: bad fail node id %q: %v", f, err)
+			}
+			nodes = append(nodes, topo.NodeID(id))
+		}
+		slices.Sort(nodes)
+		at, err := time.ParseDuration(atStr)
+		if err != nil {
+			return Spec{}, fmt.Errorf("fault: bad fail time %q: %v", atStr, err)
+		}
+		spec = Spec{Kind: Fail, Nodes: slices.Compact(nodes), At: at}
 	default:
-		return Spec{}, fmt.Errorf("fault: unknown fault kind %q (want none, crash:<rate>, churn:<rate>:<mttr>, link:<rate> or blackout:<r>@<p>)", name)
+		return Spec{}, fmt.Errorf("fault: unknown fault kind %q (want %s)", name, Grammar)
 	}
 	if err := spec.Validate(); err != nil {
 		return Spec{}, err
@@ -229,13 +286,26 @@ type Env struct {
 // Churn recoveries that would land after the horizon are dropped — the
 // node stays dead, exactly as a permanent crash. A blackout whose period
 // starts after the horizon is an error: the spec names a time the run
-// never reaches.
+// never reaches. So is a fail spec naming a time past the horizon or a
+// node the topology lacks.
 func New(spec Spec, env Env, seed uint64) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if spec.Empty() {
 		return nil, nil
+	}
+	if spec.Kind == Fail {
+		// Named nodes at a named time: nothing to draw, and the sorted ids
+		// are already in plan order.
+		p := &Plan{Events: make([]Event, len(spec.Nodes))}
+		for i, id := range spec.Nodes {
+			p.Events[i] = Event{At: spec.At, Op: OpCrash, Node: id}
+		}
+		if err := p.Validate(env); err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
 	if env.DataStart >= env.Horizon {
 		return nil, fmt.Errorf("fault: data window [%v, %v) is empty", env.DataStart, env.Horizon)
@@ -312,9 +382,9 @@ func New(spec Spec, env Env, seed uint64) (*Plan, error) {
 }
 
 // Validate checks every event in the plan against the environment: node
-// ids must exist in the topology, link endpoints must be neighbours, and
-// no event may land after the horizon. Plans minted by New are valid by
-// construction; this guards hand-built plans and re-used environments.
+// ids, link endpoints included, must exist in the topology, and no event
+// may land after the horizon. New applies it to fail specs, whose ids and
+// time come from the user; the drawn kinds are valid by construction.
 func (p *Plan) Validate(env Env) error {
 	if p == nil {
 		return nil

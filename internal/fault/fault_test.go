@@ -40,6 +40,10 @@ func TestParseCanonicalRoundTrip(t *testing.T) {
 		{"link:0.05", "link:0.05", Link},
 		{"blackout:2@5", "blackout:2@5", Blackout},
 		{"blackout:1.5@0", "blackout:1.5@0", Blackout},
+		{"fail:3+8+17+21@2s", "fail:3+8+17+21@2s", Fail},
+		{"fail:16@0s", "fail:16@0s", Fail},
+		{"fail:0@0", "fail:0@0s", Fail},
+		{"fail:5@1500ms", "fail:5@1.5s", Fail},
 	}
 	for _, c := range cases {
 		spec, err := Parse(c.in)
@@ -54,7 +58,7 @@ func TestParseCanonicalRoundTrip(t *testing.T) {
 			t.Errorf("Parse(%q).String() = %q, want %q", c.in, got, c.canonical)
 		}
 		again, err := Parse(spec.String())
-		if err != nil || again != spec {
+		if err != nil || !reflect.DeepEqual(again, spec) {
 			t.Errorf("Parse∘String not identity for %q: %+v vs %+v (%v)", c.in, again, spec, err)
 		}
 	}
@@ -67,6 +71,9 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"link:2", "link:",
 		"blackout:2", "blackout:@5", "blackout:2@", "blackout:0@5", "blackout:2@-1",
 		"meteor:0.5", "crash:0.2:extra:parts",
+		"crash:NaN", "churn:0.2:NaN", "churn:0.2:+Inf", "blackout:NaN@1", "blackout:+Inf@1",
+		"fail:3", "fail:3,8@2s", "fail:@2s", "fail:3+@2s", "fail:-1@2s", "fail:3@-1s",
+		"fail:3@", "fail:3@2", "fail:x@2s", "fail:99999999999@0s",
 	} {
 		if spec, err := Parse(in); err == nil {
 			t.Errorf("Parse(%q) accepted as %+v, want error", in, spec)
@@ -269,4 +276,110 @@ func TestValidateCatchesForeignPlan(t *testing.T) {
 	if err := p.Validate(env); err == nil {
 		t.Error("Validate accepted an event past the horizon")
 	}
+}
+
+// TestParseFailCanonicalisesIDs: a fail spec's id list is a set — any
+// permutation, with or without repeats, parses to one Spec and prints one
+// canonical string, so the crashes it schedules cannot depend on how the
+// ids were written.
+func TestParseFailCanonicalisesIDs(t *testing.T) {
+	want := Spec{Kind: Fail, Nodes: []topo.NodeID{3, 8, 17, 21}, At: 2 * time.Second}
+	for _, in := range []string{
+		"fail:3+8+17+21@2s",
+		"fail:21+8+17+3@2s",
+		"fail:17+3+21+8@2000ms",
+		"fail:3+3+21+8+17+21@2s",
+	} {
+		spec, err := Parse(in)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", in, err)
+		}
+		if !reflect.DeepEqual(spec, want) {
+			t.Errorf("Parse(%q) = %+v, want %+v", in, spec, want)
+		}
+		if got := spec.String(); got != "fail:3+8+17+21@2s" {
+			t.Errorf("Parse(%q).String() = %q", in, got)
+		}
+	}
+}
+
+// TestFailPlan: a fail spec crashes exactly the named nodes at the named
+// absolute time — the sink and the source included — and New rejects ids
+// past the topology and times past the horizon.
+func TestFailPlan(t *testing.T) {
+	env := testEnv(t, 5)
+	spec, err := Parse("fail:0+12+3@2s") // 0 is the source, 12 the sink
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(spec, env, 1)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	want := []Event{
+		{At: 2 * time.Second, Op: OpCrash, Node: 0},
+		{At: 2 * time.Second, Op: OpCrash, Node: 3},
+		{At: 2 * time.Second, Op: OpCrash, Node: 12},
+	}
+	if !reflect.DeepEqual(p.Events, want) {
+		t.Errorf("plan = %+v, want %+v", p.Events, want)
+	}
+	if other, _ := New(spec, env, 2); !reflect.DeepEqual(p, other) {
+		t.Error("fail plan depends on the seed")
+	}
+
+	if _, err := New(Spec{Kind: Fail, Nodes: []topo.NodeID{topo.NodeID(env.Graph.Len())}}, env, 1); err == nil ||
+		!strings.Contains(err.Error(), "node 25") {
+		t.Errorf("id = g.Len(): err = %v, want an error naming node 25", err)
+	}
+	if _, err := Parse("fail:-1@1s"); err == nil {
+		t.Error("Parse accepted a negative node id")
+	}
+	if _, err := New(Spec{Kind: Fail, Nodes: []topo.NodeID{1}, At: env.Horizon + time.Nanosecond}, env, 1); err == nil ||
+		!strings.Contains(err.Error(), "horizon") {
+		t.Errorf("time past horizon: err = %v, want horizon error", err)
+	}
+	if _, err := New(Spec{Kind: Fail, Nodes: []topo.NodeID{1}, At: env.Horizon}, env, 1); err != nil {
+		t.Errorf("New rejected a crash at the horizon: %v", err)
+	}
+	if err := (Spec{Kind: Fail, Nodes: []topo.NodeID{8, 3}}).Validate(); err == nil {
+		t.Error("Validate accepted an unsorted id list")
+	}
+}
+
+// FuzzParse: every accepted spec prints a canonical String that parses
+// back to a deeply equal Spec and is its own fixed point, and expanding
+// it on a small grid never panics.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"none", "", "crash:0.2", "churn:0.1:3", "churn:0.25:1.5", "link:0.05",
+		"blackout:2@5", "blackout:1.5@0", "fail:3+8+17+21@2s", "fail:21+3+3@1.5s",
+		"fail:24@0s", "fail:25@0s", "fail:1@1000h", "crash:NaN", "churn:1:+Inf",
+	} {
+		f.Add(s)
+	}
+	g, err := topo.DefaultGrid(5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	env := Env{Graph: g, Sink: 12, Source: 0, DataStart: 10 * time.Second, Period: time.Second, Horizon: 40 * time.Second}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := Parse(s)
+		if err != nil {
+			return
+		}
+		canon := spec.String()
+		back, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse back: %v", s, canon, err)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Errorf("Parse(%q) = %+v, but its String %q reparses as %+v", s, spec, canon, back)
+		}
+		if again := back.String(); again != canon {
+			t.Errorf("String not a fixed point: %q -> %q", canon, again)
+		}
+		_ = spec.Validate()
+		_, _ = New(spec, env, 1)
+	})
 }

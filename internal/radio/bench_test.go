@@ -7,22 +7,23 @@ import (
 	"slpdas/internal/topo"
 )
 
-func benchMedium(b *testing.B, opts ...Option) (*des.Simulator, *topo.Graph, *Medium) {
+func benchMedium(b *testing.B, collisions bool) (*des.Simulator, *topo.Graph, *Medium) {
 	b.Helper()
 	g, err := topo.DefaultGrid(11)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, opts...)
+	m := New(sim, g, 1)
+	m.Reset(1, nil, collisions, nil)
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
 		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 	}
 	return sim, g, m
 }
 
-func benchBroadcast(b *testing.B, opts ...Option) {
-	sim, g, m := benchMedium(b, opts...)
+func benchBroadcast(b *testing.B, collisions bool) {
+	sim, g, m := benchMedium(b, collisions)
 	centre := topo.GridCentre(11)
 	payload := make([]byte, 32)
 	_ = g
@@ -39,16 +40,16 @@ func benchBroadcast(b *testing.B, opts ...Option) {
 
 // BenchmarkBroadcast measures one broadcast→delivery cycle at a 4-degree
 // grid node, collisions off — the dominant event pattern of every run.
-func BenchmarkBroadcast(b *testing.B) { benchBroadcast(b) }
+func BenchmarkBroadcast(b *testing.B) { benchBroadcast(b, false) }
 
 // BenchmarkBroadcastCollisions is the same cycle with the receiver-side
 // collision tracker enabled.
-func BenchmarkBroadcastCollisions(b *testing.B) { benchBroadcast(b, WithCollisions(true)) }
+func BenchmarkBroadcastCollisions(b *testing.B) { benchBroadcast(b, true) }
 
 // BenchmarkBroadcastObserved adds an in-range eavesdropper, covering the
 // observer-scan path the attacker exercises on every transmission.
 func BenchmarkBroadcastObserved(b *testing.B) {
-	sim, g, m := benchMedium(b)
+	sim, g, m := benchMedium(b, false)
 	centre := topo.GridCentre(11)
 	m.AddObserver(nopObserver{pos: g.Position(centre)})
 	payload := make([]byte, 32)

@@ -10,7 +10,7 @@ import (
 // midFlight returns a time strictly inside the reception window of a
 // payload broadcast at t=0.
 func midFlight(m *Medium, bytes int) time.Duration {
-	return (m.Airtime(bytes) + m.propDelay) / 2
+	return (m.Airtime(bytes) + DefaultPropagationDelay) / 2
 }
 
 // TestSenderDiesMidFrameDropsTail pins the crash semantics the fault

@@ -159,7 +159,8 @@ func TestReceiverDyingOnChargeRxSparesLaterReceivers(t *testing.T) {
 	centre := topo.GridCentre(5)
 	nbrs := g.Neighbors(centre)
 	em := &rxKillMeter{victim: nbrs[1]}
-	m := New(sim, g, 1, WithEnergyMeter(em))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, false, em)
 	em.m = m
 	got := map[topo.NodeID]int{}
 	for _, n := range nbrs {
@@ -206,7 +207,8 @@ func TestDeliveredCandidateLeavesNoStaleRxLatest(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithChannel(ch))
+	m := New(sim, g, 1)
+	m.Reset(1, ch, false, nil)
 	var got []topo.NodeID
 	m.SetReceiver(0, func(_ uint64, from topo.NodeID, _ []byte) { got = append(got, from) })
 	sim.ScheduleAfter(0, func() {

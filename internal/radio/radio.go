@@ -29,8 +29,8 @@ import (
 	"slpdas/internal/xrand"
 )
 
-// IEEE 802.15.4-flavoured timing defaults: 250 kbit/s payload rate plus a
-// fixed synchronisation overhead per frame.
+// IEEE 802.15.4-flavoured PHY timing, fixed for every medium: 250 kbit/s
+// payload rate plus a fixed synchronisation overhead per frame.
 const (
 	// DefaultBitrate is the payload bitrate in bits per second.
 	DefaultBitrate = 250_000
@@ -109,11 +109,8 @@ type Medium struct {
 	sinr       bool                  // capture model active (derived from ch)
 	capture    channel.CaptureParams // cached ch.Capture() parameters
 	meter      EnergyMeter
-	pcg        rand.PCG      // owned so Reset can reseed rng in place
-	rng        *rand.Rand    // lint:immutable: wraps &pcg; Reset reseeds the pcg in place
-	bitrate    int           // lint:immutable: PHY parameter, fixed at construction
-	overhead   time.Duration // lint:immutable: PHY parameter, fixed at construction
-	propDelay  time.Duration // lint:immutable: PHY parameter, fixed at construction
+	pcg        rand.PCG   // owned so Reset can reseed rng in place
+	rng        *rand.Rand // lint:immutable: wraps &pcg; Reset reseeds the pcg in place
 
 	receivers []Receiver // lint:immutable: registration wiring, rebuilt only when the node set changes
 	disabled  []bool
@@ -291,42 +288,13 @@ func (m *Medium) contend(r *reception, now, endAt time.Duration) {
 	}
 }
 
-// Option configures the medium.
-type Option func(*Medium)
-
-// WithChannel selects the physical channel model (default channel.Ideal).
-func WithChannel(ch channel.Model) Option {
-	return func(r *Medium) { r.ch = ch }
-}
-
-// WithEnergyMeter attaches the per-node energy meter charged for every
-// transmission and reception (default nil: charging off).
-func WithEnergyMeter(em EnergyMeter) Option {
-	return func(r *Medium) { r.meter = em }
-}
-
-// WithCollisions enables receiver-side collision corruption: two
-// temporally overlapping transmissions audible at the same node destroy
-// both receptions there.
-func WithCollisions(enabled bool) Option {
-	return func(r *Medium) { r.collisions = enabled }
-}
-
-// WithBitrate overrides the payload bitrate in bits per second.
-func WithBitrate(bps int) Option {
-	return func(r *Medium) { r.bitrate = bps }
-}
-
 // New builds a medium over graph g driven by sim, deriving its random
-// stream from seed.
-func New(sim *des.Simulator, g *topo.Graph, seed uint64, opts ...Option) *Medium {
+// stream from seed. The medium starts as Reset(seed, nil, false, nil)
+// leaves it: ideal channel, collisions off, no energy meter.
+func New(sim *des.Simulator, g *topo.Graph, seed uint64) *Medium {
 	m := &Medium{
 		sim:       sim,
 		g:         g,
-		ch:        channel.Ideal{},
-		bitrate:   DefaultBitrate,
-		overhead:  DefaultFrameOverhead,
-		propDelay: DefaultPropagationDelay,
 		receivers: make([]Receiver, g.Len()),
 		disabled:  make([]bool, g.Len()),
 		rxEnd:     make([]time.Duration, g.Len()),
@@ -334,13 +302,8 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64, opts ...Option) *Medium
 		rxSum:     make([]float64, g.Len()),
 		rxBest:    make([]float64, g.Len()),
 	}
-	m.pcg.Seed(xrand.SeedsNamed(seed, "radio"))
 	m.rng = xrand.Wrap(&m.pcg)
-	for _, o := range opts {
-		o(m)
-	}
-	m.capture, m.sinr = m.ch.Capture()
-	m.ch.Reset(seed)
+	m.Reset(seed, nil, false, nil)
 	return m
 }
 
@@ -354,8 +317,8 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64, opts ...Option) *Medium
 // frame. Frame ids keep counting, so a receiver's per-frame cache can
 // never match a frame of the previous run. The owning simulator must be
 // Reset alongside so in-flight frame events from the previous run are
-// discarded. A nil channel selects channel.Ideal, mirroring New's
-// default; a nil meter disables energy charging.
+// discarded. A nil channel selects channel.Ideal; a nil meter disables
+// energy charging.
 func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter EnergyMeter) {
 	if ch == nil {
 		ch = channel.Ideal{}
@@ -456,7 +419,7 @@ func (m *Medium) RemoveObserver(id int) {
 //
 //slp:hotpath
 func (m *Medium) Airtime(bytes int) time.Duration {
-	return m.overhead + time.Duration(bytes*8)*time.Second/time.Duration(m.bitrate)
+	return DefaultFrameOverhead + time.Duration(bytes*8)*time.Second/DefaultBitrate
 }
 
 // Stats returns a copy of the medium counters.
@@ -490,7 +453,7 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 	m.stats.BytesSent += uint64(len(payload))
 
 	now := m.sim.Now()
-	delay := m.Airtime(len(payload)) + m.propDelay
+	delay := m.Airtime(len(payload)) + DefaultPropagationDelay
 	endAt := now + delay
 	senderPos := m.g.Position(from)
 	nbrs := m.g.Neighbors(from)

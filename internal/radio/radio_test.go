@@ -11,14 +11,14 @@ import (
 	"slpdas/internal/xrand"
 )
 
-func newTestMedium(t *testing.T, side int, opts ...Option) (*des.Simulator, *topo.Graph, *Medium) {
+func newTestMedium(t *testing.T, side int) (*des.Simulator, *topo.Graph, *Medium) {
 	t.Helper()
 	g, err := topo.DefaultGrid(side)
 	if err != nil {
 		t.Fatalf("grid: %v", err)
 	}
 	sim := des.New()
-	return sim, g, New(sim, g, 1, opts...)
+	return sim, g, New(sim, g, 1)
 }
 
 func TestBroadcastReachesOnlyNeighbours(t *testing.T) {
@@ -83,7 +83,8 @@ func TestBernoulliLossRate(t *testing.T) {
 		t.Fatalf("line: %v", err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithChannel(channel.Bernoulli{P: 0.3}))
+	m := New(sim, g, 1)
+	m.Reset(1, channel.Bernoulli{P: 0.3}, false, nil)
 	delivered := 0
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	const trials = 5000
@@ -155,7 +156,8 @@ func TestCollisionCorruptsBothFrames(t *testing.T) {
 		t.Fatalf("line: %v", err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithCollisions(true))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, true, nil)
 	got := map[topo.NodeID]int{}
 	for n := topo.NodeID(0); n < 3; n++ {
 		n := n
@@ -182,7 +184,8 @@ func TestNoCollisionWhenSeparatedInTime(t *testing.T) {
 		t.Fatalf("line: %v", err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithCollisions(true))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, true, nil)
 	count := 0
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { count++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, make([]byte, 20)) })
@@ -212,7 +215,8 @@ func TestThreeTransmissionTailOverlap(t *testing.T) {
 		t.Fatalf("grid: %v", err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithCollisions(true))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, true, nil)
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
 	m.SetReceiver(centre, func(uint64, topo.NodeID, []byte) { got++ })
@@ -248,7 +252,8 @@ func TestTailTransmissionAfterWindowCloses(t *testing.T) {
 		t.Fatalf("grid: %v", err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithCollisions(true))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, true, nil)
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
 	m.SetReceiver(centre, func(uint64, topo.NodeID, []byte) { got++ })
@@ -479,7 +484,8 @@ func TestBroadcastSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("grid: %v", err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithCollisions(true))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, true, nil)
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
 		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
 	}
@@ -571,7 +577,8 @@ func TestMediumResetClearsRunState(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim := des.New()
-	m := New(sim, g, 1, WithCollisions(true))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, true, nil)
 	var got int
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { got++ })
 	obs := &fixedObserver{pos: g.Position(0)}

@@ -21,7 +21,9 @@ func sinrMedium(t *testing.T, n int, spacing, radioRange float64, spec string) (
 		t.Fatalf("channel.Parse(%q): %v", spec, err)
 	}
 	sim := des.New()
-	return sim, New(sim, g, 1, WithChannel(ch))
+	m := New(sim, g, 1)
+	m.Reset(1, ch, false, nil)
+	return sim, m
 }
 
 // TestSINRCaptureStrongerFrameSurvives: two simultaneous transmissions at
@@ -138,7 +140,8 @@ func TestEnergyMeterChargesTxAndRx(t *testing.T) {
 	}
 	sim := des.New()
 	em := &testMeter{}
-	m := New(sim, g, 1, WithEnergyMeter(em))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, false, em)
 	em.m = m
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) {})
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1, 2, 3}) })
@@ -162,7 +165,8 @@ func TestEnergyMeterChargesRxForCorruptedFrames(t *testing.T) {
 	}
 	sim := des.New()
 	em := &testMeter{}
-	m := New(sim, g, 1, WithCollisions(true), WithEnergyMeter(em))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, true, em)
 	em.m = m
 	delivered := 0
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
@@ -191,7 +195,8 @@ func TestEnergyMeterSelfKillOnTx(t *testing.T) {
 	}
 	sim := des.New()
 	em := &testMeter{killTxAt: 1}
-	m := New(sim, g, 1, WithEnergyMeter(em))
+	m := New(sim, g, 1)
+	m.Reset(1, nil, false, em)
 	em.m = m
 	delivered := 0
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })

@@ -62,9 +62,9 @@ type SimConfig struct {
 	LossModel string
 	// Collisions enables receiver-side collision corruption.
 	Collisions bool
-	// Faults is the deterministic fault-injection spec: "none" (default),
-	// "crash:<rate>", "churn:<rate>:<mttr>", "link:<rate>" or
-	// "blackout:<r>@<p>". The plan is a pure function of (spec, seed).
+	// Faults is the deterministic fault-injection spec in the fault.Parse
+	// grammar; "none" (the default) injects nothing. The plan is a pure
+	// function of (spec, seed).
 	Faults string
 	// Energy is the per-node energy model: "none" (default) or
 	// "battery:<capacity>[:<tx>:<rx>:<idle>]" in mJ — nodes that exhaust
