@@ -196,9 +196,8 @@ func BenchmarkVerifySchedule(b *testing.B) {
 // BenchmarkSingleRun measures one full simulated lifecycle (setup + data
 // phase + attacker) per grid size — the unit cost behind every experiment.
 // Allocation counts are reported because the des/radio hot path underneath
-// is held to zero steady-state allocations (see the bench files in
-// internal/des, internal/radio and internal/core, and cmd/slpbench for the
-// recorded BENCH_*.json baselines).
+// is held to zero steady-state allocations (see the AllocFree tests in
+// internal/des, internal/radio, internal/protocol and internal/core).
 func BenchmarkSingleRun(b *testing.B) {
 	for _, side := range []int{11, 15, 21} {
 		side := side

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,16 +49,58 @@ func run(args []string) int {
 		err = runFigure5(3, args[1:])
 	case "fig5b":
 		err = runFigure5(5, args[1:])
-	case "table1":
-		fmt.Println("Table I: parameters for protectionless and SLP DAS")
-		fmt.Println()
-		fmt.Print(slpdas.TableI())
+	case "table1", "protocols", "strategies":
+		err = runListing(args[0], args[1:])
 	case "overhead":
 		err = runOverhead(args[1:])
 	case "run":
 		err = runCustom(args[1:])
 	case "sweep":
 		err = runSweep(args[1:])
+	case "-h", "--help", "help":
+		usage()
+	default:
+		fmt.Fprintf(os.Stderr, "slpsim: unknown command %q\n", args[0])
+		usage()
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "slpsim: %v\n", err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
+		return 1
+	}
+	return 0
+}
+
+// usageError is a command-line mistake: a flag the command rejects or a
+// stray positional argument. It exits 2, like an unknown command.
+type usageError struct{ error }
+
+// parseFlags parses a command's flags and rejects positional arguments,
+// which flag stops at and would otherwise drop silently, together with
+// every flag after them.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	if fs.NArg() > 0 {
+		return usageError{fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))}
+	}
+	return nil
+}
+
+// runListing prints one of the commands that take no flags.
+func runListing(name string, args []string) error {
+	if err := parseFlags(flag.NewFlagSet(name, flag.ContinueOnError), args); err != nil {
+		return err
+	}
+	switch name {
+	case "table1":
+		fmt.Println("Table I: parameters for protectionless and SLP DAS")
+		fmt.Println()
+		fmt.Print(slpdas.TableI())
 	case "protocols":
 		fmt.Println("registered protocols:")
 		fmt.Println()
@@ -70,18 +113,8 @@ func run(args []string) int {
 		for _, s := range slpdas.Strategies() {
 			fmt.Printf("  %-16s %s\n", s.Name, s.Summary)
 		}
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "slpsim: unknown command %q\n", args[0])
-		usage()
-		return 2
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "slpsim: %v\n", err)
-		return 1
-	}
-	return 0
+	return nil
 }
 
 func usage() {
@@ -119,7 +152,7 @@ func runFigure5(searchDistance int, args []string) error {
 	seed := fs.Uint64("seed", 1, "base random seed")
 	sizesArg := fs.String("sizes", "11,15,21", "comma-separated grid sizes")
 	csvPath := fs.String("csv", "", "also write the series as CSV to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	sizes, err := parseSizes(*sizesArg)
@@ -158,7 +191,7 @@ func runOverhead(args []string) error {
 	sd := fs.Int("sd", 3, "search distance")
 	repeats := fs.Int("repeats", 50, "simulation repetitions per protocol")
 	seed := fs.Uint64("seed", 1, "base random seed")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	fmt.Printf("Message overhead, %d×%d grid, SD=%d, %d repeats/protocol\n\n", *size, *size, *sd, *repeats)
@@ -177,7 +210,7 @@ func runSweep(args []string) error {
 	sd := fs.Int("sd", 3, "search distance (attacker/strategy/loss sweeps)")
 	repeats := fs.Int("repeats", 30, "simulation repetitions per cell")
 	seed := fs.Uint64("seed", 1, "base random seed")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	switch *what {
@@ -245,7 +278,7 @@ func runCustom(args []string) error {
 	collisions := fs.Bool("collisions", false, "enable receiver-side collisions")
 	faults := fs.String("faults", "none", "fault injection: "+fault.Grammar)
 	energy := fs.String("energy", "none", "energy model: none, battery:<capacity>[:<tx>:<rx>:<idle>] (mJ)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	var r, h, m int

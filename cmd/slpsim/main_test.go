@@ -93,3 +93,30 @@ func TestRunRejectsFaultOnMissingNode(t *testing.T) {
 		t.Errorf("slpsim %v: error does not name node 25:\n%s", args, stderr)
 	}
 }
+
+// TestCLIRejectsStrayArguments: a positional argument, which flag would
+// stop at and drop with every flag after it, fails every command with
+// exit 2 and a message naming it.
+func TestCLIRejectsStrayArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"fig5a", "-sizes", "5", "-repeats", "1", "stray"},
+		{"fig5b", "stray", "-repeats", "1"},
+		{"overhead", "-size", "5", "stray"},
+		{"sweep", "-what", "sd", "stray"},
+		{"run", "-size", "5", "-repeats", "1", "stray", "-repeats", "99"},
+		{"table1", "stray"},
+		{"protocols", "stray"},
+		{"strategies", "stray"},
+	} {
+		stdout, stderr, code := capture(t, args)
+		if code != 2 {
+			t.Errorf("slpsim %v exited %d, want 2", args, code)
+		}
+		if !strings.Contains(string(stderr), `unexpected argument "stray"`) {
+			t.Errorf("slpsim %v: stderr does not name the stray argument:\n%s", args, stderr)
+		}
+		if len(stdout) != 0 {
+			t.Errorf("slpsim %v printed before refusing:\n%s", args, stdout)
+		}
+	}
+}

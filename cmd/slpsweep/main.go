@@ -87,6 +87,12 @@ func run(args []string) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		// flag stops at the first positional argument; refuse it rather
+		// than silently drop it and every flag after it.
+		fmt.Fprintf(os.Stderr, "slpsweep: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	spec, err := buildSpec(*sizesArg, *topoArg, *protoArg, *sdArg, *atkArg, *stratArg, *countArg, *sharedArg, *lossArg, *channelsArg, *collArg, *faultsArg, *energyArg)
 	if err != nil {

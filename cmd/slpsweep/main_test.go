@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"slpdas/internal/campaign"
@@ -204,4 +206,45 @@ func TestParsePathCap(t *testing.T) {
 			t.Errorf("parsePathCap(%q) = %d, want %d", tc.in, got, tc.want)
 		}
 	}
+}
+
+// TestCLIRejectsStrayArguments: flag stops at the first positional
+// argument, so without a check "extra -repeats 99" would run with the
+// flags before it and drop the rest. It must exit 2 naming the argument,
+// before writing anything.
+func TestCLIRejectsStrayArguments(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.jsonl")
+	for _, args := range [][]string{
+		{"-sizes", "5", "-sd", "2", "-repeats", "1", "-quiet", "-out", out, "extra", "-repeats", "99"},
+		{"-quiet", "-out", out, "extra"},
+	} {
+		code, stderr := stderrOf(t, args)
+		if code != 2 {
+			t.Errorf("slpsweep %v exited %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr, `unexpected argument "extra"`) {
+			t.Errorf("slpsweep %v: stderr does not name the stray argument:\n%s", args, stderr)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("slpsweep %v created %s before refusing", args, out)
+		}
+	}
+}
+
+// stderrOf runs the CLI with args and returns its exit code and what it
+// wrote to standard error.
+func stderrOf(t *testing.T, args []string) (int, string) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	code := run(args)
+	os.Stderr = saved
+	w.Close()
+	msg, _ := io.ReadAll(r)
+	r.Close()
+	return code, string(msg)
 }

@@ -32,6 +32,12 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		// flag stops at the first positional argument; refuse it rather
+		// than silently drop it and every flag after it.
+		fmt.Fprintf(os.Stderr, "slptopo: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	if err := inspect(*size, *protocol, *sd, *seed, *show); err != nil {
 		fmt.Fprintf(os.Stderr, "slptopo: %v\n", err)
 		return 1

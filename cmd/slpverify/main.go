@@ -41,6 +41,12 @@ func run(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		// flag stops at the first positional argument; refuse it rather
+		// than silently drop it and every flag after it.
+		fmt.Fprintf(os.Stderr, "slpverify: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 
 	var r, h, m int
 	if _, err := fmt.Sscanf(*atk, "%d,%d,%d", &r, &h, &m); err != nil {

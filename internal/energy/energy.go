@@ -122,6 +122,11 @@ func Parse(s string) (Spec, error) {
 		}
 		vals[i] = v
 	}
+	// A zero capacity with zero costs would be the empty Spec, which
+	// Validate accepts as accounting off: a battery must not parse as none.
+	if !(vals[0] > 0) {
+		return Spec{}, fmt.Errorf("energy: battery capacity must be > 0 mJ, got %q in %q", parts[0], s)
+	}
 	spec := Spec{Capacity: vals[0], TxCost: DefaultTxCost, RxCost: DefaultRxCost, IdleCost: DefaultIdleCost}
 	if len(vals) == 4 {
 		spec.TxCost, spec.RxCost, spec.IdleCost = vals[1], vals[2], vals[3]

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,8 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"battery",
 		"battery:",
 		"battery:0",
+		"battery:0:0:0:0",
+		"battery:-0:0:0:0",
 		"battery:-5",
 		"battery:8x",
 		"battery:8:1",
@@ -107,4 +110,37 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative rx cost not rejected")
 	}
+}
+
+// FuzzParse: every accepted input prints a canonical form that parses back
+// to an equal Spec and is a fixed point of String, and a battery input
+// never parses to accounting off.
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{
+		"none", "", "battery:8", "battery:12.5", "battery:8:0.001:0.003:0.02",
+		"battery:8:0:0:0.5", "battery:8.0", "battery:0", "battery:0:0:0:0",
+		"battery:-0:0:0:0", "battery:1e-300", "battery:NaN", "battery:8:-0:0:0",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if strings.HasPrefix(s, "battery:") && !(spec.Capacity > 0) {
+			t.Errorf("Parse(%q) = %+v: a battery with capacity %v", s, spec, spec.Capacity)
+		}
+		canon := spec.String()
+		back, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q).String() = %q does not parse back: %v", s, canon, err)
+		}
+		if !reflect.DeepEqual(back, spec) {
+			t.Errorf("Parse(%q) = %+v, but its String %q reparses as %+v", s, spec, canon, back)
+		}
+		if again := back.String(); again != canon {
+			t.Errorf("String not a fixed point: %q -> %q", canon, again)
+		}
+	})
 }

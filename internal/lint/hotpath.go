@@ -11,10 +11,10 @@ import (
 
 // hotPathMark is the doc-comment annotation naming a function part of a
 // zero-allocs/op steady-state path (the Broadcast→delivery fan-out, the
-// DES runner scheduling, the GCN dispatch loop). slpbench gates these
-// paths at 0 allocs/op against the committed baseline; the analyzer
-// rejects the allocation patterns that would break that gate before a
-// benchmark ever runs.
+// DES runner scheduling, the GCN dispatch loop). The AllocFree package
+// tests (des, radio, protocol, core) gate these paths at 0 allocs/op; the
+// analyzer rejects the allocation patterns that would break that gate
+// before a test ever runs.
 const hotPathMark = "slp:hotpath"
 
 // HotPath checks functions annotated `//slp:hotpath` for the four

@@ -34,6 +34,39 @@ func TestByNameResolvesAlias(t *testing.T) {
 	}
 }
 
+// TestByNameAllocFree holds the registry indirection the run hot path
+// pays per Reset at zero allocations: name resolution through ByName,
+// alias included, plus the static shape queries the network consults.
+// The registry must stay a map lookup away from a hardwired switch.
+func TestByNameAllocFree(t *testing.T) {
+	names := [...]string{NameProtectionless, NameSLPDAS, AliasSLP, NamePhantom, NameFakeSource, NameTier}
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, name := range names {
+			fam, err := ByName(name)
+			if err != nil {
+				t.Fatalf("ByName(%q): %v", name, err)
+			}
+			sink += len(fam.Name()) + len(fam.Label())
+			if fam.SearchPhase() {
+				sink++
+			}
+			if fam.TDMAData() {
+				sink++
+			}
+			if fam.UsesSearchDistance() {
+				sink++
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("protocol dispatch allocates %.1f per round of %d lookups, want 0", allocs, len(names))
+	}
+	if sink == 0 {
+		t.Fatal("dispatch loop optimised away")
+	}
+}
+
 func TestByNameUnknown(t *testing.T) {
 	for _, name := range []string{"", "bogus", "SLP-DAS"} {
 		fam, err := ByName(name)

@@ -478,36 +478,17 @@ func TestRemoveObserverFromOverhearKeepsScanIntact(t *testing.T) {
 	}
 }
 
+// TestBroadcastSteadyStateAllocFree holds every broadcastCase at zero
+// allocations once the pools are warm: the frame pool, the collision and
+// SINR windows and the observer scan must all reuse their storage.
 func TestBroadcastSteadyStateAllocFree(t *testing.T) {
-	g, err := topo.DefaultGrid(5)
-	if err != nil {
-		t.Fatalf("grid: %v", err)
-	}
-	sim := des.New()
-	m := New(sim, g, 1)
-	m.Reset(1, nil, true, nil)
-	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
-	}
-	centre := topo.GridIndex(5, 2, 2)
-	m.AddObserver(nopObserver{pos: g.Position(centre)})
-	payload := make([]byte, 32)
-	fire := func() { m.Broadcast(centre, payload) }
-
-	// Warm the event and frame pools.
-	for i := 0; i < 16; i++ {
-		sim.ScheduleAfter(0, fire)
-		if err := sim.Run(); err != nil {
-			t.Fatalf("warmup Run: %v", err)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		sim.ScheduleAfter(0, fire)
-		if err := sim.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-	}); allocs != 0 {
-		t.Errorf("Broadcast→delivery steady state allocates %.1f/op, want 0", allocs)
+	for _, c := range broadcastCases {
+		t.Run(c.name, func(t *testing.T) {
+			op := newBroadcastOp(t, c)
+			if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+				t.Errorf("Broadcast→delivery steady state allocates %.1f/op, want 0", allocs)
+			}
+		})
 	}
 }
 
