@@ -18,7 +18,9 @@ package slpdas
 
 import (
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
@@ -212,6 +214,76 @@ func BenchmarkSingleRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net, err := core.NewNetwork(g, sink, source, core.DefaultSLP(3), uint64(i))
 				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := net.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSingleRunRGG measures one lifecycle on a random geometric
+// graph, reusing one network through Reset, in the two configurations of
+// perfbench's RGG workloads: n=500 is rgg500-faithful's (slp-das, Figure
+// 2's unit decrement, range 1.8 spacings) and n=20000 is rgg20k-scale's
+// (protectionless, FastCollisionResolve, range 2.2 spacings, source within
+// 12 hops). Both spend most of their time in the guarded-command layer, so
+//
+//	go test -run '^$' -bench 'SingleRunRGG/n=20000' -benchtime 3x -cpuprofile cpu.out .
+//
+// profiles that path without the perfbench harness.
+func BenchmarkSingleRunRGG(b *testing.B) {
+	faithful := core.DefaultSLP(3)
+	faithful.PathCap = core.PathRecordingOff
+	scale := core.Default()
+	scale.Slots = 2000
+	scale.SlotPeriod = 10 * time.Millisecond
+	scale.MinimumSetupPeriods = 5
+	scale.NeighbourDiscoveryPeriods = 1
+	scale.DisseminationTimeout = 1
+	scale.SafetyFactor = 1.1
+	scale.FastCollisionResolve = true
+	scale.EventBudget = 200_000_000
+	scale.PathCap = core.PathRecordingOff
+	for _, bc := range []struct {
+		nodes       int
+		rangeFactor float64
+		maxHops     int
+		cfg         core.Config
+	}{
+		{500, 1.8, 0, faithful},
+		{20_000, 2.2, 12, scale},
+	} {
+		bc := bc
+		b.Run(fmt.Sprintf("n=%d", bc.nodes), func(b *testing.B) {
+			side := math.Sqrt(float64(bc.nodes)) * topo.DefaultSpacing
+			g, err := topo.RandomGeometric(bc.nodes, side, side, bc.rangeFactor*topo.DefaultSpacing, 1<<8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			centre := topo.Point{X: side / 2, Y: side / 2}
+			sink := topo.NodeID(0)
+			for id := topo.NodeID(1); int(id) < g.Len(); id++ {
+				if g.Position(id).DistanceTo(centre) < g.Position(sink).DistanceTo(centre) {
+					sink = id
+				}
+			}
+			source, best := sink, 0
+			for id, d := range g.BFSFrom(sink) {
+				if d > best && (bc.maxHops <= 0 || d <= bc.maxHops) {
+					source, best = topo.NodeID(id), d
+				}
+			}
+			net, err := core.NewNetwork(g, sink, source, bc.cfg, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := net.Reset(bc.cfg, uint64(i+1)); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := net.Run(); err != nil {

@@ -99,13 +99,14 @@ type Config struct {
 	EventBudget uint64
 	// FastCollisionResolve lets a collision loser jump directly to the
 	// nearest slot below its own that no 2-hop neighbour occupies, instead
-	// of Figure 2's unit decrement. Both converge to a collision-free weak
-	// DAS, but the unit decrement re-floods the neighbourhood once per
-	// slot of descent — on deep random geometric graphs that is ~95% of
-	// all dissemination traffic and grows superlinearly with n (the
+	// of Figure 2's unit decrement, which re-floods the neighbourhood once
+	// per slot of descent — on deep random geometric graphs that is ~95%
+	// of all dissemination traffic and grows superlinearly with n (the
 	// descending slot bands of neighbouring branches keep re-colliding).
 	// Off by default: the schedules reached differ (deterministically)
-	// from the paper's, so Table I evaluations keep the faithful rule.
+	// from the paper's, and are valid less often on dense graphs where the
+	// slot space runs out (see resolveTarget), so Table I evaluations keep
+	// the faithful rule.
 	FastCollisionResolve bool
 	// PathCap bounds per-attacker walk recording in Results: 0 (default)
 	// records the full walk, N > 0 keeps only the first N visited

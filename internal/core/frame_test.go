@@ -80,7 +80,7 @@ func TestDecodeOncePerFrame(t *testing.T) {
 	nbrs := g.Neighbors(sender)
 	k := uint64(len(nbrs))
 	fired := make(map[topo.NodeID]int) // receive actions per process
-	net.engine.OnAction = func(p *gcn.Process, name string) {
+	net.engine.OnAction = func(p *gcn.Process[*node], name string) {
 		if name == "receiveN" || name == "receiveU" {
 			fired[p.ID()]++
 		}

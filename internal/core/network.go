@@ -34,7 +34,7 @@ const msgStatsSlots = int(wire.TypeData) + 1
 //
 // Construction is split into one-time wiring and per-run state. NewNetwork
 // wires the expensive immutable machinery — simulator, medium, engine,
-// node processes with their GCN action lists, radio receivers, slot tasks
+// node processes running the shared GCN program, radio receivers, slot tasks
 // — and Reset rewinds everything mutable (clocks, pools, protocol state,
 // counters, random streams, attackers) for a new (config, seed) without
 // reallocating, so arena-style callers replay thousands of runs on one
@@ -49,7 +49,7 @@ type Network struct {
 
 	sim    *des.Simulator
 	medium *radio.Medium
-	engine *gcn.Engine
+	engine *gcn.Engine[*node]
 	nodes  []*node         // lint:immutable: slice header fixed; nodes reset individually
 	tasks  []*mac.SlotTask // lint:immutable: slice header fixed; tasks rearmed per run
 	atks   []*attacker.Attacker
@@ -176,7 +176,7 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 		seed:    seed,
 		sim:     sim,
 		medium:  radio.New(sim, g, seed),
-		engine:  gcn.NewEngine(sim, 0),
+		engine:  gcn.NewEngine(sim, nodeProgram, 0),
 		deltaSS: deltaSS,
 		sinkEcc: sinkEcc,
 		env: protocol.Env{
@@ -461,7 +461,7 @@ func (n *Network) recoverNode(id topo.NodeID) {
 	n.medium.EnableNode(id)
 	if id == n.sink {
 		nd.sinkInit()
-		n.engine.Kickstart(nd.prc)
+		n.engine.Kickstart(&nd.prc)
 	}
 	cfg := n.cfg
 	boot := nd.jitterDelay(cfg.BootJitter)
@@ -569,7 +569,7 @@ func (n *Network) setup() error {
 	sinkNode := n.nodes[n.sink]
 	if _, err := n.sim.Schedule(dissemStart, func() {
 		sinkNode.sinkInit()
-		n.engine.Kickstart(sinkNode.prc)
+		n.engine.Kickstart(&sinkNode.prc)
 	}); err != nil {
 		return err
 	}
@@ -733,7 +733,7 @@ func (n *Network) NodeState(id topo.NodeID) NodeState {
 		Normal:  nd.normal,
 		Changed: nd.changed,
 	}
-	st.PotentialParents = sortedIDs(nd.npar)
+	st.PotentialParents = append([]topo.NodeID(nil), nd.npar...)
 	st.KnownSlot = make(map[topo.NodeID]int, nd.ninfo.len())
 	for k, j := range nd.ninfo.ids {
 		st.KnownSlot[j] = int(nd.ninfo.infos[k].slot)

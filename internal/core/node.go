@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"time"
 
 	"slpdas/internal/gcn"
@@ -20,79 +21,145 @@ type info struct {
 
 const noValue int32 = wire.NoSlot // ⊥
 
+// sortedSet is a set kept as an ascending slice: iteration is in sorted
+// order without a per-call sort, and reset keeps the backing array.
+type sortedSet[T cmp.Ordered] []T
+
+func (s sortedSet[T]) has(v T) bool {
+	_, ok := slices.BinarySearch(s, v)
+	return ok
+}
+
+func (s *sortedSet[T]) add(v T) {
+	if i, ok := slices.BinarySearch(*s, v); !ok {
+		*s = slices.Insert(*s, i, v)
+	}
+}
+
+func (s *sortedSet[T]) remove(v T) {
+	if i, ok := slices.BinarySearch(*s, v); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
+}
+
+// pairKey packs (potential parent, competitor) into one sortedSet key:
+// all of one parent's competitors are a contiguous run.
+func pairKey(parent, competitor topo.NodeID) uint64 {
+	return uint64(uint32(parent))<<32 | uint64(uint32(competitor))
+}
+
 // infoTable is a node's Ninfo: (hop, slot, version) entries keyed by node
-// ID, stored as parallel slices kept sorted by ID. The table is consulted
-// on every guard evaluation of the GCN run-to-quiescence loop (the
-// collision-resolution guard scans it after every delivered message), so
-// it is built for allocation-free sorted iteration — the map + sort.Slice
-// it replaces was the simulator's single hottest call site.
+// ID, stored as parallel slices kept sorted by ID. The resolve guard runs
+// after every action a node executes and its collisionLoser scan covers
+// the whole table, so the table caches that answer: loser is valid while
+// dirty is false, and setAt and reset — the only writers — mark it stale.
+// The node's own hop and slot live in its own entry, so every input of
+// collisionLoser changes through setAt.
 type infoTable struct {
 	ids   []topo.NodeID
 	infos []info
+	loser topo.NodeID
+	dirty bool
 }
 
 func (t *infoTable) len() int { return len(t.ids) }
 
-func (t *infoTable) search(id topo.NodeID) int {
-	return sort.Search(len(t.ids), func(k int) bool { return t.ids[k] >= id })
-}
-
 func (t *infoTable) get(id topo.NodeID) (info, bool) {
-	if i := t.search(id); i < len(t.ids) && t.ids[i] == id {
+	if i, ok := slices.BinarySearch(t.ids, id); ok {
 		return t.infos[i], true
 	}
 	return info{}, false
 }
 
 func (t *infoTable) set(id topo.NodeID, in info) {
-	i := t.search(id)
+	i, _ := slices.BinarySearch(t.ids, id)
+	t.setAt(i, id, in)
+}
+
+// setAt stores in for id at index i, the position slices.BinarySearch
+// reports for id.
+func (t *infoTable) setAt(i int, id topo.NodeID, in info) {
+	t.dirty = true
 	if i < len(t.ids) && t.ids[i] == id {
 		t.infos[i] = in
 		return
 	}
-	t.ids = append(t.ids, 0)
-	copy(t.ids[i+1:], t.ids[i:])
-	t.ids[i] = id
-	t.infos = append(t.infos, info{})
-	copy(t.infos[i+1:], t.infos[i:])
-	t.infos[i] = in
+	t.ids = slices.Insert(t.ids, i, id)
+	t.infos = slices.Insert(t.infos, i, in)
 }
 
 func (t *infoTable) reset() {
 	t.ids = t.ids[:0]
 	t.infos = t.infos[:0]
+	t.loser = topo.None
+	t.dirty = true
 }
 
-// node executes the combined DAS / NSearch / SRefine program of
-// Figures 2–4 for one WSN process. Construction wires the immutable parts
-// (GCN actions, timers, radio receiver); everything else is per-run state
-// rewound by reset, so one node serves every run of an arena network.
+// infoCursor looks up a run of IDs in an infoTable. When each ID is above
+// the one before — myN, Npar, children and a DISSEM's neighbour list are
+// all ascending — the lookup walks forward from the previous one, a merge
+// join over the table; any other ID falls back to a binary search, so the
+// answers never depend on the order of the run.
+type infoCursor struct {
+	t *infoTable
+	i int // the previous ID's position in t.ids
+}
+
+func (t *infoTable) cursor() infoCursor { return infoCursor{t: t} }
+
+// find returns the position slices.BinarySearch(t.ids, id) reports.
+//
+//slp:hotpath
+func (c *infoCursor) find(id topo.NodeID) int {
+	ids := c.t.ids
+	if c.i == 0 || ids[c.i-1] >= id {
+		c.i, _ = slices.BinarySearch(ids, id)
+		return c.i
+	}
+	for c.i < len(ids) && ids[c.i] < id {
+		c.i++
+	}
+	return c.i
+}
+
+func (c *infoCursor) get(id topo.NodeID) (info, bool) {
+	if i := c.find(id); i < len(c.t.ids) && c.t.ids[i] == id {
+		return c.t.infos[i], true
+	}
+	return info{}, false
+}
+
+// node is the context the combined DAS / NSearch / SRefine program of
+// Figures 2–4 (nodeProgram) runs on for one WSN process. Construction
+// wires the immutable parts (GCN process, timers, radio receiver);
+// everything else is per-run state rewound by reset, so one node serves
+// every run of an arena network.
 type node struct {
-	id      topo.NodeID  // lint:immutable: identity, fixed at construction
-	net     *Network     // lint:immutable: back-pointer wiring, fixed at construction
-	prc     *gcn.Process // lint:immutable: pointer fixed; process reset separately
-	pcg     rand.PCG     // owned so reset can reseed in place
-	rng     *rand.Rand   // lint:immutable: wraps &pcg; reset reseeds the pcg in place
-	helloFn func()       // lint:immutable: cached method value; scheduled once per NDP round
+	id      topo.NodeID        // lint:immutable: identity, fixed at construction
+	net     *Network           // lint:immutable: back-pointer wiring, fixed at construction
+	prc     gcn.Process[*node] // lint:immutable: wired once; the engine resets it
+	pcg     rand.PCG           // owned so reset can reseed in place
+	rng     *rand.Rand         // lint:immutable: wraps &pcg; reset reseeds the pcg in place
+	helloFn func()             // lint:immutable: cached method value; scheduled once per NDP round
 
 	// --- Figure 2 (DAS) state ---
-	myN      []topo.NodeID                        // discovered neighbours, sorted
-	npar     map[topo.NodeID]bool                 // potential parents
-	children map[topo.NodeID]bool                 // nodes that chose us as parent
-	others   map[topo.NodeID]map[topo.NodeID]bool // per potential parent: slot competitors
-	ninfo    infoTable                            // 1- and 2-hop neighbourhood info
-	hop      int32                                // ⊥ = noValue
-	par      topo.NodeID                          // ⊥ = topo.None
-	slot     int32                                // ⊥ = noValue
-	normal   bool                                 // false during the update phase
-	version  uint32                               // own state freshness
+	myN      sortedSet[topo.NodeID] // discovered neighbours
+	npar     sortedSet[topo.NodeID] // potential parents
+	children sortedSet[topo.NodeID] // nodes that chose us as parent
+	others   sortedSet[uint64]      // slot competitors per potential parent, as pairKeys
+	ninfo    infoTable              // 1- and 2-hop neighbourhood info
+	hop      int32                  // ⊥ = noValue
+	par      topo.NodeID            // ⊥ = topo.None
+	slot     int32                  // ⊥ = noValue
+	normal   bool                   // false during the update phase
+	version  uint32                 // own state freshness
 
-	dissem       *gcn.Timer // lint:immutable: pointer fixed; timer disarmed by the engine reset
-	decide       *gcn.Timer // lint:immutable: pointer fixed; defers the process action one dissem round
+	dissem       *gcn.Timer[*node] // lint:immutable: pointer fixed; timer disarmed by the engine reset
+	decide       *gcn.Timer[*node] // lint:immutable: pointer fixed; defers the process action one dissem round
 	dissemBudget int
 
 	// --- Figure 3 (NSearch) state ---
-	from      map[topo.NodeID]bool // senders of SEARCH/CHANGE seen
+	from      sortedSet[topo.NodeID] // senders of SEARCH/CHANGE seen
 	startNode bool
 	pr        int32 // change-path length when selected
 
@@ -117,18 +184,11 @@ type node struct {
 }
 
 func newNode(id topo.NodeID, net *Network) *node {
-	n := &node{
-		id:       id,
-		net:      net,
-		npar:     make(map[topo.NodeID]bool),
-		children: make(map[topo.NodeID]bool),
-		others:   make(map[topo.NodeID]map[topo.NodeID]bool),
-		from:     make(map[topo.NodeID]bool),
-	}
+	n := &node{id: id, net: net}
 	n.rng = xrand.Wrap(&n.pcg)
 	n.helloFn = n.sendHello
-	n.prc = net.engine.NewProcess(id)
-	n.install()
+	net.engine.Host(&n.prc, id, n)
+	n.decide, n.dissem = n.prc.Timer(decideTimer), n.prc.Timer(dissemTimer)
 	// Radio → GCN delivery is wiring, not run state: register once.
 	net.medium.SetReceiver(id, func(frame uint64, from topo.NodeID, payload []byte) {
 		if frame != net.decFrame {
@@ -140,7 +200,7 @@ func newNode(id topo.NodeID, net *Network) *node {
 			net.decodeErrors++
 			return
 		}
-		net.engine.Deliver(n.prc, from, net.decMsg)
+		net.engine.Deliver(&n.prc, from, net.decMsg)
 	})
 	n.reset(net.seed)
 	return n
@@ -153,9 +213,9 @@ func newNode(id topo.NodeID, net *Network) *node {
 func (n *node) reset(seed uint64) {
 	n.pcg.Seed(xrand.Seeds(seed, uint64(n.id), 0x6f64656e)) // per-node stream
 	n.myN = n.myN[:0]
-	clear(n.npar)
-	clear(n.children)
-	clear(n.others)
+	n.npar = n.npar[:0]
+	n.children = n.children[:0]
+	n.others = n.others[:0]
 	n.ninfo.reset()
 	n.hop = noValue
 	n.par = topo.None
@@ -163,7 +223,7 @@ func (n *node) reset(seed uint64) {
 	n.normal = true
 	n.version = 0
 	n.dissemBudget = 0
-	clear(n.from)
+	n.from = n.from[:0]
 	n.startNode = false
 	n.pr = 0
 	n.changed = false
@@ -178,105 +238,75 @@ func (n *node) reset(seed uint64) {
 
 func (n *node) isSink() bool { return n.id == n.net.sink }
 
-// install registers the GCN actions in priority order.
-func (n *node) install() {
-	p := n.prc
+// Receive-action keys: a message's wire.Type, except that a DISSEM with
+// Normal = 0 (receiveU) has a key of its own.
+const keyDissemUpdate = int(wire.TypeData) + 1
 
+// classify is the node program's receive-action key of m, which is always
+// a decoded wire.Message.
+//
+//slp:hotpath
+func classify(m gcn.Message) int {
+	if d, ok := m.(*wire.Dissem); ok && !d.Normal {
+		return keyDissemUpdate
+	}
+	return int(m.(wire.Message).Kind())
+}
+
+// nodeProgram is the combined program of Figures 2–4, compiled once and
+// shared by every node of every network. Timeout and guarded actions are
+// in priority order.
+var nodeProgram, decideTimer, dissemTimer = compileNodeProgram()
+
+func compileNodeProgram() (g *gcn.Program[*node], decide, dissem gcn.TimerID) {
+	g = gcn.NewProgram[*node](classify)
 	// rcv⟨HELLO⟩: neighbour discovery.
-	p.AddReceive("rcvHello", matchType(wire.TypeHello), func(sender topo.NodeID, _ gcn.Message) {
-		n.addNeighbour(sender)
-		// A HELLO during the data phase is a recovered node re-running
-		// discovery (fault injection): neighbours holding schedule state
-		// answer with a relay budget so the rejoiner re-learns hop/slot
-		// structure and can re-acquire a slot. Gated on the fault plan so
-		// fault-free runs replay the pre-fault event order exactly.
-		if n.net.faultPlan != nil && n.net.sim.Now() >= n.net.dataStart && (n.isSink() || n.slot != noValue) {
-			n.grantRelayBudget()
-		}
-	})
-
+	g.Receive(int(wire.TypeHello), "rcvHello", (*node).onHello)
 	// receiveN :: rcv⟨DISSEM, 1, j, N, p⟩ (Figure 2).
-	p.AddReceive("receiveN", matchDissem(true), func(sender topo.NodeID, m gcn.Message) {
-		n.onDissem(sender, m.(*wire.Dissem))
-	})
-
+	g.Receive(int(wire.TypeDissem), "receiveN", (*node).onDissem)
 	// receiveU :: rcv⟨DISSEM, 0, j, N, p⟩ (Figure 2): update from parent.
-	p.AddReceive("receiveU", matchDissem(false), func(sender topo.NodeID, m gcn.Message) {
-		n.onDissem(sender, m.(*wire.Dissem))
-	})
-
+	g.Receive(keyDissemUpdate, "receiveU", (*node).onDissem)
 	// receiveS :: rcv⟨SEARCH, k, j, d⟩ (Figure 3).
-	p.AddReceive("receiveS", matchType(wire.TypeSearch), func(sender topo.NodeID, m gcn.Message) {
-		n.onSearch(sender, m.(*wire.Search))
-	})
-
+	g.Receive(int(wire.TypeSearch), "receiveS", (*node).onSearch)
 	// receiveC :: rcv⟨CHANGE, p, j, s, d⟩ (Figure 4).
-	p.AddReceive("receiveC", matchType(wire.TypeChange), func(sender topo.NodeID, m gcn.Message) {
-		n.onChange(sender, m.(*wire.Change))
-	})
-
+	g.Receive(int(wire.TypeChange), "receiveC", (*node).onChange)
 	// rcv⟨DATA⟩: data-phase aggregation bookkeeping.
-	p.AddReceive("rcvData", matchType(wire.TypeData), func(sender topo.NodeID, m gcn.Message) {
-		n.onData(sender, m.(*wire.Data))
-	})
+	g.Receive(int(wire.TypeData), "rcvData", (*node).onData)
 
 	// process :: rcv⟨⟩ (Figure 2): choose parent and slot. TinyOS fires
 	// this after "receiving all messages"; we model that by deferring the
 	// decision one dissemination round after the first potential parent is
 	// heard, so Npar collects every assigned neighbour of the round (this
 	// is also what gives nodes the alternative parents Phase 2 needs).
-	n.decide = p.NewTimer("process", n.chooseSlot)
-
+	decide = g.Timeout("process", (*node).chooseSlot)
 	// Detection of slot collision then resolve (Figure 2, final lines).
-	// The slot > 0 condition lives in the guard, not the body: a node
-	// pinned at slot 0 that still collides must quiesce (the schedule
-	// stays invalid and is reported as such), not spin firing a no-op
-	// action until the step budget kills the process. Grids deep enough
-	// to exhaust the slot space hit this; Table I's never do.
-	p.AddGuard("resolve", func() bool { return n.slot > 0 && n.collisionLoser() != topo.None }, func() {
-		n.setSlot(n.resolveTarget())
-	})
-
+	g.Guard("resolve", (*node).colliding, (*node).resolve)
 	// startR (Figure 4): begin the change process once selected.
-	p.AddGuard("startR", func() bool { return n.startNode }, n.startRefinement)
-
+	g.Guard("startR", func(n *node) bool { return n.startNode }, (*node).startRefinement)
 	// dissem :: timeout(dissem) (Figure 2): periodic state broadcast.
-	n.dissem = p.NewTimer("dissem", n.onDissemTimer)
-}
-
-func matchType(t wire.Type) func(gcn.Message) bool {
-	return func(m gcn.Message) bool {
-		msg, ok := m.(wire.Message)
-		return ok && msg.Kind() == t
-	}
-}
-
-func matchDissem(normal bool) func(gcn.Message) bool {
-	return func(m gcn.Message) bool {
-		d, ok := m.(*wire.Dissem)
-		return ok && d.Normal == normal
-	}
+	dissem = g.Timeout("dissem", (*node).onDissemTimer)
+	return g, decide, dissem
 }
 
 // --- neighbour discovery ---
 
 func (n *node) addNeighbour(m topo.NodeID) {
-	if m == n.id {
-		return
+	if m != n.id {
+		n.myN.add(m)
 	}
-	i := sort.Search(len(n.myN), func(i int) bool { return n.myN[i] >= m })
-	if i < len(n.myN) && n.myN[i] == m {
-		return
-	}
-	n.myN = append(n.myN, 0)
-	copy(n.myN[i+1:], n.myN[i:])
-	n.myN[i] = m
 }
 
-// knowsNeighbour reports m ∈ myN.
-func (n *node) knowsNeighbour(m topo.NodeID) bool {
-	i := sort.Search(len(n.myN), func(i int) bool { return n.myN[i] >= m })
-	return i < len(n.myN) && n.myN[i] == m
+// onHello is rcv⟨HELLO⟩.
+func (n *node) onHello(sender topo.NodeID, _ gcn.Message) {
+	n.addNeighbour(sender)
+	// A HELLO during the data phase is a recovered node re-running
+	// discovery (fault injection): neighbours holding schedule state
+	// answer with a relay budget so the rejoiner re-learns hop/slot
+	// structure and can re-acquire a slot. Gated on the fault plan so
+	// fault-free runs replay the pre-fault event order exactly.
+	if n.net.faultPlan != nil && n.net.sim.Now() >= n.net.dataStart && (n.isSink() || n.slot != noValue) {
+		n.grantRelayBudget()
+	}
 }
 
 func (n *node) sendHello() {
@@ -341,8 +371,9 @@ func (n *node) buildDissem() *wire.Dissem {
 	d.From, d.Normal, d.Parent = n.id, n.normal, n.par
 	d.Infos = d.Infos[:0]
 	d.Infos = append(d.Infos, wire.NodeInfo{Node: n.id, Hop: n.hop, Slot: n.slot, Version: n.version})
+	cur := n.ninfo.cursor()
 	for _, m := range n.myN {
-		in, known := n.ninfo.get(m)
+		in, known := cur.get(m)
 		if !known {
 			d.Infos = append(d.Infos, wire.NodeInfo{Node: m, Hop: noValue, Slot: noValue})
 			continue
@@ -353,39 +384,18 @@ func (n *node) buildDissem() *wire.Dissem {
 }
 
 // onDissem handles both receiveN (Normal=1) and receiveU (Normal=0).
-func (n *node) onDissem(sender topo.NodeID, d *wire.Dissem) {
+func (n *node) onDissem(sender topo.NodeID, m gcn.Message) {
+	d := m.(*wire.Dissem)
 	n.addNeighbour(sender)
 
 	// Track children: a node whose dissem names us as parent is a child.
 	if d.Parent == n.id {
-		n.children[sender] = true
+		n.children.add(sender)
 	} else {
-		delete(n.children, sender)
+		n.children.remove(sender)
 	}
 
-	// Merge Ninfo entries by freshness version. Fresh state about a
-	// *direct neighbour* is worth relaying: 2-hop collision detection
-	// only works if the middle node re-disseminates what it heard (the
-	// Trickle-style reading of the DT send budget). Entries about more
-	// distant nodes are merged but not relayed — they can never matter to
-	// anyone within our radio range.
-	senderSlot := noValue
-	learnedNeighbour := false
-	for _, in := range d.Infos {
-		if in.Node == n.id {
-			continue // never overwrite own state from the outside
-		}
-		cur, known := n.ninfo.get(in.Node)
-		if !known || in.Version > cur.version {
-			n.ninfo.set(in.Node, info{hop: in.Hop, slot: in.Slot, version: in.Version})
-			if in.Node == sender || n.knowsNeighbour(in.Node) {
-				learnedNeighbour = true
-			}
-		}
-		if in.Node == sender {
-			senderSlot = in.Slot
-		}
-	}
+	senderSlot, learnedNeighbour := n.mergeInfos(sender, d.Infos)
 	if learnedNeighbour && (n.isSink() || n.slot != noValue) {
 		n.grantRelayBudget()
 	}
@@ -393,19 +403,14 @@ func (n *node) onDissem(sender topo.NodeID, d *wire.Dissem) {
 	if !n.isSink() && n.slot == noValue && senderSlot != noValue {
 		// receiveN body: the sender is a potential parent; its slotless
 		// neighbours are our slot competitors under that parent.
-		n.npar[sender] = true
-		comp := n.others[sender]
-		if comp == nil {
-			comp = make(map[topo.NodeID]bool)
-			n.others[sender] = comp
-		}
+		n.npar.add(sender)
 		for _, in := range d.Infos {
 			if in.Slot == noValue && in.Node != sender {
-				comp[in.Node] = true
+				n.others.add(pairKey(sender, in.Node))
 			}
 		}
-		comp[n.id] = true
-		// Arm the deferred process action (see install).
+		n.others.add(pairKey(sender, n.id))
+		// Arm the deferred process action (see compileNodeProgram).
 		if !n.decide.Pending() {
 			n.decide.Set(xrand.JitterAround(n.rng, n.net.cfg.DisseminationPeriod, n.net.cfg.DisseminationPeriod/2))
 		}
@@ -428,6 +433,39 @@ func (n *node) onDissem(sender topo.NodeID, d *wire.Dissem) {
 	}
 }
 
+// mergeInfos merges a DISSEM's Ninfo entries by freshness version and
+// returns the sender's slot (⊥ if absent) and whether fresh state about a
+// direct neighbour arrived. Such state is worth relaying: 2-hop collision
+// detection only works if the middle node re-disseminates what it heard
+// (the Trickle-style reading of the DT send budget). Entries about more
+// distant nodes are merged but not relayed — they can never matter to
+// anyone within our radio range. Infos[1:] is the sender's myN, ascending
+// by ID (buildDissem), so one cursor walks the table for all of them.
+//
+//slp:hotpath
+func (n *node) mergeInfos(sender topo.NodeID, infos []wire.NodeInfo) (senderSlot int32, learned bool) {
+	senderSlot = noValue
+	t := &n.ninfo
+	cur := t.cursor()
+	for k := range infos {
+		in := &infos[k]
+		if in.Node == n.id {
+			continue // never overwrite own state from the outside
+		}
+		i := cur.find(in.Node)
+		if i == len(t.ids) || t.ids[i] != in.Node || in.Version > t.infos[i].version {
+			t.setAt(i, in.Node, info{hop: in.Hop, slot: in.Slot, version: in.Version})
+			if !learned && (in.Node == sender || n.myN.has(in.Node)) {
+				learned = true
+			}
+		}
+		if in.Node == sender {
+			senderSlot = in.Slot
+		}
+	}
+	return senderSlot, learned
+}
+
 // chooseSlot is the process action of Figure 2: pick the parent on a
 // shortest path and a slot below it by sibling rank.
 func (n *node) chooseSlot() {
@@ -436,8 +474,9 @@ func (n *node) chooseSlot() {
 	}
 	// hop := min{h | (h, s) ∈ Ninfo[k], k ∈ Npar} + 1
 	minHop := int32(-1)
-	for _, k := range sortedIDs(n.npar) {
-		in, ok := n.ninfo.get(k)
+	cur := n.ninfo.cursor()
+	for _, k := range n.npar {
+		in, ok := cur.get(k)
 		if !ok || in.hop == noValue || in.slot == noValue {
 			continue
 		}
@@ -448,7 +487,7 @@ func (n *node) chooseSlot() {
 	if minHop < 0 {
 		// Stale potential parents (e.g. their info got overwritten by ⊥
 		// relays before versioning caught up); wait for fresher dissem.
-		n.npar = make(map[topo.NodeID]bool)
+		n.npar = n.npar[:0]
 		return
 	}
 	n.hop = minHop + 1
@@ -459,8 +498,9 @@ func (n *node) chooseSlot() {
 	// choice of order is arbitrary, its capture symmetry is not).
 	n.par = topo.None
 	var bestKey uint64
-	for _, k := range sortedIDs(n.npar) {
-		if in, ok := n.ninfo.get(k); ok && in.hop == minHop {
+	cur = n.ninfo.cursor()
+	for _, k := range n.npar {
+		if in, ok := cur.get(k); ok && in.hop == minHop {
 			key := n.net.parentKey(n.id, k)
 			if n.par == topo.None || key < bestKey {
 				n.par, bestKey = k, key
@@ -475,18 +515,23 @@ func (n *node) chooseSlot() {
 	// while all nodes within one run agree on it.
 	rank := int32(0)
 	myKey := n.net.rankKey(n.par, n.id)
-	//lint:ignore mapiter counting key-hash comparisons commutes over any order
-	for c := range n.others[n.par] {
-		if c != n.id && n.net.rankKey(n.par, c) < myKey {
+	first := pairKey(n.par, 0)
+	from, _ := slices.BinarySearch(n.others, first)
+	for _, pc := range n.others[from:] {
+		if pc>>32 != first>>32 {
+			break
+		}
+		if c := topo.NodeID(int32(uint32(pc))); c != n.id && n.net.rankKey(n.par, c) < myKey {
 			rank++
 		}
 	}
 	parInfo, _ := n.ninfo.get(n.par)
 	n.setSlot(parInfo.slot - rank - 1)
 	// children := slotless neighbours (optimistic, refined by dissems).
+	cur = n.ninfo.cursor()
 	for _, m := range n.myN {
-		if in, ok := n.ninfo.get(m); !ok || in.slot == noValue {
-			n.children[m] = true
+		if in, ok := cur.get(m); !ok || in.slot == noValue {
+			n.children.add(m)
 		}
 	}
 }
@@ -505,15 +550,37 @@ func (n *node) setSlot(s int32) {
 	n.resetDissemination()
 }
 
+// colliding is the resolve action's guard. The slot > 0 condition lives
+// here, not in the command: a node pinned at slot 0 that still collides
+// must quiesce (the schedule stays invalid and is reported as such), not
+// spin firing a no-op action until the step budget kills the process.
+// Grids deep enough to exhaust the slot space hit this; Table I's never
+// do. The collisionLoser answer is cached in the info table (see
+// infoTable), so re-evaluating the guard after every action rescans the
+// table only when it changed.
+//
+//slp:hotpath
+func (n *node) colliding() bool {
+	if n.slot <= 0 {
+		return false
+	}
+	t := &n.ninfo
+	if t.dirty {
+		t.loser, t.dirty = n.collisionLoser(), false
+	}
+	return t.loser != topo.None
+}
+
+// resolve is the resolve action's command.
+func (n *node) resolve() { n.setSlot(n.resolveTarget()) }
+
 // collisionLoser returns a 2-hop neighbour we collide with and must yield
 // to (Figure 2: the node with the greater hop decrements; ties broken by
 // an arbitrary total order), or topo.None. The paper breaks ties by node
 // ID; any consistent order works, and a fixed ID order imprints a spatial
 // slot bias towards high-ID grid regions that the paper's quadrant-
 // symmetric capture ratios do not exhibit — so we use a per-run seeded
-// order instead (see DESIGN.md, faithfulness notes). This guard is
-// re-evaluated after every executed action, so it scans the already-sorted
-// info table rather than sorting map keys per call.
+// order instead (see DESIGN.md, faithfulness notes).
 func (n *node) collisionLoser() topo.NodeID {
 	if n.slot == noValue || n.isSink() {
 		return topo.None
@@ -536,10 +603,13 @@ func (n *node) collisionLoser() topo.NodeID {
 // resolveTarget is the slot a collision loser descends to. Figure 2
 // decrements by one; with FastCollisionResolve the loser jumps straight
 // to the nearest slot below its own that no known 2-hop neighbour holds,
-// reaching the same collision-free fixed point without broadcasting one
-// dissemination wave per slot of descent. Falls back to the unit
-// decrement when every slot down to 0 is occupied, so progress (and the
-// guard's slot > 0 termination) is identical in the worst case.
+// without broadcasting one dissemination wave per slot of descent. It does
+// not reach the same fixed point: its schedules differ from the unit
+// decrement's and, on dense graphs where the slot space runs out, end
+// with a collision at the clamped slot 0 more often (DESIGN.md, "Scale
+// path", gives the measurement). Falls back to the unit decrement when
+// every slot down to 0 is occupied, so progress (and the guard's slot > 0
+// termination) is identical in the worst case.
 func (n *node) resolveTarget() int32 {
 	if !n.net.cfg.FastCollisionResolve {
 		return n.slot - 1
@@ -594,8 +664,9 @@ func (n *node) broadcastChange(aNode topo.NodeID, nSlot, dist int32) {
 func (n *node) minSlotChild() topo.NodeID {
 	best := topo.None
 	bestSlot := int32(0)
-	for _, c := range sortedIDs(n.children) {
-		in, ok := n.ninfo.get(c)
+	cur := n.ninfo.cursor()
+	for _, c := range n.children {
+		in, ok := cur.get(c)
 		if !ok || in.slot == noValue {
 			continue
 		}
@@ -616,8 +687,9 @@ func (n *node) minSlotChild() topo.NodeID {
 func (n *node) lureTarget() topo.NodeID {
 	best := topo.None
 	bestSlot := int32(0)
+	cur := n.ninfo.cursor()
 	for _, m := range n.myN {
-		in, ok := n.ninfo.get(m)
+		in, ok := cur.get(m)
 		if !ok || in.slot == noValue || int(in.slot) >= n.net.cfg.Slots {
 			continue
 		}
@@ -628,8 +700,9 @@ func (n *node) lureTarget() topo.NodeID {
 	return best
 }
 
-func (n *node) onSearch(sender topo.NodeID, s *wire.Search) {
-	n.from[sender] = true
+func (n *node) onSearch(sender topo.NodeID, m gcn.Message) {
+	s := m.(*wire.Search)
+	n.from.add(sender)
 	if s.ANode != n.id || n.isSink() {
 		return
 	}
@@ -643,7 +716,7 @@ func (n *node) onSearch(sender topo.NodeID, s *wire.Search) {
 		n.pr = n.changeLength()
 	case s.Dist == 0:
 		// Keep wandering for a node with an alternative parent.
-		target := n.chooseFrom(sortedIDs(n.children))
+		target := n.chooseFrom(n.children)
 		if target == topo.None {
 			target = n.chooseFrom(n.eligibleNeighbours(sender))
 		}
@@ -667,8 +740,7 @@ func (n *node) onSearch(sender topo.NodeID, s *wire.Search) {
 
 // hasAltParent reports Npar \ {par, k} ≠ ∅.
 func (n *node) hasAltParent(k topo.NodeID) bool {
-	//lint:ignore mapiter existence scan, order-independent
-	for p := range n.npar {
+	for _, p := range n.npar {
 		if p != n.par && p != k {
 			return true
 		}
@@ -692,7 +764,7 @@ func (n *node) changeLength() int32 {
 func (n *node) eligibleNeighbours(sender topo.NodeID) []topo.NodeID {
 	var out []topo.NodeID
 	for _, m := range n.myN {
-		if m == n.par || m == sender || n.from[m] {
+		if m == n.par || m == sender || n.from.has(m) {
 			continue
 		}
 		out = append(out, m)
@@ -715,8 +787,8 @@ func (n *node) chooseFrom(set []topo.NodeID) topo.NodeID {
 func (n *node) startRefinement() {
 	n.startNode = false
 	var cands []topo.NodeID
-	for _, p := range sortedIDs(n.npar) {
-		if p != n.par && !n.from[p] {
+	for _, p := range n.npar {
+		if p != n.par && !n.from.has(p) {
 			cands = append(cands, p)
 		}
 	}
@@ -745,8 +817,9 @@ func (n *node) minKnownSlot() int32 {
 	return min
 }
 
-func (n *node) onChange(sender topo.NodeID, c *wire.Change) {
-	n.from[sender] = true
+func (n *node) onChange(sender topo.NodeID, m gcn.Message) {
+	c := m.(*wire.Change)
+	n.from.add(sender)
 	if c.ANode != n.id || n.isSink() || n.slot == noValue {
 		return
 	}
@@ -793,7 +866,8 @@ func (n *node) fireDataSlot(period int) {
 	n.pendingCount = 0
 }
 
-func (n *node) onData(_ topo.NodeID, d *wire.Data) {
+func (n *node) onData(_ topo.NodeID, m gcn.Message) {
+	d := m.(*wire.Data)
 	n.pendingCount += d.Count
 	if d.Origin == n.net.source && n.id != n.net.source {
 		if n.pendingOrigin != n.net.source || d.Seq > n.pendingSeq {
@@ -807,15 +881,6 @@ func (n *node) onData(_ topo.NodeID, d *wire.Data) {
 }
 
 // --- helpers ---
-
-func sortedIDs(set map[topo.NodeID]bool) []topo.NodeID {
-	out := make([]topo.NodeID, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // jitterDelay spaces a node's boot.
 func (n *node) jitterDelay(max time.Duration) time.Duration {

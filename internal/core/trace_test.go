@@ -96,7 +96,7 @@ func TestActionTraceGolden(t *testing.T) {
 			h := sha256.New()
 			var rec [12]byte
 			actions := 0
-			net.engine.OnAction = func(p *gcn.Process, name string) {
+			net.engine.OnAction = func(p *gcn.Process[*node], name string) {
 				binary.LittleEndian.PutUint64(rec[:8], uint64(net.sim.Now()))
 				binary.LittleEndian.PutUint32(rec[8:], uint32(p.ID()))
 				h.Write(rec[:])
@@ -110,6 +110,46 @@ func TestActionTraceGolden(t *testing.T) {
 			digest := hex.EncodeToString(h.Sum(nil))
 			if actions != tc.actions || digest != tc.digest {
 				t.Errorf("trace = %d actions, sha256 %s; want %d, %s", actions, digest, tc.actions, tc.digest)
+			}
+		})
+	}
+}
+
+// TestCachedResolveGuardMatchesFreshScan runs the traced runs and checks,
+// after every executed action, that the acting node's cached answer to the
+// resolve guard — wherever the info table claims it valid — equals a fresh
+// collisionLoser scan. Only a node's own actions write its table, so the
+// previous actor is the one node whose cache can have gone stale since the
+// last check; every node is checked once more when the run ends.
+func TestCachedResolveGuardMatchesFreshScan(t *testing.T) {
+	for _, tc := range traceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			net := tc.build(t)
+			clean, failures := 0, 0
+			check := func(nd *node) {
+				if tab := &nd.ninfo; !tab.dirty {
+					clean++
+					if fresh := nd.collisionLoser(); tab.loser != fresh && failures < 5 {
+						failures++
+						t.Errorf("t=%v node %d: cached collision loser %d, fresh scan %d", net.sim.Now(), nd.id, tab.loser, fresh)
+					}
+				}
+			}
+			var last *node
+			net.engine.OnAction = func(p *gcn.Process[*node], _ string) {
+				if last != nil {
+					check(last)
+				}
+				last = net.nodes[p.ID()]
+			}
+			if _, err := net.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for _, nd := range net.nodes {
+				check(nd)
+			}
+			if clean == 0 {
+				t.Error("no check saw a valid cache: the guard never cached an answer")
 			}
 		})
 	}

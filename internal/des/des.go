@@ -9,7 +9,8 @@
 // live in a free list of recycled boxes, so once the simulation reaches its
 // working-set size, Schedule/ScheduleRunner allocate nothing. Hot paths
 // that would otherwise allocate a closure per event (the radio frame
-// path, the TDMA slot tasks) schedule a pre-allocated Runner instead.
+// path, the TDMA slot tasks, the GCN timers) schedule a pre-allocated
+// Runner instead.
 package des
 
 import (
@@ -289,9 +290,8 @@ func (s *Simulator) ScheduleAfter(d time.Duration, fn func()) Event {
 	return e
 }
 
-// ScheduleRunner queues r to run at absolute virtual time at. Runner
-// events have no cancellation handle; together with the event pool this
-// makes scheduling them allocation-free.
+// ScheduleRunner queues r to run at absolute virtual time at. Together
+// with the event pool, a pre-allocated r makes scheduling allocation-free.
 //
 //slp:hotpath
 func (s *Simulator) ScheduleRunner(at time.Duration, r Runner) error {
@@ -305,18 +305,19 @@ func (s *Simulator) ScheduleRunner(at time.Duration, r Runner) error {
 	return nil
 }
 
-// ScheduleRunnerAfter queues r to run d after the current time. Negative d
-// is treated as zero.
+// ScheduleRunnerAfter queues r to run d after the current time and
+// returns the event handle, which cancels it like a Schedule handle (the
+// GCN timers re-arm this way). Negative d is treated as zero.
 //
 //slp:hotpath
-func (s *Simulator) ScheduleRunnerAfter(d time.Duration, r Runner) {
+func (s *Simulator) ScheduleRunnerAfter(d time.Duration, r Runner) Event {
 	if d < 0 {
 		d = 0
 	}
-	if err := s.ScheduleRunner(s.now+d, r); err != nil {
-		// Unreachable: now+d >= now for d >= 0.
-		panic(err)
-	}
+	b := s.getBox()
+	b.run = r
+	s.schedule(s.now+d, b)
+	return Event{box: b, gen: b.gen, at: s.now + d}
 }
 
 // Stop makes the current Run return after the in-flight event completes.

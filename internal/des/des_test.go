@@ -262,6 +262,29 @@ func TestRunnerEventsInterleaveWithClosures(t *testing.T) {
 	}
 }
 
+// TestRunnerHandleCancels: the handle ScheduleRunnerAfter returns cancels
+// its event like a Schedule handle, and a cancelled runner is reaped
+// without being counted as executed.
+func TestRunnerHandleCancels(t *testing.T) {
+	s := New()
+	var order []int
+	e := s.ScheduleRunnerAfter(time.Second, &appendRunner{out: &order, v: 1})
+	s.ScheduleRunnerAfter(2*time.Second, &appendRunner{out: &order, v: 2})
+	if !e.Pending() || e.Time() != time.Second {
+		t.Fatalf("handle Pending=%v Time=%v, want true, 1s", e.Pending(), e.Time())
+	}
+	e.Cancel()
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(order) != 1 || order[0] != 2 || s.Executed() != 1 {
+		t.Errorf("order = %v, Executed = %d; want [2] and 1", order, s.Executed())
+	}
+	if e.Pending() || !e.Cancelled() {
+		t.Errorf("after reap Pending=%v Cancelled=%v, want false, true", e.Pending(), e.Cancelled())
+	}
+}
+
 type appendRunner struct {
 	out *[]int
 	v   int

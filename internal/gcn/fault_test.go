@@ -13,12 +13,14 @@ import (
 // frames — until Revive.
 func TestFailStopsComputation(t *testing.T) {
 	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
+	prog := NewProgram[*node](oneKey)
 	handled := 0
-	p.AddReceive("rcv", nil, func(sender topo.NodeID, msg Message) { handled++ })
+	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { handled++ })
 	fired := 0
-	tm := p.NewTimer("tick", func() { fired++ })
+	tick := prog.Timeout("tick", func(*node) { fired++ })
+	e := NewEngine(sim, prog, 0)
+	p := newProcess(e, 1, &node{})
+	tm := p.Timer(tick)
 
 	// Queue a message without stimulating, arm the timer, then crash.
 	p.inbox = append(p.inbox, envelope{sender: 2, msg: "queued"})
@@ -51,11 +53,11 @@ func TestFailStopsComputation(t *testing.T) {
 // TestReviveRestartsProcess: after Revive the process handles traffic
 // again, starting from an empty channel like a reboot.
 func TestReviveRestartsProcess(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
+	prog := NewProgram[*node](oneKey)
 	handled := 0
-	p.AddReceive("rcv", nil, func(sender topo.NodeID, msg Message) { handled++ })
+	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { handled++ })
+	e := NewEngine(des.New(), prog, 0)
+	p := newProcess(e, 1, &node{})
 
 	p.Fail()
 	e.Deliver(p, 2, "lost")
@@ -72,10 +74,10 @@ func TestReviveRestartsProcess(t *testing.T) {
 // TestResetClearsDead: dead is run state and must not leak through the
 // arena Reset path.
 func TestResetClearsDead(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
-	p.AddReceive("rcv", nil, func(topo.NodeID, Message) {})
+	prog := NewProgram[*node](oneKey)
+	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) {})
+	e := NewEngine(des.New(), prog, 0)
+	p := newProcess(e, 1, &node{})
 	p.Fail()
 	e.Reset()
 	if p.Dead() {

@@ -5,13 +5,20 @@
 // guards driven by the discrete-event simulator. The DAS, NSearch and
 // SRefine protocols of Figures 2–4 are expressed as gcn programs.
 //
+// A Program is built once and shared by every process of an engine: its
+// actions are functions of a per-process context C (the protocol node),
+// so a process holds only its channel, its timers and that context.
+// Receive actions are keyed: the program classifies the message at the
+// head of the channel into a small integer, and the action registered for
+// that key, found by one table lookup, handles it. A head message whose
+// key has no receive action is dropped (and counted).
+// Timers are des.Runners, so arming one allocates nothing.
+//
 // Execution semantics: whenever a process is stimulated (message delivery
-// or timer expiry) it runs to quiescence — repeatedly executing the first
-// enabled action in declaration priority order until none is enabled.
-// Receive actions are enabled when the message at the head of the channel
-// matches their pattern; a head message matched by no receive action is
-// dropped (and counted). A per-stimulus step budget guards against
-// non-terminating programs.
+// or timer expiry) it runs to quiescence — first consuming the channel
+// head, then executing the first enabled timeout or guarded action in
+// declaration order, until none is enabled. A per-stimulus step budget
+// guards against non-terminating programs.
 package gcn
 
 import (
@@ -36,73 +43,131 @@ type envelope struct {
 	msg    Message
 }
 
-// Timer is a named timer owned by a process. Set schedules expiry through
-// the simulator; when it fires, the owning process is stimulated and the
-// associated timeout action's guard becomes true.
-type Timer struct {
+// TimerID names a timer of a Program; Process.Timer resolves it to the
+// process's own instance.
+type TimerID int
+
+// receive is a receive action rcv⟨key⟩ → handle.
+type receive[C any] struct {
+	name   string
+	handle func(ctx C, sender topo.NodeID, msg Message)
+}
+
+// action is a guarded action (guard non-nil) or a timeout(timer) action.
+type action[C any] struct {
 	name    string
-	proc    *Process
+	guard   func(ctx C) bool
+	timer   TimerID
+	command func(ctx C)
+}
+
+// Program is a guarded-command program over a per-process context C:
+// keyed receive actions plus timeout and guarded actions in declaration
+// priority order. Build it once, before the first process runs it; it is
+// read-only afterwards and may be shared across engines and goroutines.
+type Program[C any] struct {
+	classify func(Message) int
+	recv     []receive[C] // indexed by key; a nil handle is no action
+	actions  []action[C]
+	timers   int
+}
+
+// NewProgram creates an empty program whose receive actions are selected
+// by classify: the key of a message, or a negative key for a message no
+// action may handle.
+func NewProgram[C any](classify func(Message) int) *Program[C] {
+	return &Program[C]{classify: classify}
+}
+
+// Receive registers the receive action for messages classified as key.
+// Each key has at most one action.
+func (g *Program[C]) Receive(key int, name string, handle func(ctx C, sender topo.NodeID, msg Message)) {
+	if key < 0 {
+		panic(fmt.Sprintf("gcn: receive action %q on negative key %d", name, key))
+	}
+	for len(g.recv) <= key {
+		g.recv = append(g.recv, receive[C]{})
+	}
+	if g.recv[key].handle != nil {
+		panic(fmt.Sprintf("gcn: receive actions %q and %q share key %d", g.recv[key].name, name, key))
+	}
+	g.recv[key] = receive[C]{name: name, handle: handle}
+}
+
+// Guard appends a plain guarded action: when guard(ctx) is true and no
+// earlier action is enabled, command(ctx) runs.
+func (g *Program[C]) Guard(name string, guard func(ctx C) bool, command func(ctx C)) {
+	g.actions = append(g.actions, action[C]{name: name, guard: guard, command: command})
+}
+
+// Timeout declares a timer and appends its timeout(timer) → command
+// action. The expired flag is consumed (cleared) when the action runs; the
+// command may re-arm the timer with Set.
+func (g *Program[C]) Timeout(name string, command func(ctx C)) TimerID {
+	id := TimerID(g.timers)
+	g.timers++
+	g.actions = append(g.actions, action[C]{name: name, timer: id, command: command})
+	return id
+}
+
+// Timer is one process's instance of a program timer. Set schedules the
+// timer itself as the expiry event; when it fires, the owning process is
+// stimulated and the associated timeout action's guard becomes true.
+type Timer[C any] struct {
+	proc    *Process[C]
 	event   des.Event
 	expired bool
-	// fire is the expiry body, built once at NewTimer so re-arming a timer
-	// in the dissemination hot loop never allocates a fresh closure.
-	fire func()
 }
 
 // Set (re-)arms the timer to fire after d, cancelling any pending expiry.
 // This is the set(timer, value) command of the paper.
-func (t *Timer) Set(d time.Duration) {
+//
+//slp:hotpath
+func (t *Timer[C]) Set(d time.Duration) {
 	t.event.Cancel()
 	t.expired = false
-	t.event = t.proc.engine.sim.ScheduleAfter(d, t.fire)
+	t.event = t.proc.engine.sim.ScheduleRunnerAfter(d, t)
+}
+
+// Run is the expiry event (des.Runner).
+//
+//slp:hotpath
+func (t *Timer[C]) Run() {
+	// Clear the handle before stimulating: a fired event is no longer
+	// armed, and the zero handle keeps Pending() honest.
+	t.event = des.Event{}
+	t.expired = true
+	t.proc.engine.stimulate(t.proc)
 }
 
 // Stop cancels the timer without expiring it.
-func (t *Timer) Stop() {
+func (t *Timer[C]) Stop() {
 	t.event.Cancel()
 	t.event = des.Event{}
 	t.expired = false
 }
 
 // Expired reports whether the timer has fired and not yet been consumed.
-func (t *Timer) Expired() bool { return t.expired }
+func (t *Timer[C]) Expired() bool { return t.expired }
 
 // Pending reports whether the timer is armed and counting down.
-func (t *Timer) Pending() bool { return t.event.Pending() }
+func (t *Timer[C]) Pending() bool { return t.event.Pending() }
 
-type actionKind int
-
-const (
-	kindGuard actionKind = iota + 1
-	kindReceive
-	kindTimeout
-)
-
-type action struct {
-	name  string
-	kind  actionKind
-	guard func() bool
-	// command for guard/timeout actions.
-	command func()
-	// match/handle for receive actions.
-	match  func(Message) bool
-	handle func(sender topo.NodeID, msg Message)
-	timer  *Timer
-}
-
-// Process is a GCN process: an ordered action list, a channel variable and
-// a set of timers. Create via Engine.NewProcess.
-type Process struct {
+// Process is a GCN process: the engine's program run on one context, with
+// a channel variable and the program's timers. Engine.Host sets one up.
+type Process[C any] struct {
 	id     topo.NodeID // lint:immutable: identity, fixed at construction
-	engine *Engine     // lint:immutable: back-pointer wiring, fixed at construction
+	engine *Engine[C]  // lint:immutable: back-pointer wiring, fixed at construction
+	ctx    C           // lint:immutable: the context the program runs on, fixed at construction
 	// inbox is the channel variable as a head-indexed queue: consumed
 	// entries advance head instead of re-slicing, and once the queue
 	// drains both reset to zero so the backing array is reused — Deliver
 	// is allocation-free in steady state.
 	inbox     []envelope
 	inboxHead int
-	actions   []*action // lint:immutable: the process program, fixed at construction
-	// Dropped counts head-of-channel messages no receive action matched.
+	buf       [1]envelope // lint:immutable: the inbox's first backing array, cleared through inbox
+	timers    []Timer[C]  // one per program timer
+	// Dropped counts head-of-channel messages no receive action handles.
 	dropped uint64
 	failed  error
 	// dead marks a crashed process (fault injection): it executes no
@@ -111,32 +176,36 @@ type Process struct {
 }
 
 // ID returns the process identifier.
-func (p *Process) ID() topo.NodeID { return p.id }
+func (p *Process[C]) ID() topo.NodeID { return p.id }
 
-// Dropped returns the number of unmatched messages discarded.
-func (p *Process) Dropped() uint64 { return p.dropped }
+// Timer returns the process's instance of program timer id.
+func (p *Process[C]) Timer(id TimerID) *Timer[C] { return &p.timers[id] }
+
+// Dropped returns the number of unhandled messages discarded.
+func (p *Process[C]) Dropped() uint64 { return p.dropped }
 
 // Err returns the sticky error if the process overran its step budget.
-func (p *Process) Err() error { return p.failed }
+func (p *Process[C]) Err() error { return p.failed }
 
 // QueueLen returns the number of undelivered messages in the channel.
-func (p *Process) QueueLen() int { return len(p.inbox) - p.inboxHead }
+func (p *Process[C]) QueueLen() int { return len(p.inbox) - p.inboxHead }
+
+// clearInbox empties the channel variable, releasing message references.
+func (p *Process[C]) clearInbox() {
+	clear(p.inbox)
+	p.inbox = p.inbox[:0]
+	p.inboxHead = 0
+}
 
 // Fail crashes the process: its channel variable is emptied, every timer
 // is disarmed, and until Revive it executes no actions and silently drops
-// anything Delivered to it. Volatile state dies with the node; the action
-// list — the program in ROM — survives for a later Revive.
-func (p *Process) Fail() {
+// anything Delivered to it. Volatile state dies with the node; the program
+// — in ROM — survives for a later Revive.
+func (p *Process[C]) Fail() {
 	p.dead = true
-	for i := range p.inbox {
-		p.inbox[i] = envelope{}
-	}
-	p.inbox = p.inbox[:0]
-	p.inboxHead = 0
-	for _, a := range p.actions {
-		if a.kind == kindTimeout {
-			a.timer.Stop()
-		}
+	p.clearInbox()
+	for i := range p.timers {
+		p.timers[i].Stop()
 	}
 }
 
@@ -144,96 +213,67 @@ func (p *Process) Fail() {
 // re-initialising protocol state and re-stimulating the process; the
 // runtime restarts it with an empty channel and no armed timers, like a
 // node rebooting from ROM.
-func (p *Process) Revive() { p.dead = false }
+func (p *Process[C]) Revive() { p.dead = false }
 
 // Dead reports whether the process is crashed (Fail without Revive).
-func (p *Process) Dead() bool { return p.dead }
+func (p *Process[C]) Dead() bool { return p.dead }
 
 // Reset rewinds the process for a fresh run: the channel variable is
 // emptied, drop/failure accounting cleared and every timer disarmed. The
-// action list — the program — is preserved, so one wired process serves
-// many runs. The owning simulator must be Reset alongside (stale timer
-// events are discarded there; handles here are zeroed to match).
-func (p *Process) Reset() {
-	for i := range p.inbox {
-		p.inbox[i] = envelope{}
-	}
-	p.inbox = p.inbox[:0]
-	p.inboxHead = 0
+// owning simulator must be Reset alongside (stale timer events are
+// discarded there; handles here are zeroed to match).
+func (p *Process[C]) Reset() {
+	p.clearInbox()
 	p.dropped = 0
 	p.failed = nil
 	p.dead = false
-	for _, a := range p.actions {
-		if a.kind == kindTimeout {
-			a.timer.event = des.Event{}
-			a.timer.expired = false
-		}
+	for i := range p.timers {
+		p.timers[i].event = des.Event{}
+		p.timers[i].expired = false
 	}
 }
 
-// AddGuard appends a plain guarded action: when guard() is true and no
-// earlier action is enabled, command() runs.
-func (p *Process) AddGuard(name string, guard func() bool, command func()) {
-	p.actions = append(p.actions, &action{name: name, kind: kindGuard, guard: guard, command: command})
-}
-
-// AddReceive appends a receive action rcv⟨pattern⟩ → handle. match
-// inspects the head-of-channel message; nil match matches everything.
-func (p *Process) AddReceive(name string, match func(Message) bool, handle func(sender topo.NodeID, msg Message)) {
-	p.actions = append(p.actions, &action{name: name, kind: kindReceive, match: match, handle: handle})
-}
-
-// NewTimer creates a timer and appends its timeout(timer) → command action.
-// The expired flag is consumed (cleared) when the action runs; the command
-// may re-arm the timer with Set.
-func (p *Process) NewTimer(name string, command func()) *Timer {
-	t := &Timer{name: name, proc: p}
-	t.fire = func() {
-		// Clear the handle before stimulating: a fired event is no longer
-		// armed, and the zero handle keeps Pending() honest.
-		t.event = des.Event{}
-		t.expired = true
-		t.proc.engine.stimulate(t.proc)
-	}
-	p.actions = append(p.actions, &action{name: name, kind: kindTimeout, timer: t, command: command})
-	return t
-}
-
-// Engine hosts processes on a simulator.
-type Engine struct {
+// Engine runs one program's processes on a simulator.
+type Engine[C any] struct {
 	sim        *des.Simulator // lint:immutable: simulator wiring, fixed at construction
+	prog       *Program[C]    // lint:immutable: the shared program, fixed at construction
 	stepBudget int            // lint:immutable: configured budget, fixed at construction
 	// OnAction, when non-nil, is invoked before every executed action —
 	// a tracing hook used by tests and the debug tooling.
 	// lint:immutable: observer hook owned by the caller, not run state
-	OnAction func(p *Process, actionName string)
-	procs    []*Process // lint:immutable: slice header fixed; processes reset individually
+	OnAction func(p *Process[C], actionName string)
+	procs    []*Process[C] // lint:immutable: slice header fixed; processes reset individually
 }
 
-// NewEngine creates an engine. stepBudget bounds actions executed per
-// stimulus per process (0 means the default of 10000).
-func NewEngine(sim *des.Simulator, stepBudget int) *Engine {
+// NewEngine creates an engine running prog. stepBudget bounds actions
+// executed per stimulus per process (0 means the default of 10000).
+func NewEngine[C any](sim *des.Simulator, prog *Program[C], stepBudget int) *Engine[C] {
 	if stepBudget <= 0 {
 		stepBudget = 10000
 	}
-	return &Engine{sim: sim, stepBudget: stepBudget}
+	return &Engine[C]{sim: sim, prog: prog, stepBudget: stepBudget}
 }
 
 // Sim returns the engine's simulator.
-func (e *Engine) Sim() *des.Simulator { return e.sim }
+func (e *Engine[C]) Sim() *des.Simulator { return e.sim }
 
-// NewProcess creates an empty process with the given identifier.
-func (e *Engine) NewProcess(id topo.NodeID) *Process {
-	p := &Process{id: id, engine: e}
+// Host makes p, whatever it held, a process running the engine's program
+// on ctx. Typically p is a field of ctx itself, which keeps a process and
+// its context in the same cache lines.
+func (e *Engine[C]) Host(p *Process[C], id topo.NodeID, ctx C) {
+	*p = Process[C]{id: id, engine: e, ctx: ctx, timers: make([]Timer[C], e.prog.timers)}
+	p.inbox = p.buf[:0]
+	for i := range p.timers {
+		p.timers[i].proc = p
+	}
 	e.procs = append(e.procs, p)
-	return p
 }
 
 // Deliver enqueues msg from sender on p's channel variable and runs p to
 // quiescence. This is how the radio hands received frames to a protocol.
 //
 //slp:hotpath
-func (e *Engine) Deliver(p *Process, sender topo.NodeID, msg Message) {
+func (e *Engine[C]) Deliver(p *Process[C], sender topo.NodeID, msg Message) {
 	if p.dead {
 		return
 	}
@@ -248,19 +288,19 @@ func (e *Engine) Deliver(p *Process, sender topo.NodeID, msg Message) {
 
 // Kickstart runs p to quiescence with no new stimulus — used once at boot
 // so that initially-enabled actions (e.g. the sink's init) execute.
-func (e *Engine) Kickstart(p *Process) { e.stimulate(p) }
+func (e *Engine[C]) Kickstart(p *Process[C]) { e.stimulate(p) }
 
 // Reset rewinds every hosted process (see Process.Reset) for a fresh run
-// on a Reset simulator. Processes, their action lists and the OnAction
-// hook survive; only per-run channel/timer/failure state is cleared.
-func (e *Engine) Reset() {
+// on a Reset simulator. Processes, the program and the OnAction hook
+// survive; only per-run channel/timer/failure state is cleared.
+func (e *Engine[C]) Reset() {
 	for _, p := range e.procs {
 		p.Reset()
 	}
 }
 
 // Err returns the first process error encountered, if any.
-func (e *Engine) Err() error {
+func (e *Engine[C]) Err() error {
 	for _, p := range e.procs {
 		if p.failed != nil {
 			return p.failed
@@ -272,7 +312,7 @@ func (e *Engine) Err() error {
 // stimulate runs the process action loop until quiescence.
 //
 //slp:hotpath
-func (e *Engine) stimulate(p *Process) {
+func (e *Engine[C]) stimulate(p *Process[C]) {
 	if p.failed != nil || p.dead {
 		return
 	}
@@ -282,66 +322,57 @@ func (e *Engine) stimulate(p *Process) {
 			p.failed = fmt.Errorf("%w (process %d, budget %d)", ErrStepBudget, p.id, e.stepBudget)
 			return
 		}
-		if !p.stepOnce(e) {
+		if !e.stepOnce(p) {
 			return
 		}
 	}
 }
 
 // stepOnce executes at most one enabled action; reports whether one ran.
-// Consuming the channel head — whether a receive action handles it or no
-// action matches and it is dropped — counts as one step, so a flood of
-// unmatched messages is charged against the step budget instead of being
-// discarded for free inside a single step.
+// Consuming the channel head — whether its receive action handles it or
+// no action is registered for its key and it is dropped — counts as one
+// step, so a flood of unhandled messages is charged against the step
+// budget instead of being discarded for free inside a single step.
 //
 //slp:hotpath
-func (p *Process) stepOnce(e *Engine) bool {
-	// Channel head first: receive actions have rcv guards that depend on
-	// the head message, evaluated in declaration order.
+func (e *Engine[C]) stepOnce(p *Process[C]) bool {
+	g := e.prog
+	// Channel head first: its key selects the one receive action whose
+	// rcv guard it enables.
 	if p.inboxHead < len(p.inbox) {
 		head := p.inbox[p.inboxHead]
 		p.inbox[p.inboxHead] = envelope{} // release the message reference
 		p.inboxHead++
-		for _, a := range p.actions {
-			if a.kind != kindReceive {
-				continue
+		if k := g.classify(head.msg); uint(k) < uint(len(g.recv)) && g.recv[k].handle != nil {
+			r := &g.recv[k]
+			if e.OnAction != nil {
+				e.OnAction(p, r.name)
 			}
-			if a.match == nil || a.match(head.msg) {
-				if e.OnAction != nil {
-					e.OnAction(p, a.name)
-				}
-				a.handle(head.sender, head.msg)
-				return true
-			}
+			r.handle(p.ctx, head.sender, head.msg)
+			return true
 		}
-		// No receive action matches: the message is consumed and lost,
-		// mirroring an unhandled frame in a real stack.
+		// No receive action for this key: the message is consumed and
+		// lost, mirroring an unhandled frame in a real stack.
 		p.dropped++
 		return true
 	}
 	// Then timeout and plain guard actions in declaration order.
-	for _, a := range p.actions {
-		switch a.kind {
-		case kindTimeout:
-			if a.timer.expired {
-				a.timer.expired = false // consume
-				if e.OnAction != nil {
-					e.OnAction(p, a.name)
-				}
-				a.command()
-				return true
+	for i := range g.actions {
+		a := &g.actions[i]
+		if a.guard == nil {
+			t := &p.timers[a.timer]
+			if !t.expired {
+				continue
 			}
-		case kindGuard:
-			if a.guard() {
-				if e.OnAction != nil {
-					e.OnAction(p, a.name)
-				}
-				a.command()
-				return true
-			}
-		case kindReceive:
-			// handled above
+			t.expired = false // consume
+		} else if !a.guard(p.ctx) {
+			continue
 		}
+		if e.OnAction != nil {
+			e.OnAction(p, a.name)
+		}
+		a.command(p.ctx)
+		return true
 	}
 	return false
 }

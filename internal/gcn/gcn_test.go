@@ -12,15 +12,43 @@ import (
 type ping struct{ n int }
 type pong struct{ n int }
 
-func TestReceiveActionMatchesByPattern(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
+// node is the test programs' per-process context.
+type node struct{ peer int }
+
+const (
+	keyPing = iota
+	keyPong
+)
+
+// byType keys pings and pongs apart; anything else has no key.
+func byType(m Message) int {
+	switch m.(type) {
+	case ping:
+		return keyPing
+	case pong:
+		return keyPong
+	}
+	return -1
+}
+
+// oneKey gives every message the same key, like a receive action whose
+// pattern matches everything.
+func oneKey(Message) int { return 0 }
+
+// newProcess hosts a process of its own on c.
+func newProcess(e *Engine[*node], id topo.NodeID, c *node) *Process[*node] {
+	p := new(Process[*node])
+	e.Host(p, id, c)
+	return p
+}
+
+func TestReceiveActionDispatchesByKey(t *testing.T) {
+	prog := NewProgram[*node](byType)
 	var pings, pongs []int
-	p.AddReceive("rcvPing", func(m Message) bool { _, ok := m.(ping); return ok },
-		func(_ topo.NodeID, m Message) { pings = append(pings, m.(ping).n) })
-	p.AddReceive("rcvPong", func(m Message) bool { _, ok := m.(pong); return ok },
-		func(_ topo.NodeID, m Message) { pongs = append(pongs, m.(pong).n) })
+	prog.Receive(keyPing, "rcvPing", func(_ *node, _ topo.NodeID, m Message) { pings = append(pings, m.(ping).n) })
+	prog.Receive(keyPong, "rcvPong", func(_ *node, _ topo.NodeID, m Message) { pongs = append(pongs, m.(pong).n) })
+	e := NewEngine(des.New(), prog, 0)
+	p := newProcess(e, 1, &node{})
 
 	e.Deliver(p, 2, ping{1})
 	e.Deliver(p, 2, pong{2})
@@ -34,17 +62,45 @@ func TestReceiveActionMatchesByPattern(t *testing.T) {
 }
 
 func TestUnmatchedMessageDropped(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
-	p.AddReceive("rcvPing", func(m Message) bool { _, ok := m.(ping); return ok },
-		func(topo.NodeID, Message) {})
-	e.Deliver(p, 2, pong{9})
+	prog := NewProgram[*node](byType)
+	prog.Receive(keyPing, "rcvPing", func(*node, topo.NodeID, Message) {})
+	e := NewEngine(des.New(), prog, 0)
+	p := newProcess(e, 1, &node{})
+	e.Deliver(p, 2, pong{9}) // key past the receive table
 	if p.Dropped() != 1 {
 		t.Errorf("Dropped = %d, want 1", p.Dropped())
 	}
 	if p.QueueLen() != 0 {
 		t.Errorf("QueueLen = %d, want 0", p.QueueLen())
+	}
+	e.Deliver(p, 2, "neither") // negative key
+	if p.Dropped() != 2 || p.QueueLen() != 0 {
+		t.Errorf("Dropped = %d QueueLen = %d, want 2 and 0", p.Dropped(), p.QueueLen())
+	}
+}
+
+func TestReceiveKeyHoldsOneAction(t *testing.T) {
+	prog := NewProgram[*node](byType)
+	prog.Receive(keyPong, "rcvPong", func(*node, topo.NodeID, Message) {})
+	for _, tc := range []struct {
+		name string
+		key  int
+	}{{"shared key", keyPong}, {"negative key", -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Receive did not panic", tc.name)
+				}
+			}()
+			prog.Receive(tc.key, "again", func(*node, topo.NodeID, Message) {})
+		}()
+	}
+	// The gap below the registered key holds no action: pings drop.
+	e := NewEngine(des.New(), prog, 0)
+	p := newProcess(e, 1, &node{})
+	e.Deliver(p, 2, ping{1})
+	if p.Dropped() != 1 {
+		t.Errorf("Dropped = %d, want 1 for a key with no action", p.Dropped())
 	}
 }
 
@@ -53,11 +109,10 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 	// inbox entry inside a single budgeted step, so a flood of garbage
 	// frames bypassed the step budget entirely. Dropping now costs one step
 	// per message: a flood larger than the budget must trip ErrStepBudget.
-	sim := des.New()
-	e := NewEngine(sim, 50)
-	p := e.NewProcess(1)
-	p.AddReceive("rcvPing", func(m Message) bool { _, ok := m.(ping); return ok },
-		func(topo.NodeID, Message) {})
+	prog := NewProgram[*node](byType)
+	prog.Receive(keyPing, "rcvPing", func(*node, topo.NodeID, Message) {})
+	e := NewEngine(des.New(), prog, 50)
+	p := newProcess(e, 1, &node{})
 	// Enqueue the flood directly, then stimulate once so every drop lands
 	// in the same budgeted run-to-quiescence.
 	for i := 0; i < 60; i++ {
@@ -71,11 +126,8 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 		t.Errorf("Dropped = %d, want 50 (one drop per budgeted step)", p.Dropped())
 	}
 	// A flood within budget drains cleanly, still counting every drop.
-	sim2 := des.New()
-	e2 := NewEngine(sim2, 50)
-	p2 := e2.NewProcess(1)
-	p2.AddReceive("rcvPing", func(m Message) bool { _, ok := m.(ping); return ok },
-		func(topo.NodeID, Message) {})
+	e2 := NewEngine(des.New(), prog, 50)
+	p2 := newProcess(e2, 1, &node{})
 	for i := 0; i < 40; i++ {
 		p2.inbox = append(p2.inbox, envelope{sender: 2, msg: pong{i}})
 	}
@@ -89,12 +141,12 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 }
 
 func TestChannelFIFO(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
+	prog := NewProgram[*node](oneKey)
+	e := NewEngine(des.New(), prog, 0)
+	var p *Process[*node]
 	var got []int
 	var deferDelivery bool
-	p.AddReceive("rcv", nil, func(_ topo.NodeID, m Message) {
+	prog.Receive(0, "rcv", func(_ *node, _ topo.NodeID, m Message) {
 		got = append(got, m.(ping).n)
 		if !deferDelivery {
 			deferDelivery = true
@@ -102,6 +154,7 @@ func TestChannelFIFO(t *testing.T) {
 			p.inbox = append(p.inbox, envelope{sender: 5, msg: ping{99}})
 		}
 	})
+	p = newProcess(e, 1, &node{})
 	e.Deliver(p, 2, ping{1})
 	e.Deliver(p, 2, ping{2})
 	want := []int{1, 99, 2}
@@ -118,18 +171,19 @@ func TestChannelFIFO(t *testing.T) {
 func TestGuardActionRunsAfterChannelDrains(t *testing.T) {
 	// Models Figure 2's "process:: rcv⟨⟩" action: runs only once the
 	// channel has been fully consumed.
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
+	prog := NewProgram[*node](oneKey)
+	e := NewEngine(des.New(), prog, 0)
+	var p *Process[*node]
 	received := 0
 	processed := false
-	p.AddReceive("rcv", nil, func(topo.NodeID, Message) { received++ })
-	p.AddGuard("process", func() bool { return received >= 2 && !processed }, func() {
+	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { received++ })
+	prog.Guard("process", func(*node) bool { return received >= 2 && !processed }, func(*node) {
 		if p.QueueLen() != 0 {
 			t.Error("guard ran with non-empty channel")
 		}
 		processed = true
 	})
+	p = newProcess(e, 1, &node{})
 	e.Deliver(p, 2, ping{1})
 	if processed {
 		t.Fatal("guard fired before its condition held")
@@ -141,31 +195,52 @@ func TestGuardActionRunsAfterChannelDrains(t *testing.T) {
 }
 
 func TestActionPriorityOrder(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
+	prog := NewProgram[*node](oneKey)
 	var order []string
 	a, b := true, true
-	p.AddGuard("first", func() bool { return a }, func() { order = append(order, "first"); a = false })
-	p.AddGuard("second", func() bool { return b }, func() { order = append(order, "second"); b = false })
-	e.Kickstart(p)
+	prog.Guard("first", func(*node) bool { return a }, func(*node) { order = append(order, "first"); a = false })
+	prog.Guard("second", func(*node) bool { return b }, func(*node) { order = append(order, "second"); b = false })
+	e := NewEngine(des.New(), prog, 0)
+	e.Kickstart(newProcess(e, 1, &node{}))
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Errorf("order = %v, want [first second]", order)
 	}
 }
 
-func TestTimerFiresAndConsumes(t *testing.T) {
+// TestTimeoutAndGuardShareDeclarationOrder: an expired timer outranks a
+// later guard and yields to an earlier one, exactly as declared.
+func TestTimeoutAndGuardShareDeclarationOrder(t *testing.T) {
+	prog := NewProgram[*node](oneKey)
+	var order []string
+	early, late := false, false
+	prog.Guard("early", func(*node) bool { return early }, func(*node) { order = append(order, "early"); early = false })
+	tick := prog.Timeout("tick", func(*node) { order = append(order, "tick"); early, late = true, true })
+	prog.Guard("late", func(*node) bool { return late }, func(*node) { order = append(order, "late"); late = false })
 	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
+	e := NewEngine(sim, prog, 0)
+	p := newProcess(e, 1, &node{})
+	p.Timer(tick).Set(time.Second)
+	if err := sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(order) != 3 || order[0] != "tick" || order[1] != "early" || order[2] != "late" {
+		t.Errorf("order = %v, want [tick early late]", order)
+	}
+}
+
+func TestTimerFiresAndConsumes(t *testing.T) {
+	prog := NewProgram[*node](oneKey)
+	sim := des.New()
+	e := NewEngine(sim, prog, 0)
 	fired := 0
-	var tm *Timer
-	tm = p.NewTimer("tick", func() {
+	var tm *Timer[*node]
+	tick := prog.Timeout("tick", func(*node) {
 		fired++
 		if fired < 3 {
 			tm.Set(100 * time.Millisecond) // periodic re-arm, like dissem
 		}
 	})
+	tm = newProcess(e, 1, &node{}).Timer(tick)
 	tm.Set(100 * time.Millisecond)
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -179,11 +254,11 @@ func TestTimerFiresAndConsumes(t *testing.T) {
 }
 
 func TestTimerResetCancelsPrevious(t *testing.T) {
+	prog := NewProgram[*node](oneKey)
 	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
 	var firedAt []time.Duration
-	tm := p.NewTimer("t", func() { firedAt = append(firedAt, sim.Now()) })
+	id := prog.Timeout("t", func(*node) { firedAt = append(firedAt, sim.Now()) })
+	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
 	tm.Set(time.Second)
 	tm.Set(2 * time.Second) // reset before expiry
 	if err := sim.Run(); err != nil {
@@ -192,14 +267,17 @@ func TestTimerResetCancelsPrevious(t *testing.T) {
 	if len(firedAt) != 1 || firedAt[0] != 2*time.Second {
 		t.Errorf("firedAt = %v, want [2s]", firedAt)
 	}
+	if sim.Executed() != 1 {
+		t.Errorf("Executed = %d, want 1: the cancelled expiry is reaped, not run", sim.Executed())
+	}
 }
 
 func TestTimerStop(t *testing.T) {
+	prog := NewProgram[*node](oneKey)
 	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
 	fired := false
-	tm := p.NewTimer("t", func() { fired = true })
+	id := prog.Timeout("t", func(*node) { fired = true })
+	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
 	tm.Set(time.Second)
 	if !tm.Pending() {
 		t.Error("Pending = false after Set")
@@ -217,10 +295,10 @@ func TestTimerStop(t *testing.T) {
 }
 
 func TestStepBudgetProtectsAgainstLivelock(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 50)
-	p := e.NewProcess(1)
-	p.AddGuard("always", func() bool { return true }, func() {})
+	prog := NewProgram[*node](oneKey)
+	prog.Guard("always", func(*node) bool { return true }, func(*node) {})
+	e := NewEngine(des.New(), prog, 50)
+	p := newProcess(e, 1, &node{})
 	e.Kickstart(p)
 	if !errors.Is(p.Err(), ErrStepBudget) {
 		t.Errorf("Err = %v, want ErrStepBudget", p.Err())
@@ -236,42 +314,42 @@ func TestStepBudgetProtectsAgainstLivelock(t *testing.T) {
 }
 
 func TestOnActionTracingHook(t *testing.T) {
-	sim := des.New()
-	e := NewEngine(sim, 0)
-	var names []string
-	e.OnAction = func(_ *Process, name string) { names = append(names, name) }
-	p := e.NewProcess(1)
+	prog := NewProgram[*node](oneKey)
 	ran := false
-	p.AddReceive("rcv", nil, func(topo.NodeID, Message) {})
-	p.AddGuard("g", func() bool { return !ran }, func() { ran = true })
-	e.Deliver(p, 2, ping{1})
+	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) {})
+	prog.Guard("g", func(*node) bool { return !ran }, func(*node) { ran = true })
+	e := NewEngine(des.New(), prog, 0)
+	var names []string
+	e.OnAction = func(_ *Process[*node], name string) { names = append(names, name) }
+	e.Deliver(newProcess(e, 1, &node{}), 2, ping{1})
 	if len(names) != 2 || names[0] != "rcv" || names[1] != "g" {
 		t.Errorf("traced actions = %v, want [rcv g]", names)
 	}
 }
 
 func TestTwoProcessExchange(t *testing.T) {
-	// A deterministic two-process token exchange: each forwards the token
-	// with an incremented count until it reaches 10.
+	// A deterministic two-process token exchange over one shared program:
+	// each process forwards the token to the peer its own context names,
+	// with an incremented count, until it reaches 10.
 	sim := des.New()
-	e := NewEngine(sim, 0)
-	procs := make([]*Process, 2)
+	prog := NewProgram[*node](oneKey)
+	e := NewEngine(sim, prog, 0)
+	procs := make([]*Process[*node], 2)
 	final := 0
-	for i := range procs {
-		i := i
-		procs[i] = e.NewProcess(topo.NodeID(i))
-		procs[i].AddReceive("token", nil, func(_ topo.NodeID, m Message) {
-			n := m.(ping).n
-			if n >= 10 {
-				final = n
-				return
-			}
-			peer := procs[1-i]
-			// Model transmission latency through the simulator.
-			sim.ScheduleAfter(time.Millisecond, func() {
-				e.Deliver(peer, topo.NodeID(i), ping{n + 1})
-			})
+	prog.Receive(0, "token", func(c *node, _ topo.NodeID, m Message) {
+		n := m.(ping).n
+		if n >= 10 {
+			final = n
+			return
+		}
+		peer, from := procs[c.peer], procs[1-c.peer].ID()
+		// Model transmission latency through the simulator.
+		sim.ScheduleAfter(time.Millisecond, func() {
+			e.Deliver(peer, from, ping{n + 1})
 		})
+	})
+	for i := range procs {
+		procs[i] = newProcess(e, topo.NodeID(i), &node{peer: 1 - i})
 	}
 	sim.ScheduleAfter(0, func() { e.Deliver(procs[0], 1, ping{0}) })
 	if err := sim.Run(); err != nil {
@@ -289,11 +367,11 @@ func TestTimerNotPendingAfterFiring(t *testing.T) {
 	// Regression: a fired-and-consumed timer must not report Pending,
 	// otherwise re-arm-if-idle logic (like the dissemination budget
 	// reset) deadlocks after the first expiry.
+	prog := NewProgram[*node](oneKey)
 	sim := des.New()
-	e := NewEngine(sim, 0)
-	p := e.NewProcess(1)
 	fired := 0
-	tm := p.NewTimer("t", func() { fired++ })
+	id := prog.Timeout("t", func(*node) { fired++ })
+	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
 	tm.Set(time.Second)
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -317,9 +395,55 @@ func TestTimerNotPendingAfterFiring(t *testing.T) {
 	}
 }
 
+// TestTimersArePerProcess: processes sharing a program each own their
+// instance of every program timer, and the timeout action runs on the
+// context of the process whose timer expired.
+func TestTimersArePerProcess(t *testing.T) {
+	prog := NewProgram[*node](oneKey)
+	sim := des.New()
+	var firedBy []int
+	id := prog.Timeout("t", func(c *node) { firedBy = append(firedBy, c.peer) })
+	e := NewEngine(sim, prog, 0)
+	a, b := newProcess(e, 1, &node{peer: 1}), newProcess(e, 2, &node{peer: 2})
+	a.Timer(id).Set(2 * time.Second)
+	b.Timer(id).Set(time.Second)
+	if a.Timer(id) == b.Timer(id) {
+		t.Fatal("two processes share one timer instance")
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(firedBy) != 2 || firedBy[0] != 2 || firedBy[1] != 1 {
+		t.Errorf("fired on contexts %v, want [2 1]", firedBy)
+	}
+}
+
+// TestArmingTimerAllocFree: re-arming a timer schedules the timer itself,
+// so the dissemination loop's Set costs no allocation.
+func TestArmingTimerAllocFree(t *testing.T) {
+	prog := NewProgram[*node](oneKey)
+	sim := des.New()
+	id := prog.Timeout("t", func(*node) {})
+	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
+	for i := 0; i < 64; i++ { // warm the event pool and queue
+		tm.Set(time.Millisecond)
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tm.Set(time.Millisecond)
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("timer Set+expiry allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestProcessID(t *testing.T) {
-	e := NewEngine(des.New(), 0)
-	p := e.NewProcess(42)
+	e := NewEngine(des.New(), NewProgram[*node](oneKey), 0)
+	p := newProcess(e, 42, &node{})
 	if p.ID() != 42 {
 		t.Errorf("ID = %d, want 42", p.ID())
 	}
@@ -330,17 +454,19 @@ func TestProcessID(t *testing.T) {
 // the engine's simulator keep working for the next run.
 func TestEngineResetRewindsProcesses(t *testing.T) {
 	sim := des.New()
-	e := NewEngine(sim, 5)
-	p := e.NewProcess(1)
+	prog := NewProgram[*node](byType)
 	var got []int
-	p.AddReceive("ping", func(m Message) bool { _, ok := m.(ping); return ok }, func(_ topo.NodeID, m Message) {
+	prog.Receive(keyPing, "ping", func(_ *node, _ topo.NodeID, m Message) {
 		got = append(got, m.(ping).n)
 	})
-	tm := p.NewTimer("tick", func() {})
+	tick := prog.Timeout("tick", func(*node) {})
+	e := NewEngine(sim, prog, 5)
+	p := newProcess(e, 1, &node{})
+	tm := p.Timer(tick)
 	tm.Set(time.Second)
 
 	e.Deliver(p, 2, ping{1})
-	e.Deliver(p, 2, pong{9}) // dropped: no matching receive
+	e.Deliver(p, 2, pong{9}) // dropped: no receive action for its key
 	for i := 0; i < 10; i++ {
 		p.inbox = append(p.inbox, envelope{sender: 2, msg: ping{i}})
 	}
