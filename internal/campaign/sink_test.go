@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"math"
 	"os"
@@ -100,12 +101,77 @@ func TestCSVSink(t *testing.T) {
 	}
 }
 
+// TestCSVHeaderMatchesRowShape: the CSV header names one column per Row
+// field, and for a row whose fields all hold distinct values every CSV
+// column carries the value the JSONL sink writes under the same key — so
+// two swapped columns, or a header entry out of step with its value, fail.
 func TestCSVHeaderMatchesRowShape(t *testing.T) {
 	if nFields := reflect.TypeOf(Row{}).NumField(); len(csvHeader) != nFields {
 		t.Errorf("csvHeader has %d columns, Row has %d fields", len(csvHeader), nFields)
 	}
-	if got := len(csvRecord(Row{})); got != len(csvHeader) {
-		t.Errorf("csvRecord emits %d cells, header has %d", got, len(csvHeader))
+	var row Row
+	v := reflect.ValueOf(&row).Elem()
+	bools := 0
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Float64:
+			f.SetFloat(float64(i) + 0.25)
+		case reflect.String:
+			f.SetString("s" + strconv.Itoa(i))
+		case reflect.Bool:
+			f.SetBool(bools%2 == 0) // alternate, so swapped bool columns differ
+			bools++
+		default:
+			t.Fatalf("Row field %s has unhandled kind %s", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var jsonBuf, csvBuf bytes.Buffer
+	js, cs := NewJSONL(&jsonBuf), NewCSV(&csvBuf)
+	for _, s := range []Sink{js, cs} {
+		if err := s.Write(row); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	dec := json.NewDecoder(&jsonBuf)
+	dec.UseNumber()
+	var obj map[string]any
+	if err := dec.Decode(&obj); err != nil {
+		t.Fatalf("decode jsonl: %v", err)
+	}
+	recs, err := csv.NewReader(&csvBuf).ReadAll()
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("csv parse: recs=%d err=%v", len(recs), err)
+	}
+	if len(recs[1]) != len(obj) {
+		t.Errorf("csv record has %d cells, jsonl row %d keys", len(recs[1]), len(obj))
+	}
+	for i, key := range recs[0] {
+		got := recs[1][i]
+		switch want := obj[key].(type) {
+		case json.Number:
+			g, gerr := strconv.ParseFloat(got, 64)
+			w, werr := want.Float64()
+			if gerr != nil || werr != nil || g != w {
+				t.Errorf("column %d %q: csv %q, jsonl %v", i+1, key, got, want)
+			}
+		case string:
+			if got != want {
+				t.Errorf("column %d %q: csv %q, jsonl %q", i+1, key, got, want)
+			}
+		case bool:
+			if got != strconv.FormatBool(want) {
+				t.Errorf("column %d %q: csv %q, jsonl %v", i+1, key, got, want)
+			}
+		default:
+			t.Errorf("column %d %q: jsonl has no such key (%v)", i+1, key, want)
+		}
 	}
 }
 
@@ -289,25 +355,21 @@ func TestRunPropagatesSinkFailure(t *testing.T) {
 // values outright), with NaN → 0 and ±Inf clamped to ±MaxFloat64.
 func TestSinksSanitizeNonFiniteFloats(t *testing.T) {
 	mkRow := func(x float64) Row {
-		return Row{
-			Cell: 1, Topology: "grid-5x5",
-			CaptureRatio: x, CaptureRatioCI95: x, MeanCapturePeriods: x,
-			ScheduleValidRatio: x, ControlMessages: x, ControlBytes: x,
-			TotalMessages: x, ChangedNodes: x, SourceDeliveries: x,
-			DeliveryLatency: x,
+		r := Row{Cell: 1, Topology: "grid-5x5"}
+		v := reflect.ValueOf(&r).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Float64 {
+				f.SetFloat(x)
+			}
 		}
+		return r
 	}
 	checkFloats := func(t *testing.T, r Row, want float64) {
 		t.Helper()
-		for name, got := range map[string]float64{
-			"CaptureRatio": r.CaptureRatio, "CaptureRatioCI95": r.CaptureRatioCI95,
-			"MeanCapturePeriods": r.MeanCapturePeriods, "ScheduleValidRatio": r.ScheduleValidRatio,
-			"ControlMessages": r.ControlMessages, "ControlBytes": r.ControlBytes,
-			"TotalMessages": r.TotalMessages, "ChangedNodes": r.ChangedNodes,
-			"SourceDeliveries": r.SourceDeliveries, "DeliveryLatency": r.DeliveryLatency,
-		} {
-			if got != want {
-				t.Errorf("%s = %v, want %v", name, got, want)
+		v := reflect.ValueOf(r)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Float64 && f.Float() != want {
+				t.Errorf("%s = %v, want %v", v.Type().Field(i).Name, f.Float(), want)
 			}
 		}
 	}
@@ -350,8 +412,12 @@ func TestSinksSanitizeNonFiniteFloats(t *testing.T) {
 					}
 				}
 			}
-			if got := recs[1][19]; got != strconv.FormatFloat(tc.want, 'g', -1, 64) { // capture_ratio
-				t.Errorf("capture_ratio = %q, want %v", got, tc.want)
+			want := strconv.FormatFloat(tc.want, 'g', -1, 64)
+			v := reflect.ValueOf(Row{})
+			for i, cellStr := range recs[1] {
+				if v.Field(i).Kind() == reflect.Float64 && cellStr != want {
+					t.Errorf("csv column %s = %q, want %q", csvHeader[i], cellStr, want)
+				}
 			}
 		})
 	}
