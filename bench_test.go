@@ -19,6 +19,7 @@ package slpdas
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 
@@ -103,12 +104,13 @@ func BenchmarkAblationSearchDistance(b *testing.B) {
 		sd := sd
 		b.Run(fmt.Sprintf("sd=%d", sd), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				points, err := experiment.SearchDistanceSweep(11, []int{sd}, 20, benchSeed, 0)
+				arms := []experiment.Arm{{Labels: []string{strconv.Itoa(sd)}, Config: core.DefaultSLP(sd)}}
+				_, aggs, err := experiment.Ablation(11, 20, benchSeed, 0, []string{"search distance"}, arms, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(points[0].CaptureRatio.Percent(), "capture%")
-				b.ReportMetric(points[0].ChangedNodes.Mean, "changed-nodes")
+				b.ReportMetric(aggs[0].CaptureRatio.Percent(), "capture%")
+				b.ReportMetric(aggs[0].ChangedNodes.Mean, "changed-nodes")
 			}
 		})
 	}

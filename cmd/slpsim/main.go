@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"slpdas"
+	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
 	"slpdas/internal/fault"
@@ -216,11 +217,18 @@ func runSweep(args []string) error {
 	switch *what {
 	case "sd":
 		fmt.Printf("search-distance ablation, %d×%d grid, %d repeats/cell\n\n", *size, *size, *repeats)
-		points, err := experiment.SearchDistanceSweep(*size, nil, *repeats, *seed, 0)
+		var arms []experiment.Arm
+		for sd := 1; sd <= 7; sd++ {
+			arms = append(arms, experiment.Arm{Labels: []string{strconv.Itoa(sd)}, Config: core.DefaultSLP(sd)})
+		}
+		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, 0, []string{"search distance"}, arms, []experiment.Column{
+			{Header: "capture ratio", Metric: "capture_ratio"},
+			{Header: "changed nodes", Metric: "changed_nodes"},
+		})
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiment.SearchDistanceTable(points))
+		fmt.Print(tbl)
 	case "attacker":
 		fmt.Printf("attacker-strength ablation (exhaustive worst case), %d×%d grid, seed %d\n\n", *size, *size, *seed)
 		points, err := experiment.AttackerSweep(*size, core.DefaultSLP(*sd), *seed, []verify.Params{
@@ -244,18 +252,41 @@ func runSweep(args []string) error {
 		base.Attacker.H = 2
 		fmt.Printf("attacker-strategy ablation (simulated), %d×%d grid, SD=%d, attacker (%d,%d,%d), %d repeats/cell\n\n",
 			*size, *size, *sd, base.Attacker.R, base.Attacker.H, base.Attacker.M, *repeats)
-		points, err := experiment.StrategySweep(*size, base, nil, []int{1, 2}, *repeats, *seed, 0)
+		var arms []experiment.Arm
+		for _, name := range attacker.StrategyNames() {
+			for _, count := range []int{1, 2} {
+				cfg := base
+				cfg.Strategy = name
+				cfg.AttackerCount = count
+				arms = append(arms, experiment.Arm{Labels: []string{name, strconv.Itoa(count)}, Config: cfg})
+			}
+		}
+		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, 0, []string{"strategy", "attackers"}, arms, []experiment.Column{
+			{Header: "capture ratio", Metric: "capture_ratio"},
+			{Header: "mean capture periods", Metric: "mean_capture_periods"},
+		})
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiment.StrategyTable(points))
+		fmt.Print(tbl)
 	case "loss":
 		fmt.Printf("channel-model ablation, %d×%d grid, SD=%d, %d repeats/cell\n\n", *size, *size, *sd, *repeats)
-		points, err := experiment.LossModelSweep(*size, *sd, *repeats, *seed, 0, nil)
+		// The paper-era trio: ideal, 5% Bernoulli loss and the rssi noise
+		// substitute, labelled in alphabetical order.
+		var arms []experiment.Arm
+		for _, m := range [][2]string{{"bernoulli-0.05", "bernoulli:0.05"}, {"ideal", "ideal"}, {"rssi-noise", "rssi"}} {
+			cfg := core.DefaultSLP(*sd)
+			cfg.Channel = m[1]
+			arms = append(arms, experiment.Arm{Labels: []string{m[0]}, Config: cfg})
+		}
+		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, 0, []string{"channel model"}, arms, []experiment.Column{
+			{Header: "capture ratio", Metric: "capture_ratio"},
+			{Header: "valid schedules", Metric: "schedule_valid_ratio"},
+		})
 		if err != nil {
 			return err
 		}
-		fmt.Print(experiment.LossModelTable(points))
+		fmt.Print(tbl)
 	default:
 		return fmt.Errorf("unknown -what %q", *what)
 	}
@@ -284,6 +315,16 @@ func runCustom(args []string) error {
 	var r, h, m int
 	if _, err := fmt.Sscanf(*atk, "%d,%d,%d", &r, &h, &m); err != nil {
 		return fmt.Errorf("bad -attacker %q (want R,H,M)", *atk)
+	}
+	// SimConfig replaces a zero in any of these with its default, so a
+	// zero would run a different experiment from the one reported.
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"-size", *size, 2}, {"-repeats", *repeats, 1}, {"-sd", *sd, 1}, {"-attacker R", r, 1}, {"-attacker M", m, 1}} {
+		if f.v < f.min {
+			return usageError{fmt.Errorf("run: %s must be at least %d, got %d", f.name, f.min, f.v)}
+		}
 	}
 	channelSpec := *loss
 	if *channel != "" {

@@ -120,3 +120,32 @@ func TestCLIRejectsStrayArguments(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsValuesSimConfigWouldReplace: a size, repeat count, search
+// distance or attacker R/M that SimConfig would silently replace with its
+// default exits 2 naming the flag, instead of simulating a different run
+// than the header reports.
+func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
+	for flagName, args := range map[string][]string{
+		"-size":       {"run", "-size", "0"},
+		"-repeats":    {"run", "-size", "5", "-repeats", "0"},
+		"-sd":         {"run", "-size", "5", "-protocol", "slp-das", "-sd", "0"},
+		"-attacker R": {"run", "-size", "5", "-attacker", "0,0,1"},
+		"-attacker M": {"run", "-size", "5", "-attacker", "1,0,0"},
+	} {
+		stdout, stderr, code := capture(t, args)
+		if code != 2 {
+			t.Errorf("slpsim %v exited %d, want 2", args, code)
+		}
+		if !strings.Contains(string(stderr), flagName+" must be at least") {
+			t.Errorf("slpsim %v: stderr does not name %s:\n%s", args, flagName, stderr)
+		}
+		if len(stdout) != 0 {
+			t.Errorf("slpsim %v printed before refusing:\n%s", args, stdout)
+		}
+	}
+	// The size floor is 2, not 1.
+	if _, _, code := capture(t, []string{"run", "-size", "1"}); code != 2 {
+		t.Errorf("slpsim run -size 1 exited %d, want 2", code)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 
 	"slpdas/internal/attacker"
 )
@@ -52,11 +51,7 @@ func scanLines(r io.Reader, fn func(n int, line []byte) error) (valid int64, tor
 // error.
 func LoadRows(r io.Reader) ([]Row, int64, error) {
 	var rows []Row
-	valid, _, err := scanLines(r, func(n int, line []byte) error {
-		var row Row
-		if err := json.Unmarshal(line, &row); err != nil {
-			return fmt.Errorf("campaign: jsonl line %d: %w", n+1, err)
-		}
+	valid, err := scanRows(r, "jsonl", func(_ int, row Row) error {
 		rows = append(rows, row)
 		return nil
 	})
@@ -72,11 +67,19 @@ func LoadRows(r io.Reader) ([]Row, int64, error) {
 // Spec.CompletedCells), truncate the file to the offset, and re-run the
 // same Spec to resume.
 func ScanCompleted(r io.Reader) (map[int]bool, int64, error) {
+	return scanCells(r, "jsonl", nil)
+}
+
+// scanCells returns the cells of the complete rows of a campaign output
+// and the byte offset just past the last one, after check (when non-nil)
+// accepts each row with its 0-based line number.
+func scanCells(r io.Reader, format string, check func(n int, row Row) error) (map[int]bool, int64, error) {
 	cells := make(map[int]bool)
-	valid, _, err := scanLines(r, func(n int, line []byte) error {
-		var row Row
-		if err := json.Unmarshal(line, &row); err != nil {
-			return fmt.Errorf("campaign: jsonl line %d: %w", n+1, err)
+	valid, err := scanRows(r, format, func(n int, row Row) error {
+		if check != nil {
+			if err := check(n, row); err != nil {
+				return err
+			}
 		}
 		cells[row.Cell] = true
 		return nil
@@ -85,6 +88,37 @@ func ScanCompleted(r io.Reader) (map[int]bool, int64, error) {
 		return nil, valid, err
 	}
 	return cells, valid, nil
+}
+
+// scanRows walks the complete rows of a campaign output in the given
+// format ("jsonl" or "csv", "" = jsonl), calling fn with each row and its
+// 0-based line number, and returns the byte offset just past the last
+// complete line. A CSV file's first line must be the canonical header.
+// Line-based CSV scanning is sound because no Row field ever serializes
+// with an embedded newline.
+func scanRows(r io.Reader, format string, fn func(n int, row Row) error) (int64, error) {
+	if format != "" && format != "jsonl" && format != "csv" {
+		return 0, fmt.Errorf("campaign: unknown format %q (want jsonl or csv)", format)
+	}
+	valid, _, err := scanLines(r, func(n int, line []byte) error {
+		var row Row
+		if format == "csv" {
+			rec, err := csv.NewReader(bytes.NewReader(line)).Read()
+			if err == nil && n == 0 {
+				return checkCSVHeader(rec)
+			}
+			if err == nil {
+				row, err = parseCSVRecord(rec)
+			}
+			if err != nil {
+				return fmt.Errorf("campaign: csv line %d: %w", n+1, err)
+			}
+		} else if err := json.Unmarshal(line, &row); err != nil {
+			return fmt.Errorf("campaign: jsonl line %d: %w", n+1, err)
+		}
+		return fn(n, row)
+	})
+	return valid, err
 }
 
 // ScanResumable is the safe front door for resuming: it recovers the
@@ -118,49 +152,7 @@ func (s Spec) ScanResumable(r io.Reader, format string) (map[int]bool, int64, er
 		}
 		return nil
 	}
-	completed := make(map[int]bool)
-	var valid int64
-	switch format {
-	case "", "jsonl":
-		valid, _, err = scanLines(r, func(n int, line []byte) error {
-			var row Row
-			if err := json.Unmarshal(line, &row); err != nil {
-				return fmt.Errorf("campaign: jsonl line %d: %w", n+1, err)
-			}
-			if err := check(n, row); err != nil {
-				return err
-			}
-			completed[row.Cell] = true
-			return nil
-		})
-	case "csv":
-		valid, _, err = scanLines(r, func(n int, line []byte) error {
-			rec, rerr := csv.NewReader(bytes.NewReader(line)).Read()
-			if rerr != nil {
-				return fmt.Errorf("campaign: csv line %d: %w", n+1, rerr)
-			}
-			if n == 0 {
-				return checkCSVHeader(rec)
-			}
-			row, rerr := csvCoordRow(rec)
-			if rerr != nil {
-				return fmt.Errorf("campaign: csv line %d: %w", n+1, rerr)
-			}
-			// The header row is line 1, so coordinate errors report the
-			// record's own line number.
-			if err := check(n, row); err != nil {
-				return err
-			}
-			completed[row.Cell] = true
-			return nil
-		})
-	default:
-		return nil, 0, fmt.Errorf("campaign: resume: unknown format %q (want jsonl or csv)", format)
-	}
-	if err != nil {
-		return nil, valid, err
-	}
-	return completed, valid, nil
+	return scanCells(r, format, check)
 }
 
 // cellRowMismatch reports how row r's coordinate fields differ from what
@@ -241,90 +233,10 @@ func checkCSVHeader(rec []string) error {
 	return nil
 }
 
-// csvCoordRow parses the coordinate columns of one CSV record back into
-// a Row (metric columns are left zero — resume verification only needs
-// coordinates).
-func csvCoordRow(rec []string) (Row, error) {
-	if len(rec) != len(csvHeader) {
-		return Row{}, fmt.Errorf("%d fields, want %d", len(rec), len(csvHeader))
-	}
-	var r Row
-	var err error
-	atoi := func(col int, dst *int) {
-		if err != nil {
-			return
-		}
-		v, e := strconv.Atoi(rec[col])
-		if e != nil {
-			err = fmt.Errorf("bad %s %q", csvHeader[col], rec[col])
-			return
-		}
-		*dst = v
-	}
-	abool := func(col int, dst *bool) {
-		if err != nil {
-			return
-		}
-		v, e := strconv.ParseBool(rec[col])
-		if e != nil {
-			err = fmt.Errorf("bad %s %q", csvHeader[col], rec[col])
-			return
-		}
-		*dst = v
-	}
-	atoi(0, &r.Cell)
-	r.Topology = rec[1]
-	atoi(2, &r.GridSize)
-	atoi(3, &r.Nodes)
-	r.Protocol = rec[4]
-	atoi(5, &r.SearchDistance)
-	atoi(6, &r.AttackerR)
-	atoi(7, &r.AttackerH)
-	atoi(8, &r.AttackerM)
-	r.Strategy = rec[9]
-	atoi(10, &r.Attackers)
-	abool(11, &r.SharedHistory)
-	r.LossModel = rec[12]
-	abool(13, &r.Collisions)
-	atoi(14, &r.Repeats)
-	if err == nil {
-		if r.BaseSeed, err = strconv.ParseUint(rec[15], 10, 64); err != nil {
-			err = fmt.Errorf("bad %s %q", csvHeader[15], rec[15])
-		}
-	}
-	r.Faults = rec[29]
-	r.Energy = rec[38]
-	return r, err
-}
-
 // ScanCompletedCSV is ScanCompleted for CSV campaign output: the first
 // complete line must be the canonical header, every later complete line
-// one record whose first field is the cell index. Line-based scanning is
-// sound here because no Row field ever serializes with an embedded
-// newline. The returned offset covers the header, so a file holding only
-// a header resumes by appending records without duplicating it.
+// one record. The returned offset covers the header, so a file holding
+// only a header resumes by appending records without duplicating it.
 func ScanCompletedCSV(r io.Reader) (map[int]bool, int64, error) {
-	cells := make(map[int]bool)
-	valid, _, err := scanLines(r, func(n int, line []byte) error {
-		rec, err := csv.NewReader(bytes.NewReader(line)).Read()
-		if err != nil {
-			return fmt.Errorf("campaign: csv line %d: %w", n+1, err)
-		}
-		if n == 0 {
-			return checkCSVHeader(rec)
-		}
-		if len(rec) != len(csvHeader) {
-			return fmt.Errorf("campaign: csv line %d: %d fields, want %d", n+1, len(rec), len(csvHeader))
-		}
-		cell, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return fmt.Errorf("campaign: csv line %d: bad cell %q", n+1, rec[0])
-		}
-		cells[cell] = true
-		return nil
-	})
-	if err != nil {
-		return nil, valid, err
-	}
-	return cells, valid, nil
+	return scanCells(r, "csv", nil)
 }

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 
 	"slpdas/internal/experiment"
@@ -15,10 +17,12 @@ import (
 )
 
 // Row is one streamed result record: the cell's full matrix coordinates
-// followed by the Aggregate summary fields. Field order is the JSONL and
-// CSV column order; values are finite (NaNs from empty samples become 0
-// with the corresponding count field showing why, and ±Inf clamps to
-// ±MaxFloat64). Finiteness is enforced at the serialization boundary —
+// followed by the Aggregate summary fields. The JSON tags are the column
+// names and field order is the JSONL and CSV column order; nothing else
+// spells either (see indexRow). makeRow fills each float field whose tag
+// names a column of the experiment metric table from that table. Values
+// are finite (NaNs from empty samples become 0 with the corresponding
+// count field showing why, and ±Inf clamps to ±MaxFloat64). Finiteness is enforced at the serialization boundary —
 // the JSONL and CSV sinks sanitize every float field — because JSON
 // cannot encode NaN or Inf at all.
 type Row struct {
@@ -97,37 +101,54 @@ func fin(x float64) float64 {
 	return x
 }
 
+// csvHeader, floatFields and metricFields index Row once, from its
+// struct fields and JSON tags.
+var csvHeader, floatFields, metricFields = indexRow()
+
+// indexRow reads Row's column names (its JSON tags, in field order), its
+// float64 fields, and, for each float field that names a column of the
+// experiment metric table, the table index that fills it.
+func indexRow() (names []string, floats []int, fromTable []metricField) {
+	byColumn := make(map[string]int)
+	for i, m := range experiment.Metrics() {
+		if m.Column != "" {
+			byColumn[m.Column] = i
+		}
+	}
+	t := reflect.TypeOf(Row{})
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		names = append(names, name)
+		if t.Field(i).Type.Kind() != reflect.Float64 {
+			continue
+		}
+		floats = append(floats, i)
+		if m, ok := byColumn[name]; ok {
+			fromTable = append(fromTable, metricField{field: i, metric: m})
+		}
+	}
+	return names, floats, fromTable
+}
+
+// metricField pairs a Row field with the experiment.Metrics index whose
+// cell-level value fills it.
+type metricField struct{ field, metric int }
+
 // sanitize applies fin to every float field, enforcing the finiteness
 // promise of the Row doc at the sink boundary regardless of where the
 // row came from.
 func (r Row) sanitize() Row {
-	r.CaptureRatio = fin(r.CaptureRatio)
-	r.CaptureRatioCI95 = fin(r.CaptureRatioCI95)
-	r.MeanCapturePeriods = fin(r.MeanCapturePeriods)
-	r.ScheduleValidRatio = fin(r.ScheduleValidRatio)
-	r.ControlMessages = fin(r.ControlMessages)
-	r.ControlBytes = fin(r.ControlBytes)
-	r.TotalMessages = fin(r.TotalMessages)
-	r.ChangedNodes = fin(r.ChangedNodes)
-	r.SourceDeliveries = fin(r.SourceDeliveries)
-	r.DeliveryLatency = fin(r.DeliveryLatency)
-	r.MeanAttackerMoves = fin(r.MeanAttackerMoves)
-	r.NodesFailed = fin(r.NodesFailed)
-	r.NodesRecovered = fin(r.NodesRecovered)
-	r.RepairPeriods = fin(r.RepairPeriods)
-	r.DeliveryBefore = fin(r.DeliveryBefore)
-	r.DeliveryDuring = fin(r.DeliveryDuring)
-	r.DeliveryAfter = fin(r.DeliveryAfter)
-	r.PartitionRatio = fin(r.PartitionRatio)
-	r.CaptureWins = fin(r.CaptureWins)
-	r.EnergyTotal = fin(r.EnergyTotal)
-	r.EnergyMax = fin(r.EnergyMax)
-	r.EnergyDeaths = fin(r.EnergyDeaths)
-	r.FirstDeathPeriod = fin(r.FirstDeathPeriod)
-	r.Lifetime = fin(r.Lifetime)
+	v := reflect.ValueOf(&r).Elem()
+	for _, i := range floatFields {
+		f := v.Field(i)
+		f.SetFloat(fin(f.Float()))
+	}
 	return r
 }
 
+// makeRow renders one cell's aggregate as a row. The coordinates and run
+// counts are named here; every float column comes from the metric table,
+// except capture_ratio_ci95, which is derived from the capture ratio.
 func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
 	faults := c.Faults
 	if faults == "" {
@@ -137,7 +158,7 @@ func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
 	if energy == "" {
 		energy = "none"
 	}
-	return Row{
+	r := Row{
 		Cell:           c.Index,
 		Topology:       c.Topology.Label(),
 		GridSize:       c.Topology.gridSize(),
@@ -154,39 +175,19 @@ func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
 		Collisions:     c.Collisions,
 		Repeats:        c.Repeats,
 		BaseSeed:       c.BaseSeed,
+		Faults:         faults,
+		Energy:         energy,
 
-		Runs:               agg.CaptureRatio.Trials,
-		Failures:           agg.Failures,
-		Captures:           agg.CaptureRatio.Successes,
-		CaptureRatio:       fin(agg.CaptureRatio.Value()),
-		CaptureRatioCI95:   agg.CaptureRatio.CI95(),
-		MeanCapturePeriods: agg.CapturePeriods.Mean,
-		ScheduleValidRatio: fin(agg.ScheduleValid.Value()),
-		ControlMessages:    agg.ControlMessages.Mean,
-		ControlBytes:       agg.ControlBytes.Mean,
-		TotalMessages:      agg.TotalMessages.Mean,
-		ChangedNodes:       agg.ChangedNodes.Mean,
-		SourceDeliveries:   agg.SourceDeliveries.Mean,
-		DeliveryLatency:    agg.DeliveryLatency.Mean,
-
-		Faults:            faults,
-		MeanAttackerMoves: agg.AttackerMoves.Mean,
-		NodesFailed:       agg.NodesFailed.Mean,
-		NodesRecovered:    agg.NodesRecovered.Mean,
-		RepairPeriods:     agg.RepairPeriods.Mean,
-		DeliveryBefore:    agg.DeliveryBefore.Mean,
-		DeliveryDuring:    agg.DeliveryDuring.Mean,
-		DeliveryAfter:     agg.DeliveryAfter.Mean,
-		PartitionRatio:    fin(agg.Partitions.Value()),
-
-		Energy:           energy,
-		CaptureWins:      agg.CaptureWins.Mean,
-		EnergyTotal:      agg.EnergyTotal.Mean,
-		EnergyMax:        agg.EnergyMax.Mean,
-		EnergyDeaths:     agg.EnergyDeaths.Mean,
-		FirstDeathPeriod: agg.FirstDeathPeriod.Mean,
-		Lifetime:         agg.LifetimePeriods.Mean,
+		Runs:             agg.CaptureRatio.Trials,
+		Failures:         agg.Failures,
+		Captures:         agg.CaptureRatio.Successes,
+		CaptureRatioCI95: agg.CaptureRatio.CI95(),
 	}
+	v := reflect.ValueOf(&r).Elem()
+	for _, m := range metricFields {
+		v.Field(m.field).SetFloat(fin(agg.Metric(m.metric)))
+	}
+	return r
 }
 
 // Sink receives campaign rows as cells complete. Write is always called
@@ -275,43 +276,64 @@ func ReadJSONL(r io.Reader) ([]Row, error) {
 	return rows, nil
 }
 
-// csvHeader is the CSV column order; it must match csvRecord.
-var csvHeader = []string{
-	"cell", "topology", "grid_size", "nodes", "protocol", "search_distance",
-	"attacker_r", "attacker_h", "attacker_m", "strategy", "attackers",
-	"shared_history", "loss_model", "collisions",
-	"repeats", "base_seed", "runs", "failures", "captures", "capture_ratio",
-	"capture_ratio_ci95", "mean_capture_periods", "schedule_valid_ratio",
-	"control_messages", "control_bytes", "total_messages", "changed_nodes",
-	"source_deliveries", "delivery_latency_slots",
-	"faults", "mean_attacker_moves", "nodes_failed", "nodes_recovered",
-	"repair_periods", "delivery_ratio_before", "delivery_ratio_during",
-	"delivery_ratio_after", "partition_ratio",
-	"energy", "mean_capture_wins", "energy_total_mj", "energy_max_mj",
-	"mean_energy_deaths", "first_death_period", "lifetime_periods",
-}
-
+// csvRecord renders a sanitised row as one CSV record, in csvHeader
+// order.
 func csvRecord(r Row) []string {
 	r = r.sanitize()
-	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
-	return []string{
-		strconv.Itoa(r.Cell), r.Topology, strconv.Itoa(r.GridSize),
-		strconv.Itoa(r.Nodes), r.Protocol, strconv.Itoa(r.SearchDistance),
-		strconv.Itoa(r.AttackerR), strconv.Itoa(r.AttackerH), strconv.Itoa(r.AttackerM),
-		r.Strategy, strconv.Itoa(r.Attackers), strconv.FormatBool(r.SharedHistory),
-		r.LossModel, strconv.FormatBool(r.Collisions),
-		strconv.Itoa(r.Repeats), strconv.FormatUint(r.BaseSeed, 10),
-		strconv.Itoa(r.Runs), strconv.Itoa(r.Failures), strconv.Itoa(r.Captures),
-		f(r.CaptureRatio), f(r.CaptureRatioCI95), f(r.MeanCapturePeriods),
-		f(r.ScheduleValidRatio), f(r.ControlMessages), f(r.ControlBytes),
-		f(r.TotalMessages), f(r.ChangedNodes), f(r.SourceDeliveries),
-		f(r.DeliveryLatency),
-		r.Faults, f(r.MeanAttackerMoves), f(r.NodesFailed), f(r.NodesRecovered),
-		f(r.RepairPeriods), f(r.DeliveryBefore), f(r.DeliveryDuring),
-		f(r.DeliveryAfter), f(r.PartitionRatio),
-		r.Energy, f(r.CaptureWins), f(r.EnergyTotal), f(r.EnergyMax),
-		f(r.EnergyDeaths), f(r.FirstDeathPeriod), f(r.Lifetime),
+	v := reflect.ValueOf(&r).Elem()
+	rec := make([]string, v.NumField())
+	for i := range rec {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			rec[i] = strconv.FormatInt(f.Int(), 10)
+		case reflect.Uint64:
+			rec[i] = strconv.FormatUint(f.Uint(), 10)
+		case reflect.Float64:
+			rec[i] = strconv.FormatFloat(f.Float(), 'g', -1, 64)
+		case reflect.Bool:
+			rec[i] = strconv.FormatBool(f.Bool())
+		case reflect.String:
+			rec[i] = f.String()
+		}
 	}
+	return rec
+}
+
+// parseCSVRecord is csvRecord's inverse: it decodes one record, in
+// csvHeader order, back into a Row.
+func parseCSVRecord(rec []string) (Row, error) {
+	if len(rec) != len(csvHeader) {
+		return Row{}, fmt.Errorf("%d fields, want %d", len(rec), len(csvHeader))
+	}
+	var r Row
+	v := reflect.ValueOf(&r).Elem()
+	for i, s := range rec {
+		var err error
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			var x int64
+			x, err = strconv.ParseInt(s, 10, 0)
+			f.SetInt(x)
+		case reflect.Uint64:
+			var x uint64
+			x, err = strconv.ParseUint(s, 10, 64)
+			f.SetUint(x)
+		case reflect.Float64:
+			var x float64
+			x, err = strconv.ParseFloat(s, 64)
+			f.SetFloat(x)
+		case reflect.Bool:
+			var x bool
+			x, err = strconv.ParseBool(s)
+			f.SetBool(x)
+		case reflect.String:
+			f.SetString(s)
+		}
+		if err != nil {
+			return Row{}, fmt.Errorf("bad %s %q", csvHeader[i], s)
+		}
+	}
+	return r, nil
 }
 
 // CSV streams rows as CSV with a header, for spreadsheet/pandas use.

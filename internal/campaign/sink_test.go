@@ -105,6 +105,7 @@ func TestCSVSink(t *testing.T) {
 // field, and for a row whose fields all hold distinct values every CSV
 // column carries the value the JSONL sink writes under the same key — so
 // two swapped columns, or a header entry out of step with its value, fail.
+// The CSV record also parses back to the row it came from.
 func TestCSVHeaderMatchesRowShape(t *testing.T) {
 	if nFields := reflect.TypeOf(Row{}).NumField(); len(csvHeader) != nFields {
 		t.Errorf("csvHeader has %d columns, Row has %d fields", len(csvHeader), nFields)
@@ -172,6 +173,9 @@ func TestCSVHeaderMatchesRowShape(t *testing.T) {
 		default:
 			t.Errorf("column %d %q: jsonl has no such key (%v)", i+1, key, want)
 		}
+	}
+	if back, err := parseCSVRecord(recs[1]); err != nil || back != row {
+		t.Errorf("parseCSVRecord(csvRecord(row)) = %+v, %v; want the row back", back, err)
 	}
 }
 

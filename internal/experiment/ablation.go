@@ -2,65 +2,85 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
-	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/metrics"
 	"slpdas/internal/topo"
 	"slpdas/internal/verify"
 )
 
-// SearchDistancePoint is one cell of the SD ablation (DESIGN.md A1).
-type SearchDistancePoint struct {
-	SearchDistance int
-	CaptureRatio   metrics.Proportion
-	ChangedNodes   metrics.Summary
+// Arm is one row of an ablation: the label cells that name it and the
+// config it runs.
+type Arm struct {
+	Labels []string
+	Config core.Config
 }
 
-// SearchDistanceSweep measures SLP DAS capture ratio across search
-// distances on one grid size — the design-choice study behind the paper's
-// choice of SD ∈ {3, 5}.
-func SearchDistanceSweep(gridSize int, distances []int, repeats int, baseSeed uint64, workers int) ([]SearchDistancePoint, error) {
-	if len(distances) == 0 {
-		distances = []int{1, 2, 3, 4, 5, 6, 7}
+// Column is one metric column of an ablation table: its header and the
+// campaign column name of the declared metric it shows (see Metrics).
+type Column struct {
+	Header, Metric string
+}
+
+// Ablation runs every arm as one cell on the size×size grid of §VI-A, all
+// on seeds baseSeed + r through one engine call, and renders one table
+// row per arm: its labels under labelHeaders, then each picked metric. A
+// proportion renders as "12.0% (12/100)", a mean to one decimal, or "-"
+// when no run observed it. The aggregates are returned in arm order.
+// It is the simulated form of the design-choice studies (search
+// distance, attacker strategy, channel model in slpsim sweep);
+// AttackerSweep is the exhaustive counterpart.
+func Ablation(gridSize, repeats int, baseSeed uint64, workers int, labelHeaders []string, arms []Arm, cols []Column) (*metrics.Table, []*Aggregate, error) {
+	metric := make([]int, len(cols))
+	headers := append([]string(nil), labelHeaders...)
+	for i, c := range cols {
+		metric[i] = -1
+		for j, m := range metricTable {
+			if m.Column != "" && m.Column == c.Metric {
+				metric[i] = j
+			}
+		}
+		if metric[i] < 0 {
+			return nil, nil, fmt.Errorf("experiment: ablation: no metric column %q", c.Metric)
+		}
+		headers = append(headers, c.Header)
 	}
-	cfgs := make([]core.Config, len(distances))
-	for i, sd := range distances {
-		cfgs[i] = core.DefaultSLP(sd)
+	cfgs := make([]core.Config, len(arms))
+	for i, arm := range arms {
+		if len(arm.Labels) != len(labelHeaders) {
+			return nil, nil, fmt.Errorf("experiment: ablation: arm %d has %d labels for %d label columns", i, len(arm.Labels), len(labelHeaders))
+		}
+		cfgs[i] = arm.Config
 	}
 	specs, err := gridCells(gridSize, repeats, baseSeed, cfgs...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	aggs, err := runAll(specs, workers, func(i int) string {
-		return fmt.Sprintf("sd sweep at %d", distances[i])
+		return "ablation " + strings.Join(arms[i].Labels, " ")
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]SearchDistancePoint, len(distances))
+	t := metrics.NewTable(headers...)
 	for i, agg := range aggs {
-		out[i] = SearchDistancePoint{
-			SearchDistance: distances[i],
-			CaptureRatio:   agg.CaptureRatio,
-			ChangedNodes:   agg.ChangedNodes,
+		row := append([]string(nil), arms[i].Labels...)
+		for _, m := range metric {
+			switch f := agg.field(m).(type) {
+			case *metrics.Proportion:
+				row = append(row, f.String())
+			case *metrics.Summary:
+				if f.N == 0 {
+					row = append(row, "-")
+				} else {
+					row = append(row, fmt.Sprintf("%.1f", f.Mean))
+				}
+			}
 		}
+		t.AddRow(row...)
 	}
-	return out, nil
-}
-
-// SearchDistanceTable renders the sweep.
-func SearchDistanceTable(points []SearchDistancePoint) *metrics.Table {
-	t := metrics.NewTable("search distance", "capture ratio", "changed nodes")
-	for _, p := range points {
-		t.AddRow(
-			fmt.Sprintf("%d", p.SearchDistance),
-			p.CaptureRatio.String(),
-			fmt.Sprintf("%.1f", p.ChangedNodes.Mean),
-		)
-	}
-	return t
+	return t, aggs, nil
 }
 
 // AttackerPoint is one cell of the attacker-strength ablation
@@ -121,132 +141,6 @@ func AttackerTable(points []AttackerPoint) *metrics.Table {
 			verdict,
 			fmt.Sprintf("%d", p.StatesExplored),
 		)
-	}
-	return t
-}
-
-// StrategyPoint is one cell of the simulated attacker-strategy study:
-// capture ratio and time for one (strategy, team size) coordinate.
-type StrategyPoint struct {
-	Strategy       string
-	Attackers      int
-	SharedHistory  bool
-	CaptureRatio   metrics.Proportion
-	CapturePeriods metrics.Summary // over captured runs only
-}
-
-// StrategySweep measures one base config against every named strategy at
-// each team size — the Monte-Carlo counterpart of AttackerSweep's
-// exhaustive verification, and the per-strategy capture ratio/time series
-// behind the attacker panel. Empty strategies defaults to the full
-// registry; empty counts defaults to a single attacker.
-func StrategySweep(gridSize int, base core.Config, strategies []string, counts []int, repeats int, baseSeed uint64, workers int) ([]StrategyPoint, error) {
-	if len(strategies) == 0 {
-		strategies = attacker.StrategyNames()
-	}
-	if len(counts) == 0 {
-		counts = []int{1}
-	}
-	var cfgs []core.Config
-	for _, s := range strategies {
-		for _, count := range counts {
-			cfg := base
-			cfg.Strategy = s
-			cfg.AttackerCount = count
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	specs, err := gridCells(gridSize, repeats, baseSeed, cfgs...)
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := runAll(specs, workers, func(i int) string {
-		return fmt.Sprintf("strategy sweep %s x%d", cfgs[i].Strategy, cfgs[i].AttackerCount)
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]StrategyPoint, len(cfgs))
-	for i, agg := range aggs {
-		out[i] = StrategyPoint{
-			Strategy:       cfgs[i].Strategy,
-			Attackers:      cfgs[i].AttackerCount,
-			SharedHistory:  cfgs[i].SharedHistory,
-			CaptureRatio:   agg.CaptureRatio,
-			CapturePeriods: agg.CapturePeriods,
-		}
-	}
-	return out, nil
-}
-
-// StrategyTable renders the sweep.
-func StrategyTable(points []StrategyPoint) *metrics.Table {
-	t := metrics.NewTable("strategy", "attackers", "capture ratio", "mean capture periods")
-	for _, p := range points {
-		periods := "-"
-		if p.CapturePeriods.N > 0 {
-			periods = fmt.Sprintf("%.1f", p.CapturePeriods.Mean)
-		}
-		t.AddRow(p.Strategy, fmt.Sprintf("%d", p.Attackers), p.CaptureRatio.String(), periods)
-	}
-	return t
-}
-
-// LossModelPoint is one cell of the channel ablation (DESIGN.md A3).
-type LossModelPoint struct {
-	Model         string
-	CaptureRatio  metrics.Proportion
-	ScheduleValid metrics.Proportion
-}
-
-// LossModelSweep measures SLP DAS robustness across channel models,
-// given as row label → internal/channel spec. The nil default is the
-// paper-era trio: ideal, 5% Bernoulli loss and the rssi noise substitute.
-func LossModelSweep(gridSize, searchDistance, repeats int, baseSeed uint64, workers int, models map[string]string) ([]LossModelPoint, error) {
-	if models == nil {
-		models = map[string]string{
-			"ideal":          "ideal",
-			"bernoulli-0.05": "bernoulli:0.05",
-			"rssi-noise":     "rssi",
-		}
-	}
-	names := make([]string, 0, len(models))
-	for name := range models {
-		names = append(names, name)
-	}
-	// Sort for deterministic output order.
-	sort.Strings(names)
-	cfgs := make([]core.Config, len(names))
-	for i, name := range names {
-		cfgs[i] = core.DefaultSLP(searchDistance)
-		cfgs[i].Channel = models[name]
-	}
-	specs, err := gridCells(gridSize, repeats, baseSeed, cfgs...)
-	if err != nil {
-		return nil, err
-	}
-	aggs, err := runAll(specs, workers, func(i int) string {
-		return fmt.Sprintf("loss sweep %q", names[i])
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LossModelPoint, len(names))
-	for i, agg := range aggs {
-		out[i] = LossModelPoint{
-			Model:         names[i],
-			CaptureRatio:  agg.CaptureRatio,
-			ScheduleValid: agg.ScheduleValid,
-		}
-	}
-	return out, nil
-}
-
-// LossModelTable renders the sweep.
-func LossModelTable(points []LossModelPoint) *metrics.Table {
-	t := metrics.NewTable("channel model", "capture ratio", "valid schedules")
-	for _, p := range points {
-		t.AddRow(p.Model, p.CaptureRatio.String(), p.ScheduleValid.String())
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,31 +10,37 @@ import (
 )
 
 func TestSearchDistanceSweep(t *testing.T) {
-	points, err := SearchDistanceSweep(5, []int{1, 2}, 3, 31, 0)
+	arms := []Arm{
+		{Labels: []string{"1"}, Config: core.DefaultSLP(1)},
+		{Labels: []string{"2"}, Config: core.DefaultSLP(2)},
+	}
+	tbl, aggs, err := Ablation(5, 3, 31, 0, []string{"search distance"}, arms, []Column{
+		{Header: "capture ratio", Metric: "capture_ratio"},
+		{Header: "changed nodes", Metric: "changed_nodes"},
+	})
 	if err != nil {
-		t.Fatalf("SearchDistanceSweep: %v", err)
+		t.Fatalf("Ablation: %v", err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	if len(aggs) != 2 || tbl.Len() != 2 {
+		t.Fatalf("aggregates = %d, table rows = %d, want 2", len(aggs), tbl.Len())
 	}
-	for _, p := range points {
-		if p.CaptureRatio.Trials != 3 {
-			t.Errorf("sd %d: trials = %d", p.SearchDistance, p.CaptureRatio.Trials)
+	for i, agg := range aggs {
+		if agg.CaptureRatio.Trials != 3 {
+			t.Errorf("sd %d: trials = %d", i+1, agg.CaptureRatio.Trials)
 		}
 	}
-	tbl := SearchDistanceTable(points).String()
-	if !strings.Contains(tbl, "search distance") || !strings.Contains(tbl, "changed nodes") {
-		t.Errorf("table = %q", tbl)
+	if s := tbl.String(); !strings.Contains(s, "search distance") || !strings.Contains(s, "changed nodes") {
+		t.Errorf("table = %q", s)
 	}
 }
 
-func TestSearchDistanceSweepDefaults(t *testing.T) {
-	points, err := SearchDistanceSweep(5, nil, 1, 3, 0)
-	if err != nil {
-		t.Fatalf("SearchDistanceSweep: %v", err)
+func TestAblationRejectsUnknownColumnAndLabelMismatch(t *testing.T) {
+	arms := []Arm{{Labels: []string{"a"}, Config: core.Default()}}
+	if _, _, err := Ablation(5, 1, 1, 0, []string{"x"}, arms, []Column{{Header: "h", Metric: "no_such_column"}}); err == nil || !strings.Contains(err.Error(), "no_such_column") {
+		t.Errorf("unknown metric column: err = %v", err)
 	}
-	if len(points) != 7 {
-		t.Errorf("default sweep has %d points, want 7", len(points))
+	if _, _, err := Ablation(5, 1, 1, 0, []string{"x", "y"}, arms, nil); err == nil {
+		t.Error("an arm with one label under two label columns was accepted")
 	}
 }
 
@@ -65,67 +72,67 @@ func TestAttackerSweepMonotoneInStrength(t *testing.T) {
 }
 
 func TestLossModelSweep(t *testing.T) {
-	points, err := LossModelSweep(5, 2, 2, 9, 0, map[string]string{
-		"ideal":     "ideal",
-		"bern-0.05": "bernoulli:0.05",
+	var arms []Arm
+	for _, m := range [][2]string{{"ideal", "ideal"}, {"bern-0.05", "bernoulli:0.05"}} {
+		cfg := core.DefaultSLP(2)
+		cfg.Channel = m[1]
+		arms = append(arms, Arm{Labels: []string{m[0]}, Config: cfg})
+	}
+	tbl, aggs, err := Ablation(5, 2, 9, 0, []string{"channel model"}, arms, []Column{
+		{Header: "capture ratio", Metric: "capture_ratio"},
+		{Header: "valid schedules", Metric: "schedule_valid_ratio"},
 	})
 	if err != nil {
-		t.Fatalf("LossModelSweep: %v", err)
+		t.Fatalf("Ablation: %v", err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("points = %d", len(points))
+	if len(aggs) != 2 {
+		t.Fatalf("aggregates = %d", len(aggs))
 	}
-	// Deterministic alphabetical order.
-	if points[0].Model != "bern-0.05" || points[1].Model != "ideal" {
-		t.Errorf("order = %s, %s", points[0].Model, points[1].Model)
+	// Rows keep the arms' order.
+	lines := strings.Split(tbl.String(), "\n")
+	if !strings.HasPrefix(lines[2], "ideal") || !strings.HasPrefix(lines[3], "bern-0.05") {
+		t.Errorf("table = %q", tbl.String())
 	}
-	tbl := LossModelTable(points).String()
-	if !strings.Contains(tbl, "channel model") {
-		t.Errorf("table = %q", tbl)
-	}
-}
-
-func TestLossModelSweepDefaults(t *testing.T) {
-	points, err := LossModelSweep(5, 2, 1, 9, 0, nil)
-	if err != nil {
-		t.Fatalf("LossModelSweep: %v", err)
-	}
-	if len(points) != 3 {
-		t.Errorf("default sweep has %d points, want 3", len(points))
+	if !strings.Contains(lines[0], "valid schedules") {
+		t.Errorf("header = %q", lines[0])
 	}
 }
 
+// TestStrategySweepCoversRegistryAndCounts: strategy × team-size arms
+// each run their own strategy and team, with both label columns and a
+// "-" for capture time where no run captured.
 func TestStrategySweepCoversRegistryAndCounts(t *testing.T) {
-	points, err := StrategySweep(5, core.Default(), []string{"first-heard", "random-walk"}, []int{1, 2}, 2, 1, 0)
-	if err != nil {
-		t.Fatalf("StrategySweep: %v", err)
-	}
-	if len(points) != 4 {
-		t.Fatalf("points = %d, want 4 (2 strategies x 2 counts)", len(points))
-	}
-	want := []struct {
-		s string
-		n int
-	}{{"first-heard", 1}, {"first-heard", 2}, {"random-walk", 1}, {"random-walk", 2}}
-	for i, p := range points {
-		if p.Strategy != want[i].s || p.Attackers != want[i].n {
-			t.Errorf("point %d = (%s, %d), want %+v", i, p.Strategy, p.Attackers, want[i])
-		}
-		if p.CaptureRatio.Trials != 2 {
-			t.Errorf("point %d trials = %d, want 2", i, p.CaptureRatio.Trials)
+	var arms []Arm
+	for _, s := range []string{"first-heard", "random-walk"} {
+		for _, n := range []int{1, 2} {
+			cfg := core.Default()
+			cfg.Strategy = s
+			cfg.AttackerCount = n
+			arms = append(arms, Arm{Labels: []string{s, strconv.Itoa(n)}, Config: cfg})
 		}
 	}
-	tbl := StrategyTable(points)
-	if tbl.Len() != 4 {
-		t.Errorf("table rows = %d, want 4", tbl.Len())
-	}
-	// Defaulting pulls in the whole registry.
-	all, err := StrategySweep(5, core.Default(), nil, nil, 1, 1, 0)
+	tbl, aggs, err := Ablation(5, 2, 1, 0, []string{"strategy", "attackers"}, arms, []Column{
+		{Header: "capture ratio", Metric: "capture_ratio"},
+		{Header: "mean capture periods", Metric: "mean_capture_periods"},
+	})
 	if err != nil {
-		t.Fatalf("StrategySweep defaults: %v", err)
+		t.Fatalf("Ablation: %v", err)
 	}
-	if len(all) < 7 {
-		t.Errorf("default sweep covers %d strategies, want the registry (>= 7)", len(all))
+	if len(aggs) != 4 || tbl.Len() != 4 {
+		t.Fatalf("aggregates = %d, table rows = %d, want 4 (2 strategies x 2 counts)", len(aggs), tbl.Len())
+	}
+	lines := strings.Split(tbl.String(), "\n")[2:]
+	for i, agg := range aggs {
+		if agg.Strategy != arms[i].Config.Strategy || agg.Attackers != arms[i].Config.AttackerCount {
+			t.Errorf("arm %d ran (%s, %d), want %v", i, agg.Strategy, agg.Attackers, arms[i].Labels)
+		}
+		if agg.CaptureRatio.Trials != 2 {
+			t.Errorf("arm %d trials = %d, want 2", i, agg.CaptureRatio.Trials)
+		}
+		f := strings.Fields(lines[i])
+		if periods := f[len(f)-1]; (agg.CapturePeriods.N == 0) != (periods == "-") {
+			t.Errorf("arm %d: %d captures render capture time %q", i, agg.CapturePeriods.N, periods)
+		}
 	}
 }
 

@@ -72,20 +72,17 @@ type Accumulator struct {
 	// finalisation to batch Summarize. Set it before the first Add.
 	KeepResults bool
 
-	capPeriods, ctrlMsgs, ctrlBytes, totMsgs, changed, deliveries, latency series
-	attackerMoves                                                          series
-	nodesFailed, nodesRecovered, repair                                    series
-	delivBefore, delivDuring, delivAfter                                   series
-	captureWins, energyTotal, energyMax, energyDeaths                      series
-	firstDeath, lifetime                                                   series
-	byType                                                                 map[wire.Type]*series
+	series [len(metricTable)]series
+	byType map[wire.Type]*series
 }
 
-// series accumulates one metric either as the raw sample (batch mode) or
-// as streaming state, depending on the owning Accumulator's mode.
+// series accumulates one metric: a mean either as the raw sample (batch
+// mode) or as streaming state, depending on the owning Accumulator's mode,
+// or a proportion's counts.
 type series struct {
 	xs     []float64
 	stream metrics.Stream
+	prop   metrics.Proportion
 }
 
 func (s *series) add(x float64, keep bool) {
@@ -129,62 +126,21 @@ func (a *Accumulator) Add(r *core.Result) {
 	if a.KeepResults {
 		a.agg.Results = append(a.agg.Results, r)
 	}
-	a.agg.CaptureRatio.Trials++
-	a.agg.ScheduleValid.Trials++
-	if r.Captured {
-		a.agg.CaptureRatio.Successes++
-		a.capPeriods.add(r.CapturePeriods, a.KeepResults)
-	}
-	if r.ScheduleValid() {
-		a.agg.ScheduleValid.Successes++
-	}
-	if a.spec.Config.HasSearchPhase() {
-		a.agg.SearchSucceeded.Trials++
-		if r.ChangedNodes > 0 {
-			a.agg.SearchSucceeded.Successes++
+	for i := range metricTable {
+		m := &metricTable[i]
+		x, observed := m.value(r, &a.spec.Config)
+		s := &a.series[i]
+		switch {
+		case m.Reduce == Proportion:
+			if observed {
+				s.prop.Trials++
+				if x != 0 {
+					s.prop.Successes++
+				}
+			}
+		case m.Reduce == Mean || observed:
+			s.add(x, a.KeepResults)
 		}
-	}
-	a.ctrlMsgs.add(float64(r.ControlMessages()), a.KeepResults)
-	a.ctrlBytes.add(float64(r.ControlBytes()), a.KeepResults)
-	a.totMsgs.add(float64(r.TotalMessages()), a.KeepResults)
-	a.changed.add(float64(r.ChangedNodes), a.KeepResults)
-	a.deliveries.add(float64(r.SourceDeliveries), a.KeepResults)
-	if l := r.MeanDeliveryLatency(); l >= 0 {
-		a.latency.add(l, a.KeepResults)
-	}
-	if len(r.AttackerMoves) > 0 {
-		var moves int
-		for _, m := range r.AttackerMoves {
-			moves += m
-		}
-		a.attackerMoves.add(float64(moves)/float64(len(r.AttackerMoves)), a.KeepResults)
-	}
-	a.nodesFailed.add(float64(r.NodesFailed), a.KeepResults)
-	a.nodesRecovered.add(float64(r.NodesRecovered), a.KeepResults)
-	// RepairPeriods is -1 when no repair was observed (always, for
-	// fault-free runs); like latency, only observed repairs are averaged.
-	if r.RepairPeriods >= 0 {
-		a.repair.add(r.RepairPeriods, a.KeepResults)
-	}
-	a.delivBefore.add(r.DeliveryBefore, a.KeepResults)
-	a.delivDuring.add(r.DeliveryDuring, a.KeepResults)
-	a.delivAfter.add(r.DeliveryAfter, a.KeepResults)
-	a.agg.Partitions.Trials++
-	if r.PartitionDetected {
-		a.agg.Partitions.Successes++
-	}
-	a.captureWins.add(float64(r.RadioStats.CaptureWins), a.KeepResults)
-	a.energyTotal.add(r.EnergyTotalMJ, a.KeepResults)
-	a.energyMax.add(r.EnergyMaxMJ, a.KeepResults)
-	a.energyDeaths.add(float64(r.EnergyDeaths), a.KeepResults)
-	// FirstDeathPeriod and LifetimePeriods are -1 sentinels for energy-off
-	// runs (and, for first death, runs where no battery ran out); like
-	// latency and repair, only observed values are averaged.
-	if r.FirstDeathPeriod >= 0 {
-		a.firstDeath.add(r.FirstDeathPeriod, a.KeepResults)
-	}
-	if r.LifetimePeriods >= 0 {
-		a.lifetime.add(r.LifetimePeriods, a.KeepResults)
 	}
 	//lint:ignore mapiter independent per-type series updates, order-free
 	for t, s := range r.Messages {
@@ -199,26 +155,14 @@ func (a *Accumulator) Add(r *core.Result) {
 
 // Finalize summarises everything added so far and returns the aggregate.
 func (a *Accumulator) Finalize() *Aggregate {
-	a.agg.CapturePeriods = a.capPeriods.summary(a.KeepResults)
-	a.agg.ControlMessages = a.ctrlMsgs.summary(a.KeepResults)
-	a.agg.ControlBytes = a.ctrlBytes.summary(a.KeepResults)
-	a.agg.TotalMessages = a.totMsgs.summary(a.KeepResults)
-	a.agg.ChangedNodes = a.changed.summary(a.KeepResults)
-	a.agg.SourceDeliveries = a.deliveries.summary(a.KeepResults)
-	a.agg.DeliveryLatency = a.latency.summary(a.KeepResults)
-	a.agg.AttackerMoves = a.attackerMoves.summary(a.KeepResults)
-	a.agg.NodesFailed = a.nodesFailed.summary(a.KeepResults)
-	a.agg.NodesRecovered = a.nodesRecovered.summary(a.KeepResults)
-	a.agg.RepairPeriods = a.repair.summary(a.KeepResults)
-	a.agg.DeliveryBefore = a.delivBefore.summary(a.KeepResults)
-	a.agg.DeliveryDuring = a.delivDuring.summary(a.KeepResults)
-	a.agg.DeliveryAfter = a.delivAfter.summary(a.KeepResults)
-	a.agg.CaptureWins = a.captureWins.summary(a.KeepResults)
-	a.agg.EnergyTotal = a.energyTotal.summary(a.KeepResults)
-	a.agg.EnergyMax = a.energyMax.summary(a.KeepResults)
-	a.agg.EnergyDeaths = a.energyDeaths.summary(a.KeepResults)
-	a.agg.FirstDeathPeriod = a.firstDeath.summary(a.KeepResults)
-	a.agg.LifetimePeriods = a.lifetime.summary(a.KeepResults)
+	for i := range metricTable {
+		switch f := a.agg.field(i).(type) {
+		case *metrics.Summary:
+			*f = a.series[i].summary(a.KeepResults)
+		case *metrics.Proportion:
+			*f = a.series[i].prop
+		}
+	}
 	//lint:ignore mapiter map-to-map copy keyed by the same key, order-free
 	for t, s := range a.byType {
 		a.agg.MessagesByType[t] = s.summary(a.KeepResults)
