@@ -76,9 +76,9 @@ func TestCampaignColumnsGolden(t *testing.T) {
 	// this spec cannot move: every TDMA family delivers within one period,
 	// and no run fails.
 	exempt := map[string]bool{"delivery_latency_slots": true, "failures": true}
-	rows, err := campaign.ReadJSONL(bytes.NewReader(jsonlBuf.Bytes()))
+	rows, _, err := campaign.ReadRows(bytes.NewReader(jsonlBuf.Bytes()), "jsonl")
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadRows: %v", err)
 	}
 	if len(rows) != 18 {
 		t.Fatalf("%d rows, want 18", len(rows))

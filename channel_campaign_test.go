@@ -58,9 +58,9 @@ func TestChannelEnergyCampaignDeterministic(t *testing.T) {
 	if !strings.Contains(string(want), `"energy":"battery:8"`) {
 		t.Fatalf("rows do not carry the canonical energy coordinate:\n%s", want)
 	}
-	rows, err := campaign.ReadJSONL(bytes.NewReader(want))
+	rows, _, err := campaign.ReadRows(bytes.NewReader(want), "jsonl")
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadRows: %v", err)
 	}
 	var deaths float64
 	for _, r := range rows {
@@ -100,13 +100,13 @@ func TestChannelEnergyCampaignDeterministic(t *testing.T) {
 	// Kill mid-file and resume: recover completed cells from the torn
 	// prefix, append the rest, and the file must match the reference.
 	for _, cut := range []int{0, len(want) / 2, len(want) - 2} {
-		completed, valid, err := campaign.ScanCompleted(bytes.NewReader(want[:cut]))
+		spec := channelCampaignSpec(4)
+		completed, valid, err := spec.ScanResumable(bytes.NewReader(want[:cut]), "jsonl")
 		if err != nil {
-			t.Fatalf("cut %d: ScanCompleted: %v", cut, err)
+			t.Fatalf("cut %d: ScanResumable: %v", cut, err)
 		}
 		file := bytes.NewBuffer(append([]byte(nil), want[:valid]...))
-		spec := channelCampaignSpec(4)
-		spec.Skip = func(cell int) bool { return completed[cell] }
+		spec.Skip = completed
 		sink := campaign.NewJSONL(file)
 		if _, err := slpdas.RunCampaign(spec, sink); err != nil {
 			t.Fatalf("cut %d: resume: %v", cut, err)

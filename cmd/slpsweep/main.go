@@ -16,7 +16,8 @@
 //	-resume    scans -out for already-completed cells (dropping any torn
 //	           final line a kill left behind), then appends only the
 //	           missing rows — the finished file is byte-identical to an
-//	           uninterrupted run;
+//	           uninterrupted run. A file whose rows belong to other flags,
+//	           or repeat or reorder cells, is refused with exit 1;
 //	-shard i/n runs the i-th of n deterministic stride slices of the cell
 //	           matrix; merge the per-shard outputs with slpmerge.
 //
@@ -32,7 +33,7 @@
 //	         [-faults SPEC,...] (fault.Parse grammar; -help lists it)
 //	         [-energy none,battery:<capacity>[:<tx>:<rx>:<idle>]]
 //	         [-repeats N] [-seed S] [-workers W]
-//	         [-path-cap off|full|N] [-out results.jsonl] [-format jsonl|csv]
+//	         [-out results.jsonl] [-format jsonl|csv]
 //	         [-resume] [-shard i/n] [-checkpoint N] [-quiet]
 package main
 
@@ -72,7 +73,6 @@ func run(args []string) int {
 	faultsArg := fs.String("faults", "none", "comma-separated fault-injection axis: "+fault.Grammar)
 	energyArg := fs.String("energy", "none", "comma-separated energy axis: none, battery:<capacity>[:<tx>:<rx>:<idle>] (mJ)")
 	repeats := fs.Int("repeats", 10, "simulation repetitions per cell")
-	pathCapArg := fs.String("path-cap", "off", "attacker-walk recording per run: off (default; rows never render walks), full, or N to keep the first N locations")
 	seed := fs.Uint64("seed", 1, "base random seed")
 	workers := fs.Int("workers", 0, "total concurrent simulations (0 = GOMAXPROCS)")
 	out := fs.String("out", "", "output file (empty = stdout)")
@@ -103,10 +103,6 @@ func run(args []string) int {
 	spec.BaseSeed = *seed
 	spec.Workers = *workers
 	spec.CheckpointEvery = *checkpointEvery
-	if spec.PathCap, err = parsePathCap(*pathCapArg); err != nil {
-		fmt.Fprintf(os.Stderr, "slpsweep: -path-cap: %v\n", err)
-		return 2
-	}
 	if *shardArg != "" {
 		sh, err := parseShard(*shardArg)
 		if err != nil {
@@ -144,7 +140,7 @@ func run(args []string) int {
 		}
 		outFile, w = f, f
 		csvAppend = hasHeader
-		spec.Skip = func(cell int) bool { return completed[cell] }
+		spec.Skip = completed
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "slpsweep: resuming %s: %d cells already complete\n", *out, len(completed))
 		}
@@ -192,23 +188,6 @@ func run(args []string) int {
 		}
 	}
 	return 0
-}
-
-// parsePathCap maps the -path-cap flag onto campaign.Spec.PathCap: "off"
-// (or 0) disables walk recording, "full" records every visited location,
-// and a positive N keeps the first N locations per attacker per run.
-func parsePathCap(s string) (int, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "off", "0", "":
-		return 0, nil
-	case "full":
-		return campaign.PathFull, nil
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("bad value %q (want off, full, or a positive integer)", s)
-	}
-	return n, nil
 }
 
 // parseShard parses "i/n" into a campaign.Shard; range validation is the

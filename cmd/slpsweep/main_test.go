@@ -124,7 +124,7 @@ func TestCLIShardsTileTheMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, _, err := campaign.LoadRows(f)
+		rows, _, err := campaign.ReadRows(f, "jsonl")
 		f.Close()
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
@@ -150,8 +150,6 @@ func TestCLIFlagErrors(t *testing.T) {
 		"shard out of range": {"-shard", "3/3", "-quiet"},
 		"shard count zero":   {"-shard", "2/0", "-quiet"},
 		"bad loss nan":       {"-loss", "bernoulli:NaN", "-quiet"},
-		"bad path cap":       {"-path-cap", "sometimes", "-quiet"},
-		"negative path cap":  {"-path-cap", "-3", "-quiet"},
 	} {
 		if code := run(args); code == 0 {
 			t.Errorf("%s: exited 0, want failure", name)
@@ -163,47 +161,30 @@ func TestCLIFlagErrors(t *testing.T) {
 	}
 }
 
-// TestCLIPathCapDoesNotChangeRows pins the memory-vs-output contract of
-// -path-cap: rows are byte-identical whether walks are recorded in full,
-// capped, or (the default) not at all.
-func TestCLIPathCapDoesNotChangeRows(t *testing.T) {
+// TestCLIResumeRejectsDisorderedRows: a file that repeats or reorders
+// cells was not written by one campaign run; -resume must exit 1 and
+// leave it untouched rather than complete it into a file slpmerge
+// rejects.
+func TestCLIResumeRejectsDisorderedRows(t *testing.T) {
 	dir := t.TempDir()
-	outs := map[string]string{}
-	for _, cap := range []string{"off", "full", "5"} {
-		out := filepath.Join(dir, "cap-"+cap+".jsonl")
-		if code := run(sweepArgs(out, "-path-cap", cap)); code != 0 {
-			t.Fatalf("-path-cap %s: exit %d", cap, code)
-		}
-		outs[cap] = out
+	single := filepath.Join(dir, "single.jsonl")
+	if code := run(sweepArgs(single)); code != 0 {
+		t.Fatalf("full run exited %d", code)
 	}
-	want := readFile(t, outs["off"])
-	for _, cap := range []string{"full", "5"} {
-		if got := readFile(t, outs[cap]); !bytes.Equal(got, want) {
-			t.Errorf("-path-cap %s rows differ from -path-cap off:\n%s\nvs\n%s", cap, got, want)
+	lines := bytes.SplitAfter(readFile(t, single), []byte("\n"))
+	for name, bad := range map[string][]byte{
+		"duplicated row": bytes.Join([][]byte{lines[0], lines[0]}, nil),
+		"swapped rows":   bytes.Join([][]byte{lines[2], lines[0]}, nil),
+	} {
+		path := filepath.Join(dir, "bad.jsonl")
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestParsePathCap pins the flag grammar.
-func TestParsePathCap(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    int
-		wantErr bool
-	}{
-		{"off", 0, false}, {"OFF", 0, false}, {"0", 0, false}, {"", 0, false},
-		{"full", campaign.PathFull, false}, {"Full", campaign.PathFull, false},
-		{"7", 7, false},
-		{"-1", 0, true}, {"nope", 0, true}, {"1.5", 0, true},
-	}
-	for _, tc := range cases {
-		got, err := parsePathCap(tc.in)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("parsePathCap(%q) error = %v, wantErr %v", tc.in, err, tc.wantErr)
-			continue
+		if code := run(sweepArgs(path, "-resume")); code != 1 {
+			t.Errorf("%s: resume exited %d, want 1", name, code)
 		}
-		if err == nil && got != tc.want {
-			t.Errorf("parsePathCap(%q) = %d, want %d", tc.in, got, tc.want)
+		if got := readFile(t, path); !bytes.Equal(got, bad) {
+			t.Errorf("%s: refused resume modified the file", name)
 		}
 	}
 }

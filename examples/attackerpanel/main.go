@@ -41,8 +41,7 @@ func main() {
 		BaseSeed:        100,
 	}
 
-	mem := &campaign.Memory{}
-	sum, err := slpdas.RunCampaign(spec, mem)
+	sum, err := slpdas.RunCampaign(spec)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}
@@ -57,8 +56,8 @@ func main() {
 		protocol string
 		count    int
 	}
-	ratio := make(map[key]string, len(mem.Rows()))
-	for _, r := range mem.Rows() {
+	ratio := make(map[key]string, len(sum.Rows))
+	for _, r := range sum.Rows {
 		ratio[key{r.Strategy, r.Protocol, r.Attackers}] =
 			fmt.Sprintf("%.0f%% (%d/%d)", r.CaptureRatio*100, r.Captures, r.Runs)
 	}

@@ -1,8 +1,8 @@
 // Campaign example: the Figure 5 sweep — capture ratio vs network size
 // for both protocols — expressed as one declarative campaign.Spec instead
 // of nested loops. Rows stream to a buffered JSONL sink as cells finish
-// (durable once the sink is closed); the in-memory sink renders the
-// paper's table at the end from the same stream.
+// (durable once the sink is closed); the paper's table is rendered at the
+// end from the same rows, which the campaign Summary also returns.
 package main
 
 import (
@@ -23,23 +23,22 @@ func main() {
 	}
 	defer out.Close()
 
-	mem := &campaign.Memory{}
 	jsonl := campaign.NewJSONL(out)
 	sum, err := slpdas.RunCampaign(campaign.Spec{
 		GridSizes:       []int{11, 15, 21}, // Figure 5's x-axis
 		SearchDistances: []int{3},          // Figure 5(a)
 		Repeats:         repeats,
 		BaseSeed:        1,
-		// Checkpoint the sinks every other cell: if this process dies,
+		// Flush the sink every other cell: if this process dies,
 		// everything up to the last checkpoint is already durable in
 		// results.jsonl, and re-running with the completed cells skipped
-		// (campaign.ScanCompleted + Spec.Skip, or slpsweep -resume)
-		// appends only what is missing.
+		// (Spec.ScanResumable + Spec.Skip, or slpsweep -resume) appends
+		// only what is missing.
 		CheckpointEvery: 2,
 		Progress: func(done, total int, row campaign.Row) {
 			fmt.Fprintf(os.Stderr, "  [%d/%d] %s %s done\n", done, total, row.Topology, row.Protocol)
 		},
-	}, jsonl, mem)
+	}, jsonl)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}
@@ -52,7 +51,7 @@ func main() {
 		sum.Cells, sum.Cells*repeats)
 	fmt.Println("size  protectionless  slp-das  reduction")
 	rowsBySize := map[int]map[string]campaign.Row{}
-	for _, r := range mem.Rows() {
+	for _, r := range sum.Rows {
 		if rowsBySize[r.GridSize] == nil {
 			rowsBySize[r.GridSize] = map[string]campaign.Row{}
 		}

@@ -35,8 +35,7 @@ func main() {
 		BaseSeed:        2017,
 	}
 
-	mem := &campaign.Memory{}
-	sum, err := slpdas.RunCampaign(spec, mem)
+	sum, err := slpdas.RunCampaign(spec)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}
@@ -45,8 +44,8 @@ func main() {
 		size, size, sum.Cells, repeats)
 
 	type key struct{ protocol, faults string }
-	byCell := make(map[key]campaign.Row, len(mem.Rows()))
-	for _, r := range mem.Rows() {
+	byCell := make(map[key]campaign.Row, len(sum.Rows))
+	for _, r := range sum.Rows {
 		byCell[key{r.Protocol, r.Faults}] = r
 	}
 	tbl := metrics.NewTable("protocol", "faults", "capture", "failed/run",

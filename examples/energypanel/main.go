@@ -41,8 +41,7 @@ func main() {
 		BaseSeed:        2017,
 	}
 
-	mem := &campaign.Memory{}
-	sum, err := slpdas.RunCampaign(spec, mem)
+	sum, err := slpdas.RunCampaign(spec)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}
@@ -51,8 +50,8 @@ func main() {
 		size, size, sum.Cells, repeats)
 
 	type key struct{ protocol, channel, energy string }
-	byCell := make(map[key]campaign.Row, len(mem.Rows()))
-	for _, r := range mem.Rows() {
+	byCell := make(map[key]campaign.Row, len(sum.Rows))
+	for _, r := range sum.Rows {
 		byCell[key{r.Protocol, r.LossModel, r.Energy}] = r
 	}
 	tbl := metrics.NewTable("protocol", "channel", "energy", "capture",

@@ -39,8 +39,7 @@ func main() {
 		BaseSeed:        2017,
 	}
 
-	mem := &campaign.Memory{}
-	sum, err := slpdas.RunCampaign(spec, mem)
+	sum, err := slpdas.RunCampaign(spec)
 	if err != nil {
 		log.Fatalf("campaign: %v", err)
 	}
@@ -52,8 +51,8 @@ func main() {
 	// strategy, plus the latency and traffic columns shared by every cell
 	// of the first strategy (the strategy axis only moves the attacker).
 	type key struct{ protocol, strategy string }
-	byCell := make(map[key]campaign.Row, len(mem.Rows()))
-	for _, r := range mem.Rows() {
+	byCell := make(map[key]campaign.Row, len(sum.Rows))
+	for _, r := range sum.Rows {
 		byCell[key{r.Protocol, r.Strategy}] = r
 	}
 	tbl := metrics.NewTable("protocol", "capture (first-heard)", "capture (unvisited-first)",

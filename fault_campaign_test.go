@@ -78,13 +78,13 @@ func TestFaultAxisCampaignDeterministic(t *testing.T) {
 	// Kill mid-file and resume: recover completed cells from the torn
 	// prefix, append the rest, and the file must match the reference.
 	for _, cut := range []int{0, len(want) / 2, len(want) - 2} {
-		completed, valid, err := campaign.ScanCompleted(bytes.NewReader(want[:cut]))
+		spec := faultCampaignSpec(4)
+		completed, valid, err := spec.ScanResumable(bytes.NewReader(want[:cut]), "jsonl")
 		if err != nil {
-			t.Fatalf("cut %d: ScanCompleted: %v", cut, err)
+			t.Fatalf("cut %d: ScanResumable: %v", cut, err)
 		}
 		file := bytes.NewBuffer(append([]byte(nil), want[:valid]...))
-		spec := faultCampaignSpec(4)
-		spec.Skip = func(cell int) bool { return completed[cell] }
+		spec.Skip = completed
 		sink := campaign.NewJSONL(file)
 		if _, err := slpdas.RunCampaign(spec, sink); err != nil {
 			t.Fatalf("cut %d: resume: %v", cut, err)

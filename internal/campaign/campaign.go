@@ -3,9 +3,10 @@
 // distances, attacker strengths, channels and collision settings —
 // into the full Cartesian job matrix of experimental cells, executes every
 // repeat of every cell through one shared bounded worker pool, and streams
-// one summary Row per cell to pluggable sinks (JSONL, CSV, in-memory) as
-// cells complete. The whole of the paper's evaluation (Figure 5, Table I
-// defaults, the overhead claim) is one Spec; so are the scenario grids of
+// one summary Row per cell to pluggable sinks (JSONL, CSV) as cells
+// complete; Run also returns every row in its Summary. The whole of the
+// paper's evaluation (Figure 5, Table I defaults, the overhead claim) is
+// one Spec; so are the scenario grids of
 // the broader SLP literature (sector phantom routing, private aggregation
 // surveys) that sweep attacker and topology parameters far wider.
 //
@@ -15,10 +16,10 @@
 //
 // That purity is what makes campaigns restartable and horizontally
 // shardable: every row depends only on its cell's coordinates, never on
-// which process computed it or which cells ran alongside. Spec.Skip (or
-// CompletedCells) resumes an interrupted campaign from the cells already
-// durable in its output file (ScanCompleted recovers them, tolerating a
-// torn final line); Spec.Shard runs one deterministic stride slice of the
+// which process computed it or which cells ran alongside. Spec.Skip
+// resumes an interrupted campaign from the cells already durable in its
+// output file (Spec.ScanResumable recovers them, tolerating a torn final
+// line); Spec.Shard runs one deterministic stride slice of the
 // matrix per process or machine; MergeJSONL reassembles shard outputs in
 // canonical cell order. Sharded-then-merged, killed-then-resumed and
 // single-process runs of one Spec are byte-identical.
@@ -117,37 +118,23 @@ type Spec struct {
 	// absolute position; skipped cells produce no call.
 	Progress func(done, total int, row Row)
 
-	// Skip, when non-nil, reports cells to omit: they are neither executed
-	// nor emitted, but keep their place in the matrix, so the indices,
-	// seeds and row bytes of every remaining cell are identical to a full
-	// run. This is the resume primitive — feed it the set recovered by
-	// ScanCompleted and the appended output completes the original file.
-	Skip func(cell int) bool
-	// CompletedCells is the declarative form of Skip (the two compose):
-	// cells listed here are skipped.
-	CompletedCells []int
+	// Skip holds cells to omit: they are neither executed nor emitted,
+	// but keep their place in the matrix, so the indices, seeds and row
+	// bytes of every remaining cell are identical to a full run. This is
+	// the resume primitive — feed it the set recovered by ScanResumable
+	// and the appended output completes the original file.
+	Skip map[int]bool
 	// Shard selects one deterministic 1/Count slice of the cell matrix in
 	// stride layout (cell c runs on shard c mod Count), so shards of a
 	// heterogeneous matrix finish in near-equal time. The zero value runs
 	// everything. Shard composes with Skip, and merges back with
 	// MergeJSONL / cmd/slpmerge.
 	Shard Shard
-	// CheckpointEvery, when positive, checkpoints every sink implementing
-	// CheckpointSink after each N emitted rows, bounding how much a crash
-	// can lose to the rows since the last checkpoint.
+	// CheckpointEvery, when positive, flushes every sink after each N
+	// emitted rows, bounding how much a crash can lose to the rows since
+	// the last checkpoint.
 	CheckpointEvery int
-
-	// PathCap governs attacker-walk recording inside every cell's config.
-	// Campaign rows never render walks, so the zero value disables
-	// recording entirely (core.PathRecordingOff) — at 10⁵–10⁶ nodes a
-	// full walk is pure wasted memory per run. Set PathFull to record
-	// complete walks anyway, or N > 0 to keep the first N locations.
-	PathCap int
 }
-
-// PathFull requests uncapped attacker-walk recording in Spec.PathCap,
-// restoring core.Config's default behaviour inside campaign cells.
-const PathFull = -1
 
 // Shard identifies one slice of a sharded campaign: shard Index of Count
 // total. Count < 2 means no sharding (with Count == 1, Index must be 0).
@@ -155,8 +142,8 @@ type Shard struct {
 	Index, Count int
 }
 
-// skipFunc validates the shard and folds Shard, CompletedCells and Skip
-// into one predicate.
+// skipFunc validates the shard and folds Shard and Skip into one
+// predicate.
 func (s Spec) skipFunc() (func(cell int) bool, error) {
 	sh := s.Shard
 	if sh.Count < 0 {
@@ -171,21 +158,8 @@ func (s Spec) skipFunc() (func(cell int) bool, error) {
 	if sh.Count > 0 && (sh.Index < 0 || sh.Index >= sh.Count) {
 		return nil, fmt.Errorf("campaign: shard index %d out of range [0, %d)", sh.Index, sh.Count)
 	}
-	var completed map[int]bool
-	if len(s.CompletedCells) > 0 {
-		completed = make(map[int]bool, len(s.CompletedCells))
-		for _, c := range s.CompletedCells {
-			completed[c] = true
-		}
-	}
 	return func(cell int) bool {
-		if sh.Count > 1 && cell%sh.Count != sh.Index {
-			return true
-		}
-		if completed[cell] {
-			return true
-		}
-		return s.Skip != nil && s.Skip(cell)
+		return s.Skip[cell] || (sh.Count > 1 && cell%sh.Count != sh.Index)
 	}, nil
 }
 
@@ -257,7 +231,6 @@ type Cell struct {
 	Energy         string // canonical energy.Spec string ("none" = accounting off)
 	Repeats        int
 	BaseSeed       uint64 // repeat r runs on BaseSeed + r
-	PathCap        int    // Spec.PathCap semantics (0 = recording off)
 }
 
 func (c Cell) config() (core.Config, error) {
@@ -270,19 +243,9 @@ func (c Cell) config() (core.Config, error) {
 	if err != nil {
 		return core.Config{}, err
 	}
-	// Translate the campaign-level PathCap (zero value = off, PathFull =
-	// record everything) onto core.Config's (zero value = record
-	// everything, PathRecordingOff = off).
-	switch {
-	case c.PathCap == 0:
-		cfg.PathCap = core.PathRecordingOff
-	case c.PathCap == PathFull:
-		cfg.PathCap = 0
-	case c.PathCap > 0:
-		cfg.PathCap = c.PathCap
-	default:
-		return core.Config{}, fmt.Errorf("campaign: path cap must be >= %d, got %d", PathFull, c.PathCap)
-	}
+	// Rows never render attacker walks, so cells do not record them: at
+	// 10⁵–10⁶ nodes a full walk is pure wasted memory per run.
+	cfg.PathCap = core.PathRecordingOff
 	return cfg, nil
 }
 
@@ -411,7 +374,6 @@ func (s Spec) Expand() ([]Cell, error) {
 													Energy:         en,
 													Repeats:        s.Repeats,
 													BaseSeed:       s.BaseSeed + uint64(idx)*uint64(s.Repeats),
-													PathCap:        s.PathCap,
 												})
 											}
 										}
@@ -432,7 +394,7 @@ func (s Spec) Expand() ([]Cell, error) {
 // Skip or Shard filtered some out, counted by Skipped).
 type Summary struct {
 	Cells    int
-	Skipped  int // cells omitted by Skip / CompletedCells / Shard
+	Skipped  int // cells omitted by Skip / Shard
 	Rows     []Row
 	Failures int // individual runs that errored, across all cells
 }
@@ -440,9 +402,9 @@ type Summary struct {
 // runner executes one repeat; tests substitute it to instrument the pool.
 type runner func(g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error)
 
-// Run expands the spec and executes every cell not excluded by Skip,
-// CompletedCells or Shard, streaming one Row per executed cell to each
-// sink in cell-index order as results become available.
+// Run expands the spec and executes every cell not excluded by Skip or
+// Shard, streaming one Row per executed cell to each sink in cell-index
+// order as results become available; Summary.Rows collects the same rows.
 // Failed runs are counted per row (and in Summary.Failures); the first
 // run error is returned alongside the summary of everything that
 // completed, mirroring experiment.Run's convention.
@@ -533,11 +495,7 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 		emitted++
 		if spec.CheckpointEvery > 0 && emitted%spec.CheckpointEvery == 0 {
 			for _, snk := range sinks {
-				cs, ok := snk.(CheckpointSink)
-				if !ok {
-					continue
-				}
-				if _, err := cs.Checkpoint(); err != nil {
+				if err := snk.Flush(); err != nil {
 					return fmt.Errorf("campaign: checkpoint: %w", err)
 				}
 			}

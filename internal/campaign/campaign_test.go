@@ -91,7 +91,7 @@ func TestRunFailsFastOnBadAxis(t *testing.T) {
 		"bad loss":     {GridSizes: []int{5}, Channels: []string{"bernoulli:2"}},
 		"sd 0 for slp": {GridSizes: []int{5}, Protocols: []string{SLPAware}, SearchDistances: []int{0}},
 	} {
-		if _, err := run(spec, exec, &Memory{}); err == nil {
+		if _, err := run(spec, exec); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -135,6 +135,27 @@ func stubRun(g *topo.Graph, _, _ topo.NodeID, cfg core.Config, seed uint64) (*co
 	return &core.Result{Seed: seed, Nodes: g.Len(), Captured: seed%2 == 0}, nil
 }
 
+// TestCellsRunWithPathRecordingOff: rows never render attacker walks, so
+// every repeat of every cell runs with walk recording off, whatever the
+// protocol or attacker team.
+func TestCellsRunWithPathRecordingOff(t *testing.T) {
+	var jobs atomic.Int32
+	exec := func(g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error) {
+		jobs.Add(1)
+		if cfg.PathCap != core.PathRecordingOff {
+			t.Errorf("seed %d ran with PathCap %d, want core.PathRecordingOff", seed, cfg.PathCap)
+		}
+		return stubRun(g, sink, source, cfg, seed)
+	}
+	spec := Spec{GridSizes: []int{5}, AttackerCounts: []int{1, 2}, Repeats: 3}
+	if _, err := run(spec, exec); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if n := jobs.Load(); n != 12 {
+		t.Errorf("%d jobs ran, want 12", n)
+	}
+}
+
 func TestWorkerPoolBounded(t *testing.T) {
 	var inFlight, peak atomic.Int32
 	exec := func(g *topo.Graph, sink, source topo.NodeID, cfg core.Config, seed uint64) (*core.Result, error) {
@@ -151,7 +172,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 	}
 	const workers = 3
 	spec := Spec{GridSizes: []int{5, 7}, SearchDistances: []int{1, 2}, Repeats: 6, Workers: workers}
-	sum, err := run(spec, exec, &Memory{})
+	sum, err := run(spec, exec)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -168,7 +189,6 @@ func TestWorkerPoolBounded(t *testing.T) {
 
 func TestRunStreamsRowsInCellOrder(t *testing.T) {
 	var progress []int
-	mem := &Memory{}
 	spec := Spec{
 		GridSizes: []int{5},
 		Protocols: []string{Protectionless, SLPAware},
@@ -180,11 +200,11 @@ func TestRunStreamsRowsInCellOrder(t *testing.T) {
 			progress = append(progress, done)
 		},
 	}
-	sum, err := run(spec, stubRun, mem)
+	sum, err := run(spec, stubRun)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	rows := mem.Rows()
+	rows := sum.Rows
 	if len(rows) != 2 || sum.Cells != 2 {
 		t.Fatalf("rows = %d, cells = %d", len(rows), sum.Cells)
 	}
@@ -209,15 +229,14 @@ func TestRunCountsFailures(t *testing.T) {
 		}
 		return stubRun(g, sink, source, cfg, seed)
 	}
-	mem := &Memory{}
-	sum, err := run(Spec{GridSizes: []int{5}, Protocols: []string{Protectionless}, Repeats: 6}, exec, mem)
+	sum, err := run(Spec{GridSizes: []int{5}, Protocols: []string{Protectionless}, Repeats: 6}, exec)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if sum.Failures != 2 {
 		t.Errorf("Failures = %d, want 2 (seeds 0 and 3)", sum.Failures)
 	}
-	if rows := mem.Rows(); len(rows) != 1 || rows[0].Failures != 2 || rows[0].Runs != 4 {
+	if rows := sum.Rows; len(rows) != 1 || rows[0].Failures != 2 || rows[0].Runs != 4 {
 		t.Errorf("rows = %+v", rows)
 	}
 }
@@ -225,20 +244,19 @@ func TestRunCountsFailures(t *testing.T) {
 // TestCampaignSimulates runs a real (tiny) campaign end to end through the
 // simulator, checking the rows carry live summary data.
 func TestCampaignSimulates(t *testing.T) {
-	mem := &Memory{}
 	sum, err := Run(Spec{
 		GridSizes:       []int{5},
 		SearchDistances: []int{2},
 		Repeats:         3,
 		BaseSeed:        1,
-	}, mem)
+	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if sum.Failures != 0 {
 		t.Fatalf("failures: %d", sum.Failures)
 	}
-	rows := mem.Rows()
+	rows := sum.Rows
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -328,7 +346,7 @@ func TestExpandRejectsUnknownStrategy(t *testing.T) {
 		t.Error("job executed despite invalid strategy")
 		return nil, nil
 	}
-	if _, err := run(Spec{GridSizes: []int{5}, Strategies: []string{"teleport"}}, exec, &Memory{}); err == nil {
+	if _, err := run(Spec{GridSizes: []int{5}, Strategies: []string{"teleport"}}, exec); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }
@@ -364,9 +382,9 @@ func TestStrategyAxisDeterminism(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Errorf("output differs between 1 and 4 workers:\n%s\nvs\n%s", a, b)
 	}
-	rows, err := ReadJSONL(bytes.NewReader(a))
+	rows, _, err := ReadRows(bytes.NewReader(a), "jsonl")
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadRows: %v", err)
 	}
 	if len(rows) != 12 {
 		t.Fatalf("rows = %d, want 12", len(rows))
@@ -410,9 +428,9 @@ func TestIntraCellParallelismLargeRGGDeterministic(t *testing.T) {
 		return buf.Bytes()
 	}
 	base := render(1)
-	rows, err := ReadJSONL(bytes.NewReader(base))
+	rows, _, err := ReadRows(bytes.NewReader(base), "jsonl")
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadRows: %v", err)
 	}
 	if len(rows) != 1 || rows[0].Repeats != 8 {
 		t.Fatalf("want one 8-repeat row, got %+v", rows)

@@ -21,11 +21,11 @@ func protocolSpec(protocols ...string) Spec {
 // change would splice two different experiments into one output file.
 func TestScanResumableRejectsForeignProtocolFamily(t *testing.T) {
 	spec := protocolSpec(protocol.NamePhantom)
-	mem := &Memory{}
-	if _, err := run(spec, stubRun, mem); err != nil {
+	sum, err := run(spec, stubRun)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	full := renderJSONL(t, mem.Rows())
+	full := renderJSONL(t, sum.Rows)
 
 	// Positive control: the file's own spec accepts it.
 	completed, _, err := spec.ScanResumable(bytes.NewReader(full), "jsonl")
@@ -59,11 +59,11 @@ func TestScanResumableRejectsForeignProtocolFamily(t *testing.T) {
 // renaming half the rows.
 func TestScanResumableAliasIsNotItsCanonicalName(t *testing.T) {
 	aliasSpec := protocolSpec(protocol.AliasSLP)
-	mem := &Memory{}
-	if _, err := run(aliasSpec, stubRun, mem); err != nil {
+	sum, err := run(aliasSpec, stubRun)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	full := renderJSONL(t, mem.Rows())
+	full := renderJSONL(t, sum.Rows)
 
 	if _, _, err := aliasSpec.ScanResumable(bytes.NewReader(full), "jsonl"); err != nil {
 		t.Fatalf("alias spec rejected its own file: %v", err)

@@ -3,6 +3,9 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,75 +26,12 @@ func renderJSONL(t *testing.T, rows []Row) []byte {
 	return buf.Bytes()
 }
 
-func TestLoadRowsToleratesTornTail(t *testing.T) {
-	rows := sampleRows()
-	full := renderJSONL(t, rows)
-	// Cut mid-way through the final line: the torn fragment must be
-	// invisible, and the reported offset must sit exactly past row 0.
-	firstLine := bytes.IndexByte(full, '\n') + 1
-	torn := full[:firstLine+10]
-	back, valid, err := LoadRows(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatalf("LoadRows: %v", err)
-	}
-	if len(back) != 1 || back[0].Cell != rows[0].Cell {
-		t.Fatalf("rows = %+v, want just cell %d", back, rows[0].Cell)
-	}
-	if valid != int64(firstLine) {
-		t.Errorf("valid = %d, want %d (end of the last complete line)", valid, firstLine)
-	}
-	// A complete final row WITHOUT a trailing newline is torn too: only
-	// newline-terminated lines count, so truncate-at-valid plus re-running
-	// the cell always reproduces the uninterrupted bytes.
-	back, valid, err = LoadRows(bytes.NewReader(full[:len(full)-1]))
-	if err != nil {
-		t.Fatalf("LoadRows: %v", err)
-	}
-	if len(back) != 1 || valid != int64(firstLine) {
-		t.Errorf("unterminated final row counted as complete: rows=%d valid=%d", len(back), valid)
-	}
-	// The intact file round-trips whole.
-	back, valid, err = LoadRows(bytes.NewReader(full))
-	if err != nil {
-		t.Fatalf("LoadRows: %v", err)
-	}
-	if len(back) != len(rows) || valid != int64(len(full)) {
-		t.Errorf("full file: rows=%d valid=%d, want %d/%d", len(back), valid, len(rows), len(full))
-	}
-}
-
-func TestLoadRowsRejectsMidFileCorruption(t *testing.T) {
-	// A malformed line that IS newline-terminated is not a torn tail; it
-	// must surface as an error, not be silently skipped.
-	if _, _, err := LoadRows(strings.NewReader("{\"cell\":0}\ngarbage\n{\"cell\":2}\n")); err == nil {
-		t.Error("newline-terminated garbage accepted")
-	}
-}
-
-func TestScanCompleted(t *testing.T) {
-	rows := []Row{{Cell: 0}, {Cell: 2}, {Cell: 5}}
-	full := renderJSONL(t, rows)
-	cells, valid, err := ScanCompleted(bytes.NewReader(append(full, []byte(`{"cell":7,"topo`)...)))
-	if err != nil {
-		t.Fatalf("ScanCompleted: %v", err)
-	}
-	if len(cells) != 3 || !cells[0] || !cells[2] || !cells[5] || cells[7] {
-		t.Errorf("cells = %v", cells)
-	}
-	if valid != int64(len(full)) {
-		t.Errorf("valid = %d, want %d", valid, len(full))
-	}
-	// Empty file: nothing completed, offset 0.
-	cells, valid, err = ScanCompleted(strings.NewReader(""))
-	if err != nil || len(cells) != 0 || valid != 0 {
-		t.Errorf("empty file: cells=%v valid=%d err=%v", cells, valid, err)
-	}
-}
-
-func TestScanCompletedCSV(t *testing.T) {
+// renderCSV writes rows through a CSV sink and returns the bytes.
+func renderCSV(t *testing.T, rows []Row) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	sink := NewCSV(&buf)
-	for _, r := range []Row{{Cell: 0}, {Cell: 3}} {
+	for _, r := range rows {
 		if err := sink.Write(r); err != nil {
 			t.Fatalf("Write: %v", err)
 		}
@@ -99,43 +39,97 @@ func TestScanCompletedCSV(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	full := buf.Bytes()
+	return buf.Bytes()
+}
 
-	cells, valid, err := ScanCompletedCSV(bytes.NewReader(full))
-	if err != nil {
-		t.Fatalf("ScanCompletedCSV: %v", err)
+// render writes rows in the given format.
+func render(t *testing.T, format string, rows []Row) []byte {
+	t.Helper()
+	if format == "csv" {
+		return renderCSV(t, rows)
 	}
-	if len(cells) != 2 || !cells[0] || !cells[3] {
-		t.Errorf("cells = %v", cells)
-	}
-	if valid != int64(len(full)) {
-		t.Errorf("valid = %d, want %d", valid, len(full))
-	}
+	return renderJSONL(t, rows)
+}
 
-	// Torn final record: only the header and the first record count, and
-	// the offset lands exactly between records.
-	lines := bytes.SplitAfter(full, []byte("\n"))
-	torn := append(append([]byte{}, lines[0]...), lines[1]...)
-	cut := len(torn)
-	torn = append(torn, lines[2][:4]...)
-	cells, valid, err = ScanCompletedCSV(bytes.NewReader(torn))
-	if err != nil {
-		t.Fatalf("ScanCompletedCSV(torn): %v", err)
+// TestReadRowsToleratesTornTail: in both formats only newline-terminated
+// lines are rows, and the offset sits exactly past the last of them.
+func TestReadRowsToleratesTornTail(t *testing.T) {
+	rows := []Row{{Cell: 0, Topology: "grid-7x7"}, {Cell: 2}, {Cell: 5}}
+	for _, format := range []string{"jsonl", "csv"} {
+		t.Run(format, func(t *testing.T) {
+			full := render(t, format, rows)
+			lines := bytes.SplitAfter(full, []byte("\n"))
+			// Complete lines before the final row: the header (CSV)
+			// plus every row but the last.
+			lastStart := len(full) - len(lines[len(lines)-2])
+			read := func(in []byte) ([]Row, int64) {
+				t.Helper()
+				back, valid, err := ReadRows(bytes.NewReader(in), format)
+				if err != nil {
+					t.Fatalf("ReadRows: %v", err)
+				}
+				return back, valid
+			}
+			// Cut mid-way through the final line: the torn fragment must
+			// be invisible.
+			back, valid := read(full[:lastStart+4])
+			if len(back) != 2 || back[1].Cell != 2 || valid != int64(lastStart) {
+				t.Errorf("torn: rows=%+v valid=%d, want cells 0, 2 and valid %d", back, valid, lastStart)
+			}
+			// A complete final row WITHOUT a trailing newline is torn
+			// too, so truncate-at-valid plus re-running the cell always
+			// reproduces the uninterrupted bytes.
+			back, valid = read(full[:len(full)-1])
+			if len(back) != 2 || valid != int64(lastStart) {
+				t.Errorf("unterminated final row counted as complete: rows=%d valid=%d", len(back), valid)
+			}
+			// The intact file round-trips whole.
+			back, valid = read(full)
+			if !reflect.DeepEqual(back, rows) || valid != int64(len(full)) {
+				t.Errorf("full file: rows=%+v valid=%d, want %d bytes", back, valid, len(full))
+			}
+			// Empty input: nothing completed, offset 0.
+			if back, valid = read(nil); len(back) != 0 || valid != 0 {
+				t.Errorf("empty input: rows=%d valid=%d", len(back), valid)
+			}
+		})
 	}
-	if len(cells) != 1 || !cells[0] || valid != int64(cut) {
-		t.Errorf("torn: cells=%v valid=%d want 1 cell, valid %d", cells, valid, cut)
-	}
+}
 
-	// A header-only file reports no cells but a non-zero offset, so a
-	// resume appends records without duplicating the header.
-	cells, valid, err = ScanCompletedCSV(bytes.NewReader(lines[0]))
-	if err != nil || len(cells) != 0 || valid != int64(len(lines[0])) {
-		t.Errorf("header-only: cells=%v valid=%d err=%v", cells, valid, err)
+// TestReadRowsRejectsGarbage: a malformed line that IS newline-terminated
+// is not a torn tail; it must surface as an error naming its line, never
+// be silently skipped.
+func TestReadRowsRejectsGarbage(t *testing.T) {
+	header := strings.Join(csvHeader, ",") + "\n"
+	record := string(renderCSV(t, []Row{{Cell: 1}})[len(header):])
+	for name, tc := range map[string]struct{ format, in, line string }{
+		"jsonl garbage":          {"jsonl", "{\"cell\":0}\nnot json\n", "line 2"},
+		"jsonl mid-file":         {"jsonl", "{\"cell\":0}\ngarbage\n{\"cell\":2}\n", "line 2"},
+		"jsonl blank line":       {"jsonl", "{\"cell\":0}\n\n", "line 2"},
+		"csv wrong header":       {"csv", "a,b,c\n", "line 1"},
+		"csv short record":       {"csv", header + "1,2\n", "line 2"},
+		"csv bad integer":        {"csv", header + "x" + record[1:], "line 2"},
+		"csv mid-file":           {"csv", header + "garbage\n" + record, "line 2"},
+		"csv unterminated quote": {"csv", header + record + "\"1,\n", "line 3"},
+	} {
+		_, _, err := ReadRows(strings.NewReader(tc.in), tc.format)
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("%s: err = %v, want an error at %s", name, err, tc.line)
+		}
 	}
+	if _, _, err := ReadRows(strings.NewReader(""), "parquet"); err == nil {
+		t.Error("unknown format accepted")
+	}
+}
 
-	// A wrong header is corruption, not a resumable file.
-	if _, _, err := ScanCompletedCSV(strings.NewReader("a,b,c\n")); err == nil {
-		t.Error("wrong header accepted")
+// TestReadRowsCSVHeaderOnly: a header-only file reports no rows but an
+// offset past the header, so a resume appends records without
+// duplicating it.
+func TestReadRowsCSVHeaderOnly(t *testing.T) {
+	header := strings.Join(csvHeader, ",") + "\n"
+	rows, valid, err := ReadRows(strings.NewReader(header), "csv")
+	if err != nil || len(rows) != 0 || valid != int64(len(header)) {
+		t.Errorf("header-only: rows=%v valid=%d err=%v", rows, valid, err)
 	}
 }
 
@@ -145,14 +139,13 @@ func TestScanCompletedCSV(t *testing.T) {
 func TestSkipKeepsSeedsAndRows(t *testing.T) {
 	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 3}
 
-	full := &Memory{}
-	if _, err := run(spec, stubRun, full); err != nil {
+	full, err := run(spec, stubRun)
+	if err != nil {
 		t.Fatalf("full run: %v", err)
 	}
 
-	partial := &Memory{}
 	s := spec
-	s.Skip = func(cell int) bool { return cell%2 == 0 }
+	s.Skip = map[int]bool{0: true, 2: true}
 	var progress []int
 	s.Progress = func(done, total int, row Row) {
 		if total != 4 {
@@ -160,18 +153,18 @@ func TestSkipKeepsSeedsAndRows(t *testing.T) {
 		}
 		progress = append(progress, done)
 	}
-	sum, err := run(s, stubRun, partial)
+	sum, err := run(s, stubRun)
 	if err != nil {
 		t.Fatalf("partial run: %v", err)
 	}
 	if sum.Cells != 4 || sum.Skipped != 2 {
 		t.Errorf("Cells=%d Skipped=%d, want 4/2", sum.Cells, sum.Skipped)
 	}
-	rows := partial.Rows()
+	rows := sum.Rows
 	if len(rows) != 2 || rows[0].Cell != 1 || rows[1].Cell != 3 {
 		t.Fatalf("rows = %+v", rows)
 	}
-	fullRows := full.Rows()
+	fullRows := full.Rows
 	for i, r := range rows {
 		if r != fullRows[r.Cell] {
 			t.Errorf("row %d differs from full run's cell %d:\n%+v\nvs\n%+v", i, r.Cell, r, fullRows[r.Cell])
@@ -183,17 +176,18 @@ func TestSkipKeepsSeedsAndRows(t *testing.T) {
 	}
 }
 
-func TestCompletedCellsComposeWithSkip(t *testing.T) {
+// TestSkipComposesWithShard: a resumed shard skips both the cells
+// outside its slice and the ones its file already holds.
+func TestSkipComposesWithShard(t *testing.T) {
 	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2}
-	spec.CompletedCells = []int{0, 3}
-	spec.Skip = func(cell int) bool { return cell == 1 }
-	mem := &Memory{}
-	sum, err := run(spec, stubRun, mem)
+	spec.Shard = Shard{Index: 1, Count: 2}
+	spec.Skip = map[int]bool{3: true}
+	sum, err := run(spec, stubRun)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rows := mem.Rows(); len(rows) != 1 || rows[0].Cell != 2 {
-		t.Errorf("rows = %+v, want just cell 2", rows)
+	if rows := sum.Rows; len(rows) != 1 || rows[0].Cell != 1 {
+		t.Errorf("rows = %+v, want just cell 1", rows)
 	}
 	if sum.Skipped != 3 {
 		t.Errorf("Skipped = %d, want 3", sum.Skipped)
@@ -201,14 +195,13 @@ func TestCompletedCellsComposeWithSkip(t *testing.T) {
 }
 
 func TestAllCellsSkipped(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Repeats: 2, Skip: func(int) bool { return true }}
-	mem := &Memory{}
-	sum, err := run(spec, stubRun, mem)
+	spec := Spec{GridSizes: []int{5}, Repeats: 2, Skip: map[int]bool{0: true, 1: true}}
+	sum, err := run(spec, stubRun)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if sum.Cells != 2 || sum.Skipped != 2 || len(mem.Rows()) != 0 {
-		t.Errorf("sum = %+v, rows = %d", sum, len(mem.Rows()))
+	if sum.Cells != 2 || sum.Skipped != 2 || len(sum.Rows) != 0 {
+		t.Errorf("sum = %+v", sum)
 	}
 }
 
@@ -216,26 +209,25 @@ func TestAllCellsSkipped(t *testing.T) {
 // and each emitting the same bytes the full run emits for those cells.
 func TestShardPartition(t *testing.T) {
 	spec := Spec{GridSizes: []int{5, 7}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2}
-	full := &Memory{}
-	if _, err := run(spec, stubRun, full); err != nil {
+	full, err := run(spec, stubRun)
+	if err != nil {
 		t.Fatalf("full run: %v", err)
 	}
-	fullRows := full.Rows()
+	fullRows := full.Rows
 
 	const n = 3
 	seen := make(map[int]Row)
 	for i := 0; i < n; i++ {
 		s := spec
 		s.Shard = Shard{Index: i, Count: n}
-		mem := &Memory{}
-		sum, err := run(s, stubRun, mem)
+		sum, err := run(s, stubRun)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
 		if sum.Cells != len(fullRows) {
 			t.Errorf("shard %d Cells = %d, want %d", i, sum.Cells, len(fullRows))
 		}
-		for _, r := range mem.Rows() {
+		for _, r := range sum.Rows {
 			if r.Cell%n != i {
 				t.Errorf("shard %d emitted cell %d (stride violation)", i, r.Cell)
 			}
@@ -263,65 +255,48 @@ func TestShardValidation(t *testing.T) {
 		"index 1 of count 1":     {Index: 1, Count: 1},
 		"nonzero index, count 0": {Index: 2, Count: 0},
 	} {
-		if _, err := run(Spec{GridSizes: []int{5}, Repeats: 1, Shard: sh}, stubRun, &Memory{}); err == nil {
+		if _, err := run(Spec{GridSizes: []int{5}, Repeats: 1, Shard: sh}, stubRun); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
 	// Count 1, index 0 is a degenerate but valid "everything" shard.
-	mem := &Memory{}
-	if _, err := run(Spec{GridSizes: []int{5}, Repeats: 1, Shard: Shard{Index: 0, Count: 1}}, stubRun, mem); err != nil {
-		t.Errorf("1-shard run: %v", err)
+	sum, err := run(Spec{GridSizes: []int{5}, Repeats: 1, Shard: Shard{Index: 0, Count: 1}}, stubRun)
+	if err != nil {
+		t.Fatalf("1-shard run: %v", err)
 	}
-	if len(mem.Rows()) != 2 {
-		t.Errorf("1-shard run emitted %d rows, want 2", len(mem.Rows()))
+	if len(sum.Rows) != 2 {
+		t.Errorf("1-shard run emitted %d rows, want 2", len(sum.Rows))
 	}
 }
 
-// checkpointCounter records Checkpoint calls.
-type checkpointCounter struct {
-	Memory
-	checkpoints []int
-}
-
-func (s *checkpointCounter) Checkpoint() (int, error) {
-	last, err := s.Memory.Checkpoint()
-	s.checkpoints = append(s.checkpoints, last)
-	return last, err
-}
-
-// TestCheckpointEvery: Run checkpoints capable sinks every N emitted
-// rows, with the high-water mark trailing the emission exactly.
+// TestCheckpointEvery: Run flushes every sink every N emitted rows, each
+// flush landing right after the row that completes the batch.
 func TestCheckpointEvery(t *testing.T) {
 	spec := Spec{GridSizes: []int{5, 7, 9}, SearchDistances: []int{1}, Repeats: 2, CheckpointEvery: 2}
-	sink := &checkpointCounter{}
+	sink := &recordSink{}
 	if _, err := run(spec, stubRun, sink); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	// 6 cells, checkpoint after rows 2, 4, 6 → marks 1, 3, 5.
-	want := []int{1, 3, 5}
-	if len(sink.checkpoints) != len(want) {
-		t.Fatalf("checkpoints = %v, want %v", sink.checkpoints, want)
-	}
-	for i, c := range sink.checkpoints {
-		if c != want[i] {
-			t.Errorf("checkpoint %d at cell %d, want %d", i, c, want[i])
-		}
+	// 6 cells, flushed after rows 2, 4, 6 → last cells 1, 3, 5.
+	if want := []int{1, 3, 5}; !reflect.DeepEqual(sink.flushes, want) {
+		t.Errorf("flushes after cells %v, want %v", sink.flushes, want)
 	}
 }
 
 func TestRunPropagatesCheckpointFailure(t *testing.T) {
-	sink := &failingCheckpointSink{}
+	sink := &failingFlushSink{}
 	_, err := run(Spec{GridSizes: []int{5}, Repeats: 1, CheckpointEvery: 1}, stubRun, sink)
 	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Errorf("err = %v, want checkpoint failure", err)
 	}
+	if len(sink.rows) != 1 {
+		t.Errorf("%d rows written after the failed flush, want the stream to stop at 1", len(sink.rows))
+	}
 }
 
-type failingCheckpointSink struct{ Memory }
+type failingFlushSink struct{ recordSink }
 
-func (s *failingCheckpointSink) Checkpoint() (int, error) {
-	return -1, errors.New("forced checkpoint failure")
-}
+func (s *failingFlushSink) Flush() error { return errors.New("forced flush failure") }
 
 // TestResumeAppendCompletesFile is the engine-level kill-and-resume
 // round trip: render a full campaign to JSONL, tear the file mid-row,
@@ -343,13 +318,13 @@ func TestResumeAppendCompletesFile(t *testing.T) {
 
 	// Tear at several points: mid first row, mid-file, mid last row.
 	for _, cut := range []int{10, len(full) / 2, len(full) - 3} {
-		completed, valid, err := ScanCompleted(bytes.NewReader(full[:cut]))
+		completed, valid, err := spec.ScanResumable(bytes.NewReader(full[:cut]), "jsonl")
 		if err != nil {
-			t.Fatalf("cut %d: ScanCompleted: %v", cut, err)
+			t.Fatalf("cut %d: ScanResumable: %v", cut, err)
 		}
 		resumed := bytes.NewBuffer(append([]byte(nil), full[:valid]...))
 		s := spec
-		s.Skip = func(cell int) bool { return completed[cell] }
+		s.Skip = completed
 		appendSink := NewJSONL(resumed)
 		if _, err := run(s, stubRun, appendSink); err != nil {
 			t.Fatalf("cut %d: resume run: %v", cut, err)
@@ -369,11 +344,11 @@ func TestResumeAppendCompletesFile(t *testing.T) {
 // silently mixing two campaigns in one file.
 func TestScanResumableRejectsForeignFile(t *testing.T) {
 	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
-	mem := &Memory{}
-	if _, err := run(spec, stubRun, mem); err != nil {
+	sum, err := run(spec, stubRun)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	full := renderJSONL(t, mem.Rows())
+	full := renderJSONL(t, sum.Rows)
 
 	// The file's own spec accepts it, torn or not.
 	completed, valid, err := spec.ScanResumable(bytes.NewReader(full[:len(full)-4]), "jsonl")
@@ -408,21 +383,11 @@ func TestScanResumableRejectsForeignFile(t *testing.T) {
 // coordinates, and tolerates a torn final record.
 func TestScanResumableCSV(t *testing.T) {
 	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
-	mem := &Memory{}
-	if _, err := run(spec, stubRun, mem); err != nil {
+	sum, err := run(spec, stubRun)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	var buf bytes.Buffer
-	sink := NewCSV(&buf)
-	for _, r := range mem.Rows() {
-		if err := sink.Write(r); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	full := buf.Bytes()
+	full := renderCSV(t, sum.Rows)
 
 	completed, valid, err := spec.ScanResumable(bytes.NewReader(full[:len(full)-4]), "csv")
 	if err != nil {
@@ -448,11 +413,11 @@ func TestScanResumableCSV(t *testing.T) {
 func TestScanResumableAcceptsOwnNormalizedDefaults(t *testing.T) {
 	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless},
 		AttackerCounts: []int{0}, Strategies: []string{""}, Repeats: 2, BaseSeed: 3}
-	mem := &Memory{}
-	if _, err := run(spec, stubRun, mem); err != nil {
+	sum, err := run(spec, stubRun)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	full := renderJSONL(t, mem.Rows())
+	full := renderJSONL(t, sum.Rows)
 	completed, _, err := spec.ScanResumable(bytes.NewReader(full), "jsonl")
 	if err != nil {
 		t.Fatalf("spec refused its own output: %v", err)
@@ -469,11 +434,11 @@ func TestScanResumableEnforcesShard(t *testing.T) {
 	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
 	s0 := spec
 	s0.Shard = Shard{Index: 0, Count: 3}
-	mem := &Memory{}
-	if _, err := run(s0, stubRun, mem); err != nil {
+	sum, err := run(s0, stubRun)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	full := renderJSONL(t, mem.Rows()) // cells 0 and 3
+	full := renderJSONL(t, sum.Rows) // cells 0 and 3
 
 	if _, _, err := s0.ScanResumable(bytes.NewReader(full), "jsonl"); err != nil {
 		t.Fatalf("own shard refused: %v", err)
@@ -486,4 +451,79 @@ func TestScanResumableEnforcesShard(t *testing.T) {
 	if _, _, err := spec.ScanResumable(bytes.NewReader(full), "jsonl"); err != nil {
 		t.Errorf("unsharded resume of a shard file refused: %v", err)
 	}
+}
+
+// TestScanResumableRejectsDisorderedRows: Run writes each cell once, in
+// increasing order, so a file that repeats or reorders cells was not
+// written by one run of the spec. Resuming it would leave a file that
+// slpmerge rejects; ScanResumable must refuse it, naming the line and
+// both cells.
+func TestScanResumableRejectsDisorderedRows(t *testing.T) {
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
+	sum, err := run(spec, stubRun)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	rows := sum.Rows
+	for _, format := range []string{"jsonl", "csv"} {
+		for name, tc := range map[string]struct {
+			rows []Row
+			want string
+		}{
+			"duplicated first row": {[]Row{rows[0], rows[0], rows[1]}, "cell 0 after cell 0"},
+			"swapped rows":         {[]Row{rows[2], rows[0], rows[1]}, "cell 0 after cell 2"},
+		} {
+			line := 2 // the second row, after the CSV header for csv
+			if format == "csv" {
+				line = 3
+			}
+			in := render(t, format, tc.rows)
+			_, _, err := spec.ScanResumable(bytes.NewReader(in), format)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", line)) {
+				t.Errorf("%s %s: err = %v, want line %d and %q", format, name, err, line, tc.want)
+			}
+		}
+	}
+}
+
+// FuzzReadRows: the resume reader parses files from outside the program,
+// so on any input, in either format, it must not panic, and when it
+// accepts the input its offset must be a line boundary inside it from
+// which reading back yields the same rows and offset — the invariant a
+// resume relies on when it truncates the file there and appends.
+func FuzzReadRows(f *testing.F) {
+	for _, name := range []string{"jsonl", "csv"} {
+		golden, err := os.ReadFile("../../testdata/campaign_columns." + name + ".golden")
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := bytes.SplitAfter(golden, []byte("\n"))
+		f.Add(bytes.Join(lines[:2], nil), name == "csv")
+		f.Add(append(bytes.Join(lines[:2], nil), lines[2][:9]...), name == "csv")
+	}
+	f.Fuzz(func(t *testing.T, in []byte, asCSV bool) {
+		format := "jsonl"
+		if asCSV {
+			format = "csv"
+		}
+		rows, offset, err := ReadRows(bytes.NewReader(in), format)
+		if err != nil {
+			return
+		}
+		if offset < 0 || offset > int64(len(in)) {
+			t.Fatalf("offset %d outside the %d-byte input", offset, len(in))
+		}
+		if offset > 0 && in[offset-1] != '\n' {
+			t.Fatalf("offset %d does not follow a newline", offset)
+		}
+		again, offset2, err := ReadRows(bytes.NewReader(in[:offset]), format)
+		if err != nil {
+			t.Fatalf("the accepted prefix fails to read back: %v", err)
+		}
+		// Compare printed forms: a CSV field may legitimately parse to
+		// NaN, which never equals itself.
+		if offset2 != offset || fmt.Sprint(again) != fmt.Sprint(rows) {
+			t.Fatalf("prefix read back %d rows to offset %d, want %d rows to %d", len(again), offset2, len(rows), offset)
+		}
+	})
 }

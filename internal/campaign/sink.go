@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-	"sync"
 
 	"slpdas/internal/experiment"
 	"slpdas/internal/topo"
@@ -193,25 +192,14 @@ func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
 // Sink receives campaign rows as cells complete. Write is always called
 // from a single goroutine, in cell-index order. The file-backed sinks
 // buffer: rows are only guaranteed durable in the underlying writer after
-// Flush or Close, so every campaign must Close its sinks (and may Flush at
-// checkpoints if it wants partial output to survive an interrupt). Sinks
-// do not own the underlying writer.
+// Flush or Close. Run calls Flush every Spec.CheckpointEvery rows, which
+// is what makes an interrupted campaign resumable from its output file
+// (see Spec.ScanResumable); every campaign must Close its sinks. Sinks do
+// not own the underlying writer.
 type Sink interface {
 	Write(Row) error
+	Flush() error
 	Close() error
-}
-
-// CheckpointSink is a Sink with durable checkpoints: Checkpoint flushes
-// every buffered row to the underlying writer and returns the highest
-// cell index that is now durable (-1 before any row). Because Run emits
-// rows in increasing cell order, everything at or below that index has
-// been handed to the underlying writer, which is what makes an
-// interrupted campaign resumable from its output file (see ScanCompleted
-// and Spec.Skip). The file sinks, Memory and Multi all implement it;
-// Spec.CheckpointEvery drives it from inside Run.
-type CheckpointSink interface {
-	Sink
-	Checkpoint() (lastCell int, err error)
 }
 
 // JSONL streams rows as one JSON object per line — the resumable,
@@ -219,13 +207,12 @@ type CheckpointSink interface {
 // (one row used to cost one syscall, which large sweeps feel); call Flush
 // for durability checkpoints and Close when the campaign ends.
 type JSONL struct {
-	w    *bufio.Writer
-	last int // highest cell written so far; -1 before any
+	w *bufio.Writer
 }
 
 // NewJSONL wraps w in a buffered JSONL sink.
 func NewJSONL(w io.Writer) *JSONL {
-	return &JSONL{w: bufio.NewWriter(w), last: -1}
+	return &JSONL{w: bufio.NewWriter(w)}
 }
 
 // Write implements Sink. The row lands in the buffer; it reaches the
@@ -238,43 +225,15 @@ func (s *JSONL) Write(r Row) error {
 	if _, err := s.w.Write(b); err != nil {
 		return err
 	}
-	if err := s.w.WriteByte('\n'); err != nil {
-		return err
-	}
-	if r.Cell > s.last {
-		s.last = r.Cell
-	}
-	return nil
+	return s.w.WriteByte('\n')
 }
 
-// Flush pushes every buffered row to the underlying writer.
+// Flush implements Sink, pushing every buffered row to the underlying
+// writer.
 func (s *JSONL) Flush() error { return s.w.Flush() }
-
-// Checkpoint implements CheckpointSink: it flushes and returns the
-// highest cell index now durable in the underlying writer.
-func (s *JSONL) Checkpoint() (int, error) {
-	if err := s.w.Flush(); err != nil {
-		return -1, err
-	}
-	return s.last, nil
-}
 
 // Close implements Sink, flushing all buffered rows.
 func (s *JSONL) Close() error { return s.w.Flush() }
-
-// ReadJSONL parses rows written by JSONL, for resumption and diffing.
-func ReadJSONL(r io.Reader) ([]Row, error) {
-	var rows []Row
-	dec := json.NewDecoder(r)
-	for dec.More() {
-		var row Row
-		if err := dec.Decode(&row); err != nil {
-			return nil, fmt.Errorf("campaign: parse jsonl row %d: %w", len(rows), err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
 
 // csvRecord renders a sanitised row as one CSV record, in csvHeader
 // order.
@@ -341,12 +300,11 @@ func parseCSVRecord(rec []string) (Row, error) {
 type CSV struct {
 	w          *csv.Writer
 	wroteFirst bool
-	last       int // highest cell written so far; -1 before any
 }
 
 // NewCSV wraps w in a CSV sink; the header is written with the first row.
 func NewCSV(w io.Writer) *CSV {
-	return &CSV{w: csv.NewWriter(w), last: -1}
+	return &CSV{w: csv.NewWriter(w)}
 }
 
 // NewCSVAppend wraps w in a CSV sink that never writes the header — for
@@ -365,129 +323,17 @@ func (s *CSV) Write(r Row) error {
 		}
 		s.wroteFirst = true
 	}
-	if err := s.w.Write(csvRecord(r)); err != nil {
-		return err
-	}
-	if r.Cell > s.last {
-		s.last = r.Cell
-	}
-	return nil
+	return s.w.Write(csvRecord(r))
 }
 
-// Flush pushes every buffered row to the underlying writer.
+// Flush implements Sink, pushing every buffered row to the underlying
+// writer.
 func (s *CSV) Flush() error {
 	s.w.Flush()
 	return s.w.Error()
-}
-
-// Checkpoint implements CheckpointSink: it flushes and returns the
-// highest cell index now durable in the underlying writer.
-func (s *CSV) Checkpoint() (int, error) {
-	if err := s.Flush(); err != nil {
-		return -1, err
-	}
-	return s.last, nil
 }
 
 // Close implements Sink, flushing all buffered rows.
 func (s *CSV) Close() error {
 	return s.Flush()
 }
-
-// Memory accumulates rows in memory — the sink tests and examples use to
-// inspect a campaign without touching disk.
-type Memory struct {
-	mu   sync.Mutex
-	rows []Row
-	last int // highest cell written; tracked so Checkpoint is O(1)
-}
-
-// Write implements Sink.
-func (s *Memory) Write(r Row) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.rows) == 0 || r.Cell > s.last {
-		s.last = r.Cell
-	}
-	s.rows = append(s.rows, r)
-	return nil
-}
-
-// Checkpoint implements CheckpointSink; memory is always "durable", so it
-// just reports the highest cell written.
-func (s *Memory) Checkpoint() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.rows) == 0 {
-		return -1, nil
-	}
-	return s.last, nil
-}
-
-// Close implements Sink.
-func (s *Memory) Close() error { return nil }
-
-// Rows returns a copy of everything written so far.
-func (s *Memory) Rows() []Row {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Row, len(s.rows))
-	copy(out, s.rows)
-	return out
-}
-
-// Multi fans every row out to several sinks, failing on the first error.
-type Multi []Sink
-
-// Write implements Sink.
-func (m Multi) Write(r Row) error {
-	for _, s := range m {
-		if err := s.Write(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Checkpoint implements CheckpointSink: it checkpoints every member that
-// supports checkpoints and returns the smallest of their high-water marks
-// — the safe resume point across the whole fan-out. Members without
-// checkpoint support are skipped; if none support it, Checkpoint reports
-// -1.
-func (m Multi) Checkpoint() (int, error) {
-	last, any := -1, false
-	for _, s := range m {
-		cs, ok := s.(CheckpointSink)
-		if !ok {
-			continue
-		}
-		c, err := cs.Checkpoint()
-		if err != nil {
-			return -1, err
-		}
-		if !any || c < last {
-			last = c
-		}
-		any = true
-	}
-	return last, nil
-}
-
-// Close implements Sink; it closes every sink and returns the first error.
-func (m Multi) Close() error {
-	var first error
-	for _, s := range m {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Interface compliance: the built-in sinks all support checkpoints.
-var (
-	_ CheckpointSink = (*JSONL)(nil)
-	_ CheckpointSink = (*CSV)(nil)
-	_ CheckpointSink = (*Memory)(nil)
-	_ CheckpointSink = Multi(nil)
-)

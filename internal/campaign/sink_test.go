@@ -53,18 +53,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != len(rows) {
 		t.Errorf("%d lines, want %d", got, len(rows))
 	}
-	back, err := ReadJSONL(&buf)
+	back, _, err := ReadRows(&buf, "jsonl")
 	if err != nil {
-		t.Fatalf("ReadJSONL: %v", err)
+		t.Fatalf("ReadRows: %v", err)
 	}
 	if !reflect.DeepEqual(back, rows) {
 		t.Errorf("round trip mismatch:\ngot  %+v\nwant %+v", back, rows)
-	}
-}
-
-func TestReadJSONLRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader("{\"cell\":0}\nnot json\n")); err == nil {
-		t.Error("garbage line accepted")
 	}
 }
 
@@ -179,28 +173,56 @@ func TestCSVHeaderMatchesRowShape(t *testing.T) {
 	}
 }
 
-func TestMultiSinkFansOutAndFails(t *testing.T) {
-	a, b := &Memory{}, &Memory{}
-	m := Multi{a, b}
-	if err := m.Write(Row{Cell: 9}); err != nil {
-		t.Fatalf("Write: %v", err)
+// TestRunFansOutToEverySink: every sink passed to Run sees every row,
+// in cell order, and they are the rows Summary returns; a failing sink
+// stops the stream before a later sink receives the row.
+func TestRunFansOutToEverySink(t *testing.T) {
+	spec := Spec{GridSizes: []int{5}, SearchDistances: []int{1, 2}, Repeats: 2}
+	a, b := &recordSink{}, &recordSink{}
+	sum, err := run(spec, stubRun, a, b)
+	if err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	if len(a.Rows()) != 1 || len(b.Rows()) != 1 {
-		t.Errorf("fan-out missed a sink: %d, %d", len(a.Rows()), len(b.Rows()))
+	if len(sum.Rows) != 4 || !reflect.DeepEqual(a.rows, sum.Rows) || !reflect.DeepEqual(b.rows, sum.Rows) {
+		t.Errorf("fan-out: sinks got %d and %d rows, summary %d", len(a.rows), len(b.rows), len(sum.Rows))
 	}
 	boom := errors.New("disk full")
-	m = Multi{failSink{boom}, a}
-	if err := m.Write(Row{}); !errors.Is(err, boom) {
+	later := &recordSink{}
+	if _, err := run(spec, stubRun, failSink{boom}, later); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
 	}
-	if len(a.Rows()) != 1 {
+	if len(later.rows) != 0 {
 		t.Errorf("write after failure reached later sink")
 	}
 }
 
+// recordSink keeps every row written and, at each Flush, the cell of the
+// last row written so far (-1 before any).
+type recordSink struct {
+	rows    []Row
+	flushes []int
+}
+
+func (s *recordSink) Write(r Row) error {
+	s.rows = append(s.rows, r)
+	return nil
+}
+
+func (s *recordSink) Flush() error {
+	last := -1
+	if len(s.rows) > 0 {
+		last = s.rows[len(s.rows)-1].Cell
+	}
+	s.flushes = append(s.flushes, last)
+	return nil
+}
+
+func (s *recordSink) Close() error { return nil }
+
 type failSink struct{ err error }
 
 func (f failSink) Write(Row) error { return f.err }
+func (f failSink) Flush() error    { return f.err }
 func (f failSink) Close() error    { return f.err }
 
 // countingWriter tallies Write calls to the underlying writer — a proxy
@@ -235,9 +257,9 @@ func TestSinksBufferUntilCloseAndLoseNothing(t *testing.T) {
 		if w.writes >= rows {
 			t.Errorf("%d underlying writes for %d rows; sink is not buffering", w.writes, rows)
 		}
-		back, err := ReadJSONL(&w.buf)
+		back, _, err := ReadRows(&w.buf, "jsonl")
 		if err != nil {
-			t.Fatalf("ReadJSONL: %v", err)
+			t.Fatalf("ReadRows: %v", err)
 		}
 		if len(back) != rows {
 			t.Errorf("%d rows survived Close, want %d", len(back), rows)
@@ -286,7 +308,7 @@ func TestJSONLFlushCheckpoints(t *testing.T) {
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	back, err := ReadJSONL(bytes.NewReader(w.buf.Bytes()))
+	back, _, err := ReadRows(bytes.NewReader(w.buf.Bytes()), "jsonl")
 	if err != nil || len(back) != 1 {
 		t.Fatalf("after Flush: rows=%d err=%v", len(back), err)
 	}
@@ -296,7 +318,7 @@ func TestJSONLFlushCheckpoints(t *testing.T) {
 	if err := sink.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	back, err = ReadJSONL(&w.buf)
+	back, _, err = ReadRows(&w.buf, "jsonl")
 	if err != nil || len(back) != 2 {
 		t.Fatalf("after Close: rows=%d err=%v", len(back), err)
 	}
@@ -391,9 +413,9 @@ func TestSinksSanitizeNonFiniteFloats(t *testing.T) {
 			if err := sink.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
-			back, err := ReadJSONL(&buf)
+			back, _, err := ReadRows(&buf, "jsonl")
 			if err != nil || len(back) != 1 {
-				t.Fatalf("ReadJSONL: rows=%d err=%v", len(back), err)
+				t.Fatalf("ReadRows: rows=%d err=%v", len(back), err)
 			}
 			checkFloats(t, back[0], tc.want)
 
@@ -427,52 +449,36 @@ func TestSinksSanitizeNonFiniteFloats(t *testing.T) {
 	}
 }
 
-// TestCheckpointReportsHighWaterMark: Checkpoint flushes and reports the
-// highest cell durable, for the file sinks, Memory and Multi (which takes
-// the minimum across members).
+// TestCheckpointReportsHighWaterMark: Flush is the checkpoint. After it,
+// ReadRows on the underlying writer reports every row written so far and
+// an offset at the end of the flushed bytes — the high-water mark a
+// resume truncates to — for both file sinks; a row written after the
+// last Flush stays buffered and invisible.
 func TestCheckpointReportsHighWaterMark(t *testing.T) {
-	w := &countingWriter{}
-	jsonl := NewJSONL(w)
-	if last, err := jsonl.Checkpoint(); err != nil || last != -1 {
-		t.Errorf("empty JSONL checkpoint = %d, %v, want -1", last, err)
-	}
-	for c := 0; c <= 4; c++ {
-		if err := jsonl.Write(Row{Cell: c}); err != nil {
-			t.Fatalf("Write: %v", err)
+	for _, format := range []string{"jsonl", "csv"} {
+		var buf bytes.Buffer
+		var sink Sink = NewJSONL(&buf)
+		if format == "csv" {
+			sink = NewCSV(&buf)
 		}
-	}
-	last, err := jsonl.Checkpoint()
-	if err != nil || last != 4 {
-		t.Fatalf("JSONL checkpoint = %d, %v, want 4", last, err)
-	}
-	if w.buf.Len() == 0 {
-		t.Error("Checkpoint did not flush")
-	}
-	back, err := ReadJSONL(bytes.NewReader(w.buf.Bytes()))
-	if err != nil || len(back) != 5 {
-		t.Fatalf("after checkpoint: rows=%d err=%v", len(back), err)
-	}
-
-	var csvBuf bytes.Buffer
-	cs := NewCSV(&csvBuf)
-	if err := cs.Write(Row{Cell: 7}); err != nil {
-		t.Fatalf("CSV.Write: %v", err)
-	}
-	if last, err := cs.Checkpoint(); err != nil || last != 7 {
-		t.Errorf("CSV checkpoint = %d, %v, want 7", last, err)
-	}
-	if csvBuf.Len() == 0 {
-		t.Error("CSV Checkpoint did not flush")
-	}
-
-	mem := &Memory{}
-	mem.Write(Row{Cell: 2})
-	m := Multi{jsonl, mem}
-	if last, err := m.Checkpoint(); err != nil || last != 2 {
-		t.Errorf("Multi checkpoint = %d, %v, want 2 (min across members)", last, err)
-	}
-	if last, err := (Multi{failSink{errors.New("x")}}).Checkpoint(); err != nil || last != -1 {
-		t.Errorf("Multi over non-checkpoint sinks = %d, %v, want -1, nil", last, err)
+		for c := 0; c <= 4; c++ {
+			if err := sink.Write(Row{Cell: c}); err != nil {
+				t.Fatalf("%s Write: %v", format, err)
+			}
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatalf("%s Flush: %v", format, err)
+		}
+		if err := sink.Write(Row{Cell: 5}); err != nil {
+			t.Fatalf("%s Write: %v", format, err)
+		}
+		back, valid, err := ReadRows(bytes.NewReader(buf.Bytes()), format)
+		if err != nil || len(back) != 5 || back[4].Cell != 4 {
+			t.Fatalf("%s after Flush: rows=%+v err=%v, want cells 0-4", format, back, err)
+		}
+		if valid != int64(buf.Len()) {
+			t.Errorf("%s: offset %d, want %d (all flushed bytes)", format, valid, buf.Len())
+		}
 	}
 }
 

@@ -24,9 +24,8 @@ type Engine struct {
 	// Workers bounds the number of concurrently running simulations
 	// across all cells (0 = GOMAXPROCS).
 	Workers int
-	// KeepResults retains every Result on the emitted aggregates and
-	// summarises them in batch (see Accumulator.KeepResults). Without it
-	// results stream through the accumulator and are freed as they fold.
+	// KeepResults retains every Result on the emitted aggregates (see
+	// Accumulator.KeepResults). Without it results are freed as they fold.
 	KeepResults bool
 	// Exec, when non-nil, replaces the engine's own network reuse for one
 	// repeat; tests substitute it to instrument the pool.

@@ -56,48 +56,28 @@ func (s Spec) ResolveTopology() (*topo.Graph, topo.NodeID, topo.NodeID, error) {
 // frees it immediately, which is what makes 10⁵–10⁶-node cells feasible
 // (one Result carries an n-sized slot assignment).
 //
-// With KeepResults set the accumulator retains every added Result and
-// finalises with the batch metrics.Summarize — bit-for-bit the historical
-// aggregate, for callers that walk Aggregate.Results afterwards (figure
-// rendering, the fig5a compat golden). Without it the series stream
-// through metrics.Stream: N, Mean, Min and Max stay byte-identical to the
-// batch path (Stream reproduces Summarize's exact operation order for
-// those), only Summary.Std's low bits may differ — and no row-level
-// campaign output renders Std.
+// Every series streams through metrics.Stream, whose N, Mean, Min and
+// Max are byte-identical to the batch metrics.Summarize of the same
+// values in the same order. KeepResults additionally retains every added
+// Result on the Aggregate, for callers that walk Aggregate.Results
+// afterwards (figure rendering, the fig5a compat golden).
 type Accumulator struct {
 	spec Spec
 	agg  *Aggregate
 
-	// KeepResults retains added Results on the Aggregate and switches
-	// finalisation to batch Summarize. Set it before the first Add.
+	// KeepResults retains added Results on the Aggregate. Set it before
+	// the first Add.
 	KeepResults bool
 
 	series [len(metricTable)]series
-	byType map[wire.Type]*series
+	byType map[wire.Type]*metrics.Stream
 }
 
-// series accumulates one metric: a mean either as the raw sample (batch
-// mode) or as streaming state, depending on the owning Accumulator's mode,
-// or a proportion's counts.
+// series accumulates one metric: a mean's streaming state or a
+// proportion's counts.
 type series struct {
-	xs     []float64
 	stream metrics.Stream
 	prop   metrics.Proportion
-}
-
-func (s *series) add(x float64, keep bool) {
-	if keep {
-		s.xs = append(s.xs, x)
-	} else {
-		s.stream.Add(x)
-	}
-}
-
-func (s *series) summary(keep bool) metrics.Summary {
-	if keep {
-		return metrics.Summarize(s.xs)
-	}
-	return s.stream.Summary()
 }
 
 // NewAccumulator prepares an empty aggregate for one cell.
@@ -113,7 +93,7 @@ func NewAccumulator(spec Spec, g *topo.Graph) *Accumulator {
 		MessagesByType: make(map[wire.Type]metrics.Summary),
 	}
 	agg.Name = fmt.Sprintf("%s/%s", g.Name(), agg.Protocol)
-	return &Accumulator{spec: spec, agg: agg, byType: make(map[wire.Type]*series)}
+	return &Accumulator{spec: spec, agg: agg, byType: make(map[wire.Type]*metrics.Stream)}
 }
 
 // Add folds one run's result in. Nil results (failed runs) are ignored;
@@ -139,17 +119,17 @@ func (a *Accumulator) Add(r *core.Result) {
 				}
 			}
 		case m.Reduce == Mean || observed:
-			s.add(x, a.KeepResults)
+			s.stream.Add(x)
 		}
 	}
 	//lint:ignore mapiter independent per-type series updates, order-free
 	for t, s := range r.Messages {
 		bt := a.byType[t]
 		if bt == nil {
-			bt = &series{}
+			bt = &metrics.Stream{}
 			a.byType[t] = bt
 		}
-		bt.add(float64(s.Count), a.KeepResults)
+		bt.Add(float64(s.Count))
 	}
 }
 
@@ -158,14 +138,14 @@ func (a *Accumulator) Finalize() *Aggregate {
 	for i := range metricTable {
 		switch f := a.agg.field(i).(type) {
 		case *metrics.Summary:
-			*f = a.series[i].summary(a.KeepResults)
+			*f = a.series[i].stream.Summary()
 		case *metrics.Proportion:
 			*f = a.series[i].prop
 		}
 	}
 	//lint:ignore mapiter map-to-map copy keyed by the same key, order-free
 	for t, s := range a.byType {
-		a.agg.MessagesByType[t] = s.summary(a.KeepResults)
+		a.agg.MessagesByType[t] = s.Summary()
 	}
 	return a.agg
 }

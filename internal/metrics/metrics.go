@@ -58,10 +58,9 @@ func Summarize(xs []float64) Summary {
 // order. Only Std differs in representation: it comes from Welford's
 // single-pass M2 recurrence instead of the two-pass corrected sum, which
 // agrees with the batch estimator to within a ULP on the adversarial
-// inputs pinned in stream_test.go. Row-level campaign output never
-// renders Std, so a campaign can stream per-repeat metrics through this
-// and stay byte-identical to the batch engine while holding O(1) state
-// per series instead of one float per repeat.
+// inputs pinned in stream_test.go. No rendered output reads Std, so
+// the experiment harness folds every per-repeat metric through this,
+// holding O(1) state per series instead of one float per repeat.
 type Stream struct {
 	n        int
 	sum      float64

@@ -195,14 +195,15 @@ func Run(cfg SimConfig) (CaptureSummary, error) {
 // job matrix (topologies × protocols × search distances × attackers ×
 // channels × collisions × faults × energy) and executes every cell
 // through one shared worker pool, streaming a summary row per cell to the
-// given sinks as cells complete. The whole of the paper's evaluation is one such spec;
-// see cmd/slpsweep for the command-line front end and examples/campaign
-// for reproducing Figure 5 this way.
+// given sinks as cells complete; the returned Summary holds the same rows.
+// The whole of the paper's evaluation is one such spec; see cmd/slpsweep
+// for the command-line front end and examples/campaign for reproducing
+// Figure 5 this way.
 //
-// Campaigns are restartable and horizontally shardable: Spec.Skip /
-// Spec.CompletedCells resume an interrupted campaign from the cells
-// already durable in its output (campaign.ScanCompleted recovers them,
-// tolerating a torn final line), Spec.Shard runs one deterministic slice
+// Campaigns are restartable and horizontally shardable: Spec.Skip resumes
+// an interrupted campaign from the cells already durable in its output
+// (Spec.ScanResumable recovers and verifies them, tolerating a torn final
+// line), Spec.Shard runs one deterministic slice
 // of the matrix per process, and campaign.MergeJSONL (cmd/slpmerge)
 // reassembles shard outputs. All three paths produce byte-identical rows
 // for the same Spec; Spec.CheckpointEvery bounds how much of a long run a

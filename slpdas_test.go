@@ -103,20 +103,19 @@ func TestFigure5Facade(t *testing.T) {
 }
 
 func TestRunCampaignFacade(t *testing.T) {
-	mem := &campaign.Memory{}
 	sum, err := RunCampaign(campaign.Spec{
 		GridSizes:       []int{5},
 		SearchDistances: []int{2},
 		Repeats:         2,
 		BaseSeed:        7,
-	}, mem)
+	})
 	if err != nil {
 		t.Fatalf("RunCampaign: %v", err)
 	}
 	if sum.Cells != 2 || sum.Failures != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	rows := mem.Rows()
+	rows := sum.Rows
 	if len(rows) != 2 || rows[0].Protocol != string(Protectionless) || rows[1].Protocol != string(SLPAware) {
 		t.Errorf("rows = %+v", rows)
 	}

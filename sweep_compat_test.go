@@ -143,13 +143,13 @@ func TestKillAndResumeBackwardCompatible(t *testing.T) {
 		t.Fatalf("read golden: %v", err)
 	}
 	for _, cut := range []int{0, 40, len(want) / 2, len(want) - 2} {
-		completed, valid, err := campaign.ScanCompleted(bytes.NewReader(want[:cut]))
+		spec := sweepCompatSpec(4)
+		completed, valid, err := spec.ScanResumable(bytes.NewReader(want[:cut]), "jsonl")
 		if err != nil {
-			t.Fatalf("cut %d: ScanCompleted: %v", cut, err)
+			t.Fatalf("cut %d: ScanResumable: %v", cut, err)
 		}
 		file := bytes.NewBuffer(append([]byte(nil), want[:valid]...))
-		spec := sweepCompatSpec(4)
-		spec.Skip = func(cell int) bool { return completed[cell] }
+		spec.Skip = completed
 		sink := campaign.NewJSONL(file)
 		sum, err := slpdas.RunCampaign(spec, sink)
 		if err != nil {
