@@ -51,9 +51,10 @@ func render(t *testing.T, format string, rows []Row) []byte {
 	return renderJSONL(t, rows)
 }
 
-// TestReadRowsToleratesTornTail: in both formats only newline-terminated
-// lines are rows, and the offset sits exactly past the last of them.
-func TestReadRowsToleratesTornTail(t *testing.T) {
+// TestLoadRowsToleratesTornTail: ReadRows, in both formats, counts only
+// newline-terminated lines as rows, and the offset sits exactly past the
+// last of them.
+func TestLoadRowsToleratesTornTail(t *testing.T) {
 	rows := []Row{{Cell: 0, Topology: "grid-7x7"}, {Cell: 2}, {Cell: 5}}
 	for _, format := range []string{"jsonl", "csv"} {
 		t.Run(format, func(t *testing.T) {
@@ -62,61 +63,113 @@ func TestReadRowsToleratesTornTail(t *testing.T) {
 			// Complete lines before the final row: the header (CSV)
 			// plus every row but the last.
 			lastStart := len(full) - len(lines[len(lines)-2])
-			read := func(in []byte) ([]Row, int64) {
-				t.Helper()
-				back, valid, err := ReadRows(bytes.NewReader(in), format)
-				if err != nil {
-					t.Fatalf("ReadRows: %v", err)
-				}
-				return back, valid
-			}
 			// Cut mid-way through the final line: the torn fragment must
 			// be invisible.
-			back, valid := read(full[:lastStart+4])
+			back, valid := readRows(t, full[:lastStart+4], format)
 			if len(back) != 2 || back[1].Cell != 2 || valid != int64(lastStart) {
 				t.Errorf("torn: rows=%+v valid=%d, want cells 0, 2 and valid %d", back, valid, lastStart)
 			}
 			// A complete final row WITHOUT a trailing newline is torn
 			// too, so truncate-at-valid plus re-running the cell always
 			// reproduces the uninterrupted bytes.
-			back, valid = read(full[:len(full)-1])
+			back, valid = readRows(t, full[:len(full)-1], format)
 			if len(back) != 2 || valid != int64(lastStart) {
 				t.Errorf("unterminated final row counted as complete: rows=%d valid=%d", len(back), valid)
 			}
 			// The intact file round-trips whole.
-			back, valid = read(full)
+			back, valid = readRows(t, full, format)
 			if !reflect.DeepEqual(back, rows) || valid != int64(len(full)) {
 				t.Errorf("full file: rows=%+v valid=%d, want %d bytes", back, valid, len(full))
 			}
-			// Empty input: nothing completed, offset 0.
-			if back, valid = read(nil); len(back) != 0 || valid != 0 {
+		})
+	}
+}
+
+// TestScanCompleted: the rows ReadRows returns name exactly the completed
+// cells of a sparse file, whatever follows the last newline, and an empty
+// input completes nothing at offset 0.
+func TestScanCompleted(t *testing.T) {
+	rows := []Row{{Cell: 0}, {Cell: 2}, {Cell: 5}}
+	for _, format := range []string{"jsonl", "csv"} {
+		t.Run(format, func(t *testing.T) {
+			full := render(t, format, rows)
+			torn := string(render(t, format, []Row{{Cell: 7, Topology: "grid-7x7"}}))
+			if format == "csv" {
+				torn = torn[strings.IndexByte(torn, '\n')+1:]
+			}
+			back, valid := readRows(t, append(full, torn[:len(torn)/2]...), format)
+			cells := map[int]bool{}
+			for _, r := range back {
+				cells[r.Cell] = true
+			}
+			if len(cells) != 3 || !cells[0] || !cells[2] || !cells[5] || cells[7] {
+				t.Errorf("cells = %v", cells)
+			}
+			if valid != int64(len(full)) {
+				t.Errorf("valid = %d, want %d", valid, len(full))
+			}
+			if back, valid = readRows(t, nil, format); len(back) != 0 || valid != 0 {
 				t.Errorf("empty input: rows=%d valid=%d", len(back), valid)
 			}
 		})
 	}
 }
 
-// TestReadRowsRejectsGarbage: a malformed line that IS newline-terminated
-// is not a torn tail; it must surface as an error naming its line, never
-// be silently skipped.
-func TestReadRowsRejectsGarbage(t *testing.T) {
-	header := strings.Join(csvHeader, ",") + "\n"
-	record := string(renderCSV(t, []Row{{Cell: 1}})[len(header):])
-	for name, tc := range map[string]struct{ format, in, line string }{
-		"jsonl garbage":          {"jsonl", "{\"cell\":0}\nnot json\n", "line 2"},
-		"jsonl mid-file":         {"jsonl", "{\"cell\":0}\ngarbage\n{\"cell\":2}\n", "line 2"},
-		"jsonl blank line":       {"jsonl", "{\"cell\":0}\n\n", "line 2"},
-		"csv wrong header":       {"csv", "a,b,c\n", "line 1"},
-		"csv short record":       {"csv", header + "1,2\n", "line 2"},
-		"csv bad integer":        {"csv", header + "x" + record[1:], "line 2"},
-		"csv mid-file":           {"csv", header + "garbage\n" + record, "line 2"},
-		"csv unterminated quote": {"csv", header + record + "\"1,\n", "line 3"},
-	} {
+// readRows is ReadRows over in, failing the test on an error.
+func readRows(t *testing.T, in []byte, format string) ([]Row, int64) {
+	t.Helper()
+	back, valid, err := ReadRows(bytes.NewReader(in), format)
+	if err != nil {
+		t.Fatalf("ReadRows: %v", err)
+	}
+	return back, valid
+}
+
+// rejectsAt checks that ReadRows fails on each case with an error naming
+// the case's line: a malformed line that IS newline-terminated is not a
+// torn tail and must never be silently skipped.
+func rejectsAt(t *testing.T, cases map[string]struct{ format, in, line string }) {
+	t.Helper()
+	for name, tc := range cases {
 		_, _, err := ReadRows(strings.NewReader(tc.in), tc.format)
 		if err == nil || !strings.Contains(err.Error(), tc.line) {
 			t.Errorf("%s: err = %v, want an error at %s", name, err, tc.line)
 		}
 	}
+}
+
+// TestReadJSONLRejectsGarbage: a JSONL line that does not decode, or is
+// blank, is an error.
+func TestReadJSONLRejectsGarbage(t *testing.T) {
+	rejectsAt(t, map[string]struct{ format, in, line string }{
+		"garbage":    {"jsonl", "{\"cell\":0}\nnot json\n", "line 2"},
+		"blank line": {"jsonl", "{\"cell\":0}\n\n", "line 2"},
+	})
+}
+
+// TestLoadRowsRejectsMidFileCorruption: a bad line followed by good ones
+// is an error in both formats, not a row to skip.
+func TestLoadRowsRejectsMidFileCorruption(t *testing.T) {
+	header := strings.Join(csvHeader, ",") + "\n"
+	record := string(renderCSV(t, []Row{{Cell: 1}})[len(header):])
+	rejectsAt(t, map[string]struct{ format, in, line string }{
+		"jsonl": {"jsonl", "{\"cell\":0}\ngarbage\n{\"cell\":2}\n", "line 2"},
+		"csv":   {"csv", header + "garbage\n" + record, "line 2"},
+	})
+}
+
+// TestReadRowsRejectsGarbage: a CSV file with a foreign header or a
+// malformed record is an error naming the line, and so is an unknown
+// format.
+func TestReadRowsRejectsGarbage(t *testing.T) {
+	header := strings.Join(csvHeader, ",") + "\n"
+	record := string(renderCSV(t, []Row{{Cell: 1}})[len(header):])
+	rejectsAt(t, map[string]struct{ format, in, line string }{
+		"csv wrong header":       {"csv", "a,b,c\n", "line 1"},
+		"csv short record":       {"csv", header + "1,2\n", "line 2"},
+		"csv bad integer":        {"csv", header + "x" + record[1:], "line 2"},
+		"csv unterminated quote": {"csv", header + record + "\"1,\n", "line 3"},
+	})
 	if _, _, err := ReadRows(strings.NewReader(""), "parquet"); err == nil {
 		t.Error("unknown format accepted")
 	}
