@@ -43,7 +43,7 @@ func capture(t *testing.T, args []string) (stdout, stderr []byte, code int) {
 
 // TestCLIGoldens pins the stdout of every slpsim command that runs
 // simulations through the experiment executor, byte for byte, at small
-// sizes.
+// sizes, and of the protocol and strategy listings.
 func TestCLIGoldens(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -55,6 +55,8 @@ func TestCLIGoldens(t *testing.T) {
 		{"sweep_sd", []string{"sweep", "-what", "sd", "-size", "5", "-repeats", "2"}},
 		{"sweep_strategy", []string{"sweep", "-what", "strategy", "-size", "5", "-repeats", "2"}},
 		{"sweep_loss", []string{"sweep", "-what", "loss", "-size", "5", "-repeats", "2"}},
+		{"protocols", []string{"protocols"}},
+		{"strategies", []string{"strategies"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
