@@ -9,8 +9,8 @@
 //	slpsim table1
 //	slpsim overhead [-size N] [-sd D] [-repeats N] [-seed S]
 //	slpsim run      [-size N] [-protocol NAME] [-sd D]
-//	                [-repeats N] [-seed S] [-loss ideal|bernoulli:p|rssi]
-//	                [-channel logdist:<n>:<sigma>[@sinr:<t>]]
+//	                [-repeats N] [-seed S]
+//	                [-channel ideal|bernoulli:<p>|rssi|logdist:<n>:<sigma>[@sinr:<t>]]
 //	                [-attacker R,H,M] [-strategy NAME] [-nattackers K]
 //	                [-shared-history] [-collisions]
 //	                [-faults SPEC] (fault.Parse grammar; -help lists it)
@@ -128,8 +128,8 @@ commands:
   overhead  message overhead of SLP DAS vs protectionless DAS
   run       custom simulation batch
   sweep     ablations: -what sd | attacker | strategy | loss
-  protocols   list the registered routing protocols
-  strategies  list the registered attacker strategies
+  protocols   list the routing protocols
+  strategies  list the attacker strategies
 
 run 'slpsim <command> -h' for the command's flags.`)
 }
@@ -300,8 +300,7 @@ func runCustom(args []string) error {
 	sd := fs.Int("sd", 3, "search distance (slp-das search / phantom walk length)")
 	repeats := fs.Int("repeats", 20, "simulation repetitions")
 	seed := fs.Uint64("seed", 1, "base random seed")
-	loss := fs.String("loss", "ideal", "channel model: ideal, bernoulli:<p>, rssi")
-	channel := fs.String("channel", "", "full channel spec overriding -loss: ideal, bernoulli:<p>, rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
+	channel := fs.String("channel", "ideal", "channel model: ideal, bernoulli:<p>, rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
 	atk := fs.String("attacker", "1,0,1", "attacker parameters R,H,M")
 	strategy := fs.String("strategy", "", "attacker strategy (see 'slpsim strategies'; default first-heard)")
 	nattackers := fs.Int("nattackers", 1, "eavesdropper team size")
@@ -326,10 +325,6 @@ func runCustom(args []string) error {
 			return usageError{fmt.Errorf("run: %s must be at least %d, got %d", f.name, f.min, f.v)}
 		}
 	}
-	channelSpec := *loss
-	if *channel != "" {
-		channelSpec = *channel
-	}
 	cfg := slpdas.SimConfig{
 		GridSize:       *size,
 		Protocol:       slpdas.Protocol(*protocol),
@@ -342,7 +337,7 @@ func runCustom(args []string) error {
 		Strategy:       *strategy,
 		Attackers:      *nattackers,
 		SharedHistory:  *sharedHistory,
-		LossModel:      channelSpec,
+		LossModel:      *channel,
 		Collisions:     *collisions,
 		Faults:         *faults,
 		Energy:         *energy,
@@ -363,7 +358,7 @@ func runCustom(args []string) error {
 		}
 	}
 	fmt.Printf("%s on %d×%d grid, %d runs (seed %d, loss %s, %s)\n",
-		sum.Protocol, *size, *size, sum.Runs, *seed, channelSpec, atkDesc)
+		sum.Protocol, *size, *size, sum.Runs, *seed, *channel, atkDesc)
 	fmt.Printf("  capture ratio     : %.1f%% ±%.1f (%d/%d)\n",
 		sum.CaptureRatio*100, sum.CaptureRatioCI95*100, sum.Captures, sum.Runs)
 	if sum.Captures > 0 {

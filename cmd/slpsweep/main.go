@@ -1,8 +1,8 @@
 // Command slpsweep runs a full experimental campaign — the Cartesian
-// product of topology, protocol, search-distance, attacker, loss-model,
-// collision and fault-injection axes — through one shared worker pool, streaming one
-// result row per cell to a JSONL or CSV sink. The paper's whole
-// evaluation is one invocation:
+// product of topology, protocol, search-distance, attacker, channel,
+// collision, fault-injection and energy axes — through one shared worker
+// pool, streaming one result row per cell to a JSONL or CSV sink. The
+// paper's whole evaluation is one invocation:
 //
 //	slpsweep -sizes 11,15,21 -protocols protectionless,slp -sd 3 \
 //	         -repeats 100 -out fig5a.jsonl
@@ -27,8 +27,7 @@
 //	         [-protocols protectionless,slp-das,phantom,fake-source,tier] [-sd 1,3]
 //	         [-attackers R,H,M[;R,H,M...]] [-strategies first-heard,cautious,...]
 //	         [-nattackers 1,2,3] [-shared-history false,true]
-//	         [-loss ideal,bernoulli:<p>,rssi]
-//	         [-channels ideal,logdist:<n>:<sigma>[@sinr:<t>],...]
+//	         [-channels ideal,bernoulli:<p>,rssi,logdist:<n>:<sigma>[@sinr:<t>],...]
 //	         [-collisions false,true]
 //	         [-faults SPEC,...] (fault.Parse grammar; -help lists it)
 //	         [-energy none,battery:<capacity>[:<tx>:<rx>:<idle>]]
@@ -49,6 +48,7 @@ import (
 	"slpdas/internal/attacker"
 	"slpdas/internal/campaign"
 	"slpdas/internal/fault"
+	"slpdas/internal/protocol"
 )
 
 func main() {
@@ -60,15 +60,14 @@ func run(args []string) int {
 	sizesArg := fs.String("sizes", "11", "comma-separated grid sides for the topology axis")
 	topoArg := fs.String("topologies", "", "explicit topology axis overriding -sizes: grid, line:<n>, ring:<n>, rgg:<n>#<seed> (comma-separated; plain \"grid\" expands -sizes)")
 	protoArg := fs.String("protocols", "protectionless,slp",
-		"comma-separated protocol axis: "+strings.Join(campaign.ProtocolNames(), ", ")+" (plus the \"slp\" alias)")
+		"comma-separated protocol axis: "+strings.Join(protocol.Names(), ", ")+" (plus the \"slp\" alias)")
 	sdArg := fs.String("sd", "3", "comma-separated search distances")
 	atkArg := fs.String("attackers", "1,0,1", "semicolon-separated attacker R,H,M tuples")
 	stratArg := fs.String("strategies", attacker.DefaultStrategy,
 		"comma-separated attacker strategies: "+strings.Join(attacker.StrategyNames(), ", "))
 	countArg := fs.String("nattackers", "1", "comma-separated eavesdropper team sizes")
 	sharedArg := fs.String("shared-history", "false", "comma-separated shared-H-window settings: false, true")
-	lossArg := fs.String("loss", "ideal", "comma-separated channel models: ideal, bernoulli:<p> with p in [0,1], rssi")
-	channelsArg := fs.String("channels", "", "comma-separated channel axis superseding -loss: ideal, bernoulli:<p>, rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
+	channelsArg := fs.String("channels", "ideal", "comma-separated channel axis: ideal, bernoulli:<p> with p in [0,1], rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
 	collArg := fs.String("collisions", "false", "comma-separated collision settings: false, true")
 	faultsArg := fs.String("faults", "none", "comma-separated fault-injection axis: "+fault.Grammar)
 	energyArg := fs.String("energy", "none", "comma-separated energy axis: none, battery:<capacity>[:<tx>:<rx>:<idle>] (mJ)")
@@ -94,7 +93,13 @@ func run(args []string) int {
 		return 2
 	}
 
-	spec, err := buildSpec(*sizesArg, *topoArg, *protoArg, *sdArg, *atkArg, *stratArg, *countArg, *sharedArg, *lossArg, *channelsArg, *collArg, *faultsArg, *energyArg)
+	if *repeats < 1 {
+		// campaign.Spec reads 0 as "use the default", which would run a
+		// different campaign from the one asked for.
+		fmt.Fprintf(os.Stderr, "slpsweep: -repeats must be at least 1, got %d\n", *repeats)
+		return 2
+	}
+	spec, err := buildSpec(*sizesArg, *topoArg, *protoArg, *sdArg, *atkArg, *stratArg, *countArg, *sharedArg, *channelsArg, *collArg, *faultsArg, *energyArg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slpsweep: %v\n", err)
 		return 2
@@ -254,7 +259,7 @@ func resolveFormat(format, out string) string {
 	return "jsonl"
 }
 
-func buildSpec(sizes, topologies, protocols, sds, attackers, strategies, counts, shared, losses, channels, collisions, faults, energy string) (campaign.Spec, error) {
+func buildSpec(sizes, topologies, protocols, sds, attackers, strategies, counts, shared, channels, collisions, faults, energy string) (campaign.Spec, error) {
 	var spec campaign.Spec
 	var err error
 	if spec.GridSizes, err = parseInts(sizes); err != nil {
@@ -277,10 +282,7 @@ func buildSpec(sizes, topologies, protocols, sds, attackers, strategies, counts,
 	if spec.SharedHistories, err = parseBools(shared); err != nil {
 		return spec, fmt.Errorf("-shared-history: %w", err)
 	}
-	// -channels supersedes -loss; both spell the same channel axis.
-	if spec.Channels = splitList(channels); len(spec.Channels) == 0 {
-		spec.Channels = splitList(losses)
-	}
+	spec.Channels = splitList(channels)
 	if spec.Collisions, err = parseBools(collisions); err != nil {
 		return spec, fmt.Errorf("-collisions: %w", err)
 	}

@@ -149,14 +149,25 @@ func TestCLIFlagErrors(t *testing.T) {
 		"bad shard index":    {"-shard", "x/3", "-quiet"},
 		"shard out of range": {"-shard", "3/3", "-quiet"},
 		"shard count zero":   {"-shard", "2/0", "-quiet"},
-		"bad loss nan":       {"-loss", "bernoulli:NaN", "-quiet"},
+		"bad channel nan":    {"-channels", "bernoulli:NaN", "-quiet"},
 	} {
 		if code := run(args); code == 0 {
 			t.Errorf("%s: exited 0, want failure", name)
 		}
 	}
+	// campaign.Spec reads a zero repeat count as "use the default", which
+	// would run a different campaign from the one asked for; a count
+	// below 1 is a usage error.
+	for name, args := range map[string][]string{
+		"zero repeats":     {"-sizes", "5", "-sd", "1", "-protocols", "protectionless", "-repeats", "0", "-quiet"},
+		"negative repeats": {"-sizes", "5", "-sd", "1", "-protocols", "protectionless", "-repeats", "-1", "-quiet"},
+	} {
+		if code := run(args); code != 2 {
+			t.Errorf("%s: exited %d, want 2", name, code)
+		}
+	}
 	// bernoulli:1 (total loss) is legal and must run to completion.
-	if code := run([]string{"-sizes", "5", "-sd", "1", "-repeats", "1", "-loss", "bernoulli:1", "-quiet", "-out", filepath.Join(t.TempDir(), "x.jsonl")}); code != 0 {
+	if code := run([]string{"-sizes", "5", "-sd", "1", "-repeats", "1", "-channels", "bernoulli:1", "-quiet", "-out", filepath.Join(t.TempDir(), "x.jsonl")}); code != 0 {
 		t.Error("bernoulli:1 rejected, want success")
 	}
 }

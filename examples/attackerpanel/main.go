@@ -1,7 +1,7 @@
 // Attacker panel — the attacker-strength study as ONE campaign spec.
 // Where examples/attackersweep hand-loops over (R, H, M) tuples, this
 // example leans on the campaign engine's Cartesian expansion: every
-// registered decision strategy × eavesdropper team size × both protocols,
+// named decision strategy × eavesdropper team size × both protocols,
 // executed through one shared worker pool with the deterministic
 // BaseSeed + cell·Repeats seed layout. The result is the panel the SLP
 // literature reports — how much protection the scheme buys against a
@@ -17,6 +17,7 @@ import (
 	"slpdas/internal/attacker"
 	"slpdas/internal/campaign"
 	"slpdas/internal/metrics"
+	"slpdas/internal/protocol"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 	strategies := attacker.StrategyNames()
 	spec := campaign.Spec{
 		GridSizes:  []int{size},
-		Protocols:  []string{campaign.Protectionless, campaign.SLPAware},
+		Protocols:  []string{protocol.NameProtectionless, protocol.AliasSLP},
 		Strategies: strategies,
 		// Teams of 1 and 3: capture is the first eavesdropper to reach
 		// the source, so bigger teams bound the scheme's protection from
@@ -65,10 +66,10 @@ func main() {
 	for _, s := range strategies {
 		tbl.AddRow(
 			s,
-			ratio[key{s, campaign.Protectionless, 1}],
-			ratio[key{s, campaign.Protectionless, 3}],
-			ratio[key{s, campaign.SLPAware, 1}],
-			ratio[key{s, campaign.SLPAware, 3}],
+			ratio[key{s, protocol.NameProtectionless, 1}],
+			ratio[key{s, protocol.NameProtectionless, 3}],
+			ratio[key{s, protocol.AliasSLP, 1}],
+			ratio[key{s, protocol.AliasSLP, 3}],
 		)
 	}
 	fmt.Print(tbl)

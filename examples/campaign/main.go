@@ -12,6 +12,7 @@ import (
 
 	"slpdas"
 	"slpdas/internal/campaign"
+	"slpdas/internal/protocol"
 )
 
 func main() {
@@ -58,7 +59,7 @@ func main() {
 		rowsBySize[r.GridSize][r.Protocol] = r
 	}
 	for _, size := range []int{11, 15, 21} {
-		prot, slp := rowsBySize[size][campaign.Protectionless], rowsBySize[size][campaign.SLPAware]
+		prot, slp := rowsBySize[size][protocol.NameProtectionless], rowsBySize[size][protocol.AliasSLP]
 		reduction := "n/a"
 		if prot.CaptureRatio > 0 {
 			reduction = fmt.Sprintf("%.0f%%", (1-slp.CaptureRatio/prot.CaptureRatio)*100)

@@ -15,6 +15,7 @@ import (
 	"slpdas"
 	"slpdas/internal/campaign"
 	"slpdas/internal/metrics"
+	"slpdas/internal/protocol"
 )
 
 func main() {
@@ -28,7 +29,7 @@ func main() {
 	faults := []string{"none", "churn:0.05:2", "churn:0.15:2", "churn:0.25:2"}
 	spec := campaign.Spec{
 		GridSizes:       []int{size},
-		Protocols:       []string{campaign.Protectionless, campaign.SLPAware},
+		Protocols:       []string{protocol.NameProtectionless, protocol.AliasSLP},
 		SearchDistances: []int{3},
 		Faults:          faults,
 		Repeats:         repeats,
@@ -50,7 +51,7 @@ func main() {
 	}
 	tbl := metrics.NewTable("protocol", "faults", "capture", "failed/run",
 		"delivery during", "delivery after", "repair (periods)")
-	for _, p := range []string{campaign.Protectionless, campaign.SLPAware} {
+	for _, p := range []string{protocol.NameProtectionless, protocol.AliasSLP} {
 		for _, f := range faults {
 			r := byCell[key{p, f}]
 			during, after, repair := "-", "-", "-"

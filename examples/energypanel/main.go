@@ -16,6 +16,7 @@ import (
 	"slpdas"
 	"slpdas/internal/campaign"
 	"slpdas/internal/metrics"
+	"slpdas/internal/protocol"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 	energies := []string{"none", "battery:4"}
 	spec := campaign.Spec{
 		GridSizes:       []int{size},
-		Protocols:       []string{campaign.Protectionless, campaign.SLPAware},
+		Protocols:       []string{protocol.NameProtectionless, protocol.AliasSLP},
 		SearchDistances: []int{3},
 		Channels:        channels,
 		Energy:          energies,
@@ -56,7 +57,7 @@ func main() {
 	}
 	tbl := metrics.NewTable("protocol", "channel", "energy", "capture",
 		"delivered/run", "captures won", "mJ total", "mJ max", "deaths", "lifetime")
-	for _, p := range []string{campaign.Protectionless, campaign.SLPAware} {
+	for _, p := range []string{protocol.NameProtectionless, protocol.AliasSLP} {
 		for _, ch := range channels {
 			for _, en := range energies {
 				r := byCell[key{p, ch, en}]

@@ -1,8 +1,8 @@
-// Protocol panel — every registered routing family against a spread of
-// attacker strategies, as ONE campaign spec. The protocol registry makes
-// the simulator an SLP benchmark rather than one paper's artefact: the
-// paper's pair (protectionless GCN-DAS and the 3-phase SLP-aware variant)
-// sit on the same axis as sector phantom routing, fake-source backbones
+// Protocol panel — every routing family against a spread of attacker
+// strategies, as ONE campaign spec. The protocol table makes the
+// simulator an SLP benchmark rather than one paper's artefact: the paper's
+// pair (protectionless GCN-DAS and the 3-phase SLP-aware variant) sit on
+// the same axis as sector phantom routing, fake-source backbones
 // and tier-based intermediary routing, and every cell is scored on the
 // identical capture / latency / overhead metrics. The whole panel is a
 // pure function of the spec — re-running this program reproduces every
@@ -17,6 +17,7 @@ import (
 	"slpdas/internal/attacker"
 	"slpdas/internal/campaign"
 	"slpdas/internal/metrics"
+	"slpdas/internal/protocol"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 		repeats = 20
 	)
 
-	protocols := campaign.ProtocolNames()
+	protocols := protocol.Names()
 	// First-heard is the paper's D; unvisited-first (with H=2) represents
 	// the history-driven hunters the SLP literature worries about.
 	strategies := []string{"first-heard", "unvisited-first"}

@@ -159,22 +159,14 @@ type Attacker struct {
 	OnMove func(to topo.NodeID, at time.Duration)
 }
 
-// New creates an attacker hunting source on graph g with a plain decision
-// function. It is inert until Activate; register it on the medium with
-// radio.Medium.AddObserver.
-func New(g *topo.Graph, params Params, decide Decision, source topo.NodeID, seed uint64) (*Attacker, error) {
-	if decide == nil {
-		decide = FirstHeard
-	}
-	return NewWithStrategy(g, params, funcStrategy{decide}, source, seed, 0)
-}
-
-// NewWithStrategy creates the index-th eavesdropper of a (possibly
-// multi-attacker) hunt using the given strategy instance. The instance
-// must be fresh — strategies may keep state. Index 0 draws from the same
-// random stream as New, so a single-attacker run is byte-identical
-// whichever constructor built it; higher indices get independent streams.
-func NewWithStrategy(g *topo.Graph, params Params, strat Strategy, source topo.NodeID, seed uint64, index int) (*Attacker, error) {
+// New creates the index-th eavesdropper of a (possibly multi-attacker)
+// hunt for source on graph g, deciding with the given strategy instance
+// (nil means first-heard). The instance must be fresh — strategies may
+// keep state. Index 0 draws from the "attacker" stream, so a
+// single-attacker run's draws depend only on the seed; higher indices get
+// independent streams. The attacker is inert until Activate; register it
+// on the medium with radio.Medium.AddObserver.
+func New(g *topo.Graph, params Params, strat Strategy, source topo.NodeID, seed uint64, index int) (*Attacker, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}

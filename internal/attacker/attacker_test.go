@@ -21,7 +21,7 @@ func lineWorld(t *testing.T, params Params, d Decision) (*des.Simulator, *topo.G
 	sim := des.New()
 	m := radio.New(sim, g, 1)
 	params.Start = 4
-	a, err := New(g, params, d, 0, 1)
+	a, err := New(g, params, funcStrategy{d}, 0, 1, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -45,10 +45,10 @@ func TestNewRejectsInvalidNodes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("line: %v", err)
 	}
-	if _, err := New(g, Params{R: 1, M: 1, Start: 99}, nil, 0, 1); err == nil {
+	if _, err := New(g, Params{R: 1, M: 1, Start: 99}, nil, 0, 1, 0); err == nil {
 		t.Error("invalid start accepted")
 	}
-	if _, err := New(g, Params{R: 1, M: 1, Start: 0}, nil, 99, 1); err == nil {
+	if _, err := New(g, Params{R: 1, M: 1, Start: 0}, nil, 99, 1, 0); err == nil {
 		t.Error("invalid source accepted")
 	}
 }
@@ -296,7 +296,7 @@ func TestStartAtSourceCapturedOnActivation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("line: %v", err)
 	}
-	a, err := New(g, Params{R: 1, M: 1, Start: 0}, FirstHeard, 0, 1)
+	a, err := New(g, Params{R: 1, M: 1, Start: 0}, funcStrategy{FirstHeard}, 0, 1, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -329,7 +329,7 @@ func TestStartAtSourceStayDecisionStaysCaptured(t *testing.T) {
 	}
 	sim := des.New()
 	m := radio.New(sim, g, 1)
-	a, err := New(g, Params{R: 1, M: 1, Start: 0}, stay, 0, 1)
+	a, err := New(g, Params{R: 1, M: 1, Start: 0}, funcStrategy{stay}, 0, 1, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -3,7 +3,7 @@ package attacker
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"slpdas/internal/topo"
 )
@@ -39,60 +39,57 @@ type PeriodAware interface {
 // Factory creates a fresh Strategy instance for one attacker.
 type Factory func() Strategy
 
-// Info describes one registered strategy for listings and documentation.
-type Info struct {
-	Name    string
-	Summary string
-}
-
-// DefaultStrategy is the registry name of the paper's first-heard
-// attacker, the default everywhere a strategy is not named explicitly.
+// DefaultStrategy is the name of the paper's first-heard attacker, the
+// default everywhere a strategy is not named explicitly.
 const DefaultStrategy = "first-heard"
 
-type registryEntry struct {
-	summary string
-	factory Factory
+// Entry is one named strategy: a one-line summary for listings and the
+// factory of its per-attacker instances.
+type Entry struct {
+	Name    string
+	Summary string
+	New     Factory
 }
 
-var registry = map[string]registryEntry{}
-
-// Register adds a named strategy to the registry. It panics on a
-// duplicate name: registration happens at init time and a collision is a
-// programming error.
-func Register(name, summary string, f Factory) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("attacker: duplicate strategy %q", name))
-	}
-	registry[name] = registryEntry{summary: summary, factory: f}
+// strategies is every named strategy, declared in name order: Strategies
+// and StrategyNames list it as it stands.
+var strategies = [...]Entry{
+	{"backtrack", "first-heard, retreating one hop along its trail per silent period",
+		func() Strategy { return &Backtrack{} }},
+	{"cautious", "move only to origins strictly farther from s0 (never lured backwards)",
+		func() Strategy { return &Cautious{} }},
+	{DefaultStrategy, "move to the origin of the first message heard (the paper's D)",
+		func() Strategy { return funcStrategy{FirstHeard} }},
+	{"patient", "commit only once an origin is heard twice in the R-buffer (needs R >= 2)",
+		func() Strategy { return Patient{} }},
+	{"random-heard", "move to a uniformly random heard origin",
+		func() Strategy { return funcStrategy{RandomHeard} }},
+	{"random-walk", "uniform random neighbour each decision; the noise-floor baseline",
+		func() Strategy { return &RandomWalk{} }},
+	{"unvisited-first", "first heard origin not in the H-window, falling back to first heard",
+		func() Strategy { return funcStrategy{UnvisitedFirst} }},
 }
 
-// Strategies lists every registered strategy, sorted by name.
-func Strategies() []Info {
-	out := make([]Info, 0, len(registry))
-	for name, e := range registry {
-		out = append(out, Info{Name: name, Summary: e.summary})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Strategies lists every named strategy, sorted by name.
+func Strategies() []Entry { return slices.Clone(strategies[:]) }
 
-// StrategyNames lists the registered names, sorted.
+// StrategyNames lists the strategy names, sorted.
 func StrategyNames() []string {
-	infos := Strategies()
-	out := make([]string, len(infos))
-	for i, in := range infos {
-		out[i] = in.Name
+	out := make([]string, len(strategies))
+	for i := range strategies {
+		out[i] = strategies[i].Name
 	}
 	return out
 }
 
-// ByName resolves a registered strategy name to its factory.
+// ByName resolves a strategy name to its factory.
 func ByName(name string) (Factory, error) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("attacker: unknown strategy %q (have %v)", name, StrategyNames())
+	for i := range strategies {
+		if strategies[i].Name == name {
+			return strategies[i].New, nil
+		}
 	}
-	return e.factory, nil
+	return nil, fmt.Errorf("attacker: unknown strategy %q (have %v)", name, StrategyNames())
 }
 
 // funcStrategy adapts a stateless Decision function.
@@ -199,21 +196,4 @@ func (c *Cautious) Decide(heard []Heard, _ []topo.NodeID, cur topo.NodeID, _ *ra
 		}
 	}
 	return cur
-}
-
-func init() {
-	Register(DefaultStrategy, "move to the origin of the first message heard (the paper's D)",
-		func() Strategy { return funcStrategy{FirstHeard} })
-	Register("random-heard", "move to a uniformly random heard origin",
-		func() Strategy { return funcStrategy{RandomHeard} })
-	Register("unvisited-first", "first heard origin not in the H-window, falling back to first heard",
-		func() Strategy { return funcStrategy{UnvisitedFirst} })
-	Register("patient", "commit only once an origin is heard twice in the R-buffer (needs R >= 2)",
-		func() Strategy { return Patient{} })
-	Register("backtrack", "first-heard, retreating one hop along its trail per silent period",
-		func() Strategy { return &Backtrack{} })
-	Register("random-walk", "uniform random neighbour each decision; the noise-floor baseline",
-		func() Strategy { return &RandomWalk{} })
-	Register("cautious", "move only to origins strictly farther from s0 (never lured backwards)",
-		func() Strategy { return &Cautious{} })
 }

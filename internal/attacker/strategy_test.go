@@ -14,10 +14,12 @@ func obsFrom(from topo.NodeID, at time.Duration) radio.Observation {
 	return radio.Observation{From: from, At: at}
 }
 
+// TestRegistryListsAndResolves: the table is declared by hand, so the
+// strictly increasing check is what keeps its names unique and in order.
 func TestRegistryListsAndResolves(t *testing.T) {
 	infos := Strategies()
 	if len(infos) < 7 {
-		t.Fatalf("registry has %d strategies, want >= 7", len(infos))
+		t.Fatalf("table has %d strategies, want >= 7", len(infos))
 	}
 	for i := 1; i < len(infos); i++ {
 		if infos[i-1].Name >= infos[i].Name {
@@ -37,15 +39,6 @@ func TestRegistryListsAndResolves(t *testing.T) {
 	if _, err := ByName("teleport"); err == nil {
 		t.Error("unknown strategy resolved")
 	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Register did not panic")
-		}
-	}()
-	Register(DefaultStrategy, "dup", func() Strategy { return Patient{} })
 }
 
 func TestPatientNeedsCorroboration(t *testing.T) {
@@ -78,9 +71,9 @@ func TestPatientIntegrationWithR(t *testing.T) {
 	if err != nil {
 		t.Fatalf("line: %v", err)
 	}
-	a, err := NewWithStrategy(g, Params{R: 3, M: 1, Start: 4}, Patient{}, 0, 1, 0)
+	a, err := New(g, Params{R: 3, M: 1, Start: 4}, Patient{}, 0, 1, 0)
 	if err != nil {
-		t.Fatalf("NewWithStrategy: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	a.Activate()
 	a.Overhear(obsFrom(2, time.Second))
@@ -124,9 +117,9 @@ func TestBacktrackAttackerWalksBackThroughNextPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatalf("line: %v", err)
 	}
-	a, err := NewWithStrategy(g, Params{R: 1, M: 1, Start: 4}, &Backtrack{}, 0, 1, 0)
+	a, err := New(g, Params{R: 1, M: 1, Start: 4}, &Backtrack{}, 0, 1, 0)
 	if err != nil {
-		t.Fatalf("NewWithStrategy: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	a.Activate()
 	// Hear node 3 directly (simulate the observation path via Overhear).
@@ -209,10 +202,10 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 	}
 	shared := NewHistoryStore(4)
 	mk := func(index int) *Attacker {
-		a, err := NewWithStrategy(g, Params{R: 1, M: 1, H: 4, Start: 4},
+		a, err := New(g, Params{R: 1, M: 1, H: 4, Start: 4},
 			funcStrategy{UnvisitedFirst}, 0, 1, index)
 		if err != nil {
-			t.Fatalf("NewWithStrategy: %v", err)
+			t.Fatalf("New: %v", err)
 		}
 		a.ShareHistory(shared)
 		a.Activate()

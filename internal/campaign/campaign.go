@@ -38,20 +38,6 @@ import (
 	"slpdas/internal/topo"
 )
 
-// Historical names for the paper's pair on the Protocols axis. The axis
-// accepts any protocol registry name (see protocol.Protocols); these two
-// resolve through the registry like the rest — SLPAware is the registry
-// alias for protocol.NameSLPDAS, kept so pre-registry campaign files stay
-// resumable.
-const (
-	Protectionless = protocol.NameProtectionless
-	SLPAware       = protocol.AliasSLP
-)
-
-// ProtocolNames lists the canonical registry names accepted on the
-// Protocols axis, sorted (the SLPAware alias also resolves).
-func ProtocolNames() []string { return protocol.Names() }
-
 // Spec declares a campaign: every non-empty axis slice multiplies the job
 // matrix. Zero values select the paper's defaults (11×11 grid, both
 // protocols, SD 3, the (1,0,1) attacker, ideal channel, no collisions).
@@ -71,7 +57,7 @@ type Spec struct {
 	// Attackers is the (R, H, M) axis; Start is always the sink. Default
 	// the paper's (1, 0, 1).
 	Attackers []attacker.Params
-	// Strategies is the attacker decision axis, by registry name (see
+	// Strategies is the attacker decision axis, by name (see
 	// attacker.Strategies). Default the paper's first-heard.
 	Strategies []string
 	// AttackerCounts is the eavesdropper-team-size axis; capture is the
@@ -168,7 +154,7 @@ func (s Spec) withDefaults() Spec {
 		s.GridSizes = []int{11}
 	}
 	if len(s.Protocols) == 0 {
-		s.Protocols = []string{Protectionless, SLPAware}
+		s.Protocols = []string{protocol.NameProtectionless, protocol.AliasSLP}
 	}
 	if len(s.SearchDistances) == 0 {
 		s.SearchDistances = []int{3}
@@ -250,7 +236,7 @@ func (c Cell) config() (core.Config, error) {
 }
 
 // AttackerSetup groups the attacker-side coordinates of a cell: the
-// (R, H, M) tuple, the decision strategy by registry name (empty =
+// (R, H, M) tuple, the decision strategy by name (empty =
 // first-heard), the team size (0 = single) and whether the team pools
 // one H-window.
 type AttackerSetup struct {
@@ -273,11 +259,11 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 		return core.Config{}, fmt.Errorf("campaign: %w", err)
 	}
 	cfg := core.Default()
-	cfg.Protocol = fam.Name()
+	cfg.Protocol = fam.Name
 	// The SD coordinate only lands in the config for families it
-	// parameterises; others keep the Table I default, exactly as the
-	// pre-registry switch left protectionless untouched.
-	if fam.UsesSearchDistance() {
+	// parameterises; others keep the Table I default, so their rows do
+	// not depend on the SD axis.
+	if fam.UsesSearchDistance {
 		cfg.SearchDistance = searchDistance
 	}
 	cfg.Attacker = atk.Params

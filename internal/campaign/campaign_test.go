@@ -9,6 +9,7 @@ import (
 
 	"slpdas/internal/attacker"
 	"slpdas/internal/core"
+	"slpdas/internal/protocol"
 	"slpdas/internal/topo"
 )
 
@@ -21,7 +22,7 @@ func TestExpandDefaults(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("got %d cells, want 2", len(cells))
 	}
-	if cells[0].Protocol != Protectionless || cells[1].Protocol != SLPAware {
+	if cells[0].Protocol != protocol.NameProtectionless || cells[1].Protocol != protocol.AliasSLP {
 		t.Errorf("protocol order = %q, %q", cells[0].Protocol, cells[1].Protocol)
 	}
 	for i, c := range cells {
@@ -40,7 +41,7 @@ func TestExpandDefaults(t *testing.T) {
 func TestExpandFullMatrix(t *testing.T) {
 	spec := Spec{
 		GridSizes:       []int{7, 11},
-		Protocols:       []string{Protectionless, SLPAware},
+		Protocols:       []string{protocol.NameProtectionless, protocol.AliasSLP},
 		SearchDistances: []int{1, 3},
 		Attackers:       []attacker.Params{{R: 1, M: 1}, {R: 2, M: 2}},
 		Channels:        []string{"ideal", "bernoulli:0.1"},
@@ -89,7 +90,7 @@ func TestRunFailsFastOnBadAxis(t *testing.T) {
 	for name, spec := range map[string]Spec{
 		"attacker R=0": {GridSizes: []int{5}, Attackers: []attacker.Params{{R: 0, M: 1}}},
 		"bad loss":     {GridSizes: []int{5}, Channels: []string{"bernoulli:2"}},
-		"sd 0 for slp": {GridSizes: []int{5}, Protocols: []string{SLPAware}, SearchDistances: []int{0}},
+		"sd 0 for slp": {GridSizes: []int{5}, Protocols: []string{protocol.AliasSLP}, SearchDistances: []int{0}},
 	} {
 		if _, err := run(spec, exec); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -191,7 +192,7 @@ func TestRunStreamsRowsInCellOrder(t *testing.T) {
 	var progress []int
 	spec := Spec{
 		GridSizes: []int{5},
-		Protocols: []string{Protectionless, SLPAware},
+		Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP},
 		Repeats:   3,
 		Progress: func(done, total int, row Row) {
 			if total != 2 {
@@ -229,7 +230,7 @@ func TestRunCountsFailures(t *testing.T) {
 		}
 		return stubRun(g, sink, source, cfg, seed)
 	}
-	sum, err := run(Spec{GridSizes: []int{5}, Protocols: []string{Protectionless}, Repeats: 6}, exec)
+	sum, err := run(Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless}, Repeats: 6}, exec)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -265,7 +266,7 @@ func TestCampaignSimulates(t *testing.T) {
 			t.Errorf("implausible row: %+v", r)
 		}
 	}
-	if slp := rows[1]; slp.Protocol != SLPAware || slp.ChangedNodes <= 0 {
+	if slp := rows[1]; slp.Protocol != protocol.AliasSLP || slp.ChangedNodes <= 0 {
 		t.Errorf("SLP row changed no slots: %+v", rows[1])
 	}
 }
@@ -309,7 +310,7 @@ func TestDeterminism(t *testing.T) {
 func TestExpandStrategyAndTeamAxes(t *testing.T) {
 	spec := Spec{
 		GridSizes:       []int{5},
-		Protocols:       []string{Protectionless},
+		Protocols:       []string{protocol.NameProtectionless},
 		Strategies:      []string{"first-heard", "cautious"},
 		AttackerCounts:  []int{1, 3},
 		SharedHistories: []bool{false, true},
@@ -357,7 +358,7 @@ func TestExpandRejectsUnknownStrategy(t *testing.T) {
 func TestStrategyAxisDeterminism(t *testing.T) {
 	spec := Spec{
 		GridSizes:       []int{5},
-		Protocols:       []string{Protectionless},
+		Protocols:       []string{protocol.NameProtectionless},
 		Strategies:      []string{"first-heard", "backtrack", "random-walk"},
 		AttackerCounts:  []int{1, 2},
 		SharedHistories: []bool{false, true},
@@ -410,7 +411,7 @@ func TestIntraCellParallelismLargeRGGDeterministic(t *testing.T) {
 	}
 	spec := Spec{
 		Topologies: []TopologySpec{{Kind: KindRGG, Size: size, Seed: 3}},
-		Protocols:  []string{Protectionless},
+		Protocols:  []string{protocol.NameProtectionless},
 		Repeats:    8,
 		BaseSeed:   9,
 	}

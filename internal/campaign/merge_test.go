@@ -5,6 +5,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"slpdas/internal/protocol"
 )
 
 // shardOutputs runs spec once per shard through the stub runner and
@@ -46,7 +48,7 @@ func mergeShards(shards [][]byte) (int, []byte, error) {
 // single-process run, for several shard counts (including more shards
 // than cells, leaving some shards empty).
 func TestMergeJSONLRoundTrip(t *testing.T) {
-	spec := Spec{GridSizes: []int{5, 7}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 3, BaseSeed: 9}
+	spec := Spec{GridSizes: []int{5, 7}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 3, BaseSeed: 9}
 	for _, n := range []int{2, 3, 5, 16} {
 		shards, single := shardOutputs(t, spec, n)
 		got, merged, err := mergeShards(shards)
@@ -67,7 +69,7 @@ func TestMergeJSONLRoundTrip(t *testing.T) {
 // source must be in increasing cell order — the order the engine writes
 // and -resume preserves — so the merge can stream in O(sources) memory.
 func TestMergeJSONLUnorderedSources(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2}
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2}
 	shards, single := shardOutputs(t, spec, 2)
 	// Shard files in reversed order merge fine.
 	_, merged, err := mergeShards([][]byte{shards[1], shards[0]})

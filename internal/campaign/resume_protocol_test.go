@@ -39,7 +39,7 @@ func TestScanResumableRejectsForeignProtocolFamily(t *testing.T) {
 	for name, foreign := range map[string]Spec{
 		"different family": protocolSpec(protocol.NameFakeSource),
 		"renamed family":   protocolSpec(protocol.NameTier),
-		"paper pair":       protocolSpec(Protectionless, SLPAware),
+		"paper pair":       protocolSpec(protocol.NameProtectionless, protocol.AliasSLP),
 	} {
 		_, _, err := foreign.ScanResumable(bytes.NewReader(full), "jsonl")
 		if err == nil {

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"slpdas/internal/protocol"
 )
 
 // renderJSONL writes rows through a JSONL sink and returns the bytes.
@@ -190,7 +192,7 @@ func TestReadRowsCSVHeaderOnly(t *testing.T) {
 // matrix — the remaining cells run on exactly the seeds and emit exactly
 // the bytes of the corresponding cells of a full run.
 func TestSkipKeepsSeedsAndRows(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 3}
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 3}
 
 	full, err := run(spec, stubRun)
 	if err != nil {
@@ -232,7 +234,7 @@ func TestSkipKeepsSeedsAndRows(t *testing.T) {
 // TestSkipComposesWithShard: a resumed shard skips both the cells
 // outside its slice and the ones its file already holds.
 func TestSkipComposesWithShard(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2}
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2}
 	spec.Shard = Shard{Index: 1, Count: 2}
 	spec.Skip = map[int]bool{3: true}
 	sum, err := run(spec, stubRun)
@@ -261,7 +263,7 @@ func TestAllCellsSkipped(t *testing.T) {
 // TestShardPartition: stride shards tile the matrix — disjoint, complete,
 // and each emitting the same bytes the full run emits for those cells.
 func TestShardPartition(t *testing.T) {
-	spec := Spec{GridSizes: []int{5, 7}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2}
+	spec := Spec{GridSizes: []int{5, 7}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2}
 	full, err := run(spec, stubRun)
 	if err != nil {
 		t.Fatalf("full run: %v", err)
@@ -357,7 +359,7 @@ func (s *failingFlushSink) Flush() error { return errors.New("forced flush failu
 // offset and appending a Skip run — the result must be byte-identical to
 // the uninterrupted output.
 func TestResumeAppendCompletesFile(t *testing.T) {
-	spec := Spec{GridSizes: []int{5, 7}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 3, BaseSeed: 11}
+	spec := Spec{GridSizes: []int{5, 7}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 3, BaseSeed: 11}
 
 	var fullBuf bytes.Buffer
 	sink := NewJSONL(&fullBuf)
@@ -396,7 +398,7 @@ func TestResumeAppendCompletesFile(t *testing.T) {
 // seed, a changed axis, a shrunken matrix or plain garbage — instead of
 // silently mixing two campaigns in one file.
 func TestScanResumableRejectsForeignFile(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
 	sum, err := run(spec, stubRun)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -416,7 +418,7 @@ func TestScanResumableRejectsForeignFile(t *testing.T) {
 		"different seed":    func(s *Spec) { s.BaseSeed = 99 },
 		"different repeats": func(s *Spec) { s.Repeats = 5 },
 		"different sd axis": func(s *Spec) { s.SearchDistances = []int{2, 1} },
-		"shrunken matrix":   func(s *Spec) { s.Protocols = []string{Protectionless}; s.SearchDistances = []int{1} },
+		"shrunken matrix":   func(s *Spec) { s.Protocols = []string{protocol.NameProtectionless}; s.SearchDistances = []int{1} },
 	} {
 		s := spec
 		other(&s)
@@ -435,7 +437,7 @@ func TestScanResumableRejectsForeignFile(t *testing.T) {
 // TestScanResumableCSV: the CSV path recovers cells, verifies
 // coordinates, and tolerates a torn final record.
 func TestScanResumableCSV(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
 	sum, err := run(spec, stubRun)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -464,7 +466,7 @@ func TestScanResumableCSV(t *testing.T) {
 // so a spec written with the un-normalized zero values must still accept
 // the file it produced.
 func TestScanResumableAcceptsOwnNormalizedDefaults(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless},
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless},
 		AttackerCounts: []int{0}, Strategies: []string{""}, Repeats: 2, BaseSeed: 3}
 	sum, err := run(spec, stubRun)
 	if err != nil {
@@ -484,7 +486,7 @@ func TestScanResumableAcceptsOwnNormalizedDefaults(t *testing.T) {
 // different -shard must be refused — appending the wrong shard's cells
 // would corrupt both files.
 func TestScanResumableEnforcesShard(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
 	s0 := spec
 	s0.Shard = Shard{Index: 0, Count: 3}
 	sum, err := run(s0, stubRun)
@@ -512,7 +514,7 @@ func TestScanResumableEnforcesShard(t *testing.T) {
 // slpmerge rejects; ScanResumable must refuse it, naming the line and
 // both cells.
 func TestScanResumableRejectsDisorderedRows(t *testing.T) {
-	spec := Spec{GridSizes: []int{5}, Protocols: []string{Protectionless, SLPAware}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
+	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}
 	sum, err := run(spec, stubRun)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -11,13 +11,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"slpdas/internal/protocol"
 )
 
 func sampleRows() []Row {
 	return []Row{
 		{
 			Cell: 0, Topology: "grid-7x7", GridSize: 7, Nodes: 49,
-			Protocol: Protectionless, SearchDistance: 1,
+			Protocol: protocol.NameProtectionless, SearchDistance: 1,
 			AttackerR: 1, AttackerM: 1, Strategy: "first-heard", Attackers: 1,
 			LossModel: "ideal",
 			Repeats:   5, BaseSeed: 1, Runs: 5, Captures: 3,
@@ -28,7 +30,7 @@ func sampleRows() []Row {
 		},
 		{
 			Cell: 1, Topology: "ring-30", Nodes: 30,
-			Protocol: SLPAware, SearchDistance: 3,
+			Protocol: protocol.AliasSLP, SearchDistance: 3,
 			AttackerR: 2, AttackerH: 1, AttackerM: 2,
 			Strategy: "backtrack", Attackers: 3, SharedHistory: true,
 			LossModel: "bernoulli:0.1", Collisions: true,

@@ -1,10 +1,10 @@
-// Package channel is the pluggable physical-layer registry — the
-// channel-side mirror of internal/protocol and internal/attacker. A Model
-// decides, per link and per transmission, whether a frame reaches a
-// receiver, and (for power-based models) at what received power, which is
-// what SINR capture in the radio medium consumes. Families register by
-// name and parse from the shared textual grammar used by the campaign
-// engine, the facade and the CLIs:
+// Package channel declares the physical-layer families as one table in
+// name order — the channel-side mirror of internal/protocol and
+// internal/attacker. A Model decides, per link and per transmission,
+// whether a frame reaches a receiver, and (for power-based models) at what
+// received power, which is what SINR capture in the radio medium
+// consumes. Families are named by keyword and parse from the shared
+// textual grammar used by the campaign engine, the facade and the CLIs:
 //
 //	ideal                                  perfectly reliable channel
 //	bernoulli:<p>                          i.i.d. loss with probability p
@@ -16,8 +16,8 @@
 //	                                       threshold t dB
 //
 // Determinism contract: ideal, bernoulli and rssi draw from the medium's
-// shared "radio" stream in exactly the sequence the pre-registry loss
-// models drew, so default campaigns stay byte-identical. logdist draws
+// shared "radio" stream in exactly the sequence the original loss models
+// drew, so default campaigns stay byte-identical. logdist draws
 // nothing from shared streams: its per-link shadowing is a pure function
 // of (run seed, link), minted through a dedicated labelled xrand stream
 // and cached, so the value is independent of the order links are first
@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -84,67 +84,21 @@ type Model interface {
 	Capture() (CaptureParams, bool)
 }
 
-// Family describes one registered channel family: the grammar keyword,
-// a one-line summary for listings, and the argument parser. Parse
-// receives the text after "name:" with hasArgs distinguishing "name"
-// from "name:"; it must consume the arguments completely — trailing
-// garbage is a parse error, never silently ignored.
+// Family describes one channel family: the grammar keyword, a one-line
+// summary for listings, and the argument parser. Parse receives the text
+// after "name:" with hasArgs distinguishing "name" from "name:"; it must
+// consume the arguments completely — trailing garbage is a parse error,
+// never silently ignored.
 type Family struct {
 	Name    string
 	Summary string
 	Parse   func(args string, hasArgs bool) (Model, error)
 }
 
-// Info describes one registered family for listings and documentation.
-type Info struct {
-	Name    string
-	Summary string
-}
-
-var families = map[string]Family{}
-
-// Register adds a family to the registry. It panics on a duplicate name:
-// registration happens at init time and a collision is a programming
-// error.
-func Register(f Family) {
-	if _, dup := families[f.Name]; dup {
-		panic(fmt.Sprintf("channel: duplicate channel family %q", f.Name))
-	}
-	families[f.Name] = f
-}
-
-// Families lists every registered family, sorted by name.
-func Families() []Info {
-	out := make([]Info, 0, len(families))
-	for _, f := range families {
-		out = append(out, Info{Name: f.Name, Summary: f.Summary})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Names lists the registered family names, sorted.
-func Names() []string {
-	infos := Families()
-	out := make([]string, len(infos))
-	for i, in := range infos {
-		out[i] = in.Name
-	}
-	return out
-}
-
-func init() {
-	Register(Family{
-		Name:    "ideal",
-		Summary: "perfectly reliable channel (the paper's evaluation model)",
-		Parse: func(args string, hasArgs bool) (Model, error) {
-			if hasArgs {
-				return nil, fmt.Errorf("channel: ideal takes no arguments, got %q", args)
-			}
-			return Ideal{}, nil
-		},
-	})
-	Register(Family{
+// families is every channel family, declared in name order: Names lists
+// it as it stands.
+var families = [...]Family{
+	{
 		Name:    "bernoulli",
 		Summary: "i.i.d. frame loss with probability p: bernoulli:<p>",
 		Parse: func(args string, hasArgs bool) (Model, error) {
@@ -157,18 +111,18 @@ func init() {
 			}
 			return Bernoulli{P: p}, nil
 		},
-	})
-	Register(Family{
-		Name:    "rssi",
-		Summary: "calibrated log-normal shadowing, drawn per frame (casino-lab substitute)",
+	},
+	{
+		Name:    "ideal",
+		Summary: "perfectly reliable channel (the paper's evaluation model)",
 		Parse: func(args string, hasArgs bool) (Model, error) {
 			if hasArgs {
-				return nil, fmt.Errorf("channel: rssi takes no arguments, got %q", args)
+				return nil, fmt.Errorf("channel: ideal takes no arguments, got %q", args)
 			}
-			return RSSI{}, nil
+			return Ideal{}, nil
 		},
-	})
-	Register(Family{
+	},
+	{
 		Name:    "logdist",
 		Summary: "log-distance path loss with per-link shadowing: logdist:<n>:<sigma>[@sinr:<t>]",
 		Parse: func(args string, hasArgs bool) (Model, error) {
@@ -189,7 +143,26 @@ func init() {
 			}
 			return NewLogDistance(exp, sigma), nil
 		},
-	})
+	},
+	{
+		Name:    "rssi",
+		Summary: "calibrated log-normal shadowing, drawn per frame (casino-lab substitute)",
+		Parse: func(args string, hasArgs bool) (Model, error) {
+			if hasArgs {
+				return nil, fmt.Errorf("channel: rssi takes no arguments, got %q", args)
+			}
+			return RSSI{}, nil
+		},
+	},
+}
+
+// Names lists the family names, sorted.
+func Names() []string {
+	out := make([]string, len(families))
+	for i := range families {
+		out[i] = families[i].Name
+	}
+	return out
 }
 
 // Parse resolves a grammar string to its Model. The empty string selects
@@ -204,11 +177,11 @@ func Parse(s string) (Model, error) {
 	}
 	base, capSpec, hasCap := strings.Cut(t, "@")
 	name, args, hasArgs := strings.Cut(base, ":")
-	f, ok := families[name]
-	if !ok {
+	i := slices.IndexFunc(families[:], func(f Family) bool { return f.Name == name })
+	if i < 0 {
 		return nil, fmt.Errorf("channel: unknown channel %q (have %v)", s, Names())
 	}
-	m, err := f.Parse(args, hasArgs)
+	m, err := families[i].Parse(args, hasArgs)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +226,7 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 
 // Ideal is the paper's evaluation channel (§VI-A): every in-range frame
 // arrives. It draws nothing, so runs configured with it are byte-identical
-// to the pre-registry ideal loss model.
+// to the original ideal loss model.
 type Ideal struct{}
 
 // Spec implements Model.
@@ -275,7 +248,7 @@ func (Ideal) Capture() (CaptureParams, bool) { return CaptureParams{}, false }
 
 // Bernoulli drops every frame independently with probability P,
 // irrespective of distance, drawing one Float64 from the shared stream
-// per candidate reception — the exact sequence the pre-registry model
+// per candidate reception — the exact sequence the original model
 // drew.
 type Bernoulli struct {
 	P float64
@@ -307,7 +280,7 @@ func (Bernoulli) Capture() (CaptureParams, bool) { return CaptureParams{}, false
 //
 // drawn fresh per frame, and the frame is lost when RSSI falls below the
 // −70 dBm sensitivity. One NormFloat64 per candidate reception from the
-// shared stream — the exact sequence the pre-registry rssi model drew.
+// shared stream — the exact sequence the original rssi model drew.
 type RSSI struct{}
 
 // rssiPathLossExp and rssiSigma are the calibrated casino-lab substitute

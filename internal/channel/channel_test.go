@@ -164,8 +164,9 @@ func TestBernoulliExtremes(t *testing.T) {
 	}
 }
 
-// TestFamiliesSorted: the registry lists every family, sorted, and Parse
-// resolves each listed name (with default-ish arguments where required).
+// TestFamiliesSorted: the table lists every family in strictly increasing
+// name order (so a duplicate fails), and an unknown name's error lists
+// them.
 func TestFamiliesSorted(t *testing.T) {
 	names := Names()
 	if len(names) != 4 {
@@ -283,7 +284,7 @@ func TestCaptureParams(t *testing.T) {
 }
 
 // TestStatelessModels: ideal/bernoulli/rssi behave exactly like the
-// pre-registry loss models they replace — same draws from the same
+// original loss models they replace — same draws from the same
 // stream (the byte-compat contract is pinned end-to-end by the goldens;
 // this is the unit-level view).
 func TestStatelessModels(t *testing.T) {

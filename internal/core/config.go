@@ -47,7 +47,7 @@ type Config struct {
 	// ChangeLength (CL) is the length of the decoy change path; 0 means
 	// the Table I default Δss − SD, computed from the topology.
 	ChangeLength int
-	// Protocol selects the routing family by registry name (see
+	// Protocol selects the routing family by name (see
 	// protocol.Protocols). Empty means protectionless DAS.
 	Protocol string
 	// SafetyFactor (Cs) scales the protectionless capture time into the
@@ -65,8 +65,8 @@ type Config struct {
 	// Attacker carries (R, H, M); the start location s0 is set by the
 	// network to the sink, as in the paper.
 	Attacker attacker.Params
-	// Strategy selects the attacker decision behaviour by registry name
-	// (see attacker.Strategies). Empty means first-heard, the paper's
+	// Strategy selects the attacker decision behaviour by name (see
+	// attacker.Strategies). Empty means first-heard, the paper's
 	// (1,0,1,s0,D) attacker.
 	Strategy string
 	// AttackerCount is the number of simultaneous eavesdroppers, all
@@ -183,8 +183,8 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	if fam.UsesSearchDistance() && c.SearchDistance < 1 {
-		return fmt.Errorf("core: protocol %q needs SearchDistance >= 1, got %d", fam.Name(), c.SearchDistance)
+	if fam.UsesSearchDistance && c.SearchDistance < 1 {
+		return fmt.Errorf("core: protocol %q needs SearchDistance >= 1, got %d", fam.Name, c.SearchDistance)
 	}
 	if c.SafetyFactor <= 0 {
 		return fmt.Errorf("core: safety factor must be positive, got %v", c.SafetyFactor)
@@ -220,21 +220,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ProtocolName returns the registry name of the configured routing
-// family: the Protocol field canonicalised through the registry (so the
+// ProtocolName returns the canonical name of the configured routing
+// family: the Protocol field resolved through protocol.ByName (so the
 // "slp" alias reports "slp-das"), protectionless when it is empty.
 func (c Config) ProtocolName() string {
 	if c.Protocol == "" {
 		return protocol.NameProtectionless
 	}
 	if fam, err := protocol.ByName(c.Protocol); err == nil {
-		return fam.Name()
+		return fam.Name
 	}
 	return c.Protocol
 }
 
-// ProtocolFamily resolves the configured routing family through the
-// registry.
+// ProtocolFamily resolves the configured routing family's table entry.
 func (c Config) ProtocolFamily() (protocol.Protocol, error) {
 	return protocol.ByName(c.ProtocolName())
 }
@@ -243,7 +242,7 @@ func (c Config) ProtocolFamily() (protocol.Protocol, error) {
 // search phase (Phase 2) during setup.
 func (c Config) HasSearchPhase() bool {
 	fam, err := c.ProtocolFamily()
-	return err == nil && fam.SearchPhase()
+	return err == nil && fam.SearchPhase
 }
 
 // Attackers returns the effective eavesdropper count (0 means 1).
@@ -261,7 +260,7 @@ func (c Config) strategyFactory() (attacker.Factory, error) {
 }
 
 // StrategyLabel names the attacker behaviour for reporting: the Strategy
-// registry name, else the default.
+// name, else the default.
 func (c Config) StrategyLabel() string {
 	if c.Strategy != "" {
 		return c.Strategy

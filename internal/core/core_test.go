@@ -557,7 +557,7 @@ func TestUnknownStrategyRejected(t *testing.T) {
 }
 
 func TestStrategiesRunEndToEnd(t *testing.T) {
-	// Every registered strategy must drive a full run without error; the
+	// Every named strategy must drive a full run without error; the
 	// random-walk baseline exercises the rng plumbing, cautious the graph
 	// binding, backtrack the period hooks.
 	side := 7

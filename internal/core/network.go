@@ -279,10 +279,10 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	// Rewind the family instance alongside everything else on the arena
 	// path. Instances are cached per family so switching families between
 	// runs on one Network reuses (and must fully rewind) state.
-	inst, ok := n.protoCache[fam.Name()]
+	inst, ok := n.protoCache[fam.Name]
 	if !ok {
 		inst = fam.New()
-		n.protoCache[fam.Name()] = inst
+		n.protoCache[fam.Name] = inst
 	}
 	inst.Reset(&n.env, protocol.Params{
 		SearchDistance: cfg.SearchDistance,
@@ -339,7 +339,7 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	count := cfg.Attackers()
 	n.atks = n.atks[:0]
 	for i := 0; i < count; i++ {
-		atk, err := attacker.NewWithStrategy(n.g, params, factory(), n.source, seed, i)
+		atk, err := attacker.New(n.g, params, factory(), n.source, seed, i)
 		if err != nil {
 			return err
 		}
@@ -532,7 +532,7 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 	// stamps the arrival period; event-driven families never arm it, so
 	// derive the period from the clock instead.
 	period := n.nodes[n.sink].dataPeriod
-	if !n.fam.TDMAData() {
+	if !n.fam.TDMAData {
 		period = int((n.sim.Now() - n.dataStart) / n.timing.PeriodDuration())
 	}
 	lat := period - int(seq)
@@ -575,7 +575,7 @@ func (n *Network) setup() error {
 	}
 
 	// Phase 2 launch (families with a search phase only).
-	if n.fam.SearchPhase() {
+	if n.fam.SearchPhase {
 		searchAt := dissemStart + n.searchStartDelay()
 		if _, err := n.sim.Schedule(searchAt, sinkNode.startSearch); err != nil {
 			return err
@@ -633,7 +633,7 @@ func (n *Network) searchStartDelay() time.Duration {
 func (n *Network) startDataPhase() error {
 	// Pure-TDMA families arm every node's slot task; event-driven families
 	// leave them unarmed and drive all DATA traffic through StartData.
-	if n.fam.TDMAData() {
+	if n.fam.TDMAData {
 		for _, task := range n.tasks {
 			if err := task.Start(n.timing, n.dataStart); err != nil {
 				return err
@@ -662,8 +662,8 @@ func (n *Network) startDataPhase() error {
 			return err
 		}
 	}
-	// Family-driven traffic (a no-op for the pure-TDMA paper pair, so the
-	// registry path replays the pre-registry event order exactly).
+	// Family-driven traffic (a no-op for the pure-TDMA paper pair, so
+	// their event order is that of the TDMA schedule alone).
 	return n.proto.StartData(n)
 }
 
@@ -779,7 +779,7 @@ func (n *Network) Run() (*Result, error) {
 
 func (n *Network) collect() *Result {
 	res := &Result{
-		Protocol:     n.fam.Label(),
+		Protocol:     n.fam.Label,
 		Seed:         n.seed,
 		Nodes:        n.g.Len(),
 		DeltaSS:      n.deltaSS,

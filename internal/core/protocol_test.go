@@ -8,7 +8,7 @@ import (
 	"slpdas/internal/topo"
 )
 
-// familyConfig builds a small-grid config for one registry family.
+// familyConfig builds a small-grid config for one protocol family.
 func familyConfig(name string) Config {
 	cfg := Default()
 	cfg.Protocol = name
@@ -17,7 +17,7 @@ func familyConfig(name string) Config {
 }
 
 // TestEveryFamilyDeterministic pins per-family determinism: for every
-// registered protocol, the same (config, seed) produces a deeply equal
+// protocol family, the same (config, seed) produces a deeply equal
 // Result across independent networks. Run under -race this also shakes
 // out unsynchronised shared state inside family instances.
 func TestEveryFamilyDeterministic(t *testing.T) {
@@ -40,8 +40,8 @@ func TestEveryFamilyDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if a.Protocol != fam.Label() {
-				t.Errorf("Result.Protocol = %q, want label %q", a.Protocol, fam.Label())
+			if a.Protocol != fam.Label {
+				t.Errorf("Result.Protocol = %q, want label %q", a.Protocol, fam.Label)
 			}
 			if a.SourceDeliveries == 0 {
 				t.Errorf("%s delivered no source messages", name)
@@ -51,7 +51,7 @@ func TestEveryFamilyDeterministic(t *testing.T) {
 }
 
 // TestResetAcrossFamilies extends the arena no-drift audit to the protocol
-// axis: one network cycled through every registered family via Reset must
+// axis: one network cycled through every family via Reset must
 // match fresh per-family networks, including a replay of the first family
 // after the others dirtied per-family instance state.
 func TestResetAcrossFamilies(t *testing.T) {
@@ -126,7 +126,7 @@ func TestProtocolFieldAliasesBool(t *testing.T) {
 }
 
 // TestUnknownProtocolRejected mirrors the attacker-strategy check: a
-// config naming an unregistered family fails validation and NewNetwork.
+// config naming an unknown family fails validation and NewNetwork.
 func TestUnknownProtocolRejected(t *testing.T) {
 	cfg := Default()
 	cfg.Protocol = "bogus-routing"

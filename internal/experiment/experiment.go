@@ -263,19 +263,18 @@ func runAll(specs []Spec, workers int, what func(i int) string) ([]*Aggregate, e
 	return aggs, nil
 }
 
-// protocolLabel names the configured routing family for aggregates,
-// resolving through the protocol registry so added families label
-// themselves. Families parameterised by SearchDistance carry it as a
-// suffix (e.g. "slp-das-sd3"), matching the pre-registry labels.
+// protocolLabel names the configured routing family for aggregates by
+// its Label. Families parameterised by SearchDistance carry it as a
+// suffix (e.g. "slp-das-sd3").
 func protocolLabel(c core.Config) string {
 	fam, err := c.ProtocolFamily()
 	if err != nil {
 		return c.ProtocolName()
 	}
-	if fam.UsesSearchDistance() {
-		return fmt.Sprintf("%s-sd%d", fam.Label(), c.SearchDistance)
+	if fam.UsesSearchDistance {
+		return fmt.Sprintf("%s-sd%d", fam.Label, c.SearchDistance)
 	}
-	return fam.Label()
+	return fam.Label
 }
 
 // MessageTypes returns the types present, sorted, for stable rendering.

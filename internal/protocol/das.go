@@ -1,53 +1,12 @@
 package protocol
 
-// dasProtocol re-expresses the paper's pair through the registry: the
-// protectionless GCN-DAS of Figure 2 and the 3-phase SLP-aware variant of
-// Figures 2-4. Both are pure-TDMA families — the data phase is the slot
-// schedule the setup built — so their Instance holds no state and their
-// registry entries reduce to the two booleans the network consults
-// (SearchPhase and UsesSearchDistance). Their labels are pinned to the
-// pre-registry Result strings, which is what keeps fig5a_compat.golden and
-// sweep_compat.golden byte-identical across the refactor.
-type dasProtocol struct {
-	slp bool
-}
-
-func (d dasProtocol) Name() string {
-	if d.slp {
-		return NameSLPDAS
-	}
-	return NameProtectionless
-}
-
-func (d dasProtocol) Summary() string {
-	if d.slp {
-		return "the paper's 3-phase SLP-aware DAS: search, slot refinement, decoy-first TDMA (Figures 2-4)"
-	}
-	return "baseline GCN data aggregation scheduling with no SLP protection (Figure 2)"
-}
-
-func (d dasProtocol) Label() string {
-	if d.slp {
-		return "slp-das"
-	}
-	return "protectionless-das"
-}
-
-func (d dasProtocol) UsesSearchDistance() bool { return d.slp }
-func (d dasProtocol) SearchPhase() bool        { return d.slp }
-func (d dasProtocol) TDMAData() bool           { return true }
-func (d dasProtocol) New() Instance            { return idleInstance{} }
-
-// idleInstance is the no-op Instance of pure-TDMA families: all their
-// behaviour lives in the slot schedule, so there is nothing to rewind and
-// nothing to start.
+// idleInstance is the Instance of the paper's pair: the protectionless
+// GCN-DAS of Figure 2 and the 3-phase SLP-aware variant of Figures 2-4.
+// Both are pure-TDMA families — all their behaviour lives in the slot
+// schedule the setup built, and their table entries differ only in the
+// two booleans the network consults (SearchPhase and UsesSearchDistance)
+// — so there is nothing to rewind and nothing to start.
 type idleInstance struct{}
 
 func (idleInstance) Reset(*Env, Params, uint64) {}
 func (idleInstance) StartData(Host) error       { return nil }
-
-func init() {
-	Register(dasProtocol{slp: false})
-	Register(dasProtocol{slp: true})
-	RegisterAlias(AliasSLP, NameSLPDAS)
-}

@@ -17,24 +17,12 @@ const (
 	fakeCaptureThreshold = 1e-4
 )
 
-// fakeSourceProtocol is fake-source routing: the real traffic is the
+// fakeSourceInstance runs fake-source routing: the real traffic is the
 // unmodified TDMA convergecast, but a backbone of nodes leading *away*
 // from the real source broadcasts decoy DATA at the start of every
 // period — before any real slot fires — so a traffic-tracing attacker at
 // the sink hears the backbone first and is drawn outward along it,
 // period by period, away from the source.
-type fakeSourceProtocol struct{}
-
-func (fakeSourceProtocol) Name() string { return NameFakeSource }
-func (fakeSourceProtocol) Summary() string {
-	return "TDMA convergecast plus a decoy backbone away from the source broadcasting fake DATA each period"
-}
-func (fakeSourceProtocol) Label() string            { return "fake-source" }
-func (fakeSourceProtocol) UsesSearchDistance() bool { return false }
-func (fakeSourceProtocol) SearchPhase() bool        { return false }
-func (fakeSourceProtocol) TDMAData() bool           { return true }
-func (fakeSourceProtocol) New() Instance            { return &fakeSourceInstance{} }
-
 type fakeSourceInstance struct {
 	env *Env
 	p   Params
@@ -116,5 +104,3 @@ func (fi *fakeSourceInstance) StartData(h Host) error {
 	}
 	return nil
 }
-
-func init() { Register(fakeSourceProtocol{}) }

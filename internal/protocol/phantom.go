@@ -9,7 +9,7 @@ import (
 	"slpdas/internal/xrand"
 )
 
-// phantomProtocol is sector phantom routing (PSSPR, see PAPERS.md): every
+// phantomInstance runs sector phantom routing (PSSPR, see PAPERS.md): every
 // source message first random-walks SearchDistance hops *away* from the
 // sink inside a per-message directed sector, reaching a phantom source,
 // and only then follows the shortest path to the sink. An eavesdropper
@@ -21,18 +21,6 @@ import (
 // families share the control plane) but slot tasks stay unarmed; the only
 // DATA traffic is the per-period route broadcasts, spaced one slot apart
 // hop by hop.
-type phantomProtocol struct{}
-
-func (phantomProtocol) Name() string { return NamePhantom }
-func (phantomProtocol) Summary() string {
-	return "sector phantom routing (PSSPR): directed random walk to a phantom source, then shortest path"
-}
-func (phantomProtocol) Label() string            { return "phantom" }
-func (phantomProtocol) UsesSearchDistance() bool { return true }
-func (phantomProtocol) SearchPhase() bool        { return false }
-func (phantomProtocol) TDMAData() bool           { return false }
-func (phantomProtocol) New() Instance            { return &phantomInstance{} }
-
 type phantomInstance struct {
 	env *Env
 	p   Params
@@ -116,5 +104,3 @@ func (pi *phantomInstance) walkStep(cur, prev topo.NodeID, dx, dy float64) topo.
 	}
 	return cands[pi.rng.IntN(len(cands))]
 }
-
-func init() { Register(phantomProtocol{}) }

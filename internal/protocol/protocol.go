@@ -1,16 +1,15 @@
-// Package protocol is the named-factory registry of routing families the
-// simulator can evaluate — the protocol-side mirror of the attacker
-// strategy registry. The paper's pair (protectionless GCN-DAS and the
-// 3-phase SLP-aware variant) are registry entries like any other; rival
-// SLP families from the wider literature (sector phantom routing,
-// fake-source backbones, tier-based intermediary routing) register beside
-// them and automatically appear on every axis above: core.Config,
-// experiment labels, the campaign protocol axis, the slpdas facade and the
-// CLIs.
+// Package protocol declares the routing families the simulator can
+// evaluate, as one table in name order — the protocol-side mirror of the
+// attacker strategy table. The paper's pair (protectionless GCN-DAS and
+// the 3-phase SLP-aware variant) are entries like any other; rival SLP
+// families from the wider literature (sector phantom routing, fake-source
+// backbones, tier-based intermediary routing) sit beside them and appear
+// on every axis above: core.Config, experiment labels, the campaign
+// protocol axis, the slpdas facade and the CLIs.
 //
-// A Protocol describes one family statically: its registry name, result
-// label, whether it runs the SLP search phase during setup, whether the
-// data phase is the TDMA convergecast or family-driven event traffic, and
+// A Protocol describes one family statically: its name, result label,
+// whether it runs the SLP search phase during setup, whether the data
+// phase is the TDMA convergecast or family-driven event traffic, and
 // whether SearchDistance parameterises it. New mints one Instance per
 // core.Network; the Instance is the per-run state holder, rewound by Reset
 // on the arena path exactly like nodes and attackers — Network.Reset
@@ -26,13 +25,13 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"slpdas/internal/topo"
 )
 
-// Canonical registry names, plus the campaign engine's historical alias.
+// Canonical family names, plus the campaign engine's historical alias.
 const (
 	// NameProtectionless is the baseline DAS of Figure 2.
 	NameProtectionless = "protectionless"
@@ -50,11 +49,8 @@ const (
 
 	// AliasSLP is the campaign engine's historical name for the SLP-aware
 	// protocol; it resolves to NameSLPDAS and stays valid on every axis so
-	// pre-registry campaign files remain resumable.
+	// campaign files older than the other families remain resumable.
 	AliasSLP = "slp"
-
-	// Default is the registry name selected when nothing names a protocol.
-	Default = NameProtectionless
 )
 
 // Host is the slice of core.Network an Instance drives event traffic
@@ -125,101 +121,96 @@ type Instance interface {
 	StartData(h Host) error
 }
 
-// Protocol describes one registered routing family. The boolean shape
-// methods are static family properties consulted on the hot path, so
-// implementations must be allocation-free.
-type Protocol interface {
-	// Name is the registry name (also the campaign axis value).
-	Name() string
+// Protocol describes one routing family: its static shape, consulted on
+// the hot path as plain field reads, and the factory of its per-network
+// Instance.
+type Protocol struct {
+	// Name is the canonical name (also the campaign axis value).
+	Name string
 	// Summary is a one-line description for listings.
-	Summary() string
+	Summary string
 	// Label names the family in Results and experiment aggregates
 	// (e.g. "protectionless-das"); it may differ from Name for history.
-	Label() string
+	Label string
 	// UsesSearchDistance reports whether SearchDistance parameterises the
 	// family (and so belongs in its experiment label).
-	UsesSearchDistance() bool
+	UsesSearchDistance bool
 	// SearchPhase reports whether setup schedules the sink's Phase 2
 	// search (NSearch/SRefine of Figures 3-4).
-	SearchPhase() bool
+	SearchPhase bool
 	// TDMAData reports whether the data phase is the TDMA convergecast
-	// (every node broadcasts in its slot). Families returning false drive
-	// all DATA traffic themselves via StartData.
-	TDMAData() bool
+	// (every node broadcasts in its slot). Families without it drive all
+	// DATA traffic themselves via StartData.
+	TDMAData bool
 	// New mints the per-network Instance.
-	New() Instance
+	New func() Instance
 }
 
-// Info describes one registered family for listings and documentation.
-type Info struct {
-	Name    string
-	Summary string
+// families is every routing family, declared in name order: Names and
+// Protocols list it as it stands. The two DAS labels are pinned to the
+// Result strings that predate the other families, which is what keeps
+// fig5a_compat.golden and sweep_compat.golden byte-identical.
+var families = [...]Protocol{
+	{
+		Name:     NameFakeSource,
+		Summary:  "TDMA convergecast plus a decoy backbone away from the source broadcasting fake DATA each period",
+		Label:    "fake-source",
+		TDMAData: true,
+		New:      func() Instance { return &fakeSourceInstance{} },
+	},
+	{
+		Name:               NamePhantom,
+		Summary:            "sector phantom routing (PSSPR): directed random walk to a phantom source, then shortest path",
+		Label:              "phantom",
+		UsesSearchDistance: true,
+		New:                func() Instance { return &phantomInstance{} },
+	},
+	{
+		Name:     NameProtectionless,
+		Summary:  "baseline GCN data aggregation scheduling with no SLP protection (Figure 2)",
+		Label:    "protectionless-das",
+		TDMAData: true,
+		New:      func() Instance { return idleInstance{} },
+	},
+	{
+		Name:               NameSLPDAS,
+		Summary:            "the paper's 3-phase SLP-aware DAS: search, slot refinement, decoy-first TDMA (Figures 2-4)",
+		Label:              "slp-das",
+		UsesSearchDistance: true,
+		SearchPhase:        true,
+		TDMAData:           true,
+		New:                func() Instance { return idleInstance{} },
+	},
+	{
+		Name:    NameTier,
+		Summary: "tier-based intermediary routing: each message detours via a random node of a random sink-distance tier",
+		Label:   "tier",
+		New:     func() Instance { return &tierInstance{} },
+	},
 }
 
-var (
-	registry = map[string]Protocol{}
-	aliases  = map[string]string{}
-)
-
-// Register adds a family to the registry. It panics on a duplicate name:
-// registration happens at init time and a collision is a programming
-// error.
-func Register(p Protocol) {
-	name := p.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("protocol: duplicate protocol %q", name))
-	}
-	if _, dup := aliases[name]; dup {
-		panic(fmt.Sprintf("protocol: protocol %q collides with a registered alias", name))
-	}
-	registry[name] = p
-}
-
-// RegisterAlias makes alias resolve to the registered family named
-// canonical. It panics if the alias collides with an existing name or the
-// canonical family does not exist.
-func RegisterAlias(alias, canonical string) {
-	if _, dup := registry[alias]; dup {
-		panic(fmt.Sprintf("protocol: alias %q collides with a registered protocol", alias))
-	}
-	if _, dup := aliases[alias]; dup {
-		panic(fmt.Sprintf("protocol: duplicate alias %q", alias))
-	}
-	if _, ok := registry[canonical]; !ok {
-		panic(fmt.Sprintf("protocol: alias %q targets unregistered protocol %q", alias, canonical))
-	}
-	aliases[alias] = canonical
-}
-
-// ByName resolves a registry name (or alias) to its family.
+// ByName resolves a canonical name, or the AliasSLP alias, to its family.
 func ByName(name string) (Protocol, error) {
-	if canonical, ok := aliases[name]; ok {
-		name = canonical
+	if name == AliasSLP {
+		name = NameSLPDAS
 	}
-	p, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("protocol: unknown protocol %q (have %v)", name, Names())
+	for i := range families {
+		if families[i].Name == name {
+			return families[i], nil
+		}
 	}
-	return p, nil
+	return Protocol{}, fmt.Errorf("protocol: unknown protocol %q (have %v)", name, Names())
 }
 
-// Protocols lists every registered family, sorted by name.
-func Protocols() []Info {
-	out := make([]Info, 0, len(registry))
-	for _, p := range registry {
-		out = append(out, Info{Name: p.Name(), Summary: p.Summary()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
+// Protocols lists every family, sorted by name.
+func Protocols() []Protocol { return slices.Clone(families[:]) }
 
-// Names lists the canonical registered names, sorted. Aliases are not
-// listed; they resolve through ByName.
+// Names lists the canonical names, sorted. The alias is not listed; it
+// resolves through ByName.
 func Names() []string {
-	infos := Protocols()
-	out := make([]string, len(infos))
-	for i, in := range infos {
-		out[i] = in.Name
+	out := make([]string, len(families))
+	for i := range families {
+		out[i] = families[i].Name
 	}
 	return out
 }

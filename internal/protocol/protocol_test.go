@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"sort"
 	"strings"
 	"testing"
 )
@@ -12,10 +11,10 @@ func TestByNameKnownFamilies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
 		}
-		if fam.Name() != name {
-			t.Errorf("ByName(%q).Name() = %q", name, fam.Name())
+		if fam.Name != name {
+			t.Errorf("ByName(%q).Name = %q", name, fam.Name)
 		}
-		if fam.Summary() == "" || fam.Label() == "" {
+		if fam.Summary == "" || fam.Label == "" {
 			t.Errorf("%q: empty summary or label", name)
 		}
 		if fam.New() == nil {
@@ -29,15 +28,14 @@ func TestByNameResolvesAlias(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ByName(%q): %v", AliasSLP, err)
 	}
-	if fam.Name() != NameSLPDAS {
-		t.Errorf("alias %q resolved to %q, want %q", AliasSLP, fam.Name(), NameSLPDAS)
+	if fam.Name != NameSLPDAS {
+		t.Errorf("alias %q resolved to %q, want %q", AliasSLP, fam.Name, NameSLPDAS)
 	}
 }
 
-// TestByNameAllocFree holds the registry indirection the run hot path
-// pays per Reset at zero allocations: name resolution through ByName,
-// alias included, plus the static shape queries the network consults.
-// The registry must stay a map lookup away from a hardwired switch.
+// TestByNameAllocFree holds the table lookup the run hot path pays per
+// Reset at zero allocations: name resolution through ByName, alias
+// included, plus the static shape fields the network reads.
 func TestByNameAllocFree(t *testing.T) {
 	names := [...]string{NameProtectionless, NameSLPDAS, AliasSLP, NamePhantom, NameFakeSource, NameTier}
 	sink := 0
@@ -47,14 +45,14 @@ func TestByNameAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ByName(%q): %v", name, err)
 			}
-			sink += len(fam.Name()) + len(fam.Label())
-			if fam.SearchPhase() {
+			sink += len(fam.Name) + len(fam.Label)
+			if fam.SearchPhase {
 				sink++
 			}
-			if fam.TDMAData() {
+			if fam.TDMAData {
 				sink++
 			}
-			if fam.UsesSearchDistance() {
+			if fam.UsesSearchDistance {
 				sink++
 			}
 		}
@@ -71,46 +69,23 @@ func TestByNameUnknown(t *testing.T) {
 	for _, name := range []string{"", "bogus", "SLP-DAS"} {
 		fam, err := ByName(name)
 		if err == nil {
-			t.Fatalf("ByName(%q) = %v, want error", name, fam.Name())
+			t.Fatalf("ByName(%q) = %v, want error", name, fam.Name)
 		}
-		// The error must teach: it lists the registered names.
+		// The error must teach: it lists the known names.
 		if !strings.Contains(err.Error(), NamePhantom) || !strings.Contains(err.Error(), NameProtectionless) {
 			t.Errorf("ByName(%q) error %q does not list known names", name, err)
 		}
 	}
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Register of a duplicate name did not panic")
-		}
-	}()
-	Register(dasProtocol{slp: false})
-}
-
-func TestRegisterAliasCollisionPanics(t *testing.T) {
-	cases := map[string]func(){
-		"alias over protocol": func() { RegisterAlias(NamePhantom, NameSLPDAS) },
-		"duplicate alias":     func() { RegisterAlias(AliasSLP, NameProtectionless) },
-		"dangling canonical":  func() { RegisterAlias("fresh-alias", "no-such-protocol") },
-	}
-	for name, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
+// TestProtocolsDeterministicOrder: the table is declared by hand, so this
+// is what keeps its names unique and in order.
 func TestProtocolsDeterministicOrder(t *testing.T) {
 	first := Protocols()
-	if !sort.SliceIsSorted(first, func(i, j int) bool { return first[i].Name < first[j].Name }) {
-		t.Errorf("Protocols() not sorted: %v", first)
+	for i := 1; i < len(first); i++ {
+		if first[i-1].Name >= first[i].Name {
+			t.Errorf("Protocols() not strictly increasing: %q before %q", first[i-1].Name, first[i].Name)
+		}
 	}
 	for i := 0; i < 3; i++ {
 		again := Protocols()
@@ -118,8 +93,8 @@ func TestProtocolsDeterministicOrder(t *testing.T) {
 			t.Fatalf("Protocols() length changed: %d vs %d", len(again), len(first))
 		}
 		for j := range again {
-			if again[j] != first[j] {
-				t.Fatalf("Protocols() order changed at %d: %v vs %v", j, again[j], first[j])
+			if again[j].Name != first[j].Name {
+				t.Fatalf("Protocols() order changed at %d: %q vs %q", j, again[j].Name, first[j].Name)
 			}
 		}
 	}

@@ -14,23 +14,11 @@ import (
 // decisions, so it cannot drift results.
 const tierDistCacheCap = 128
 
-// tierProtocol is tier-based intermediary routing (GAPs-style): the
+// tierInstance runs tier-based intermediary routing (GAPs-style): the
 // topology is banded into tiers by sink hop distance, and every source
 // message detours through a uniformly random node of a uniformly random
 // tier before descending to the sink. Back-traced traffic therefore fans
 // out over the whole network instead of converging on the source.
-type tierProtocol struct{}
-
-func (tierProtocol) Name() string { return NameTier }
-func (tierProtocol) Summary() string {
-	return "tier-based intermediary routing: each message detours via a random node of a random sink-distance tier"
-}
-func (tierProtocol) Label() string            { return "tier" }
-func (tierProtocol) UsesSearchDistance() bool { return false }
-func (tierProtocol) SearchPhase() bool        { return false }
-func (tierProtocol) TDMAData() bool           { return false }
-func (tierProtocol) New() Instance            { return &tierInstance{} }
-
 type tierInstance struct {
 	env *Env
 	p   Params
@@ -148,5 +136,3 @@ func (ti *tierInstance) gradient(root topo.NodeID) []int {
 	ti.distCache[root] = d
 	return d
 }
-
-func init() { Register(tierProtocol{}) }

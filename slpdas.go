@@ -10,19 +10,19 @@ import (
 	"slpdas/internal/verify"
 )
 
-// Protocol selects the routing family to simulate, by registry name (see
-// Protocols for the full list).
+// Protocol selects the routing family to simulate, by name (see Protocols
+// for the full list).
 type Protocol string
 
-// Registered protocols; the names are shared with the campaign engine's
-// protocol axis and the protocol registry.
+// The routing families; the names are shared with the campaign engine's
+// protocol axis and the internal/protocol table.
 const (
 	// Protectionless is the baseline DAS of Figure 2.
-	Protectionless Protocol = campaign.Protectionless
+	Protectionless Protocol = protocol.NameProtectionless
 	// SLPAware is the 3-phase SLP-aware DAS of Figures 2-4 ("slp", the
-	// registry alias of SLPDAS).
-	SLPAware Protocol = campaign.SLPAware
-	// SLPDAS is the canonical registry name of the SLP-aware DAS.
+	// alias of SLPDAS).
+	SLPAware Protocol = protocol.AliasSLP
+	// SLPDAS is the canonical name of the SLP-aware DAS.
 	SLPDAS Protocol = protocol.NameSLPDAS
 	// Phantom is sector phantom routing (PSSPR): a directed random walk to
 	// a phantom source, then shortest-path routing to the sink.
@@ -40,14 +40,14 @@ const (
 // (1,0,1,sink,first-heard) attacker, ideal channel).
 type SimConfig struct {
 	GridSize       int      // grid side; default 11
-	Protocol       Protocol // routing family by registry name; default Protectionless
+	Protocol       Protocol // routing family by name; default Protectionless
 	SearchDistance int      // SD; default 3 (slp-das search / phantom walk length)
 	Repeats        int      // default 1
 	Seed           uint64   // base seed; run r uses Seed + r
 	AttackerR      int      // default 1
 	AttackerH      int      // default 0
 	AttackerM      int      // default 1
-	// Strategy is the attacker decision behaviour by registry name (see
+	// Strategy is the attacker decision behaviour by name (see
 	// Strategies); default "first-heard", the paper's D.
 	Strategy string
 	// Attackers is the eavesdropper team size; capture is the first of
@@ -109,13 +109,13 @@ func (c SimConfig) coreConfig() (core.Config, error) {
 		c.LossModel, c.Collisions, c.Faults, c.Energy)
 }
 
-// ProtocolInfo describes one registered routing family.
+// ProtocolInfo describes one routing family.
 type ProtocolInfo struct {
 	Name    string
 	Summary string
 }
 
-// Protocols lists the registered routing families, sorted by name — the
+// Protocols lists the routing families, sorted by name — the
 // values accepted by SimConfig.Protocol and the campaign Protocols axis.
 func Protocols() []ProtocolInfo {
 	infos := protocol.Protocols()
@@ -126,13 +126,13 @@ func Protocols() []ProtocolInfo {
 	return out
 }
 
-// StrategyInfo describes one registered attacker strategy.
+// StrategyInfo describes one attacker strategy.
 type StrategyInfo struct {
 	Name    string
 	Summary string
 }
 
-// Strategies lists the registered attacker strategies, sorted by name —
+// Strategies lists the attacker strategies, sorted by name —
 // the values accepted by SimConfig.Strategy and the campaign Strategies
 // axis.
 func Strategies() []StrategyInfo {
