@@ -4,8 +4,12 @@
 //
 // Usage:
 //
-//	slptopo [-size N] [-protocol protectionless|slp] [-sd D] [-seed S]
+//	slptopo [-size N] [-protocol NAME] [-sd D] [-seed S]
 //	        [-show slots|hops|walk|stats]
+//
+// NAME is any routing family `slpsim protocols` lists, or the alias slp;
+// the run is configured exactly as `slpsim run -protocol NAME -sd D`
+// configures its runs, on the ideal channel. An unknown NAME exits 2.
 package main
 
 import (
@@ -14,6 +18,7 @@ import (
 	"os"
 	"strconv"
 
+	"slpdas/internal/campaign"
 	"slpdas/internal/core"
 	"slpdas/internal/topo"
 )
@@ -25,8 +30,8 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("slptopo", flag.ContinueOnError)
 	size := fs.Int("size", 11, "grid size")
-	protocol := fs.String("protocol", "protectionless", "protectionless or slp")
-	sd := fs.Int("sd", 3, "search distance (slp only)")
+	protocol := fs.String("protocol", "protectionless", "routing protocol (see 'slpsim protocols')")
+	sd := fs.Int("sd", 3, "search distance (slp-das search / phantom walk length)")
 	seed := fs.Uint64("seed", 1, "random seed")
 	show := fs.String("show", "stats", "what to render: stats, slots, hops or walk")
 	if err := fs.Parse(args); err != nil {
@@ -38,14 +43,20 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "slptopo: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	if err := inspect(*size, *protocol, *sd, *seed, *show); err != nil {
+	cfg, err := campaign.BuildConfig(*protocol, *sd, campaign.AttackerSetup{Params: core.Default().Attacker},
+		"ideal", false, "none", "none")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "slptopo: %v\n", err)
+		return 2
+	}
+	if err := inspect(*size, cfg, *seed, *show); err != nil {
 		fmt.Fprintf(os.Stderr, "slptopo: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-func inspect(size int, protocol string, sd int, seed uint64, show string) error {
+func inspect(size int, cfg core.Config, seed uint64, show string) error {
 	g, err := topo.DefaultGrid(size)
 	if err != nil {
 		return err
@@ -66,15 +77,6 @@ func inspect(size int, protocol string, sd int, seed uint64, show string) error 
 		}))
 		return nil
 	case "slots", "walk":
-		var cfg core.Config
-		switch protocol {
-		case "protectionless":
-			cfg = core.Default()
-		case "slp":
-			cfg = core.DefaultSLP(sd)
-		default:
-			return fmt.Errorf("unknown protocol %q", protocol)
-		}
 		net, err := core.NewNetwork(g, sink, source, cfg, seed)
 		if err != nil {
 			return err

@@ -6,9 +6,14 @@
 //
 // Usage:
 //
-//	slpverify [-size N] [-protocol protectionless|slp] [-sd D] [-seed S]
+//	slpverify [-size N] [-protocol NAME] [-sd D] [-seed S]
 //	          [-attacker R,H,M] [-decision first|any|unvisited]
 //	          [-delta P] [-allow-wait] [-map]
+//
+// NAME is any routing family `slpsim protocols` lists, or the alias slp;
+// the schedule-building run is configured exactly as `slpsim run
+// -protocol NAME -sd D -attacker R,H,M` configures its runs, on the ideal
+// channel. An unknown NAME exits 2.
 package main
 
 import (
@@ -17,6 +22,8 @@ import (
 	"os"
 	"strconv"
 
+	"slpdas/internal/attacker"
+	"slpdas/internal/campaign"
 	"slpdas/internal/core"
 	"slpdas/internal/schedule"
 	"slpdas/internal/topo"
@@ -30,8 +37,8 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("slpverify", flag.ContinueOnError)
 	size := fs.Int("size", 11, "grid size")
-	protocol := fs.String("protocol", "slp", "protectionless or slp")
-	sd := fs.Int("sd", 3, "search distance (slp only)")
+	protocol := fs.String("protocol", "slp", "routing protocol (see 'slpsim protocols')")
+	sd := fs.Int("sd", 3, "search distance (slp-das search / phantom walk length)")
 	seed := fs.Uint64("seed", 1, "random seed for the schedule-building run")
 	atk := fs.String("attacker", "1,0,1", "attacker parameters R,H,M")
 	decision := fs.String("decision", "first", "attacker decision set: first, any or unvisited")
@@ -66,14 +73,10 @@ func run(args []string) int {
 		return 2
 	}
 
-	var cfg core.Config
-	switch *protocol {
-	case "protectionless":
-		cfg = core.Default()
-	case "slp":
-		cfg = core.DefaultSLP(*sd)
-	default:
-		fmt.Fprintf(os.Stderr, "slpverify: unknown protocol %q\n", *protocol)
+	cfg, err := campaign.BuildConfig(*protocol, *sd, campaign.AttackerSetup{Params: attacker.Params{R: r, H: h, M: m}},
+		"ideal", false, "none", "none")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "slpverify: %v\n", err)
 		return 2
 	}
 

@@ -4,18 +4,37 @@
 // instant run in FIFO order of scheduling, so a run is a pure function of
 // its inputs.
 //
-// The scheduler is built for steady-state zero allocation: the pending
-// queue is a 4-ary implicit heap of small value entries, and event bodies
-// live in a free list of recycled boxes, so once the simulation reaches its
-// working-set size, Schedule/ScheduleRunner allocate nothing. Hot paths
-// that would otherwise allocate a closure per event (the radio frame
-// path, the TDMA slot tasks, the GCN timers) schedule a pre-allocated
-// Runner instead.
+// The pending queue holds one bucket per distinct pending instant: a
+// FIFO of event boxes linked through the boxes themselves. A 4-ary
+// implicit min-heap holds each bucket's head, ordered by instant, and an
+// open-addressing table maps each instant to its bucket's tail, where the
+// next event for that instant is appended. Every event already in a
+// bucket was scheduled before the one joining it, so FIFO within a bucket
+// plus heap order between buckets is exactly (time, scheduling order): no
+// sequence number is stored and none is needed to break ties, because no
+// two buckets share an instant. The protocols run TDMA schedules whose
+// events pile onto period boundaries and slot offsets, so the heap sorts a
+// few dozen instants where it would otherwise sort hundreds of events, and
+// a pop whose successor shares its instant replaces the heap's top in
+// place without sifting.
+//
+// The scheduler is built for steady-state zero allocation: event bodies
+// live in a free list of recycled boxes, and a bucket is nothing but its
+// two ends, held in the heap and the index, so once the simulation reaches
+// its working-set size, Schedule/ScheduleRunner allocate nothing. The slab
+// rule: nothing is allocated per instant one at a time. Setup jitter
+// scatters a fresh network's events over hundreds of distinct instants, so
+// one allocation per instant would show in the allocation count of every
+// run; per-instant state, if it is ever needed, comes from a pool filled in
+// slabs. Hot paths that would otherwise allocate a closure per event (the
+// radio frame path, the TDMA slot tasks, the GCN timers) schedule a
+// pre-allocated Runner instead.
 package des
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -46,13 +65,15 @@ type Runner interface {
 type eventBox struct {
 	fn        func()
 	run       Runner
-	gen       uint64 // lint:immutable: incarnation counter, must survive reset to invalidate stale handles
+	next      *eventBox // the next event of the same instant, in scheduling order
+	gen       uint64    // lint:immutable: incarnation counter, must survive reset to invalidate stale handles
 	cancelled bool
 }
 
 func (b *eventBox) reset() {
 	b.fn = nil
 	b.run = nil
+	b.next = nil
 	b.cancelled = false
 }
 
@@ -88,28 +109,23 @@ func (e Event) Pending() bool {
 	return e.box != nil && e.box.gen == e.gen && !e.box.cancelled
 }
 
-// entry is one pending event in the queue. The sort keys are inline so
-// heap sifting never chases the box pointer.
-type entry struct {
+// instant is one distinct pending instant with one end of its bucket: the
+// heap holds the head, the next event to run, and the index holds the
+// tail. Keeping the key inline means heap sifting never chases the
+// pointer; box == nil marks an empty index slot.
+type instant struct {
 	at  time.Duration
-	seq uint64
 	box *eventBox
-}
-
-func (a entry) before(b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // Simulator owns the virtual clock and the pending event queue. The zero
 // value is not usable; construct with New.
 type Simulator struct {
 	now       time.Duration
-	queue     []entry // 4-ary implicit min-heap on (at, seq)
+	heap      []instant // bucket heads: a 4-ary implicit min-heap on at
+	index     []instant // bucket tails by at: linear probing, the length zero or a power of two
+	pending   int       // queued events, cancelled ones not yet reaped included
 	free      []*eventBox
-	seq       uint64
 	executed  uint64
 	maxEvents uint64 // lint:immutable: configured budget, set by SetEventBudget
 	stopped   bool
@@ -138,7 +154,7 @@ func (s *Simulator) CountExecuted(n uint64) { s.executed += n }
 
 // Pending returns the number of events still queued (including cancelled
 // ones not yet reaped).
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.pending }
 
 // SetEventBudget replaces the executed-event budget (zero = unlimited).
 // Raising the budget after Run returned ErrEventBudget lets the simulation
@@ -147,88 +163,153 @@ func (s *Simulator) SetEventBudget(n uint64) { s.maxEvents = n }
 
 // Reset rewinds the simulator to virtual time zero with an empty queue,
 // recycling every still-queued event box into the free list. A reset
-// simulator is indistinguishable from a fresh New (same clock, sequence
-// numbering and budget accounting) except that its internal pools stay
-// warm — the point of reusing one simulator across arena runs. Event
-// handles issued before the Reset become inert: never Pending, never able
-// to cancel a recycled box's next occupant. Cancelled boxes are dropped
-// without recycling, exactly as RunUntil reaps them, so Cancelled() keeps
-// answering truthfully across resets. The event budget is preserved; use
-// SetEventBudget to change it.
+// simulator is indistinguishable from a fresh New (same clock, execution
+// order and budget accounting) except that its internal pools stay warm
+// (the boxes, and the heap's and the index's capacity) — the point of
+// reusing one simulator across arena runs. Event handles issued before the Reset
+// become inert: never Pending, never able to cancel a recycled box's next
+// occupant. Cancelled boxes are dropped without recycling, exactly as
+// RunUntil reaps them, so Cancelled() keeps answering truthfully across
+// resets. The event budget is preserved; use SetEventBudget to change it.
 func (s *Simulator) Reset() {
-	for i := range s.queue {
-		b := s.queue[i].box
-		s.queue[i] = entry{}
-		if !b.cancelled {
-			s.releaseBox(b)
+	for i := range s.heap {
+		for b := s.heap[i].box; b != nil; {
+			next := b.next
+			b.next = nil
+			if !b.cancelled {
+				s.releaseBox(b)
+			}
+			b = next
 		}
 	}
-	s.queue = s.queue[:0]
+	clear(s.heap)
+	s.heap = s.heap[:0]
+	clear(s.index)
+	s.pending = 0
 	s.now = 0
-	s.seq = 0
 	s.executed = 0
 	s.stopped = false
 }
 
-// --- 4-ary heap ---
+// --- heap of bucket heads ---
 //
 // A 4-ary implicit heap halves the tree depth of the binary heap the
 // standard library's container/heap would maintain, trading slightly wider
-// sift-down compares for far fewer cache-missing levels — a consistent win
-// for event queues, which are pop-heavy. Entries are values, so growing
-// the queue reuses slice capacity and steady-state push/pop allocates
-// nothing.
+// sift-down compares for far fewer cache-missing levels. Elements are
+// values, so growing the heap reuses slice capacity and steady-state
+// push/pop allocates nothing. Instants are distinct, so at alone orders it.
 
 //slp:hotpath
-func (s *Simulator) heapPush(e entry) {
-	s.queue = append(s.queue, e)
-	i := len(s.queue) - 1
+func (s *Simulator) heapPush(in instant) {
+	s.heap = append(s.heap, in)
+	q := s.heap
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s.queue[i].before(s.queue[parent]) {
+		if q[parent].at <= in.at {
 			break
 		}
-		s.queue[i], s.queue[parent] = s.queue[parent], s.queue[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = in
 }
 
+// heapPopTop removes the earliest bucket from the heap.
+//
 //slp:hotpath
-func (s *Simulator) heapPop() entry {
-	q := s.queue
-	top := q[0]
+func (s *Simulator) heapPopTop() {
+	q := s.heap
 	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = entry{} // release the box pointer
-	s.queue = q[:n]
-	s.siftDown(0)
-	return top
-}
-
-//slp:hotpath
-func (s *Simulator) siftDown(i int) {
-	q := s.queue
-	n := len(q)
+	last := q[n]
+	q[n] = instant{} // release the box pointer
+	q = q[:n]
+	s.heap = q
+	if n == 0 {
+		return
+	}
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
 		min := first
-		last := first + 4
-		if last > n {
-			last = n
+		end := first + 4
+		if end > n {
+			end = n
 		}
-		for c := first + 1; c < last; c++ {
-			if q[c].before(q[min]) {
+		for c := first + 1; c < end; c++ {
+			if q[c].at < q[min].at {
 				min = c
 			}
 		}
-		if !q[min].before(q[i]) {
-			return
+		if last.at <= q[min].at {
+			break
 		}
-		q[i], q[min] = q[min], q[i]
+		q[i] = q[min]
 		i = min
+	}
+	q[i] = last
+}
+
+// --- instant index ---
+//
+// Linear probing over a table kept at most half full, with Fibonacci
+// hashing: instants are multiples of slot and period lengths, so their low
+// bits carry little, and the multiply folds every bit into the top ones the
+// slot is taken from. Deletion shifts later entries of the probe run back
+// instead of leaving tombstones, so a long run never degrades the table.
+
+// home returns the index slot an instant hashes to.
+//
+//slp:hotpath
+func (s *Simulator) home(at time.Duration) int {
+	shift := 65 - bits.Len(uint(len(s.index)))
+	return int(uint64(at) * 0x9E3779B97F4A7C15 >> shift)
+}
+
+// unindex removes instant at, which must be indexed, from the index.
+//
+//slp:hotpath
+func (s *Simulator) unindex(at time.Duration) {
+	mask := len(s.index) - 1
+	i := s.home(at)
+	for s.index[i].at != at || s.index[i].box == nil {
+		i = (i + 1) & mask
+	}
+	// Backward shift: an entry later in the probe run moves into the hole
+	// when its home does not lie after the hole, so every entry stays
+	// reachable from its home without a tombstone.
+	for j := (i + 1) & mask; s.index[j].box != nil; j = (j + 1) & mask {
+		if (j-s.home(s.index[j].at))&mask >= (j-i)&mask {
+			s.index[i] = s.index[j]
+			i = j
+		}
+	}
+	s.index[i] = instant{}
+}
+
+// growIndex doubles the index and rehashes its entries. The table is sized
+// by the peak count of distinct pending instants, so a warm simulator
+// never grows it again.
+func (s *Simulator) growIndex() {
+	old := s.index
+	n := 2 * len(old)
+	if n < 64 {
+		n = 64
+	}
+	s.index = make([]instant, n)
+	mask := n - 1
+	for _, in := range old {
+		if in.box == nil {
+			continue
+		}
+		i := s.home(in.at)
+		for s.index[i].box != nil {
+			i = (i + 1) & mask
+		}
+		s.index[i] = in
 	}
 }
 
@@ -256,12 +337,46 @@ func (s *Simulator) releaseBox(b *eventBox) {
 	s.free = append(s.free, b)
 }
 
-// schedule enqueues a box and returns its entry keys.
+// schedule appends a box to the bucket of instant at, opening the bucket
+// if no event is queued for at yet.
 //
 //slp:hotpath
 func (s *Simulator) schedule(at time.Duration, b *eventBox) {
-	s.heapPush(entry{at: at, seq: s.seq, box: b})
-	s.seq++
+	s.pending++
+	if 2*(len(s.heap)+1) > len(s.index) {
+		s.growIndex()
+	}
+	mask := len(s.index) - 1
+	i := s.home(at)
+	for s.index[i].box != nil {
+		if s.index[i].at == at {
+			s.index[i].box.next = b
+			s.index[i].box = b
+			return
+		}
+		i = (i + 1) & mask
+	}
+	s.index[i] = instant{at: at, box: b}
+	s.heapPush(instant{at: at, box: b})
+}
+
+// popHead dequeues the earliest pending event: the head of the earliest
+// bucket. Its successor in the bucket becomes the heap's top in place; a
+// bucket it empties leaves the heap and the index.
+//
+//slp:hotpath
+func (s *Simulator) popHead() *eventBox {
+	top := s.heap[0]
+	b := top.box
+	s.pending--
+	if b.next != nil {
+		s.heap[0].box = b.next
+		b.next = nil
+	} else {
+		s.unindex(top.at)
+		s.heapPopTop()
+	}
+	return b
 }
 
 // Schedule queues fn to run at absolute virtual time at. It returns the
@@ -335,15 +450,15 @@ func (s *Simulator) Run() error {
 // deadline if it was reached with events still pending beyond it.
 func (s *Simulator) RunUntil(deadline time.Duration) error {
 	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
-		next := s.queue[0]
-		if next.box.cancelled {
+	for len(s.heap) > 0 && !s.stopped {
+		at, b := s.heap[0].at, s.heap[0].box
+		if b.cancelled {
 			// Reap without touching the clock or the budget. The box is
 			// not recycled so stale handles keep answering Cancelled().
-			s.heapPop()
+			s.popHead()
 			continue
 		}
-		if deadline >= 0 && next.at > deadline {
+		if deadline >= 0 && at > deadline {
 			s.now = deadline
 			return nil
 		}
@@ -351,12 +466,11 @@ func (s *Simulator) RunUntil(deadline time.Duration) error {
 		// stays queued and the clock stays put, so the simulator remains
 		// consistent and resumable.
 		if s.maxEvents > 0 && s.executed >= s.maxEvents {
-			return fmt.Errorf("%w: budget=%d now=%v next=%v", ErrEventBudget, s.maxEvents, s.now, next.at)
+			return fmt.Errorf("%w: budget=%d now=%v next=%v", ErrEventBudget, s.maxEvents, s.now, at)
 		}
-		s.heapPop()
-		s.now = next.at
+		s.popHead()
+		s.now = at
 		s.executed++
-		b := next.box
 		fn, run := b.fn, b.run
 		// Recycle before executing: the body may schedule follow-up events,
 		// which can then reuse this box immediately.
@@ -367,7 +481,7 @@ func (s *Simulator) RunUntil(deadline time.Duration) error {
 			fn()
 		}
 	}
-	if deadline >= 0 && s.now < deadline && len(s.queue) == 0 {
+	if deadline >= 0 && s.now < deadline && len(s.heap) == 0 {
 		// Queue drained before the deadline; advance the clock so callers
 		// observing Now() see the full simulated horizon.
 		s.now = deadline

@@ -365,6 +365,52 @@ func TestScheduleSteadyStateAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("Schedule (reused closure) steady state allocates %.1f/op, want 0", allocs)
 	}
+	// The two extremes of the bucket queue: one instant holding every
+	// event, and one bucket per event across a deep heap and index.
+	for _, c := range []struct {
+		name               string
+		events, perInstant int
+	}{
+		{"64 events on one instant", 64, 64},
+		{"4096 events on 4096 instants", 4096, 1},
+	} {
+		burst := func() {
+			for i := 0; i < c.events; i++ {
+				s.ScheduleRunnerAfter(time.Duration(i/c.perInstant), r)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}
+		burst() // warm the boxes, the heap and the index to this size
+		if allocs := testing.AllocsPerRun(20, burst); allocs != 0 {
+			t.Errorf("%s: steady state allocates %.1f/op, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestResetReRunsAllocFree: a Reset keeps the boxes, the heap and the
+// index warm, so re-running the same schedule allocates nothing, even when
+// the previous run left events queued on many instants.
+func TestResetReRunsAllocFree(t *testing.T) {
+	s := New()
+	r := nopRunner{}
+	rerun := func() {
+		s.Reset()
+		for i := 0; i < 1000; i++ {
+			s.ScheduleRunnerAfter(time.Duration(i%300)*time.Millisecond, r)
+		}
+		if err := s.RunUntil(150 * time.Millisecond); err != nil {
+			t.Fatalf("RunUntil: %v", err)
+		}
+		if s.Pending() == 0 {
+			t.Fatal("nothing left queued for Reset to recycle")
+		}
+	}
+	rerun()
+	if allocs := testing.AllocsPerRun(20, rerun); allocs != 0 {
+		t.Errorf("Reset and re-run allocates %.1f/op, want 0", allocs)
+	}
 }
 
 func TestDeterminism(t *testing.T) {
