@@ -55,6 +55,9 @@ func TestCLIGoldens(t *testing.T) {
 		{"sweep_sd", []string{"sweep", "-what", "sd", "-size", "5", "-repeats", "2"}},
 		{"sweep_strategy", []string{"sweep", "-what", "strategy", "-size", "5", "-repeats", "2"}},
 		{"sweep_loss", []string{"sweep", "-what", "loss", "-size", "5", "-repeats", "2"}},
+		{"run", []string{"run", "-size", "5", "-repeats", "3"}},
+		{"run_team", []string{"run", "-size", "5", "-protocol", "slp", "-repeats", "3", "-channel", "bernoulli:0.05",
+			"-strategy", "cautious", "-nattackers", "2", "-shared-history"}},
 		{"protocols", []string{"protocols"}},
 		{"strategies", []string{"strategies"}},
 	}

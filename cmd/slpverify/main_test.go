@@ -1,11 +1,49 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestCLIGoldens pins the stdout of slpverify, byte for byte, at small sizes.
+func TestCLIGoldens(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"verify", []string{"-size", "7", "-seed", "3"}},
+		{"verify_map", []string{"-size", "7", "-protocol", "protectionless", "-map"}},
+		{"verify_counterexample", []string{"-size", "5", "-decision", "any", "-attacker", "2,1,2"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			code, got, _ := outputOf(t, tc.args)
+			if code != 0 {
+				t.Fatalf("slpverify %v exited %d", tc.args, code)
+			}
+			path := filepath.Join("testdata", tc.golden+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read golden: %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("slpverify %v output diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, got, want)
+			}
+		})
+	}
+}
 
 // TestCLIRejectsStrayArguments: flag stops at the first positional
 // argument and would drop it and every flag after it; the command must
