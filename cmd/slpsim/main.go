@@ -1,6 +1,8 @@
 // Command slpsim drives the paper's evaluation (Section VI): it
 // regenerates Figure 5(a), Figure 5(b), Table I and the message-overhead
-// comparison, and runs custom simulation batches.
+// comparison, runs custom simulation batches, renders one grid run's
+// topology, slot map or attacker walk, and checks the schedule a run
+// builds with the paper's decision procedure (Algorithm 1).
 //
 // Usage:
 //
@@ -8,15 +10,28 @@
 //	slpsim fig5b    [-repeats N] [-seed S] [-sizes 11,15,21] [-csv out.csv]
 //	slpsim table1
 //	slpsim overhead [-size N] [-sd D] [-repeats N] [-seed S]
-//	slpsim run      [-size N] [-protocol NAME] [-sd D]
+//	slpsim sweep    [-what sd|attacker|strategy|loss] [-size N] [-sd D]
 //	                [-repeats N] [-seed S]
-//	                [-channel ideal|bernoulli:<p>|rssi|logdist:<n>:<sigma>[@sinr:<t>]]
-//	                [-attacker R,H,M] [-strategy NAME] [-nattackers K]
-//	                [-shared-history] [-collisions]
-//	                [-faults SPEC] (fault.Parse grammar; -help lists it)
-//	                [-energy none|battery:<capacity>[:<tx>:<rx>:<idle>]]
+//	slpsim run      SIMFLAGS [-repeats N]
+//	slpsim topo     SIMFLAGS [-show stats|hops|slots|walk]
+//	slpsim verify   SIMFLAGS [-decision first|any|unvisited] [-delta P]
+//	                [-allow-wait] [-map]
 //	slpsim protocols
 //	slpsim strategies
+//
+// SIMFLAGS configure one grid run (source top-left, sink centre) the same
+// way for run, topo and verify:
+//
+//	[-size N] [-protocol NAME] [-sd D] [-seed S]
+//	[-attacker R,H,M] [-strategy NAME] [-nattackers K] [-shared-history]
+//	[-channel ideal|bernoulli:<p>|rssi|logdist:<n>:<sigma>[@sinr:<t>]]
+//	[-collisions] [-faults SPEC] (fault.Parse grammar; -help lists it)
+//	[-energy none|battery:<capacity>[:<tx>:<rx>:<idle>]]
+//
+// NAME is any family 'slpsim protocols' lists, or the alias slp; verify
+// defaults to slp, run and topo to protectionless. A flag value the
+// command rejects, or would otherwise silently replace with a default,
+// exits 2 with a message naming the flag.
 package main
 
 import (
@@ -31,7 +46,6 @@ import (
 	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
-	"slpdas/internal/fault"
 	"slpdas/internal/verify"
 )
 
@@ -56,6 +70,10 @@ func run(args []string) int {
 		err = runOverhead(args[1:])
 	case "run":
 		err = runCustom(args[1:])
+	case "topo":
+		err = runTopo(args[1:])
+	case "verify":
+		err = runVerify(args[1:])
 	case "sweep":
 		err = runSweep(args[1:])
 	case "-h", "--help", "help":
@@ -127,6 +145,8 @@ commands:
   table1    print the protocol parameter table (Table I)
   overhead  message overhead of SLP DAS vs protectionless DAS
   run       custom simulation batch
+  topo      render one grid run: -show stats | hops | slots | walk
+  verify    check a run's schedule with Algorithm 1
   sweep     ablations: -what sd | attacker | strategy | loss
   protocols   list the routing protocols
   strategies  list the attacker strategies
@@ -158,7 +178,7 @@ func runFigure5(searchDistance int, args []string) error {
 	}
 	sizes, err := parseSizes(*sizesArg)
 	if err != nil {
-		return err
+		return usageError{fmt.Errorf("%s: -sizes: %w", fs.Name(), err)}
 	}
 	fmt.Printf("Figure 5(%s): capture ratio, search distance %d, %d repeats/cell\n\n",
 		map[int]string{3: "a", 5: "b"}[searchDistance], searchDistance, *repeats)
@@ -288,86 +308,7 @@ func runSweep(args []string) error {
 		}
 		fmt.Print(tbl)
 	default:
-		return fmt.Errorf("unknown -what %q", *what)
-	}
-	return nil
-}
-
-func runCustom(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	size := fs.Int("size", 11, "grid size")
-	protocol := fs.String("protocol", "protectionless", "routing protocol (see 'slpsim protocols')")
-	sd := fs.Int("sd", 3, "search distance (slp-das search / phantom walk length)")
-	repeats := fs.Int("repeats", 20, "simulation repetitions")
-	seed := fs.Uint64("seed", 1, "base random seed")
-	channel := fs.String("channel", "ideal", "channel model: ideal, bernoulli:<p>, rssi, logdist:<n>:<sigma>[@sinr:<threshold>]")
-	atk := fs.String("attacker", "1,0,1", "attacker parameters R,H,M")
-	strategy := fs.String("strategy", "", "attacker strategy (see 'slpsim strategies'; default first-heard)")
-	nattackers := fs.Int("nattackers", 1, "eavesdropper team size")
-	sharedHistory := fs.Bool("shared-history", false, "pool one H-window across the team")
-	collisions := fs.Bool("collisions", false, "enable receiver-side collisions")
-	faults := fs.String("faults", "none", "fault injection: "+fault.Grammar)
-	energy := fs.String("energy", "none", "energy model: none, battery:<capacity>[:<tx>:<rx>:<idle>] (mJ)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	var r, h, m int
-	if _, err := fmt.Sscanf(*atk, "%d,%d,%d", &r, &h, &m); err != nil {
-		return fmt.Errorf("bad -attacker %q (want R,H,M)", *atk)
-	}
-	// SimConfig replaces a zero in any of these with its default, so a
-	// zero would run a different experiment from the one reported.
-	for _, f := range []struct {
-		name   string
-		v, min int
-	}{{"-size", *size, 2}, {"-repeats", *repeats, 1}, {"-sd", *sd, 1}, {"-attacker R", r, 1}, {"-attacker M", m, 1}} {
-		if f.v < f.min {
-			return usageError{fmt.Errorf("run: %s must be at least %d, got %d", f.name, f.min, f.v)}
-		}
-	}
-	cfg := slpdas.SimConfig{
-		GridSize:       *size,
-		Protocol:       slpdas.Protocol(*protocol),
-		SearchDistance: *sd,
-		Repeats:        *repeats,
-		Seed:           *seed,
-		AttackerR:      r,
-		AttackerH:      h,
-		AttackerM:      m,
-		Strategy:       *strategy,
-		Attackers:      *nattackers,
-		SharedHistory:  *sharedHistory,
-		LossModel:      *channel,
-		Collisions:     *collisions,
-		Faults:         *faults,
-		Energy:         *energy,
-	}
-	sum, err := slpdas.Run(cfg)
-	if err != nil {
-		return err
-	}
-	atkDesc := fmt.Sprintf("attacker %d,%d,%d", r, h, m)
-	if *strategy != "" || *nattackers > 1 {
-		name := *strategy
-		if name == "" {
-			name = "first-heard"
-		}
-		atkDesc = fmt.Sprintf("%s %s x%d", atkDesc, name, *nattackers)
-		if *sharedHistory {
-			atkDesc += " shared-history"
-		}
-	}
-	fmt.Printf("%s on %d×%d grid, %d runs (seed %d, loss %s, %s)\n",
-		sum.Protocol, *size, *size, sum.Runs, *seed, *channel, atkDesc)
-	fmt.Printf("  capture ratio     : %.1f%% ±%.1f (%d/%d)\n",
-		sum.CaptureRatio*100, sum.CaptureRatioCI95*100, sum.Captures, sum.Runs)
-	if sum.Captures > 0 {
-		fmt.Printf("  mean capture time : %.1f periods\n", sum.MeanCapturePeriods)
-	}
-	fmt.Printf("  valid schedules   : %.0f%%\n", sum.ScheduleValidRatio*100)
-	fmt.Printf("  control traffic   : %.1f msgs (%.0f bytes) per run\n", sum.ControlMessages, sum.ControlBytes)
-	if cfg.Protocol == slpdas.SLPAware || cfg.Protocol == slpdas.SLPDAS {
-		fmt.Printf("  slots changed     : %.1f nodes per run\n", sum.ChangedNodes)
+		return usageError{fmt.Errorf("sweep: unknown -what %q", *what)}
 	}
 	return nil
 }

@@ -41,9 +41,9 @@ func capture(t *testing.T, args []string) (stdout, stderr []byte, code int) {
 	return restoreOut(), restoreErr(), code
 }
 
-// TestCLIGoldens pins the stdout of every slpsim command that runs
-// simulations through the experiment executor, byte for byte, at small
-// sizes, and of the protocol and strategy listings.
+// TestCLIGoldens pins the stdout of every slpsim command that simulates,
+// byte for byte, at small sizes, and of the protocol and strategy
+// listings.
 func TestCLIGoldens(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -58,6 +58,13 @@ func TestCLIGoldens(t *testing.T) {
 		{"run", []string{"run", "-size", "5", "-repeats", "3"}},
 		{"run_team", []string{"run", "-size", "5", "-protocol", "slp", "-repeats", "3", "-channel", "bernoulli:0.05",
 			"-strategy", "cautious", "-nattackers", "2", "-shared-history"}},
+		{"topo_stats", []string{"topo", "-size", "5", "-show", "stats"}},
+		{"topo_hops", []string{"topo", "-size", "5", "-show", "hops"}},
+		{"topo_slots", []string{"topo", "-size", "7", "-protocol", "slp-das", "-show", "slots"}},
+		{"topo_walk", []string{"topo", "-size", "7", "-show", "walk"}},
+		{"verify", []string{"verify", "-size", "7", "-seed", "3"}},
+		{"verify_map", []string{"verify", "-size", "7", "-protocol", "protectionless", "-map"}},
+		{"verify_counterexample", []string{"verify", "-size", "5", "-decision", "any", "-attacker", "2,1,2"}},
 		{"protocols", []string{"protocols"}},
 		{"strategies", []string{"strategies"}},
 	}
@@ -109,6 +116,10 @@ func TestCLIRejectsStrayArguments(t *testing.T) {
 		{"overhead", "-size", "5", "stray"},
 		{"sweep", "-what", "sd", "stray"},
 		{"run", "-size", "5", "-repeats", "1", "stray", "-repeats", "99"},
+		{"topo", "stray"},
+		{"topo", "-size", "5", "stray", "-seed", "2"},
+		{"verify", "stray"},
+		{"verify", "-size", "5", "stray", "-seed", "2"},
 		{"table1", "stray"},
 		{"protocols", "stray"},
 		{"strategies", "stray"},
@@ -126,31 +137,75 @@ func TestCLIRejectsStrayArguments(t *testing.T) {
 	}
 }
 
-// TestRunRejectsValuesSimConfigWouldReplace: a size, repeat count, search
-// distance or attacker R/M that SimConfig would silently replace with its
-// default exits 2 naming the flag, instead of simulating a different run
-// than the header reports.
+// TestRunRejectsValuesSimConfigWouldReplace: a flag value the command
+// cannot honour, or one the run's config would silently replace with its
+// default, exits 2 naming the flag instead of simulating a different run
+// than the header reports. run, topo and verify share the simulation
+// flags, so each shared check is exercised through all three.
 func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
-	for flagName, args := range map[string][]string{
-		"-size":       {"run", "-size", "0"},
-		"-repeats":    {"run", "-size", "5", "-repeats", "0"},
-		"-sd":         {"run", "-size", "5", "-protocol", "slp-das", "-sd", "0"},
-		"-attacker R": {"run", "-size", "5", "-attacker", "0,0,1"},
-		"-attacker M": {"run", "-size", "5", "-attacker", "1,0,0"},
-	} {
-		stdout, stderr, code := capture(t, args)
-		if code != 2 {
-			t.Errorf("slpsim %v exited %d, want 2", args, code)
-		}
-		if !strings.Contains(string(stderr), flagName+" must be at least") {
-			t.Errorf("slpsim %v: stderr does not name %s:\n%s", args, flagName, stderr)
-		}
-		if len(stdout) != 0 {
-			t.Errorf("slpsim %v printed before refusing:\n%s", args, stdout)
+	type row struct {
+		args []string
+		msg  string
+	}
+	rows := []row{
+		{[]string{"run", "-size", "5", "-repeats", "0"}, "-repeats must be at least 1"},
+		{[]string{"run", "-size", "5", "-protocol", "bogus"}, `unknown protocol "bogus"`},
+		{[]string{"verify", "-size", "5", "-delta", "-3"}, "-delta must be at least 0"},
+		{[]string{"verify", "-size", "5", "-decision", "bogus"}, `unknown -decision "bogus"`},
+		{[]string{"topo", "-size", "5", "-show", "bogus"}, `unknown -show "bogus"`},
+		{[]string{"sweep", "-what", "bogus"}, `unknown -what "bogus"`},
+		{[]string{"fig5a", "-sizes", "5,x", "-repeats", "1"}, `-sizes: bad size "x"`},
+	}
+	for _, cmd := range []string{"run", "topo", "verify"} {
+		for _, r := range []row{
+			{[]string{"-size", "0"}, "-size must be at least 2"},
+			{[]string{"-size", "1"}, "-size must be at least 2"},
+			{[]string{"-size", "5", "-protocol", "slp-das", "-sd", "0"}, "-sd must be at least 1"},
+			{[]string{"-size", "5", "-attacker", "0,0,1"}, "-attacker R must be at least 1"},
+			{[]string{"-size", "5", "-attacker", "1,0,0"}, "-attacker M must be at least 1"},
+			{[]string{"-size", "5", "-attacker", "1,0,1,5"}, `bad attacker tuple "1,0,1,5"`},
+			{[]string{"-size", "5", "-nattackers", "0"}, "-nattackers must be at least 1"},
+			{[]string{"-size", "5", "-nattackers", "-1"}, "-nattackers must be at least 1"},
+		} {
+			rows = append(rows, row{append([]string{cmd}, r.args...), r.msg})
 		}
 	}
-	// The size floor is 2, not 1.
-	if _, _, code := capture(t, []string{"run", "-size", "1"}); code != 2 {
-		t.Errorf("slpsim run -size 1 exited %d, want 2", code)
+	for _, r := range rows {
+		stdout, stderr, code := capture(t, r.args)
+		if code != 2 {
+			t.Errorf("slpsim %v exited %d, want 2", r.args, code)
+		}
+		if !strings.Contains(string(stderr), r.msg) {
+			t.Errorf("slpsim %v: stderr lacks %q:\n%s", r.args, r.msg, stderr)
+		}
+		if len(stdout) != 0 {
+			t.Errorf("slpsim %v printed before refusing:\n%s", r.args, stdout)
+		}
+	}
+}
+
+// TestCLIProtocolNames: run, topo and verify take every name 'slpsim
+// protocols' lists and the slp alias, which renders exactly as slp-das.
+func TestCLIProtocolNames(t *testing.T) {
+	for _, cmd := range [][]string{
+		{"run", "-size", "5", "-repeats", "1"},
+		{"topo", "-size", "5", "-show", "slots"},
+		{"verify", "-size", "5"},
+	} {
+		outputs := map[string]string{}
+		for _, name := range []string{"protectionless", "slp", "slp-das", "phantom", "fake-source", "tier"} {
+			args := append(cmd[:len(cmd):len(cmd)], "-protocol", name)
+			stdout, stderr, code := capture(t, args)
+			if code != 0 {
+				t.Errorf("slpsim %v exited %d; stderr:\n%s", args, code, stderr)
+			}
+			outputs[name] = string(stdout)
+		}
+		if cmd[0] == "run" {
+			continue // run's header echoes the name as given
+		}
+		if outputs["slp"] != outputs["slp-das"] {
+			t.Errorf("slpsim %s: -protocol slp and -protocol slp-das differ:\n%s\nvs\n%s", cmd[0], outputs["slp"], outputs["slp-das"])
+		}
 	}
 }

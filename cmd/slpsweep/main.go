@@ -332,11 +332,11 @@ func parseAttackers(s string) ([]attacker.Params, error) {
 		if tuple = strings.TrimSpace(tuple); tuple == "" {
 			continue
 		}
-		fields, err := parseInts(tuple)
-		if err != nil || len(fields) != 3 {
-			return nil, fmt.Errorf("bad attacker tuple %q (want R,H,M)", tuple)
+		p, err := attacker.ParseParams(tuple)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, attacker.Params{R: fields[0], H: fields[1], M: fields[2]})
+		out = append(out, p)
 	}
 	return out, nil
 }

@@ -150,6 +150,7 @@ func TestCLIFlagErrors(t *testing.T) {
 		"shard out of range": {"-shard", "3/3", "-quiet"},
 		"shard count zero":   {"-shard", "2/0", "-quiet"},
 		"bad channel nan":    {"-channels", "bernoulli:NaN", "-quiet"},
+		"attacker 4-tuple":   {"-attackers", "1,0,1,5", "-quiet"},
 	} {
 		if code := run(args); code == 0 {
 			t.Errorf("%s: exited 0, want failure", name)

@@ -12,6 +12,8 @@ package attacker
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
+	"strings"
 	"time"
 
 	"slpdas/internal/radio"
@@ -27,10 +29,23 @@ type Params struct {
 	Start topo.NodeID // s0
 }
 
-// DefaultParams returns the (1, 0, 1, s0)-attacker the paper (and most SLP
-// work) evaluates against.
-func DefaultParams(start topo.NodeID) Params {
-	return Params{R: 1, H: 0, M: 1, Start: start}
+// ParseParams parses an "R,H,M" tuple, the command-line form of the
+// parameters; s0 is left to the caller. Anything but exactly three
+// integers is an error, so a trailing field cannot be silently dropped.
+func ParseParams(s string) (Params, error) {
+	fields := strings.Split(s, ",")
+	var v [3]int
+	if len(fields) != len(v) {
+		return Params{}, fmt.Errorf("bad attacker tuple %q (want R,H,M)", s)
+	}
+	for i, f := range fields {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return Params{}, fmt.Errorf("bad attacker tuple %q (want R,H,M)", s)
+		}
+		v[i] = n
+	}
+	return Params{R: v[0], H: v[1], M: v[2]}, nil
 }
 
 // Validate reports whether the parameters are usable.

@@ -35,8 +35,8 @@ func TestParamsValidate(t *testing.T) {
 			t.Errorf("params %+v validated", bad)
 		}
 	}
-	if err := DefaultParams(0).Validate(); err != nil {
-		t.Errorf("default params invalid: %v", err)
+	if err := (Params{R: 1, H: 0, M: 1}).Validate(); err != nil {
+		t.Errorf("the paper's (1,0,1) params invalid: %v", err)
 	}
 }
 
