@@ -264,9 +264,6 @@ func (a *Attacker) checkCapture(now time.Duration) {
 	}
 }
 
-// Deactivate stops processing observations (the hunt is over).
-func (a *Attacker) Deactivate() { a.active = false }
-
 // NextPeriod implements the NextP action of Figure 1: at each period
 // boundary the message buffer and the move budget reset, and PeriodAware
 // strategies may relocate (stamped with the latest observation time).

@@ -471,16 +471,6 @@ func (n *Network) recoverNode(id topo.NodeID) {
 	}
 }
 
-// Graph returns the topology.
-func (n *Network) Graph() *topo.Graph { return n.g }
-
-// Attacker exposes the first eavesdropper (for examples that render the
-// chase); see Attackers for the whole team.
-func (n *Network) Attacker() *attacker.Attacker { return n.atks[0] }
-
-// Attackers exposes every eavesdropper of the hunt.
-func (n *Network) Attackers() []*attacker.Attacker { return n.atks }
-
 // DataStart returns the source-activation time.
 func (n *Network) DataStart() time.Duration { return n.dataStart }
 

@@ -277,8 +277,8 @@ func protocolLabel(c core.Config) string {
 	return fam.Label
 }
 
-// MessageTypes returns the types present, sorted, for stable rendering.
-func (a *Aggregate) MessageTypes() []wire.Type {
+// messageTypes returns the types present, sorted, for stable rendering.
+func (a *Aggregate) messageTypes() []wire.Type {
 	out := make([]wire.Type, 0, len(a.MessagesByType))
 	for t := range a.MessagesByType {
 		out = append(out, t)

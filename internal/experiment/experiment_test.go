@@ -174,7 +174,7 @@ func TestAggregateMessageTypesSorted(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	types := agg.MessageTypes()
+	types := agg.messageTypes()
 	for i := 1; i < len(types); i++ {
 		if types[i-1] >= types[i] {
 			t.Errorf("types not sorted: %v", types)

@@ -40,13 +40,13 @@ func (t Timing) SlotStart(period, slot int) time.Duration {
 	return time.Duration(period)*t.PeriodDuration() + time.Duration(slot)*t.SlotDuration
 }
 
-// PeriodOf returns the period index containing time d (d >= 0).
-func (t Timing) PeriodOf(d time.Duration) int {
+// periodOf returns the period index containing time d (d >= 0).
+func (t Timing) periodOf(d time.Duration) int {
 	return int(d / t.PeriodDuration())
 }
 
-// SlotOf returns the slot index within the period containing time d.
-func (t Timing) SlotOf(d time.Duration) int {
+// slotOf returns the slot index within the period containing time d.
+func (t Timing) slotOf(d time.Duration) int {
 	return int((d % t.PeriodDuration()) / t.SlotDuration)
 }
 

@@ -27,11 +27,11 @@ func TestSlotStart(t *testing.T) {
 
 func TestPeriodAndSlotOf(t *testing.T) {
 	at := paperTiming.SlotStart(3, 42) + 10*time.Millisecond
-	if p := paperTiming.PeriodOf(at); p != 3 {
-		t.Errorf("PeriodOf = %d, want 3", p)
+	if p := paperTiming.periodOf(at); p != 3 {
+		t.Errorf("periodOf = %d, want 3", p)
 	}
-	if s := paperTiming.SlotOf(at); s != 42 {
-		t.Errorf("SlotOf = %d, want 42", s)
+	if s := paperTiming.slotOf(at); s != 42 {
+		t.Errorf("slotOf = %d, want 42", s)
 	}
 }
 

@@ -87,9 +87,6 @@ func (s *Stream) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// N returns the number of observations folded in so far.
-func (s *Stream) N() int { return s.n }
-
 // Summary finalises the accumulated statistics.
 func (s *Stream) Summary() Summary {
 	out := Summary{N: s.n}

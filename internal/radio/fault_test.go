@@ -96,8 +96,8 @@ func TestEnableNodeRestoresTraffic(t *testing.T) {
 	if delivered != 1 {
 		t.Errorf("delivered %d receptions, want exactly the post-recovery broadcast", delivered)
 	}
-	if m.NodeDisabled(0) {
-		t.Error("NodeDisabled(0) still true after EnableNode")
+	if m.disabled[0] {
+		t.Error("node 0 still disabled after EnableNode")
 	}
 }
 
@@ -152,20 +152,20 @@ func TestLinkFailsMidFlightDropsFrame(t *testing.T) {
 	}
 }
 
-// TestEnableLinkRestoresLink: EnableLink reopens a failed link.
+// TestEnableLinkRestoresLink: enableLink reopens a failed link.
 func TestEnableLinkRestoresLink(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 10)
 	delivered := 0
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	m.DisableLink(0, 1)
-	m.EnableLink(1, 0) // symmetric undo
+	m.enableLink(1, 0) // symmetric undo
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if delivered != 1 {
-		t.Errorf("delivered %d receptions after EnableLink, want 1", delivered)
+		t.Errorf("delivered %d receptions after enableLink, want 1", delivered)
 	}
 }
 

@@ -118,11 +118,9 @@ type Medium struct {
 	// Lookups are guarded by len(downLinks) != 0, so the no-link-fault fast
 	// path never touches the map.
 	downLinks map[uint64]bool
-	// observers is kept ordered by id so the scan at each transmission end
-	// visits live observers in registration order — deterministic, and
-	// O(live observers) rather than O(ids ever issued).
-	observers []observerEntry
-	nextObsID int
+	// observers are scanned at each transmission end in registration
+	// order, which keeps the scan deterministic.
+	observers []Observer
 
 	// Collision window state, per receiving node: rxEnd is the end of the
 	// latest reception window, rxLatest the reception owning it (the
@@ -140,17 +138,8 @@ type Medium struct {
 	// frames numbers the broadcasts this medium has carried; the latest
 	// is the id handed to the receivers of the newest frame.
 	frames uint64 // lint:immutable: frame ids must never repeat, not even across Reset, so receivers can cache per frame
-	// scanScratch is the reusable observer snapshot each scan iterates,
-	// so Overhear callbacks may add/remove observers without corrupting
-	// the walk.
-	scanScratch []observerEntry // lint:immutable: scratch, overwritten before every use
 
 	stats Stats
-}
-
-type observerEntry struct {
-	id  int
-	obs Observer
 }
 
 // frame is one broadcast in flight and its single DES event: the payload,
@@ -191,9 +180,8 @@ type reception struct {
 // Observers within range of the sender (at their position now) then
 // overhear the transmission. Collisions do not hide the fact that a node
 // keyed up: direction finding works on the carrier, not the payload. The
-// observer set is snapshotted before the callbacks run, so an Overhear
-// that adds or removes observers affects later transmissions, not this
-// one. A sender that died while the frame was on the air never completed
+// observer set is read once before the callbacks run, so an observer an
+// Overhear adds first hears the next transmission. A sender that died while the frame was on the air never completed
 // the transmission, so it is not observed.
 //
 //slp:hotpath
@@ -226,10 +214,9 @@ func (f *frame) Run() {
 		pos := m.g.Position(f.from)
 		obs := Observation{At: m.sim.Now(), From: f.from, Pos: pos, Bytes: len(f.buf)}
 		audible := m.g.RadioRange() + 1e-9
-		m.scanScratch = append(m.scanScratch[:0], m.observers...)
-		for _, oe := range m.scanScratch {
-			if pos.DistanceTo(oe.obs.Location()) <= audible {
-				oe.obs.Overhear(obs)
+		for _, o := range m.observers {
+			if pos.DistanceTo(o.Location()) <= audible {
+				o.Overhear(obs)
 			}
 		}
 	}
@@ -338,7 +325,6 @@ func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter Ene
 	}
 	clear(m.downLinks)
 	m.observers = m.observers[:0]
-	m.nextObsID = 0
 	m.stats = Stats{}
 }
 
@@ -355,9 +341,6 @@ func (m *Medium) DisableNode(n topo.NodeID) { m.disabled[n] = true }
 // Frames that were on the air while it was down stay lost — only
 // transmissions whose reception window ends after the node is back count.
 func (m *Medium) EnableNode(n topo.NodeID) { m.disabled[n] = false }
-
-// NodeDisabled reports whether n has been failed.
-func (m *Medium) NodeDisabled(n topo.NodeID) bool { return m.disabled[n] }
 
 // linkKey packs an undirected link into a map key, ordering the endpoints
 // so (a,b) and (b,a) address the same link.
@@ -386,33 +369,18 @@ func (m *Medium) DisableLink(a, b topo.NodeID) {
 	m.downLinks[linkKey(a, b)] = true
 }
 
-// EnableLink undoes DisableLink for the undirected link a–b.
-func (m *Medium) EnableLink(a, b topo.NodeID) {
+// enableLink undoes DisableLink for the undirected link a–b.
+func (m *Medium) enableLink(a, b topo.NodeID) {
 	delete(m.downLinks, linkKey(a, b))
 }
 
 // LinkDisabled reports whether the undirected link a–b has been failed.
 func (m *Medium) LinkDisabled(a, b topo.NodeID) bool { return m.linkDown(a, b) }
 
-// AddObserver registers an eavesdropper and returns an id usable with
-// RemoveObserver.
-func (m *Medium) AddObserver(o Observer) int {
-	id := m.nextObsID
-	m.nextObsID++
-	m.observers = append(m.observers, observerEntry{id: id, obs: o})
-	return id
-}
-
-// RemoveObserver unregisters an eavesdropper. Transmissions still on the
-// air no longer reach it: audibility is evaluated at transmission end (see
-// Observer).
-func (m *Medium) RemoveObserver(id int) {
-	for i, oe := range m.observers {
-		if oe.id == id {
-			m.observers = append(m.observers[:i], m.observers[i+1:]...)
-			return
-		}
-	}
+// AddObserver registers an eavesdropper for every later transmission end,
+// until Reset.
+func (m *Medium) AddObserver(o Observer) {
+	m.observers = append(m.observers, o)
 }
 
 // Airtime returns the on-air duration of a payload of the given size.

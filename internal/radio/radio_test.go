@@ -347,20 +347,6 @@ func TestObserverHearsColocatedSender(t *testing.T) {
 	}
 }
 
-func TestRemoveObserver(t *testing.T) {
-	sim, g, m := newTestMedium(t, 3)
-	obs := &fixedObserver{pos: g.Position(0)}
-	id := m.AddObserver(obs)
-	m.RemoveObserver(id)
-	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1}) })
-	if err := sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(obs.seen) != 0 {
-		t.Errorf("removed observer still heard %d transmissions", len(obs.seen))
-	}
-}
-
 func TestMovingObserverJudgedAtTransmissionEnd(t *testing.T) {
 	// Regression: audibility used to be evaluated against the observer's
 	// position at transmit start while Observation.At is the transmission
@@ -402,27 +388,9 @@ func TestMovingObserverJudgedAtTransmissionEnd(t *testing.T) {
 	}
 }
 
-func TestObserverRemovedMidFrameHearsNothing(t *testing.T) {
-	// Same convention, applied to the observer set: removal while a frame
-	// is on the air takes effect before the frame completes.
-	sim, g, m := newTestMedium(t, 5)
-	sender := topo.GridIndex(5, 2, 2)
-	obs := &fixedObserver{pos: g.Position(sender)}
-	id := m.AddObserver(obs)
-	payload := make([]byte, 200)
-	sim.ScheduleAfter(0, func() { m.Broadcast(sender, payload) })
-	sim.ScheduleAfter(m.Airtime(len(payload))/2, func() { m.RemoveObserver(id) })
-	if err := sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(obs.seen) != 0 {
-		t.Errorf("observer removed mid-frame heard %d transmissions, want 0", len(obs.seen))
-	}
-}
-
 func TestObserverAddedMidFrameHearsFrame(t *testing.T) {
-	// Converse of removal: the observer set is read at transmission end,
-	// even when it was empty when the frame was keyed up.
+	// The observer set is read at transmission end, even when it was empty
+	// when the frame was keyed up.
 	sim, g, m := newTestMedium(t, 5)
 	sender := topo.GridIndex(5, 2, 2)
 	obs := &fixedObserver{pos: g.Position(sender)}
@@ -434,47 +402,6 @@ func TestObserverAddedMidFrameHearsFrame(t *testing.T) {
 	}
 	if len(obs.seen) != 1 {
 		t.Errorf("observer added mid-frame heard %d transmissions, want 1", len(obs.seen))
-	}
-}
-
-// selfRemovingObserver unregisters itself on its first observation.
-type selfRemovingObserver struct {
-	m     *Medium
-	id    int
-	pos   topo.Point
-	heard int
-}
-
-func (o *selfRemovingObserver) Location() topo.Point { return o.pos }
-func (o *selfRemovingObserver) Overhear(Observation) {
-	o.heard++
-	o.m.RemoveObserver(o.id)
-}
-
-func TestRemoveObserverFromOverhearKeepsScanIntact(t *testing.T) {
-	// Removing an observer from inside its own Overhear must not skip or
-	// double-deliver to the observers after it in the scan order.
-	sim, g, m := newTestMedium(t, 5)
-	sender := topo.GridIndex(5, 2, 2)
-	pos := g.Position(sender)
-	first := &selfRemovingObserver{m: m, pos: pos}
-	first.id = m.AddObserver(first)
-	second := &fixedObserver{pos: pos}
-	third := &fixedObserver{pos: pos}
-	m.AddObserver(second)
-	m.AddObserver(third)
-
-	sim.ScheduleAfter(0, func() { m.Broadcast(sender, []byte{1}) })
-	sim.ScheduleAfter(time.Second, func() { m.Broadcast(sender, []byte{2}) })
-	if err := sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if first.heard != 1 {
-		t.Errorf("self-removing observer heard %d, want 1 (gone for the second frame)", first.heard)
-	}
-	if len(second.seen) != 2 || len(third.seen) != 2 {
-		t.Errorf("later observers heard %d and %d, want 2 each (no skip, no double delivery)",
-			len(second.seen), len(third.seen))
 	}
 }
 
@@ -504,8 +431,8 @@ func TestDisabledNodeNeitherSendsNorReceives(t *testing.T) {
 	if count != 0 {
 		t.Error("disabled node received a frame")
 	}
-	if !m.NodeDisabled(1) {
-		t.Error("NodeDisabled(1) = false")
+	if !m.disabled[1] {
+		t.Error("node 1 not disabled")
 	}
 	// Disabled sender transmits nothing.
 	before := m.Stats().Broadcasts
@@ -575,7 +502,7 @@ func TestMediumResetClearsRunState(t *testing.T) {
 
 	sim.Reset()
 	m.Reset(1, nil, true, nil)
-	if m.NodeDisabled(2) {
+	if m.disabled[2] {
 		t.Errorf("DisableNode survived Reset")
 	}
 	if st := m.Stats(); st != (Stats{}) {

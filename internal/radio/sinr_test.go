@@ -201,8 +201,7 @@ func TestEnergyMeterSelfKillOnTx(t *testing.T) {
 	delivered := 0
 	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
 	heard := 0
-	obsID := m.AddObserver(&staticObserver{pos: g.Position(0), heard: &heard})
-	defer m.RemoveObserver(obsID)
+	m.AddObserver(&staticObserver{pos: g.Position(0), heard: &heard})
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

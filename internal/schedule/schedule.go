@@ -10,8 +10,8 @@
 //     graph with an edge n→m whenever m ∈ N(n) and (slot(m) > slot(n) or
 //     m = sink).
 //
-// A schedule is a sequence of sender sets ⟨σ1, …, σl⟩; SenderSets recovers
-// that form from the per-node assignment.
+// A schedule is a sequence of sender sets ⟨σ1, …, σl⟩; Assignment keeps
+// the equivalent per-node form, one slot per node.
 package schedule
 
 import (
@@ -56,8 +56,8 @@ func (a *Assignment) Slot(n topo.NodeID) int { return a.slots[n] }
 // Assigned reports whether node n holds a slot.
 func (a *Assignment) Assigned(n topo.NodeID) bool { return a.slots[n] != Unassigned }
 
-// Clone returns a deep copy.
-func (a *Assignment) Clone() *Assignment {
+// clone returns a deep copy.
+func (a *Assignment) clone() *Assignment {
 	return &Assignment{slots: append([]int(nil), a.slots...), sink: a.sink}
 }
 
@@ -74,8 +74,8 @@ func (a *Assignment) Equal(b *Assignment) bool {
 	return true
 }
 
-// MinSlot returns the smallest assigned slot, or Unassigned if none.
-func (a *Assignment) MinSlot() int {
+// minSlot returns the smallest assigned slot, or Unassigned if none.
+func (a *Assignment) minSlot() int {
 	min := Unassigned
 	for n, s := range a.slots {
 		if topo.NodeID(n) == a.sink || s == Unassigned {
@@ -88,10 +88,10 @@ func (a *Assignment) MinSlot() int {
 	return min
 }
 
-// SenderSets recovers the paper's ⟨σ1, σ2, …, σl⟩ form: sets of nodes
+// senderSets recovers the paper's ⟨σ1, σ2, …, σl⟩ form: sets of nodes
 // grouped by slot, ordered by increasing slot value (transmission order).
 // The sink is excluded. Unassigned nodes are skipped.
-func (a *Assignment) SenderSets() [][]topo.NodeID {
+func (a *Assignment) senderSets() [][]topo.NodeID {
 	bySlot := make(map[int][]topo.NodeID)
 	for n, s := range a.slots {
 		if topo.NodeID(n) == a.sink || s == Unassigned {
@@ -275,11 +275,6 @@ func CheckWeakDAS(g *topo.Graph, a *Assignment) []Violation {
 	}
 	out = append(out, CheckNonColliding(g, a)...)
 	return out
-}
-
-// IsStrongDAS reports whether the assignment satisfies Definition 2.
-func IsStrongDAS(g *topo.Graph, a *Assignment) bool {
-	return len(CheckStrongDAS(g, a)) == 0
 }
 
 // IsWeakDAS reports whether the assignment satisfies Definition 3.

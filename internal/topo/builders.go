@@ -40,11 +40,6 @@ func GridIndex(side, row, col int) NodeID {
 	return NodeID(row*side + col)
 }
 
-// GridCoord returns the (row, col) of a node in a side×side grid.
-func GridCoord(side int, n NodeID) (row, col int) {
-	return int(n) / side, int(n) % side
-}
-
 // GridCentre returns the centre node of a side×side grid, the paper's sink
 // placement. For even sides it is the upper-left of the four central nodes.
 func GridCentre(side int) NodeID {
@@ -90,7 +85,7 @@ func RandomGeometric(n int, width, height, radioRange float64, seed uint64) (*Gr
 	if n < 2 {
 		return nil, fmt.Errorf("topo: random geometric graph needs at least 2 nodes, got %d", n)
 	}
-	// Raw PCG seeding, not xrand.New label mixing: this stream layout
+	// Raw PCG seeding, not xrand's label mixing: this stream layout
 	// predates xrand and is pinned by the committed topology goldens.
 	rng := xrand.NewRaw(seed, 0x9e3779b97f4a7c15)
 	const maxAttempts = 64

@@ -350,11 +350,6 @@ func (g *Graph) Valid(n NodeID) bool { return n >= 0 && int(n) < len(g.positions
 // Position returns the position of node n.
 func (g *Graph) Position(n NodeID) Point { return g.positions[n] }
 
-// Positions returns a copy of all node positions indexed by NodeID.
-func (g *Graph) Positions() []Point {
-	return append([]Point(nil), g.positions...)
-}
-
 // Neighbors returns the 1-hop neighbourhood of n, sorted by ID. The returned
 // slice is shared and must not be modified.
 func (g *Graph) Neighbors(n NodeID) []NodeID { return g.adj[n] }

@@ -57,12 +57,18 @@ func TestGridCornerDegree(t *testing.T) {
 	}
 }
 
+// gridCoord is the reference inverse of GridIndex: the (row, col) of a
+// node in a side×side grid.
+func gridCoord(side int, n NodeID) (row, col int) {
+	return int(n) / side, int(n) % side
+}
+
 func TestGridCoordRoundTrip(t *testing.T) {
 	const side = 15
 	for n := NodeID(0); int(n) < side*side; n++ {
-		row, col := GridCoord(side, n)
+		row, col := gridCoord(side, n)
 		if GridIndex(side, row, col) != n {
-			t.Fatalf("GridIndex(GridCoord(%d)) = %d", n, GridIndex(side, row, col))
+			t.Fatalf("GridIndex(gridCoord(%d)) = %d", n, GridIndex(side, row, col))
 		}
 	}
 }
@@ -71,9 +77,9 @@ func TestBFSDistancesOnGrid(t *testing.T) {
 	const side = 11
 	g := mustGrid(t, side)
 	dist := g.BFSFrom(GridCentre(side))
-	cr, cc := GridCoord(side, GridCentre(side))
+	cr, cc := gridCoord(side, GridCentre(side))
 	for n := range dist {
-		row, col := GridCoord(side, NodeID(n))
+		row, col := gridCoord(side, NodeID(n))
 		manhattan := abs(row-cr) + abs(col-cc)
 		if dist[n] != manhattan {
 			t.Fatalf("dist[%d] = %d, want Manhattan %d", n, dist[n], manhattan)

@@ -244,9 +244,6 @@ func (d *Decoder) Unmarshal(data []byte) (Message, error) {
 	return m, nil
 }
 
-// Size returns the encoded size of m in bytes.
-func Size(m Message) int { return len(Marshal(m)) }
-
 // --- field encoding helpers ---
 
 func appendInt(buf []byte, v int64) []byte {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -115,10 +116,15 @@ func TestCorruptInfoCountRejected(t *testing.T) {
 	}
 }
 
+// TestSizeMatchesMarshal: the frame a hot sender appends into its reused
+// scratch buffer has Marshal's size and bytes, whatever the buffer held.
 func TestSizeMatchesMarshal(t *testing.T) {
-	m := &Dissem{From: 9, Infos: make([]NodeInfo, 10)}
-	if Size(m) != len(Marshal(m)) {
-		t.Errorf("Size = %d, Marshal len = %d", Size(m), len(Marshal(m)))
+	scratch := Marshal(&Dissem{From: 9, Infos: make([]NodeInfo, 10)})
+	for _, m := range []Message{&Hello{From: 3}, &Dissem{From: 9, Infos: make([]NodeInfo, 10)}} {
+		scratch = AppendFrame(scratch[:0], m)
+		if want := Marshal(m); !bytes.Equal(scratch, want) {
+			t.Errorf("%T: AppendFrame wrote %d bytes %x, Marshal %d bytes %x", m, len(scratch), scratch, len(want), want)
+		}
 	}
 }
 

@@ -49,10 +49,9 @@ func MixString(seed uint64, label string) uint64 {
 	return Mix(seed, h)
 }
 
-// Seeds returns the PCG seed pair New derives from seed and labels.
-// Components that own their PCG state (so a run Reset can reseed the
-// generator in place instead of allocating a fresh one) use this to stay
-// stream-identical with New.
+// Seeds returns the PCG seed pair for seed and labels. Components own
+// their PCG state and seed it from this pair, so a run Reset can reseed
+// the generator in place instead of allocating a fresh one.
 func Seeds(seed uint64, labels ...uint64) (uint64, uint64) {
 	mixed := Mix(seed, labels...)
 	return mixed, SplitMix64(mixed)
@@ -62,12 +61,6 @@ func Seeds(seed uint64, labels ...uint64) (uint64, uint64) {
 func SeedsNamed(seed uint64, label string) (uint64, uint64) {
 	mixed := MixString(seed, label)
 	return mixed, SplitMix64(mixed)
-}
-
-// New returns a PCG-backed *rand.Rand seeded from seed and the given
-// labels.
-func New(seed uint64, labels ...uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(Seeds(seed, labels...)))
 }
 
 // Wrap returns a *rand.Rand drawing from src. Components that own their
@@ -80,10 +73,10 @@ func Wrap(src rand.Source) *rand.Rand {
 }
 
 // NewRaw returns a PCG-backed *rand.Rand seeded with the given pair
-// verbatim, without the SplitMix64 label mixing New applies. It exists for
-// streams whose raw seeding predates this package and is pinned by
-// committed goldens (the topology builders); new components must use
-// New/NewNamed so their streams carry labels.
+// verbatim, without the SplitMix64 label mixing of Seeds/SeedsNamed. It
+// exists for streams whose raw seeding predates this package and is pinned
+// by committed goldens (the topology builders); new components must seed
+// through Seeds/SeedsNamed or use NewNamed so their streams carry labels.
 func NewRaw(seed1, seed2 uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed1, seed2))
 }

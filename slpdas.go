@@ -6,8 +6,6 @@ import (
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
 	"slpdas/internal/protocol"
-	"slpdas/internal/topo"
-	"slpdas/internal/verify"
 )
 
 // Protocol selects the routing family to simulate, by name (see Protocols
@@ -239,56 +237,4 @@ func Overhead(gridSize, searchDistance, repeats int, seed uint64) (string, *expe
 		return "", nil, err
 	}
 	return o.Table().String(), o, nil
-}
-
-// VerifyOutcome is the result of checking a simulated schedule with the
-// paper's Algorithm 1.
-type VerifyOutcome struct {
-	SLPAware       bool
-	Counterexample []int // node IDs of the violating attacker trace
-	CapturePeriod  int
-	SafetyPeriod   int // δ in periods
-	StatesExplored int
-}
-
-// VerifyGrid runs the distributed protocol's setup phases on a grid, then
-// decides δ-SLP-awareness of the resulting schedule for the paper's
-// placement (source top-left, sink centre) against a (R,H,M,sink)
-// attacker with the first-heard decision rule.
-func VerifyGrid(cfg SimConfig) (VerifyOutcome, error) {
-	cfg = cfg.withDefaults()
-	coreCfg, err := cfg.coreConfig()
-	if err != nil {
-		return VerifyOutcome{}, err
-	}
-	g, err := topo.DefaultGrid(cfg.GridSize)
-	if err != nil {
-		return VerifyOutcome{}, err
-	}
-	sink, source := topo.GridCentre(cfg.GridSize), topo.GridTopLeft()
-	net, err := core.NewNetwork(g, sink, source, coreCfg, cfg.Seed)
-	if err != nil {
-		return VerifyOutcome{}, err
-	}
-	assignment, err := net.RunSetup()
-	if err != nil {
-		return VerifyOutcome{}, err
-	}
-	delta := int(net.SafetyPeriods())
-	res, err := verify.VerifySchedule(g, assignment,
-		verify.Params{R: cfg.AttackerR, H: cfg.AttackerH, M: cfg.AttackerM, Start: sink},
-		verify.FirstHeardD, delta, source, verify.Options{})
-	if err != nil {
-		return VerifyOutcome{}, err
-	}
-	out := VerifyOutcome{
-		SLPAware:       res.SLPAware,
-		CapturePeriod:  res.CapturePeriod,
-		SafetyPeriod:   delta,
-		StatesExplored: res.StatesExplored,
-	}
-	for _, n := range res.Counterexample {
-		out.Counterexample = append(out.Counterexample, int(n))
-	}
-	return out, nil
 }

@@ -73,22 +73,6 @@ func TestTableIRendered(t *testing.T) {
 	}
 }
 
-func TestVerifyGrid(t *testing.T) {
-	out, err := VerifyGrid(SimConfig{GridSize: 7, Seed: 3})
-	if err != nil {
-		t.Fatalf("VerifyGrid: %v", err)
-	}
-	if out.SafetyPeriod <= 0 || out.StatesExplored <= 0 {
-		t.Errorf("outcome = %+v", out)
-	}
-	if !out.SLPAware {
-		// A counterexample must be a real trace ending at the source.
-		if len(out.Counterexample) == 0 || out.Counterexample[len(out.Counterexample)-1] != 0 {
-			t.Errorf("counterexample = %v", out.Counterexample)
-		}
-	}
-}
-
 func TestFigure5Facade(t *testing.T) {
 	tbl, fig, err := Figure5(2, 4, 17, 5)
 	if err != nil {
