@@ -149,7 +149,6 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 	}
 	rows := []row{
 		{[]string{"run", "-size", "5", "-repeats", "0"}, "-repeats must be at least 1"},
-		{[]string{"run", "-size", "5", "-protocol", "bogus"}, `unknown protocol "bogus"`},
 		{[]string{"verify", "-size", "5", "-delta", "-3"}, "-delta must be at least 0"},
 		{[]string{"verify", "-size", "5", "-decision", "bogus"}, `unknown -decision "bogus"`},
 		{[]string{"topo", "-size", "5", "-show", "bogus"}, `unknown -show "bogus"`},
@@ -158,6 +157,7 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 	}
 	for _, cmd := range []string{"run", "topo", "verify"} {
 		for _, r := range []row{
+			{[]string{"-size", "5", "-protocol", "bogus"}, `unknown protocol "bogus"`},
 			{[]string{"-size", "0"}, "-size must be at least 2"},
 			{[]string{"-size", "1"}, "-size must be at least 2"},
 			{[]string{"-size", "5", "-protocol", "slp-das", "-sd", "0"}, "-sd must be at least 1"},

@@ -82,12 +82,6 @@ func atLeast(fs *flag.FlagSet, name string, v, min int) error {
 	return nil
 }
 
-// gridNetwork builds the paper's placement on a size×size grid: sink at
-// the centre, source top-left.
-func gridNetwork(g *topo.Graph, f simFlags, cfg core.Config) (*core.Network, error) {
-	return core.NewNetwork(g, topo.GridCentre(f.size), topo.GridTopLeft(), cfg, f.seed)
-}
-
 func runCustom(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	repeats := fs.Int("repeats", 20, "simulation repetitions")
@@ -164,7 +158,7 @@ func runTopo(args []string) error {
 		}))
 		return nil
 	}
-	net, err := gridNetwork(g, f, cfg)
+	net, err := core.NewNetwork(g, sink, source, cfg, seed)
 	if err != nil {
 		return err
 	}
@@ -243,11 +237,13 @@ func runVerify(args []string) error {
 	if !ok {
 		return usageError{fmt.Errorf("verify: unknown -decision %q", *decision)}
 	}
-	g, err := topo.DefaultGrid(f.size)
+	size := f.size
+	g, err := topo.DefaultGrid(size)
 	if err != nil {
 		return err
 	}
-	net, err := gridNetwork(g, f, cfg)
+	sink, source := topo.GridCentre(size), topo.GridTopLeft()
+	net, err := core.NewNetwork(g, sink, source, cfg, f.seed)
 	if err != nil {
 		return err
 	}
@@ -255,8 +251,6 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	size := f.size
-	sink, source := topo.GridCentre(size), topo.GridTopLeft()
 
 	fmt.Printf("schedule: %d×%d grid, seed %d, sink %d, source %d, Δss %d\n",
 		size, size, f.seed, sink, source, net.DeltaSS())
