@@ -51,9 +51,9 @@ func parseSim(fs *flag.FlagSet, args []string, protocol string) (simFlags, core.
 	if err != nil {
 		return f, core.Config{}, usageError{fmt.Errorf("%s: -attacker: %w", fs.Name(), err)}
 	}
-	// The config replaces a zero in any of these with its default (a zero
-	// team is one attacker), so a zero would run a different experiment
-	// from the one reported.
+	// Below these floors a value is either replaced by a default (a zero
+	// team is one attacker), which would run a different experiment from
+	// the one reported, or fails later without naming its flag.
 	for _, c := range []struct {
 		name   string
 		v, min int
