@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"strconv"
+	"strings"
 
 	"slpdas/internal/attacker"
 	"slpdas/internal/campaign"
@@ -303,13 +304,15 @@ func runVerify(args []string) error {
 	return nil
 }
 
+// describe summarises a schedule check: "ok", or the count and the first
+// three violations, separated by "; " since each contains spaces.
 func describe(violations []schedule.Violation) string {
 	if len(violations) == 0 {
 		return "ok"
 	}
-	max := 3
-	if len(violations) < max {
-		max = len(violations)
+	shown := make([]string, min(3, len(violations)))
+	for i := range shown {
+		shown[i] = violations[i].String()
 	}
-	return fmt.Sprintf("%d violations, e.g. %v", len(violations), violations[:max])
+	return fmt.Sprintf("%d violations, e.g. %s", len(violations), strings.Join(shown, "; "))
 }
