@@ -108,32 +108,38 @@ func TestRunRejectsFaultOnMissingNode(t *testing.T) {
 
 // TestCLIRejectsStrayArguments: a positional argument, which flag would
 // stop at and drop with every flag after it, fails every command with
-// exit 2 and a message naming it.
+// exit 2 and a message naming it. Each command is its own subtest.
 func TestCLIRejectsStrayArguments(t *testing.T) {
-	for _, args := range [][]string{
-		{"fig5a", "-sizes", "5", "-repeats", "1", "stray"},
-		{"fig5b", "stray", "-repeats", "1"},
-		{"overhead", "-size", "5", "stray"},
-		{"sweep", "-what", "sd", "stray"},
-		{"run", "-size", "5", "-repeats", "1", "stray", "-repeats", "99"},
-		{"topo", "stray"},
-		{"topo", "-size", "5", "stray", "-seed", "2"},
-		{"verify", "stray"},
-		{"verify", "-size", "5", "stray", "-seed", "2"},
-		{"table1", "stray"},
-		{"protocols", "stray"},
-		{"strategies", "stray"},
+	for _, c := range []struct {
+		cmd  string
+		rows [][]string
+	}{
+		{"fig5a", [][]string{{"-sizes", "5", "-repeats", "1", "stray"}}},
+		{"fig5b", [][]string{{"stray", "-repeats", "1"}}},
+		{"overhead", [][]string{{"-size", "5", "stray"}}},
+		{"sweep", [][]string{{"-what", "sd", "stray"}}},
+		{"run", [][]string{{"-size", "5", "-repeats", "1", "stray", "-repeats", "99"}}},
+		{"topo", [][]string{{"stray"}, {"-size", "5", "stray"}, {"-size", "5", "stray", "-seed", "2"}}},
+		{"verify", [][]string{{"stray"}, {"-size", "5", "stray"}, {"-size", "5", "stray", "-seed", "2"}}},
+		{"table1", [][]string{{"stray"}}},
+		{"protocols", [][]string{{"stray"}}},
+		{"strategies", [][]string{{"stray"}}},
 	} {
-		stdout, stderr, code := capture(t, args)
-		if code != 2 {
-			t.Errorf("slpsim %v exited %d, want 2", args, code)
-		}
-		if !strings.Contains(string(stderr), `unexpected argument "stray"`) {
-			t.Errorf("slpsim %v: stderr does not name the stray argument:\n%s", args, stderr)
-		}
-		if len(stdout) != 0 {
-			t.Errorf("slpsim %v printed before refusing:\n%s", args, stdout)
-		}
+		t.Run(c.cmd, func(t *testing.T) {
+			for _, row := range c.rows {
+				args := append([]string{c.cmd}, row...)
+				stdout, stderr, code := capture(t, args)
+				if code != 2 {
+					t.Errorf("slpsim %v exited %d, want 2", args, code)
+				}
+				if !strings.Contains(string(stderr), `unexpected argument "stray"`) {
+					t.Errorf("slpsim %v: stderr does not name the stray argument:\n%s", args, stderr)
+				}
+				if len(stdout) != 0 {
+					t.Errorf("slpsim %v printed before refusing:\n%s", args, stdout)
+				}
+			}
+		})
 	}
 }
 
@@ -186,26 +192,36 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 
 // TestCLIProtocolNames: run, topo and verify take every name 'slpsim
 // protocols' lists and the slp alias, which renders exactly as slp-das.
+// Each command is its own subtest; the unknown-name exit 2 is a row of
+// TestRunRejectsValuesSimConfigWouldReplace.
 func TestCLIProtocolNames(t *testing.T) {
-	for _, cmd := range [][]string{
-		{"run", "-size", "5", "-repeats", "1"},
-		{"topo", "-size", "5", "-show", "slots"},
-		{"verify", "-size", "5"},
+	for _, c := range []struct {
+		args []string
+		want string // a line every successful run prints
+	}{
+		{[]string{"run", "-size", "5", "-repeats", "1"}, "capture ratio"},
+		{[]string{"topo", "-size", "5", "-show", "slots"}, " slot assignment"},
+		{[]string{"verify", "-size", "5"}, "VerifySchedule("},
 	} {
-		outputs := map[string]string{}
-		for _, name := range []string{"protectionless", "slp", "slp-das", "phantom", "fake-source", "tier"} {
-			args := append(cmd[:len(cmd):len(cmd)], "-protocol", name)
-			stdout, stderr, code := capture(t, args)
-			if code != 0 {
-				t.Errorf("slpsim %v exited %d; stderr:\n%s", args, code, stderr)
+		t.Run(c.args[0], func(t *testing.T) {
+			outputs := map[string]string{}
+			for _, name := range []string{"protectionless", "slp", "slp-das", "phantom", "fake-source", "tier"} {
+				args := append(c.args[:len(c.args):len(c.args)], "-protocol", name)
+				stdout, stderr, code := capture(t, args)
+				if code != 0 {
+					t.Errorf("slpsim %v exited %d; stderr:\n%s", args, code, stderr)
+				}
+				if !strings.Contains(string(stdout), c.want) {
+					t.Errorf("slpsim %v: output lacks %q:\n%s", args, c.want, stdout)
+				}
+				outputs[name] = string(stdout)
 			}
-			outputs[name] = string(stdout)
-		}
-		if cmd[0] == "run" {
-			continue // run's header echoes the name as given
-		}
-		if outputs["slp"] != outputs["slp-das"] {
-			t.Errorf("slpsim %s: -protocol slp and -protocol slp-das differ:\n%s\nvs\n%s", cmd[0], outputs["slp"], outputs["slp-das"])
-		}
+			if c.args[0] == "run" {
+				return // run's header echoes the name as given
+			}
+			if outputs["slp"] != outputs["slp-das"] {
+				t.Errorf("slpsim %s: -protocol slp and -protocol slp-das differ:\n%s\nvs\n%s", c.args[0], outputs["slp"], outputs["slp-das"])
+			}
+		})
 	}
 }
