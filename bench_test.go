@@ -77,7 +77,7 @@ func BenchmarkFigure5b(b *testing.B) {
 // BenchmarkTableI regenerates Table I from the live configuration.
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if tbl := TableI(); len(tbl) == 0 {
+		if tbl := experiment.TableI().String(); len(tbl) == 0 {
 			b.Fatal("empty table")
 		}
 	}
@@ -153,18 +153,14 @@ func BenchmarkAblationLossModel(b *testing.B) {
 		loss := loss
 		b.Run(loss, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sum, err := Run(SimConfig{
-					GridSize:  11,
-					Protocol:  SLPAware,
-					Repeats:   15,
-					Seed:      benchSeed,
-					LossModel: loss,
-				})
+				cfg := core.DefaultSLP(3)
+				cfg.Channel = loss
+				agg, err := experiment.Run(experiment.Spec{GridSize: 11, Config: cfg, Repeats: 15, BaseSeed: benchSeed})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(sum.CaptureRatio*100, "capture%")
-				b.ReportMetric(sum.ScheduleValidRatio*100, "valid%")
+				b.ReportMetric(agg.CaptureRatio.Value()*100, "capture%")
+				b.ReportMetric(agg.ScheduleValid.Value()*100, "valid%")
 			}
 		})
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"slpdas"
 	"slpdas/internal/campaign"
 )
 
@@ -43,8 +42,8 @@ func columnsSpec() campaign.Spec {
 func TestCampaignColumnsGolden(t *testing.T) {
 	var jsonlBuf, csvBuf bytes.Buffer
 	jsonl, csv := campaign.NewJSONL(&jsonlBuf), campaign.NewCSV(&csvBuf)
-	if _, err := slpdas.RunCampaign(columnsSpec(), jsonl, csv); err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+	if _, err := campaign.Run(columnsSpec(), jsonl, csv); err != nil {
+		t.Fatalf("campaign.Run: %v", err)
 	}
 	for _, s := range []campaign.Sink{jsonl, csv} {
 		if err := s.Close(); err != nil {

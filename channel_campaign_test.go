@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"slpdas"
 	"slpdas/internal/campaign"
 )
 
@@ -34,8 +33,8 @@ func renderChannelCampaign(t *testing.T, spec campaign.Spec) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := campaign.NewJSONL(&buf)
-	if _, err := slpdas.RunCampaign(spec, sink); err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+	if _, err := campaign.Run(spec, sink); err != nil {
+		t.Fatalf("campaign.Run: %v", err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -108,7 +107,7 @@ func TestChannelEnergyCampaignDeterministic(t *testing.T) {
 		file := bytes.NewBuffer(append([]byte(nil), want[:valid]...))
 		spec.Skip = completed
 		sink := campaign.NewJSONL(file)
-		if _, err := slpdas.RunCampaign(spec, sink); err != nil {
+		if _, err := campaign.Run(spec, sink); err != nil {
 			t.Fatalf("cut %d: resume: %v", cut, err)
 		}
 		if err := sink.Close(); err != nil {

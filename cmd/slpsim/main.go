@@ -31,7 +31,9 @@
 // NAME is any family 'slpsim protocols' lists, or the alias slp; verify
 // defaults to slp, run and topo to protectionless. A flag value the
 // command rejects, or would otherwise silently replace with a default,
-// exits 2 with a message naming the flag.
+// exits 2 with a message naming the flag; so does a flag the output does
+// not depend on: topo -show stats|hops reads only -size, and verify's one
+// attacker takes no -strategy, -nattackers or -shared-history.
 package main
 
 import (
@@ -42,10 +44,10 @@ import (
 	"strconv"
 	"strings"
 
-	"slpdas"
 	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
+	"slpdas/internal/protocol"
 	"slpdas/internal/verify"
 )
 
@@ -83,6 +85,9 @@ func run(args []string) int {
 		usage()
 		return 2
 	}
+	if errors.Is(err, flag.ErrHelp) {
+		return 0 // flag has printed the command's flags
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "slpsim: %v\n", err)
 		if errors.As(err, new(usageError)) {
@@ -99,9 +104,11 @@ type usageError struct{ error }
 
 // parseFlags parses a command's flags and rejects positional arguments,
 // which flag stops at and would otherwise drop silently, together with
-// every flag after them.
+// every flag after them. -h returns flag.ErrHelp unwrapped.
 func parseFlags(fs *flag.FlagSet, args []string) error {
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return err
+	} else if err != nil {
 		return usageError{err}
 	}
 	if fs.NArg() > 0 {
@@ -119,17 +126,17 @@ func runListing(name string, args []string) error {
 	case "table1":
 		fmt.Println("Table I: parameters for protectionless and SLP DAS")
 		fmt.Println()
-		fmt.Print(slpdas.TableI())
+		fmt.Print(experiment.TableI())
 	case "protocols":
 		fmt.Println("registered protocols:")
 		fmt.Println()
-		for _, p := range slpdas.Protocols() {
+		for _, p := range protocol.Protocols() {
 			fmt.Printf("  %-16s %s\n", p.Name, p.Summary)
 		}
 	case "strategies":
 		fmt.Println("registered attacker strategies:")
 		fmt.Println()
-		for _, s := range slpdas.Strategies() {
+		for _, s := range attacker.Strategies() {
 			fmt.Printf("  %-16s %s\n", s.Name, s.Summary)
 		}
 	}
@@ -182,11 +189,16 @@ func runFigure5(searchDistance int, args []string) error {
 	}
 	fmt.Printf("Figure 5(%s): capture ratio, search distance %d, %d repeats/cell\n\n",
 		map[int]string{3: "a", 5: "b"}[searchDistance], searchDistance, *repeats)
-	tbl, fig, err := slpdas.Figure5(searchDistance, *repeats, *seed, sizes...)
+	fig, err := experiment.RunFigure5(experiment.Figure5Spec{
+		GridSizes:      sizes,
+		SearchDistance: searchDistance,
+		Repeats:        *repeats,
+		BaseSeed:       *seed,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Print(tbl)
+	fmt.Print(fig.Table())
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
 		if err != nil {
@@ -216,11 +228,11 @@ func runOverhead(args []string) error {
 		return err
 	}
 	fmt.Printf("Message overhead, %d×%d grid, SD=%d, %d repeats/protocol\n\n", *size, *size, *sd, *repeats)
-	tbl, _, err := slpdas.Overhead(*size, *sd, *repeats, *seed)
+	o, err := experiment.RunOverhead(*size, *sd, *repeats, *seed, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Print(tbl)
+	fmt.Print(o.Table())
 	return nil
 }
 

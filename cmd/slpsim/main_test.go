@@ -144,10 +144,11 @@ func TestCLIRejectsStrayArguments(t *testing.T) {
 }
 
 // TestRunRejectsValuesSimConfigWouldReplace: a flag value the command
-// cannot honour, or one the run's config would silently replace with its
-// default, exits 2 naming the flag instead of simulating a different run
-// than the header reports. run, topo and verify share the simulation
-// flags, so each shared check is exercised through all three.
+// cannot honour, one the run's config would silently replace with its
+// default, or a flag the command's output does not depend on, exits 2
+// naming the flag instead of simulating a different run than the header
+// reports. run, topo and verify share the simulation flags, so each
+// shared check is exercised through all three.
 func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 	type row struct {
 		args []string
@@ -160,6 +161,14 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		{[]string{"topo", "-size", "5", "-show", "bogus"}, `unknown -show "bogus"`},
 		{[]string{"sweep", "-what", "bogus"}, `unknown -what "bogus"`},
 		{[]string{"fig5a", "-sizes", "5,x", "-repeats", "1"}, `-sizes: bad size "x"`},
+		// Flags the command's output does not depend on.
+		{[]string{"topo", "-size", "5", "-seed", "3"}, "-seed has no effect: -show stats reads only -size"},
+		{[]string{"topo", "-size", "5", "-show", "stats", "-protocol", "slp"}, "-protocol has no effect"},
+		{[]string{"topo", "-size", "5", "-show", "hops", "-channel", "bernoulli:0.9"}, "-channel has no effect: -show hops reads only -size"},
+		{[]string{"topo", "-size", "5", "-show", "hops", "-faults", "churn:0.5:1"}, "-faults has no effect"},
+		{[]string{"verify", "-size", "5", "-strategy", "cautious"}, "-strategy has no effect"},
+		{[]string{"verify", "-size", "5", "-nattackers", "2"}, "-nattackers has no effect"},
+		{[]string{"verify", "-size", "5", "-shared-history"}, "-shared-history has no effect"},
 	}
 	for _, cmd := range []string{"run", "topo", "verify"} {
 		for _, r := range []row{
@@ -187,6 +196,25 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		if len(stdout) != 0 {
 			t.Errorf("slpsim %v printed before refusing:\n%s", r.args, stdout)
 		}
+	}
+}
+
+// TestCLIHelpExitsZero: -h prints a command's flags and exits 0, like
+// 'slpsim -h', without an error line. Each command is its own subtest.
+func TestCLIHelpExitsZero(t *testing.T) {
+	for _, cmd := range []string{"fig5a", "fig5b", "table1", "overhead", "sweep", "run", "topo", "verify", "protocols", "strategies"} {
+		t.Run(cmd, func(t *testing.T) {
+			stdout, stderr, code := capture(t, []string{cmd, "-h"})
+			if code != 0 {
+				t.Errorf("slpsim %s -h exited %d, want 0", cmd, code)
+			}
+			if !strings.Contains(string(stderr), "Usage of ") || strings.Contains(string(stderr), "slpsim:") {
+				t.Errorf("slpsim %s -h: stderr is not the flag usage alone:\n%s", cmd, stderr)
+			}
+			if len(stdout) != 0 {
+				t.Errorf("slpsim %s -h printed to stdout:\n%s", cmd, stdout)
+			}
+		})
 	}
 }
 

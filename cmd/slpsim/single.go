@@ -75,6 +75,18 @@ func parseSim(fs *flag.FlagSet, args []string, protocol string) (simFlags, core.
 	return f, cfg, nil
 }
 
+// ignoredFlag refuses the first flag set on the command line that ignored
+// reports true for: the command's output would not depend on it.
+func ignoredFlag(fs *flag.FlagSet, ignored func(name string) bool, why string) error {
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		if err == nil && ignored(fl.Name) {
+			err = usageError{fmt.Errorf("%s: -%s has no effect: %s", fs.Name(), fl.Name, why)}
+		}
+	})
+	return err
+}
+
 // atLeast refuses a flag value below min with a usageError naming it.
 func atLeast(fs *flag.FlagSet, name string, v, min int) error {
 	if v < min {
@@ -134,7 +146,12 @@ func runTopo(args []string) error {
 		return err
 	}
 	switch *show {
-	case "stats", "hops", "slots", "walk":
+	case "stats", "hops":
+		if err := ignoredFlag(fs, func(name string) bool { return name != "size" && name != "show" },
+			"-show "+*show+" reads only -size"); err != nil {
+			return err
+		}
+	case "slots", "walk":
 	default:
 		return usageError{fmt.Errorf("topo: unknown -show %q", *show)}
 	}
@@ -228,6 +245,11 @@ func runVerify(args []string) error {
 		return err
 	}
 	if err := atLeast(fs, "-delta", *delta, 0); err != nil {
+		return err
+	}
+	if err := ignoredFlag(fs, func(name string) bool {
+		return name == "strategy" || name == "nattackers" || name == "shared-history"
+	}, "verify's one attacker is set by -attacker and -decision"); err != nil {
 		return err
 	}
 	d, ok := map[string]verify.DecisionSet{

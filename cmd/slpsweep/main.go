@@ -44,7 +44,6 @@ import (
 	"strconv"
 	"strings"
 
-	"slpdas"
 	"slpdas/internal/attacker"
 	"slpdas/internal/campaign"
 	"slpdas/internal/fault"
@@ -170,7 +169,7 @@ func run(args []string) int {
 		sink = campaign.NewJSONL(w)
 	}
 
-	sum, err := slpdas.RunCampaign(spec, sink)
+	sum, err := campaign.Run(spec, sink)
 	if cerr := sink.Close(); cerr != nil && err == nil {
 		err = cerr
 	}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"slpdas"
 	"slpdas/internal/experiment"
 	"slpdas/internal/lint"
 )
@@ -63,11 +62,11 @@ func TestFig5aBackwardCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	tbl, fig, err := slpdas.Figure5(3, 5, 1, 7, 11)
+	fig, err := experiment.RunFigure5(experiment.Figure5Spec{GridSizes: []int{7, 11}, SearchDistance: 3, Repeats: 5, BaseSeed: 1})
 	if err != nil {
-		t.Fatalf("Figure5: %v", err)
+		t.Fatalf("RunFigure5: %v", err)
 	}
-	if got := renderFig5a(tbl, fig); !bytes.Equal(got, want) {
+	if got := renderFig5a(fig.Table().String(), fig); !bytes.Equal(got, want) {
 		t.Errorf("fig5a output diverged from the pre-rebuild golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
@@ -76,8 +75,7 @@ func TestFig5aBackwardCompatible(t *testing.T) {
 // on the figure pipeline: the Figure 5 evaluation must render
 // byte-identical to the unchanged golden at 1, 2 and 8 workers, where
 // each worker count partitions the per-size repeats differently across
-// arenas. The facade leaves Workers at GOMAXPROCS, so this drives the
-// experiment spec directly.
+// arenas. TestFig5aBackwardCompatible leaves Workers at GOMAXPROCS.
 func TestFig5aDeterministicAcrossWorkers(t *testing.T) {
 	want, err := os.ReadFile("testdata/fig5a_compat.golden")
 	if err != nil {

@@ -24,10 +24,12 @@
 //     output, driven from the command line by cmd/slpsweep (-resume,
 //     -shard) and reassembled by cmd/slpmerge.
 //
-// This package is the stable facade: simulation entry points, the
-// per-figure reproduction helpers used by cmd/slpsim, campaign execution
-// (RunCampaign), and schedule verification. The examples/ directory shows
-// typical use; DESIGN.md maps every paper artefact to the module
+// This package exports nothing. The paper's figures and tables come from
+// cmd/slpsim (fig5a, fig5b, table1, overhead, sweep, run, topo, verify)
+// and campaigns from cmd/slpsweep. The package examples in
+// example_test.go show library use and pin every line they print; the
+// golden tests beside them (testdata/*.golden) pin Figure 5 and campaign
+// output byte for byte. DESIGN.md maps every paper artefact to the module
 // implementing it and EXPERIMENTS.md records reproduced-versus-published
 // numbers with the commands that regenerate them.
 package slpdas

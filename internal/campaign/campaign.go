@@ -249,7 +249,7 @@ type AttackerSetup struct {
 // BuildConfig maps one cell's coordinates — protocol name, search
 // distance, attacker setup, channel spec, collisions, fault spec, energy
 // spec — onto a validated core.Config. It is the single protocol-name
-// switch shared by the campaign engine and the slpdas facade.
+// switch shared by the campaign engine and slpsim's single-run commands.
 // channelSpec uses the internal/channel grammar (which subsumes the old
 // loss-model syntax); faults the fault.Parse grammar; energySpec the
 // energy.Parse grammar. "" and "none" mean off for the latter two.

@@ -4,7 +4,7 @@
 // whether a frame reaches a receiver, and (for power-based models) at what
 // received power, which is what SINR capture in the radio medium
 // consumes. Families are named by keyword and parse from the shared
-// textual grammar used by the campaign engine, the facade and the CLIs:
+// textual grammar used by the campaign engine and the CLIs:
 //
 //	ideal                                  perfectly reliable channel
 //	bernoulli:<p>                          i.i.d. loss with probability p

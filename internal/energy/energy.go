@@ -2,7 +2,7 @@
 // capacity and the tx/rx/idle costs the radio medium and the TDMA slot
 // machinery charge against it. Like internal/fault it is a declarative
 // value Spec with a canonical textual grammar shared by the campaign
-// engine, the facade and the CLIs:
+// engine and the CLIs:
 //
 //	none                                    accounting off (the default)
 //	battery:<capacity>                      capacity in mJ, calibrated default costs

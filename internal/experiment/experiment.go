@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"slpdas/internal/core"
 	"slpdas/internal/metrics"
@@ -31,8 +30,6 @@ type Spec struct {
 	Repeats int
 	// BaseSeed separates experiment batches; run r uses BaseSeed + r.
 	BaseSeed uint64
-	// Workers bounds parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 // ResolveTopology materialises the spec's topology: the explicit graph
@@ -212,12 +209,12 @@ type Aggregate struct {
 }
 
 // Run executes the spec: Repeats independent simulations on distinct
-// seeds, in parallel. Every run that errors is counted and the first
-// error is returned alongside the aggregate of the successful runs.
+// seeds, on GOMAXPROCS workers. Every run that errors is counted and the
+// first error is returned alongside the aggregate of the successful runs.
 func Run(spec Spec) (*Aggregate, error) {
 	var agg *Aggregate
 	var runErr error
-	err := Engine{Workers: spec.Workers, KeepResults: true}.Run([]Spec{spec}, func(_ int, a *Aggregate, err error) error {
+	err := Engine{KeepResults: true}.Run([]Spec{spec}, func(_ int, a *Aggregate, err error) error {
 		agg, runErr = a, err
 		return nil
 	})
@@ -275,14 +272,4 @@ func protocolLabel(c core.Config) string {
 		return fmt.Sprintf("%s-sd%d", fam.Label, c.SearchDistance)
 	}
 	return fam.Label
-}
-
-// messageTypes returns the types present, sorted, for stable rendering.
-func (a *Aggregate) messageTypes() []wire.Type {
-	out := make([]wire.Type, 0, len(a.MessagesByType))
-	for t := range a.MessagesByType {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

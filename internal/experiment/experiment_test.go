@@ -48,18 +48,18 @@ func TestRunAggregatesAllRepeats(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	spec1 := smallSpec(true, 5)
-	spec1.Workers = 1
-	specN := smallSpec(true, 5)
-	specN.Workers = 4
-	a, err := Run(spec1)
-	if err != nil {
-		t.Fatalf("Run workers=1: %v", err)
+	run := func(workers int) *Aggregate {
+		var agg *Aggregate
+		err := Engine{Workers: workers}.Run([]Spec{smallSpec(true, 5)}, func(_ int, a *Aggregate, err error) error {
+			agg = a
+			return err
+		})
+		if err != nil {
+			t.Fatalf("Run workers=%d: %v", workers, err)
+		}
+		return agg
 	}
-	b, err := Run(specN)
-	if err != nil {
-		t.Fatalf("Run workers=4: %v", err)
-	}
+	a, b := run(1), run(4)
 	if a.CaptureRatio != b.CaptureRatio {
 		t.Errorf("capture ratio differs by worker count: %v vs %v", a.CaptureRatio, b.CaptureRatio)
 	}
@@ -165,19 +165,6 @@ func TestTableIMatchesConfig(t *testing.T) {
 	for _, want := range []string{"Psrc", "5.5s", "Pslot", "0.05s", "Pdiss", "0.5s", "100", "80", "Δss − SD", "1.5"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("Table I missing %q:\n%s", want, tbl)
-		}
-	}
-}
-
-func TestAggregateMessageTypesSorted(t *testing.T) {
-	agg, err := Run(smallSpec(true, 2))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	types := agg.messageTypes()
-	for i := 1; i < len(types); i++ {
-		if types[i-1] >= types[i] {
-			t.Errorf("types not sorted: %v", types)
 		}
 	}
 }

@@ -40,16 +40,6 @@ func (t Timing) SlotStart(period, slot int) time.Duration {
 	return time.Duration(period)*t.PeriodDuration() + time.Duration(slot)*t.SlotDuration
 }
 
-// periodOf returns the period index containing time d (d >= 0).
-func (t Timing) periodOf(d time.Duration) int {
-	return int(d / t.PeriodDuration())
-}
-
-// slotOf returns the slot index within the period containing time d.
-func (t Timing) slotOf(d time.Duration) int {
-	return int((d % t.PeriodDuration()) / t.SlotDuration)
-}
-
 // ValidSlot reports whether slot is a transmittable slot index.
 func (t Timing) ValidSlot(slot int) bool {
 	return slot >= 0 && slot < t.Slots

@@ -25,16 +25,6 @@ func TestSlotStart(t *testing.T) {
 	}
 }
 
-func TestPeriodAndSlotOf(t *testing.T) {
-	at := paperTiming.SlotStart(3, 42) + 10*time.Millisecond
-	if p := paperTiming.periodOf(at); p != 3 {
-		t.Errorf("periodOf = %d, want 3", p)
-	}
-	if s := paperTiming.slotOf(at); s != 42 {
-		t.Errorf("slotOf = %d, want 42", s)
-	}
-}
-
 func TestValidSlot(t *testing.T) {
 	for slot, want := range map[int]bool{-1: false, 0: true, 99: true, 100: false} {
 		if got := paperTiming.ValidSlot(slot); got != want {

@@ -5,7 +5,7 @@
 // families from the wider literature (sector phantom routing, fake-source
 // backbones, tier-based intermediary routing) sit beside them and appear
 // on every axis above: core.Config, experiment labels, the campaign
-// protocol axis, the slpdas facade and the CLIs.
+// protocol axis and the CLIs.
 //
 // A Protocol describes one family statically: its name, result label,
 // whether it runs the SLP search phase during setup, whether the data

@@ -152,23 +152,6 @@ func TestLinkFailsMidFlightDropsFrame(t *testing.T) {
 	}
 }
 
-// TestEnableLinkRestoresLink: enableLink reopens a failed link.
-func TestEnableLinkRestoresLink(t *testing.T) {
-	sim, _, m := newTestMedium(t, 3)
-	payload := make([]byte, 10)
-	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
-	m.DisableLink(0, 1)
-	m.enableLink(1, 0) // symmetric undo
-	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
-	if err := sim.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if delivered != 1 {
-		t.Errorf("delivered %d receptions after enableLink, want 1", delivered)
-	}
-}
-
 // TestResetClearsDownLinks: link faults are run state, cleared by Reset.
 func TestResetClearsDownLinks(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)

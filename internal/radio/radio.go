@@ -369,11 +369,6 @@ func (m *Medium) DisableLink(a, b topo.NodeID) {
 	m.downLinks[linkKey(a, b)] = true
 }
 
-// enableLink undoes DisableLink for the undirected link a–b.
-func (m *Medium) enableLink(a, b topo.NodeID) {
-	delete(m.downLinks, linkKey(a, b))
-}
-
 // LinkDisabled reports whether the undirected link a–b has been failed.
 func (m *Medium) LinkDisabled(a, b topo.NodeID) bool { return m.linkDown(a, b) }
 

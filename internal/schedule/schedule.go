@@ -56,11 +56,6 @@ func (a *Assignment) Slot(n topo.NodeID) int { return a.slots[n] }
 // Assigned reports whether node n holds a slot.
 func (a *Assignment) Assigned(n topo.NodeID) bool { return a.slots[n] != Unassigned }
 
-// clone returns a deep copy.
-func (a *Assignment) clone() *Assignment {
-	return &Assignment{slots: append([]int(nil), a.slots...), sink: a.sink}
-}
-
 // Equal reports whether two assignments are identical.
 func (a *Assignment) Equal(b *Assignment) bool {
 	if a.sink != b.sink || len(a.slots) != len(b.slots) {
@@ -72,45 +67,6 @@ func (a *Assignment) Equal(b *Assignment) bool {
 		}
 	}
 	return true
-}
-
-// minSlot returns the smallest assigned slot, or Unassigned if none.
-func (a *Assignment) minSlot() int {
-	min := Unassigned
-	for n, s := range a.slots {
-		if topo.NodeID(n) == a.sink || s == Unassigned {
-			continue
-		}
-		if min == Unassigned || s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// senderSets recovers the paper's ⟨σ1, σ2, …, σl⟩ form: sets of nodes
-// grouped by slot, ordered by increasing slot value (transmission order).
-// The sink is excluded. Unassigned nodes are skipped.
-func (a *Assignment) senderSets() [][]topo.NodeID {
-	bySlot := make(map[int][]topo.NodeID)
-	for n, s := range a.slots {
-		if topo.NodeID(n) == a.sink || s == Unassigned {
-			continue
-		}
-		bySlot[s] = append(bySlot[s], topo.NodeID(n))
-	}
-	slots := make([]int, 0, len(bySlot))
-	for s := range bySlot {
-		slots = append(slots, s)
-	}
-	sort.Ints(slots)
-	out := make([][]topo.NodeID, 0, len(slots))
-	for _, s := range slots {
-		set := bySlot[s]
-		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-		out = append(out, set)
-	}
-	return out
 }
 
 // ViolationKind classifies schedule property violations.

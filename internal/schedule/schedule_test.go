@@ -167,22 +167,6 @@ func TestWeakReachabilityIsTransitive(t *testing.T) {
 	}
 }
 
-func TestSenderSets(t *testing.T) {
-	g, a := lineSchedule(t)
-	_ = g
-	a.Set(0, 2) // share slot 2 with node 1 (collision, but senderSets is structural)
-	sets := a.senderSets()
-	if len(sets) != 3 {
-		t.Fatalf("sets = %v, want 3 slots", sets)
-	}
-	if len(sets[0]) != 2 || sets[0][0] != 0 || sets[0][1] != 1 {
-		t.Errorf("σ1 = %v, want [0 1]", sets[0])
-	}
-	if sets[1][0] != 2 || sets[2][0] != 3 {
-		t.Errorf("σ2, σ3 = %v %v", sets[1], sets[2])
-	}
-}
-
 func TestSlotRange(t *testing.T) {
 	g, a := lineSchedule(t)
 	a.Set(0, -3)
@@ -193,9 +177,14 @@ func TestSlotRange(t *testing.T) {
 	}
 }
 
+// clone returns a deep copy of a, the reference Equal is checked against.
+func clone(a *Assignment) *Assignment {
+	return &Assignment{slots: append([]int(nil), a.slots...), sink: a.sink}
+}
+
 func TestCloneAndEqual(t *testing.T) {
 	_, a := lineSchedule(t)
-	b := a.clone()
+	b := clone(a)
 	if !a.Equal(b) {
 		t.Error("clone not equal")
 	}
@@ -205,17 +194,6 @@ func TestCloneAndEqual(t *testing.T) {
 	}
 	if a.Slot(0) == 99 {
 		t.Error("clone aliases original")
-	}
-}
-
-func TestMinSlot(t *testing.T) {
-	_, a := lineSchedule(t)
-	if got := a.minSlot(); got != 1 {
-		t.Errorf("minSlot = %d, want 1", got)
-	}
-	empty := New(5, 4)
-	if got := empty.minSlot(); got != Unassigned {
-		t.Errorf("minSlot on empty = %d, want Unassigned", got)
 	}
 }
 

@@ -1,84 +1,98 @@
-package slpdas
+package slpdas_test
 
 import (
 	"strings"
 	"testing"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/campaign"
+	"slpdas/internal/core"
+	"slpdas/internal/experiment"
+	"slpdas/internal/protocol"
 )
 
+// The tests below drive the entry points cmd/slpsim and cmd/slpsweep
+// call, end to end on small grids: experiment.Run, campaign.BuildConfig,
+// campaign.Run, experiment.RunFigure5, experiment.RunOverhead and
+// experiment.TableI.
+
 func TestRunDefaults(t *testing.T) {
-	sum, err := Run(SimConfig{GridSize: 5, Repeats: 3, Seed: 9})
+	agg, err := experiment.Run(experiment.Spec{GridSize: 5, Config: core.Default(), Repeats: 3, BaseSeed: 9})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if sum.Runs != 3 {
-		t.Errorf("Runs = %d", sum.Runs)
+	if agg.CaptureRatio.Trials != 3 {
+		t.Errorf("runs = %d", agg.CaptureRatio.Trials)
 	}
-	if sum.Protocol != Protectionless {
-		t.Errorf("Protocol = %q", sum.Protocol)
+	if agg.Protocol != "protectionless-das" {
+		t.Errorf("Protocol = %q", agg.Protocol)
 	}
-	if sum.ScheduleValidRatio != 1 {
-		t.Errorf("ScheduleValidRatio = %v", sum.ScheduleValidRatio)
+	if agg.ScheduleValid.Value() != 1 {
+		t.Errorf("valid schedules = %v", agg.ScheduleValid)
 	}
-	if sum.ControlMessages <= 0 {
+	if agg.ControlMessages.Mean <= 0 {
 		t.Error("no control messages accounted")
 	}
 }
 
 func TestRunSLP(t *testing.T) {
-	sum, err := Run(SimConfig{GridSize: 5, Protocol: SLPAware, SearchDistance: 2, Repeats: 3, Seed: 1})
+	agg, err := experiment.Run(experiment.Spec{GridSize: 5, Config: core.DefaultSLP(2), Repeats: 3, BaseSeed: 1})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if sum.ChangedNodes <= 0 {
+	if agg.ChangedNodes.Mean <= 0 {
 		t.Error("SLP runs changed no slots")
 	}
 }
 
+// buildConfig is campaign.BuildConfig with the paper's attacker and every
+// axis but the protocol and channel at its default.
+func buildConfig(proto, channel string) (core.Config, error) {
+	return campaign.BuildConfig(proto, 3, campaign.AttackerSetup{Params: attacker.Params{R: 1, H: 0, M: 1}},
+		channel, false, "", "")
+}
+
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(SimConfig{GridSize: 5, Protocol: "bogus", Repeats: 1}); err == nil {
-		t.Error("bogus protocol accepted")
-	}
-	if _, err := Run(SimConfig{GridSize: 5, Repeats: 1, LossModel: "bernoulli:2"}); err == nil {
-		t.Error("bad loss probability accepted")
-	}
-	if _, err := Run(SimConfig{GridSize: 5, Repeats: 1, LossModel: "wat"}); err == nil {
-		t.Error("unknown loss model accepted")
+	for _, c := range []struct{ proto, channel string }{
+		{"bogus", "ideal"}, {protocol.NameProtectionless, "bernoulli:2"}, {protocol.NameProtectionless, "wat"},
+	} {
+		if _, err := buildConfig(c.proto, c.channel); err == nil {
+			t.Errorf("protocol %q, channel %q accepted", c.proto, c.channel)
+		}
 	}
 }
 
 // TestSimConfigAcceptsLegacyLossSpellings: the pre-channel loss-model
-// spellings remain valid SimConfig.LossModel values, canonicalised
-// through the channel grammar.
+// spellings remain valid channel specs, canonicalised through the channel
+// grammar.
 func TestSimConfigAcceptsLegacyLossSpellings(t *testing.T) {
 	for _, tc := range []struct{ in, want string }{
 		{"", "ideal"}, {"ideal", "ideal"}, {"rssi", "rssi"}, {"bernoulli:0.25", "bernoulli:0.25"},
 	} {
-		cfg, err := SimConfig{LossModel: tc.in}.withDefaults().coreConfig()
+		cfg, err := buildConfig(protocol.NameProtectionless, tc.in)
 		if err != nil {
-			t.Errorf("LossModel %q: %v", tc.in, err)
+			t.Errorf("channel %q: %v", tc.in, err)
 			continue
 		}
 		if cfg.Channel != tc.want {
-			t.Errorf("LossModel %q: channel %q, want %q", tc.in, cfg.Channel, tc.want)
+			t.Errorf("channel %q: canonical %q, want %q", tc.in, cfg.Channel, tc.want)
 		}
 	}
 }
 
 func TestTableIRendered(t *testing.T) {
-	tbl := TableI()
+	tbl := experiment.TableI().String()
 	if !strings.Contains(tbl, "Psrc") || !strings.Contains(tbl, "5.5s") {
 		t.Errorf("Table I = %q", tbl)
 	}
 }
 
 func TestFigure5Facade(t *testing.T) {
-	tbl, fig, err := Figure5(2, 4, 17, 5)
+	fig, err := experiment.RunFigure5(experiment.Figure5Spec{GridSizes: []int{5}, SearchDistance: 2, Repeats: 4, BaseSeed: 17})
 	if err != nil {
-		t.Fatalf("Figure5: %v", err)
+		t.Fatalf("RunFigure5: %v", err)
 	}
-	if !strings.Contains(tbl, "network size") {
+	if tbl := fig.Table().String(); !strings.Contains(tbl, "network size") {
 		t.Errorf("table = %q", tbl)
 	}
 	if len(fig.Points) != 1 || fig.Points[0].GridSize != 5 {
@@ -87,30 +101,30 @@ func TestFigure5Facade(t *testing.T) {
 }
 
 func TestRunCampaignFacade(t *testing.T) {
-	sum, err := RunCampaign(campaign.Spec{
+	sum, err := campaign.Run(campaign.Spec{
 		GridSizes:       []int{5},
 		SearchDistances: []int{2},
 		Repeats:         2,
 		BaseSeed:        7,
 	})
 	if err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+		t.Fatalf("campaign.Run: %v", err)
 	}
 	if sum.Cells != 2 || sum.Failures != 0 {
 		t.Fatalf("summary = %+v", sum)
 	}
 	rows := sum.Rows
-	if len(rows) != 2 || rows[0].Protocol != string(Protectionless) || rows[1].Protocol != string(SLPAware) {
+	if len(rows) != 2 || rows[0].Protocol != protocol.NameProtectionless || rows[1].Protocol != protocol.AliasSLP {
 		t.Errorf("rows = %+v", rows)
 	}
 }
 
 func TestOverheadFacade(t *testing.T) {
-	tbl, o, err := Overhead(5, 2, 3, 23)
+	o, err := experiment.RunOverhead(5, 2, 3, 23, 0)
 	if err != nil {
-		t.Fatalf("Overhead: %v", err)
+		t.Fatalf("RunOverhead: %v", err)
 	}
-	if !strings.Contains(tbl, "CONTROL TOTAL") || o == nil {
+	if tbl := o.Table().String(); !strings.Contains(tbl, "CONTROL TOTAL") {
 		t.Errorf("table = %q", tbl)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"testing"
 
-	"slpdas"
 	"slpdas/internal/campaign"
 )
 
@@ -39,8 +38,8 @@ func TestSweepBackwardCompatible(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	sink := campaign.NewJSONL(&buf)
-	if _, err := slpdas.RunCampaign(sweepCompatSpec(4), sink); err != nil {
-		t.Fatalf("RunCampaign: %v", err)
+	if _, err := campaign.Run(sweepCompatSpec(4), sink); err != nil {
+		t.Fatalf("campaign.Run: %v", err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -65,8 +64,8 @@ func TestSweepDeterministicAcrossWorkersAndCacheWarmth(t *testing.T) {
 	render := func(workers int) []byte {
 		var buf bytes.Buffer
 		sink := campaign.NewJSONL(&buf)
-		if _, err := slpdas.RunCampaign(sweepCompatSpec(workers), sink); err != nil {
-			t.Fatalf("RunCampaign(workers=%d): %v", workers, err)
+		if _, err := campaign.Run(sweepCompatSpec(workers), sink); err != nil {
+			t.Fatalf("campaign.Run(workers=%d): %v", workers, err)
 		}
 		if err := sink.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
@@ -106,7 +105,7 @@ func TestShardMergeBackwardCompatible(t *testing.T) {
 			spec.Shard = campaign.Shard{Index: i, Count: shardCount}
 			var buf bytes.Buffer
 			sink := campaign.NewJSONL(&buf)
-			sum, err := slpdas.RunCampaign(spec, sink)
+			sum, err := campaign.Run(spec, sink)
 			if err != nil {
 				t.Fatalf("shard %d/%d: %v", i, shardCount, err)
 			}
@@ -151,7 +150,7 @@ func TestKillAndResumeBackwardCompatible(t *testing.T) {
 		file := bytes.NewBuffer(append([]byte(nil), want[:valid]...))
 		spec.Skip = completed
 		sink := campaign.NewJSONL(file)
-		sum, err := slpdas.RunCampaign(spec, sink)
+		sum, err := campaign.Run(spec, sink)
 		if err != nil {
 			t.Fatalf("cut %d: resume: %v", cut, err)
 		}
