@@ -42,8 +42,8 @@ func capture(t *testing.T, args []string) (stdout, stderr []byte, code int) {
 }
 
 // TestCLIGoldens pins the stdout of every slpsim command that simulates,
-// byte for byte, at small sizes, and of the protocol and strategy
-// listings.
+// byte for byte, at small sizes, and of Table I and the protocol and
+// strategy listings.
 func TestCLIGoldens(t *testing.T) {
 	cases := []struct {
 		golden string
@@ -65,6 +65,7 @@ func TestCLIGoldens(t *testing.T) {
 		{"verify", []string{"verify", "-size", "7", "-seed", "3"}},
 		{"verify_map", []string{"verify", "-size", "7", "-protocol", "protectionless", "-map"}},
 		{"verify_counterexample", []string{"verify", "-size", "5", "-decision", "any", "-attacker", "2,1,2"}},
+		{"table1", []string{"table1"}},
 		{"protocols", []string{"protocols"}},
 		{"strategies", []string{"strategies"}},
 	}
