@@ -87,7 +87,7 @@ func BenchmarkTableI(b *testing.B) {
 // behind the abstract's "negligible message overhead" claim.
 func BenchmarkMessageOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o, err := experiment.RunOverhead(11, 3, 10, benchSeed, 0)
+		o, err := experiment.RunOverhead(11, 3, 10, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func BenchmarkAblationSearchDistance(b *testing.B) {
 		b.Run(fmt.Sprintf("sd=%d", sd), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				arms := []experiment.Arm{{Labels: []string{strconv.Itoa(sd)}, Config: core.DefaultSLP(sd)}}
-				_, aggs, err := experiment.Ablation(11, 20, benchSeed, 0, []string{"search distance"}, arms, nil)
+				_, aggs, err := experiment.Ablation(11, 20, benchSeed, []string{"search distance"}, arms, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

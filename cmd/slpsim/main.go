@@ -47,6 +47,7 @@ import (
 	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
+	"slpdas/internal/metrics"
 	"slpdas/internal/protocol"
 	"slpdas/internal/verify"
 )
@@ -63,9 +64,9 @@ func run(args []string) int {
 	var err error
 	switch args[0] {
 	case "fig5a":
-		err = runFigure5(3, args[1:])
+		err = runFigure5(args[0], 3, args[1:])
 	case "fig5b":
-		err = runFigure5(5, args[1:])
+		err = runFigure5(args[0], 5, args[1:])
 	case "table1", "protocols", "strategies":
 		err = runListing(args[0], args[1:])
 	case "overhead":
@@ -174,8 +175,10 @@ func parseSizes(s string) ([]int, error) {
 	return sizes, nil
 }
 
-func runFigure5(searchDistance int, args []string) error {
-	fs := flag.NewFlagSet(fmt.Sprintf("fig5-sd%d", searchDistance), flag.ContinueOnError)
+// runFigure5 runs fig5a or fig5b, named by name: Figure 5's panel for the
+// given search distance.
+func runFigure5(name string, searchDistance int, args []string) error {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	repeats := fs.Int("repeats", 100, "simulation repetitions per cell")
 	seed := fs.Uint64("seed", 1, "base random seed")
 	sizesArg := fs.String("sizes", "11,15,21", "comma-separated grid sizes")
@@ -187,8 +190,15 @@ func runFigure5(searchDistance int, args []string) error {
 	if err != nil {
 		return usageError{fmt.Errorf("%s: -sizes: %w", fs.Name(), err)}
 	}
+	floors := []floor{{"-repeats", *repeats, 1}}
+	for _, size := range sizes {
+		floors = append(floors, floor{"-sizes", size, 2})
+	}
+	if err := atLeast(fs, floors...); err != nil {
+		return err
+	}
 	fmt.Printf("Figure 5(%s): capture ratio, search distance %d, %d repeats/cell\n\n",
-		map[int]string{3: "a", 5: "b"}[searchDistance], searchDistance, *repeats)
+		strings.TrimPrefix(name, "fig5"), searchDistance, *repeats)
 	fig, err := experiment.RunFigure5(experiment.Figure5Spec{
 		GridSizes:      sizes,
 		SearchDistance: searchDistance,
@@ -200,12 +210,7 @@ func runFigure5(searchDistance int, args []string) error {
 	}
 	fmt.Print(fig.Table())
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := fig.Table().WriteCSV(f); err != nil {
+		if err := writeCSV(*csvPath, fig.Table()); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", *csvPath)
@@ -218,6 +223,20 @@ func runFigure5(searchDistance int, args []string) error {
 	return nil
 }
 
+// writeCSV writes t to a new file at path. A failed close can drop the
+// buffered tail of the file, so it fails the command too.
+func writeCSV(path string, t *metrics.Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = t.WriteCSV(f)
+	if cerr := f.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func runOverhead(args []string) error {
 	fs := flag.NewFlagSet("overhead", flag.ContinueOnError)
 	size := fs.Int("size", 11, "grid size")
@@ -227,8 +246,11 @@ func runOverhead(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if err := atLeast(fs, floor{"-size", *size, 2}, floor{"-sd", *sd, 1}, floor{"-repeats", *repeats, 1}); err != nil {
+		return err
+	}
 	fmt.Printf("Message overhead, %d×%d grid, SD=%d, %d repeats/protocol\n\n", *size, *size, *sd, *repeats)
-	o, err := experiment.RunOverhead(*size, *sd, *repeats, *seed, 0)
+	o, err := experiment.RunOverhead(*size, *sd, *repeats, *seed)
 	if err != nil {
 		return err
 	}
@@ -246,6 +268,9 @@ func runSweep(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	if err := atLeast(fs, floor{"-size", *size, 2}, floor{"-sd", *sd, 1}, floor{"-repeats", *repeats, 1}); err != nil {
+		return err
+	}
 	switch *what {
 	case "sd":
 		fmt.Printf("search-distance ablation, %d×%d grid, %d repeats/cell\n\n", *size, *size, *repeats)
@@ -253,7 +278,7 @@ func runSweep(args []string) error {
 		for sd := 1; sd <= 7; sd++ {
 			arms = append(arms, experiment.Arm{Labels: []string{strconv.Itoa(sd)}, Config: core.DefaultSLP(sd)})
 		}
-		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, 0, []string{"search distance"}, arms, []experiment.Column{
+		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, []string{"search distance"}, arms, []experiment.Column{
 			{Header: "capture ratio", Metric: "capture_ratio"},
 			{Header: "changed nodes", Metric: "changed_nodes"},
 		})
@@ -293,7 +318,7 @@ func runSweep(args []string) error {
 				arms = append(arms, experiment.Arm{Labels: []string{name, strconv.Itoa(count)}, Config: cfg})
 			}
 		}
-		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, 0, []string{"strategy", "attackers"}, arms, []experiment.Column{
+		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, []string{"strategy", "attackers"}, arms, []experiment.Column{
 			{Header: "capture ratio", Metric: "capture_ratio"},
 			{Header: "mean capture periods", Metric: "mean_capture_periods"},
 		})
@@ -311,7 +336,7 @@ func runSweep(args []string) error {
 			cfg.Channel = m[1]
 			arms = append(arms, experiment.Arm{Labels: []string{m[0]}, Config: cfg})
 		}
-		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, 0, []string{"channel model"}, arms, []experiment.Column{
+		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, []string{"channel model"}, arms, []experiment.Column{
 			{Header: "capture ratio", Metric: "capture_ratio"},
 			{Header: "valid schedules", Metric: "schedule_valid_ratio"},
 		})

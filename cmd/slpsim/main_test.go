@@ -161,7 +161,17 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		{[]string{"verify", "-size", "5", "-decision", "bogus"}, `unknown -decision "bogus"`},
 		{[]string{"topo", "-size", "5", "-show", "bogus"}, `unknown -show "bogus"`},
 		{[]string{"sweep", "-what", "bogus"}, `unknown -what "bogus"`},
-		{[]string{"fig5a", "-sizes", "5,x", "-repeats", "1"}, `-sizes: bad size "x"`},
+		{[]string{"fig5a", "-sizes", "5,x", "-repeats", "1"}, `fig5a: -sizes: bad size "x"`},
+		{[]string{"fig5b", "-sizes", "5,x", "-repeats", "1"}, `fig5b: -sizes: bad size "x"`},
+		// Values below a floor, refused before the header prints.
+		{[]string{"fig5a", "-repeats", "0", "-sizes", "5"}, "fig5a: -repeats must be at least 1"},
+		{[]string{"fig5b", "-sizes", "5,1", "-repeats", "1"}, "fig5b: -sizes must be at least 2, got 1"},
+		{[]string{"overhead", "-size", "1", "-repeats", "1"}, "overhead: -size must be at least 2"},
+		{[]string{"overhead", "-sd", "0", "-size", "5", "-repeats", "1"}, "overhead: -sd must be at least 1"},
+		{[]string{"overhead", "-size", "5", "-repeats", "0"}, "overhead: -repeats must be at least 1"},
+		{[]string{"sweep", "-what", "sd", "-size", "1", "-repeats", "1"}, "sweep: -size must be at least 2"},
+		{[]string{"sweep", "-what", "loss", "-size", "5", "-sd", "0", "-repeats", "1"}, "sweep: -sd must be at least 1"},
+		{[]string{"sweep", "-what", "sd", "-size", "5", "-repeats", "0"}, "sweep: -repeats must be at least 1"},
 		// Flags the command's output does not depend on.
 		{[]string{"topo", "-size", "5", "-seed", "3"}, "-seed has no effect: -show stats reads only -size"},
 		{[]string{"topo", "-size", "5", "-show", "stats", "-protocol", "slp"}, "-protocol has no effect"},
@@ -209,7 +219,7 @@ func TestCLIHelpExitsZero(t *testing.T) {
 			if code != 0 {
 				t.Errorf("slpsim %s -h exited %d, want 0", cmd, code)
 			}
-			if !strings.Contains(string(stderr), "Usage of ") || strings.Contains(string(stderr), "slpsim:") {
+			if !strings.Contains(string(stderr), "Usage of "+cmd+":") || strings.Contains(string(stderr), "slpsim:") {
 				t.Errorf("slpsim %s -h: stderr is not the flag usage alone:\n%s", cmd, stderr)
 			}
 			if len(stdout) != 0 {

@@ -55,13 +55,9 @@ func parseSim(fs *flag.FlagSet, args []string, protocol string) (simFlags, core.
 	// Below these floors a value is either replaced by a default (a zero
 	// team is one attacker), which would run a different experiment from
 	// the one reported, or fails later without naming its flag.
-	for _, c := range []struct {
-		name   string
-		v, min int
-	}{{"-size", f.size, 2}, {"-sd", f.sd, 1}, {"-attacker R", atk.R, 1}, {"-attacker M", atk.M, 1}, {"-nattackers", f.nattackers, 1}} {
-		if err := atLeast(fs, c.name, c.v, c.min); err != nil {
-			return f, core.Config{}, err
-		}
+	if err := atLeast(fs, floor{"-size", f.size, 2}, floor{"-sd", f.sd, 1}, floor{"-attacker R", atk.R, 1},
+		floor{"-attacker M", atk.M, 1}, floor{"-nattackers", f.nattackers, 1}); err != nil {
+		return f, core.Config{}, err
 	}
 	cfg, err := campaign.BuildConfig(f.protocol, f.sd, campaign.AttackerSetup{
 		Params:        atk,
@@ -87,10 +83,19 @@ func ignoredFlag(fs *flag.FlagSet, ignored func(name string) bool, why string) e
 	return err
 }
 
-// atLeast refuses a flag value below min with a usageError naming it.
-func atLeast(fs *flag.FlagSet, name string, v, min int) error {
-	if v < min {
-		return usageError{fmt.Errorf("%s: %s must be at least %d, got %d", fs.Name(), name, min, v)}
+// floor is the least value a flag accepts.
+type floor struct {
+	name   string
+	v, min int
+}
+
+// atLeast refuses the first flag value below its floor with a usageError
+// naming the flag. Commands check their floors before printing anything.
+func atLeast(fs *flag.FlagSet, floors ...floor) error {
+	for _, f := range floors {
+		if f.v < f.min {
+			return usageError{fmt.Errorf("%s: %s must be at least %d, got %d", fs.Name(), f.name, f.min, f.v)}
+		}
 	}
 	return nil
 }
@@ -102,7 +107,7 @@ func runCustom(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := atLeast(fs, "-repeats", *repeats, 1); err != nil {
+	if err := atLeast(fs, floor{"-repeats", *repeats, 1}); err != nil {
 		return err
 	}
 	agg, err := experiment.Run(experiment.Spec{GridSize: f.size, Config: cfg, Repeats: *repeats, BaseSeed: f.seed})
@@ -244,7 +249,7 @@ func runVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := atLeast(fs, "-delta", *delta, 0); err != nil {
+	if err := atLeast(fs, floor{"-delta", *delta, 0}); err != nil {
 		return err
 	}
 	if err := ignoredFlag(fs, func(name string) bool {

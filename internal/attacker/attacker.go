@@ -170,8 +170,6 @@ type Attacker struct {
 
 	// OnCapture, when non-nil, fires once at the capture instant.
 	OnCapture func(at time.Duration)
-	// OnMove, when non-nil, fires after every relocation.
-	OnMove func(to topo.NodeID, at time.Duration)
 }
 
 // New creates the index-th eavesdropper of a (possibly multi-attacker)
@@ -335,9 +333,6 @@ func (a *Attacker) relocate(next topo.NodeID, now time.Duration) {
 	a.movesTotal++
 	if a.pathCap == 0 || len(a.path) < a.pathCap {
 		a.path = append(a.path, next)
-	}
-	if a.OnMove != nil {
-		a.OnMove(next, now)
 	}
 	a.checkCapture(now)
 }

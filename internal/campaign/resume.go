@@ -149,23 +149,16 @@ func cellRowMismatch(c Cell, r Row) string {
 		wantAttackers = 1
 	}
 	// Files written before the fault axis existed carry no faults field;
-	// those campaigns were all fault-free, so "" matches the default axis.
+	// those campaigns were all fault-free, so "" reads as the "none" that
+	// Expand writes into every fault-free cell.
 	gotFaults := r.Faults
 	if gotFaults == "" {
 		gotFaults = "none"
-	}
-	wantFaults := c.Faults
-	if wantFaults == "" {
-		wantFaults = "none"
 	}
 	// Same story for files written before the energy axis existed.
 	gotEnergy := r.Energy
 	if gotEnergy == "" {
 		gotEnergy = "none"
-	}
-	wantEnergy := c.Energy
-	if wantEnergy == "" {
-		wantEnergy = "none"
 	}
 	type coord struct {
 		name string
@@ -185,8 +178,8 @@ func cellRowMismatch(c Cell, r Row) string {
 		{"shared_history", r.SharedHistory, c.SharedHistory},
 		{"loss_model", r.LossModel, c.LossModel},
 		{"collisions", r.Collisions, c.Collisions},
-		{"faults", gotFaults, wantFaults},
-		{"energy", gotEnergy, wantEnergy},
+		{"faults", gotFaults, c.Faults},
+		{"energy", gotEnergy, c.Energy},
 		{"repeats", r.Repeats, c.Repeats},
 		{"base_seed", r.BaseSeed, c.BaseSeed},
 	} {

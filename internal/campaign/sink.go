@@ -149,14 +149,6 @@ func (r Row) sanitize() Row {
 // counts are named here; every float column comes from the metric table,
 // except capture_ratio_ci95, which is derived from the capture ratio.
 func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
-	faults := c.Faults
-	if faults == "" {
-		faults = "none"
-	}
-	energy := c.Energy
-	if energy == "" {
-		energy = "none"
-	}
 	r := Row{
 		Cell:           c.Index,
 		Topology:       c.Topology.Label(),
@@ -174,8 +166,8 @@ func makeRow(c Cell, g *topo.Graph, agg *experiment.Aggregate) Row {
 		Collisions:     c.Collisions,
 		Repeats:        c.Repeats,
 		BaseSeed:       c.BaseSeed,
-		Faults:         faults,
-		Energy:         energy,
+		Faults:         c.Faults,
+		Energy:         c.Energy,
 
 		Runs:             agg.CaptureRatio.Trials,
 		Failures:         agg.Failures,

@@ -18,12 +18,11 @@ import (
 	"slpdas/internal/protocol"
 )
 
-// Config carries every protocol parameter of Table I plus the simulation
-// knobs the paper fixes in prose (§VI).
+// Config carries the protocol parameters of Table I plus the simulation
+// knobs the paper fixes in prose (§VI). Table I's source period Psrc is
+// not one of them: the source sends once per TDMA period (Slots ×
+// SlotPeriod), and CL is derived as Δss − SD (see changeLength).
 type Config struct {
-	// SourcePeriod (Psrc) is the rate at which the source generates
-	// messages: 5.5 s.
-	SourcePeriod time.Duration
 	// SlotPeriod (Pslot) is the duration of a single TDMA slot: 0.05 s.
 	SlotPeriod time.Duration
 	// DisseminationPeriod (Pdiss) is the interval between dissemination
@@ -44,24 +43,12 @@ type Config struct {
 	// sink: 3 or 5 in the paper. Only consulted by families for which
 	// Protocol.UsesSearchDistance is true (slp-das, phantom).
 	SearchDistance int
-	// ChangeLength (CL) is the length of the decoy change path; 0 means
-	// the Table I default Δss − SD, computed from the topology.
-	ChangeLength int
 	// Protocol selects the routing family by name (see
 	// protocol.Protocols). Empty means protectionless DAS.
 	Protocol string
 	// SafetyFactor (Cs) scales the protectionless capture time into the
 	// safety period: 1.5.
 	SafetyFactor float64
-	// BootJitter is the per-node random boot delay, standing in for
-	// TOSSIM's randomised boot times.
-	BootJitter time.Duration
-	// SearchStartDelay is when (after dissemination starts) the sink
-	// launches Phase 2; 0 derives it from the network diameter.
-	SearchStartDelay time.Duration
-	// SearchTTLBudget bounds total SEARCH forwards (the d=0 wander of
-	// Figure 3 can otherwise circulate); 0 derives 4·SD+8.
-	SearchTTLBudget int
 	// Attacker carries (R, H, M); the start location s0 is set by the
 	// network to the sink, as in the paper.
 	Attacker attacker.Params
@@ -125,6 +112,10 @@ type Config struct {
 	Faults fault.Spec
 }
 
+// bootJitter is the per-node random boot delay, standing in for TOSSIM's
+// randomised boot times.
+const bootJitter = 50 * time.Millisecond
+
 // PathRecordingOff is the Config.PathCap value that disables attacker
 // walk recording (paths keep only the start location).
 const PathRecordingOff = -1
@@ -132,7 +123,6 @@ const PathRecordingOff = -1
 // Default returns the Table I parameters with SD = 3.
 func Default() Config {
 	return Config{
-		SourcePeriod:              5500 * time.Millisecond,
 		SlotPeriod:                50 * time.Millisecond,
 		DisseminationPeriod:       500 * time.Millisecond,
 		Slots:                     100,
@@ -140,10 +130,8 @@ func Default() Config {
 		NeighbourDiscoveryPeriods: 4,
 		DisseminationTimeout:      5,
 		SearchDistance:            3,
-		ChangeLength:              0, // Δss − SD
 		Protocol:                  protocol.NameProtectionless,
 		SafetyFactor:              1.5,
-		BootJitter:                50 * time.Millisecond,
 		Attacker:                  attacker.Params{R: 1, H: 0, M: 1},
 	}
 }
@@ -164,8 +152,8 @@ func (c Config) Timing() mac.Timing {
 
 // Validate reports the first invalid parameter.
 func (c Config) Validate() error {
-	if c.SourcePeriod <= 0 || c.SlotPeriod <= 0 || c.DisseminationPeriod <= 0 {
-		return fmt.Errorf("core: periods must be positive (src=%v slot=%v diss=%v)", c.SourcePeriod, c.SlotPeriod, c.DisseminationPeriod)
+	if c.SlotPeriod <= 0 || c.DisseminationPeriod <= 0 {
+		return fmt.Errorf("core: periods must be positive (slot=%v diss=%v)", c.SlotPeriod, c.DisseminationPeriod)
 	}
 	if c.Slots < 2 {
 		return fmt.Errorf("core: need at least 2 slots, got %d", c.Slots)
@@ -188,9 +176,6 @@ func (c Config) Validate() error {
 	}
 	if c.SafetyFactor <= 0 {
 		return fmt.Errorf("core: safety factor must be positive, got %v", c.SafetyFactor)
-	}
-	if c.ChangeLength < 0 {
-		return fmt.Errorf("core: change length must be >= 0, got %d", c.ChangeLength)
 	}
 	if err := (attacker.Params{R: c.Attacker.R, H: c.Attacker.H, M: c.Attacker.M, Start: 0}).Validate(); err != nil {
 		return err

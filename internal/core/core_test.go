@@ -50,7 +50,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.DisseminationTimeout = 0 },
 		func(c *Config) { c.Protocol = protocol.NameSLPDAS; c.SearchDistance = 0 },
 		func(c *Config) { c.SafetyFactor = 0 },
-		func(c *Config) { c.ChangeLength = -1 },
 		func(c *Config) { c.Attacker.R = 0 },
 	}
 	for i, mutate := range bad {

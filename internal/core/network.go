@@ -176,7 +176,7 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 		seed:    seed,
 		sim:     sim,
 		medium:  radio.New(sim, g, seed),
-		engine:  gcn.NewEngine(sim, nodeProgram, 0),
+		engine:  gcn.NewEngine(sim, nodeProgram),
 		deltaSS: deltaSS,
 		sinkEcc: sinkEcc,
 		env: protocol.Env{
@@ -202,18 +202,19 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 				return int(nd.slot)
 			},
 			nd.fireDataSlot,
+			// A crashed node's periods pass in silence; the period count
+			// keeps advancing so sequence numbers stay wall-clock aligned
+			// (see mac).
+			func() bool { return !nd.dead },
+			// Idle-listening charge, once per TDMA data period the node is
+			// up. Only TDMA families arm slot tasks, so event-driven data
+			// phases accrue no idle spend (documented in internal/energy).
+			func() {
+				if net.energyOn {
+					net.charge(nd.id, net.cfg.Energy.IdleCost)
+				}
+			},
 		)
-		// A crashed node's periods pass in silence; the period count keeps
-		// advancing so sequence numbers stay wall-clock aligned (see mac).
-		net.tasks[id].SetAliveCheck(func() bool { return !nd.dead })
-		// Idle-listening charge, once per TDMA data period the node is up.
-		// Only TDMA families arm slot tasks, so event-driven data phases
-		// accrue no idle spend (documented in internal/energy).
-		net.tasks[id].SetPeriodHook(func() {
-			if net.energyOn {
-				net.charge(nd.id, net.cfg.Energy.IdleCost)
-			}
-		})
 	}
 
 	if err := net.Reset(cfg, seed); err != nil {
@@ -464,15 +465,12 @@ func (n *Network) recoverNode(id topo.NodeID) {
 		n.engine.Kickstart(&nd.prc)
 	}
 	cfg := n.cfg
-	boot := nd.jitterDelay(cfg.BootJitter)
+	boot := nd.jitterDelay(bootJitter)
 	for k := 0; k < cfg.NeighbourDiscoveryPeriods; k++ {
 		delay := boot + time.Duration(k)*cfg.DisseminationPeriod + nd.jitterDelay(cfg.DisseminationPeriod/2)
 		n.sim.ScheduleAfter(delay, nd.helloFn)
 	}
 }
-
-// DataStart returns the source-activation time.
-func (n *Network) DataStart() time.Duration { return n.dataStart }
 
 // SafetyPeriods returns δ expressed in TDMA periods.
 func (n *Network) SafetyPeriods() float64 { return n.delta }
@@ -542,11 +540,11 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 // the attacker clock.
 func (n *Network) setup() error {
 	cfg := n.cfg
-	dissemStart := time.Duration(cfg.NeighbourDiscoveryPeriods)*cfg.DisseminationPeriod + cfg.BootJitter
+	dissemStart := time.Duration(cfg.NeighbourDiscoveryPeriods)*cfg.DisseminationPeriod + bootJitter
 
 	for _, nd := range n.nodes {
 		// Boot + neighbour discovery: NDP rounds of HELLO.
-		boot := nd.jitterDelay(cfg.BootJitter)
+		boot := nd.jitterDelay(bootJitter)
 		for k := 0; k < cfg.NeighbourDiscoveryPeriods; k++ {
 			at := boot + time.Duration(k)*cfg.DisseminationPeriod + nd.jitterDelay(cfg.DisseminationPeriod/2)
 			if _, err := n.sim.Schedule(at, nd.helloFn); err != nil {
@@ -605,11 +603,9 @@ func (n *Network) setup() error {
 	return nil
 }
 
-// searchStartDelay derives when Phase 2 can safely assume Phase 1 settled.
+// searchStartDelay derives when (after dissemination starts) the sink
+// launches Phase 2, assuming Phase 1 has settled.
 func (n *Network) searchStartDelay() time.Duration {
-	if n.cfg.SearchStartDelay > 0 {
-		return n.cfg.SearchStartDelay
-	}
 	// The assignment wave travels one hop per dissemination round; give it
 	// the network eccentricity plus the full resend budget, doubled for
 	// collision-resolution churn. The eccentricity is a property of the

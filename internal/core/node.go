@@ -642,10 +642,9 @@ func (n *node) startSearch() {
 	if c == topo.None {
 		return
 	}
-	ttl := n.net.cfg.SearchTTLBudget
-	if ttl <= 0 {
-		ttl = 4*n.net.cfg.SearchDistance + 8
-	}
+	// The TTL bounds total SEARCH forwards: the d=0 wander of Figure 3 can
+	// otherwise circulate.
+	ttl := 4*n.net.cfg.SearchDistance + 8
 	n.broadcastSearch(c, int32(n.net.cfg.SearchDistance), int32(ttl))
 }
 
@@ -748,11 +747,8 @@ func (n *node) hasAltParent(k topo.NodeID) bool {
 	return false
 }
 
-// changeLength resolves CL: explicit config or Table I's Δss − SD.
+// changeLength is Table I's CL = Δss − SD, at least 1.
 func (n *node) changeLength() int32 {
-	if n.net.cfg.ChangeLength > 0 {
-		return int32(n.net.cfg.ChangeLength)
-	}
 	cl := n.net.deltaSS - n.net.cfg.SearchDistance
 	if cl < 1 {
 		cl = 1

@@ -31,7 +31,7 @@ type Column struct {
 // It is the simulated form of the design-choice studies (search
 // distance, attacker strategy, channel model in slpsim sweep);
 // AttackerSweep is the exhaustive counterpart.
-func Ablation(gridSize, repeats int, baseSeed uint64, workers int, labelHeaders []string, arms []Arm, cols []Column) (*metrics.Table, []*Aggregate, error) {
+func Ablation(gridSize, repeats int, baseSeed uint64, labelHeaders []string, arms []Arm, cols []Column) (*metrics.Table, []*Aggregate, error) {
 	metric := make([]int, len(cols))
 	headers := append([]string(nil), labelHeaders...)
 	for i, c := range cols {
@@ -57,7 +57,7 @@ func Ablation(gridSize, repeats int, baseSeed uint64, workers int, labelHeaders 
 	if err != nil {
 		return nil, nil, err
 	}
-	aggs, err := runAll(specs, workers, func(i int) string {
+	aggs, err := runAll(specs, 0, func(i int) string {
 		return "ablation " + strings.Join(arms[i].Labels, " ")
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ func TestSearchDistanceSweep(t *testing.T) {
 		{Labels: []string{"1"}, Config: core.DefaultSLP(1)},
 		{Labels: []string{"2"}, Config: core.DefaultSLP(2)},
 	}
-	tbl, aggs, err := Ablation(5, 3, 31, 0, []string{"search distance"}, arms, []Column{
+	tbl, aggs, err := Ablation(5, 3, 31, []string{"search distance"}, arms, []Column{
 		{Header: "capture ratio", Metric: "capture_ratio"},
 		{Header: "changed nodes", Metric: "changed_nodes"},
 	})
@@ -36,10 +36,10 @@ func TestSearchDistanceSweep(t *testing.T) {
 
 func TestAblationRejectsUnknownColumnAndLabelMismatch(t *testing.T) {
 	arms := []Arm{{Labels: []string{"a"}, Config: core.Default()}}
-	if _, _, err := Ablation(5, 1, 1, 0, []string{"x"}, arms, []Column{{Header: "h", Metric: "no_such_column"}}); err == nil || !strings.Contains(err.Error(), "no_such_column") {
+	if _, _, err := Ablation(5, 1, 1, []string{"x"}, arms, []Column{{Header: "h", Metric: "no_such_column"}}); err == nil || !strings.Contains(err.Error(), "no_such_column") {
 		t.Errorf("unknown metric column: err = %v", err)
 	}
-	if _, _, err := Ablation(5, 1, 1, 0, []string{"x", "y"}, arms, nil); err == nil {
+	if _, _, err := Ablation(5, 1, 1, []string{"x", "y"}, arms, nil); err == nil {
 		t.Error("an arm with one label under two label columns was accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestLossModelSweep(t *testing.T) {
 		cfg.Channel = m[1]
 		arms = append(arms, Arm{Labels: []string{m[0]}, Config: cfg})
 	}
-	tbl, aggs, err := Ablation(5, 2, 9, 0, []string{"channel model"}, arms, []Column{
+	tbl, aggs, err := Ablation(5, 2, 9, []string{"channel model"}, arms, []Column{
 		{Header: "capture ratio", Metric: "capture_ratio"},
 		{Header: "valid schedules", Metric: "schedule_valid_ratio"},
 	})
@@ -111,7 +111,7 @@ func TestStrategySweepCoversRegistryAndCounts(t *testing.T) {
 			arms = append(arms, Arm{Labels: []string{s, strconv.Itoa(n)}, Config: cfg})
 		}
 	}
-	tbl, aggs, err := Ablation(5, 2, 1, 0, []string{"strategy", "attackers"}, arms, []Column{
+	tbl, aggs, err := Ablation(5, 2, 1, []string{"strategy", "attackers"}, arms, []Column{
 		{Header: "capture ratio", Metric: "capture_ratio"},
 		{Header: "mean capture periods", Metric: "mean_capture_periods"},
 	})

@@ -141,7 +141,7 @@ func TestReductionMath(t *testing.T) {
 }
 
 func TestOverheadComparison(t *testing.T) {
-	o, err := RunOverhead(5, 2, 4, 21, 0)
+	o, err := RunOverhead(5, 2, 4, 21)
 	if err != nil {
 		t.Fatalf("RunOverhead: %v", err)
 	}

@@ -111,12 +111,12 @@ type OverheadComparison struct {
 }
 
 // RunOverhead measures both protocols on one grid size.
-func RunOverhead(size, searchDistance, repeats int, baseSeed uint64, workers int) (*OverheadComparison, error) {
+func RunOverhead(size, searchDistance, repeats int, baseSeed uint64) (*OverheadComparison, error) {
 	specs, err := gridCells(size, repeats, baseSeed, core.Default(), core.DefaultSLP(searchDistance))
 	if err != nil {
 		return nil, fmt.Errorf("experiment: overhead: %w", err)
 	}
-	aggs, err := runAll(specs, workers, func(i int) string {
+	aggs, err := runAll(specs, 0, func(i int) string {
 		return "overhead " + [2]string{"protectionless", "slp"}[i]
 	})
 	if err != nil {
@@ -172,13 +172,19 @@ func meanDataRate(a *Aggregate) float64 {
 	return sum / float64(n)
 }
 
+// sourcePeriod is Table I's Psrc, the paper's source message rate. It is
+// printed for reference only and not simulated: the source sends once per
+// TDMA period (Slots × SlotPeriod = 5 s) in every family.
+const sourcePeriod = 5500 * time.Millisecond
+
 // TableI renders the parameter table of the paper from live config values,
-// so the documentation can never drift from the implementation.
+// so the documentation can never drift from the implementation; only Psrc
+// is the paper's value (see sourcePeriod).
 func TableI() *metrics.Table {
 	def := core.Default()
 	t := metrics.NewTable("parameter", "symbol", "value")
 	secs := func(d time.Duration) string { return fmt.Sprintf("%gs", d.Seconds()) }
-	t.AddRow("Source Period", "Psrc", secs(def.SourcePeriod))
+	t.AddRow("Source Period", "Psrc", secs(sourcePeriod))
 	t.AddRow("Slot Period", "Pslot", secs(def.SlotPeriod))
 	t.AddRow("Dissemination Period", "Pdiss", secs(def.DisseminationPeriod))
 	t.AddRow("Number of Slots", "slots", fmt.Sprintf("%d", def.Slots))

@@ -18,7 +18,7 @@ func TestFailStopsComputation(t *testing.T) {
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { handled++ })
 	fired := 0
 	tick := prog.Timeout("tick", func(*node) { fired++ })
-	e := NewEngine(sim, prog, 0)
+	e := NewEngine(sim, prog)
 	p := newProcess(e, 1, &node{})
 	tm := p.Timer(tick)
 
@@ -56,7 +56,7 @@ func TestReviveRestartsProcess(t *testing.T) {
 	prog := NewProgram[*node](oneKey)
 	handled := 0
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { handled++ })
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 
 	p.Fail()
@@ -76,7 +76,7 @@ func TestReviveRestartsProcess(t *testing.T) {
 func TestResetClearsDead(t *testing.T) {
 	prog := NewProgram[*node](oneKey)
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) {})
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 	p.Fail()
 	e.Reset()

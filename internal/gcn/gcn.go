@@ -237,7 +237,7 @@ func (p *Process[C]) Reset() {
 type Engine[C any] struct {
 	sim        *des.Simulator // lint:immutable: simulator wiring, fixed at construction
 	prog       *Program[C]    // lint:immutable: the shared program, fixed at construction
-	stepBudget int            // lint:immutable: configured budget, fixed at construction
+	stepBudget int            // lint:immutable: defaultStepBudget; tests lower it
 	// OnAction, when non-nil, is invoked before every executed action —
 	// a tracing hook used by tests and the debug tooling.
 	// lint:immutable: observer hook owned by the caller, not run state
@@ -245,17 +245,13 @@ type Engine[C any] struct {
 	procs    []*Process[C] // lint:immutable: slice header fixed; processes reset individually
 }
 
-// NewEngine creates an engine running prog. stepBudget bounds actions
-// executed per stimulus per process (0 means the default of 10000).
-func NewEngine[C any](sim *des.Simulator, prog *Program[C], stepBudget int) *Engine[C] {
-	if stepBudget <= 0 {
-		stepBudget = 10000
-	}
-	return &Engine[C]{sim: sim, prog: prog, stepBudget: stepBudget}
-}
+// defaultStepBudget bounds the actions one process executes per stimulus.
+const defaultStepBudget = 10000
 
-// Sim returns the engine's simulator.
-func (e *Engine[C]) Sim() *des.Simulator { return e.sim }
+// NewEngine creates an engine running prog.
+func NewEngine[C any](sim *des.Simulator, prog *Program[C]) *Engine[C] {
+	return &Engine[C]{sim: sim, prog: prog, stepBudget: defaultStepBudget}
+}
 
 // Host makes p, whatever it held, a process running the engine's program
 // on ctx. Typically p is a field of ctx itself, which keeps a process and

@@ -47,7 +47,7 @@ func TestReceiveActionDispatchesByKey(t *testing.T) {
 	var pings, pongs []int
 	prog.Receive(keyPing, "rcvPing", func(_ *node, _ topo.NodeID, m Message) { pings = append(pings, m.(ping).n) })
 	prog.Receive(keyPong, "rcvPong", func(_ *node, _ topo.NodeID, m Message) { pongs = append(pongs, m.(pong).n) })
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 
 	e.Deliver(p, 2, ping{1})
@@ -64,7 +64,7 @@ func TestReceiveActionDispatchesByKey(t *testing.T) {
 func TestUnmatchedMessageDropped(t *testing.T) {
 	prog := NewProgram[*node](byType)
 	prog.Receive(keyPing, "rcvPing", func(*node, topo.NodeID, Message) {})
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 	e.Deliver(p, 2, pong{9}) // key past the receive table
 	if p.Dropped() != 1 {
@@ -96,7 +96,7 @@ func TestReceiveKeyHoldsOneAction(t *testing.T) {
 		}()
 	}
 	// The gap below the registered key holds no action: pings drop.
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 	e.Deliver(p, 2, ping{1})
 	if p.Dropped() != 1 {
@@ -111,7 +111,8 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 	// per message: a flood larger than the budget must trip ErrStepBudget.
 	prog := NewProgram[*node](byType)
 	prog.Receive(keyPing, "rcvPing", func(*node, topo.NodeID, Message) {})
-	e := NewEngine(des.New(), prog, 50)
+	e := NewEngine(des.New(), prog)
+	e.stepBudget = 50
 	p := newProcess(e, 1, &node{})
 	// Enqueue the flood directly, then stimulate once so every drop lands
 	// in the same budgeted run-to-quiescence.
@@ -126,7 +127,8 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 		t.Errorf("Dropped = %d, want 50 (one drop per budgeted step)", p.Dropped())
 	}
 	// A flood within budget drains cleanly, still counting every drop.
-	e2 := NewEngine(des.New(), prog, 50)
+	e2 := NewEngine(des.New(), prog)
+	e2.stepBudget = 50
 	p2 := newProcess(e2, 1, &node{})
 	for i := 0; i < 40; i++ {
 		p2.inbox = append(p2.inbox, envelope{sender: 2, msg: pong{i}})
@@ -142,7 +144,7 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 
 func TestChannelFIFO(t *testing.T) {
 	prog := NewProgram[*node](oneKey)
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	var p *Process[*node]
 	var got []int
 	var deferDelivery bool
@@ -172,7 +174,7 @@ func TestGuardActionRunsAfterChannelDrains(t *testing.T) {
 	// Models Figure 2's "process:: rcv⟨⟩" action: runs only once the
 	// channel has been fully consumed.
 	prog := NewProgram[*node](oneKey)
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	var p *Process[*node]
 	received := 0
 	processed := false
@@ -200,7 +202,7 @@ func TestActionPriorityOrder(t *testing.T) {
 	a, b := true, true
 	prog.Guard("first", func(*node) bool { return a }, func(*node) { order = append(order, "first"); a = false })
 	prog.Guard("second", func(*node) bool { return b }, func(*node) { order = append(order, "second"); b = false })
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	e.Kickstart(newProcess(e, 1, &node{}))
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Errorf("order = %v, want [first second]", order)
@@ -217,7 +219,7 @@ func TestTimeoutAndGuardShareDeclarationOrder(t *testing.T) {
 	tick := prog.Timeout("tick", func(*node) { order = append(order, "tick"); early, late = true, true })
 	prog.Guard("late", func(*node) bool { return late }, func(*node) { order = append(order, "late"); late = false })
 	sim := des.New()
-	e := NewEngine(sim, prog, 0)
+	e := NewEngine(sim, prog)
 	p := newProcess(e, 1, &node{})
 	p.Timer(tick).Set(time.Second)
 	if err := sim.Run(); err != nil {
@@ -231,7 +233,7 @@ func TestTimeoutAndGuardShareDeclarationOrder(t *testing.T) {
 func TestTimerFiresAndConsumes(t *testing.T) {
 	prog := NewProgram[*node](oneKey)
 	sim := des.New()
-	e := NewEngine(sim, prog, 0)
+	e := NewEngine(sim, prog)
 	fired := 0
 	var tm *Timer[*node]
 	tick := prog.Timeout("tick", func(*node) {
@@ -258,7 +260,7 @@ func TestTimerResetCancelsPrevious(t *testing.T) {
 	sim := des.New()
 	var firedAt []time.Duration
 	id := prog.Timeout("t", func(*node) { firedAt = append(firedAt, sim.Now()) })
-	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
+	tm := newProcess(NewEngine(sim, prog), 1, &node{}).Timer(id)
 	tm.Set(time.Second)
 	tm.Set(2 * time.Second) // reset before expiry
 	if err := sim.Run(); err != nil {
@@ -277,7 +279,7 @@ func TestTimerStop(t *testing.T) {
 	sim := des.New()
 	fired := false
 	id := prog.Timeout("t", func(*node) { fired = true })
-	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
+	tm := newProcess(NewEngine(sim, prog), 1, &node{}).Timer(id)
 	tm.Set(time.Second)
 	if !tm.Pending() {
 		t.Error("Pending = false after Set")
@@ -297,7 +299,8 @@ func TestTimerStop(t *testing.T) {
 func TestStepBudgetProtectsAgainstLivelock(t *testing.T) {
 	prog := NewProgram[*node](oneKey)
 	prog.Guard("always", func(*node) bool { return true }, func(*node) {})
-	e := NewEngine(des.New(), prog, 50)
+	e := NewEngine(des.New(), prog)
+	e.stepBudget = 50
 	p := newProcess(e, 1, &node{})
 	e.Kickstart(p)
 	if !errors.Is(p.Err(), ErrStepBudget) {
@@ -318,7 +321,7 @@ func TestOnActionTracingHook(t *testing.T) {
 	ran := false
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) {})
 	prog.Guard("g", func(*node) bool { return !ran }, func(*node) { ran = true })
-	e := NewEngine(des.New(), prog, 0)
+	e := NewEngine(des.New(), prog)
 	var names []string
 	e.OnAction = func(_ *Process[*node], name string) { names = append(names, name) }
 	e.Deliver(newProcess(e, 1, &node{}), 2, ping{1})
@@ -333,7 +336,7 @@ func TestTwoProcessExchange(t *testing.T) {
 	// with an incremented count, until it reaches 10.
 	sim := des.New()
 	prog := NewProgram[*node](oneKey)
-	e := NewEngine(sim, prog, 0)
+	e := NewEngine(sim, prog)
 	procs := make([]*Process[*node], 2)
 	final := 0
 	prog.Receive(0, "token", func(c *node, _ topo.NodeID, m Message) {
@@ -371,7 +374,7 @@ func TestTimerNotPendingAfterFiring(t *testing.T) {
 	sim := des.New()
 	fired := 0
 	id := prog.Timeout("t", func(*node) { fired++ })
-	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
+	tm := newProcess(NewEngine(sim, prog), 1, &node{}).Timer(id)
 	tm.Set(time.Second)
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -403,7 +406,7 @@ func TestTimersArePerProcess(t *testing.T) {
 	sim := des.New()
 	var firedBy []int
 	id := prog.Timeout("t", func(c *node) { firedBy = append(firedBy, c.peer) })
-	e := NewEngine(sim, prog, 0)
+	e := NewEngine(sim, prog)
 	a, b := newProcess(e, 1, &node{peer: 1}), newProcess(e, 2, &node{peer: 2})
 	a.Timer(id).Set(2 * time.Second)
 	b.Timer(id).Set(time.Second)
@@ -424,7 +427,7 @@ func TestArmingTimerAllocFree(t *testing.T) {
 	prog := NewProgram[*node](oneKey)
 	sim := des.New()
 	id := prog.Timeout("t", func(*node) {})
-	tm := newProcess(NewEngine(sim, prog, 0), 1, &node{}).Timer(id)
+	tm := newProcess(NewEngine(sim, prog), 1, &node{}).Timer(id)
 	for i := 0; i < 64; i++ { // warm the event pool and queue
 		tm.Set(time.Millisecond)
 		if err := sim.Run(); err != nil {
@@ -442,7 +445,7 @@ func TestArmingTimerAllocFree(t *testing.T) {
 }
 
 func TestProcessID(t *testing.T) {
-	e := NewEngine(des.New(), NewProgram[*node](oneKey), 0)
+	e := NewEngine(des.New(), NewProgram[*node](oneKey))
 	p := newProcess(e, 42, &node{})
 	if p.ID() != 42 {
 		t.Errorf("ID = %d, want 42", p.ID())
@@ -460,7 +463,8 @@ func TestEngineResetRewindsProcesses(t *testing.T) {
 		got = append(got, m.(ping).n)
 	})
 	tick := prog.Timeout("tick", func(*node) {})
-	e := NewEngine(sim, prog, 5)
+	e := NewEngine(sim, prog)
+	e.stepBudget = 5
 	p := newProcess(e, 1, &node{})
 	tm := p.Timer(tick)
 	tm.Set(time.Second)

@@ -7,8 +7,7 @@ import (
 	"slpdas/internal/des"
 )
 
-// TestAliveCheckSilencesDeadPeriods: with an alive check installed, a dead
-// node's periods pass in silence but the period count keeps advancing, so
+// TestAliveCheckSilencesDeadPeriods: a dead node's periods pass in silence but the period count keeps advancing, so
 // the firings after recovery carry the wall-clock period index — sequence
 // numbers stay aligned across a crash.
 func TestAliveCheckSilencesDeadPeriods(t *testing.T) {
@@ -16,13 +15,14 @@ func TestAliveCheckSilencesDeadPeriods(t *testing.T) {
 	timing := Timing{Slots: 10, SlotDuration: 10 * time.Millisecond}
 	alive := true
 	var fired []int
-	st, err := StartSlotTask(sim, timing, 0,
+	err := NewSlotTask(sim,
 		func() int { return 3 },
-		func(period int) { fired = append(fired, period) })
+		func(period int) { fired = append(fired, period) },
+		func() bool { return alive },
+		func() {}).Start(timing, 0)
 	if err != nil {
-		t.Fatalf("StartSlotTask: %v", err)
+		t.Fatalf("Start: %v", err)
 	}
-	st.SetAliveCheck(func() bool { return alive })
 
 	period := timing.PeriodDuration()
 	// Dead for periods 2 and 3, alive again from period 4.
@@ -49,13 +49,14 @@ func TestAliveCheckMidPeriodCrash(t *testing.T) {
 	timing := Timing{Slots: 10, SlotDuration: 10 * time.Millisecond}
 	alive := true
 	fired := 0
-	st, err := StartSlotTask(sim, timing, 0,
+	err := NewSlotTask(sim,
 		func() int { return 5 },
-		func(int) { fired++ })
+		func(int) { fired++ },
+		func() bool { return alive },
+		func() {}).Start(timing, 0)
 	if err != nil {
-		t.Fatalf("StartSlotTask: %v", err)
+		t.Fatalf("Start: %v", err)
 	}
-	st.SetAliveCheck(func() bool { return alive })
 	// Crash inside period 0, before slot 5's offset.
 	sim.ScheduleAfter(2*timing.SlotDuration, func() { alive = false })
 	if err := sim.RunUntil(timing.PeriodDuration() - time.Millisecond); err != nil {
@@ -63,5 +64,34 @@ func TestAliveCheckMidPeriodCrash(t *testing.T) {
 	}
 	if fired != 0 {
 		t.Errorf("node fired %d times in the period it died mid-period, want 0", fired)
+	}
+}
+
+// TestPeriodHookDeathSilencesSlot: the period hook runs once per period
+// the node is alive at the boundary, and a hook that kills the node
+// (battery depletion) silences that period's slot.
+func TestPeriodHookDeathSilencesSlot(t *testing.T) {
+	sim := des.New()
+	timing := Timing{Slots: 10, SlotDuration: 10 * time.Millisecond}
+	alive := true
+	hooks, fired := 0, 0
+	err := NewSlotTask(sim,
+		func() int { return 3 },
+		func(int) { fired++ },
+		func() bool { return alive },
+		func() {
+			hooks++
+			if hooks == 2 {
+				alive = false
+			}
+		}).Start(timing, 0)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := sim.RunUntil(4*timing.PeriodDuration() - time.Millisecond); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if hooks != 2 || fired != 1 {
+		t.Errorf("hooks = %d, fired = %d; want 2 hooks and 1 firing (death in the second hook)", hooks, fired)
 	}
 }

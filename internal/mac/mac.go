@@ -58,22 +58,18 @@ func (t Timing) ValidSlot(slot int) bool {
 type SlotTask struct {
 	sim    *des.Simulator
 	timing Timing
-	epoch  time.Duration
 	slot   func() int
 	fire   func(period int)
-	// alive, when non-nil, is consulted at each period boundary and again
-	// at the slot offset: a dead node's period passes in silence while the
-	// period count keeps advancing, so sequence numbers stay aligned with
-	// wall-clock periods across a crash and recovery. Nil means always
-	// alive — the pre-fault-injection behaviour.
+	// alive is consulted at each period boundary and again at the slot
+	// offset: a dead node's period passes in silence while the period count
+	// keeps advancing, so sequence numbers stay aligned with wall-clock
+	// periods across a crash and recovery.
 	alive func() bool
-	// periodHook, when non-nil, runs once at each period boundary the node
-	// is alive for, before the slot is polled. Core charges idle-listening
-	// energy here; the hook may kill the node (battery depletion), so
-	// liveness is re-checked after it and a mid-hook death silences the
-	// period's slot.
+	// periodHook runs once at each period boundary the node is alive for,
+	// before the slot is polled. Core charges idle-listening energy here;
+	// the hook may kill the node (battery depletion), so liveness is
+	// re-checked after it and a mid-hook death silences the period's slot.
 	periodHook func()
-	stopped    bool
 	period     int
 	fireEv     fireEvent
 }
@@ -88,24 +84,26 @@ type fireEvent struct {
 
 //slp:hotpath
 func (f *fireEvent) Run() {
-	if !f.st.stopped && (f.st.alive == nil || f.st.alive()) {
+	if f.st.alive() {
 		f.st.fire(f.period)
 	}
 }
 
-// NewSlotTask wires a slot task without starting it: the one-time half of
-// StartSlotTask. Arena-style callers construct the task (and its callback
-// closures) once per node and re-arm it each run with Start.
-func NewSlotTask(sim *des.Simulator, slot func() int, fire func(period int)) *SlotTask {
-	st := &SlotTask{sim: sim, slot: slot, fire: fire}
+// NewSlotTask wires a slot task without starting it. slot is polled at
+// each period start, fire runs at the slot's offset within the period, and
+// alive and periodHook behave as SlotTask describes; none may be nil.
+// Arena-style callers construct the task (and its callback closures) once
+// per node and re-arm it each run with Start.
+func NewSlotTask(sim *des.Simulator, slot func() int, fire func(period int), alive func() bool, periodHook func()) *SlotTask {
+	st := &SlotTask{sim: sim, slot: slot, fire: fire, alive: alive, periodHook: periodHook}
 	st.fireEv.st = st
 	return st
 }
 
-// Start (re-)arms the task: period counting restarts at 0 with the given
-// timing and epoch. Restarting after the owning simulator was Reset is the
-// supported reuse path — any events the previous run left behind were
-// discarded by that Reset.
+// Start (re-)arms the task at absolute time epoch, the start of period 0:
+// period counting restarts at 0 with the given timing. Restarting after
+// the owning simulator was Reset is the supported reuse path — any events
+// the previous run left behind were discarded by that Reset.
 func (st *SlotTask) Start(timing Timing, epoch time.Duration) error {
 	if err := timing.Validate(); err != nil {
 		return err
@@ -114,53 +112,19 @@ func (st *SlotTask) Start(timing Timing, epoch time.Duration) error {
 		return fmt.Errorf("mac: epoch %v is in the past (now %v)", epoch, st.sim.Now())
 	}
 	st.timing = timing
-	st.epoch = epoch
-	st.stopped = false
 	st.period = 0
 	return st.sim.ScheduleRunner(epoch, st)
 }
-
-// StartSlotTask begins per-period slot firing at absolute time epoch
-// (the start of period 0). slot is polled at each period start; fire runs
-// at the slot's offset within the period.
-func StartSlotTask(sim *des.Simulator, timing Timing, epoch time.Duration, slot func() int, fire func(period int)) (*SlotTask, error) {
-	st := NewSlotTask(sim, slot, fire)
-	if err := st.Start(timing, epoch); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// Stop halts the task after the current event.
-func (st *SlotTask) Stop() { st.stopped = true }
-
-// SetAliveCheck installs the liveness probe consulted before each firing
-// (see SlotTask). It is wiring, not run state: install it once alongside
-// the slot and fire callbacks. A nil check means always alive.
-func (st *SlotTask) SetAliveCheck(alive func() bool) { st.alive = alive }
-
-// SetPeriodHook installs the per-period callback run at each period
-// boundary the node is alive for (see SlotTask). Like the alive check it
-// is wiring, not run state. A nil hook disables it.
-func (st *SlotTask) SetPeriodHook(hook func()) { st.periodHook = hook }
-
-// Period returns the index of the period currently scheduled or running.
-func (st *SlotTask) Period() int { return st.period }
 
 // Run implements des.Runner: the period-boundary event.
 //
 //slp:hotpath
 func (st *SlotTask) Run() {
-	if st.stopped {
-		return
-	}
-	if st.alive == nil || st.alive() {
-		if st.periodHook != nil {
-			st.periodHook()
-		}
+	if st.alive() {
+		st.periodHook()
 		// Re-check: the hook may have killed the node (battery depletion),
 		// and a node that died at the boundary has no slot this period.
-		if st.alive == nil || st.alive() {
+		if st.alive() {
 			s := st.slot()
 			if st.timing.ValidSlot(s) {
 				st.fireEv.period = st.period

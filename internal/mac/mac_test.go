@@ -9,6 +9,12 @@ import (
 
 var paperTiming = Timing{Slots: 100, SlotDuration: 50 * time.Millisecond}
 
+// newTask wires a slot task for a node that never dies and spends nothing
+// at period boundaries.
+func newTask(sim *des.Simulator, slot func() int, fire func(period int)) *SlotTask {
+	return NewSlotTask(sim, slot, fire, func() bool { return true }, func() {})
+}
+
 func TestPeriodDurationMatchesTableI(t *testing.T) {
 	// 100 slots × 0.05s = 5s per TDMA period.
 	if got := paperTiming.PeriodDuration(); got != 5*time.Second {
@@ -51,12 +57,12 @@ func TestSlotTaskFiresAtSlotTimes(t *testing.T) {
 	epoch := 2 * time.Second
 	var fires []time.Duration
 	var periods []int
-	_, err := StartSlotTask(sim, timing, epoch, func() int { return 3 }, func(period int) {
+	err := newTask(sim, func() int { return 3 }, func(period int) {
 		fires = append(fires, sim.Now())
 		periods = append(periods, period)
-	})
+	}).Start(timing, epoch)
 	if err != nil {
-		t.Fatalf("StartSlotTask: %v", err)
+		t.Fatalf("Start: %v", err)
 	}
 	if err := sim.RunUntil(epoch + 3*timing.PeriodDuration()); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -80,11 +86,11 @@ func TestSlotTaskReReadsSlotEachPeriod(t *testing.T) {
 	timing := Timing{Slots: 10, SlotDuration: 100 * time.Millisecond}
 	slot := 2
 	var offsets []time.Duration
-	_, err := StartSlotTask(sim, timing, 0, func() int { return slot }, func(period int) {
+	err := newTask(sim, func() int { return slot }, func(period int) {
 		offsets = append(offsets, sim.Now()-timing.SlotStart(period, 0))
-	})
+	}).Start(timing, 0)
 	if err != nil {
-		t.Fatalf("StartSlotTask: %v", err)
+		t.Fatalf("Start: %v", err)
 	}
 	// Change the slot after the first period has begun: takes effect in
 	// period 1 (the Phase 3 refinement path).
@@ -108,9 +114,8 @@ func TestSlotTaskSkipsInvalidSlot(t *testing.T) {
 	sim := des.New()
 	timing := Timing{Slots: 10, SlotDuration: 100 * time.Millisecond}
 	fired := 0
-	_, err := StartSlotTask(sim, timing, 0, func() int { return timing.Slots }, func(int) { fired++ })
-	if err != nil {
-		t.Fatalf("StartSlotTask: %v", err)
+	if err := newTask(sim, func() int { return timing.Slots }, func(int) { fired++ }).Start(timing, 0); err != nil {
+		t.Fatalf("Start: %v", err)
 	}
 	if err := sim.RunUntil(5 * timing.PeriodDuration()); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -120,33 +125,17 @@ func TestSlotTaskSkipsInvalidSlot(t *testing.T) {
 	}
 }
 
-func TestSlotTaskStop(t *testing.T) {
-	sim := des.New()
-	timing := Timing{Slots: 4, SlotDuration: 100 * time.Millisecond}
-	fired := 0
-	task, err := StartSlotTask(sim, timing, 0, func() int { return 1 }, func(int) { fired++ })
-	if err != nil {
-		t.Fatalf("StartSlotTask: %v", err)
-	}
-	sim.ScheduleAfter(timing.PeriodDuration()+10*time.Millisecond, func() { task.Stop() })
-	if err := sim.RunUntil(10 * timing.PeriodDuration()); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if fired != 1 {
-		t.Errorf("fired %d times after stop, want 1", fired)
-	}
-}
-
 func TestSlotTaskRejectsPastEpochAndBadTiming(t *testing.T) {
 	sim := des.New()
 	sim.ScheduleAfter(time.Second, func() {})
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, err := StartSlotTask(sim, paperTiming, 0, func() int { return 0 }, func(int) {}); err == nil {
+	task := newTask(sim, func() int { return 0 }, func(int) {})
+	if err := task.Start(paperTiming, 0); err == nil {
 		t.Error("past epoch accepted")
 	}
-	if _, err := StartSlotTask(sim, Timing{}, 2*time.Second, func() int { return 0 }, func(int) {}); err == nil {
+	if err := task.Start(Timing{}, 2*time.Second); err == nil {
 		t.Error("invalid timing accepted")
 	}
 }

@@ -169,32 +169,7 @@ func AppendFrame(buf []byte, m Message) []byte {
 // Unmarshal decodes a frame produced by Marshal into a fresh message. The
 // entire input must be consumed.
 func Unmarshal(data []byte) (Message, error) {
-	if len(data) == 0 {
-		return nil, ErrTruncated
-	}
-	var m Message
-	switch Type(data[0]) {
-	case TypeHello:
-		m = &Hello{}
-	case TypeDissem:
-		m = &Dissem{}
-	case TypeSearch:
-		m = &Search{}
-	case TypeChange:
-		m = &Change{}
-	case TypeData:
-		m = &Data{}
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, data[0])
-	}
-	rest, err := m.decodeBody(data[1:])
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTrailingBytes, len(rest))
-	}
-	return m, nil
+	return new(Decoder).Unmarshal(data)
 }
 
 // Decoder decodes frames into per-type scratch messages it owns, so a hot
@@ -214,7 +189,7 @@ type Decoder struct {
 }
 
 // Unmarshal decodes a frame into the decoder's scratch message for its
-// type. Same validation as the package-level Unmarshal.
+// type. The entire input must be consumed.
 func (d *Decoder) Unmarshal(data []byte) (Message, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated

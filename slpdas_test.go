@@ -120,7 +120,7 @@ func TestRunCampaignFacade(t *testing.T) {
 }
 
 func TestOverheadFacade(t *testing.T) {
-	o, err := experiment.RunOverhead(5, 2, 3, 23, 0)
+	o, err := experiment.RunOverhead(5, 2, 3, 23)
 	if err != nil {
 		t.Fatalf("RunOverhead: %v", err)
 	}
