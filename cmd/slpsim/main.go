@@ -268,6 +268,18 @@ func runSweep(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
+	// The sd ablation sets the search distance itself, and the attacker
+	// one simulates nothing: refuse the flag each would drop.
+	var err error
+	switch *what {
+	case "sd":
+		err = ignoredFlag(fs, func(name string) bool { return name == "sd" }, "-what sd sweeps the search distance from 1 to 7")
+	case "attacker":
+		err = ignoredFlag(fs, func(name string) bool { return name == "repeats" }, "-what attacker checks each attacker exhaustively, once")
+	}
+	if err != nil {
+		return err
+	}
 	if err := atLeast(fs, floor{"-size", *size, 2}, floor{"-sd", *sd, 1}, floor{"-repeats", *repeats, 1}); err != nil {
 		return err
 	}

@@ -172,6 +172,7 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		{[]string{"sweep", "-what", "sd", "-size", "1", "-repeats", "1"}, "sweep: -size must be at least 2"},
 		{[]string{"sweep", "-what", "loss", "-size", "5", "-sd", "0", "-repeats", "1"}, "sweep: -sd must be at least 1"},
 		{[]string{"sweep", "-what", "sd", "-size", "5", "-repeats", "0"}, "sweep: -repeats must be at least 1"},
+		{[]string{"sweep", "-what", "attacker", "-size", "5", "-repeats", "0"}, "sweep: -repeats has no effect: -what attacker checks each attacker exhaustively, once"},
 		// Flags the command's output does not depend on.
 		{[]string{"topo", "-size", "5", "-seed", "3"}, "-seed has no effect: -show stats reads only -size"},
 		{[]string{"topo", "-size", "5", "-show", "stats", "-protocol", "slp"}, "-protocol has no effect"},
@@ -180,6 +181,9 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		{[]string{"verify", "-size", "5", "-strategy", "cautious"}, "-strategy has no effect"},
 		{[]string{"verify", "-size", "5", "-nattackers", "2"}, "-nattackers has no effect"},
 		{[]string{"verify", "-size", "5", "-shared-history"}, "-shared-history has no effect"},
+		{[]string{"sweep", "-what", "attacker", "-size", "5", "-repeats", "7"}, "sweep: -repeats has no effect: -what attacker checks each attacker exhaustively, once"},
+		{[]string{"sweep", "-what", "sd", "-size", "5", "-repeats", "2", "-sd", "5"}, "sweep: -sd has no effect: -what sd sweeps the search distance from 1 to 7"},
+		{[]string{"sweep", "-sd", "3", "-size", "5", "-repeats", "2"}, "sweep: -sd has no effect"},
 	}
 	for _, cmd := range []string{"run", "topo", "verify"} {
 		for _, r := range []row{

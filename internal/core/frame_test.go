@@ -66,7 +66,9 @@ func TestExecutedEventsCountEveryReception(t *testing.T) {
 // medium: frames sent by a node with k neighbours are decoded once and
 // shared by all k receivers, a garbage frame counts one decode error per
 // reception and hands no receiver the previous frame's cached message, and
-// a valid frame after the garbage decodes fresh.
+// a valid frame after the garbage decodes fresh. A DISSEM with an entry
+// about a node that is not the sender's neighbour is garbage too: the
+// Ninfo tables have no place for it, so it merges nothing.
 func TestDecodeOncePerFrame(t *testing.T) {
 	g, err := topo.DefaultGrid(5)
 	if err != nil {
@@ -74,6 +76,9 @@ func TestDecodeOncePerFrame(t *testing.T) {
 	}
 	net, err := NewNetwork(g, topo.GridCentre(5), topo.GridTopLeft(), DefaultSLP(2), 1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.buildInfoTables(); err != nil { // what the first Run does
 		t.Fatal(err)
 	}
 	sender := topo.GridIndex(5, 1, 1)
@@ -100,13 +105,12 @@ func TestDecodeOncePerFrame(t *testing.T) {
 	// A slotless sender is no potential parent and slotless receivers
 	// grant no relay budget, so the receivers only record the sender's hop
 	// and send nothing back that could muddy the counts.
-	dissem := func(hop int32, version uint32) []byte {
-		return wire.Marshal(&wire.Dissem{
-			From:   sender,
-			Normal: true,
-			Parent: topo.None,
-			Infos:  []wire.NodeInfo{{Node: sender, Hop: hop, Slot: wire.NoSlot, Version: version}},
-		})
+	dissem := func(hop int32, version uint32, others ...topo.NodeID) []byte {
+		infos := []wire.NodeInfo{{Node: sender, Hop: hop, Slot: wire.NoSlot, Version: version}}
+		for _, m := range others {
+			infos = append(infos, wire.NodeInfo{Node: m, Hop: hop, Slot: wire.NoSlot, Version: version})
+		}
+		return wire.Marshal(&wire.Dissem{From: sender, Normal: true, Parent: topo.None, Infos: infos})
 	}
 	expect := func(step string, actions int, decodeErrors uint64, hop int32) {
 		t.Helper()
@@ -131,7 +135,21 @@ func TestDecodeOncePerFrame(t *testing.T) {
 	expect("garbage", 1, 2*k, 3)
 	send(dissem(4, 2))
 	expect("valid after garbage", 2, 2*k, 4)
-	if st := net.medium.Stats(); st.Deliveries != 4*k {
-		t.Errorf("Deliveries = %d, want %d: every reception reaches the receive path", st.Deliveries, 4*k)
+	// Node (1, 3) is two hops from the sender and a neighbour of receiver
+	// (1, 2), so that receiver's table has room for it, but the sender
+	// cannot have heard of it. Its ID falls between two of the sender's
+	// neighbours.
+	foreign := topo.GridIndex(5, 1, 3)
+	send(dissem(5, 3, nbrs[0], foreign))
+	expect("foreign entry", 2, 3*k, 4)
+	for _, r := range nbrs {
+		for _, m := range []topo.NodeID{nbrs[0], foreign} {
+			if in, ok := net.nodes[r].ninfo.get(m); ok {
+				t.Errorf("foreign entry: node %d learned %+v about node %d", r, in, m)
+			}
+		}
+	}
+	if st := net.medium.Stats(); st.Deliveries != 5*k {
+		t.Errorf("Deliveries = %d, want %d: every reception reaches the receive path", st.Deliveries, 5*k)
 	}
 }

@@ -127,9 +127,21 @@ type Network struct {
 
 	// Receive-path decode cache: decMsg is radio frame decFrame decoded
 	// (nil if it does not decode), shared read-only by all its receivers.
+	// For a DISSEM, decPos places each entry in the sender's closed
+	// neighbourhood, decEdge is the current receiver's index among the
+	// sender's neighbours and decRow that edge's rank row (see receive).
 	// Frame ids never repeat, so the cache needs no rewinding between runs.
 	decFrame uint64       // lint:immutable: cache key, never matches a frame of another run
 	decMsg   wire.Message // lint:immutable: scratch, overwritten with decFrame
+	decPos   []int32      // lint:immutable: scratch, overwritten with decFrame
+	decEdge  int          // lint:immutable: scratch, rewound with decFrame
+	decRow   []uint16     // lint:immutable: scratch, overwritten before every DISSEM delivery
+
+	// The Ninfo tables (see infoTable), built on the first run: ranks are
+	// the graph's rank rows, and infoArena holds every node's entries back
+	// to back. Node resets rewind the entries.
+	ranks     *topo.RankRows // lint:immutable: per-graph wiring, bound once by buildInfoTables
+	infoArena []info         // lint:immutable: backing array, allocated once by buildInfoTables
 
 	periodTick periodTick // lint:immutable: rebound via rearm() on every setup
 }
@@ -536,9 +548,101 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 	}
 }
 
+// receive is the radio receiver of node nd. The frame's first receiver
+// decodes it for all of them and, for a DISSEM, places its entries in the
+// sender's closed neighbourhood; each receiver then finds its own index
+// among the sender's neighbours with a forward walk, since the medium
+// delivers a frame's receptions in neighbour order.
+//
+//slp:hotpath
+func (n *Network) receive(nd *node, frame uint64, from topo.NodeID, payload []byte) {
+	if frame != n.decFrame {
+		n.decFrame = frame
+		n.decMsg, _ = n.dec.Unmarshal(payload)
+		n.decEdge = 0
+		if d, ok := n.decMsg.(*wire.Dissem); ok && !n.placeDissem(from, d.Infos) {
+			n.decMsg = nil
+		}
+	}
+	if n.decMsg == nil {
+		n.decodeErrors++
+		return
+	}
+	if _, ok := n.decMsg.(*wire.Dissem); ok {
+		nbrs, e := n.g.Neighbors(from), n.decEdge
+		for nbrs[e] != nd.id {
+			e++
+		}
+		n.decEdge, n.decRow = e, n.ranks.Row(from, e)
+	}
+	n.engine.Deliver(&nd.prc, from, n.decMsg)
+}
+
+// placeDissem fills decPos with each DISSEM entry's place in the closed
+// neighbourhood of the sender: 0 for the sender, j+1 for its j-th
+// neighbour. buildDissem lists the sender, then its myN ascending, so one
+// forward walk places them all. It reports false, making the frame
+// undecodable, when an entry is about a node that is neither the sender
+// nor one of its neighbours, or carries version 2³²−1, which an info
+// entry cannot store (see info); the simulator's own frames never do.
+//
+//slp:hotpath
+func (n *Network) placeDissem(from topo.NodeID, infos []wire.NodeInfo) bool {
+	nbrs := n.g.Neighbors(from)
+	n.decPos = n.decPos[:0]
+	j := 0
+	for k := range infos {
+		in := &infos[k]
+		if in.Version == math.MaxUint32 {
+			return false
+		}
+		if in.Node == from {
+			n.decPos = append(n.decPos, 0)
+			continue
+		}
+		if j = seek(nbrs, j, in.Node); j == len(nbrs) || nbrs[j] != in.Node {
+			return false
+		}
+		j++
+		n.decPos = append(n.decPos, int32(j))
+	}
+	return true
+}
+
+// buildInfoTables binds every node's Ninfo table to its two-hop set, once
+// per network, on its first run: NewNetwork allocates no table, so a
+// network that is wired but never run costs nothing here.
+func (n *Network) buildInfoTables() error {
+	if n.ranks != nil {
+		return nil
+	}
+	ranks, err := n.g.TwoHopRanks()
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	total := 0
+	for id := range n.nodes {
+		total += len(n.g.TwoHop(topo.NodeID(id)))
+	}
+	n.infoArena = make([]info, total)
+	off := 0
+	for id, nd := range n.nodes {
+		set := n.g.TwoHop(topo.NodeID(id))
+		nd.ninfo.ids = set
+		nd.ninfo.infos = n.infoArena[off : off+len(set) : off+len(set)]
+		nd.ninfo.reset()
+		off += len(set)
+	}
+	n.ranks = ranks
+	return nil
+}
+
 // setup schedules boots, discovery, dissemination, search, data phase and
 // the attacker clock.
 func (n *Network) setup() error {
+	if err := n.buildInfoTables(); err != nil {
+		return err
+	}
 	cfg := n.cfg
 	dissemStart := time.Duration(cfg.NeighbourDiscoveryPeriods)*cfg.DisseminationPeriod + bootJitter
 
@@ -720,9 +824,14 @@ func (n *Network) NodeState(id topo.NodeID) NodeState {
 		Changed: nd.changed,
 	}
 	st.PotentialParents = append([]topo.NodeID(nil), nd.npar...)
-	st.KnownSlot = make(map[topo.NodeID]int, nd.ninfo.len())
+	st.KnownSlot = make(map[topo.NodeID]int)
+	if nd.version > 0 {
+		st.KnownSlot[id] = int(nd.slot)
+	}
 	for k, j := range nd.ninfo.ids {
-		st.KnownSlot[j] = int(nd.ninfo.infos[k].slot)
+		if in := nd.ninfo.infos[k]; in.seen != 0 {
+			st.KnownSlot[j] = int(in.slot)
+		}
 	}
 	return st
 }

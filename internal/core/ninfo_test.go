@@ -1,8 +1,8 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -10,95 +10,121 @@ import (
 	"slpdas/internal/wire"
 )
 
-// mergeInfosByEntry is the per-entry merge mergeInfos replaces: one get
-// and, for a fresh entry, one set per DISSEM entry, in message order.
-func mergeInfosByEntry(n *node, sender topo.NodeID, infos []wire.NodeInfo) (senderSlot int32, learned bool) {
-	senderSlot = noValue
-	for _, in := range infos {
-		if in.Node == n.id {
-			continue
-		}
-		cur, known := n.ninfo.get(in.Node)
-		if !known || in.Version > cur.version {
-			n.ninfo.set(in.Node, info{hop: in.Hop, slot: in.Slot, version: in.Version})
-			if in.Node == sender || n.myN.has(in.Node) {
-				learned = true
-			}
-		}
-		if in.Node == sender {
-			senderSlot = in.Slot
-		}
+// TestMergeInfosMatchesPerEntryModel merges random DISSEMs, each the
+// sender's entry plus a random subset of the sender's neighbours, into
+// the receiver's table through the receive path's placement and the
+// edge's rank row, and checks the result against the per-entry merge on
+// a map keyed by node ID: the same entries, senderSlot, learned flag and
+// cache invalidation. Most DISSEMs list the neighbours ascending, as
+// buildDissem does; the rest reverse or shuffle them, which placement
+// must not depend on. After each merge, a cursor answers a run of lookups
+// as get does.
+func TestMergeInfosMatchesPerEntryModel(t *testing.T) {
+	side := math.Sqrt(500) * topo.DefaultSpacing
+	rgg, err := topo.RandomGeometric(500, side, side, 2.2*topo.DefaultSpacing, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return senderSlot, learned
-}
-
-// TestMergeInfosMatchesPerEntryMerge: for DISSEM entry lists in every
-// order — buildDissem's (sender, then ascending), shuffled, descending,
-// with duplicates and with the receiver's own ID — the merge join leaves
-// the same Ninfo and reports the same learnedNeighbour and senderSlot as
-// the per-entry get/set it replaces.
-func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	const ids = 40
-	for iter := 0; iter < 20000; iter++ {
-		self, sender := topo.NodeID(rng.IntN(ids)), topo.NodeID(rng.IntN(ids))
-		a, b := &node{id: self}, &node{id: self}
-		for k := rng.IntN(ids); k > 0; k-- {
-			id := topo.NodeID(rng.IntN(ids))
-			in := info{hop: rng.Int32N(5), slot: rng.Int32N(5) - 1, version: rng.Uint32N(4)}
-			a.ninfo.set(id, in)
-			b.ninfo.set(id, in)
-		}
-		for k := rng.IntN(ids / 2); k > 0; k-- {
-			m := topo.NodeID(rng.IntN(ids))
-			a.addNeighbour(m)
-			b.addNeighbour(m)
-		}
-		infos := make([]wire.NodeInfo, rng.IntN(24))
-		for k := range infos {
-			infos[k] = wire.NodeInfo{Node: topo.NodeID(rng.IntN(ids)), Hop: rng.Int32N(5), Slot: rng.Int32N(5) - 1, Version: rng.Uint32N(6)}
-		}
-		switch mode := iter % 4; {
-		case mode == 0 && len(infos) > 0: // buildDissem's order: the sender, then ascending
-			infos[0].Node = sender
-			slices.SortFunc(infos[1:], func(x, y wire.NodeInfo) int { return int(x.Node - y.Node) })
-		case mode == 1: // descending
-			slices.SortFunc(infos, func(x, y wire.NodeInfo) int { return int(y.Node - x.Node) })
-		case mode == 2 && len(infos) > 1: // ascending with a repeated run
-			slices.SortFunc(infos, func(x, y wire.NodeInfo) int { return int(x.Node - y.Node) })
-			infos = append(infos, infos[len(infos)/2:]...)
-		}
-		a.ninfo.dirty, b.ninfo.dirty = false, false
-		gotSlot, gotLearned := a.mergeInfos(sender, infos)
-		wantSlot, wantLearned := mergeInfosByEntry(b, sender, infos)
-		if gotSlot != wantSlot || gotLearned != wantLearned ||
-			!reflect.DeepEqual(a.ninfo.ids, b.ninfo.ids) || !reflect.DeepEqual(a.ninfo.infos, b.ninfo.infos) ||
-			a.ninfo.dirty != b.ninfo.dirty {
-			t.Fatalf("iter %d self %d sender %d infos %v:\nmerge join: slot %d learned %v dirty %v table %v %v\nper entry:  slot %d learned %v dirty %v table %v %v",
-				iter, self, sender, infos, gotSlot, gotLearned, a.ninfo.dirty, a.ninfo.ids, a.ninfo.infos,
-				wantSlot, wantLearned, b.ninfo.dirty, b.ninfo.ids, b.ninfo.infos)
-		}
+	grid, err := topo.DefaultGrid(11)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestInfoCursorMatchesGet: a cursor answers any sequence of lookups —
-// ascending, repeated or descending — exactly as a fresh binary search.
-func TestInfoCursorMatchesGet(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	for iter := 0; iter < 2000; iter++ {
-		var tab infoTable
-		for k := rng.IntN(30); k > 0; k-- {
-			tab.set(topo.NodeID(rng.IntN(50)), info{version: rng.Uint32()})
-		}
-		cur := tab.cursor()
-		for k := 0; k < 40; k++ {
-			id := topo.NodeID(rng.IntN(52) - 1)
-			got, gotOK := cur.get(id)
-			want, wantOK := tab.get(id)
-			if got != want || gotOK != wantOK {
-				t.Fatalf("iter %d lookup %d of %d: cursor (%v, %v), get (%v, %v)", iter, k, id, got, gotOK, want, wantOK)
+	for _, g := range []*topo.Graph{grid, rgg} {
+		t.Run(g.Name(), func(t *testing.T) {
+			net, err := NewNetwork(g, 0, 1, Default(), 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := net.buildInfoTables(); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(1, 2))
+			models := make(map[topo.NodeID]map[topo.NodeID]wire.NodeInfo)
+			for iter := 0; iter < 20000; iter++ {
+				r := topo.NodeID(rng.IntN(g.Len()))
+				nd := net.nodes[r]
+				model := models[r]
+				if model == nil || rng.IntN(50) == 0 {
+					nd.reset(1)
+					model = make(map[topo.NodeID]wire.NodeInfo)
+					models[r] = model
+				}
+				if rng.IntN(4) == 0 {
+					nd.addNeighbour(g.Neighbors(r)[rng.IntN(g.Degree(r))])
+				}
+				s := g.Neighbors(r)[rng.IntN(g.Degree(r))]
+				e := slices.Index(g.Neighbors(s), r)
+				entry := func(id topo.NodeID) wire.NodeInfo {
+					return wire.NodeInfo{Node: id, Hop: rng.Int32N(5) - 1, Slot: rng.Int32N(5) - 1, Version: rng.Uint32N(6)}
+				}
+				infos := []wire.NodeInfo{entry(s)}
+				for _, m := range g.Neighbors(s) {
+					if rng.IntN(2) == 0 {
+						infos = append(infos, entry(m))
+					}
+				}
+				switch rng.IntN(8) {
+				case 0:
+					slices.Reverse(infos)
+				case 1:
+					rng.Shuffle(len(infos), func(i, j int) { infos[i], infos[j] = infos[j], infos[i] })
+				}
+				if !net.placeDissem(s, infos) {
+					t.Fatalf("iter %d: DISSEM from %d listing only it and its neighbours does not place: %v", iter, s, infos)
+				}
+
+				// The per-entry model: own state is never overwritten, a
+				// fresh entry is an unknown one or a higher version.
+				wantSlot, wantLearned, wantDirty := noValue, false, false
+				for _, in := range infos {
+					if in.Node == s {
+						wantSlot = in.Slot
+					}
+					if in.Node == r {
+						continue
+					}
+					if cur, known := model[in.Node]; !known || in.Version > cur.Version {
+						model[in.Node] = in
+						wantDirty = true
+						if in.Node == s || nd.myN.has(in.Node) {
+							wantLearned = true
+						}
+					}
+				}
+				nd.ninfo.dirty = false
+				gotSlot, gotLearned := nd.mergeInfos(infos, net.decPos, net.ranks.Row(s, e))
+				if gotSlot != wantSlot || gotLearned != wantLearned || nd.ninfo.dirty != wantDirty {
+					t.Fatalf("iter %d: %d→%d %v: slot %d learned %v dirty %v, want %d %v %v",
+						iter, s, r, infos, gotSlot, gotLearned, nd.ninfo.dirty, wantSlot, wantLearned, wantDirty)
+				}
+				for k, id := range nd.ninfo.ids {
+					got := nd.ninfo.infos[k]
+					want := unknown
+					if in, known := model[id]; known {
+						want = info{hop: in.Hop, slot: in.Slot, seen: in.Version + 1}
+					}
+					if got != want {
+						t.Fatalf("iter %d: %d→%d %v: node %d's entry about %d is %+v, want %+v", iter, s, r, infos, r, id, got, want)
+					}
+				}
+				if len(model) > len(nd.ninfo.ids) {
+					t.Fatalf("iter %d: model holds %d entries, the table has room for %d", iter, len(model), len(nd.ninfo.ids))
+				}
+
+				cur := nd.ninfo.cursor()
+				for k := 0; k < 8; k++ {
+					id := topo.NodeID(rng.IntN(g.Len()+1) - 1)
+					if rng.IntN(2) == 0 {
+						id = nd.ninfo.ids[rng.IntN(len(nd.ninfo.ids))]
+					}
+					got, gotOK := cur.get(id)
+					want, wantOK := nd.ninfo.get(id)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("iter %d lookup %d of %d: cursor (%v, %v), get (%v, %v)", iter, k, id, got, gotOK, want, wantOK)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -12,14 +12,21 @@ import (
 	"slpdas/internal/xrand"
 )
 
-// info is one Ninfo entry: a (hop, slot) pair with a freshness version.
+// info is one Ninfo entry: a (hop, slot) pair and its freshness. seen is
+// the wire version plus one, so seen 0 marks a node nothing has been
+// heard about, told apart from a known entry at wire version 0. An
+// unknown entry holds ⊥ hop and slot, which every scan over the table
+// skips.
 type info struct {
-	hop     int32
-	slot    int32
-	version uint32
+	hop  int32
+	slot int32
+	seen uint32
 }
 
 const noValue int32 = wire.NoSlot // ⊥
+
+// unknown is the entry of a node nothing has been heard about.
+var unknown = info{hop: noValue, slot: noValue}
 
 // sortedSet is a set kept as an ascending slice: iteration is in sorted
 // order without a per-call sort, and reset keeps the backing array.
@@ -48,58 +55,59 @@ func pairKey(parent, competitor topo.NodeID) uint64 {
 	return uint64(uint32(parent))<<32 | uint64(uint32(competitor))
 }
 
-// infoTable is a node's Ninfo: (hop, slot, version) entries keyed by node
-// ID, stored as parallel slices kept sorted by ID. The resolve guard runs
-// after every action a node executes and its collisionLoser scan covers
-// the whole table, so the table caches that answer: loser is valid while
-// dirty is false, and setAt and reset — the only writers — mark it stale.
-// The node's own hop and slot live in its own entry, so every input of
-// collisionLoser changes through setAt.
+// infoTable is a node's Ninfo, one entry per member of its two-hop set:
+// infos[i] is ids[i]'s entry, and ids is the graph's TwoHop of the node,
+// shared, never copied. Every Ninfo entry a DISSEM can carry is about
+// the sender or one of the sender's neighbours, so the table never needs
+// another key, and a DISSEM merge addresses entries by rank (see
+// topo.RankRows). The node's own state stays in its own fields.
+//
+// The resolve guard runs after every action a node executes and its
+// collisionLoser scan covers the whole table, so the table caches that
+// answer: loser is valid while dirty is false. Every write of an entry,
+// of the node's own slot (setSlot, sinkInit) and reset mark it stale.
 type infoTable struct {
-	ids   []topo.NodeID
-	infos []info
+	ids   []topo.NodeID // lint:immutable: the graph's TwoHop of the node, bound by Network.buildInfoTables
+	infos []info        // a slice of Network.infoArena; reset rewinds the entries
 	loser topo.NodeID
 	dirty bool
 }
 
-func (t *infoTable) len() int { return len(t.ids) }
-
 func (t *infoTable) get(id topo.NodeID) (info, bool) {
-	if i, ok := slices.BinarySearch(t.ids, id); ok {
+	if i, ok := slices.BinarySearch(t.ids, id); ok && t.infos[i].seen != 0 {
 		return t.infos[i], true
 	}
 	return info{}, false
 }
 
-func (t *infoTable) set(id topo.NodeID, in info) {
-	i, _ := slices.BinarySearch(t.ids, id)
-	t.setAt(i, id, in)
-}
-
-// setAt stores in for id at index i, the position slices.BinarySearch
-// reports for id.
-func (t *infoTable) setAt(i int, id topo.NodeID, in info) {
-	t.dirty = true
-	if i < len(t.ids) && t.ids[i] == id {
-		t.infos[i] = in
-		return
-	}
-	t.ids = slices.Insert(t.ids, i, id)
-	t.infos = slices.Insert(t.infos, i, in)
-}
-
 func (t *infoTable) reset() {
-	t.ids = t.ids[:0]
-	t.infos = t.infos[:0]
+	for i := range t.infos {
+		t.infos[i] = unknown
+	}
 	t.loser = topo.None
 	t.dirty = true
 }
 
-// infoCursor looks up a run of IDs in an infoTable. When each ID is above
-// the one before — myN, Npar, children and a DISSEM's neighbour list are
-// all ascending — the lookup walks forward from the previous one, a merge
-// join over the table; any other ID falls back to a binary search, so the
-// answers never depend on the order of the run.
+// seek returns the position slices.BinarySearch(ids, id) reports, given
+// the position i the previous lookup in ids returned. When id is above
+// the previous ID — myN, Npar, children and a DISSEM's neighbour list are
+// all ascending — it walks forward from there, a merge join; any other ID
+// falls back to a binary search, so the answers never depend on the order
+// of the lookups.
+//
+//slp:hotpath
+func seek(ids []topo.NodeID, i int, id topo.NodeID) int {
+	if i == 0 || ids[i-1] >= id {
+		i, _ = slices.BinarySearch(ids, id)
+		return i
+	}
+	for i < len(ids) && ids[i] < id {
+		i++
+	}
+	return i
+}
+
+// infoCursor looks up a run of IDs in an infoTable with seek.
 type infoCursor struct {
 	t *infoTable
 	i int // the previous ID's position in t.ids
@@ -107,24 +115,10 @@ type infoCursor struct {
 
 func (t *infoTable) cursor() infoCursor { return infoCursor{t: t} }
 
-// find returns the position slices.BinarySearch(t.ids, id) reports.
-//
-//slp:hotpath
-func (c *infoCursor) find(id topo.NodeID) int {
-	ids := c.t.ids
-	if c.i == 0 || ids[c.i-1] >= id {
-		c.i, _ = slices.BinarySearch(ids, id)
-		return c.i
-	}
-	for c.i < len(ids) && ids[c.i] < id {
-		c.i++
-	}
-	return c.i
-}
-
 func (c *infoCursor) get(id topo.NodeID) (info, bool) {
-	if i := c.find(id); i < len(c.t.ids) && c.t.ids[i] == id {
-		return c.t.infos[i], true
+	c.i = seek(c.t.ids, c.i, id)
+	if c.i < len(c.t.ids) && c.t.ids[c.i] == id && c.t.infos[c.i].seen != 0 {
+		return c.t.infos[c.i], true
 	}
 	return info{}, false
 }
@@ -191,16 +185,7 @@ func newNode(id topo.NodeID, net *Network) *node {
 	n.decide, n.dissem = n.prc.Timer(decideTimer), n.prc.Timer(dissemTimer)
 	// Radio → GCN delivery is wiring, not run state: register once.
 	net.medium.SetReceiver(id, func(frame uint64, from topo.NodeID, payload []byte) {
-		if frame != net.decFrame {
-			// The frame's first receiver decodes it for all of them.
-			net.decFrame = frame
-			net.decMsg, _ = net.dec.Unmarshal(payload)
-		}
-		if net.decMsg == nil {
-			net.decodeErrors++
-			return
-		}
-		net.engine.Deliver(&n.prc, from, net.decMsg)
+		net.receive(n, frame, from, payload)
 	})
 	n.reset(net.seed)
 	return n
@@ -323,7 +308,7 @@ func (n *node) sinkInit() {
 	n.par = topo.None
 	n.slot = int32(n.net.cfg.Slots) // Δ: never transmits
 	n.version++
-	n.ninfo.set(n.id, info{hop: 0, slot: n.slot, version: n.version})
+	n.ninfo.dirty = true
 	n.resetDissemination()
 }
 
@@ -378,7 +363,7 @@ func (n *node) buildDissem() *wire.Dissem {
 			d.Infos = append(d.Infos, wire.NodeInfo{Node: m, Hop: noValue, Slot: noValue})
 			continue
 		}
-		d.Infos = append(d.Infos, wire.NodeInfo{Node: m, Hop: in.hop, Slot: in.slot, Version: in.version})
+		d.Infos = append(d.Infos, wire.NodeInfo{Node: m, Hop: in.hop, Slot: in.slot, Version: in.seen - 1})
 	}
 	return d
 }
@@ -395,7 +380,7 @@ func (n *node) onDissem(sender topo.NodeID, m gcn.Message) {
 		n.children.remove(sender)
 	}
 
-	senderSlot, learnedNeighbour := n.mergeInfos(sender, d.Infos)
+	senderSlot, learnedNeighbour := n.mergeInfos(d.Infos, n.net.decPos, n.net.decRow)
 	if learnedNeighbour && (n.isSink() || n.slot != noValue) {
 		n.grantRelayBudget()
 	}
@@ -439,28 +424,33 @@ func (n *node) onDissem(sender topo.NodeID, m gcn.Message) {
 // detection only works if the middle node re-disseminates what it heard
 // (the Trickle-style reading of the DT send budget). Entries about more
 // distant nodes are merged but not relayed — they can never matter to
-// anyone within our radio range. Infos[1:] is the sender's myN, ascending
-// by ID (buildDissem), so one cursor walks the table for all of them.
+// anyone within our radio range.
+//
+// pos[k] is infos[k]'s place in the sender's closed neighbourhood, 0 for
+// the sender itself, and row maps those places to ranks in our table
+// (Network.receive computes both), so each entry costs one table read.
+// Our own place maps to topo.NoRank: own state is never overwritten from
+// the outside.
 //
 //slp:hotpath
-func (n *node) mergeInfos(sender topo.NodeID, infos []wire.NodeInfo) (senderSlot int32, learned bool) {
+func (n *node) mergeInfos(infos []wire.NodeInfo, pos []int32, row []uint16) (senderSlot int32, learned bool) {
 	senderSlot = noValue
 	t := &n.ninfo
-	cur := t.cursor()
 	for k := range infos {
 		in := &infos[k]
-		if in.Node == n.id {
-			continue // never overwrite own state from the outside
+		if pos[k] == 0 {
+			senderSlot = in.Slot
 		}
-		i := cur.find(in.Node)
-		if i == len(t.ids) || t.ids[i] != in.Node || in.Version > t.infos[i].version {
-			t.setAt(i, in.Node, info{hop: in.Hop, slot: in.Slot, version: in.Version})
-			if !learned && (in.Node == sender || n.myN.has(in.Node)) {
+		r := row[pos[k]]
+		if r == topo.NoRank {
+			continue
+		}
+		if e := &t.infos[r]; in.Version >= e.seen {
+			*e = info{hop: in.Hop, slot: in.Slot, seen: in.Version + 1}
+			t.dirty = true
+			if !learned && (pos[k] == 0 || n.myN.has(in.Node)) {
 				learned = true
 			}
-		}
-		if in.Node == sender {
-			senderSlot = in.Slot
 		}
 	}
 	return senderSlot, learned
@@ -540,7 +530,7 @@ func (n *node) chooseSlot() {
 func (n *node) setSlot(s int32) {
 	n.slot = s
 	n.version++
-	n.ninfo.set(n.id, info{hop: n.hop, slot: n.slot, version: n.version})
+	n.ninfo.dirty = true
 	// Schedule-repair clock (fault injection): any slot change after the
 	// first fault is self-healing activity. A plain field write — no event
 	// or random draw — so fault-free runs are unaffected.
@@ -586,9 +576,6 @@ func (n *node) collisionLoser() topo.NodeID {
 		return topo.None
 	}
 	for k, j := range n.ninfo.ids {
-		if j == n.id {
-			continue
-		}
 		in := n.ninfo.infos[k]
 		if in.slot != n.slot || in.slot == noValue {
 			continue
@@ -616,8 +603,8 @@ func (n *node) resolveTarget() int32 {
 	}
 	for s := n.slot - 1; s > 0; s-- {
 		taken := false
-		for k, j := range n.ninfo.ids {
-			if j != n.id && n.ninfo.infos[k].slot == s {
+		for _, in := range n.ninfo.infos {
+			if in.slot == s {
 				taken = true
 				break
 			}
@@ -801,8 +788,7 @@ func (n *node) startRefinement() {
 // 2-hop collisions.
 func (n *node) minKnownSlot() int32 {
 	min := n.slot
-	for k := range n.ninfo.ids {
-		in := n.ninfo.infos[k]
+	for _, in := range n.ninfo.infos {
 		if in.slot == noValue || int(in.slot) >= n.net.cfg.Slots {
 			continue // sink's Δ and unknowns do not count
 		}

@@ -57,6 +57,10 @@ type Graph struct {
 	twoHopOnce sync.Once
 	twoHop     [][]NodeID // twoHop[i] slices twoHopFlat
 	twoHopFlat []NodeID
+
+	ranksOnce sync.Once
+	ranks     *RankRows
+	ranksErr  error
 }
 
 // rangeEps is the slack added to the radio range when testing whether two
@@ -411,6 +415,87 @@ func (g *Graph) buildTwoHop() {
 	for i := 0; i < n; i++ {
 		g.twoHop[i] = flat[cut[i]:cut[i+1]:cut[i+1]]
 	}
+}
+
+// NoRank marks, in a rank row, the row's receiver itself: a node is not a
+// member of its own two-hop set.
+const NoRank = math.MaxUint16
+
+// maxTwoHop is the largest two-hop set a rank row can index: ranks run
+// from 0 to maxTwoHop-1, and NoRank stays free.
+const maxTwoHop = NoRank - 1
+
+// RankRows maps each node's closed neighbourhood into the two-hop set of
+// each of its neighbours. For the directed edge s→r, with r the e-th
+// neighbour of s, Row(s, e) gives the rank in TwoHop(r) of s, then of
+// each Neighbors(s)[j] — all of them within two hops of r — with NoRank
+// in r's own place. A node with degree d has d rows of d+1 entries each,
+// stored back to back in one flat slice.
+type RankRows struct {
+	adj  [][]NodeID
+	base []int // base[s]: where node s's rows start in flat
+	flat []uint16
+}
+
+// Row returns the rank row of the edge from s to its e-th neighbour. The
+// returned slice is shared and must not be modified.
+//
+//slp:hotpath
+func (r *RankRows) Row(s NodeID, e int) []uint16 {
+	w := len(r.adj[s]) + 1
+	off := r.base[s] + e*w
+	return r.flat[off : off+w : off+w]
+}
+
+// TwoHopRanks returns the rank rows of every directed edge. They are
+// built once per graph on first call and shared thereafter, like TwoHop.
+// It fails, naming the node, when a two-hop set has more than 65,534
+// members, since a rank would no longer fit its row.
+func (g *Graph) TwoHopRanks() (*RankRows, error) {
+	g.ranksOnce.Do(func() {
+		g.twoHopOnce.Do(g.buildTwoHop)
+		g.ranks, g.ranksErr = buildRankRows(g.adj, g.twoHop)
+	})
+	return g.ranks, g.ranksErr
+}
+
+// buildRankRows scatters each TwoHop(r) into one n-sized rank array and
+// reads off the rows of every edge into r from it, with no search or sort
+// per row. Receivers are visited in ascending order and adjacency lists
+// are sorted, so the edges into r are, for each sender s, the next unread
+// entry of s's list: next[s] counts them.
+func buildRankRows(adj, twoHop [][]NodeID) (*RankRows, error) {
+	for r, set := range twoHop {
+		if len(set) > maxTwoHop {
+			return nil, fmt.Errorf("topo: node %d has %d nodes within two hops, more than the %d a rank row can index", r, len(set), maxTwoHop)
+		}
+	}
+	n := len(adj)
+	rows := &RankRows{adj: adj, base: make([]int, n)}
+	total := 0
+	for s, nbrs := range adj {
+		rows.base[s] = total
+		total += len(nbrs) * (len(nbrs) + 1)
+	}
+	rows.flat = make([]uint16, total)
+	rank := make([]uint16, n)
+	next := make([]int, n)
+	for r := range adj {
+		for k, m := range twoHop[r] {
+			rank[m] = uint16(k)
+		}
+		rank[r] = NoRank
+		for _, s := range adj[r] {
+			nbrs := adj[s]
+			row := rows.Row(s, next[s])
+			next[s]++
+			row[0] = rank[s]
+			for j, m := range nbrs {
+				row[j+1] = rank[m]
+			}
+		}
+	}
+	return rows, nil
 }
 
 // BFSFrom returns hop distances from root to every node; unreachable nodes

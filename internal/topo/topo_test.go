@@ -2,6 +2,9 @@ package topo
 
 import (
 	"math"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +141,98 @@ func TestTwoHopExcludesSelf(t *testing.T) {
 				t.Fatalf("TwoHop(%d) contains the node itself", n)
 			}
 		}
+	}
+}
+
+// TestTwoHopRanksMatchBinarySearch: on every directed edge s→r of two
+// grids and two RGGs, the rank row lists the position slices.BinarySearch
+// finds in TwoHop(r) for s and for each neighbour of s, and NoRank for r.
+func TestTwoHopRanksMatchBinarySearch(t *testing.T) {
+	side := math.Sqrt(500) * DefaultSpacing
+	for _, tc := range []struct {
+		name  string
+		build func() (*Graph, error)
+	}{
+		{"grid5", func() (*Graph, error) { return DefaultGrid(5) }},
+		{"grid11", func() (*Graph, error) { return DefaultGrid(11) }},
+		{"rgg500-range1.8", func() (*Graph, error) { return RandomGeometric(500, side, side, 1.8*DefaultSpacing, 1) }},
+		{"rgg500-range2.2", func() (*Graph, error) { return RandomGeometric(500, side, side, 2.2*DefaultSpacing, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := g.TwoHopRanks()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rank := func(r, m NodeID) uint16 {
+				if m == r {
+					return NoRank
+				}
+				i, ok := slices.BinarySearch(g.TwoHop(r), m)
+				if !ok {
+					t.Fatalf("node %d is not within two hops of %d", m, r)
+				}
+				return uint16(i)
+			}
+			edges := 0
+			for s := NodeID(0); int(s) < g.Len(); s++ {
+				for e, r := range g.Neighbors(s) {
+					want := []uint16{rank(r, s)}
+					for _, m := range g.Neighbors(s) {
+						want = append(want, rank(r, m))
+					}
+					if got := rows.Row(s, e); !slices.Equal(got, want) {
+						t.Fatalf("edge %d→%d: row %v, want %v", s, r, got, want)
+					}
+					edges++
+				}
+			}
+			if edges != 2*g.EdgeCount() {
+				t.Errorf("checked %d directed edges, want %d", edges, 2*g.EdgeCount())
+			}
+		})
+	}
+}
+
+// TestTwoHopRanksConcurrentFirstUse: workers running networks on one
+// graph may all reach the lazy build at once; each gets the same rows.
+func TestTwoHopRanksConcurrentFirstUse(t *testing.T) {
+	g := mustGrid(t, 11)
+	got := make([]*RankRows, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = g.TwoHopRanks()
+		}()
+	}
+	wg.Wait()
+	for i, rows := range got {
+		if rows == nil || rows != got[0] {
+			t.Fatalf("caller %d got rows %p, caller 0 %p", i, rows, got[0])
+		}
+	}
+}
+
+// TestTwoHopRanksRefuseOversizedSets: a two-hop set one member past
+// maxTwoHop fails the build with an error naming its node instead of
+// wrapping a rank; a set of exactly maxTwoHop members builds. The sets
+// are faked: no graph that dense is built.
+func TestTwoHopRanksRefuseOversizedSets(t *testing.T) {
+	adj := make([][]NodeID, 3)
+	twoHop := make([][]NodeID, 3)
+	twoHop[1] = make([]NodeID, maxTwoHop)
+	if _, err := buildRankRows(adj, twoHop); err != nil {
+		t.Fatalf("a %d-member two-hop set: %v", maxTwoHop, err)
+	}
+	twoHop[1] = make([]NodeID, maxTwoHop+1)
+	_, err := buildRankRows(adj, twoHop)
+	if err == nil || !strings.Contains(err.Error(), "node 1 ") {
+		t.Fatalf("a %d-member two-hop set: err = %v, want an error naming node 1", maxTwoHop+1, err)
 	}
 }
 

@@ -166,17 +166,11 @@ func AppendFrame(buf []byte, m Message) []byte {
 	return m.appendBody(buf)
 }
 
-// Unmarshal decodes a frame produced by Marshal into a fresh message. The
-// entire input must be consumed.
-func Unmarshal(data []byte) (Message, error) {
-	return new(Decoder).Unmarshal(data)
-}
-
 // Decoder decodes frames into per-type scratch messages it owns, so a hot
 // receive path (one decode per radio frame) allocates nothing in steady
 // state. The returned Message is valid only until the next Unmarshal call
-// on the same Decoder; receivers that retain messages must use the
-// package-level Unmarshal instead. The simulator's receive path decodes
+// on the same Decoder; receivers that retain messages must decode with a
+// Decoder of their own. The simulator's receive path decodes
 // each radio frame once and hands the same Message to every receiver of
 // that frame, so receivers must treat it as read-only. The zero Decoder is
 // ready to use.

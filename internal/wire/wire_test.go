@@ -14,7 +14,7 @@ import (
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
 	data := Marshal(m)
-	got, err := Unmarshal(data)
+	got, err := new(Decoder).Unmarshal(data)
 	if err != nil {
 		t.Fatalf("Unmarshal(%v): %v", m, err)
 	}
@@ -73,10 +73,10 @@ func TestSearchChangeDataRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal(nil); !errors.Is(err, ErrTruncated) {
+	if _, err := new(Decoder).Unmarshal(nil); !errors.Is(err, ErrTruncated) {
 		t.Errorf("empty frame: err = %v, want ErrTruncated", err)
 	}
-	if _, err := Unmarshal([]byte{0xEE, 1, 2}); !errors.Is(err, ErrUnknownType) {
+	if _, err := new(Decoder).Unmarshal([]byte{0xEE, 1, 2}); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("unknown type: err = %v, want ErrUnknownType", err)
 	}
 	// Truncate every valid frame at every length and require a clean error.
@@ -89,7 +89,7 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	for _, frame := range frames {
 		for cut := 1; cut < len(frame); cut++ {
-			if _, err := Unmarshal(frame[:cut]); err == nil {
+			if _, err := new(Decoder).Unmarshal(frame[:cut]); err == nil {
 				t.Errorf("truncated frame %v at %d decoded without error", frame, cut)
 			}
 		}
@@ -99,7 +99,7 @@ func TestUnmarshalErrors(t *testing.T) {
 func TestTrailingBytesRejected(t *testing.T) {
 	frame := Marshal(&Hello{From: 1})
 	frame = append(frame, 0x00)
-	if _, err := Unmarshal(frame); !errors.Is(err, ErrTrailingBytes) {
+	if _, err := new(Decoder).Unmarshal(frame); !errors.Is(err, ErrTrailingBytes) {
 		t.Errorf("trailing bytes: err = %v, want ErrTrailingBytes", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestCorruptInfoCountRejected(t *testing.T) {
 	buf = appendBool(buf, true)  // normal
 	buf = appendInt(buf, 2)      // parent
 	buf = appendUint(buf, 1<<40) // count, way past sanity bound
-	if _, err := Unmarshal(buf); err == nil {
+	if _, err := new(Decoder).Unmarshal(buf); err == nil {
 		t.Error("absurd info count decoded without error")
 	}
 }
@@ -167,7 +167,7 @@ func TestQuickDissemRoundTrip(t *testing.T) {
 		for i := 0; i < int(nInfos%32); i++ {
 			in.Infos = append(in.Infos, randomNodeInfo(r))
 		}
-		out, err := Unmarshal(Marshal(in))
+		out, err := new(Decoder).Unmarshal(Marshal(in))
 		if err != nil {
 			return false
 		}
@@ -193,7 +193,7 @@ func TestQuickScalarMessagesRoundTrip(t *testing.T) {
 			&Data{From: topo.NodeID(a), Origin: topo.NodeID(b), Seq: seq, Count: count},
 		}
 		for _, in := range msgs {
-			out, err := Unmarshal(Marshal(in))
+			out, err := new(Decoder).Unmarshal(Marshal(in))
 			if err != nil || !reflect.DeepEqual(in, out) {
 				return false
 			}
@@ -207,7 +207,7 @@ func TestQuickScalarMessagesRoundTrip(t *testing.T) {
 
 func TestQuickUnmarshalNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
-		_, _ = Unmarshal(data) // must not panic
+		_, _ = new(Decoder).Unmarshal(data) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
