@@ -10,16 +10,15 @@ import (
 	"slpdas/internal/wire"
 )
 
-// TestMergeInfosMatchesPerEntryModel merges random DISSEMs, each the
+// TestMergeInfosMatchesPerEntryMerge merges random DISSEMs, each the
 // sender's entry plus a random subset of the sender's neighbours, into
 // the receiver's table through the receive path's placement and the
 // edge's rank row, and checks the result against the per-entry merge on
 // a map keyed by node ID: the same entries, senderSlot, learned flag and
 // cache invalidation. Most DISSEMs list the neighbours ascending, as
 // buildDissem does; the rest reverse or shuffle them, which placement
-// must not depend on. After each merge, a cursor answers a run of lookups
-// as get does.
-func TestMergeInfosMatchesPerEntryModel(t *testing.T) {
+// must not depend on.
+func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 	side := math.Sqrt(500) * topo.DefaultSpacing
 	rgg, err := topo.RandomGeometric(500, side, side, 2.2*topo.DefaultSpacing, 1)
 	if err != nil {
@@ -111,14 +110,64 @@ func TestMergeInfosMatchesPerEntryModel(t *testing.T) {
 					t.Fatalf("iter %d: model holds %d entries, the table has room for %d", iter, len(model), len(nd.ninfo.ids))
 				}
 
-				cur := nd.ninfo.cursor()
-				for k := 0; k < 8; k++ {
-					id := topo.NodeID(rng.IntN(g.Len()+1) - 1)
+			}
+		})
+	}
+}
+
+// TestInfoCursorMatchesGet: on the two-hop tables of an 11×11 grid and a
+// 500-node RGG, part filled, a cursor answers any sequence of lookups —
+// ascending, repeated, descending or random, of members, of IDs outside
+// the table and of topo.None — exactly as a fresh binary search.
+func TestInfoCursorMatchesGet(t *testing.T) {
+	side := math.Sqrt(500) * topo.DefaultSpacing
+	rgg, err := topo.RandomGeometric(500, side, side, 2.2*topo.DefaultSpacing, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := topo.DefaultGrid(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topo.Graph{grid, rgg} {
+		t.Run(g.Name(), func(t *testing.T) {
+			net, err := NewNetwork(g, 0, 1, Default(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := net.buildInfoTables(); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(3, 4))
+			for iter := 0; iter < 2000; iter++ {
+				tab := &net.nodes[rng.IntN(g.Len())].ninfo
+				tab.reset()
+				for k := range tab.infos {
 					if rng.IntN(2) == 0 {
-						id = nd.ninfo.ids[rng.IntN(len(nd.ninfo.ids))]
+						tab.infos[k] = info{hop: rng.Int32N(5), slot: rng.Int32N(5) - 1, seen: rng.Uint32N(6) + 1}
 					}
+				}
+				ids := make([]topo.NodeID, 40)
+				for k := range ids {
+					ids[k] = topo.NodeID(rng.IntN(g.Len()+1) - 1)
+					if rng.IntN(2) == 0 {
+						ids[k] = tab.ids[rng.IntN(len(tab.ids))]
+					}
+				}
+				switch iter % 4 {
+				case 0: // ascending, as the protocol's lookups run
+					slices.Sort(ids)
+				case 1: // ascending with a repeated run
+					slices.Sort(ids)
+					ids = append(ids, ids[len(ids)/2:]...)
+				case 2: // descending
+					slices.Sort(ids)
+					slices.Reverse(ids)
+				}
+				cur := tab.cursor()
+				for k, id := range ids {
 					got, gotOK := cur.get(id)
-					want, wantOK := nd.ninfo.get(id)
+					want, wantOK := tab.get(id)
 					if got != want || gotOK != wantOK {
 						t.Fatalf("iter %d lookup %d of %d: cursor (%v, %v), get (%v, %v)", iter, k, id, got, gotOK, want, wantOK)
 					}
