@@ -241,3 +241,55 @@ func stderrOf(t *testing.T, args []string) (int, string) {
 	r.Close()
 	return code, string(msg)
 }
+
+// TestCLICampaignGoldens pins the CLI's bytes to the repository goldens
+// that campaign.Run's own tests pin: the repeat-heavy sweep-compat
+// campaign written to stdout, and the every-column campaign written to a
+// CSV file.
+func TestCLICampaignGoldens(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "all.csv")
+	for _, c := range []struct {
+		golden, out string
+		args        []string
+	}{
+		{"sweep_compat.golden", "", []string{"-sizes", "5,7", "-sd", "2", "-collisions", "false,true", "-repeats", "12", "-seed", "7", "-quiet"}},
+		{"campaign_columns.csv.golden", out, []string{"-sizes", "5", "-sd", "2", "-protocols", "protectionless,slp,phantom",
+			"-channels", "logdist:2.4:4@sinr:3", "-faults", "none,churn:0.25:2,blackout:0.6@2",
+			"-energy", "none,battery:8", "-repeats", "3", "-seed", "13", "-quiet", "-out", out}},
+	} {
+		want := readFile(t, filepath.Join("..", "..", "testdata", c.golden))
+		got, code := stdoutOf(t, c.args)
+		if code != 0 {
+			t.Fatalf("slpsweep %v exited %d", c.args, code)
+		}
+		if c.out != "" {
+			got = readFile(t, c.out)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("slpsweep %v output diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", c.args, c.golden, got, want)
+		}
+	}
+}
+
+// stdoutOf runs the CLI with args and returns what it wrote to standard
+// output, and its exit code.
+func stdoutOf(t *testing.T, args []string) ([]byte, int) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	code := run(args)
+	os.Stdout = saved
+	w.Close()
+	out := <-done
+	r.Close()
+	return out, code
+}
