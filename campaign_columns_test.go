@@ -16,7 +16,7 @@ var updateColumns = flag.Bool("update", false, "rewrite testdata/campaign_column
 // columnsSpec is the campaign behind the column goldens, the library form
 // of
 //
-//	slpsweep -sizes 5 -sd 2 -protocols protectionless,slp,phantom \
+//	slpsim campaign -sizes 5 -sd 2 -protocols protectionless,slp,phantom \
 //	    -channels logdist:2.4:4@sinr:3 -faults none,churn:0.25:2,blackout:0.6@2 \
 //	    -energy none,battery:8 -repeats 3 -seed 13
 //

@@ -1,8 +1,13 @@
 // Command slpsim drives the paper's evaluation (Section VI): it
 // regenerates Figure 5(a), Figure 5(b), Table I and the message-overhead
 // comparison, runs custom simulation batches, renders one grid run's
-// topology, slot map or attacker walk, and checks the schedule a run
-// builds with the paper's decision procedure (Algorithm 1).
+// topology, slot map or attacker walk, checks the schedule a run builds
+// with the paper's decision procedure (Algorithm 1), and runs whole
+// campaigns over every scenario axis. The paper's whole evaluation is one
+// campaign:
+//
+//	slpsim campaign -sizes 11,15,21 -protocols protectionless,slp -sd 3 \
+//	                -repeats 100 -out fig5a.jsonl
 //
 // Usage:
 //
@@ -16,6 +21,14 @@
 //	slpsim topo     SIMFLAGS [-show stats|hops|slots|walk]
 //	slpsim verify   SIMFLAGS [-decision first|any|unvisited] [-delta P]
 //	                [-allow-wait] [-map]
+//	slpsim campaign [-sizes 7,11] [-topologies grid|line:<n>|ring:<n>|rgg:<n>#<seed>,...]
+//	                [-protocols NAME,...] [-sd 1,3] [-attackers R,H,M[;R,H,M...]]
+//	                [-strategies NAME,...] [-nattackers 1,2,3] [-shared-history false,true]
+//	                [-channels SPEC,...] [-collisions false,true] [-faults SPEC,...]
+//	                [-energy SPEC,...] [-repeats N] [-seed S] [-workers W]
+//	                [-out results.jsonl] [-format jsonl|csv]
+//	                [-resume] [-shard i/n] [-checkpoint N] [-quiet]
+//	slpsim merge    [-out merged.jsonl] [-cells N] [-quiet] SHARD...
 //	slpsim protocols
 //	slpsim strategies
 //
@@ -34,6 +47,14 @@
 // exits 2 with a message naming the flag; so does a flag the output does
 // not depend on: topo -show stats|hops reads only -size, and verify's one
 // attacker takes no -strategy, -nattackers or -shared-history.
+//
+// campaign takes each axis as a list of the values SIMFLAGS take one of,
+// and writes one row per cell; the same flags and seed give byte-identical
+// rows whatever -workers is. An empty axis list exits 2, like a value
+// below its floor. merge reassembles the outputs of 'campaign -shard i/n'
+// into the file one unsharded campaign writes; it is the one command that
+// takes positional arguments, the shard files, and a flag after them
+// exits 2.
 package main
 
 import (
@@ -79,6 +100,10 @@ func run(args []string) int {
 		err = runVerify(args[1:])
 	case "sweep":
 		err = runSweep(args[1:])
+	case "campaign":
+		err = runCampaign(args[1:])
+	case "merge":
+		err = runMerge(args[1:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -105,15 +130,19 @@ type usageError struct{ error }
 
 // parseFlags parses a command's flags and rejects positional arguments,
 // which flag stops at and would otherwise drop silently, together with
-// every flag after them. -h returns flag.ErrHelp unwrapped.
+// every flag after them. merge alone takes positional arguments, its
+// shard files, and rejects only those that look like a flag. -h returns
+// flag.ErrHelp unwrapped.
 func parseFlags(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return err
 	} else if err != nil {
 		return usageError{err}
 	}
-	if fs.NArg() > 0 {
-		return usageError{fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))}
+	for _, a := range fs.Args() {
+		if fs.Name() != "merge" || strings.HasPrefix(a, "-") {
+			return usageError{fmt.Errorf("%s: unexpected argument %q", fs.Name(), a)}
+		}
 	}
 	return nil
 }
@@ -156,23 +185,12 @@ commands:
   topo      render one grid run: -show stats | hops | slots | walk
   verify    check a run's schedule with Algorithm 1
   sweep     ablations: -what sd | attacker | strategy | loss
+  campaign  run every cell of a scenario grid to JSONL or CSV (-resume, -shard)
+  merge     reassemble sharded campaign outputs: merge [-out F] [-cells N] SHARD...
   protocols   list the routing protocols
   strategies  list the attacker strategies
 
 run 'slpsim <command> -h' for the command's flags.`)
-}
-
-func parseSizes(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	sizes := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q", p)
-		}
-		sizes = append(sizes, v)
-	}
-	return sizes, nil
 }
 
 // runFigure5 runs fig5a or fig5b, named by name: Figure 5's panel for the
@@ -186,16 +204,13 @@ func runFigure5(name string, searchDistance int, args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	sizes, err := parseSizes(*sizesArg)
-	if err != nil {
-		return usageError{fmt.Errorf("%s: -sizes: %w", fs.Name(), err)}
-	}
-	floors := []floor{{"-repeats", *repeats, 1}}
-	for _, size := range sizes {
-		floors = append(floors, floor{"-sizes", size, 2})
-	}
-	if err := atLeast(fs, floors...); err != nil {
+	if err := atLeast(fs, floor{"-repeats", *repeats, 1}); err != nil {
 		return err
+	}
+	l := lists{fs: fs}
+	sizes := l.ints("sizes", *sizesArg, 2)
+	if l.err != nil {
+		return l.err
 	}
 	fmt.Printf("Figure 5(%s): capture ratio, search distance %d, %d repeats/cell\n\n",
 		strings.TrimPrefix(name, "fig5"), searchDistance, *repeats)

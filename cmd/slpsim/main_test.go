@@ -108,9 +108,11 @@ func TestRunRejectsFaultOnMissingNode(t *testing.T) {
 }
 
 // TestCLIRejectsStrayArguments: a positional argument, which flag would
-// stop at and drop with every flag after it, fails every command with
-// exit 2 and a message naming it. Each command is its own subtest.
+// stop at and drop with every flag after it, fails every command but
+// merge with exit 2 and a message naming it, before any output file is
+// written. Each command is its own subtest.
 func TestCLIRejectsStrayArguments(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "x.jsonl")
 	for _, c := range []struct {
 		cmd  string
 		rows [][]string
@@ -122,6 +124,8 @@ func TestCLIRejectsStrayArguments(t *testing.T) {
 		{"run", [][]string{{"-size", "5", "-repeats", "1", "stray", "-repeats", "99"}}},
 		{"topo", [][]string{{"stray"}, {"-size", "5", "stray"}, {"-size", "5", "stray", "-seed", "2"}}},
 		{"verify", [][]string{{"stray"}, {"-size", "5", "stray"}, {"-size", "5", "stray", "-seed", "2"}}},
+		{"campaign", [][]string{{"-sizes", "5", "-sd", "2", "-repeats", "1", "-quiet", "-out", out, "stray", "-repeats", "99"},
+			{"-quiet", "-out", out, "stray"}}},
 		{"table1", [][]string{{"stray"}}},
 		{"protocols", [][]string{{"stray"}}},
 		{"strategies", [][]string{{"stray"}}},
@@ -139,6 +143,9 @@ func TestCLIRejectsStrayArguments(t *testing.T) {
 				if len(stdout) != 0 {
 					t.Errorf("slpsim %v printed before refusing:\n%s", args, stdout)
 				}
+				if _, err := os.Stat(out); !os.IsNotExist(err) {
+					t.Errorf("slpsim %v created %s before refusing", args, out)
+				}
 			}
 		})
 	}
@@ -149,11 +156,16 @@ func TestCLIRejectsStrayArguments(t *testing.T) {
 // default, or a flag the command's output does not depend on, exits 2
 // naming the flag instead of simulating a different run than the header
 // reports. run, topo and verify share the simulation flags, so each
-// shared check is exercised through all three.
+// shared check is exercised through all three. campaign and merge refuse
+// before writing their output file.
 func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 	type row struct {
 		args []string
 		msg  string
+	}
+	out := filepath.Join(t.TempDir(), "x.jsonl")
+	campaign := func(flags ...string) []string {
+		return append(append([]string{"campaign"}, flags...), "-out", out)
 	}
 	rows := []row{
 		{[]string{"run", "-size", "5", "-repeats", "0"}, "-repeats must be at least 1"},
@@ -161,8 +173,8 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		{[]string{"verify", "-size", "5", "-decision", "bogus"}, `unknown -decision "bogus"`},
 		{[]string{"topo", "-size", "5", "-show", "bogus"}, `unknown -show "bogus"`},
 		{[]string{"sweep", "-what", "bogus"}, `unknown -what "bogus"`},
-		{[]string{"fig5a", "-sizes", "5,x", "-repeats", "1"}, `fig5a: -sizes: bad size "x"`},
-		{[]string{"fig5b", "-sizes", "5,x", "-repeats", "1"}, `fig5b: -sizes: bad size "x"`},
+		{[]string{"fig5a", "-sizes", "5,x", "-repeats", "1"}, `fig5a: -sizes: bad integer "x"`},
+		{[]string{"fig5b", "-sizes", "5,x", "-repeats", "1"}, `fig5b: -sizes: bad integer "x"`},
 		// Values below a floor, refused before the header prints.
 		{[]string{"fig5a", "-repeats", "0", "-sizes", "5"}, "fig5a: -repeats must be at least 1"},
 		{[]string{"fig5b", "-sizes", "5,1", "-repeats", "1"}, "fig5b: -sizes must be at least 2, got 1"},
@@ -184,7 +196,37 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		{[]string{"sweep", "-what", "attacker", "-size", "5", "-repeats", "7"}, "sweep: -repeats has no effect: -what attacker checks each attacker exhaustively, once"},
 		{[]string{"sweep", "-what", "sd", "-size", "5", "-repeats", "2", "-sd", "5"}, "sweep: -sd has no effect: -what sd sweeps the search distance from 1 to 7"},
 		{[]string{"sweep", "-sd", "3", "-size", "5", "-repeats", "2"}, "sweep: -sd has no effect"},
+		{[]string{"fig5a", "-sizes", ",", "-repeats", "1"}, "fig5a: -sizes: empty list"},
+		// campaign's floors: below them campaign.Spec would replace the
+		// value with its default, or the engine would fail without
+		// naming the flag.
+		{campaign("-nattackers", "0"), "campaign: -nattackers must be at least 1, got 0"},
+		{campaign("-nattackers", "1,-2"), "campaign: -nattackers must be at least 1, got -2"},
+		{campaign("-sizes", "1"), "campaign: -sizes must be at least 2, got 1"},
+		{campaign("-sizes", "5,x"), `campaign: -sizes: bad integer "x"`},
+		{campaign("-sd", "0"), "campaign: -sd must be at least 1, got 0"},
+		{campaign("-attackers", "0,0,0"), "campaign: -attackers R must be at least 1, got 0"},
+		{campaign("-attackers", "1,0,1;2,1,0"), "campaign: -attackers M must be at least 1, got 0"},
+		{campaign("-attackers", "1,0,1,5"), `campaign: -attackers: bad attacker tuple "1,0,1,5"`},
+		{campaign("-workers", "-3"), "campaign: -workers must be at least 0, got -3"},
+		{campaign("-checkpoint", "-1"), "campaign: -checkpoint must be at least 0, got -1"},
+		{campaign("-repeats", "0"), "campaign: -repeats must be at least 1, got 0"},
+		{campaign("-collisions", "maybe"), `campaign: -collisions: bad value "maybe"`},
+		{campaign("-topologies", "line"), `campaign: -topologies: bad topology "line"`},
+		{campaign("-format", "xml"), `campaign: unknown -format "xml"`},
+		{campaign("-shard", "1"), `campaign: -shard: bad shard "1"`},
+		{[]string{"campaign", "-resume"}, "campaign: -resume requires -out"},
+		// merge's input errors.
+		{[]string{"merge", "-cells", "-1", "a.jsonl"}, "merge: -cells must be at least 0, got -1"},
+		{[]string{"merge", "a.jsonl", "-out", out}, `merge: unexpected argument "-out"`},
+		{[]string{"merge", "-quiet"}, "merge: no shard files given"},
 	}
+	// An empty list on any campaign axis would run the default axis.
+	for _, axis := range []string{"sizes", "topologies", "protocols", "sd", "strategies", "nattackers",
+		"shared-history", "channels", "collisions", "faults", "energy"} {
+		rows = append(rows, row{campaign("-"+axis, ","), "campaign: -" + axis + ": empty list"})
+	}
+	rows = append(rows, row{campaign("-attackers", " ; "), "campaign: -attackers: empty list"})
 	for _, cmd := range []string{"run", "topo", "verify"} {
 		for _, r := range []row{
 			{[]string{"-size", "5", "-protocol", "bogus"}, `unknown protocol "bogus"`},
@@ -211,13 +253,16 @@ func TestRunRejectsValuesSimConfigWouldReplace(t *testing.T) {
 		if len(stdout) != 0 {
 			t.Errorf("slpsim %v printed before refusing:\n%s", r.args, stdout)
 		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Fatalf("slpsim %v created %s before refusing", r.args, out)
+		}
 	}
 }
 
 // TestCLIHelpExitsZero: -h prints a command's flags and exits 0, like
 // 'slpsim -h', without an error line. Each command is its own subtest.
 func TestCLIHelpExitsZero(t *testing.T) {
-	for _, cmd := range []string{"fig5a", "fig5b", "table1", "overhead", "sweep", "run", "topo", "verify", "protocols", "strategies"} {
+	for _, cmd := range []string{"fig5a", "fig5b", "table1", "overhead", "sweep", "run", "topo", "verify", "campaign", "merge", "protocols", "strategies"} {
 		t.Run(cmd, func(t *testing.T) {
 			stdout, stderr, code := capture(t, []string{cmd, "-h"})
 			if code != 0 {

@@ -21,12 +21,12 @@
 //     through one shared worker pool and streams per-cell rows to JSONL
 //     or CSV sinks with durable checkpoints; campaigns resume after a
 //     kill and shard across processes or machines with byte-identical
-//     output, driven from the command line by cmd/slpsweep (-resume,
-//     -shard) and reassembled by cmd/slpmerge.
+//     output, driven from the command line by slpsim campaign (-resume,
+//     -shard) and reassembled by slpsim merge.
 //
 // This package exports nothing. The paper's figures and tables come from
-// cmd/slpsim (fig5a, fig5b, table1, overhead, sweep, run, topo, verify)
-// and campaigns from cmd/slpsweep. The package examples in
+// cmd/slpsim (fig5a, fig5b, table1, overhead, sweep, run, topo, verify),
+// and so do campaigns (campaign, merge). The package examples in
 // example_test.go show library use and pin every line they print; the
 // golden tests beside them (testdata/*.golden) pin Figure 5 and campaign
 // output byte for byte. DESIGN.md maps every paper artefact to the module

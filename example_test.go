@@ -91,7 +91,7 @@ func Example_campaign() {
 		// Flush the sink every other cell: if this process dies,
 		// everything up to the last checkpoint is already durable in
 		// results.jsonl, and re-running with the completed cells skipped
-		// (Spec.ScanResumable + Spec.Skip, or slpsweep -resume) appends
+		// (Spec.ScanResumable + Spec.Skip, or slpsim campaign -resume) appends
 		// only what is missing.
 		CheckpointEvery: 2,
 		Progress: func(done, total int, row campaign.Row) {

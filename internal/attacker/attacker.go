@@ -337,9 +337,6 @@ func (a *Attacker) relocate(next topo.NodeID, now time.Duration) {
 	a.checkCapture(now)
 }
 
-// Current returns the attacker's current node.
-func (a *Attacker) Current() topo.NodeID { return a.cur }
-
 // Captured reports whether the source has been reached, and when.
 func (a *Attacker) Captured() (bool, time.Duration) { return a.captured, a.capAt }
 

@@ -59,8 +59,8 @@ func TestInactiveAttackerIgnoresTraffic(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 4 {
-		t.Errorf("inactive attacker moved to %d", a.Current())
+	if a.cur != 4 {
+		t.Errorf("inactive attacker moved to %d", a.cur)
 	}
 }
 
@@ -72,8 +72,8 @@ func TestFollowsFirstHeardTransmission(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 3 {
-		t.Errorf("attacker at %d, want 3", a.Current())
+	if a.cur != 3 {
+		t.Errorf("attacker at %d, want 3", a.cur)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestOneMovePerPeriod(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 3 {
-		t.Errorf("attacker at %d, want 3 (M=1 exhausted)", a.Current())
+	if a.cur != 3 {
+		t.Errorf("attacker at %d, want 3 (M=1 exhausted)", a.cur)
 	}
 	// After a period reset it may move again.
 	a.NextPeriod()
@@ -95,8 +95,8 @@ func TestOneMovePerPeriod(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 2 {
-		t.Errorf("attacker at %d after period reset, want 2", a.Current())
+	if a.cur != 2 {
+		t.Errorf("attacker at %d after period reset, want 2", a.cur)
 	}
 }
 
@@ -146,15 +146,15 @@ func TestRBoundsMessageBuffer(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 4 {
+	if a.cur != 4 {
 		t.Errorf("moved after one message with R=2")
 	}
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 3 {
-		t.Errorf("attacker at %d, want 3 after R messages", a.Current())
+	if a.cur != 3 {
+		t.Errorf("attacker at %d, want 3 after R messages", a.cur)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestPeriodResetDiscardsPartialBuffer(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 4 {
-		t.Errorf("attacker moved on a stale buffer: at %d", a.Current())
+	if a.cur != 4 {
+		t.Errorf("attacker moved on a stale buffer: at %d", a.cur)
 	}
 }
 
@@ -230,8 +230,8 @@ func TestHistoryNotPollutedByStaysAndRejectedMoves(t *testing.T) {
 	if calls != 4 {
 		t.Fatalf("decision called %d times, want 4", calls)
 	}
-	if a.Current() != 3 {
-		t.Fatalf("attacker at %d, want 3", a.Current())
+	if a.cur != 3 {
+		t.Fatalf("attacker at %d, want 3", a.cur)
 	}
 	h := a.History()
 	if len(h) != 1 || h[0] != 4 {
@@ -249,8 +249,8 @@ func TestMMovesWithinOnePeriod(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 2 {
-		t.Errorf("attacker at %d, want 2 (two moves, then budget spent)", a.Current())
+	if a.cur != 2 {
+		t.Errorf("attacker at %d, want 2 (two moves, then budget spent)", a.cur)
 	}
 }
 
@@ -265,8 +265,8 @@ func TestCannotTeleportToUnheardNeighbour(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 4 {
-		t.Errorf("attacker teleported to %d", a.Current())
+	if a.cur != 4 {
+		t.Errorf("attacker teleported to %d", a.cur)
 	}
 }
 
@@ -279,8 +279,8 @@ func TestStayingConsumesMove(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 4 {
-		t.Errorf("attacker at %d, want 4 (stayed)", a.Current())
+	if a.cur != 4 {
+		t.Errorf("attacker at %d, want 4 (stayed)", a.cur)
 	}
 	if len(a.Path()) != 1 {
 		t.Errorf("path = %v, want only the start", a.Path())
@@ -344,8 +344,8 @@ func TestStartAtSourceStayDecisionStaysCaptured(t *testing.T) {
 	if captured, _ := a.Captured(); !captured || fired != 1 {
 		t.Errorf("captured=%v fired=%d, want captured exactly once", captured, fired)
 	}
-	if a.Current() != 0 || len(a.Path()) != 1 {
-		t.Errorf("attacker moved after capture: at %d path %v", a.Current(), a.Path())
+	if a.cur != 0 || len(a.Path()) != 1 {
+		t.Errorf("attacker moved after capture: at %d path %v", a.cur, a.Path())
 	}
 }
 
@@ -356,8 +356,8 @@ func TestRandomHeardStaysWithinHeardSet(t *testing.T) {
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Current() != 3 {
-		t.Errorf("attacker at %d, want 3 (only heard origin)", a.Current())
+	if a.cur != 3 {
+		t.Errorf("attacker at %d, want 3 (only heard origin)", a.cur)
 	}
 }
 

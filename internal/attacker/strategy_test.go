@@ -78,12 +78,12 @@ func TestPatientIntegrationWithR(t *testing.T) {
 	a.Activate()
 	a.Overhear(obsFrom(2, time.Second))
 	a.Overhear(obsFrom(3, 2*time.Second))
-	if a.Current() != 4 {
-		t.Fatalf("moved before the R-buffer filled: at %d", a.Current())
+	if a.cur != 4 {
+		t.Fatalf("moved before the R-buffer filled: at %d", a.cur)
 	}
 	a.Overhear(obsFrom(3, 3*time.Second))
-	if a.Current() != 3 {
-		t.Errorf("patient attacker at %d, want 3", a.Current())
+	if a.cur != 3 {
+		t.Errorf("patient attacker at %d, want 3", a.cur)
 	}
 }
 
@@ -124,18 +124,18 @@ func TestBacktrackAttackerWalksBackThroughNextPeriod(t *testing.T) {
 	a.Activate()
 	// Hear node 3 directly (simulate the observation path via Overhear).
 	a.Overhear(obsFrom(3, time.Second))
-	if a.Current() != 3 {
-		t.Fatalf("attacker at %d, want 3", a.Current())
+	if a.cur != 3 {
+		t.Fatalf("attacker at %d, want 3", a.cur)
 	}
 	// A period that yielded a move: boundary does not retreat.
 	a.NextPeriodAt(5 * time.Second)
-	if a.Current() != 3 {
-		t.Fatalf("retreated after an active period: at %d", a.Current())
+	if a.cur != 3 {
+		t.Fatalf("retreated after an active period: at %d", a.cur)
 	}
 	// A silent period: the boundary retreat returns to 4.
 	a.NextPeriodAt(10 * time.Second)
-	if a.Current() != 4 {
-		t.Errorf("attacker at %d after silent period, want 4 (backtracked)", a.Current())
+	if a.cur != 4 {
+		t.Errorf("attacker at %d after silent period, want 4 (backtracked)", a.cur)
 	}
 	wantPath := []topo.NodeID{4, 3, 4}
 	path := a.Path()
@@ -214,8 +214,8 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 	a0, a1 := mk(0), mk(1)
 	// a0 moves 4 -> 3: the shared window now holds the departure 4.
 	a0.Overhear(obsFrom(3, time.Second))
-	if a0.Current() != 3 {
-		t.Fatalf("a0 at %d, want 3", a0.Current())
+	if a0.cur != 3 {
+		t.Fatalf("a0 at %d, want 3", a0.cur)
 	}
 	h := a1.History()
 	if len(h) != 1 || h[0] != 4 {
@@ -223,8 +223,8 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 	}
 	// a1 hears 4 (visited by the team) then 3: unvisited-first takes 3.
 	a1.Overhear(obsFrom(3, 2*time.Second))
-	if a1.Current() != 3 {
-		t.Errorf("a1 at %d, want 3", a1.Current())
+	if a1.cur != 3 {
+		t.Errorf("a1 at %d, want 3", a1.cur)
 	}
 	if h := shared.Snapshot(); len(h) != 2 || h[0] != 4 || h[1] != 4 {
 		t.Errorf("shared window = %v, want [4 4] (both departures)", h)

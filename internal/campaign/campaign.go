@@ -114,7 +114,7 @@ type Spec struct {
 	// stride layout (cell c runs on shard c mod Count), so shards of a
 	// heterogeneous matrix finish in near-equal time. The zero value runs
 	// everything. Shard composes with Skip, and merges back with
-	// MergeJSONL / cmd/slpmerge.
+	// MergeJSONL / slpsim merge.
 	Shard Shard
 	// CheckpointEvery, when positive, flushes every sink after each N
 	// emitted rows, bounding how much a crash can lose to the rows since

@@ -26,7 +26,7 @@ import (
 //     the campaign seed implied by its (cell, base_seed) pair, i.e. all
 //     sources must come from the same Spec and seed layout;
 //   - no torn tails: a source ending mid-line is an incomplete shard —
-//     finish it (slpsweep -resume) before merging.
+//     finish it (slpsim campaign -resume) before merging.
 //
 // Rows are copied byte-for-byte from the sources, so the merged stream is
 // exactly what a single-process run of the full Spec would have written.

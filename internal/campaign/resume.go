@@ -19,7 +19,7 @@ import (
 // fragment, and a flush that happened to end exactly on a line boundary
 // leaves none; both resume cleanly. The byte offset just past the last
 // complete line is reported so callers can truncate the torn tail before
-// appending (slpsweep -resume does exactly that).
+// appending (slpsim campaign -resume does exactly that).
 
 // ReadRows parses the complete rows of a campaign output in the given
 // format ("jsonl" or "csv", "" = jsonl), tolerating a torn final line
@@ -94,7 +94,7 @@ func scanRows(r io.Reader, format string, fn func(line int, row Row) error) (int
 // truncate to. A resume attempted with a mistyped seed, a changed axis
 // flag, the wrong file or a file with duplicated or reordered rows fails
 // here with the first problem, instead of silently producing a file that
-// mixes two campaigns or that slpmerge would reject. Rows are checked as
+// mixes two campaigns or that slpsim merge would reject. Rows are checked as
 // they stream, so memory is one bit per cell, not one Row.
 func (s Spec) ScanResumable(r io.Reader, format string) (map[int]bool, int64, error) {
 	cells, err := s.Expand()

@@ -511,7 +511,7 @@ func TestScanResumableEnforcesShard(t *testing.T) {
 // TestScanResumableRejectsDisorderedRows: Run writes each cell once, in
 // increasing order, so a file that repeats or reorders cells was not
 // written by one run of the spec. Resuming it would leave a file that
-// slpmerge rejects; ScanResumable must refuse it, naming the line and
+// slpsim merge rejects; ScanResumable must refuse it, naming the line and
 // both cells.
 func TestScanResumableRejectsDisorderedRows(t *testing.T) {
 	spec := Spec{GridSizes: []int{5}, Protocols: []string{protocol.NameProtectionless, protocol.AliasSLP}, SearchDistances: []int{1, 2}, Repeats: 2, BaseSeed: 3}

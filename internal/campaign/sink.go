@@ -300,7 +300,7 @@ func NewCSV(w io.Writer) *CSV {
 }
 
 // NewCSVAppend wraps w in a CSV sink that never writes the header — for
-// appending to a file that already carries one, as slpsweep -resume does.
+// appending to a file that already carries one, as slpsim campaign -resume does.
 func NewCSVAppend(w io.Writer) *CSV {
 	s := NewCSV(w)
 	s.wroteFirst = true

@@ -49,9 +49,9 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 					models[r] = model
 				}
 				if rng.IntN(4) == 0 {
-					nd.addNeighbour(g.Neighbors(r)[rng.IntN(g.Degree(r))])
+					nd.addNeighbour(g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))])
 				}
-				s := g.Neighbors(r)[rng.IntN(g.Degree(r))]
+				s := g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))]
 				e := slices.Index(g.Neighbors(s), r)
 				entry := func(id topo.NodeID) wire.NodeInfo {
 					return wire.NodeInfo{Node: id, Hop: rng.Int32N(5) - 1, Slot: rng.Int32N(5) - 1, Version: rng.Uint32N(6)}

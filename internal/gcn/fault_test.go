@@ -27,19 +27,19 @@ func TestFailStopsComputation(t *testing.T) {
 	tm.Set(time.Second)
 	p.Fail()
 
-	if !p.Dead() {
+	if !p.dead {
 		t.Fatal("Dead() false after Fail")
 	}
-	if p.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d after Fail, want 0 (volatile state dies)", p.QueueLen())
+	if queueLen(p) != 0 {
+		t.Errorf("queue = %d after Fail, want 0 (volatile state dies)", queueLen(p))
 	}
 	if tm.Pending() {
 		t.Error("timer still armed after Fail")
 	}
 
 	e.Deliver(p, 2, "while dead")
-	if p.QueueLen() != 0 {
-		t.Errorf("Deliver enqueued %d messages on a dead process", p.QueueLen())
+	if queueLen(p) != 0 {
+		t.Errorf("Deliver enqueued %d messages on a dead process", queueLen(p))
 	}
 	e.Kickstart(p)
 	if err := sim.Run(); err != nil {
@@ -62,7 +62,7 @@ func TestReviveRestartsProcess(t *testing.T) {
 	p.Fail()
 	e.Deliver(p, 2, "lost")
 	p.Revive()
-	if p.Dead() {
+	if p.dead {
 		t.Fatal("Dead() true after Revive")
 	}
 	e.Deliver(p, 2, "heard")
@@ -80,7 +80,7 @@ func TestResetClearsDead(t *testing.T) {
 	p := newProcess(e, 1, &node{})
 	p.Fail()
 	e.Reset()
-	if p.Dead() {
+	if p.dead {
 		t.Error("dead flag survived Reset")
 	}
 }

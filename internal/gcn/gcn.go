@@ -147,9 +147,6 @@ func (t *Timer[C]) Stop() {
 	t.expired = false
 }
 
-// Expired reports whether the timer has fired and not yet been consumed.
-func (t *Timer[C]) Expired() bool { return t.expired }
-
 // Pending reports whether the timer is armed and counting down.
 func (t *Timer[C]) Pending() bool { return t.event.Pending() }
 
@@ -181,14 +178,8 @@ func (p *Process[C]) ID() topo.NodeID { return p.id }
 // Timer returns the process's instance of program timer id.
 func (p *Process[C]) Timer(id TimerID) *Timer[C] { return &p.timers[id] }
 
-// Dropped returns the number of unhandled messages discarded.
-func (p *Process[C]) Dropped() uint64 { return p.dropped }
-
 // Err returns the sticky error if the process overran its step budget.
 func (p *Process[C]) Err() error { return p.failed }
-
-// QueueLen returns the number of undelivered messages in the channel.
-func (p *Process[C]) QueueLen() int { return len(p.inbox) - p.inboxHead }
 
 // clearInbox empties the channel variable, releasing message references.
 func (p *Process[C]) clearInbox() {
@@ -214,9 +205,6 @@ func (p *Process[C]) Fail() {
 // runtime restarts it with an empty channel and no armed timers, like a
 // node rebooting from ROM.
 func (p *Process[C]) Revive() { p.dead = false }
-
-// Dead reports whether the process is crashed (Fail without Revive).
-func (p *Process[C]) Dead() bool { return p.dead }
 
 // Reset rewinds the process for a fresh run: the channel variable is
 // emptied, drop/failure accounting cleared and every timer disarmed. The

@@ -36,6 +36,9 @@ func byType(m Message) int {
 func oneKey(Message) int { return 0 }
 
 // newProcess hosts a process of its own on c.
+// queueLen is the number of undelivered messages in p's channel.
+func queueLen[C any](p *Process[C]) int { return len(p.inbox) - p.inboxHead }
+
 func newProcess(e *Engine[*node], id topo.NodeID, c *node) *Process[*node] {
 	p := new(Process[*node])
 	e.Host(p, id, c)
@@ -67,15 +70,15 @@ func TestUnmatchedMessageDropped(t *testing.T) {
 	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 	e.Deliver(p, 2, pong{9}) // key past the receive table
-	if p.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", p.Dropped())
+	if p.dropped != 1 {
+		t.Errorf("dropped = %d, want 1", p.dropped)
 	}
-	if p.QueueLen() != 0 {
-		t.Errorf("QueueLen = %d, want 0", p.QueueLen())
+	if queueLen(p) != 0 {
+		t.Errorf("queue = %d, want 0", queueLen(p))
 	}
 	e.Deliver(p, 2, "neither") // negative key
-	if p.Dropped() != 2 || p.QueueLen() != 0 {
-		t.Errorf("Dropped = %d QueueLen = %d, want 2 and 0", p.Dropped(), p.QueueLen())
+	if p.dropped != 2 || queueLen(p) != 0 {
+		t.Errorf("dropped = %d queue = %d, want 2 and 0", p.dropped, queueLen(p))
 	}
 }
 
@@ -99,8 +102,8 @@ func TestReceiveKeyHoldsOneAction(t *testing.T) {
 	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 	e.Deliver(p, 2, ping{1})
-	if p.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1 for a key with no action", p.Dropped())
+	if p.dropped != 1 {
+		t.Errorf("dropped = %d, want 1 for a key with no action", p.dropped)
 	}
 }
 
@@ -123,8 +126,8 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 	if !errors.Is(p.Err(), ErrStepBudget) {
 		t.Errorf("Err = %v, want ErrStepBudget (60 unmatched drops vs budget 50)", p.Err())
 	}
-	if p.Dropped() != 50 {
-		t.Errorf("Dropped = %d, want 50 (one drop per budgeted step)", p.Dropped())
+	if p.dropped != 50 {
+		t.Errorf("dropped = %d, want 50 (one drop per budgeted step)", p.dropped)
 	}
 	// A flood within budget drains cleanly, still counting every drop.
 	e2 := NewEngine(des.New(), prog)
@@ -137,8 +140,8 @@ func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
 	if p2.Err() != nil {
 		t.Errorf("Err = %v, want nil for a flood within budget", p2.Err())
 	}
-	if p2.Dropped() != 40 || p2.QueueLen() != 0 {
-		t.Errorf("Dropped = %d QueueLen = %d, want 40 drained", p2.Dropped(), p2.QueueLen())
+	if p2.dropped != 40 || queueLen(p2) != 0 {
+		t.Errorf("dropped = %d queue = %d, want 40 drained", p2.dropped, queueLen(p2))
 	}
 }
 
@@ -180,7 +183,7 @@ func TestGuardActionRunsAfterChannelDrains(t *testing.T) {
 	processed := false
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { received++ })
 	prog.Guard("process", func(*node) bool { return received >= 2 && !processed }, func(*node) {
-		if p.QueueLen() != 0 {
+		if queueLen(p) != 0 {
 			t.Error("guard ran with non-empty channel")
 		}
 		processed = true
@@ -311,7 +314,7 @@ func TestStepBudgetProtectsAgainstLivelock(t *testing.T) {
 	}
 	// A failed process ignores further stimuli instead of looping again.
 	e.Deliver(p, 2, ping{1})
-	if p.QueueLen() != 1 {
+	if queueLen(p) != 1 {
 		t.Errorf("failed process consumed a message")
 	}
 }
@@ -481,11 +484,11 @@ func TestEngineResetRewindsProcesses(t *testing.T) {
 
 	sim.Reset()
 	e.Reset()
-	if p.Err() != nil || p.Dropped() != 0 || p.QueueLen() != 0 {
-		t.Errorf("after Reset: err=%v dropped=%d queue=%d", p.Err(), p.Dropped(), p.QueueLen())
+	if p.Err() != nil || p.dropped != 0 || queueLen(p) != 0 {
+		t.Errorf("after Reset: err=%v dropped=%d queue=%d", p.Err(), p.dropped, queueLen(p))
 	}
-	if tm.Pending() || tm.Expired() {
-		t.Errorf("timer survived Reset: pending=%v expired=%v", tm.Pending(), tm.Expired())
+	if tm.Pending() || tm.expired {
+		t.Errorf("timer survived Reset: pending=%v expired=%v", tm.Pending(), tm.expired)
 	}
 	got = got[:0]
 	e.Deliver(p, 2, ping{42})

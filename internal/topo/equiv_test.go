@@ -164,7 +164,7 @@ func TestNewGraphRejectsNonFinite(t *testing.T) {
 			g, err := NewGraph(tc.name, tc.positions, tc.r)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("NewGraph(%s) accepted non-finite input; degree(0)=%d", tc.name, g.Degree(0))
+					t.Fatalf("NewGraph(%s) accepted non-finite input; degree(0)=%d", tc.name, len(g.adj[0]))
 				}
 				return
 			}

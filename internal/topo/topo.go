@@ -358,9 +358,6 @@ func (g *Graph) Position(n NodeID) Point { return g.positions[n] }
 // slice is shared and must not be modified.
 func (g *Graph) Neighbors(n NodeID) []NodeID { return g.adj[n] }
 
-// Degree returns the number of neighbours of n.
-func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
-
 // HasEdge reports whether nodes a and b are within communication range.
 func (g *Graph) HasEdge(a, b NodeID) bool {
 	if a == b {

@@ -52,10 +52,10 @@ func TestGridCardinalNeighboursOnly(t *testing.T) {
 
 func TestGridCornerDegree(t *testing.T) {
 	g := mustGrid(t, 11)
-	if got := g.Degree(GridTopLeft()); got != 2 {
+	if got := len(g.adj[GridTopLeft()]); got != 2 {
 		t.Errorf("corner degree = %d, want 2", got)
 	}
-	if got := g.Degree(GridCentre(11)); got != 4 {
+	if got := len(g.adj[GridCentre(11)]); got != 4 {
 		t.Errorf("centre degree = %d, want 4", got)
 	}
 }
@@ -263,8 +263,8 @@ func TestLineAndRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Line: %v", err)
 	}
-	if line.Degree(0) != 1 || line.Degree(5) != 2 {
-		t.Errorf("line degrees: end=%d mid=%d, want 1 and 2", line.Degree(0), line.Degree(5))
+	if len(line.adj[0]) != 1 || len(line.adj[5]) != 2 {
+		t.Errorf("line degrees: end=%d mid=%d, want 1 and 2", len(line.adj[0]), len(line.adj[5]))
 	}
 	if got := line.HopDistance(0, 9); got != 9 {
 		t.Errorf("line hop distance = %d, want 9", got)
@@ -275,8 +275,8 @@ func TestLineAndRing(t *testing.T) {
 		t.Fatalf("Ring: %v", err)
 	}
 	for n := NodeID(0); int(n) < ring.Len(); n++ {
-		if ring.Degree(n) != 2 {
-			t.Fatalf("ring node %d degree = %d, want 2", n, ring.Degree(n))
+		if len(ring.adj[n]) != 2 {
+			t.Fatalf("ring node %d degree = %d, want 2", n, len(ring.adj[n]))
 		}
 	}
 	if got := ring.HopDistance(0, 6); got != 6 {

@@ -11,8 +11,8 @@ import (
 	"slpdas/internal/protocol"
 )
 
-// The tests below drive the entry points cmd/slpsim and cmd/slpsweep
-// call, end to end on small grids: experiment.Run, campaign.BuildConfig,
+// The tests below drive the entry points the cmd/slpsim commands call,
+// end to end on small grids: experiment.Run, campaign.BuildConfig,
 // campaign.Run, experiment.RunFigure5, experiment.RunOverhead and
 // experiment.TableI.
 
