@@ -6,147 +6,31 @@
 //
 // Usage:
 //
-//	slplint [flags] [packages]
+//	slplint [packages]
 //
-//	-json                emit findings as a JSON array instead of text
-//	-enable a,b          run only the named analyzers
-//	-disable a,b         run all but the named analyzers
-//	-annotate-immutable  rewrite sources, tagging every field resetcomplete
-//	                     flags with a // lint:immutable: TODO(reason)
-//	                     annotation for human review (see DESIGN.md)
-//
-// Exit status: 0 when clean, 1 when findings exist, 2 on usage or load
-// errors.
+// The packages default to ./... . Exit status: 0 when clean, 1 when
+// findings exist, 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"slpdas/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
-	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
-	disable := flag.String("disable", "", "comma-separated analyzers to skip")
-	annotate := flag.Bool("annotate-immutable", false,
-		"insert // lint:immutable: TODO(reason) on fields resetcomplete flags, for review")
 	flag.Parse()
-
-	enabled, err := chooseAnalyzers(*enable, *disable)
+	findings, err := lint.Run(lint.Config{Dir: ".", Patterns: flag.Args()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "slplint:", err)
 		os.Exit(2)
 	}
-	if *annotate {
-		// The annotation helper is resetcomplete-only by construction.
-		enabled = map[string]bool{lint.ResetComplete.Name: true}
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	findings, err := lint.Run(lint.Config{Dir: ".", Patterns: patterns, Enabled: enabled})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "slplint:", err)
-		os.Exit(2)
-	}
-
-	if *annotate {
-		n, err := annotateImmutable(findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slplint:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("slplint: annotated %d field(s); replace each TODO(reason) with why the field is exempt from Reset\n", n)
-		return
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []lint.Finding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "slplint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// chooseAnalyzers folds -enable/-disable into the runner's Enabled set.
-func chooseAnalyzers(enable, disable string) (map[string]bool, error) {
-	if enable != "" && disable != "" {
-		return nil, fmt.Errorf("use -enable or -disable, not both")
-	}
-	if enable != "" {
-		return lint.ParseEnabled(enable)
-	}
-	if disable != "" {
-		skip, err := lint.ParseEnabled(disable)
-		if err != nil {
-			return nil, err
-		}
-		out := map[string]bool{}
-		for _, a := range lint.Analyzers() {
-			if !skip[a.Name] {
-				out[a.Name] = true
-			}
-		}
-		return out, nil
-	}
-	return nil, nil
-}
-
-// annotateImmutable appends the immutable annotation to each flagged
-// field's line. The tool never invents a justification: it writes
-// TODO(reason) and leaves the reason — the part with information content —
-// to the author, which is the whole -fix workflow documented in DESIGN.md.
-func annotateImmutable(findings []lint.Finding) (int, error) {
-	byFile := map[string][]int{}
-	for _, f := range findings {
-		if f.Analyzer == lint.ResetComplete.Name {
-			byFile[f.File] = append(byFile[f.File], f.Line)
-		}
-	}
-	total := 0
-	for file, lines := range byFile {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			return total, err
-		}
-		text := strings.Split(string(src), "\n")
-		tagged := map[int]bool{}
-		for _, line := range lines {
-			if line < 1 || line > len(text) || tagged[line] {
-				continue
-			}
-			if strings.Contains(text[line-1], "lint:immutable") {
-				continue
-			}
-			text[line-1] += " // lint:immutable: TODO(reason)"
-			tagged[line] = true
-			total++
-		}
-		if len(tagged) == 0 {
-			continue
-		}
-		if err := os.WriteFile(file, []byte(strings.Join(text, "\n")), 0o644); err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -111,6 +111,11 @@ func runCampaign(args []string) error {
 		}
 	}
 
+	// A spec Run would refuse must fail before -out is opened, which
+	// would truncate or create it.
+	if _, err := spec.Expand(); err != nil {
+		return err
+	}
 	var w io.Writer = os.Stdout
 	var outFile *os.File
 	csvAppend := false

@@ -33,11 +33,10 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // TestCLICampaignGoldens pins the campaign CLI's bytes to the repository
-// goldens that campaign.Run's own tests pin, step for step as CI's
-// shard-merge job does: the repeat-heavy sweep-compat campaign written to
-// stdout, sharded three ways and merged, and resumed from a file cut
-// mid-row; then the every-column campaign written to a CSV file and
-// resumed from a cut copy.
+// goldens that campaign.Run's own tests pin: the repeat-heavy sweep-compat
+// campaign written to stdout, sharded three ways and merged, and resumed
+// from a file cut mid-row; then the every-column campaign written to a CSV
+// file and resumed from a cut copy.
 func TestCLICampaignGoldens(t *testing.T) {
 	dir := t.TempDir()
 	same := func(what string, got, want []byte) {
@@ -244,6 +243,40 @@ func TestCLIFlagErrors(t *testing.T) {
 		args = append([]string{"campaign", "-sizes", "5", "-sd", "1", "-repeats", "1", "-quiet", "-out", filepath.Join(t.TempDir(), "x.jsonl")}, args...)
 		if code := exitCode(t, args); code != 0 {
 			t.Errorf("%s rejected, want success", name)
+		}
+	}
+}
+
+// TestCLIRefusedCampaignKeepsOut: a campaign refused for a bad axis value
+// or shard fails before it opens -out, so an earlier file there keeps its
+// bytes, with and without -resume.
+func TestCLIRefusedCampaignKeepsOut(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "keep.jsonl")
+	want := []byte("{\"earlier\":\"bytes\"}\n")
+	for name, args := range map[string][]string{
+		"protocol":      {"-protocols", "bogus"},
+		"strategy":      {"-strategies", "bogus"},
+		"channel":       {"-channels", "bogus"},
+		"fault":         {"-faults", "bogus"},
+		"energy":        {"-energy", "bogus"},
+		"topology kind": {"-topologies", "torus:5"},
+		"topology size": {"-topologies", "ring:2"},
+		"shard":         {"-shard", "3/3"},
+	} {
+		for _, resume := range []bool{false, true} {
+			if err := os.WriteFile(out, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			args := append(campaignArgs(out), args...)
+			if resume {
+				args = append(args, "-resume")
+			}
+			if code := exitCode(t, args); code == 0 {
+				t.Errorf("%s (resume %v): exited 0, want failure", name, resume)
+			}
+			if got := readFile(t, out); !bytes.Equal(got, want) {
+				t.Errorf("%s (resume %v): -out holds %q, want its earlier %q", name, resume, got, want)
+			}
 		}
 	}
 }

@@ -199,7 +199,7 @@ func runTopo(args []string) error {
 			case n == source:
 				label = "S"
 			}
-			if net.NodeState(n).Changed {
+			if net.Changed(n) {
 				label += "!"
 			}
 			if !res.Assignment.Assigned(n) {

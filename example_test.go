@@ -337,7 +337,7 @@ func hunt(g *topo.Graph, side int, base, rhino topo.NodeID, cfg core.Config, see
 			return "B"
 		case n == rhino:
 			return "R"
-		case net.NodeState(n).Changed:
+		case net.Changed(n):
 			return "!"
 		}
 		return "·"

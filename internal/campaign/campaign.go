@@ -128,25 +128,27 @@ type Shard struct {
 	Index, Count int
 }
 
-// skipFunc validates the shard and folds Shard and Skip into one
-// predicate.
-func (s Spec) skipFunc() (func(cell int) bool, error) {
-	sh := s.Shard
+// check refuses a shard that does not name one slice of a matrix.
+func (sh Shard) check() error {
 	if sh.Count < 0 {
-		return nil, fmt.Errorf("campaign: shard count must be non-negative, got %d", sh.Count)
+		return fmt.Errorf("campaign: shard count must be non-negative, got %d", sh.Count)
 	}
 	if sh.Count == 0 && sh.Index != 0 {
 		// A nonzero index with the no-sharding count is always a mistake
 		// (e.g. Shard{2, 0} from a mistyped "2/0"); running the full
 		// matrix labelled as a shard would silently poison a later merge.
-		return nil, fmt.Errorf("campaign: shard index %d with count 0 (no sharding); want index 0 or a positive count", sh.Index)
+		return fmt.Errorf("campaign: shard index %d with count 0 (no sharding); want index 0 or a positive count", sh.Index)
 	}
 	if sh.Count > 0 && (sh.Index < 0 || sh.Index >= sh.Count) {
-		return nil, fmt.Errorf("campaign: shard index %d out of range [0, %d)", sh.Index, sh.Count)
+		return fmt.Errorf("campaign: shard index %d out of range [0, %d)", sh.Index, sh.Count)
 	}
-	return func(cell int) bool {
-		return s.Skip[cell] || (sh.Count > 1 && cell%sh.Count != sh.Index)
-	}, nil
+	return nil
+}
+
+// skipped reports whether Skip or Shard omits cell.
+func (s Spec) skipped(cell int) bool {
+	sh := s.Shard
+	return s.Skip[cell] || (sh.Count > 1 && cell%sh.Count != sh.Index)
 }
 
 func (s Spec) withDefaults() Spec {
@@ -299,11 +301,22 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 // Channel, fault and energy axis values are canonicalised through their
 // Parse/String round trips here, so cells (and rows, and resume
 // verification) always carry the canonical spelling regardless of how
-// the axis was written.
+// the axis was written. Expand also refuses an unknown topology kind, a
+// topology size below its kind's floor, an unknown protocol or strategy
+// name and a bad shard, so a caller can check a spec before it commits to
+// running it.
 func (s Spec) Expand() ([]Cell, error) {
 	s = s.withDefaults()
 	if s.Repeats < 0 {
 		return nil, fmt.Errorf("campaign: repeats must be positive, got %d", s.Repeats)
+	}
+	if err := s.Shard.check(); err != nil {
+		return nil, err
+	}
+	for _, strat := range s.Strategies {
+		if _, err := attacker.ByName(core.Config{Strategy: strat}.StrategyLabel()); err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
+		}
 	}
 	channelAxis := make([]string, len(s.Channels))
 	for i, c := range s.Channels {
@@ -331,6 +344,9 @@ func (s Spec) Expand() ([]Cell, error) {
 	}
 	var cells []Cell
 	for _, top := range s.topologyAxis() {
+		if err := top.check(); err != nil {
+			return nil, err
+		}
 		for _, proto := range s.Protocols {
 			if _, err := protocol.ByName(proto); err != nil {
 				return nil, fmt.Errorf("campaign: %w", err)
@@ -417,10 +433,6 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 	if len(cells) == 0 {
 		return &Summary{}, nil
 	}
-	skip, err := spec.skipFunc()
-	if err != nil {
-		return nil, err
-	}
 	sum := &Summary{Cells: len(cells)}
 
 	// Resolve every selected cell's topology and config up front so a bad
@@ -434,7 +446,7 @@ func run(spec Spec, exec runner, sinks ...Sink) (*Summary, error) {
 	var selected []Cell
 	var specs []experiment.Spec
 	for i, c := range cells {
-		if skip(i) {
+		if spec.skipped(i) {
 			sum.Skipped++
 			continue
 		}

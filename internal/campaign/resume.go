@@ -101,9 +101,6 @@ func (s Spec) ScanResumable(r io.Reader, format string) (map[int]bool, int64, er
 	if err != nil {
 		return nil, 0, err
 	}
-	if _, err := s.skipFunc(); err != nil { // validate the shard up front
-		return nil, 0, err
-	}
 	done := make(map[int]bool)
 	prev := -1
 	valid, err := scanRows(r, format, func(n int, row Row) error {

@@ -57,6 +57,22 @@ func (t TopologySpec) gridSize() int {
 	return 0
 }
 
+// minSize is the smallest size each topology kind builds.
+var minSize = map[TopologyKind]int{"": 2, KindGrid: 2, KindLine: 2, KindRing: 3, KindRGG: 2}
+
+// check refuses an unknown kind and a size its builder would refuse,
+// without building anything.
+func (t TopologySpec) check() error {
+	min, ok := minSize[t.Kind]
+	if !ok {
+		return fmt.Errorf("campaign: unknown topology kind %q", t.Kind)
+	}
+	if t.Size < min {
+		return fmt.Errorf("campaign: topology %s: size must be at least %d", t.Label(), min)
+	}
+	return nil
+}
+
 // builtTopology is a materialised TopologySpec.
 type builtTopology struct {
 	g      *topo.Graph

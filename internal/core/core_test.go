@@ -449,28 +449,6 @@ func TestResultStringAndAccessors(t *testing.T) {
 	}
 }
 
-func TestNodeStateSnapshot(t *testing.T) {
-	const side = 5
-	g := grid(t, side)
-	net, err := NewNetwork(g, topo.GridCentre(side), topo.GridTopLeft(), Default(), 1)
-	if err != nil {
-		t.Fatalf("NewNetwork: %v", err)
-	}
-	if _, err := net.RunSetup(); err != nil {
-		t.Fatalf("RunSetup: %v", err)
-	}
-	st := net.NodeState(0)
-	if st.ID != 0 || st.Slot < 0 || st.Parent == topo.None {
-		t.Errorf("corner state = %+v, want assigned slot and parent", st)
-	}
-	if len(st.PotentialParents) == 0 {
-		t.Error("no potential parents recorded")
-	}
-	if len(st.KnownSlot) == 0 {
-		t.Error("empty neighbourhood view")
-	}
-}
-
 func TestMultiAttackerCollectsEveryPath(t *testing.T) {
 	side := 7
 	g := grid(t, side)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"slpdas/internal/topo"
 )
@@ -17,4 +18,12 @@ func nearestTo(g *topo.Graph, p topo.Point) topo.NodeID {
 		}
 	}
 	return best
+}
+
+// get returns the table's entry about id, and whether one is known.
+func (t *infoTable) get(id topo.NodeID) (info, bool) {
+	if i, ok := slices.BinarySearch(t.ids, id); ok && t.infos[i].seen != 0 {
+		return t.infos[i], true
+	}
+	return info{}, false
 }

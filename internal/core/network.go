@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"slpdas/internal/attacker"
@@ -138,10 +139,11 @@ type Network struct {
 	decRow   []uint16     // lint:immutable: scratch, overwritten before every DISSEM delivery
 
 	// The Ninfo tables (see infoTable), built on the first run: ranks are
-	// the graph's rank rows, and infoArena holds every node's entries back
-	// to back. Node resets rewind the entries.
+	// the graph's rank rows, and infoArena and relArena hold every node's
+	// entries and relation bits back to back. Node resets rewind both.
 	ranks     *topo.RankRows // lint:immutable: per-graph wiring, bound once by buildInfoTables
 	infoArena []info         // lint:immutable: backing array, allocated once by buildInfoTables
+	relArena  []rel          // lint:immutable: backing array, allocated once by buildInfoTables
 
 	periodTick periodTick // lint:immutable: rebound via rearm() on every setup
 }
@@ -581,7 +583,7 @@ func (n *Network) receive(nd *node, frame uint64, from topo.NodeID, payload []by
 // placeDissem fills decPos with each DISSEM entry's place in the closed
 // neighbourhood of the sender: 0 for the sender, j+1 for its j-th
 // neighbour. buildDissem lists the sender, then its myN ascending, so one
-// forward walk places them all. It reports false, making the frame
+// forward walk (seek) places them all. It reports false, making the frame
 // undecodable, when an entry is about a node that is neither the sender
 // nor one of its neighbours, or carries version 2³²−1, which an info
 // entry cannot store (see info); the simulator's own frames never do.
@@ -609,6 +611,25 @@ func (n *Network) placeDissem(from topo.NodeID, infos []wire.NodeInfo) bool {
 	return true
 }
 
+// seek returns the position slices.BinarySearch(ids, id) reports, given
+// the position i the previous lookup in ids returned. When id is above
+// the previous ID, as each entry of a DISSEM's ascending neighbour list is,
+// it walks forward from there, a merge join; any other ID falls back to a
+// binary search, so placeDissem's answers never depend on the order of
+// the entries.
+//
+//slp:hotpath
+func seek(ids []topo.NodeID, i int, id topo.NodeID) int {
+	if i == 0 || ids[i-1] >= id {
+		i, _ = slices.BinarySearch(ids, id)
+		return i
+	}
+	for i < len(ids) && ids[i] < id {
+		i++
+	}
+	return i
+}
+
 // buildInfoTables binds every node's Ninfo table to its two-hop set, once
 // per network, on its first run: NewNetwork allocates no table, so a
 // network that is wired but never run costs nothing here.
@@ -625,13 +646,16 @@ func (n *Network) buildInfoTables() error {
 		total += len(n.g.TwoHop(topo.NodeID(id)))
 	}
 	n.infoArena = make([]info, total)
+	n.relArena = make([]rel, total)
 	off := 0
 	for id, nd := range n.nodes {
 		set := n.g.TwoHop(topo.NodeID(id))
+		end := off + len(set)
 		nd.ninfo.ids = set
-		nd.ninfo.infos = n.infoArena[off : off+len(set) : off+len(set)]
+		nd.ninfo.infos = n.infoArena[off:end:end]
+		nd.ninfo.rels = n.relArena[off:end:end]
 		nd.ninfo.reset()
-		off += len(set)
+		off = end
 	}
 	n.ranks = ranks
 	return nil
@@ -797,44 +821,8 @@ func (n *Network) RunSetup() (*schedule.Assignment, error) {
 	return n.Assignment(), nil
 }
 
-// NodeState is a diagnostic snapshot of one protocol node's key variables,
-// exposed for debugging tools and tests.
-type NodeState struct {
-	ID      topo.NodeID
-	Hop     int
-	Slot    int
-	Parent  topo.NodeID
-	Normal  bool
-	Changed bool
-	// PotentialParents is Npar, sorted.
-	PotentialParents []topo.NodeID
-	// KnownSlot is this node's view of a neighbour's slot (its Ninfo).
-	KnownSlot map[topo.NodeID]int
-}
-
-// NodeState returns the diagnostic snapshot for node id.
-func (n *Network) NodeState(id topo.NodeID) NodeState {
-	nd := n.nodes[id]
-	st := NodeState{
-		ID:      id,
-		Hop:     int(nd.hop),
-		Slot:    int(nd.slot),
-		Parent:  nd.par,
-		Normal:  nd.normal,
-		Changed: nd.changed,
-	}
-	st.PotentialParents = append([]topo.NodeID(nil), nd.npar...)
-	st.KnownSlot = make(map[topo.NodeID]int)
-	if nd.version > 0 {
-		st.KnownSlot[id] = int(nd.slot)
-	}
-	for k, j := range nd.ninfo.ids {
-		if in := nd.ninfo.infos[k]; in.seen != 0 {
-			st.KnownSlot[j] = int(in.slot)
-		}
-	}
-	return st
-}
+// Changed reports whether Phase 3 altered node id's slot.
+func (n *Network) Changed(id topo.NodeID) bool { return n.nodes[id].changed }
 
 // Assignment snapshots the current slot assignment.
 func (n *Network) Assignment() *schedule.Assignment {

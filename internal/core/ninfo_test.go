@@ -49,7 +49,7 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 					models[r] = model
 				}
 				if rng.IntN(4) == 0 {
-					nd.addNeighbour(g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))])
+					*nd.ninfo.relOf(g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))]) |= relNeighbour
 				}
 				s := g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))]
 				e := slices.Index(g.Neighbors(s), r)
@@ -85,7 +85,7 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 					if cur, known := model[in.Node]; !known || in.Version > cur.Version {
 						model[in.Node] = in
 						wantDirty = true
-						if in.Node == s || nd.myN.has(in.Node) {
+						if in.Node == s || *nd.ninfo.relOf(in.Node)&relNeighbour != 0 {
 							wantLearned = true
 						}
 					}
@@ -112,96 +112,5 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 
 			}
 		})
-	}
-}
-
-// TestInfoCursorMatchesGet: on the two-hop tables of an 11×11 grid and a
-// 500-node RGG, part filled, a cursor answers any sequence of lookups —
-// ascending, repeated, descending or random, of members, of IDs outside
-// the table and of topo.None — exactly as a fresh binary search.
-func TestInfoCursorMatchesGet(t *testing.T) {
-	side := math.Sqrt(500) * topo.DefaultSpacing
-	rgg, err := topo.RandomGeometric(500, side, side, 2.2*topo.DefaultSpacing, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid, err := topo.DefaultGrid(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []*topo.Graph{grid, rgg} {
-		t.Run(g.Name(), func(t *testing.T) {
-			net, err := NewNetwork(g, 0, 1, Default(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := net.buildInfoTables(); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewPCG(3, 4))
-			for iter := 0; iter < 2000; iter++ {
-				tab := &net.nodes[rng.IntN(g.Len())].ninfo
-				tab.reset()
-				for k := range tab.infos {
-					if rng.IntN(2) == 0 {
-						tab.infos[k] = info{hop: rng.Int32N(5), slot: rng.Int32N(5) - 1, seen: rng.Uint32N(6) + 1}
-					}
-				}
-				ids := make([]topo.NodeID, 40)
-				for k := range ids {
-					ids[k] = topo.NodeID(rng.IntN(g.Len()+1) - 1)
-					if rng.IntN(2) == 0 {
-						ids[k] = tab.ids[rng.IntN(len(tab.ids))]
-					}
-				}
-				switch iter % 4 {
-				case 0: // ascending, as the protocol's lookups run
-					slices.Sort(ids)
-				case 1: // ascending with a repeated run
-					slices.Sort(ids)
-					ids = append(ids, ids[len(ids)/2:]...)
-				case 2: // descending
-					slices.Sort(ids)
-					slices.Reverse(ids)
-				}
-				cur := tab.cursor()
-				for k, id := range ids {
-					got, gotOK := cur.get(id)
-					want, wantOK := tab.get(id)
-					if got != want || gotOK != wantOK {
-						t.Fatalf("iter %d lookup %d of %d: cursor (%v, %v), get (%v, %v)", iter, k, id, got, gotOK, want, wantOK)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSortedSetMatchesMap: the sorted-slice sets replacing the protocol's
-// maps hold the same members, in ascending order.
-func TestSortedSetMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 6))
-	var s sortedSet[topo.NodeID]
-	model := map[topo.NodeID]bool{}
-	for k := 0; k < 5000; k++ {
-		v := topo.NodeID(rng.IntN(64))
-		if rng.IntN(3) == 0 {
-			s.remove(v)
-			delete(model, v)
-		} else {
-			s.add(v)
-			model[v] = true
-		}
-		if s.has(v) != model[v] {
-			t.Fatalf("step %d: has(%d) = %v, want %v", k, v, s.has(v), model[v])
-		}
-	}
-	want := make([]topo.NodeID, 0, len(model))
-	for v := range model {
-		want = append(want, v)
-	}
-	slices.Sort(want)
-	if !slices.Equal(s, want) {
-		t.Errorf("set = %v, want %v", s, want)
 	}
 }

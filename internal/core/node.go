@@ -1,7 +1,7 @@
 package core
 
 import (
-	"cmp"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"time"
@@ -28,39 +28,33 @@ const noValue int32 = wire.NoSlot // ⊥
 // unknown is the entry of a node nothing has been heard about.
 var unknown = info{hop: noValue, slot: noValue}
 
-// sortedSet is a set kept as an ascending slice: iteration is in sorted
-// order without a per-call sort, and reset keeps the backing array.
-type sortedSet[T cmp.Ordered] []T
-
-func (s sortedSet[T]) has(v T) bool {
-	_, ok := slices.BinarySearch(s, v)
-	return ok
-}
-
-func (s *sortedSet[T]) add(v T) {
-	if i, ok := slices.BinarySearch(*s, v); !ok {
-		*s = slices.Insert(*s, i, v)
-	}
-}
-
-func (s *sortedSet[T]) remove(v T) {
-	if i, ok := slices.BinarySearch(*s, v); ok {
-		*s = slices.Delete(*s, i, i+1)
-	}
-}
-
-// pairKey packs (potential parent, competitor) into one sortedSet key:
-// all of one parent's competitors are a contiguous run.
+// pairKey packs (potential parent, competitor) into one Others key: once
+// sorted, all of one parent's competitors are a contiguous run.
 func pairKey(parent, competitor topo.NodeID) uint64 {
 	return uint64(uint32(parent))<<32 | uint64(uint32(competitor))
 }
 
+// rel holds a node's relations to one peer of its two-hop set: the sets
+// myN, Npar, children and from of Figures 2–3, one bit each. Every peer a
+// node relates to has sent it a frame, so it is a graph neighbour and has
+// an entry in the node's table.
+type rel uint8
+
+const (
+	relNeighbour rel = 1 << iota // myN: a discovered neighbour
+	relParent                    // Npar: a potential parent
+	relChild                     // children: a node that chose us as parent
+	relFrom                      // from: a sender of SEARCH or CHANGE seen
+)
+
 // infoTable is a node's Ninfo, one entry per member of its two-hop set:
-// infos[i] is ids[i]'s entry, and ids is the graph's TwoHop of the node,
-// shared, never copied. Every Ninfo entry a DISSEM can carry is about
-// the sender or one of the sender's neighbours, so the table never needs
-// another key, and a DISSEM merge addresses entries by rank (see
-// topo.RankRows). The node's own state stays in its own fields.
+// infos[i] is ids[i]'s entry and rels[i] the node's relations to it, and
+// ids is the graph's TwoHop of the node, shared, never copied. Every Ninfo
+// entry a DISSEM can carry is about the sender or one of the sender's
+// neighbours, so the table never needs another key, and a DISSEM merge
+// addresses entries by rank (see topo.RankRows). Every loop over one of
+// the node's sets is an ascending scan of rels. The node's own state stays
+// in its own fields.
 //
 // The resolve guard runs after every action a node executes and its
 // collisionLoser scan covers the whole table, so the table caches that
@@ -69,58 +63,25 @@ func pairKey(parent, competitor topo.NodeID) uint64 {
 type infoTable struct {
 	ids   []topo.NodeID // lint:immutable: the graph's TwoHop of the node, bound by Network.buildInfoTables
 	infos []info        // a slice of Network.infoArena; reset rewinds the entries
+	rels  []rel         // a slice of Network.relArena; reset clears the bits
 	loser topo.NodeID
 	dirty bool
-}
-
-func (t *infoTable) get(id topo.NodeID) (info, bool) {
-	if i, ok := slices.BinarySearch(t.ids, id); ok && t.infos[i].seen != 0 {
-		return t.infos[i], true
-	}
-	return info{}, false
 }
 
 func (t *infoTable) reset() {
 	for i := range t.infos {
 		t.infos[i] = unknown
 	}
+	clear(t.rels)
 	t.loser = topo.None
 	t.dirty = true
 }
 
-// seek returns the position slices.BinarySearch(ids, id) reports, given
-// the position i the previous lookup in ids returned. When id is above
-// the previous ID — myN, Npar, children and a DISSEM's neighbour list are
-// all ascending — it walks forward from there, a merge join; any other ID
-// falls back to a binary search, so the answers never depend on the order
-// of the lookups.
-//
-//slp:hotpath
-func seek(ids []topo.NodeID, i int, id topo.NodeID) int {
-	if i == 0 || ids[i-1] >= id {
-		i, _ = slices.BinarySearch(ids, id)
-		return i
-	}
-	for i < len(ids) && ids[i] < id {
-		i++
-	}
-	return i
-}
-
-// infoCursor looks up a run of IDs in an infoTable with seek.
-type infoCursor struct {
-	t *infoTable
-	i int // the previous ID's position in t.ids
-}
-
-func (t *infoTable) cursor() infoCursor { return infoCursor{t: t} }
-
-func (c *infoCursor) get(id topo.NodeID) (info, bool) {
-	c.i = seek(c.t.ids, c.i, id)
-	if c.i < len(c.t.ids) && c.t.ids[c.i] == id && c.t.infos[c.i].seen != 0 {
-		return c.t.infos[c.i], true
-	}
-	return info{}, false
+// relOf returns the relation bits of peer id, a graph neighbour of the
+// node (see rel).
+func (t *infoTable) relOf(id topo.NodeID) *rel {
+	i, _ := slices.BinarySearch(t.ids, id)
+	return &t.rels[i]
 }
 
 // node is the context the combined DAS / NSearch / SRefine program of
@@ -137,23 +98,19 @@ type node struct {
 	helloFn func()             // lint:immutable: cached method value; scheduled once per NDP round
 
 	// --- Figure 2 (DAS) state ---
-	myN      sortedSet[topo.NodeID] // discovered neighbours
-	npar     sortedSet[topo.NodeID] // potential parents
-	children sortedSet[topo.NodeID] // nodes that chose us as parent
-	others   sortedSet[uint64]      // slot competitors per potential parent, as pairKeys
-	ninfo    infoTable              // 1- and 2-hop neighbourhood info
-	hop      int32                  // ⊥ = noValue
-	par      topo.NodeID            // ⊥ = topo.None
-	slot     int32                  // ⊥ = noValue
-	normal   bool                   // false during the update phase
-	version  uint32                 // own state freshness
+	ninfo   infoTable   // 1- and 2-hop neighbourhood info, and myN, Npar, children and from
+	others  []uint64    // slot competitors per potential parent, as pairKeys, unsorted, with repeats
+	hop     int32       // ⊥ = noValue
+	par     topo.NodeID // ⊥ = topo.None
+	slot    int32       // ⊥ = noValue
+	normal  bool        // false during the update phase
+	version uint32      // own state freshness
 
 	dissem       *gcn.Timer[*node] // lint:immutable: pointer fixed; timer disarmed by the engine reset
 	decide       *gcn.Timer[*node] // lint:immutable: pointer fixed; defers the process action one dissem round
 	dissemBudget int
 
 	// --- Figure 3 (NSearch) state ---
-	from      sortedSet[topo.NodeID] // senders of SEARCH/CHANGE seen
 	startNode bool
 	pr        int32 // change-path length when selected
 
@@ -197,9 +154,6 @@ func newNode(id topo.NodeID, net *Network) *node {
 // freshly constructed one.
 func (n *node) reset(seed uint64) {
 	n.pcg.Seed(xrand.Seeds(seed, uint64(n.id), 0x6f64656e)) // per-node stream
-	n.myN = n.myN[:0]
-	n.npar = n.npar[:0]
-	n.children = n.children[:0]
 	n.others = n.others[:0]
 	n.ninfo.reset()
 	n.hop = noValue
@@ -208,7 +162,6 @@ func (n *node) reset(seed uint64) {
 	n.normal = true
 	n.version = 0
 	n.dissemBudget = 0
-	n.from = n.from[:0]
 	n.startNode = false
 	n.pr = 0
 	n.changed = false
@@ -275,15 +228,9 @@ func compileNodeProgram() (g *gcn.Program[*node], decide, dissem gcn.TimerID) {
 
 // --- neighbour discovery ---
 
-func (n *node) addNeighbour(m topo.NodeID) {
-	if m != n.id {
-		n.myN.add(m)
-	}
-}
-
 // onHello is rcv⟨HELLO⟩.
 func (n *node) onHello(sender topo.NodeID, _ gcn.Message) {
-	n.addNeighbour(sender)
+	*n.ninfo.relOf(sender) |= relNeighbour
 	// A HELLO during the data phase is a recovered node re-running
 	// discovery (fault injection): neighbours holding schedule state
 	// answer with a relay budget so the rejoiner re-learns hop/slot
@@ -356,14 +303,16 @@ func (n *node) buildDissem() *wire.Dissem {
 	d.From, d.Normal, d.Parent = n.id, n.normal, n.par
 	d.Infos = d.Infos[:0]
 	d.Infos = append(d.Infos, wire.NodeInfo{Node: n.id, Hop: n.hop, Slot: n.slot, Version: n.version})
-	cur := n.ninfo.cursor()
-	for _, m := range n.myN {
-		in, known := cur.get(m)
-		if !known {
-			d.Infos = append(d.Infos, wire.NodeInfo{Node: m, Hop: noValue, Slot: noValue})
+	t := &n.ninfo
+	for k, r := range t.rels {
+		if r&relNeighbour == 0 {
 			continue
 		}
-		d.Infos = append(d.Infos, wire.NodeInfo{Node: m, Hop: in.hop, Slot: in.slot, Version: in.seen - 1})
+		in := t.infos[k]
+		if in.seen > 0 { // an unknown entry goes out as ⊥ at version 0
+			in.seen--
+		}
+		d.Infos = append(d.Infos, wire.NodeInfo{Node: t.ids[k], Hop: in.hop, Slot: in.slot, Version: in.seen})
 	}
 	return d
 }
@@ -371,13 +320,14 @@ func (n *node) buildDissem() *wire.Dissem {
 // onDissem handles both receiveN (Normal=1) and receiveU (Normal=0).
 func (n *node) onDissem(sender topo.NodeID, m gcn.Message) {
 	d := m.(*wire.Dissem)
-	n.addNeighbour(sender)
+	r := n.ninfo.relOf(sender)
+	*r |= relNeighbour
 
 	// Track children: a node whose dissem names us as parent is a child.
 	if d.Parent == n.id {
-		n.children.add(sender)
+		*r |= relChild
 	} else {
-		n.children.remove(sender)
+		*r &^= relChild
 	}
 
 	senderSlot, learnedNeighbour := n.mergeInfos(d.Infos, n.net.decPos, n.net.decRow)
@@ -388,13 +338,13 @@ func (n *node) onDissem(sender topo.NodeID, m gcn.Message) {
 	if !n.isSink() && n.slot == noValue && senderSlot != noValue {
 		// receiveN body: the sender is a potential parent; its slotless
 		// neighbours are our slot competitors under that parent.
-		n.npar.add(sender)
+		*r |= relParent
 		for _, in := range d.Infos {
 			if in.Slot == noValue && in.Node != sender {
-				n.others.add(pairKey(sender, in.Node))
+				n.others = append(n.others, pairKey(sender, in.Node))
 			}
 		}
-		n.others.add(pairKey(sender, n.id))
+		n.others = append(n.others, pairKey(sender, n.id))
 		// Arm the deferred process action (see compileNodeProgram).
 		if !n.decide.Pending() {
 			n.decide.Set(xrand.JitterAround(n.rng, n.net.cfg.DisseminationPeriod, n.net.cfg.DisseminationPeriod/2))
@@ -448,7 +398,7 @@ func (n *node) mergeInfos(infos []wire.NodeInfo, pos []int32, row []uint16) (sen
 		if e := &t.infos[r]; in.Version >= e.seen {
 			*e = info{hop: in.Hop, slot: in.Slot, seen: in.Version + 1}
 			t.dirty = true
-			if !learned && (pos[k] == 0 || n.myN.has(in.Node)) {
+			if !learned && (pos[k] == 0 || t.rels[r]&relNeighbour != 0) {
 				learned = true
 			}
 		}
@@ -459,15 +409,15 @@ func (n *node) mergeInfos(infos []wire.NodeInfo, pos []int32, row []uint16) (sen
 // chooseSlot is the process action of Figure 2: pick the parent on a
 // shortest path and a slot below it by sibling rank.
 func (n *node) chooseSlot() {
-	if n.isSink() || n.slot != noValue || len(n.npar) == 0 {
+	if n.isSink() || n.slot != noValue {
 		return
 	}
+	t := &n.ninfo
 	// hop := min{h | (h, s) ∈ Ninfo[k], k ∈ Npar} + 1
 	minHop := int32(-1)
-	cur := n.ninfo.cursor()
-	for _, k := range n.npar {
-		in, ok := cur.get(k)
-		if !ok || in.hop == noValue || in.slot == noValue {
+	for k, r := range t.rels {
+		in := t.infos[k]
+		if r&relParent == 0 || in.hop == noValue || in.slot == noValue {
 			continue
 		}
 		if minHop < 0 || in.hop < minHop {
@@ -475,9 +425,12 @@ func (n *node) chooseSlot() {
 		}
 	}
 	if minHop < 0 {
-		// Stale potential parents (e.g. their info got overwritten by ⊥
-		// relays before versioning caught up); wait for fresher dissem.
-		n.npar = n.npar[:0]
+		// No potential parent, or only stale ones (e.g. their info got
+		// overwritten by ⊥ relays before versioning caught up); wait for
+		// fresher dissem.
+		for k := range t.rels {
+			t.rels[k] &^= relParent
+		}
 		return
 	}
 	n.hop = minHop + 1
@@ -488,13 +441,13 @@ func (n *node) chooseSlot() {
 	// choice of order is arbitrary, its capture symmetry is not).
 	n.par = topo.None
 	var bestKey uint64
-	cur = n.ninfo.cursor()
-	for _, k := range n.npar {
-		if in, ok := cur.get(k); ok && in.hop == minHop {
-			key := n.net.parentKey(n.id, k)
-			if n.par == topo.None || key < bestKey {
-				n.par, bestKey = k, key
-			}
+	parSlot := noValue
+	for k, r := range t.rels {
+		if r&relParent == 0 || t.infos[k].hop != minHop {
+			continue
+		}
+		if key := n.net.parentKey(n.id, t.ids[k]); n.par == topo.None || key < bestKey {
+			n.par, bestKey, parSlot = t.ids[k], key, t.infos[k].slot
 		}
 	}
 	// slot := Ninfo[par].slot − rank(i, Others[par]) − 1. The paper leaves
@@ -503,6 +456,8 @@ func (n *node) chooseSlot() {
 	// nondeterminism deterministically: competitors are ranked by a
 	// seeded hash, so every run explores a different sibling ordering
 	// while all nodes within one run agree on it.
+	slices.Sort(n.others)
+	n.others = slices.Compact(n.others)
 	rank := int32(0)
 	myKey := n.net.rankKey(n.par, n.id)
 	first := pairKey(n.par, 0)
@@ -515,13 +470,11 @@ func (n *node) chooseSlot() {
 			rank++
 		}
 	}
-	parInfo, _ := n.ninfo.get(n.par)
-	n.setSlot(parInfo.slot - rank - 1)
+	n.setSlot(parSlot - rank - 1)
 	// children := slotless neighbours (optimistic, refined by dissems).
-	cur = n.ninfo.cursor()
-	for _, m := range n.myN {
-		if in, ok := cur.get(m); !ok || in.slot == noValue {
-			n.children.add(m)
+	for k, r := range t.rels {
+		if r&relNeighbour != 0 && t.infos[k].slot == noValue {
+			t.rels[k] |= relChild
 		}
 	}
 }
@@ -647,21 +600,8 @@ func (n *node) broadcastChange(aNode topo.NodeID, nSlot, dist int32) {
 	n.net.broadcast(n.id, c)
 }
 
-func (n *node) minSlotChild() topo.NodeID {
-	best := topo.None
-	bestSlot := int32(0)
-	cur := n.ninfo.cursor()
-	for _, c := range n.children {
-		in, ok := cur.get(c)
-		if !ok || in.slot == noValue {
-			continue
-		}
-		if best == topo.None || in.slot < bestSlot {
-			best, bestSlot = c, in.slot
-		}
-	}
-	return best
-}
+// minSlotChild is the child with the minimum slot.
+func (n *node) minSlotChild() topo.NodeID { return n.minSlotPeer(relChild, math.MaxInt32) }
 
 // lureTarget predicts the attacker's next hop from this node: the
 // minimum-slot neighbour (the origin of the first message a co-located
@@ -669,18 +609,24 @@ func (n *node) minSlotChild() topo.NodeID {
 // coincides with this at the sink but diverges deeper in the network
 // where the attacker is not constrained to tree edges; aiming the search
 // at the true gradient is what "a suitable location ... where the
-// attacker can be tricked" requires.
+// attacker can be tricked" requires. The sink's Δ does not count.
 func (n *node) lureTarget() topo.NodeID {
+	return n.minSlotPeer(relNeighbour, int32(n.net.cfg.Slots))
+}
+
+// minSlotPeer returns the peer with relation want whose known slot is the
+// lowest below limit, the lowest ID among equals, or topo.None.
+func (n *node) minSlotPeer(want rel, limit int32) topo.NodeID {
+	t := &n.ninfo
 	best := topo.None
 	bestSlot := int32(0)
-	cur := n.ninfo.cursor()
-	for _, m := range n.myN {
-		in, ok := cur.get(m)
-		if !ok || in.slot == noValue || int(in.slot) >= n.net.cfg.Slots {
+	for k, r := range t.rels {
+		s := t.infos[k].slot
+		if r&want == 0 || s == noValue || s >= limit {
 			continue
 		}
-		if best == topo.None || in.slot < bestSlot {
-			best, bestSlot = m, in.slot
+		if best == topo.None || s < bestSlot {
+			best, bestSlot = t.ids[k], s
 		}
 	}
 	return best
@@ -688,7 +634,7 @@ func (n *node) lureTarget() topo.NodeID {
 
 func (n *node) onSearch(sender topo.NodeID, m gcn.Message) {
 	s := m.(*wire.Search)
-	n.from.add(sender)
+	*n.ninfo.relOf(sender) |= relFrom
 	if s.ANode != n.id || n.isSink() {
 		return
 	}
@@ -702,9 +648,9 @@ func (n *node) onSearch(sender topo.NodeID, m gcn.Message) {
 		n.pr = n.changeLength()
 	case s.Dist == 0:
 		// Keep wandering for a node with an alternative parent.
-		target := n.chooseFrom(n.children)
+		target := n.choose(relChild, 0, topo.None, topo.None)
 		if target == topo.None {
-			target = n.chooseFrom(n.eligibleNeighbours(sender))
+			target = n.choose(relNeighbour, relFrom, n.par, sender)
 		}
 		if target != topo.None {
 			n.broadcastSearch(target, 0, s.TTL-1)
@@ -716,7 +662,7 @@ func (n *node) onSearch(sender topo.NodeID, m gcn.Message) {
 			target = n.minSlotChild()
 		}
 		if target == topo.None {
-			target = n.chooseFrom(n.eligibleNeighbours(sender))
+			target = n.choose(relNeighbour, relFrom, n.par, sender)
 		}
 		if target != topo.None {
 			n.broadcastSearch(target, s.Dist-1, s.TTL-1)
@@ -726,8 +672,9 @@ func (n *node) onSearch(sender topo.NodeID, m gcn.Message) {
 
 // hasAltParent reports Npar \ {par, k} ≠ ∅.
 func (n *node) hasAltParent(k topo.NodeID) bool {
-	for _, p := range n.npar {
-		if p != n.par && p != k {
+	t := &n.ninfo
+	for i, r := range t.rels {
+		if r&relParent != 0 && t.ids[i] != n.par && t.ids[i] != k {
 			return true
 		}
 	}
@@ -743,24 +690,36 @@ func (n *node) changeLength() int32 {
 	return int32(cl)
 }
 
-// eligibleNeighbours returns myN \ {par} \ from \ {sender}, sorted.
-func (n *node) eligibleNeighbours(sender topo.NodeID) []topo.NodeID {
-	var out []topo.NodeID
-	for _, m := range n.myN {
-		if m == n.par || m == sender || n.from.has(m) {
-			continue
-		}
-		out = append(out, m)
+// choose implements choose(): a uniformly random pick among the peers
+// whose relations include want and exclude skip, other than a and b,
+// drawn in ascending ID order; topo.None, without a draw, when there is
+// none. choose(relNeighbour, relFrom, par, sender) picks from
+// myN \ {par} \ from \ {sender}.
+func (n *node) choose(want, skip rel, a, b topo.NodeID) topo.NodeID {
+	t := &n.ninfo
+	admitted := func(k int) bool {
+		r := t.rels[k]
+		return r&want != 0 && r&skip == 0 && t.ids[k] != a && t.ids[k] != b
 	}
-	return out
-}
-
-// chooseFrom implements choose(): a uniformly random pick.
-func (n *node) chooseFrom(set []topo.NodeID) topo.NodeID {
-	if len(set) == 0 {
+	count := 0
+	for k := range t.rels {
+		if admitted(k) {
+			count++
+		}
+	}
+	if count == 0 {
 		return topo.None
 	}
-	return set[n.rng.IntN(len(set))]
+	pick := n.rng.IntN(count)
+	for k := range t.rels {
+		if admitted(k) {
+			if pick == 0 {
+				return t.ids[k]
+			}
+			pick--
+		}
+	}
+	panic("core: choose lost an admitted peer")
 }
 
 // --- Figure 4: SRefine ---
@@ -769,13 +728,7 @@ func (n *node) chooseFrom(set []topo.NodeID) topo.NodeID {
 // parent and launch the CHANGE walk with the neighbourhood slot minimum.
 func (n *node) startRefinement() {
 	n.startNode = false
-	var cands []topo.NodeID
-	for _, p := range n.npar {
-		if p != n.par && !n.from.has(p) {
-			cands = append(cands, p)
-		}
-	}
-	aNode := n.chooseFrom(cands)
+	aNode := n.choose(relParent, relFrom, n.par, topo.None)
 	if aNode == topo.None {
 		return
 	}
@@ -801,7 +754,7 @@ func (n *node) minKnownSlot() int32 {
 
 func (n *node) onChange(sender topo.NodeID, m gcn.Message) {
 	c := m.(*wire.Change)
-	n.from.add(sender)
+	*n.ninfo.relOf(sender) |= relFrom
 	if c.ANode != n.id || n.isSink() || n.slot == noValue {
 		return
 	}
@@ -819,7 +772,7 @@ func (n *node) onChange(sender topo.NodeID, m gcn.Message) {
 	n.net.changedNodes++
 
 	if c.Dist > 0 {
-		next := n.chooseFrom(n.eligibleNeighbours(sender))
+		next := n.choose(relNeighbour, relFrom, n.par, sender)
 		if next != topo.None {
 			n.broadcastChange(next, n.minKnownSlot(), c.Dist-1)
 		}

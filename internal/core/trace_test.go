@@ -115,18 +115,37 @@ func TestActionTraceGolden(t *testing.T) {
 	}
 }
 
+// runCheckingActors runs net and calls check on the acting node after
+// each action it executes. Only a node's own actions write its state, so
+// the previous actor is the one node that can have changed since the last
+// check; every node is checked once more when the run ends.
+func runCheckingActors(t *testing.T, net *Network, check func(nd *node)) {
+	t.Helper()
+	var last *node
+	net.engine.OnAction = func(p *gcn.Process[*node], _ string) {
+		if last != nil {
+			check(last)
+		}
+		last = net.nodes[p.ID()]
+	}
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, nd := range net.nodes {
+		check(nd)
+	}
+}
+
 // TestCachedResolveGuardMatchesFreshScan runs the traced runs and checks,
 // after every executed action, that the acting node's cached answer to the
 // resolve guard — wherever the info table claims it valid — equals a fresh
-// collisionLoser scan. Only a node's own actions write its table, so the
-// previous actor is the one node whose cache can have gone stale since the
-// last check; every node is checked once more when the run ends.
+// collisionLoser scan.
 func TestCachedResolveGuardMatchesFreshScan(t *testing.T) {
 	for _, tc := range traceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			net := tc.build(t)
 			clean, failures := 0, 0
-			check := func(nd *node) {
+			runCheckingActors(t, net, func(nd *node) {
 				if tab := &nd.ninfo; !tab.dirty {
 					clean++
 					if fresh := nd.collisionLoser(); tab.loser != fresh && failures < 5 {
@@ -134,22 +153,39 @@ func TestCachedResolveGuardMatchesFreshScan(t *testing.T) {
 						t.Errorf("t=%v node %d: cached collision loser %d, fresh scan %d", net.sim.Now(), nd.id, tab.loser, fresh)
 					}
 				}
-			}
-			var last *node
-			net.engine.OnAction = func(p *gcn.Process[*node], _ string) {
-				if last != nil {
-					check(last)
-				}
-				last = net.nodes[p.ID()]
-			}
-			if _, err := net.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for _, nd := range net.nodes {
-				check(nd)
-			}
+			})
 			if clean == 0 {
 				t.Error("no check saw a valid cache: the guard never cached an answer")
+			}
+		})
+	}
+}
+
+// TestRelationBitsNameNeighbours runs the traced runs and checks, after
+// every executed action, the invariant relOf's rank lookups rely on: each
+// relation bit the acting node holds names a graph neighbour, and a
+// potential parent or a child is also a discovered neighbour.
+func TestRelationBitsNameNeighbours(t *testing.T) {
+	for _, tc := range traceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			net := tc.build(t)
+			marked, failures := 0, 0
+			runCheckingActors(t, net, func(nd *node) {
+				for k, r := range nd.ninfo.rels {
+					if r == 0 {
+						continue
+					}
+					marked++
+					peer := nd.ninfo.ids[k]
+					stray := !net.g.HasEdge(nd.id, peer) || (r&(relParent|relChild) != 0 && r&relNeighbour == 0)
+					if stray && failures < 5 {
+						failures++
+						t.Errorf("t=%v node %d: relation bits %04b to node %d", net.sim.Now(), nd.id, r, peer)
+					}
+				}
+			})
+			if marked == 0 {
+				t.Error("no check saw a relation bit")
 			}
 		})
 	}

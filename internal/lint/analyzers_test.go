@@ -25,22 +25,6 @@ func TestHotPath(t *testing.T) {
 	analysistest.Run(t, lint.HotPath, "testdata/hotpath", "fmt")
 }
 
-func TestParseEnabled(t *testing.T) {
-	enabled, err := lint.ParseEnabled("mapiter, hotpath")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !enabled["mapiter"] || !enabled["hotpath"] || len(enabled) != 2 {
-		t.Fatalf("ParseEnabled: got %v", enabled)
-	}
-	if _, err := lint.ParseEnabled("mapiter,nonsense"); err == nil {
-		t.Fatal("ParseEnabled accepted an unknown analyzer name")
-	}
-	if enabled, err := lint.ParseEnabled("  "); err != nil || enabled != nil {
-		t.Fatalf("ParseEnabled on blank input: got %v, %v", enabled, err)
-	}
-}
-
 func TestFindingString(t *testing.T) {
 	f := lint.Finding{Analyzer: "mapiter", File: "x.go", Line: 3, Col: 7, Message: "boom"}
 	if got, want := f.String(), "x.go:3:7: boom [mapiter]"; got != want {

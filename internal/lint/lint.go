@@ -16,7 +16,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"slpdas/internal/lint/analysis"
 	"slpdas/internal/lint/load"
@@ -60,14 +59,13 @@ func simGated(a *analysis.Analyzer) bool {
 	return a == MapIter || a == SeedPurity
 }
 
-// Finding is one reported violation, position rendered for humans and
-// machines alike.
+// Finding is one reported violation.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 // String renders the finding in the canonical file:line:col form.
@@ -81,9 +79,6 @@ type Config struct {
 	Dir string
 	// Patterns are go package patterns; defaults to ./... when empty.
 	Patterns []string
-	// Enabled restricts the suite to the named analyzers; nil or empty
-	// runs all of them.
-	Enabled map[string]bool
 }
 
 // Run loads the requested packages and applies the suite, returning every
@@ -102,12 +97,70 @@ func Run(cfg Config) ([]Finding, error) {
 
 	var findings []Finding
 	for _, pkg := range prog.Targets {
-		diags, err := checkPackage(prog.Fset, pkg, cfg.Enabled)
+		var suite []*analysis.Analyzer
+		for _, a := range Analyzers() {
+			if !simGated(a) || IsSimPackage(pkg.Path) {
+				suite = append(suite, a)
+			}
+		}
+		diags, err := check(suite, prog.Fset, pkg.Files, pkg.Types, pkg.Info)
 		if err != nil {
 			return nil, err
 		}
 		findings = append(findings, diags...)
 	}
+	sortFindings(findings)
+	return findings, nil
+}
+
+// RunAnalyzer applies one analyzer to an already-type-checked package
+// through the driver's own path. The analysistest harness runs fixtures
+// through it, so suppression is tested with production semantics.
+func RunAnalyzer(a *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
+	return check([]*analysis.Analyzer{a}, fset, files, pkg, info)
+}
+
+// check applies a suite of analyzers to one package and returns, sorted,
+// every finding no //lint:ignore pragma suppresses, plus one for each
+// malformed pragma.
+func check(suite []*analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
+	var findings []Finding
+	emit := func(name string, d analysis.Diagnostic) {
+		pos := fset.Position(d.Pos)
+		findings = append(findings, Finding{
+			Analyzer: name,
+			File:     pos.Filename,
+			Line:     pos.Line,
+			Col:      pos.Column,
+			Message:  d.Message,
+		})
+	}
+	// Malformed pragmas are findings in their own right, attributed to a
+	// pseudo-analyzer so they are never themselves suppressible.
+	pragmas := indexPragmas(fset, files, func(d analysis.Diagnostic) { emit("pragma", d) })
+	for _, a := range suite {
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      fset,
+			Files:     files,
+			Pkg:       pkg,
+			TypesInfo: info,
+			Report: func(d analysis.Diagnostic) {
+				if !pragmas.suppressed(fset, a.Name, d.Pos) {
+					emit(a.Name, d)
+				}
+			},
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path(), err)
+		}
+	}
+	sortFindings(findings)
+	return findings, nil
+}
+
+// sortFindings orders findings by position, then analyzer.
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {
@@ -121,120 +174,4 @@ func Run(cfg Config) ([]Finding, error) {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return findings, nil
-}
-
-// checkPackage runs the enabled analyzers over one package and applies
-// pragma suppression.
-func checkPackage(fset *token.FileSet, pkg *load.Package, enabled map[string]bool) ([]Finding, error) {
-	var findings []Finding
-	emit := func(name string, d analysis.Diagnostic) {
-		pos := fset.Position(d.Pos)
-		findings = append(findings, Finding{
-			Analyzer: name,
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Message:  d.Message,
-		})
-	}
-
-	// Malformed pragmas are findings in their own right, attributed to a
-	// pseudo-analyzer so they are never themselves suppressible.
-	pragmas := indexPragmas(fset, pkg.Files, func(d analysis.Diagnostic) {
-		emit("pragma", d)
-	})
-
-	for _, a := range Analyzers() {
-		if len(enabled) > 0 && !enabled[a.Name] {
-			continue
-		}
-		if simGated(a) && !IsSimPackage(pkg.Path) {
-			continue
-		}
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-		}
-		name := a.Name
-		pass.Report = func(d analysis.Diagnostic) {
-			if pragmas.suppressed(fset, name, d.Pos) {
-				return
-			}
-			emit(name, d)
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path, err)
-		}
-	}
-	return findings, nil
-}
-
-// RunAnalyzer applies one analyzer to an already-type-checked package,
-// with the same pragma-suppression semantics as the full driver. The
-// analysistest harness runs fixtures through this so suppression paths are
-// tested with production semantics.
-func RunAnalyzer(a *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
-	var findings []Finding
-	emit := func(name string, d analysis.Diagnostic) {
-		pos := fset.Position(d.Pos)
-		findings = append(findings, Finding{
-			Analyzer: name,
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Message:  d.Message,
-		})
-	}
-	pragmas := indexPragmas(fset, files, func(d analysis.Diagnostic) { emit("pragma", d) })
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      fset,
-		Files:     files,
-		Pkg:       pkg,
-		TypesInfo: info,
-		Report: func(d analysis.Diagnostic) {
-			if pragmas.suppressed(fset, a.Name, d.Pos) {
-				return
-			}
-			emit(a.Name, d)
-		},
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, err
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].Line != findings[j].Line {
-			return findings[i].Line < findings[j].Line
-		}
-		return findings[i].Col < findings[j].Col
-	})
-	return findings, nil
-}
-
-// ParseEnabled turns a comma-separated analyzer list into the Enabled set,
-// validating the names against the suite.
-func ParseEnabled(list string) (map[string]bool, error) {
-	if strings.TrimSpace(list) == "" {
-		return nil, nil
-	}
-	valid := map[string]bool{}
-	for _, a := range Analyzers() {
-		valid[a.Name] = true
-	}
-	out := map[string]bool{}
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if !valid[name] {
-			return nil, fmt.Errorf("lint: unknown analyzer %q (have mapiter, seedpurity, resetcomplete, hotpath)", name)
-		}
-		out[name] = true
-	}
-	return out, nil
 }
