@@ -15,22 +15,34 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"slpdas/internal/lint"
 )
 
-func main() {
-	flag.Parse()
-	findings, err := lint.Run(lint.Config{Dir: ".", Patterns: flag.Args()})
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it lints the packages args name and returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("slplint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	findings, err := lint.Run(".", fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "slplint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "slplint:", err)
+		return 2
 	}
 	for _, f := range findings {
-		fmt.Println(f)
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

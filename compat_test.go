@@ -21,7 +21,7 @@ func TestLintCleanBeforeGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the full module closure; skipped in -short")
 	}
-	findings, err := lint.Run(lint.Config{Dir: ".", Patterns: []string{"./..."}})
+	findings, err := lint.Run(".", "./...")
 	if err != nil {
 		t.Fatalf("lint.Run: %v", err)
 	}

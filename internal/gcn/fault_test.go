@@ -84,3 +84,27 @@ func TestResetClearsDead(t *testing.T) {
 		t.Error("dead flag survived Reset")
 	}
 }
+
+// TestFailInsideOwnActionStops: a command that crashes its own process —
+// a broadcast that drains the battery — ends the action loop there, even
+// though a guard of the dead process is still enabled.
+func TestFailInsideOwnActionStops(t *testing.T) {
+	prog := NewProgram[*node](oneKey)
+	var p *Process[*node]
+	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { p.Fail() })
+	ran := 0
+	prog.Guard("enabled", func(*node) bool { return true }, func(*node) { ran++ })
+	e := NewEngine(des.New(), prog)
+	p = newProcess(e, 1, &node{})
+
+	e.Deliver(p, 2, "last words")
+	if !p.dead {
+		t.Fatal("receive action did not crash its process")
+	}
+	if ran != 0 {
+		t.Errorf("dead process ran its enabled guard %d times", ran)
+	}
+	if err := p.Err(); err != nil {
+		t.Errorf("crash inside an action failed the process: %v", err)
+	}
+}

@@ -293,14 +293,12 @@ func (e *Engine[C]) Err() error {
 	return nil
 }
 
-// stimulate runs the process action loop until quiescence.
+// stimulate runs the process action loop until quiescence, or until an
+// action crashes its own process (a broadcast that drains the battery).
 //
 //slp:hotpath
 func (e *Engine[C]) stimulate(p *Process[C]) {
-	if p.failed != nil || p.dead {
-		return
-	}
-	for steps := 0; ; steps++ {
+	for steps := 0; p.failed == nil && !p.dead; steps++ {
 		if steps >= e.stepBudget {
 			//lint:ignore hotpath cold failure path, the process is dead after this
 			p.failed = fmt.Errorf("%w (process %d, budget %d)", ErrStepBudget, p.id, e.stepBudget)

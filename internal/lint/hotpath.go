@@ -5,8 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"slpdas/internal/lint/analysis"
 )
 
 // hotPathMark is the doc-comment annotation naming a function part of a
@@ -17,7 +15,7 @@ import (
 // before a test ever runs.
 const hotPathMark = "slp:hotpath"
 
-// HotPath checks functions annotated `//slp:hotpath` for the four
+// hotPath checks functions annotated `//slp:hotpath` for the four
 // allocation sources the zero-alloc discipline bans:
 //
 //   - function literals (every closure is a heap allocation once it
@@ -33,14 +31,10 @@ const hotPathMark = "slp:hotpath"
 //     pooled or pre-sized buffer.
 //
 // Escape hatch: `//lint:ignore hotpath <reason>` on the offending line.
-var HotPath = &analysis.Analyzer{
-	Name: "hotpath",
-	Doc:  "functions marked //slp:hotpath must not allocate: no closures, fmt, interface boxing, or uncapped fresh-slice appends",
-	Run:  runHotPath,
-}
+var hotPath = &analyzer{name: "hotpath", run: runHotPath}
 
-func runHotPath(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
+func runHotPath(pass *pass) {
+	for _, file := range pass.files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil || !hasHotPathMark(fd.Doc) {
@@ -49,7 +43,6 @@ func runHotPath(pass *analysis.Pass) error {
 			checkHotFunc(pass, fd)
 		}
 	}
-	return nil
 }
 
 func hasHotPathMark(doc *ast.CommentGroup) bool {
@@ -64,13 +57,13 @@ func hasHotPathMark(doc *ast.CommentGroup) bool {
 	return false
 }
 
-func checkHotFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkHotFunc(pass *pass, fd *ast.FuncDecl) {
 	freshSlices := collectFreshSlices(pass, fd.Body)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.FuncLit:
-			pass.Reportf(x.Pos(), "closure literal in //slp:hotpath function %s: allocates per call; schedule a pooled des.Runner instead", fd.Name.Name)
+			pass.reportf(x.Pos(), "closure literal in //slp:hotpath function %s: allocates per call; schedule a pooled des.Runner instead", fd.Name.Name)
 			return false // the literal's own body is cold until annotated
 		case *ast.CallExpr:
 			checkHotCall(pass, fd, x, freshSlices)
@@ -79,10 +72,10 @@ func checkHotFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				return true // tuple assignment; no per-expression pairing
 			}
 			for i, lhs := range x.Lhs {
-				checkBoxing(pass, fd, pass.TypeOf(lhs), x.Rhs[i], "assignment")
+				checkBoxing(pass, fd, pass.typeOf(lhs), x.Rhs[i], "assignment")
 			}
 		case *ast.ReturnStmt:
-			sig, ok := pass.TypeOf(fd.Name).(*types.Signature)
+			sig, ok := pass.typeOf(fd.Name).(*types.Signature)
 			if !ok || sig.Results() == nil || len(x.Results) != sig.Results().Len() {
 				return true
 			}
@@ -94,12 +87,12 @@ func checkHotFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	})
 }
 
-func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, freshSlices map[types.Object]bool) {
+func checkHotCall(pass *pass, fd *ast.FuncDecl, call *ast.CallExpr, freshSlices map[types.Object]bool) {
 	// fmt.* calls.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if id, ok := sel.X.(*ast.Ident); ok {
-			if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
-				pass.Reportf(call.Pos(), "fmt.%s in //slp:hotpath function %s: formats through interfaces and allocates", sel.Sel.Name, fd.Name.Name)
+			if pn, ok := pass.info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "fmt" {
+				pass.reportf(call.Pos(), "fmt.%s in //slp:hotpath function %s: formats through interfaces and allocates", sel.Sel.Name, fd.Name.Name)
 				return
 			}
 		}
@@ -107,10 +100,10 @@ func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, fre
 
 	// Builtins: append on a fresh uncapped slice; other builtins are free.
 	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+		if _, isBuiltin := pass.info.Uses[id].(*types.Builtin); isBuiltin {
 			if id.Name == "append" && len(call.Args) > 0 {
 				if base, ok := call.Args[0].(*ast.Ident); ok && freshSlices[objectOf(pass, base)] {
-					pass.Reportf(call.Pos(),
+					pass.reportf(call.Pos(),
 						"append to fresh uncapped slice %s in //slp:hotpath function %s: grows by reallocation; make it with capacity or reuse a pooled buffer", base.Name, fd.Name.Name)
 				}
 			}
@@ -119,13 +112,13 @@ func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, fre
 	}
 
 	// Explicit conversion to an interface type.
-	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
+	if tv, ok := pass.info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
 		checkBoxing(pass, fd, tv.Type, call.Args[0], "conversion")
 		return
 	}
 
 	// Implicit boxing at the call boundary.
-	sig, ok := pass.TypeOf(call.Fun).(*types.Signature)
+	sig, ok := pass.typeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
 	}
@@ -149,11 +142,11 @@ func checkHotCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, fre
 
 // checkBoxing reports when a concrete, non-pointer-shaped value meets an
 // interface-typed slot.
-func checkBoxing(pass *analysis.Pass, fd *ast.FuncDecl, dst types.Type, src ast.Expr, context string) {
+func checkBoxing(pass *pass, fd *ast.FuncDecl, dst types.Type, src ast.Expr, context string) {
 	if dst == nil || !types.IsInterface(dst) {
 		return
 	}
-	st := pass.TypeOf(src)
+	st := pass.typeOf(src)
 	if st == nil || types.IsInterface(st) {
 		return
 	}
@@ -164,17 +157,17 @@ func checkBoxing(pass *analysis.Pass, fd *ast.FuncDecl, dst types.Type, src ast.
 	case *types.Pointer, *types.Map, *types.Chan, *types.Signature:
 		return // pointer-shaped: stored in the interface word, no allocation
 	}
-	pass.Reportf(src.Pos(),
+	pass.reportf(src.Pos(),
 		"interface boxing in //slp:hotpath function %s: %s converts %s to %s and may allocate; keep hot values concrete or pointer-shaped",
 		fd.Name.Name, context, st.String(), dst.String())
 }
 
 // collectFreshSlices finds local slice variables declared with no
 // capacity: `var x []T`, `x := []T{}`, or `x := make([]T, 0)`.
-func collectFreshSlices(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+func collectFreshSlices(pass *pass, body *ast.BlockStmt) map[types.Object]bool {
 	fresh := map[types.Object]bool{}
 	note := func(id *ast.Ident) {
-		if obj := pass.TypesInfo.Defs[id]; obj != nil {
+		if obj := pass.info.Defs[id]; obj != nil {
 			if _, isSlice := obj.Type().Underlying().(*types.Slice); isSlice {
 				fresh[obj] = true
 			}
@@ -217,23 +210,23 @@ func collectFreshSlices(pass *analysis.Pass, body *ast.BlockStmt) map[types.Obje
 
 // isUncappedSliceExpr matches `[]T{}` (empty literal), `[]T(nil)` and
 // `make([]T, 0)` — slice origins with zero capacity.
-func isUncappedSliceExpr(pass *analysis.Pass, e ast.Expr) bool {
+func isUncappedSliceExpr(pass *pass, e ast.Expr) bool {
 	switch x := e.(type) {
 	case *ast.CompositeLit:
-		_, isSlice := pass.TypeOf(x).Underlying().(*types.Slice)
+		_, isSlice := pass.typeOf(x).Underlying().(*types.Slice)
 		return isSlice && len(x.Elts) == 0
 	case *ast.CallExpr:
 		id, ok := x.Fun.(*ast.Ident)
 		if !ok || id.Name != "make" || len(x.Args) != 2 {
 			return false
 		}
-		if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
+		if _, isBuiltin := pass.info.Uses[id].(*types.Builtin); !isBuiltin {
 			return false
 		}
-		if _, isSlice := pass.TypeOf(x).Underlying().(*types.Slice); !isSlice {
+		if _, isSlice := pass.typeOf(x).Underlying().(*types.Slice); !isSlice {
 			return false
 		}
-		tv, ok := pass.TypesInfo.Types[x.Args[1]]
+		tv, ok := pass.info.Types[x.Args[1]]
 		return ok && tv.Value != nil && tv.Value.String() == "0"
 	case *ast.Ident:
 		return x.Name == "nil"

@@ -6,25 +6,49 @@
 // on the configurations they exercise; the analyzers prove the contracts
 // at the source level for every configuration at once.
 //
-// See DESIGN.md "Static invariants" for each analyzer's contract and its
-// escape hatch.
+// The suite uses only the standard library: `go list -deps` enumerates
+// the packages and go/types checks them from source, so the linter adds
+// no module dependencies. See DESIGN.md "Static invariants" for each
+// analyzer's contract and its escape hatch.
 package lint
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
-	"sort"
-
-	"slpdas/internal/lint/analysis"
-	"slpdas/internal/lint/load"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
+	"strings"
 )
 
-// Analyzers returns the slplint suite in reporting order.
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{MapIter, SeedPurity, ResetComplete, HotPath}
+// analyzer is one static check: the name used in findings and in
+// //lint:ignore pragmas, and the check itself, run once per package.
+type analyzer struct {
+	name string
+	run  func(*pass)
 }
+
+// pass is one analyzer's view of one type-checked package.
+type pass struct {
+	*target
+	report func(pos token.Pos, msg string)
+}
+
+// reportf reports a formatted finding at pos.
+func (p *pass) reportf(pos token.Pos, format string, args ...any) {
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+// typeOf returns the type of e, or nil if unknown.
+func (p *pass) typeOf(e ast.Expr) types.Type { return p.info.TypeOf(e) }
 
 // simPackages are the packages whose code runs inside a simulation and
 // must therefore be deterministic: every draw seed-derived, every output
@@ -50,15 +74,6 @@ var simPackages = map[string]bool{
 	"slpdas/internal/metrics":    true,
 }
 
-// IsSimPackage reports whether the mapiter/seedpurity determinism gates
-// apply to the given import path.
-func IsSimPackage(path string) bool { return simPackages[path] }
-
-// simGated reports whether an analyzer is restricted to sim packages.
-func simGated(a *analysis.Analyzer) bool {
-	return a == MapIter || a == SeedPurity
-}
-
 // Finding is one reported violation.
 type Finding struct {
 	Analyzer string
@@ -73,105 +88,157 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s [%s]", f.File, f.Line, f.Col, f.Message, f.Analyzer)
 }
 
-// Config selects what to check.
-type Config struct {
-	// Dir is the directory go list runs from (the module root or below).
-	Dir string
-	// Patterns are go package patterns; defaults to ./... when empty.
-	Patterns []string
-}
-
-// Run loads the requested packages and applies the suite, returning every
-// unsuppressed finding sorted by position. A non-nil error means the
-// analysis could not run (load or type-check failure), not that findings
-// exist.
-func Run(cfg Config) ([]Finding, error) {
-	patterns := cfg.Patterns
+// Run loads the packages that patterns (default ./...) name relative to
+// dir and applies the suite, returning every unsuppressed finding sorted
+// by position. A non-nil error means the analysis could not run (load or
+// type-check failure), not that findings exist.
+func Run(dir string, patterns ...string) ([]Finding, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	prog, err := load.Load(cfg.Dir, patterns...)
+	targets, err := load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-
 	var findings []Finding
-	for _, pkg := range prog.Targets {
-		var suite []*analysis.Analyzer
-		for _, a := range Analyzers() {
-			if !simGated(a) || IsSimPackage(pkg.Path) {
-				suite = append(suite, a)
-			}
+	for _, t := range targets {
+		suite := []*analyzer{resetComplete, hotPath}
+		if simPackages[t.pkg.Path()] {
+			suite = []*analyzer{mapIter, seedPurity, resetComplete, hotPath}
 		}
-		diags, err := check(suite, prog.Fset, pkg.Files, pkg.Types, pkg.Info)
-		if err != nil {
-			return nil, err
-		}
-		findings = append(findings, diags...)
+		findings = append(findings, check(suite, t)...)
 	}
-	sortFindings(findings)
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col), strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message))
+	})
 	return findings, nil
 }
 
-// RunAnalyzer applies one analyzer to an already-type-checked package
-// through the driver's own path. The analysistest harness runs fixtures
-// through it, so suppression is tested with production semantics.
-func RunAnalyzer(a *analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
-	return check([]*analysis.Analyzer{a}, fset, files, pkg, info)
-}
-
-// check applies a suite of analyzers to one package and returns, sorted,
-// every finding no //lint:ignore pragma suppresses, plus one for each
-// malformed pragma.
-func check(suite []*analysis.Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) ([]Finding, error) {
+// check applies a suite of analyzers to one package and returns every
+// finding no //lint:ignore pragma suppresses, plus one for each malformed
+// pragma.
+func check(suite []*analyzer, t *target) []Finding {
 	var findings []Finding
-	emit := func(name string, d analysis.Diagnostic) {
-		pos := fset.Position(d.Pos)
-		findings = append(findings, Finding{
-			Analyzer: name,
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Col:      pos.Column,
-			Message:  d.Message,
-		})
+	emit := func(name string, pos token.Pos, msg string) {
+		p := t.fset.Position(pos)
+		findings = append(findings, Finding{Analyzer: name, File: p.Filename, Line: p.Line, Col: p.Column, Message: msg})
 	}
 	// Malformed pragmas are findings in their own right, attributed to a
 	// pseudo-analyzer so they are never themselves suppressible.
-	pragmas := indexPragmas(fset, files, func(d analysis.Diagnostic) { emit("pragma", d) })
+	pragmas := indexPragmas(t, func(pos token.Pos, msg string) { emit("pragma", pos, msg) })
 	for _, a := range suite {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
-			Report: func(d analysis.Diagnostic) {
-				if !pragmas.suppressed(fset, a.Name, d.Pos) {
-					emit(a.Name, d)
-				}
-			},
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Path(), err)
-		}
+		a.run(&pass{target: t, report: func(pos token.Pos, msg string) {
+			if !pragmas.suppressed(t.fset, a.name, pos) {
+				emit(a.name, pos, msg)
+			}
+		}})
 	}
-	sortFindings(findings)
-	return findings, nil
+	return findings
 }
 
-// sortFindings orders findings by position, then analyzer.
-func sortFindings(findings []Finding) {
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
-	})
+// target is one loaded package that a pattern names: its parsed non-test
+// files with comments, the source bytes each was parsed from, and its
+// type information.
+type target struct {
+	fset  *token.FileSet
+	files []*ast.File
+	src   [][]byte // src[i] is the source of files[i]
+	pkg   *types.Package
+	info  *types.Info
 }
+
+// load enumerates patterns relative to dir with `go list -deps`, the one
+// authority on build constraints, file lists and dependency order, then
+// parses and type-checks every listed package from source in that order.
+// It returns the packages the patterns name, in go list order; the rest
+// of the import closure is checked only to resolve their imports.
+func load(dir string, patterns ...string) ([]*target, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,DepOnly,Error"}, patterns...)...)
+	cmd.Dir = dir
+	// CGO off: the simulator has no cgo, and from-source type-checking
+	// must not see cgo-generated files.
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		return nil, fmt.Errorf("load: go list %v: %v\n%s", patterns, err, stderr.String())
+	}
+
+	fset := token.NewFileSet()
+	checked := map[string]*types.Package{"unsafe": types.Unsafe}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		return nil, fmt.Errorf("load: package %q not in the type-checked closure", path)
+	})}
+	var targets []*target
+	for dec := json.NewDecoder(&stdout); ; {
+		var lp struct {
+			ImportPath, Dir string
+			GoFiles         []string
+			DepOnly         bool
+			Error           *struct{ Err string }
+		}
+		if err := dec.Decode(&lp); err == io.EOF {
+			return targets, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("load: decoding go list output: %w", err)
+		}
+		if lp.ImportPath == "unsafe" {
+			continue
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("load: %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if len(lp.GoFiles) == 0 {
+			// Assembly- or test-only package; nothing to check.
+			if !lp.DepOnly {
+				continue
+			}
+			return nil, fmt.Errorf("load: %s: no Go files", lp.ImportPath)
+		}
+		t := &target{fset: fset}
+		if !lp.DepOnly {
+			// Only the targets are analysed; the closure needs no maps.
+			t.info = &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+				Implicits:  map[ast.Node]types.Object{},
+				Instances:  map[*ast.Ident]types.Instance{},
+			}
+		}
+		for _, name := range lp.GoFiles {
+			path := filepath.Join(lp.Dir, name)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return nil, fmt.Errorf("load: %w", err)
+			}
+			f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("load: %w", err)
+			}
+			t.files, t.src = append(t.files, f), append(t.src, src)
+		}
+		// A type error anywhere is a hard stop: analyzers must never run
+		// over partial type information.
+		pkg, err := conf.Check(lp.ImportPath, fset, t.files, t.info)
+		if err != nil {
+			return nil, fmt.Errorf("load: type-checking %s: %w", lp.ImportPath, err)
+		}
+		checked[lp.ImportPath] = pkg
+		if !lp.DepOnly {
+			t.pkg = pkg
+			targets = append(targets, t)
+		}
+	}
+}
+
+// importerFunc resolves imports with a function.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

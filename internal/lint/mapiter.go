@@ -3,11 +3,9 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"slpdas/internal/lint/analysis"
 )
 
-// MapIter flags `for range` over a map in simulation packages. Map
+// mapIter flags `for range` over a map in simulation packages. Map
 // iteration order is randomized per run of the process, so any map range
 // that feeds scheduling, accumulation or output ordering silently breaks
 // the byte-identical-sweeps contract — the classic determinism killer this
@@ -24,14 +22,10 @@ import (
 //     cannot matter when every element is removed.
 //
 // Anything else needs an explicit `//lint:ignore mapiter <reason>`.
-var MapIter = &analysis.Analyzer{
-	Name: "mapiter",
-	Doc:  "flags range-over-map in simulation packages unless the keys are collected and sorted before use",
-	Run:  runMapIter,
-}
+var mapIter = &analyzer{name: "mapiter", run: runMapIter}
 
-func runMapIter(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
+func runMapIter(pass *pass) {
+	for _, file := range pass.files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch fn := n.(type) {
@@ -49,12 +43,11 @@ func runMapIter(pass *analysis.Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // checkMapRanges reports unsafe map ranges directly inside body (nested
 // function literals are visited as their own bodies by the caller).
-func checkMapRanges(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkMapRanges(pass *pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false // visited separately; sort context differs
@@ -63,7 +56,7 @@ func checkMapRanges(pass *analysis.Pass, body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		t := pass.TypeOf(rs.X)
+		t := pass.typeOf(rs.X)
 		if t == nil {
 			return true
 		}
@@ -73,7 +66,7 @@ func checkMapRanges(pass *analysis.Pass, body *ast.BlockStmt) {
 		if isDrainLoop(pass, rs) || isCollectThenSort(pass, rs, body) {
 			return true
 		}
-		pass.Reportf(rs.Pos(),
+		pass.reportf(rs.Pos(),
 			"range over map %s: iteration order is nondeterministic in a simulation package; collect and sort the keys, or annotate //lint:ignore mapiter <reason>",
 			exprString(pass, rs.X))
 		return true
@@ -81,7 +74,7 @@ func checkMapRanges(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // isDrainLoop recognizes `for k := range m { delete(m, k) }`.
-func isDrainLoop(pass *analysis.Pass, rs *ast.RangeStmt) bool {
+func isDrainLoop(pass *pass, rs *ast.RangeStmt) bool {
 	if len(rs.Body.List) != 1 {
 		return false
 	}
@@ -97,7 +90,7 @@ func isDrainLoop(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 	if !ok || fn.Name != "delete" {
 		return false
 	}
-	if _, isBuiltin := pass.TypesInfo.Uses[fn].(*types.Builtin); !isBuiltin {
+	if _, isBuiltin := pass.info.Uses[fn].(*types.Builtin); !isBuiltin {
 		return false
 	}
 	return sameObject(pass, call.Args[0], rs.X) && sameObject(pass, call.Args[1], rs.Key)
@@ -105,7 +98,7 @@ func isDrainLoop(pass *analysis.Pass, rs *ast.RangeStmt) bool {
 
 // isCollectThenSort recognizes loops whose whole body appends to local
 // slices that are each sorted later in the enclosing function body.
-func isCollectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, enclosing *ast.BlockStmt) bool {
+func isCollectThenSort(pass *pass, rs *ast.RangeStmt, enclosing *ast.BlockStmt) bool {
 	var collected []types.Object
 	for _, stmt := range rs.Body.List {
 		as, ok := stmt.(*ast.AssignStmt)
@@ -124,7 +117,7 @@ func isCollectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, enclosing *ast.Bl
 		if !ok || fn.Name != "append" {
 			return false
 		}
-		if _, isBuiltin := pass.TypesInfo.Uses[fn].(*types.Builtin); !isBuiltin {
+		if _, isBuiltin := pass.info.Uses[fn].(*types.Builtin); !isBuiltin {
 			return false
 		}
 		base, ok := call.Args[0].(*ast.Ident)
@@ -147,7 +140,7 @@ func isCollectThenSort(pass *analysis.Pass, rs *ast.RangeStmt, enclosing *ast.Bl
 // sortedAfter reports whether obj is passed (anywhere in an argument
 // expression) to a sort.* or slices.* call positioned after the range
 // statement within the enclosing body.
-func sortedAfter(pass *analysis.Pass, obj types.Object, rs *ast.RangeStmt, enclosing *ast.BlockStmt) bool {
+func sortedAfter(pass *pass, obj types.Object, rs *ast.RangeStmt, enclosing *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(enclosing, func(n ast.Node) bool {
 		if found {
@@ -165,7 +158,7 @@ func sortedAfter(pass *analysis.Pass, obj types.Object, rs *ast.RangeStmt, enclo
 		if !ok {
 			return true
 		}
-		pn, ok := pass.TypesInfo.Uses[pkgIdent].(*types.PkgName)
+		pn, ok := pass.info.Uses[pkgIdent].(*types.PkgName)
 		if !ok {
 			return true
 		}
@@ -185,16 +178,16 @@ func sortedAfter(pass *analysis.Pass, obj types.Object, rs *ast.RangeStmt, enclo
 	return found
 }
 
-func objectOf(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Uses[id]; obj != nil {
+func objectOf(pass *pass, id *ast.Ident) types.Object {
+	if obj := pass.info.Uses[id]; obj != nil {
 		return obj
 	}
-	return pass.TypesInfo.Defs[id]
+	return pass.info.Defs[id]
 }
 
 // sameObject reports whether two expressions are uses of one identifier's
 // object.
-func sameObject(pass *analysis.Pass, a, b ast.Expr) bool {
+func sameObject(pass *pass, a, b ast.Expr) bool {
 	ai, ok := a.(*ast.Ident)
 	if !ok {
 		return false
@@ -209,7 +202,7 @@ func sameObject(pass *analysis.Pass, a, b ast.Expr) bool {
 
 // exprString renders small expressions for messages without importing
 // go/printer: identifiers and selector chains cover the practical cases.
-func exprString(pass *analysis.Pass, e ast.Expr) string {
+func exprString(pass *pass, e ast.Expr) string {
 	switch x := e.(type) {
 	case *ast.Ident:
 		return x.Name

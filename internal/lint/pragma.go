@@ -1,13 +1,10 @@
 package lint
 
 import (
+	"bytes"
 	"go/ast"
 	"go/token"
-	"os"
 	"strings"
-	"sync"
-
-	"slpdas/internal/lint/analysis"
 )
 
 // Pragma escape hatches. Each analyzer encodes a contract with legitimate
@@ -39,17 +36,14 @@ type ignoreSite struct {
 // pragmaIndex maps file -> line -> pragma for one package's files.
 type pragmaIndex map[*token.File]map[int]ignoreSite
 
-// indexPragmas scans every comment of every file for //lint:ignore
+// indexPragmas scans every comment of every file of t for //lint:ignore
 // pragmas. Malformed pragmas (no analyzer list or no reason) are reported
 // as findings themselves via report, so they cannot silently suppress
 // nothing.
-func indexPragmas(fset *token.FileSet, files []*ast.File, report func(analysis.Diagnostic)) pragmaIndex {
+func indexPragmas(t *target, report func(pos token.Pos, msg string)) pragmaIndex {
 	idx := pragmaIndex{}
-	for _, f := range files {
-		tf := fset.File(f.Pos())
-		if tf == nil {
-			continue
-		}
+	for i, f := range t.files {
+		tf := t.fset.File(f.Pos())
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -59,21 +53,18 @@ func indexPragmas(fset *token.FileSet, files []*ast.File, report func(analysis.D
 				rest := strings.TrimSpace(strings.TrimPrefix(text, ignorePragma))
 				parts := strings.Fields(rest)
 				if len(parts) < 2 {
-					report(analysis.Diagnostic{
-						Pos:     c.Pos(),
-						Message: "malformed //lint:ignore pragma: want //lint:ignore <analyzer>[,<analyzer>] <reason>",
-					})
+					report(c.Pos(), "malformed //lint:ignore pragma: want //lint:ignore <analyzer>[,<analyzer>] <reason>")
 					continue
 				}
 				site := ignoreSite{analyzers: map[string]bool{}}
 				for _, name := range strings.Split(parts[0], ",") {
 					site.analyzers[strings.TrimSpace(name)] = true
 				}
-				pos := fset.Position(c.Pos())
+				pos := t.fset.Position(c.Pos())
 				// The pragma is "own line" when nothing but whitespace
 				// precedes it on its line.
-				lineStart := tf.LineStart(pos.Line)
-				site.ownLine = strings.TrimSpace(contentBetween(tf, lineStart, c.Pos())) == ""
+				src := t.src[i][:pos.Offset]
+				site.ownLine = len(bytes.TrimSpace(src[bytes.LastIndexByte(src, '\n')+1:])) == 0
 				if idx[tf] == nil {
 					idx[tf] = map[int]ignoreSite{}
 				}
@@ -82,38 +73,6 @@ func indexPragmas(fset *token.FileSet, files []*ast.File, report func(analysis.D
 		}
 	}
 	return idx
-}
-
-// contentBetween is a best-effort read of the source between two positions
-// of one file; used only to classify a pragma as own-line vs trailing.
-func contentBetween(tf *token.File, from, to token.Pos) string {
-	// Positions map 1:1 onto the file's byte offsets.
-	a, b := tf.Offset(from), tf.Offset(to)
-	if a < 0 || b < a {
-		return ""
-	}
-	src := fileBytes(tf)
-	if src == nil || b > len(src) {
-		return ""
-	}
-	return string(src[a:b])
-}
-
-// fileBytes returns the source of tf, read from disk and cached. Pragma
-// classification is the only consumer; a file that cannot be re-read
-// degrades to trailing-pragma semantics, never to a crash.
-var fileBytesCache sync.Map // *token.File -> []byte
-
-func fileBytes(tf *token.File) []byte {
-	if v, ok := fileBytesCache.Load(tf); ok {
-		return v.([]byte)
-	}
-	src, err := os.ReadFile(tf.Name())
-	if err != nil || len(src) != tf.Size() {
-		src = nil
-	}
-	fileBytesCache.Store(tf, src)
-	return src
 }
 
 // suppressed reports whether a diagnostic of analyzer name at pos is

@@ -3,11 +3,9 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"slpdas/internal/lint/analysis"
 )
 
-// ResetComplete proves the fresh-vs-reset no-drift contract structurally:
+// resetComplete proves the fresh-vs-reset no-drift contract structurally:
 // for every struct type that is constructed in its package and carries a
 // pointer-receiver Reset (or reset) method, each field must either be
 // written by that method — directly, or inside another method of the same
@@ -26,16 +24,12 @@ import (
 // Escape hatches: the per-field `// lint:immutable` annotation for wiring
 // and deliberately-preserved cross-run state, or `//lint:ignore
 // resetcomplete <reason>` on the field line.
-var ResetComplete = &analysis.Analyzer{
-	Name: "resetcomplete",
-	Doc:  "every field of a constructed type with a Reset method must be written on the reset path or annotated // lint:immutable",
-	Run:  runResetComplete,
-}
+var resetComplete = &analyzer{name: "resetcomplete", run: runResetComplete}
 
-func runResetComplete(pass *analysis.Pass) error {
+func runResetComplete(pass *pass) {
 	// Index this package's method declarations by receiver type name.
 	methods := map[string]map[string]*ast.FuncDecl{}
-	for _, file := range pass.Files {
+	for _, file := range pass.files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 {
@@ -57,17 +51,17 @@ func runResetComplete(pass *analysis.Pass) error {
 	// package never instantiates (e.g. an interface impl built elsewhere)
 	// is out of scope.
 	constructed := map[string]bool{}
-	for _, file := range pass.Files {
+	for _, file := range pass.files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.CompositeLit:
-				if name := namedTypeName(pass, pass.TypeOf(x)); name != "" {
+				if name := namedTypeName(pass, pass.typeOf(x)); name != "" {
 					constructed[name] = true
 				}
 			case *ast.CallExpr:
 				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "new" && len(x.Args) == 1 {
-					if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-						if name := namedTypeName(pass, pass.TypeOf(x.Args[0])); name != "" {
+					if _, isBuiltin := pass.info.Uses[id].(*types.Builtin); isBuiltin {
+						if name := namedTypeName(pass, pass.typeOf(x.Args[0])); name != "" {
 							constructed[name] = true
 						}
 					}
@@ -78,7 +72,7 @@ func runResetComplete(pass *analysis.Pass) error {
 	}
 
 	// Walk the struct declarations and check each (type, Reset) pair.
-	for _, file := range pass.Files {
+	for _, file := range pass.files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok {
@@ -101,7 +95,6 @@ func runResetComplete(pass *analysis.Pass) error {
 			}
 		}
 	}
-	return nil
 }
 
 // findReset picks the type's reset entry point: Reset preferred, reset
@@ -117,7 +110,7 @@ func findReset(ms map[string]*ast.FuncDecl) *ast.FuncDecl {
 	return nil
 }
 
-func checkReset(pass *analysis.Pass, typeName string, st *ast.StructType, reset *ast.FuncDecl, ms map[string]*ast.FuncDecl) {
+func checkReset(pass *pass, typeName string, st *ast.StructType, reset *ast.FuncDecl, ms map[string]*ast.FuncDecl) {
 	w := &resetWalker{pass: pass, methods: ms, touched: map[string]bool{}, visited: map[*ast.FuncDecl]bool{}}
 	w.walkMethod(reset)
 	if w.fullReset {
@@ -131,7 +124,7 @@ func checkReset(pass *analysis.Pass, typeName string, st *ast.StructType, reset 
 		if len(names) == 0 {
 			// Embedded field: known by its type name.
 			if name := embeddedName(field.Type); name != "" && !w.touched[name] {
-				pass.Reportf(field.Pos(),
+				pass.reportf(field.Pos(),
 					"embedded field %s.%s is not written by (*%s).%s; rewind it or annotate // lint:immutable: <why>",
 					typeName, name, typeName, reset.Name.Name)
 			}
@@ -141,7 +134,7 @@ func checkReset(pass *analysis.Pass, typeName string, st *ast.StructType, reset 
 			if name.Name == "_" || w.touched[name.Name] {
 				continue
 			}
-			pass.Reportf(name.Pos(),
+			pass.reportf(name.Pos(),
 				"field %s.%s is not written by (*%s).%s: a run after Reset would inherit the previous run's value; rewind it or annotate // lint:immutable: <why>",
 				typeName, name.Name, typeName, reset.Name.Name)
 		}
@@ -151,7 +144,7 @@ func checkReset(pass *analysis.Pass, typeName string, st *ast.StructType, reset 
 // resetWalker accumulates the fields written on the reset path, following
 // same-type method calls on the receiver transitively.
 type resetWalker struct {
-	pass      *analysis.Pass
+	pass      *pass
 	methods   map[string]*ast.FuncDecl
 	touched   map[string]bool
 	visited   map[*ast.FuncDecl]bool
@@ -198,7 +191,7 @@ func (w *resetWalker) walkMethod(fd *ast.FuncDecl) {
 // into).
 func (w *resetWalker) walkCall(recv types.Object, call *ast.CallExpr) {
 	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isBuiltin := w.pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
+		if _, isBuiltin := w.pass.info.Uses[id].(*types.Builtin); isBuiltin {
 			switch id.Name {
 			case "clear":
 				if len(call.Args) == 1 {
@@ -254,12 +247,12 @@ func (w *resetWalker) touch(recv types.Object, expr ast.Expr) {
 }
 
 // receiverObject resolves the receiver identifier's object.
-func receiverObject(pass *analysis.Pass, fd *ast.FuncDecl) types.Object {
+func receiverObject(pass *pass, fd *ast.FuncDecl) types.Object {
 	names := fd.Recv.List[0].Names
 	if len(names) != 1 || names[0].Name == "_" {
 		return nil
 	}
-	return pass.TypesInfo.Defs[names[0]]
+	return pass.info.Defs[names[0]]
 }
 
 // recvTypeName extracts the named type of a method receiver expression.
@@ -280,7 +273,7 @@ func recvTypeName(e ast.Expr) string {
 
 // namedTypeName returns the local name of t when it is (a pointer to) a
 // named type declared in the package under analysis.
-func namedTypeName(pass *analysis.Pass, t types.Type) string {
+func namedTypeName(pass *pass, t types.Type) string {
 	if t == nil {
 		return ""
 	}
@@ -292,7 +285,7 @@ func namedTypeName(pass *analysis.Pass, t types.Type) string {
 		return ""
 	}
 	obj := named.Obj()
-	if obj.Pkg() != pass.Pkg {
+	if obj.Pkg() != pass.pkg {
 		return ""
 	}
 	return obj.Name()

@@ -4,11 +4,9 @@ import (
 	"go/ast"
 	"go/types"
 	"strconv"
-
-	"slpdas/internal/lint/analysis"
 )
 
-// SeedPurity enforces the repo's randomness contract in simulation
+// seedPurity enforces the repo's randomness contract in simulation
 // packages: a run is a pure function of its seed, with every stream
 // derived through internal/xrand's labelled SplitMix64 mixing
 // (`BaseSeed + cell·Repeats + repeat` at the campaign layer, named
@@ -29,14 +27,10 @@ import (
 //     anywhere, streams may only be minted by xrand.
 //
 // Escape hatch: `//lint:ignore seedpurity <reason>`.
-var SeedPurity = &analysis.Analyzer{
-	Name: "seedpurity",
-	Doc:  "forces all randomness and time through internal/xrand streams and the DES clock in simulation packages",
-	Run:  runSeedPurity,
-}
+var seedPurity = &analyzer{name: "seedpurity", run: runSeedPurity}
 
-func runSeedPurity(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
+func runSeedPurity(pass *pass) {
+	for _, file := range pass.files {
 		for _, imp := range file.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil {
@@ -44,10 +38,10 @@ func runSeedPurity(pass *analysis.Pass) error {
 			}
 			switch path {
 			case "math/rand":
-				pass.Reportf(imp.Pos(),
+				pass.reportf(imp.Pos(),
 					"import of math/rand: the v1 global generator is shared mutable state; derive streams via internal/xrand")
 			case "crypto/rand":
-				pass.Reportf(imp.Pos(),
+				pass.reportf(imp.Pos(),
 					"import of crypto/rand: cryptographic entropy is not reproducible; simulation randomness must be seed-derived via internal/xrand")
 			}
 		}
@@ -61,24 +55,23 @@ func runSeedPurity(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			pn, ok := pass.TypesInfo.Uses[pkgIdent].(*types.PkgName)
+			pn, ok := pass.info.Uses[pkgIdent].(*types.PkgName)
 			if !ok {
 				return true
 			}
 			switch pn.Imported().Path() {
 			case "time":
 				if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {
-					pass.Reportf(sel.Pos(),
+					pass.reportf(sel.Pos(),
 						"time.%s in a simulation package: wall-clock time is nondeterministic; use the DES virtual clock", sel.Sel.Name)
 				}
 			case "math/rand/v2", "math/rand":
-				if _, isFunc := pass.TypesInfo.Uses[sel.Sel].(*types.Func); isFunc {
-					pass.Reportf(sel.Pos(),
+				if _, isFunc := pass.info.Uses[sel.Sel].(*types.Func); isFunc {
+					pass.reportf(sel.Pos(),
 						"rand.%s in a simulation package: mint generators and draws through internal/xrand named streams", sel.Sel.Name)
 				}
 			}
 			return true
 		})
 	}
-	return nil
 }

@@ -98,3 +98,15 @@ func malformed(m map[string]int) int {
 	}
 	return n
 }
+
+// trailingStaysOnItsLine: a trailing pragma covers its own line only, so
+// the map range on the line below it is still flagged.
+func trailingStaysOnItsLine(m, o map[string]int) int {
+	n := 0
+	for range m { //lint:ignore mapiter commutative count, order-free
+		for range o { // want "range over map o"
+			n++
+		}
+	}
+	return n
+}
