@@ -22,7 +22,7 @@ func TestHotPath(t *testing.T)       { testFixture(t, hotPath) }
 var wantRe = regexp.MustCompile(`want([+-][0-9]+)?[ \t]+"([^"]*)"`)
 
 // testFixture loads the fixture package ./testdata/<a.name> through the
-// driver's loader, runs a alone through the driver's check, so pragma
+// same loader Run uses, runs a alone through Run's check, so pragma
 // suppression behaves as in production, and fails on every finding no
 // want clause expects and every want clause no finding matches. A want
 // matches the message or Finding.String's trailing "[analyzer]" tag.
