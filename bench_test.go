@@ -228,8 +228,10 @@ func BenchmarkSingleRun(b *testing.B) {
 // 2's unit decrement, range 1.8 spacings) and n=20000 is rgg20k-scale's
 // (protectionless, FastCollisionResolve, range 2.2 spacings, source within
 // 12 hops). Both spend most of their time handing radio frames to the
-// node program: core.(*Network).receive is about 58% of CPU, cumulative,
-// in each, of which the DISSEM merge is about 11% (2-vCPU Xeon, Go 1.24).
+// node program: core.(*Network).receive is 55-61% of CPU, cumulative, in
+// each, of which the DISSEM merge is 9-13%. Each delivery reads its link
+// length and its sender's Ninfo place off the CSR edge, so neither Hypot
+// nor a binary search reaches 1% (2-vCPU Xeon, Go 1.24).
 //
 //	go test -run '^$' -bench 'SingleRunRGG/n=20000' -benchtime 3x -cpuprofile cpu.out .
 //

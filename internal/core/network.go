@@ -129,14 +129,15 @@ type Network struct {
 	// Receive-path decode cache: decMsg is radio frame decFrame decoded
 	// (nil if it does not decode), shared read-only by all its receivers.
 	// For a DISSEM, decPos places each entry in the sender's closed
-	// neighbourhood, decEdge is the current receiver's index among the
-	// sender's neighbours and decRow that edge's rank row (see receive).
+	// neighbourhood. decEdge is the current receiver's index among the
+	// sender's neighbours and decRow that edge's rank row, whose first
+	// entry places the sender in the receiver's Ninfo table (see receive).
 	// Frame ids never repeat, so the cache needs no rewinding between runs.
 	decFrame uint64       // lint:immutable: cache key, never matches a frame of another run
 	decMsg   wire.Message // lint:immutable: scratch, overwritten with decFrame
 	decPos   []int32      // lint:immutable: scratch, overwritten with decFrame
 	decEdge  int          // lint:immutable: scratch, rewound with decFrame
-	decRow   []uint16     // lint:immutable: scratch, overwritten before every DISSEM delivery
+	decRow   []uint16     // lint:immutable: scratch, overwritten before every delivery
 
 	// The Ninfo tables (see infoTable), built on the first run: ranks are
 	// the graph's rank rows, and infoArena and relArena hold every node's
@@ -554,7 +555,9 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 // decodes it for all of them and, for a DISSEM, places its entries in the
 // sender's closed neighbourhood; each receiver then finds its own index
 // among the sender's neighbours with a forward walk, since the medium
-// delivers a frame's receptions in neighbour order.
+// delivers a frame's receptions in neighbour order, and takes that edge's
+// rank row, which places the sender, and for a DISSEM its entries, in the
+// receiver's Ninfo table with no search.
 //
 //slp:hotpath
 func (n *Network) receive(nd *node, frame uint64, from topo.NodeID, payload []byte) {
@@ -570,13 +573,11 @@ func (n *Network) receive(nd *node, frame uint64, from topo.NodeID, payload []by
 		n.decodeErrors++
 		return
 	}
-	if _, ok := n.decMsg.(*wire.Dissem); ok {
-		nbrs, e := n.g.Neighbors(from), n.decEdge
-		for nbrs[e] != nd.id {
-			e++
-		}
-		n.decEdge, n.decRow = e, n.ranks.Row(from, e)
+	nbrs, e := n.g.Neighbors(from), n.decEdge
+	for nbrs[e] != nd.id {
+		e++
 	}
+	n.decEdge, n.decRow = e, n.ranks.Row(from, e)
 	n.engine.Deliver(&nd.prc, from, n.decMsg)
 }
 

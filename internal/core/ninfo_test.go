@@ -49,7 +49,7 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 					models[r] = model
 				}
 				if rng.IntN(4) == 0 {
-					*nd.ninfo.relOf(g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))]) |= relNeighbour
+					*nd.ninfo.relTo(g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))]) |= relNeighbour
 				}
 				s := g.Neighbors(r)[rng.IntN(len(g.Neighbors(r)))]
 				e := slices.Index(g.Neighbors(s), r)
@@ -85,7 +85,7 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 					if cur, known := model[in.Node]; !known || in.Version > cur.Version {
 						model[in.Node] = in
 						wantDirty = true
-						if in.Node == s || *nd.ninfo.relOf(in.Node)&relNeighbour != 0 {
+						if in.Node == s || *nd.ninfo.relTo(in.Node)&relNeighbour != 0 {
 							wantLearned = true
 						}
 					}

@@ -77,11 +77,10 @@ func (t *infoTable) reset() {
 	t.dirty = true
 }
 
-// relOf returns the relation bits of peer id, a graph neighbour of the
-// node (see rel).
-func (t *infoTable) relOf(id topo.NodeID) *rel {
-	i, _ := slices.BinarySearch(t.ids, id)
-	return &t.rels[i]
+// senderRel returns the node's relation bits to the sender of the frame
+// being delivered, placed by the edge's rank row (see Network.receive).
+func (n *node) senderRel() *rel {
+	return &n.ninfo.rels[n.net.decRow[0]]
 }
 
 // node is the context the combined DAS / NSearch / SRefine program of
@@ -229,8 +228,8 @@ func compileNodeProgram() (g *gcn.Program[*node], decide, dissem gcn.TimerID) {
 // --- neighbour discovery ---
 
 // onHello is rcv⟨HELLO⟩.
-func (n *node) onHello(sender topo.NodeID, _ gcn.Message) {
-	*n.ninfo.relOf(sender) |= relNeighbour
+func (n *node) onHello(_ topo.NodeID, _ gcn.Message) {
+	*n.senderRel() |= relNeighbour
 	// A HELLO during the data phase is a recovered node re-running
 	// discovery (fault injection): neighbours holding schedule state
 	// answer with a relay budget so the rejoiner re-learns hop/slot
@@ -320,7 +319,7 @@ func (n *node) buildDissem() *wire.Dissem {
 // onDissem handles both receiveN (Normal=1) and receiveU (Normal=0).
 func (n *node) onDissem(sender topo.NodeID, m gcn.Message) {
 	d := m.(*wire.Dissem)
-	r := n.ninfo.relOf(sender)
+	r := n.senderRel()
 	*r |= relNeighbour
 
 	// Track children: a node whose dissem names us as parent is a child.
@@ -634,7 +633,7 @@ func (n *node) minSlotPeer(want rel, limit int32) topo.NodeID {
 
 func (n *node) onSearch(sender topo.NodeID, m gcn.Message) {
 	s := m.(*wire.Search)
-	*n.ninfo.relOf(sender) |= relFrom
+	*n.senderRel() |= relFrom
 	if s.ANode != n.id || n.isSink() {
 		return
 	}
@@ -754,7 +753,7 @@ func (n *node) minKnownSlot() int32 {
 
 func (n *node) onChange(sender topo.NodeID, m gcn.Message) {
 	c := m.(*wire.Change)
-	*n.ninfo.relOf(sender) |= relFrom
+	*n.senderRel() |= relFrom
 	if c.ANode != n.id || n.isSink() || n.slot == noValue {
 		return
 	}

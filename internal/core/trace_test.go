@@ -10,6 +10,7 @@ import (
 	"slpdas/internal/fault"
 	"slpdas/internal/gcn"
 	"slpdas/internal/topo"
+	"slpdas/internal/wire"
 )
 
 // traceCase is one whole run whose GCN action sequence is pinned: grids of
@@ -119,8 +120,28 @@ func TestActionTraceGolden(t *testing.T) {
 // each action it executes. Only a node's own actions write its state, so
 // the previous actor is the one node that can have changed since the last
 // check; every node is checked once more when the run ends.
-func runCheckingActors(t *testing.T, net *Network, check func(nd *node)) {
+//
+// It also checks every delivery the receive path hands a node program, of
+// every frame type: the rank row receive picked must place the sender, as
+// the medium names it, in the receiver's Ninfo table, since the receive
+// actions mark the sender's relation bits through that place. It returns
+// the deliveries checked, by frame type.
+func runCheckingActors(t *testing.T, net *Network, check func(nd *node)) (delivered [msgStatsSlots]int) {
 	t.Helper()
+	misplaced := 0
+	for _, nd := range net.nodes {
+		net.medium.SetReceiver(nd.id, func(frame uint64, from topo.NodeID, payload []byte) {
+			net.receive(nd, frame, from, payload)
+			if net.decMsg == nil {
+				return // undecodable: never reaches the node program
+			}
+			delivered[net.decMsg.Kind()]++
+			if got := nd.ninfo.ids[net.decRow[0]]; got != from && misplaced < 5 {
+				misplaced++
+				t.Errorf("t=%v %v frame %d→%d: rank row places the sender at node %d", net.sim.Now(), net.decMsg.Kind(), from, nd.id, got)
+			}
+		})
+	}
 	var last *node
 	net.engine.OnAction = func(p *gcn.Process[*node], _ string) {
 		if last != nil {
@@ -134,6 +155,7 @@ func runCheckingActors(t *testing.T, net *Network, check func(nd *node)) {
 	for _, nd := range net.nodes {
 		check(nd)
 	}
+	return delivered
 }
 
 // TestCachedResolveGuardMatchesFreshScan runs the traced runs and checks,
@@ -162,15 +184,20 @@ func TestCachedResolveGuardMatchesFreshScan(t *testing.T) {
 }
 
 // TestRelationBitsNameNeighbours runs the traced runs and checks, after
-// every executed action, the invariant relOf's rank lookups rely on: each
-// relation bit the acting node holds names a graph neighbour, and a
-// potential parent or a child is also a discovered neighbour.
+// every executed action, that each relation bit the acting node holds
+// names a graph neighbour, and that a potential parent or a child is also
+// a discovered neighbour: the receive actions only ever mark the sender of
+// a delivered frame, placed by the edge's rank row. Across the runs,
+// frames of all five types must reach the receive path, whose rank rows
+// runCheckingActors checks on every delivery.
 func TestRelationBitsNameNeighbours(t *testing.T) {
+	var delivered [msgStatsSlots]int
+	ran := 0
 	for _, tc := range traceCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			net := tc.build(t)
 			marked, failures := 0, 0
-			runCheckingActors(t, net, func(nd *node) {
+			got := runCheckingActors(t, net, func(nd *node) {
 				for k, r := range nd.ninfo.rels {
 					if r == 0 {
 						continue
@@ -187,6 +214,18 @@ func TestRelationBitsNameNeighbours(t *testing.T) {
 			if marked == 0 {
 				t.Error("no check saw a relation bit")
 			}
+			for k, c := range got {
+				delivered[k] += c
+			}
+			ran++
 		})
+	}
+	if ran < len(traceCases()) {
+		return // a -run filter left some runs out
+	}
+	for _, k := range []wire.Type{wire.TypeHello, wire.TypeDissem, wire.TypeSearch, wire.TypeChange, wire.TypeData} {
+		if delivered[k] == 0 {
+			t.Errorf("no %v frame was delivered in the traced runs", k)
+		}
 	}
 }

@@ -418,16 +418,17 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 	now := m.sim.Now()
 	delay := m.Airtime(len(payload)) + DefaultPropagationDelay
 	endAt := now + delay
-	senderPos := m.g.Position(from)
 	nbrs := m.g.Neighbors(from)
+	dists := m.g.NeighborDistances(from)[:len(nbrs)] // one bounds check for the loop
 	f := m.getFrame(from, payload, len(nbrs))
 
 	// Collect receptions at in-range nodes, applying loss and collisions.
-	for _, to := range nbrs {
+	// Each link's length comes with the graph's edge, in neighbour order.
+	for j, to := range nbrs {
 		if m.disabled[to] || m.linkDown(from, to) {
 			continue
 		}
-		dist := senderPos.DistanceTo(m.g.Position(to))
+		dist := dists[j]
 		if m.ch.Lost(from, to, dist, m.rng) {
 			m.stats.LossDrops++
 			continue

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -402,6 +403,68 @@ func TestObserverAddedMidFrameHearsFrame(t *testing.T) {
 	}
 	if len(obs.seen) != 1 {
 		t.Errorf("observer added mid-frame heard %d transmissions, want 1", len(obs.seen))
+	}
+}
+
+// distanceRecorder is a lossless capture channel that records the link
+// length the medium hands each Lost and RxPowerMW call.
+type distanceRecorder struct {
+	channel.Ideal
+	lost, power []linkCall
+}
+
+type linkCall struct {
+	from, to topo.NodeID
+	dist     float64
+}
+
+func (c *distanceRecorder) Lost(from, to topo.NodeID, dist float64, _ *rand.Rand) bool {
+	c.lost = append(c.lost, linkCall{from, to, dist})
+	return false
+}
+
+func (c *distanceRecorder) RxPowerMW(from, to topo.NodeID, dist float64) float64 {
+	c.power = append(c.power, linkCall{from, to, dist})
+	return 1
+}
+
+func (c *distanceRecorder) Capture() (channel.CaptureParams, bool) {
+	return channel.CaptureParams{ThresholdMW: 1, NoiseMW: 1e-9}, true
+}
+
+// TestChannelSeesPositionDistances broadcasts once from every node of a
+// 500-node random geometric graph and checks that each channel call gets
+// the link length the positions give, bit for bit, though the medium reads
+// it from the graph's edge instead of computing it.
+func TestChannelSeesPositionDistances(t *testing.T) {
+	side := math.Sqrt(500) * topo.DefaultSpacing
+	g, err := topo.RandomGeometric(500, side, side, 1.8*topo.DefaultSpacing, 1<<8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := des.New()
+	m := New(sim, g, 1)
+	ch := &distanceRecorder{}
+	m.Reset(1, ch, false, nil)
+	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
+		sim.ScheduleAfter(time.Duration(n)*time.Millisecond, func() { m.Broadcast(n, []byte{1}) })
+	}
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, calls := range []struct {
+		name string
+		got  []linkCall
+	}{{"Lost", ch.lost}, {"RxPowerMW", ch.power}} {
+		if len(calls.got) != 2*g.EdgeCount() {
+			t.Errorf("%s called %d times, want one per directed edge, %d", calls.name, len(calls.got), 2*g.EdgeCount())
+		}
+		for _, c := range calls.got {
+			want := g.Position(c.from).DistanceTo(g.Position(c.to))
+			if math.Float64bits(c.dist) != math.Float64bits(want) {
+				t.Fatalf("%s(%d, %d) got distance %v, positions give %v", calls.name, c.from, c.to, c.dist, want)
+			}
+		}
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // graphsIdentical asserts every byte of the CSR adjacency matches between
-// the spatial-hash and naive constructions: same edge count, same flat
-// neighbour array, same per-node slice boundaries.
+// the spatial-hash and naive constructions: same edge count, same per-node
+// offsets, same flat neighbour and edge-length arrays (lengths compared
+// bit for bit).
 func graphsIdentical(t *testing.T, label string, fast, ref *Graph) {
 	t.Helper()
 	if fast.Len() != ref.Len() {
@@ -26,15 +27,20 @@ func graphsIdentical(t *testing.T, label string, fast, ref *Graph) {
 			t.Fatalf("%s: adjFlat[%d] = %d, want %d", label, i, v, ref.adjFlat[i])
 		}
 	}
-	for n := 0; n < fast.Len(); n++ {
-		a, b := fast.adj[n], ref.adj[n]
-		if len(a) != len(b) {
-			t.Fatalf("%s: node %d degree %d != %d", label, n, len(a), len(b))
+	if len(fast.distFlat) != len(fast.adjFlat) || len(ref.distFlat) != len(ref.adjFlat) {
+		t.Fatalf("%s: %d and %d edge lengths for %d edges", label, len(fast.distFlat), len(ref.distFlat), len(fast.adjFlat))
+	}
+	for i, v := range fast.distFlat {
+		if math.Float64bits(v) != math.Float64bits(ref.distFlat[i]) {
+			t.Fatalf("%s: distFlat[%d] = %v, want %v", label, i, v, ref.distFlat[i])
 		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("%s: node %d neighbour[%d] = %d, want %d", label, n, k, a[k], b[k])
-			}
+	}
+	if len(fast.off) != len(ref.off) {
+		t.Fatalf("%s: %d offsets, want %d", label, len(fast.off), len(ref.off))
+	}
+	for i, v := range fast.off {
+		if v != ref.off[i] {
+			t.Fatalf("%s: node %d's edges start at %d, want %d", label, i, v, ref.off[i])
 		}
 	}
 }
@@ -164,7 +170,7 @@ func TestNewGraphRejectsNonFinite(t *testing.T) {
 			g, err := NewGraph(tc.name, tc.positions, tc.r)
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("NewGraph(%s) accepted non-finite input; degree(0)=%d", tc.name, len(g.adj[0]))
+					t.Fatalf("NewGraph(%s) accepted non-finite input; degree(0)=%d", tc.name, len(g.Neighbors(0)))
 				}
 				return
 			}

@@ -6,6 +6,7 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -43,14 +44,17 @@ func (p Point) String() string {
 // Adjacency is stored in CSR (compressed sparse row) form — one flat
 // neighbour slice plus per-node offsets — so a whole campaign of runs
 // iterating neighbourhoods walks contiguous memory, and the graph can be
-// shared read-only across worker goroutines. The two-hop collision
-// neighbourhoods of Definition 1 are materialised the same way, lazily, on
-// first use.
+// shared read-only across worker goroutines. Each directed edge also
+// keeps its length, in a flat slice parallel to the neighbours, so the
+// radio fan-out reads distances instead of recomputing them. The two-hop
+// collision neighbourhoods of Definition 1 are materialised the same way,
+// lazily, on first use.
 type Graph struct {
 	name       string
 	positions  []Point
-	adj        [][]NodeID // adj[i] slices adjFlat; kept for cheap Neighbors
-	adjFlat    []NodeID
+	off        []int     // node i's edges are entries off[i] to off[i+1] of adjFlat and distFlat
+	adjFlat    []NodeID  // each edge's far end
+	distFlat   []float64 // each edge's length
 	radioRange float64
 	edgeCount  int
 
@@ -68,8 +72,13 @@ type Graph struct {
 // exactly at range (e.g. grid neighbours at spacing == radioRange).
 const rangeEps = 1e-9
 
-// edge is one undirected link, stored with a < b.
-type edge struct{ a, b NodeID }
+// edge is one undirected link, stored with a < b, and its length
+// positions[a].DistanceTo(positions[b]): the value the unit-disk test
+// accepted it on.
+type edge struct {
+	a, b NodeID
+	dist float64
+}
 
 // validateGraphInput checks the shared NewGraph/RandomGeometric input
 // contract: at least one position, a positive finite radio range, and
@@ -132,8 +141,8 @@ func unitDiskEdgesNaive(positions []Point, radioRange float64) ([]edge, []int32)
 	var edges []edge
 	for i := range positions {
 		for j := i + 1; j < len(positions); j++ {
-			if positions[i].DistanceTo(positions[j]) <= radioRange+rangeEps {
-				edges = append(edges, edge{NodeID(i), NodeID(j)})
+			if d := positions[i].DistanceTo(positions[j]); d <= radioRange+rangeEps {
+				edges = append(edges, edge{NodeID(i), NodeID(j), d})
 				degree[i]++
 				degree[j]++
 			}
@@ -197,16 +206,28 @@ func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 		}
 	}
 
-	edges := make([]edge, 0, 4*n)
+	// An edge carries its length, so letting append grow the slice would
+	// copy twice the bytes an edge without it did. A dense bucket grid
+	// sizes it from the mean density instead: n nodes spread over the
+	// field make about n²·π·limit²/(2·field area) pairs in range, and the
+	// 30% margin covers a 4-neighbour grid without a regrowth.
+	total := nx * ny
+	dense := total <= int64(4*n+64)
+	capacity := 4 * n
+	if dense {
+		pairs := 1.3 * math.Pi * float64(n) * float64(n) * limit * limit / (2 * float64(total) * cell * cell)
+		capacity = int(min(pairs, float64(n)*float64(n-1)/2)) + 16
+	}
+	edges := make([]edge, 0, capacity)
 	test := func(i, j int32) { // i < j
-		if positions[i].DistanceTo(positions[j]) <= limit {
-			edges = append(edges, edge{NodeID(i), NodeID(j)})
+		if d := positions[i].DistanceTo(positions[j]); d <= limit {
+			edges = append(edges, edge{NodeID(i), NodeID(j), d})
 			degree[i]++
 			degree[j]++
 		}
 	}
 
-	if total := nx * ny; total <= int64(4*n+64) {
+	if dense {
 		// Dense grid: bucket b = cy·nx + cx, nodes grouped by counting
 		// sort (so every bucket lists its nodes in ascending ID order).
 		start := make([]int32, total+1)
@@ -276,32 +297,45 @@ func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 	return edges, degree
 }
 
-// assembleGraph flattens a precomputed edge set into the CSR adjacency.
-// Per-node neighbour lists are sorted ascending regardless of the edge
-// enumeration order, so the spatial-hash and naive paths assemble the same
-// bytes.
+// assembleGraph flattens an edge set, enumerated in ascending a, into the
+// CSR adjacency and its parallel edge lengths. It first sorts each node's
+// run of edges by b, each length moving with its edge, so the spatial-hash
+// and naive paths assemble the same bytes. The order then leaves every
+// neighbour list sorted: node i first receives its neighbours below i, as
+// the b of edges in ascending a, then its own run, ascending b. Both
+// directions of an edge store the one length the unit-disk test computed:
+// DistanceTo is symmetric bit for bit, since a-b and b-a differ only in
+// sign and Hypot takes absolute values.
 func assembleGraph(name string, positions []Point, radioRange float64, edges []edge, degree []int32) *Graph {
+	for lo := 0; lo < len(edges); {
+		hi := lo + 1
+		for hi < len(edges) && edges[hi].a == edges[lo].a {
+			hi++
+		}
+		slices.SortFunc(edges[lo:hi], func(x, y edge) int { return cmp.Compare(x.b, y.b) })
+		lo = hi
+	}
 	g := &Graph{
 		name:       name,
 		positions:  append([]Point(nil), positions...),
 		radioRange: radioRange,
 		edgeCount:  len(edges),
 	}
-	g.adjFlat = make([]NodeID, 2*len(edges))
-	g.adj = make([][]NodeID, len(positions))
-	off := 0
+	n := len(positions)
+	g.off = make([]int, n+1)
 	for i, d := range degree {
-		g.adj[i] = g.adjFlat[off : off : off+int(d)]
-		off += int(d)
+		g.off[i+1] = g.off[i] + int(d)
 	}
+	g.adjFlat = make([]NodeID, 2*len(edges))
+	g.distFlat = make([]float64, 2*len(edges))
+	next := slices.Clone(g.off[:n]) // next[i]: where node i's next edge goes
 	for _, e := range edges {
-		g.adj[e.a] = append(g.adj[e.a], e.b)
-		g.adj[e.b] = append(g.adj[e.b], e.a)
-	}
-	for i := range g.adj {
-		if !slices.IsSorted(g.adj[i]) {
-			slices.Sort(g.adj[i])
-		}
+		k := next[e.a]
+		g.adjFlat[k], g.distFlat[k] = e.b, e.dist
+		next[e.a]++
+		k = next[e.b]
+		g.adjFlat[k], g.distFlat[k] = e.a, e.dist
+		next[e.b]++
 	}
 	return g
 }
@@ -356,14 +390,26 @@ func (g *Graph) Position(n NodeID) Point { return g.positions[n] }
 
 // Neighbors returns the 1-hop neighbourhood of n, sorted by ID. The returned
 // slice is shared and must not be modified.
-func (g *Graph) Neighbors(n NodeID) []NodeID { return g.adj[n] }
+func (g *Graph) Neighbors(n NodeID) []NodeID {
+	lo, hi := g.off[n], g.off[n+1]
+	return g.adjFlat[lo:hi:hi]
+}
+
+// NeighborDistances returns the length in metres of each edge from n, in
+// Neighbors(n) order: entry k equals, bit for bit,
+// Position(n).DistanceTo(Position(Neighbors(n)[k])). The returned slice is
+// shared and must not be modified.
+func (g *Graph) NeighborDistances(n NodeID) []float64 {
+	lo, hi := g.off[n], g.off[n+1]
+	return g.distFlat[lo:hi:hi]
+}
 
 // HasEdge reports whether nodes a and b are within communication range.
 func (g *Graph) HasEdge(a, b NodeID) bool {
 	if a == b {
 		return false
 	}
-	neigh := g.adj[a]
+	neigh := g.Neighbors(a)
 	i := sort.Search(len(neigh), func(i int) bool { return neigh[i] >= b })
 	return i < len(neigh) && neigh[i] == b
 }
@@ -391,12 +437,12 @@ func (g *Graph) buildTwoHop() {
 	cut := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		start := len(flat)
-		for _, m := range g.adj[i] {
+		for _, m := range g.Neighbors(NodeID(i)) {
 			if stamp[m] != int32(i) && int(m) != i {
 				stamp[m] = int32(i)
 				flat = append(flat, m)
 			}
-			for _, o := range g.adj[m] {
+			for _, o := range g.Neighbors(m) {
 				if stamp[o] != int32(i) && int(o) != i {
 					stamp[o] = int32(i)
 					flat = append(flat, o)
@@ -429,7 +475,7 @@ const maxTwoHop = NoRank - 1
 // in r's own place. A node with degree d has d rows of d+1 entries each,
 // stored back to back in one flat slice.
 type RankRows struct {
-	adj  [][]NodeID
+	off  []int // the graph's CSR offsets: node s has degree off[s+1]-off[s]
 	base []int // base[s]: where node s's rows start in flat
 	flat []uint16
 }
@@ -439,7 +485,7 @@ type RankRows struct {
 //
 //slp:hotpath
 func (r *RankRows) Row(s NodeID, e int) []uint16 {
-	w := len(r.adj[s]) + 1
+	w := r.off[s+1] - r.off[s] + 1
 	off := r.base[s] + e*w
 	return r.flat[off : off+w : off+w]
 }
@@ -451,7 +497,7 @@ func (r *RankRows) Row(s NodeID, e int) []uint16 {
 func (g *Graph) TwoHopRanks() (*RankRows, error) {
 	g.ranksOnce.Do(func() {
 		g.twoHopOnce.Do(g.buildTwoHop)
-		g.ranks, g.ranksErr = buildRankRows(g.adj, g.twoHop)
+		g.ranks, g.ranksErr = buildRankRows(g, g.twoHop)
 	})
 	return g.ranks, g.ranksErr
 }
@@ -461,29 +507,30 @@ func (g *Graph) TwoHopRanks() (*RankRows, error) {
 // per row. Receivers are visited in ascending order and adjacency lists
 // are sorted, so the edges into r are, for each sender s, the next unread
 // entry of s's list: next[s] counts them.
-func buildRankRows(adj, twoHop [][]NodeID) (*RankRows, error) {
+func buildRankRows(g *Graph, twoHop [][]NodeID) (*RankRows, error) {
 	for r, set := range twoHop {
 		if len(set) > maxTwoHop {
 			return nil, fmt.Errorf("topo: node %d has %d nodes within two hops, more than the %d a rank row can index", r, len(set), maxTwoHop)
 		}
 	}
-	n := len(adj)
-	rows := &RankRows{adj: adj, base: make([]int, n)}
+	n := g.Len()
+	rows := &RankRows{off: g.off, base: make([]int, n)}
 	total := 0
-	for s, nbrs := range adj {
+	for s := range rows.base {
+		d := g.off[s+1] - g.off[s]
 		rows.base[s] = total
-		total += len(nbrs) * (len(nbrs) + 1)
+		total += d * (d + 1)
 	}
 	rows.flat = make([]uint16, total)
 	rank := make([]uint16, n)
 	next := make([]int, n)
-	for r := range adj {
+	for r := NodeID(0); int(r) < n; r++ {
 		for k, m := range twoHop[r] {
 			rank[m] = uint16(k)
 		}
 		rank[r] = NoRank
-		for _, s := range adj[r] {
-			nbrs := adj[s]
+		for _, s := range g.Neighbors(r) {
+			nbrs := g.Neighbors(s)
 			row := rows.Row(s, next[s])
 			next[s]++
 			row[0] = rank[s]
@@ -508,7 +555,7 @@ func (g *Graph) BFSFrom(root NodeID) []int {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, m := range g.adj[cur] {
+		for _, m := range g.Neighbors(cur) {
 			if dist[m] < 0 {
 				dist[m] = dist[cur] + 1
 				queue = append(queue, m)
@@ -557,7 +604,7 @@ func (g *Graph) Diameter() int {
 // condition 3 of the strong DAS definition.
 func (g *Graph) ShortestPathNextHops(n NodeID, dist []int) []NodeID {
 	var out []NodeID
-	for _, m := range g.adj[n] {
+	for _, m := range g.Neighbors(n) {
 		if dist[m] >= 0 && dist[n] >= 0 && dist[m] == dist[n]-1 {
 			out = append(out, m)
 		}

@@ -52,10 +52,10 @@ func TestGridCardinalNeighboursOnly(t *testing.T) {
 
 func TestGridCornerDegree(t *testing.T) {
 	g := mustGrid(t, 11)
-	if got := len(g.adj[GridTopLeft()]); got != 2 {
+	if got := len(g.Neighbors(GridTopLeft())); got != 2 {
 		t.Errorf("corner degree = %d, want 2", got)
 	}
-	if got := len(g.adj[GridCentre(11)]); got != 4 {
+	if got := len(g.Neighbors(GridCentre(11))); got != 4 {
 		t.Errorf("centre degree = %d, want 4", got)
 	}
 }
@@ -223,14 +223,14 @@ func TestTwoHopRanksConcurrentFirstUse(t *testing.T) {
 // wrapping a rank; a set of exactly maxTwoHop members builds. The sets
 // are faked: no graph that dense is built.
 func TestTwoHopRanksRefuseOversizedSets(t *testing.T) {
-	adj := make([][]NodeID, 3)
+	g := &Graph{positions: make([]Point, 3), off: make([]int, 4)} // three isolated nodes
 	twoHop := make([][]NodeID, 3)
 	twoHop[1] = make([]NodeID, maxTwoHop)
-	if _, err := buildRankRows(adj, twoHop); err != nil {
+	if _, err := buildRankRows(g, twoHop); err != nil {
 		t.Fatalf("a %d-member two-hop set: %v", maxTwoHop, err)
 	}
 	twoHop[1] = make([]NodeID, maxTwoHop+1)
-	_, err := buildRankRows(adj, twoHop)
+	_, err := buildRankRows(g, twoHop)
 	if err == nil || !strings.Contains(err.Error(), "node 1 ") {
 		t.Fatalf("a %d-member two-hop set: err = %v, want an error naming node 1", maxTwoHop+1, err)
 	}
@@ -263,8 +263,8 @@ func TestLineAndRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Line: %v", err)
 	}
-	if len(line.adj[0]) != 1 || len(line.adj[5]) != 2 {
-		t.Errorf("line degrees: end=%d mid=%d, want 1 and 2", len(line.adj[0]), len(line.adj[5]))
+	if len(line.Neighbors(0)) != 1 || len(line.Neighbors(5)) != 2 {
+		t.Errorf("line degrees: end=%d mid=%d, want 1 and 2", len(line.Neighbors(0)), len(line.Neighbors(5)))
 	}
 	if got := line.HopDistance(0, 9); got != 9 {
 		t.Errorf("line hop distance = %d, want 9", got)
@@ -275,8 +275,8 @@ func TestLineAndRing(t *testing.T) {
 		t.Fatalf("Ring: %v", err)
 	}
 	for n := NodeID(0); int(n) < ring.Len(); n++ {
-		if len(ring.adj[n]) != 2 {
-			t.Fatalf("ring node %d degree = %d, want 2", n, len(ring.adj[n]))
+		if len(ring.Neighbors(n)) != 2 {
+			t.Fatalf("ring node %d degree = %d, want 2", n, len(ring.Neighbors(n)))
 		}
 	}
 	if got := ring.HopDistance(0, 6); got != 6 {
@@ -352,6 +352,50 @@ func TestPointDistance(t *testing.T) {
 	}
 	if s := q.String(); s != "(3.00, 4.00)" {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestNeighborDistancesMatchPositions pins the stored edge lengths to the
+// positions, bit for bit, in both directions: the unit-disk test stores
+// one length per edge, computed from the lower-numbered end, and both
+// directions serve it, which holds only because DistanceTo is symmetric to
+// the last bit (a-b and b-a differ only in sign; Hypot takes absolute
+// values).
+func TestNeighborDistancesMatchPositions(t *testing.T) {
+	var graphs []*Graph
+	add := func(g *Graph, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	add(DefaultGrid(11))
+	add(Grid(9, DefaultSpacing, 1.5*DefaultSpacing)) // diagonals in range
+	add(Line(40, 3, 6.5))
+	add(Ring(60, 2, 2.05))
+	side := math.Sqrt(500) * DefaultSpacing
+	add(RandomGeometric(500, side, side, 1.8*DefaultSpacing, 1<<8))
+	for _, g := range graphs {
+		edges := 0
+		for a := NodeID(0); int(a) < g.Len(); a++ {
+			nbrs, dists := g.Neighbors(a), g.NeighborDistances(a)
+			if len(dists) != len(nbrs) {
+				t.Fatalf("%s: node %d has %d neighbours but %d distances", g.Name(), a, len(nbrs), len(dists))
+			}
+			for j, b := range nbrs {
+				got := math.Float64bits(dists[j])
+				ab := g.Position(a).DistanceTo(g.Position(b))
+				ba := g.Position(b).DistanceTo(g.Position(a))
+				if got != math.Float64bits(ab) || got != math.Float64bits(ba) {
+					t.Fatalf("%s: edge %d→%d stores %v, positions give %v one way and %v the other", g.Name(), a, b, dists[j], ab, ba)
+				}
+				edges++
+			}
+		}
+		if edges != 2*g.EdgeCount() {
+			t.Errorf("%s: checked %d directed edges, want %d", g.Name(), edges, 2*g.EdgeCount())
+		}
 	}
 }
 
