@@ -228,10 +228,14 @@ func BenchmarkSingleRun(b *testing.B) {
 // 2's unit decrement, range 1.8 spacings) and n=20000 is rgg20k-scale's
 // (protectionless, FastCollisionResolve, range 2.2 spacings, source within
 // 12 hops). Both spend most of their time handing radio frames to the
-// node program: core.(*Network).receive is 55-61% of CPU, cumulative, in
-// each, of which the DISSEM merge is 9-13%. Each delivery reads its link
-// length and its sender's Ninfo place off the CSR edge, so neither Hypot
-// nor a binary search reaches 1% (2-vCPU Xeon, Go 1.24).
+// node program: core.(*Network).receive is 56% of CPU, cumulative, at
+// n=500 and 50% at n=20000, of which the DISSEM merge (mergeInfos) is
+// 10% and 9%. receive itself is 2% flat: the medium hands it the edge,
+// which gives the sender's Ninfo place, and the node is a slab entry.
+// At n=20000 the largest flat share is gcn's Deliver (9%), whose first
+// read of the receiver's node is the delivery's one cache miss; then
+// Broadcast (7%) and the frame's delivery loop (6%). Neither Hypot nor a
+// binary search reaches 1% (2-vCPU Xeon, Go 1.24).
 //
 //	go test -run '^$' -bench 'SingleRunRGG/n=20000' -benchtime 3x -cpuprofile cpu.out .
 //

@@ -51,7 +51,7 @@ type Network struct {
 	sim    *des.Simulator
 	medium *radio.Medium
 	engine *gcn.Engine[*node]
-	nodes  []*node         // lint:immutable: slice header fixed; nodes reset individually
+	nodes  []node          // lint:immutable: one line-aligned slab (see nodeSlab); nodes reset individually
 	tasks  []*mac.SlotTask // lint:immutable: slice header fixed; tasks rearmed per run
 	atks   []*attacker.Attacker
 
@@ -127,16 +127,16 @@ type Network struct {
 	frame     []byte       // lint:immutable: marshal scratch, overwritten before every use
 
 	// Receive-path decode cache: decMsg is radio frame decFrame decoded
-	// (nil if it does not decode), shared read-only by all its receivers.
-	// For a DISSEM, decPos places each entry in the sender's closed
-	// neighbourhood. decEdge is the current receiver's index among the
-	// sender's neighbours and decRow that edge's rank row, whose first
-	// entry places the sender in the receiver's Ninfo table (see receive).
-	// Frame ids never repeat, so the cache needs no rewinding between runs.
+	// (nil if it does not decode), shared read-only by all its receivers,
+	// and decKey its receive-action key. For a DISSEM, decPos places each
+	// entry in the sender's closed neighbourhood. decRow is the rank row of
+	// the edge being delivered, whose first entry places the sender in the
+	// receiver's Ninfo table (see receive). Frame ids never repeat, so the
+	// cache needs no rewinding between runs.
 	decFrame uint64       // lint:immutable: cache key, never matches a frame of another run
 	decMsg   wire.Message // lint:immutable: scratch, overwritten with decFrame
+	decKey   int          // lint:immutable: scratch, overwritten with decFrame
 	decPos   []int32      // lint:immutable: scratch, overwritten with decFrame
-	decEdge  int          // lint:immutable: scratch, rewound with decFrame
 	decRow   []uint16     // lint:immutable: scratch, overwritten before every delivery
 
 	// The Ninfo tables (see infoTable), built on the first run: ranks are
@@ -203,12 +203,12 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 		protoCache: make(map[string]protocol.Instance),
 	}
 	net.periodTick = periodTick{n: net}
+	net.medium.SetReceiver(net.receive)
 
-	net.nodes = make([]*node, g.Len())
+	net.nodes = nodeSlab(g.Len())
 	net.tasks = make([]*mac.SlotTask, g.Len())
 	for id := topo.NodeID(0); int(id) < g.Len(); id++ {
-		nd := newNode(id, net)
-		net.nodes[id] = nd
+		nd := newNode(&net.nodes[id], id, net)
 		net.tasks[id] = mac.NewSlotTask(sim,
 			func() int {
 				if nd.slot == noValue {
@@ -309,8 +309,8 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	}, seed)
 	n.proto = inst
 
-	for _, nd := range n.nodes {
-		nd.reset(seed)
+	for i := range n.nodes {
+		n.nodes[i].reset(seed)
 	}
 
 	n.msgStats = [msgStatsSlots]MsgStats{}
@@ -417,7 +417,7 @@ func (n *Network) ChargeRx(id topo.NodeID, bytes int) {
 //
 //slp:hotpath
 func (n *Network) charge(id topo.NodeID, mJ float64) {
-	nd := n.nodes[id]
+	nd := &n.nodes[id]
 	nd.energyUsed += mJ
 	if !nd.energyDead && nd.energyUsed >= n.cfg.Energy.Capacity && id != n.sink && id != n.source {
 		n.depleted(id)
@@ -429,7 +429,7 @@ func (n *Network) charge(id topo.NodeID, mJ float64) {
 // network-lifetime verdicts. Cold path — each node depletes at most once
 // per run.
 func (n *Network) depleted(id topo.NodeID) {
-	nd := n.nodes[id]
+	nd := &n.nodes[id]
 	nd.energyDead = true
 	n.energyDeaths++
 	if n.energyDeaths == 1 {
@@ -445,7 +445,7 @@ func (n *Network) depleted(id topo.NodeID) {
 // crashNode fails a node mid-run: radio silent, GCN computation stopped,
 // TDMA periods skipped. Idempotent — a node already down stays down.
 func (n *Network) crashNode(id topo.NodeID) {
-	nd := n.nodes[id]
+	nd := &n.nodes[id]
 	if nd.dead {
 		return
 	}
@@ -461,7 +461,7 @@ func (n *Network) crashNode(id topo.NodeID) {
 // re-enabled, and neighbour discovery re-run so the node can re-acquire
 // hop, parent and slot from its neighbours' disseminations.
 func (n *Network) recoverNode(id topo.NodeID) {
-	nd := n.nodes[id]
+	nd := &n.nodes[id]
 	if !nd.dead || nd.energyDead {
 		// A battery-depleted node has nothing to reboot with: depletion is
 		// permanent, churn recovery cannot resurrect it.
@@ -551,34 +551,47 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 	}
 }
 
-// receive is the radio receiver of node nd. The frame's first receiver
-// decodes it for all of them and, for a DISSEM, places its entries in the
-// sender's closed neighbourhood; each receiver then finds its own index
-// among the sender's neighbours with a forward walk, since the medium
-// delivers a frame's receptions in neighbour order, and takes that edge's
-// rank row, which places the sender, and for a DISSEM its entries, in the
-// receiver's Ninfo table with no search.
+// minSlabNodes is the fewest nodes a slab allocates: 128 nodes of 320
+// bytes are 40 KiB, past the runtime's largest small-object size (32 KiB),
+// so every slab is a large object, which starts on a page boundary. A
+// smaller slab would be a small object whose first 8 bytes the runtime
+// may keep for an allocation header, shifting every node off its line.
+const minSlabNodes = 128
+
+// nodeSlab allocates the n nodes of a network in one array whose every
+// element starts on a cache line: node is a whole number of lines (see
+// node), and the array starts on a page. The slab's capacity past n is
+// never used.
+func nodeSlab(n int) []node {
+	return make([]node, n, max(n, minSlabNodes))
+}
+
+// receive is the medium's receiver: frame from node from reaches node to
+// along edge, to's index among from's neighbours. The frame's first
+// reception decodes and classifies it for all of them and, for a DISSEM,
+// places its entries in the sender's closed neighbourhood; each reception
+// then takes its edge's rank row, which places the sender, and for a
+// DISSEM its entries, in the receiver's Ninfo table with no search, and
+// runs the receive action at once.
 //
 //slp:hotpath
-func (n *Network) receive(nd *node, frame uint64, from topo.NodeID, payload []byte) {
+func (n *Network) receive(frame uint64, from, to topo.NodeID, edge int, payload []byte) {
 	if frame != n.decFrame {
 		n.decFrame = frame
 		n.decMsg, _ = n.dec.Unmarshal(payload)
-		n.decEdge = 0
 		if d, ok := n.decMsg.(*wire.Dissem); ok && !n.placeDissem(from, d.Infos) {
 			n.decMsg = nil
+		}
+		if n.decMsg != nil {
+			n.decKey = receiveKey(n.decMsg)
 		}
 	}
 	if n.decMsg == nil {
 		n.decodeErrors++
 		return
 	}
-	nbrs, e := n.g.Neighbors(from), n.decEdge
-	for nbrs[e] != nd.id {
-		e++
-	}
-	n.decEdge, n.decRow = e, n.ranks.Row(from, e)
-	n.engine.Deliver(&nd.prc, from, n.decMsg)
+	n.decRow = n.ranks.Row(from, edge)
+	n.engine.Deliver(&n.nodes[to].prc, from, n.decKey, n.decMsg)
 }
 
 // placeDissem fills decPos with each DISSEM entry's place in the closed
@@ -649,7 +662,8 @@ func (n *Network) buildInfoTables() error {
 	n.infoArena = make([]info, total)
 	n.relArena = make([]rel, total)
 	off := 0
-	for id, nd := range n.nodes {
+	for id := range n.nodes {
+		nd := &n.nodes[id]
 		set := n.g.TwoHop(topo.NodeID(id))
 		end := off + len(set)
 		nd.ninfo.ids = set
@@ -671,7 +685,8 @@ func (n *Network) setup() error {
 	cfg := n.cfg
 	dissemStart := time.Duration(cfg.NeighbourDiscoveryPeriods)*cfg.DisseminationPeriod + bootJitter
 
-	for _, nd := range n.nodes {
+	for i := range n.nodes {
+		nd := &n.nodes[i]
 		// Boot + neighbour discovery: NDP rounds of HELLO.
 		boot := nd.jitterDelay(bootJitter)
 		for k := 0; k < cfg.NeighbourDiscoveryPeriods; k++ {
@@ -683,7 +698,7 @@ func (n *Network) setup() error {
 	}
 
 	// Sink starts Phase 1 after discovery.
-	sinkNode := n.nodes[n.sink]
+	sinkNode := &n.nodes[n.sink]
 	if _, err := n.sim.Schedule(dissemStart, func() {
 		sinkNode.sinkInit()
 		n.engine.Kickstart(&sinkNode.prc)
@@ -828,8 +843,8 @@ func (n *Network) Changed(id topo.NodeID) bool { return n.nodes[id].changed }
 // Assignment snapshots the current slot assignment.
 func (n *Network) Assignment() *schedule.Assignment {
 	a := schedule.New(n.g.Len(), n.sink)
-	for _, nd := range n.nodes {
-		if nd.slot != noValue {
+	for i := range n.nodes {
+		if nd := &n.nodes[i]; nd.slot != noValue {
 			a.Set(nd.id, int(nd.slot))
 		}
 	}
@@ -929,7 +944,8 @@ func (n *Network) collect() *Result {
 	res.LifetimePeriods = -1
 	if n.energyOn {
 		var total, peak float64
-		for _, nd := range n.nodes {
+		for i := range n.nodes {
+			nd := &n.nodes[i]
 			total += nd.energyUsed
 			if nd.energyUsed > peak {
 				peak = nd.energyUsed

@@ -41,7 +41,7 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 			models := make(map[topo.NodeID]map[topo.NodeID]wire.NodeInfo)
 			for iter := 0; iter < 20000; iter++ {
 				r := topo.NodeID(rng.IntN(g.Len()))
-				nd := net.nodes[r]
+				nd := &net.nodes[r]
 				model := models[r]
 				if model == nil || rng.IntN(50) == 0 {
 					nd.reset(1)
@@ -90,11 +90,11 @@ func TestMergeInfosMatchesPerEntryMerge(t *testing.T) {
 						}
 					}
 				}
-				nd.ninfo.dirty = false
+				nd.dirty = false
 				gotSlot, gotLearned := nd.mergeInfos(infos, net.decPos, net.ranks.Row(s, e))
-				if gotSlot != wantSlot || gotLearned != wantLearned || nd.ninfo.dirty != wantDirty {
+				if gotSlot != wantSlot || gotLearned != wantLearned || nd.dirty != wantDirty {
 					t.Fatalf("iter %d: %d→%d %v: slot %d learned %v dirty %v, want %d %v %v",
-						iter, s, r, infos, gotSlot, gotLearned, nd.ninfo.dirty, wantSlot, wantLearned, wantDirty)
+						iter, s, r, infos, gotSlot, gotLearned, nd.dirty, wantSlot, wantLearned, wantDirty)
 				}
 				for k, id := range nd.ninfo.ids {
 					got := nd.ninfo.infos[k]

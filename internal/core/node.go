@@ -55,17 +55,10 @@ const (
 // addresses entries by rank (see topo.RankRows). Every loop over one of
 // the node's sets is an ascending scan of rels. The node's own state stays
 // in its own fields.
-//
-// The resolve guard runs after every action a node executes and its
-// collisionLoser scan covers the whole table, so the table caches that
-// answer: loser is valid while dirty is false. Every write of an entry,
-// of the node's own slot (setSlot, sinkInit) and reset mark it stale.
 type infoTable struct {
 	ids   []topo.NodeID // lint:immutable: the graph's TwoHop of the node, bound by Network.buildInfoTables
 	infos []info        // a slice of Network.infoArena; reset rewinds the entries
 	rels  []rel         // a slice of Network.relArena; reset clears the bits
-	loser topo.NodeID
-	dirty bool
 }
 
 func (t *infoTable) reset() {
@@ -73,8 +66,6 @@ func (t *infoTable) reset() {
 		t.infos[i] = unknown
 	}
 	clear(t.rels)
-	t.loser = topo.None
-	t.dirty = true
 }
 
 // senderRel returns the node's relation bits to the sender of the frame
@@ -85,40 +76,56 @@ func (n *node) senderRel() *rel {
 
 // node is the context the combined DAS / NSearch / SRefine program of
 // Figures 2–4 (nodeProgram) runs on for one WSN process. Construction
-// wires the immutable parts (GCN process, timers, radio receiver);
-// everything else is per-run state rewound by reset, so one node serves
-// every run of an arena network.
+// wires the immutable parts (GCN process, timers); everything else is
+// per-run state rewound by reset, so one node serves every run of an arena
+// network.
+//
+// The layout serves the data phase, where most receptions land on nodes
+// far out of cache: what a DATA delivery reads (the receive action, then
+// every guard of the action loop) comes first, the process's own delivery
+// fields included, and the node is padded to a whole number of cache
+// lines. A network allocates its nodes in one line-aligned slab
+// (nodeSlab), so a DATA delivery touches its receiver's first two lines
+// only, and reaches the node with no pointer load.
+// TestNodeLayoutKeepsDeliveryFieldsTogether pins all of this.
 type node struct {
-	id      topo.NodeID        // lint:immutable: identity, fixed at construction
-	net     *Network           // lint:immutable: back-pointer wiring, fixed at construction
-	prc     gcn.Process[*node] // lint:immutable: wired once; the engine resets it
-	pcg     rand.PCG           // owned so reset can reseed in place
-	rng     *rand.Rand         // lint:immutable: wraps &pcg; reset reseeds the pcg in place
-	helloFn func()             // lint:immutable: cached method value; scheduled once per NDP round
+	// --- read by every DATA delivery ---
+	id            topo.NodeID // lint:immutable: identity, fixed at construction
+	slot          int32       // ⊥ = noValue
+	net           *Network    // lint:immutable: back-pointer wiring, fixed at construction
+	pendingOrigin topo.NodeID
+	pendingSeq    uint32
+	pendingCount  uint16
+	startNode     bool // Figure 3: selected as the change-path start
+	// The resolve guard runs after every action a node executes and its
+	// collisionLoser scan covers the whole Ninfo table, so the node caches
+	// that answer: loser is valid while dirty is false. Every write of an
+	// entry, of the node's own slot (setSlot, sinkInit) and reset mark it
+	// stale.
+	dirty bool
+	loser topo.NodeID
+	prc   gcn.Process[*node] // lint:immutable: wired once; the engine resets it
+
+	pcg     rand.PCG   // owned so reset can reseed in place
+	rng     *rand.Rand // lint:immutable: wraps &pcg; reset reseeds the pcg in place
+	helloFn func()     // lint:immutable: cached method value; scheduled once per NDP round
 
 	// --- Figure 2 (DAS) state ---
 	ninfo   infoTable   // 1- and 2-hop neighbourhood info, and myN, Npar, children and from
 	others  []uint64    // slot competitors per potential parent, as pairKeys, unsorted, with repeats
 	hop     int32       // ⊥ = noValue
 	par     topo.NodeID // ⊥ = topo.None
-	slot    int32       // ⊥ = noValue
-	normal  bool        // false during the update phase
 	version uint32      // own state freshness
+	normal  bool        // false during the update phase
 
 	dissem       *gcn.Timer[*node] // lint:immutable: pointer fixed; timer disarmed by the engine reset
 	decide       *gcn.Timer[*node] // lint:immutable: pointer fixed; defers the process action one dissem round
 	dissemBudget int
 
-	// --- Figure 3 (NSearch) state ---
-	startNode bool
-	pr        int32 // change-path length when selected
-
-	// --- Figure 4 / data phase ---
-	changed       bool // slot altered by Phase 3
-	pendingOrigin topo.NodeID
-	pendingSeq    uint32
-	pendingCount  uint16
-	dataPeriod    int
+	// --- Figures 3–4 (NSearch, SRefine) and the data phase ---
+	dataPeriod int
+	pr         int32 // change-path length when selected
+	changed    bool  // slot altered by Phase 3
 
 	// dead marks a crashed node (fault injection): radio silent via the
 	// medium, computation stopped via the GCN process, and the TDMA slot
@@ -129,32 +136,36 @@ type node struct {
 	// otherwise). energyUsed is the cumulative spend in mJ; energyDead
 	// latches battery depletion — unlike a churn crash it is permanent,
 	// recovery cannot resurrect a flat battery.
-	energyUsed float64
 	energyDead bool
+	energyUsed float64
+
+	_ [nodePad]byte // rounds the node up to whole cache lines
 }
 
-func newNode(id topo.NodeID, net *Network) *node {
-	n := &node{id: id, net: net}
+// nodePad rounds a node up to 320 bytes, five cache lines.
+const nodePad = 8
+
+// newNode wires n, an entry of net's node slab, as node id.
+func newNode(n *node, id topo.NodeID, net *Network) *node {
+	*n = node{id: id, net: net}
 	n.rng = xrand.Wrap(&n.pcg)
 	n.helloFn = n.sendHello
 	net.engine.Host(&n.prc, id, n)
 	n.decide, n.dissem = n.prc.Timer(decideTimer), n.prc.Timer(dissemTimer)
-	// Radio → GCN delivery is wiring, not run state: register once.
-	net.medium.SetReceiver(id, func(frame uint64, from topo.NodeID, payload []byte) {
-		net.receive(n, frame, from, payload)
-	})
 	n.reset(net.seed)
 	return n
 }
 
 // reset rewinds all per-run protocol state and reseeds the node's random
 // stream for the given run seed, leaving the wiring (process, actions,
-// receiver, timers) in place. A reset node is indistinguishable from a
-// freshly constructed one.
+// timers) in place. A reset node is indistinguishable from a freshly
+// constructed one.
 func (n *node) reset(seed uint64) {
 	n.pcg.Seed(xrand.Seeds(seed, uint64(n.id), 0x6f64656e)) // per-node stream
 	n.others = n.others[:0]
 	n.ninfo.reset()
+	n.loser = topo.None
+	n.dirty = true
 	n.hop = noValue
 	n.par = topo.None
 	n.slot = noValue
@@ -179,15 +190,16 @@ func (n *node) isSink() bool { return n.id == n.net.sink }
 // Normal = 0 (receiveU) has a key of its own.
 const keyDissemUpdate = int(wire.TypeData) + 1
 
-// classify is the node program's receive-action key of m, which is always
-// a decoded wire.Message.
+// receiveKey is the node program's receive-action key of m. The receive
+// path classifies each frame once, beside its decode, for all its
+// receivers.
 //
 //slp:hotpath
-func classify(m gcn.Message) int {
+func receiveKey(m wire.Message) int {
 	if d, ok := m.(*wire.Dissem); ok && !d.Normal {
 		return keyDissemUpdate
 	}
-	return int(m.(wire.Message).Kind())
+	return int(m.Kind())
 }
 
 // nodeProgram is the combined program of Figures 2–4, compiled once and
@@ -196,7 +208,7 @@ func classify(m gcn.Message) int {
 var nodeProgram, decideTimer, dissemTimer = compileNodeProgram()
 
 func compileNodeProgram() (g *gcn.Program[*node], decide, dissem gcn.TimerID) {
-	g = gcn.NewProgram[*node](classify)
+	g = gcn.NewProgram[*node]()
 	// rcv⟨HELLO⟩: neighbour discovery.
 	g.Receive(int(wire.TypeHello), "rcvHello", (*node).onHello)
 	// receiveN :: rcv⟨DISSEM, 1, j, N, p⟩ (Figure 2).
@@ -254,7 +266,7 @@ func (n *node) sinkInit() {
 	n.par = topo.None
 	n.slot = int32(n.net.cfg.Slots) // Δ: never transmits
 	n.version++
-	n.ninfo.dirty = true
+	n.dirty = true
 	n.resetDissemination()
 }
 
@@ -396,7 +408,7 @@ func (n *node) mergeInfos(infos []wire.NodeInfo, pos []int32, row []uint16) (sen
 		}
 		if e := &t.infos[r]; in.Version >= e.seen {
 			*e = info{hop: in.Hop, slot: in.Slot, seen: in.Version + 1}
-			t.dirty = true
+			n.dirty = true
 			if !learned && (pos[k] == 0 || t.rels[r]&relNeighbour != 0) {
 				learned = true
 			}
@@ -482,7 +494,7 @@ func (n *node) chooseSlot() {
 func (n *node) setSlot(s int32) {
 	n.slot = s
 	n.version++
-	n.ninfo.dirty = true
+	n.dirty = true
 	// Schedule-repair clock (fault injection): any slot change after the
 	// first fault is self-healing activity. A plain field write — no event
 	// or random draw — so fault-free runs are unaffected.
@@ -497,20 +509,19 @@ func (n *node) setSlot(s int32) {
 // must quiesce (the schedule stays invalid and is reported as such), not
 // spin firing a no-op action until the step budget kills the process.
 // Grids deep enough to exhaust the slot space hit this; Table I's never
-// do. The collisionLoser answer is cached in the info table (see
-// infoTable), so re-evaluating the guard after every action rescans the
-// table only when it changed.
+// do. The collisionLoser answer is cached in the node (see node), so
+// re-evaluating the guard after every action rescans the table only when
+// it changed.
 //
 //slp:hotpath
 func (n *node) colliding() bool {
 	if n.slot <= 0 {
 		return false
 	}
-	t := &n.ninfo
-	if t.dirty {
-		t.loser, t.dirty = n.collisionLoser(), false
+	if n.dirty {
+		n.loser, n.dirty = n.collisionLoser(), false
 	}
-	return t.loser != topo.None
+	return n.loser != topo.None
 }
 
 // resolve is the resolve action's command.

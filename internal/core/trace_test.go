@@ -121,38 +121,39 @@ func TestActionTraceGolden(t *testing.T) {
 // the previous actor is the one node that can have changed since the last
 // check; every node is checked once more when the run ends.
 //
-// It also checks every delivery the receive path hands a node program, of
-// every frame type: the rank row receive picked must place the sender, as
-// the medium names it, in the receiver's Ninfo table, since the receive
-// actions mark the sender's relation bits through that place. It returns
-// the deliveries checked, by frame type.
+// It also wraps the medium's receiver to check every delivery the receive
+// path hands a node program, of every frame type: the rank row receive
+// picked for the edge must place the sender, as the medium names it, in
+// the receiver's Ninfo table, since the receive actions mark the sender's
+// relation bits through that place. It returns the deliveries checked, by
+// frame type.
 func runCheckingActors(t *testing.T, net *Network, check func(nd *node)) (delivered [msgStatsSlots]int) {
 	t.Helper()
 	misplaced := 0
-	for _, nd := range net.nodes {
-		net.medium.SetReceiver(nd.id, func(frame uint64, from topo.NodeID, payload []byte) {
-			net.receive(nd, frame, from, payload)
-			if net.decMsg == nil {
-				return // undecodable: never reaches the node program
-			}
-			delivered[net.decMsg.Kind()]++
-			if got := nd.ninfo.ids[net.decRow[0]]; got != from && misplaced < 5 {
-				misplaced++
-				t.Errorf("t=%v %v frame %d→%d: rank row places the sender at node %d", net.sim.Now(), net.decMsg.Kind(), from, nd.id, got)
-			}
-		})
-	}
+	net.medium.SetReceiver(func(frame uint64, from, to topo.NodeID, edge int, payload []byte) {
+		net.receive(frame, from, to, edge, payload)
+		if net.decMsg == nil {
+			return // undecodable: never reaches the node program
+		}
+		delivered[net.decMsg.Kind()]++
+		nd := &net.nodes[to]
+		if got := nd.ninfo.ids[net.decRow[0]]; got != from && misplaced < 5 {
+			misplaced++
+			t.Errorf("t=%v %v frame %d→%d: rank row places the sender at node %d", net.sim.Now(), net.decMsg.Kind(), from, to, got)
+		}
+	})
 	var last *node
 	net.engine.OnAction = func(p *gcn.Process[*node], _ string) {
 		if last != nil {
 			check(last)
 		}
-		last = net.nodes[p.ID()]
+		last = &net.nodes[p.ID()]
 	}
 	if _, err := net.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, nd := range net.nodes {
+	for i := range net.nodes {
+		nd := &net.nodes[i]
 		check(nd)
 	}
 	return delivered
@@ -168,11 +169,11 @@ func TestCachedResolveGuardMatchesFreshScan(t *testing.T) {
 			net := tc.build(t)
 			clean, failures := 0, 0
 			runCheckingActors(t, net, func(nd *node) {
-				if tab := &nd.ninfo; !tab.dirty {
+				if !nd.dirty {
 					clean++
-					if fresh := nd.collisionLoser(); tab.loser != fresh && failures < 5 {
+					if fresh := nd.collisionLoser(); nd.loser != fresh && failures < 5 {
 						failures++
-						t.Errorf("t=%v node %d: cached collision loser %d, fresh scan %d", net.sim.Now(), nd.id, tab.loser, fresh)
+						t.Errorf("t=%v node %d: cached collision loser %d, fresh scan %d", net.sim.Now(), nd.id, nd.loser, fresh)
 					}
 				}
 			})

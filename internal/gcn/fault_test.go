@@ -9,11 +9,11 @@ import (
 )
 
 // TestFailStopsComputation: a crashed process executes no actions — not
-// for queued messages, not for armed timers, not for newly delivered
-// frames — until Revive.
+// for expired or armed timers, not for newly delivered frames — until
+// Revive.
 func TestFailStopsComputation(t *testing.T) {
 	sim := des.New()
-	prog := NewProgram[*node](oneKey)
+	prog := NewProgram[*node]()
 	handled := 0
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { handled++ })
 	fired := 0
@@ -22,24 +22,24 @@ func TestFailStopsComputation(t *testing.T) {
 	p := newProcess(e, 1, &node{})
 	tm := p.Timer(tick)
 
-	// Queue a message without stimulating, arm the timer, then crash.
-	p.inbox = append(p.inbox, envelope{sender: 2, msg: "queued"})
+	// Arm the timer, mark it expired without stimulating, then crash.
 	tm.Set(time.Second)
+	p.expired = 1 << tick
 	p.Fail()
 
 	if !p.dead {
 		t.Fatal("Dead() false after Fail")
 	}
-	if queueLen(p) != 0 {
-		t.Errorf("queue = %d after Fail, want 0 (volatile state dies)", queueLen(p))
+	if p.expired != 0 {
+		t.Errorf("expired = %b after Fail, want 0 (volatile state dies)", p.expired)
 	}
 	if tm.Pending() {
 		t.Error("timer still armed after Fail")
 	}
 
-	e.Deliver(p, 2, "while dead")
-	if queueLen(p) != 0 {
-		t.Errorf("Deliver enqueued %d messages on a dead process", queueLen(p))
+	e.Deliver(p, 2, 0, "while dead")
+	if p.dropped != 0 {
+		t.Errorf("dead process counted %d drops", p.dropped)
 	}
 	e.Kickstart(p)
 	if err := sim.Run(); err != nil {
@@ -51,21 +51,21 @@ func TestFailStopsComputation(t *testing.T) {
 }
 
 // TestReviveRestartsProcess: after Revive the process handles traffic
-// again, starting from an empty channel like a reboot.
+// again, keeping nothing delivered while it was down, like a reboot.
 func TestReviveRestartsProcess(t *testing.T) {
-	prog := NewProgram[*node](oneKey)
+	prog := NewProgram[*node]()
 	handled := 0
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { handled++ })
 	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
 
 	p.Fail()
-	e.Deliver(p, 2, "lost")
+	e.Deliver(p, 2, 0, "lost")
 	p.Revive()
 	if p.dead {
 		t.Fatal("Dead() true after Revive")
 	}
-	e.Deliver(p, 2, "heard")
+	e.Deliver(p, 2, 0, "heard")
 	if handled != 1 {
 		t.Errorf("handled %d messages after Revive, want exactly the post-revival one", handled)
 	}
@@ -74,7 +74,7 @@ func TestReviveRestartsProcess(t *testing.T) {
 // TestResetClearsDead: dead is run state and must not leak through the
 // arena Reset path.
 func TestResetClearsDead(t *testing.T) {
-	prog := NewProgram[*node](oneKey)
+	prog := NewProgram[*node]()
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) {})
 	e := NewEngine(des.New(), prog)
 	p := newProcess(e, 1, &node{})
@@ -89,7 +89,7 @@ func TestResetClearsDead(t *testing.T) {
 // a broadcast that drains the battery — ends the action loop there, even
 // though a guard of the dead process is still enabled.
 func TestFailInsideOwnActionStops(t *testing.T) {
-	prog := NewProgram[*node](oneKey)
+	prog := NewProgram[*node]()
 	var p *Process[*node]
 	prog.Receive(0, "rcv", func(*node, topo.NodeID, Message) { p.Fail() })
 	ran := 0
@@ -97,7 +97,7 @@ func TestFailInsideOwnActionStops(t *testing.T) {
 	e := NewEngine(des.New(), prog)
 	p = newProcess(e, 1, &node{})
 
-	e.Deliver(p, 2, "last words")
+	e.Deliver(p, 2, 0, "last words")
 	if !p.dead {
 		t.Fatal("receive action did not crash its process")
 	}

@@ -1,24 +1,29 @@
 // Package gcn is a small runtime for programs written in the guarded
 // command notation of Section III-A of the paper (after Dijkstra, 1974):
-// actions of the form ⟨name⟩ :: ⟨guard⟩ → ⟨command⟩, a FIFO channel
-// variable per process with rcv(sender, msg) guards, and timeout(timer)
+// actions of the form ⟨name⟩ :: ⟨guard⟩ → ⟨command⟩, rcv(sender, msg)
+// guards on the messages delivered to a process, and timeout(timer)
 // guards driven by the discrete-event simulator. The DAS, NSearch and
 // SRefine protocols of Figures 2–4 are expressed as gcn programs.
 //
 // A Program is built once and shared by every process of an engine: its
 // actions are functions of a per-process context C (the protocol node),
-// so a process holds only its channel, its timers and that context.
-// Receive actions are keyed: the program classifies the message at the
-// head of the channel into a small integer, and the action registered for
-// that key, found by one table lookup, handles it. A head message whose
-// key has no receive action is dropped (and counted).
+// so a process holds only its timers, their expiry bits and that context.
+// Receive actions are keyed: the deliverer names a message's key, a small
+// integer, and the action registered for that key, found by one table
+// lookup, handles it. A message whose key has no receive action is dropped
+// (and counted).
 // Timers are des.Runners, so arming one allocates nothing.
 //
 // Execution semantics: whenever a process is stimulated (message delivery
-// or timer expiry) it runs to quiescence — first consuming the channel
-// head, then executing the first enabled timeout or guarded action in
-// declaration order, until none is enabled. A per-stimulus step budget
-// guards against non-terminating programs.
+// or timer expiry) it runs to quiescence, executing the first enabled
+// timeout or guarded action in declaration order until none is enabled. A
+// delivery runs its receive action at once, as the first step of that
+// run. The paper's FIFO channel variable therefore needs no queue: every
+// stimulus runs its process to quiescence before the simulator moves on,
+// and no action delivers to its own process, so a message never arrives
+// while an earlier one waits, and the channel holds at most the message
+// being received. A per-stimulus step budget guards against
+// non-terminating programs.
 package gcn
 
 import (
@@ -36,12 +41,6 @@ var ErrStepBudget = errors.New("gcn: step budget exhausted; process did not quie
 
 // Message is an opaque protocol payload.
 type Message any
-
-// envelope is a queued channel entry.
-type envelope struct {
-	sender topo.NodeID
-	msg    Message
-}
 
 // TimerID names a timer of a Program; Process.Timer resolves it to the
 // process's own instance.
@@ -66,20 +65,21 @@ type action[C any] struct {
 // priority order. Build it once, before the first process runs it; it is
 // read-only afterwards and may be shared across engines and goroutines.
 type Program[C any] struct {
-	classify func(Message) int
-	recv     []receive[C] // indexed by key; a nil handle is no action
-	actions  []action[C]
-	timers   int
+	recv    []receive[C] // indexed by key; a nil handle is no action
+	actions []action[C]
+	timers  int
 }
 
-// NewProgram creates an empty program whose receive actions are selected
-// by classify: the key of a message, or a negative key for a message no
-// action may handle.
-func NewProgram[C any](classify func(Message) int) *Program[C] {
-	return &Program[C]{classify: classify}
+// maxTimers is the number of timers a program may declare: a process
+// keeps their expiry flags as the bits of one word.
+const maxTimers = 64
+
+// NewProgram creates an empty program.
+func NewProgram[C any]() *Program[C] {
+	return &Program[C]{}
 }
 
-// Receive registers the receive action for messages classified as key.
+// Receive registers the receive action for messages delivered with key.
 // Each key has at most one action.
 func (g *Program[C]) Receive(key int, name string, handle func(ctx C, sender topo.NodeID, msg Message)) {
 	if key < 0 {
@@ -102,8 +102,12 @@ func (g *Program[C]) Guard(name string, guard func(ctx C) bool, command func(ctx
 
 // Timeout declares a timer and appends its timeout(timer) → command
 // action. The expired flag is consumed (cleared) when the action runs; the
-// command may re-arm the timer with Set.
+// command may re-arm the timer with Set. A program declares at most 64
+// timers; Timeout panics on the 65th.
 func (g *Program[C]) Timeout(name string, command func(ctx C)) TimerID {
+	if g.timers == maxTimers {
+		panic(fmt.Sprintf("gcn: timeout action %q declares timer %d; a program has at most %d", name, g.timers+1, maxTimers))
+	}
 	id := TimerID(g.timers)
 	g.timers++
 	g.actions = append(g.actions, action[C]{name: name, timer: id, command: command})
@@ -112,11 +116,13 @@ func (g *Program[C]) Timeout(name string, command func(ctx C)) TimerID {
 
 // Timer is one process's instance of a program timer. Set schedules the
 // timer itself as the expiry event; when it fires, the owning process is
-// stimulated and the associated timeout action's guard becomes true.
+// stimulated and the associated timeout action's guard becomes true. The
+// expired flag is the timer's bit in its process's expired word, so the
+// action loop tests every timeout guard without reading a Timer.
 type Timer[C any] struct {
-	proc    *Process[C]
-	event   des.Event
-	expired bool
+	proc  *Process[C]
+	event des.Event
+	bit   uint64 // 1 << the timer's TimerID
 }
 
 // Set (re-)arms the timer to fire after d, cancelling any pending expiry.
@@ -125,7 +131,7 @@ type Timer[C any] struct {
 //slp:hotpath
 func (t *Timer[C]) Set(d time.Duration) {
 	t.event.Cancel()
-	t.expired = false
+	t.proc.expired &^= t.bit
 	t.event = t.proc.engine.sim.ScheduleRunnerAfter(d, t)
 }
 
@@ -136,40 +142,38 @@ func (t *Timer[C]) Run() {
 	// Clear the handle before stimulating: a fired event is no longer
 	// armed, and the zero handle keeps Pending() honest.
 	t.event = des.Event{}
-	t.expired = true
-	t.proc.engine.stimulate(t.proc)
+	p := t.proc
+	p.expired |= t.bit
+	p.engine.stimulate(p, 0)
 }
 
 // Stop cancels the timer without expiring it.
 func (t *Timer[C]) Stop() {
 	t.event.Cancel()
 	t.event = des.Event{}
-	t.expired = false
+	t.proc.expired &^= t.bit
 }
 
 // Pending reports whether the timer is armed and counting down.
 func (t *Timer[C]) Pending() bool { return t.event.Pending() }
 
 // Process is a GCN process: the engine's program run on one context, with
-// a channel variable and the program's timers. Engine.Host sets one up.
+// the program's timers. Engine.Host sets one up. The fields a delivery
+// reads come first, so a process that is a field of its context shares
+// that context's first cache lines with it.
 type Process[C any] struct {
-	id     topo.NodeID // lint:immutable: identity, fixed at construction
-	engine *Engine[C]  // lint:immutable: back-pointer wiring, fixed at construction
-	ctx    C           // lint:immutable: the context the program runs on, fixed at construction
-	// inbox is the channel variable as a head-indexed queue: consumed
-	// entries advance head instead of re-slicing, and once the queue
-	// drains both reset to zero so the backing array is reused — Deliver
-	// is allocation-free in steady state.
-	inbox     []envelope
-	inboxHead int
-	buf       [1]envelope // lint:immutable: the inbox's first backing array, cleared through inbox
-	timers    []Timer[C]  // one per program timer
-	// Dropped counts head-of-channel messages no receive action handles.
-	dropped uint64
-	failed  error
 	// dead marks a crashed process (fault injection): it executes no
 	// actions and accepts no messages until Revive.
-	dead bool
+	dead   bool
+	failed error
+	// expired holds the expiry flag of program timer i as bit i.
+	expired uint64
+	ctx     C           // lint:immutable: the context the program runs on, fixed at construction
+	engine  *Engine[C]  // lint:immutable: back-pointer wiring, fixed at construction
+	id      topo.NodeID // lint:immutable: identity, fixed at construction
+	timers  []Timer[C]  // one per program timer
+	// dropped counts delivered messages no receive action handles.
+	dropped uint64
 }
 
 // ID returns the process identifier.
@@ -181,20 +185,12 @@ func (p *Process[C]) Timer(id TimerID) *Timer[C] { return &p.timers[id] }
 // Err returns the sticky error if the process overran its step budget.
 func (p *Process[C]) Err() error { return p.failed }
 
-// clearInbox empties the channel variable, releasing message references.
-func (p *Process[C]) clearInbox() {
-	clear(p.inbox)
-	p.inbox = p.inbox[:0]
-	p.inboxHead = 0
-}
-
-// Fail crashes the process: its channel variable is emptied, every timer
-// is disarmed, and until Revive it executes no actions and silently drops
-// anything Delivered to it. Volatile state dies with the node; the program
-// — in ROM — survives for a later Revive.
+// Fail crashes the process: every timer is disarmed, and until Revive it
+// executes no actions and silently drops anything Delivered to it.
+// Volatile state dies with the node; the program — in ROM — survives for
+// a later Revive.
 func (p *Process[C]) Fail() {
 	p.dead = true
-	p.clearInbox()
 	for i := range p.timers {
 		p.timers[i].Stop()
 	}
@@ -202,22 +198,21 @@ func (p *Process[C]) Fail() {
 
 // Revive clears the dead flag set by Fail. The caller is responsible for
 // re-initialising protocol state and re-stimulating the process; the
-// runtime restarts it with an empty channel and no armed timers, like a
-// node rebooting from ROM.
+// runtime restarts it with no armed or expired timers, like a node
+// rebooting from ROM.
 func (p *Process[C]) Revive() { p.dead = false }
 
-// Reset rewinds the process for a fresh run: the channel variable is
-// emptied, drop/failure accounting cleared and every timer disarmed. The
-// owning simulator must be Reset alongside (stale timer events are
-// discarded there; handles here are zeroed to match).
+// Reset rewinds the process for a fresh run: drop/failure accounting is
+// cleared and every timer disarmed. The owning simulator must be Reset
+// alongside (stale timer events are discarded there; handles here are
+// zeroed to match).
 func (p *Process[C]) Reset() {
-	p.clearInbox()
 	p.dropped = 0
 	p.failed = nil
 	p.dead = false
+	p.expired = 0
 	for i := range p.timers {
 		p.timers[i].event = des.Event{}
-		p.timers[i].expired = false
 	}
 }
 
@@ -246,37 +241,46 @@ func NewEngine[C any](sim *des.Simulator, prog *Program[C]) *Engine[C] {
 // its context in the same cache lines.
 func (e *Engine[C]) Host(p *Process[C], id topo.NodeID, ctx C) {
 	*p = Process[C]{id: id, engine: e, ctx: ctx, timers: make([]Timer[C], e.prog.timers)}
-	p.inbox = p.buf[:0]
 	for i := range p.timers {
 		p.timers[i].proc = p
+		p.timers[i].bit = 1 << i
 	}
 	e.procs = append(e.procs, p)
 }
 
-// Deliver enqueues msg from sender on p's channel variable and runs p to
-// quiescence. This is how the radio hands received frames to a protocol.
+// Deliver hands msg from sender to p under key: the receive action
+// registered for key runs at once, reported to OnAction first, and p then
+// runs to quiescence. Receiving counts as the first step of the budget,
+// as does a message no receive action handles, which is dropped and
+// counted. A dead or failed process drops the delivery uncounted. This is
+// how the radio hands received frames to a protocol.
 //
 //slp:hotpath
-func (e *Engine[C]) Deliver(p *Process[C], sender topo.NodeID, msg Message) {
-	if p.dead {
+func (e *Engine[C]) Deliver(p *Process[C], sender topo.NodeID, key int, msg Message) {
+	if p.dead || p.failed != nil {
 		return
 	}
-	if p.inboxHead == len(p.inbox) {
-		// Queue is drained: rewind so the backing array is reused.
-		p.inbox = p.inbox[:0]
-		p.inboxHead = 0
+	if g := e.prog; uint(key) < uint(len(g.recv)) && g.recv[key].handle != nil {
+		r := &g.recv[key]
+		if e.OnAction != nil {
+			e.OnAction(p, r.name)
+		}
+		r.handle(p.ctx, sender, msg)
+	} else {
+		// No receive action for this key: the message is lost, mirroring
+		// an unhandled frame in a real stack.
+		p.dropped++
 	}
-	p.inbox = append(p.inbox, envelope{sender: sender, msg: msg})
-	e.stimulate(p)
+	e.stimulate(p, 1)
 }
 
 // Kickstart runs p to quiescence with no new stimulus — used once at boot
 // so that initially-enabled actions (e.g. the sink's init) execute.
-func (e *Engine[C]) Kickstart(p *Process[C]) { e.stimulate(p) }
+func (e *Engine[C]) Kickstart(p *Process[C]) { e.stimulate(p, 0) }
 
 // Reset rewinds every hosted process (see Process.Reset) for a fresh run
 // on a Reset simulator. Processes, the program and the OnAction hook
-// survive; only per-run channel/timer/failure state is cleared.
+// survive; only per-run timer/failure state is cleared.
 func (e *Engine[C]) Reset() {
 	for _, p := range e.procs {
 		p.Reset()
@@ -294,11 +298,12 @@ func (e *Engine[C]) Err() error {
 }
 
 // stimulate runs the process action loop until quiescence, or until an
-// action crashes its own process (a broadcast that drains the battery).
+// action crashes its own process (a broadcast that drains the battery),
+// having already spent steps of the step budget.
 //
 //slp:hotpath
-func (e *Engine[C]) stimulate(p *Process[C]) {
-	for steps := 0; p.failed == nil && !p.dead; steps++ {
+func (e *Engine[C]) stimulate(p *Process[C], steps int) {
+	for ; p.failed == nil && !p.dead; steps++ {
 		if steps >= e.stepBudget {
 			//lint:ignore hotpath cold failure path, the process is dead after this
 			p.failed = fmt.Errorf("%w (process %d, budget %d)", ErrStepBudget, p.id, e.stepBudget)
@@ -310,43 +315,20 @@ func (e *Engine[C]) stimulate(p *Process[C]) {
 	}
 }
 
-// stepOnce executes at most one enabled action; reports whether one ran.
-// Consuming the channel head — whether its receive action handles it or
-// no action is registered for its key and it is dropped — counts as one
-// step, so a flood of unhandled messages is charged against the step
-// budget instead of being discarded for free inside a single step.
+// stepOnce executes the first enabled timeout or guarded action in
+// declaration order; reports whether one ran.
 //
 //slp:hotpath
 func (e *Engine[C]) stepOnce(p *Process[C]) bool {
 	g := e.prog
-	// Channel head first: its key selects the one receive action whose
-	// rcv guard it enables.
-	if p.inboxHead < len(p.inbox) {
-		head := p.inbox[p.inboxHead]
-		p.inbox[p.inboxHead] = envelope{} // release the message reference
-		p.inboxHead++
-		if k := g.classify(head.msg); uint(k) < uint(len(g.recv)) && g.recv[k].handle != nil {
-			r := &g.recv[k]
-			if e.OnAction != nil {
-				e.OnAction(p, r.name)
-			}
-			r.handle(p.ctx, head.sender, head.msg)
-			return true
-		}
-		// No receive action for this key: the message is consumed and
-		// lost, mirroring an unhandled frame in a real stack.
-		p.dropped++
-		return true
-	}
-	// Then timeout and plain guard actions in declaration order.
 	for i := range g.actions {
 		a := &g.actions[i]
 		if a.guard == nil {
-			t := &p.timers[a.timer]
-			if !t.expired {
+			bit := uint64(1) << a.timer
+			if p.expired&bit == 0 {
 				continue
 			}
-			t.expired = false // consume
+			p.expired &^= bit // consume
 		} else if !a.guard(p.ctx) {
 			continue
 		}

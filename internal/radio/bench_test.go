@@ -51,9 +51,7 @@ func newBroadcastOp(tb testing.TB, c broadcastCase) func() {
 	sim := des.New()
 	m := New(sim, g, 1)
 	m.Reset(1, ch, c.collisions, nil)
-	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) {})
-	}
+	m.SetReceiver(func(uint64, topo.NodeID, topo.NodeID, int, []byte) {})
 	centre := topo.GridCentre(11)
 	if c.observed {
 		m.AddObserver(nopObserver{pos: g.Position(centre)})

@@ -21,7 +21,7 @@ func TestSenderDiesMidFrameDropsTail(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableNode(0) })
 	if err := sim.Run(); err != nil {
@@ -42,7 +42,7 @@ func TestReceiverDiesMidFlightDropsReception(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableNode(1) })
 	if err := sim.Run(); err != nil {
@@ -85,7 +85,7 @@ func TestEnableNodeRestoresTraffic(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 10)
 	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
 	m.DisableNode(0)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) }) // suppressed: sender down
 	sim.ScheduleAfter(time.Millisecond, func() { m.EnableNode(0) })
@@ -109,10 +109,11 @@ func TestDisableLinkBlocksBothDirections(t *testing.T) {
 	right := topo.GridIndex(3, 1, 2)
 	up := topo.GridIndex(3, 0, 1)
 	received := make(map[topo.NodeID]int)
-	for _, n := range []topo.NodeID{centre, right, up} {
-		n := n
-		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) { received[n]++ })
-	}
+	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) {
+		if to == centre || to == right || to == up {
+			received[to]++
+		}
+	})
 	m.DisableLink(centre, right)
 	if !m.LinkDisabled(right, centre) {
 		t.Fatal("LinkDisabled not symmetric")
@@ -141,7 +142,7 @@ func TestLinkFailsMidFlightDropsFrame(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableLink(0, 1) })
 	if err := sim.Run(); err != nil {
@@ -162,7 +163,7 @@ func TestResetClearsDownLinks(t *testing.T) {
 	}
 	payload := make([]byte, 10)
 	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

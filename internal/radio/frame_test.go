@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"testing"
 	"time"
+	"unsafe"
 
 	"slpdas/internal/channel"
 	"slpdas/internal/des"
@@ -49,12 +50,9 @@ func TestRecycledFrameCorruptsLikeFreshReceptions(t *testing.T) {
 			m := New(sim, g, 1)
 			h := fnv.New64a()
 			pair := 0
-			for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-				n := n
-				m.SetReceiver(n, func(_ uint64, from topo.NodeID, _ []byte) {
-					h.Write([]byte{byte(pair), byte(pair >> 8), byte(n), byte(from)})
-				})
-			}
+			m.SetReceiver(func(_ uint64, from, to topo.NodeID, _ int, _ []byte) {
+				h.Write([]byte{byte(pair), byte(pair >> 8), byte(to), byte(from)})
+			})
 			var total Stats
 			for a := topo.NodeID(0); int(a) < g.Len(); a++ {
 				for b := topo.NodeID(0); int(b) < g.Len(); b++ {
@@ -93,10 +91,7 @@ func TestFrameRunsReceiversInNeighbourOrderThenScan(t *testing.T) {
 	sim, g, m := newTestMedium(t, 5)
 	var log []topo.NodeID
 	const scan = topo.NodeID(-2)
-	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		n := n
-		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) { log = append(log, n) })
-	}
+	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) { log = append(log, to) })
 	// The observer sits between the two senders and hears both.
 	m.AddObserver(logObserver{pos: g.Position(topo.GridIndex(5, 1, 2)), log: &log, mark: scan})
 	first, second := topo.GridCentre(5), topo.GridIndex(5, 0, 2)
@@ -163,10 +158,7 @@ func TestReceiverDyingOnChargeRxSparesLaterReceivers(t *testing.T) {
 	m.Reset(1, nil, false, em)
 	em.m = m
 	got := map[topo.NodeID]int{}
-	for _, n := range nbrs {
-		n := n
-		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) { got[n]++ })
-	}
+	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) { got[to]++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(centre, []byte{1, 2}) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -210,7 +202,7 @@ func TestDeliveredCandidateLeavesNoStaleRxLatest(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, ch, false, nil)
 	var got []topo.NodeID
-	m.SetReceiver(0, func(_ uint64, from topo.NodeID, _ []byte) { got = append(got, from) })
+	m.SetReceiver(receiverAt(0, func(_ uint64, from topo.NodeID, _ []byte) { got = append(got, from) }))
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(1, []byte{1})
 		m.Broadcast(2, make([]byte, 100))
@@ -224,5 +216,100 @@ func TestDeliveredCandidateLeavesNoStaleRxLatest(t *testing.T) {
 	}
 	if st := m.Stats(); st.CaptureWins != 2 {
 		t.Errorf("CaptureWins = %d, want 2", st.CaptureWins)
+	}
+}
+
+// TestReceiverEdgeIndexesSendersNeighbours checks every receiver call
+// against the graph: the edge it names is the receiver's index among the
+// sender's neighbours, and one frame's calls arrive in ascending edge
+// order. Every node broadcasts, in overlapping waves, on an 11×11 grid
+// and a 500-node random geometric graph, under an ideal channel, under
+// loss with collisions, and under SINR capture. One node is disabled and
+// one link downed, so some frames skip a neighbour and their later
+// receptions' edges run ahead of their places in the frame.
+func TestReceiverEdgeIndexesSendersNeighbours(t *testing.T) {
+	grid, err := topo.DefaultGrid(11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rgg, err := topo.RandomGeometric(500, 100, 100, 8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topo.Graph{grid, rgg} {
+		for _, tc := range []struct {
+			channel    string
+			collisions bool
+		}{
+			{"ideal", false},
+			{"bernoulli:0.3", true},
+			{"logdist:2.4:4@sinr:3", false},
+		} {
+			t.Run(g.Name()+"/"+tc.channel, func(t *testing.T) {
+				ch, err := channel.Parse(tc.channel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim := des.New()
+				m := New(sim, g, 1)
+				m.Reset(1, ch, tc.collisions, nil)
+				// Down the link from node 0 to its first neighbour and
+				// disable node 1's first neighbour (not node 0).
+				m.DisableLink(0, g.Neighbors(0)[0])
+				off := g.Neighbors(1)[0]
+				if off == 0 {
+					off = g.Neighbors(1)[1]
+				}
+				m.DisableNode(off)
+
+				var lastFrame uint64
+				lastEdge, place, calls, skipped, bad := -1, 0, 0, 0, 0
+				m.SetReceiver(func(frame uint64, from, to topo.NodeID, edge int, _ []byte) {
+					calls++
+					if frame != lastFrame {
+						lastFrame, lastEdge, place = frame, -1, 0
+					}
+					nbrs := g.Neighbors(from)
+					if edge < 0 || edge >= len(nbrs) || nbrs[edge] != to || edge <= lastEdge {
+						if bad++; bad <= 5 {
+							t.Errorf("frame %d %d→%d: edge %d after edge %d, sender's neighbours %v", frame, from, to, edge, lastEdge, nbrs)
+						}
+					}
+					if edge != place {
+						skipped++
+					}
+					lastEdge = edge
+					place++
+				})
+				for n := topo.NodeID(0); int(n) < g.Len(); n++ {
+					// Waves of 16 senders 300 µs apart overlap at shared
+					// receivers, so collisions and capture both fire.
+					at := time.Duration(n/16)*10*time.Millisecond + time.Duration(n%16)*300*time.Microsecond
+					sim.ScheduleAfter(at, func() { m.Broadcast(n, make([]byte, 24)) })
+				}
+				if err := sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+				st := m.Stats()
+				if calls == 0 || uint64(calls) != st.Deliveries {
+					t.Errorf("%d receiver calls, Deliveries = %d", calls, st.Deliveries)
+				}
+				if skipped == 0 {
+					t.Error("no frame skipped a neighbour: no edge differed from its reception's place")
+				}
+				if tc.channel != "ideal" && st.LossDrops+st.CollisionDrops+st.SINRDrops == 0 {
+					t.Errorf("%s dropped nothing: %+v", tc.channel, st)
+				}
+			})
+		}
+	}
+}
+
+// TestReceptionStaysSixteenBytes: the edge index rides in the padding of
+// a reception, so the frame's reception slice, walked once at delivery,
+// does not grow with it.
+func TestReceptionStaysSixteenBytes(t *testing.T) {
+	if size := unsafe.Sizeof(reception{}); size != 16 {
+		t.Errorf("reception is %d bytes, want 16", size)
 	}
 }

@@ -20,6 +20,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -40,15 +41,22 @@ const (
 	DefaultPropagationDelay = time.Microsecond
 )
 
-// Receiver consumes frames delivered to a node. The payload slice is owned
-// by the medium's frame pool and is only valid for the duration of the
-// call; receivers that keep payload bytes must copy them. frame identifies
-// the broadcast: every receiver of one frame gets the same non-zero id and
-// the same payload, and no other frame of this medium, in this or any later
-// run after Reset, reuses the id. Receivers that decode may therefore
-// decode once per frame and share the decoded message among that frame's
-// receivers, which must treat it as read-only.
-type Receiver func(frame uint64, from topo.NodeID, payload []byte)
+// Receiver consumes every frame the medium delivers, one call per
+// reception: frame from node from arriving at node to, which is
+// Neighbors(from)[edge] in the medium's graph. A frame's receptions arrive
+// in ascending edge order. Receivers that keep per-edge state (a rank row,
+// a link estimate) index it by edge directly, with no search for to among
+// the sender's neighbours.
+//
+// The payload slice is owned by the medium's frame pool and is only valid
+// for the duration of the call; receivers that keep payload bytes must
+// copy them. frame identifies the broadcast: every reception of one frame
+// gets the same non-zero id and the same payload, and no other frame of
+// this medium, in this or any later run after Reset, reuses the id.
+// Receivers that decode may therefore decode once per frame and share the
+// decoded message among that frame's receptions, which must treat it as
+// read-only.
+type Receiver func(frame uint64, from, to topo.NodeID, edge int, payload []byte)
 
 // Observation is what an eavesdropper perceives about one transmission:
 // who transmitted, from where, and when — never the payload (the paper
@@ -112,8 +120,8 @@ type Medium struct {
 	pcg        rand.PCG   // owned so Reset can reseed rng in place
 	rng        *rand.Rand // lint:immutable: wraps &pcg; Reset reseeds the pcg in place
 
-	receivers []Receiver // lint:immutable: registration wiring, rebuilt only when the node set changes
-	disabled  []bool
+	recv     Receiver // lint:immutable: registration wiring, set once by SetReceiver
+	disabled []bool
 	// downLinks holds failed links keyed by packed (min, max) node-ID pair.
 	// Lookups are guarded by len(downLinks) != 0, so the no-link-fault fast
 	// path never touches the map.
@@ -153,12 +161,19 @@ type frame struct {
 	rx   []reception // capacity ≥ sender degree before rxLatest takes &rx[i]
 }
 
-// reception is one (frame, in-range neighbour) delivery.
+// reception is one (frame, in-range neighbour) delivery: to is
+// Neighbors(from)[edge]. edge fills the padding before power, so a
+// reception stays 16 bytes; New refuses a graph with a degree it cannot
+// hold.
 type reception struct {
 	to        topo.NodeID
+	edge      uint16
 	corrupted bool
 	power     float64 // received power in mW; set only under SINR capture
 }
+
+// maxDegree is the largest sender degree a reception's edge can index.
+const maxDegree = math.MaxUint16 + 1
 
 // Run implements des.Runner at the end of the reception window: the frame
 // arrives at each receiver in neighbour order, then ends at the
@@ -175,7 +190,8 @@ type reception struct {
 // it. The energy meter is billed before the corruption verdict — the radio
 // pays for listening whether or not the frame survives — and a receiver
 // whose battery dies on that very charge pays but does not consume, hence
-// the second disabled check before the receiver callback.
+// the second disabled check before the receiver call. A medium with no
+// receiver set bills and judges every reception but delivers none.
 //
 // Observers within range of the sender (at their position now) then
 // overhear the transmission. Collisions do not hide the fact that a node
@@ -200,9 +216,9 @@ func (f *frame) Run() {
 			case m.sinr && !m.sinrClears(r):
 				m.stats.SINRDrops++
 			default:
-				if recv := m.receivers[r.to]; recv != nil && !m.disabled[r.to] {
+				if m.recv != nil && !m.disabled[r.to] {
 					m.stats.Deliveries++
-					recv(f.id, f.from, f.buf)
+					m.recv(f.id, f.from, r.to, int(r.edge), f.buf)
 				}
 			}
 		}
@@ -277,17 +293,22 @@ func (m *Medium) contend(r *reception, now, endAt time.Duration) {
 
 // New builds a medium over graph g driven by sim, deriving its random
 // stream from seed. The medium starts as Reset(seed, nil, false, nil)
-// leaves it: ideal channel, collisions off, no energy meter.
+// leaves it: ideal channel, collisions off, no energy meter, no receiver.
+// It panics if a node of g has more than 65536 neighbours.
 func New(sim *des.Simulator, g *topo.Graph, seed uint64) *Medium {
+	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
+		if d := len(g.Neighbors(n)); d > maxDegree {
+			panic(fmt.Sprintf("radio: node %d has %d neighbours, above the medium's %d", n, d, maxDegree))
+		}
+	}
 	m := &Medium{
-		sim:       sim,
-		g:         g,
-		receivers: make([]Receiver, g.Len()),
-		disabled:  make([]bool, g.Len()),
-		rxEnd:     make([]time.Duration, g.Len()),
-		rxLatest:  make([]*reception, g.Len()),
-		rxSum:     make([]float64, g.Len()),
-		rxBest:    make([]float64, g.Len()),
+		sim:      sim,
+		g:        g,
+		disabled: make([]bool, g.Len()),
+		rxEnd:    make([]time.Duration, g.Len()),
+		rxLatest: make([]*reception, g.Len()),
+		rxSum:    make([]float64, g.Len()),
+		rxBest:   make([]float64, g.Len()),
 	}
 	m.rng = xrand.Wrap(&m.pcg)
 	m.Reset(seed, nil, false, nil)
@@ -298,11 +319,11 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64) *Medium {
 // stream is reseeded in place, the channel model swapped for the new run's
 // configuration (and itself Reset to the new seed so per-link shadowing
 // redraws), and all per-run state — failed nodes, collision windows, SINR
-// accumulators, observers, counters — cleared. Registered receivers
-// survive (they are wiring, not run state), as does the frame pool, which
-// is the point: a Reset medium broadcasts with warm pools from its first
-// frame. Frame ids keep counting, so a receiver's per-frame cache can
-// never match a frame of the previous run. The owning simulator must be
+// accumulators, observers, counters — cleared. The receiver survives (it
+// is wiring, not run state), as does the frame pool, which is the point:
+// a Reset medium broadcasts with warm pools from its first frame. Frame
+// ids keep counting, so a receiver's per-frame cache can never match a
+// frame of the previous run. The owning simulator must be
 // Reset alongside so in-flight frame events from the previous run are
 // discarded. A nil channel selects channel.Ideal; a nil meter disables
 // energy charging.
@@ -328,9 +349,10 @@ func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter Ene
 	m.stats = Stats{}
 }
 
-// SetReceiver registers the frame consumer for node n.
-func (m *Medium) SetReceiver(n topo.NodeID, r Receiver) {
-	m.receivers[n] = r
+// SetReceiver registers r as the consumer of every reception the medium
+// delivers, replacing any earlier one; nil delivers none.
+func (m *Medium) SetReceiver(r Receiver) {
+	m.recv = r
 }
 
 // DisableNode fails node n: it no longer transmits or receives. Used for
@@ -433,7 +455,7 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 			m.stats.LossDrops++
 			continue
 		}
-		f.rx = append(f.rx, reception{to: to})
+		f.rx = append(f.rx, reception{to: to, edge: uint16(j)})
 		r := &f.rx[len(f.rx)-1]
 		if m.sinr {
 			r.power = m.ch.RxPowerMW(from, to, dist)

@@ -12,6 +12,16 @@ import (
 	"slpdas/internal/xrand"
 )
 
+// receiverAt returns a receiver that hands f the receptions at node n and
+// ignores every other.
+func receiverAt(n topo.NodeID, f func(frame uint64, from topo.NodeID, payload []byte)) Receiver {
+	return func(frame uint64, from, to topo.NodeID, _ int, payload []byte) {
+		if to == n {
+			f(frame, from, payload)
+		}
+	}
+}
+
 func newTestMedium(t *testing.T, side int) (*des.Simulator, *topo.Graph, *Medium) {
 	t.Helper()
 	g, err := topo.DefaultGrid(side)
@@ -25,12 +35,9 @@ func newTestMedium(t *testing.T, side int) (*des.Simulator, *topo.Graph, *Medium
 func TestBroadcastReachesOnlyNeighbours(t *testing.T) {
 	sim, g, m := newTestMedium(t, 5)
 	received := make(map[topo.NodeID][]byte)
-	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		n := n
-		m.SetReceiver(n, func(_ uint64, from topo.NodeID, payload []byte) {
-			received[n] = payload
-		})
-	}
+	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, payload []byte) {
+		received[to] = payload
+	})
 	centre := topo.GridIndex(5, 2, 2)
 	sim.ScheduleAfter(0, func() { m.Broadcast(centre, []byte{1, 2, 3}) })
 	if err := sim.Run(); err != nil {
@@ -66,7 +73,7 @@ func TestAirtimeScalesWithPayload(t *testing.T) {
 func TestDeliveryDelayedByAirtime(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	var deliveredAt time.Duration
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { deliveredAt = sim.Now() })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { deliveredAt = sim.Now() }))
 	payload := make([]byte, 50)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	if err := sim.Run(); err != nil {
@@ -87,7 +94,7 @@ func TestBernoulliLossRate(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, channel.Bernoulli{P: 0.3}, false, nil)
 	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
 	const trials = 5000
 	for i := 0; i < trials; i++ {
 		at := time.Duration(i) * time.Second
@@ -110,7 +117,7 @@ func TestBernoulliLossRate(t *testing.T) {
 func TestIdealLossless(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	delivered := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { delivered++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
 	for i := 0; i < 100; i++ {
 		at := time.Duration(i) * time.Second
 		if _, err := sim.Schedule(at, func() { m.Broadcast(0, []byte{1}) }); err != nil {
@@ -160,10 +167,7 @@ func TestCollisionCorruptsBothFrames(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, nil, true, nil)
 	got := map[topo.NodeID]int{}
-	for n := topo.NodeID(0); n < 3; n++ {
-		n := n
-		m.SetReceiver(n, func(uint64, topo.NodeID, []byte) { got[n]++ })
-	}
+	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) { got[to]++ })
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, make([]byte, 20))
 		m.Broadcast(2, make([]byte, 20))
@@ -188,7 +192,7 @@ func TestNoCollisionWhenSeparatedInTime(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, nil, true, nil)
 	count := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { count++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { count++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, make([]byte, 20)) })
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(2, make([]byte, 20)) })
 	if err := sim.Run(); err != nil {
@@ -220,7 +224,7 @@ func TestThreeTransmissionTailOverlap(t *testing.T) {
 	m.Reset(1, nil, true, nil)
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
-	m.SetReceiver(centre, func(uint64, topo.NodeID, []byte) { got++ })
+	m.SetReceiver(receiverAt(centre, func(uint64, topo.NodeID, []byte) { got++ }))
 	// Fail the corner nodes so the three senders' frames meet only at the
 	// centre and the global drop counter isolates that receiver.
 	for _, corner := range []topo.NodeID{0, 2, 6, 8} {
@@ -257,7 +261,7 @@ func TestTailTransmissionAfterWindowCloses(t *testing.T) {
 	m.Reset(1, nil, true, nil)
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
-	m.SetReceiver(centre, func(uint64, topo.NodeID, []byte) { got++ })
+	m.SetReceiver(receiverAt(centre, func(uint64, topo.NodeID, []byte) { got++ }))
 	for _, corner := range []topo.NodeID{0, 2, 6, 8} {
 		m.DisableNode(corner)
 	}
@@ -285,7 +289,7 @@ func TestCollisionsDisabledByDefault(t *testing.T) {
 	sim := des.New()
 	m := New(sim, g, 1)
 	count := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { count++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { count++ }))
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, make([]byte, 20))
 		m.Broadcast(2, make([]byte, 20))
@@ -485,7 +489,7 @@ func TestBroadcastSteadyStateAllocFree(t *testing.T) {
 func TestDisabledNodeNeitherSendsNorReceives(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	count := 0
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { count++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { count++ }))
 	m.DisableNode(1)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -510,13 +514,14 @@ func TestDisabledNodeNeitherSendsNorReceives(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) {})
+	m.SetReceiver(func(uint64, topo.NodeID, topo.NodeID, int, []byte) {})
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, make([]byte, 10)) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	s := m.Stats()
-	if s.Broadcasts != 1 || s.BytesSent != 10 || s.Deliveries != 1 {
+	// Node 0 of a 2×2 grid has two neighbours.
+	if s.Broadcasts != 1 || s.BytesSent != 10 || s.Deliveries != 2 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -524,7 +529,7 @@ func TestStatsCounters(t *testing.T) {
 func TestPayloadCopiedNotAliased(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	var got []byte
-	m.SetReceiver(1, func(_ uint64, _ topo.NodeID, p []byte) { got = p })
+	m.SetReceiver(receiverAt(1, func(_ uint64, _ topo.NodeID, p []byte) { got = p }))
 	buf := []byte{1, 2, 3}
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, buf)
@@ -551,7 +556,7 @@ func TestMediumResetClearsRunState(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, nil, true, nil)
 	var got int
-	m.SetReceiver(1, func(uint64, topo.NodeID, []byte) { got++ })
+	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { got++ }))
 	obs := &fixedObserver{pos: g.Position(0)}
 	m.AddObserver(obs)
 	m.DisableNode(2)

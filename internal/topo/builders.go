@@ -82,30 +82,37 @@ func Ring(n int, spacing, radioRange float64) (*Graph, error) {
 // The layout is deterministic for a given seed. It retries a bounded number
 // of times to obtain a connected graph and returns an error otherwise.
 func RandomGeometric(n int, width, height, radioRange float64, seed uint64) (*Graph, error) {
+	g, _, err := randomGeometric(n, width, height, radioRange, seed)
+	return g, err
+}
+
+// randomGeometric is RandomGeometric, also reporting the layouts it drew.
+func randomGeometric(n int, width, height, radioRange float64, seed uint64) (*Graph, int, error) {
 	if n < 2 {
-		return nil, fmt.Errorf("topo: random geometric graph needs at least 2 nodes, got %d", n)
+		return nil, 0, fmt.Errorf("topo: random geometric graph needs at least 2 nodes, got %d", n)
 	}
 	// Raw PCG seeding, not xrand's label mixing: this stream layout
 	// predates xrand and is pinned by the committed topology goldens.
 	rng := xrand.NewRaw(seed, 0x9e3779b97f4a7c15)
 	const maxAttempts = 64
 	positions := make([]Point, n)
+	var sc scan // one scratch for every attempt
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		for i := range positions {
 			positions[i] = Point{X: rng.Float64() * width, Y: rng.Float64() * height}
 		}
 		if err := validateGraphInput(positions, radioRange); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		// Rejected layouts only pay for the raw edge scan plus a
-		// union-find connectivity pass — CSR assembly (the allocation-
-		// heavy half of construction) happens once, on the accepted
-		// layout.
-		edges, degree := unitDiskEdges(positions, radioRange)
-		if !edgesConnected(n, edges) {
+		// union-find connectivity pass, on the scratch the first attempt
+		// allocated — CSR assembly (the allocation-heavy half of
+		// construction) happens once, on the accepted layout.
+		edges, degree := sc.unitDiskEdges(positions, radioRange)
+		if !sc.connected(n, edges) {
 			continue
 		}
-		return assembleGraph(fmt.Sprintf("rgg-%d", n), positions, radioRange, edges, degree), nil
+		return assembleGraph(fmt.Sprintf("rgg-%d", n), positions, radioRange, edges, degree), attempt + 1, nil
 	}
-	return nil, fmt.Errorf("topo: failed to build a connected random geometric graph (n=%d range=%.2f) after %d attempts", n, radioRange, maxAttempts)
+	return nil, maxAttempts, fmt.Errorf("topo: failed to build a connected random geometric graph (n=%d range=%.2f) after %d attempts", n, radioRange, maxAttempts)
 }

@@ -194,8 +194,8 @@ func TestEdgesConnectedMatchesBFS(t *testing.T) {
 		r := 1 + rng.Float64()*8
 		edges, degree := unitDiskEdges(positions, r)
 		g := assembleGraph("uf", positions, r, edges, degree)
-		if got, want := edgesConnected(n, edges), g.Connected(); got != want {
-			t.Fatalf("trial %d: edgesConnected=%v but BFS Connected=%v (n=%d r=%.3f)", trial, got, want, n, r)
+		if got, want := new(scan).connected(n, edges), g.Connected(); got != want {
+			t.Fatalf("trial %d: scan.connected=%v but BFS Connected=%v (n=%d r=%.3f)", trial, got, want, n, r)
 		}
 	}
 }
@@ -237,4 +237,44 @@ func FuzzSpatialHashEquivalence(f *testing.F) {
 		}
 		checkEquivalent(t, "fuzz", positions, radioRange)
 	})
+}
+
+// TestRejectedLayoutsReuseScan: RandomGeometric scans every layout it
+// draws on one scratch, so a call whose seed needs three or more layouts
+// allocates exactly as often as one whose first layout is connected. The
+// graphs are 500-node layouts at 1.8 grid spacings of range, where more
+// than one seed in four needs a second layout.
+func TestRejectedLayoutsReuseScan(t *testing.T) {
+	const n = 500
+	side := math.Sqrt(n) * DefaultSpacing
+	radioRange := 1.8 * DefaultSpacing
+	first, retried := uint64(0), uint64(0)
+	found := 0
+	for seed := uint64(1); seed < 400 && found < 2; seed++ {
+		_, attempts, err := randomGeometric(n, side, side, radioRange, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case attempts == 1 && first == 0:
+			first = seed
+			found++
+		case attempts >= 3 && retried == 0:
+			retried = seed
+			found++
+		}
+	}
+	if found < 2 {
+		t.Fatalf("no first-attempt seed (%d) or no seed needing 3+ layouts (%d) below 400", first, retried)
+	}
+	allocs := func(seed uint64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := RandomGeometric(n, side, side, radioRange, seed); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(first), allocs(retried); a != b {
+		t.Errorf("seed %d (one layout) allocates %v times, seed %d (3+ layouts) %v", first, a, retried, b)
+	}
 }

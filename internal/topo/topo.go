@@ -167,8 +167,39 @@ func unitDiskEdgesNaive(positions []Point, radioRange float64) ([]edge, []int32)
 // grid when the field is compact, and a hash map keyed by packed cell
 // coordinates when the field is so sparse a dense grid would dwarf n.
 func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
+	return new(scan).unitDiskEdges(positions, radioRange)
+}
+
+// scan is the scratch of a unit-disk edge scan and its connectivity check.
+// RandomGeometric keeps one across the layouts it rejects, so a retry
+// reuses the first attempt's arrays instead of allocating its own. The
+// edges and degrees a scan returns live in its scratch: they are valid
+// until the scan's next use, which is all assembleGraph, copying what it
+// keeps, needs.
+type scan struct {
+	degree, cx, cy   []int32
+	start, next, ids []int32 // dense bucket grid
+	buckets          map[int64][]int32
+	edges            []edge
+	parent           []int32 // union-find
+}
+
+// reuse returns buf resized to n elements, zeroed, reallocating only when
+// its capacity is short.
+func reuse(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// unitDiskEdges is the package-level unitDiskEdges on the scan's scratch.
+func (s *scan) unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 	n := len(positions)
-	degree := make([]int32, n)
+	s.degree = reuse(s.degree, n)
+	degree := s.degree
 	limit := radioRange + rangeEps
 
 	minX, minY := positions[0].X, positions[0].Y
@@ -185,8 +216,8 @@ func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 	// in-range pair; the 2⁻³⁰ term also caps the grid at 2³⁰ cells/axis.
 	cell := limit*(1+0x1p-20) + spread*0x1p-30
 
-	cx := make([]int32, n)
-	cy := make([]int32, n)
+	s.cx, s.cy = reuse(s.cx, n), reuse(s.cy, n)
+	cx, cy := s.cx, s.cy
 	var nx, ny int64 = 1, 1
 	for i, p := range positions {
 		x := int64(math.Floor((p.X - minX) / cell))
@@ -211,14 +242,20 @@ func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 	// sizes it from the mean density instead: n nodes spread over the
 	// field make about n²·π·limit²/(2·field area) pairs in range, and the
 	// 30% margin covers a 4-neighbour grid without a regrowth.
+	// A scan reused for another layout of the same field keeps the edge
+	// array it sized first (or regrew since): the estimate moves by a few
+	// percent between layouts, far less than its margin.
 	total := nx * ny
 	dense := total <= int64(4*n+64)
-	capacity := 4 * n
-	if dense {
-		pairs := 1.3 * math.Pi * float64(n) * float64(n) * limit * limit / (2 * float64(total) * cell * cell)
-		capacity = int(min(pairs, float64(n)*float64(n-1)/2)) + 16
+	if s.edges == nil {
+		capacity := 4 * n
+		if dense {
+			pairs := 1.3 * math.Pi * float64(n) * float64(n) * limit * limit / (2 * float64(total) * cell * cell)
+			capacity = int(min(pairs, float64(n)*float64(n-1)/2)) + 16
+		}
+		s.edges = make([]edge, 0, capacity)
 	}
-	edges := make([]edge, 0, capacity)
+	edges := s.edges[:0]
 	test := func(i, j int32) { // i < j
 		if d := positions[i].DistanceTo(positions[j]); d <= limit {
 			edges = append(edges, edge{NodeID(i), NodeID(j), d})
@@ -230,15 +267,22 @@ func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 	if dense {
 		// Dense grid: bucket b = cy·nx + cx, nodes grouped by counting
 		// sort (so every bucket lists its nodes in ascending ID order).
-		start := make([]int32, total+1)
+		// Sized for one more cell per axis, so a reused scan serves
+		// another layout of the same field without regrowing.
+		if int64(cap(s.start)) < total+1 {
+			room := (nx+1)*(ny+1) + 1
+			s.start, s.next = make([]int32, room), make([]int32, room)
+		}
+		start := reuse(s.start, int(total)+1)
 		for i := 0; i < n; i++ {
 			start[int64(cy[i])*nx+int64(cx[i])+1]++
 		}
 		for b := int64(1); b <= total; b++ {
 			start[b] += start[b-1]
 		}
-		ids := make([]int32, n)
-		next := append([]int32(nil), start[:total]...)
+		s.ids = reuse(s.ids, n)
+		ids := s.ids
+		next := append(s.next[:0], start[:total]...)
 		for i := 0; i < n; i++ {
 			b := int64(cy[i])*nx + int64(cx[i])
 			ids[next[b]] = int32(i)
@@ -264,13 +308,18 @@ func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 				}
 			}
 		}
+		s.edges = edges // keep a regrown array for the next scan
 		return edges, degree
 	}
 
 	// Sparse field: hash buckets by packed cell coordinates (≤ 2³⁰ per
 	// axis, so the pack is lossless).
 	key := func(x, y int64) int64 { return x<<31 | y }
-	buckets := make(map[int64][]int32, n)
+	if s.buckets == nil {
+		s.buckets = make(map[int64][]int32, n)
+	}
+	clear(s.buckets)
+	buckets := s.buckets
 	for i := 0; i < n; i++ {
 		k := key(int64(cx[i]), int64(cy[i]))
 		buckets[k] = append(buckets[k], int32(i)) // ascending i per bucket
@@ -294,6 +343,7 @@ func unitDiskEdges(positions []Point, radioRange float64) ([]edge, []int32) {
 			}
 		}
 	}
+	s.edges = edges
 	return edges, degree
 }
 
@@ -340,15 +390,16 @@ func assembleGraph(name string, positions []Point, radioRange float64, edges []e
 	return g
 }
 
-// edgesConnected reports whether the edge set spans all n nodes as a
-// single component, via union-find with path halving. RandomGeometric uses
-// it to reject disconnected layouts from the raw edge scan, before paying
-// for CSR assembly.
-func edgesConnected(n int, edges []edge) bool {
+// connected reports whether the edge set spans all n nodes as a single
+// component, via union-find with path halving on the scan's scratch.
+// RandomGeometric uses it to reject disconnected layouts from the raw edge
+// scan, before paying for CSR assembly.
+func (s *scan) connected(n int, edges []edge) bool {
 	if n == 0 {
 		return false
 	}
-	parent := make([]int32, n)
+	s.parent = reuse(s.parent, n)
+	parent := s.parent
 	for i := range parent {
 		parent[i] = int32(i)
 	}
