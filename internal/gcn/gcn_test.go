@@ -87,6 +87,39 @@ func TestUnmatchedMessageDropped(t *testing.T) {
 	}
 }
 
+func TestUnmatchedFloodChargesStepBudget(t *testing.T) {
+	// Regression: dropping an unmatched frame used to cost no step, so a
+	// flood of garbage frames bypassed the step budget. Each delivery is
+	// now its own budgeted run in which the drop takes the first step.
+	prog := NewProgram[*node]()
+	prog.Receive(keyPing, "rcvPing", func(*node, topo.NodeID, Message) {})
+	spins := 0
+	prog.Guard("spin", func(*node) bool { return spins > 0 }, func(*node) { spins-- })
+	e := NewEngine(des.New(), prog)
+	e.stepBudget = 50
+	p := newProcess(e, 1, &node{})
+	// A flood larger than the budget drains cleanly, counting every drop:
+	// the budget bounds one run, not the sum over deliveries.
+	for i := 0; i < 60; i++ {
+		e.Deliver(p, 2, keyPong, pong{i})
+	}
+	if p.Err() != nil || p.dropped != 60 {
+		t.Fatalf("Err = %v dropped = %d, want nil, 60", p.Err(), p.dropped)
+	}
+	// A drop plus the 48 guard firings it enables stay within the budget.
+	spins = 48
+	e.Deliver(p, 2, keyPong, pong{60})
+	if p.Err() != nil || spins != 0 || p.dropped != 61 {
+		t.Fatalf("Err = %v spins = %d dropped = %d, want nil, 0, 61", p.Err(), spins, p.dropped)
+	}
+	// One firing more reaches it: the drop was charged its step.
+	spins = 49
+	e.Deliver(p, 2, keyPong, pong{61})
+	if !errors.Is(p.Err(), ErrStepBudget) || p.dropped != 62 {
+		t.Errorf("Err = %v dropped = %d, want ErrStepBudget (drop + 49 guards vs budget 50), 62", p.Err(), p.dropped)
+	}
+}
+
 func TestReceiveKeyHoldsOneAction(t *testing.T) {
 	prog := NewProgram[*node]()
 	prog.Receive(keyPong, "rcvPong", func(*node, topo.NodeID, Message) {})
