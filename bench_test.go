@@ -269,20 +269,8 @@ func BenchmarkSingleRunRGG(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			centre := topo.Point{X: side / 2, Y: side / 2}
-			sink := topo.NodeID(0)
-			for id := topo.NodeID(1); int(id) < g.Len(); id++ {
-				if g.Position(id).DistanceTo(centre) < g.Position(sink).DistanceTo(centre) {
-					sink = id
-				}
-			}
-			source, best := sink, 0
-			for id, d := range g.BFSFrom(sink) {
-				if d > best && (bc.maxHops <= 0 || d <= bc.maxHops) {
-					source, best = topo.NodeID(id), d
-				}
-			}
-			net, err := core.NewNetwork(g, sink, source, bc.cfg, 1)
+			sink := g.Nearest(topo.Point{X: side / 2, Y: side / 2})
+			net, err := core.NewNetwork(g, sink, g.HopFarthest(sink, bc.maxHops), bc.cfg, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

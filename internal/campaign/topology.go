@@ -147,31 +147,9 @@ func (t TopologySpec) build() (*builtTopology, error) {
 		if err != nil {
 			return nil, err
 		}
-		sink := nearestTo(g, topo.Point{X: side / 2, Y: side / 2})
-		source := hopFarthest(g, sink)
-		return &builtTopology{g: g, sink: sink, source: source}, nil
+		sink := g.Nearest(topo.Point{X: side / 2, Y: side / 2})
+		return &builtTopology{g: g, sink: sink, source: g.HopFarthest(sink, 0)}, nil
 	default:
 		return nil, fmt.Errorf("campaign: unknown topology kind %q", t.Kind)
 	}
-}
-
-func nearestTo(g *topo.Graph, p topo.Point) topo.NodeID {
-	best, bestDist := topo.NodeID(0), math.Inf(1)
-	for i := 0; i < g.Len(); i++ {
-		if d := g.Position(topo.NodeID(i)).DistanceTo(p); d < bestDist {
-			best, bestDist = topo.NodeID(i), d
-		}
-	}
-	return best
-}
-
-func hopFarthest(g *topo.Graph, from topo.NodeID) topo.NodeID {
-	dist := g.BFSFrom(from)
-	best, bestHops := from, -1
-	for i, d := range dist {
-		if d > bestHops {
-			best, bestHops = topo.NodeID(i), d
-		}
-	}
-	return best
 }

@@ -667,7 +667,7 @@ func TestSlotExhaustionDoesNotLivelock(t *testing.T) {
 	}
 	cfg := Default()
 	cfg.Slots = 4
-	net, err := NewNetwork(g, nearestTo(g, topo.Point{X: side / 2, Y: side / 2}), 0, cfg, 1)
+	net, err := NewNetwork(g, g.Nearest(topo.Point{X: side / 2, Y: side / 2}), 0, cfg, 1)
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}

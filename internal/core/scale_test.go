@@ -34,15 +34,9 @@ func TestHundredThousandNodeRunCompletes(t *testing.T) {
 	// fixed 12 hops out, so δ = Cs·(Δss+1) bounds the data phase to ~15
 	// periods whatever the hunt does. Every data period costs ~n·deg radio
 	// events regardless of outcome, so the hop budget IS the run budget.
-	sink := nearestTo(g, topo.Point{X: side / 2, Y: side / 2})
-	dists := g.BFSFrom(sink)
-	source, sourceDist := sink, 0
-	for id, d := range dists {
-		if d <= 12 && d > sourceDist {
-			source, sourceDist = topo.NodeID(id), d
-		}
-	}
-	if sourceDist == 0 {
+	sink := g.Nearest(topo.Point{X: side / 2, Y: side / 2})
+	source := g.HopFarthest(sink, 12)
+	if source == sink {
 		t.Fatal("no source candidate within 12 hops of the sink")
 	}
 
@@ -82,8 +76,8 @@ func TestHundredThousandNodeRunCompletes(t *testing.T) {
 	t.Logf("n=%d Δss=%d periods=%.1f captured=%v wall=%v",
 		n, res.DeltaSS, res.PeriodsRun, res.Captured, time.Since(start))
 
-	if res.DeltaSS != sourceDist {
-		t.Errorf("DeltaSS = %d, want %d", res.DeltaSS, sourceDist)
+	if want := g.HopDistance(sink, source); res.DeltaSS != want {
+		t.Errorf("DeltaSS = %d, want %d", res.DeltaSS, want)
 	}
 	if res.PeriodsRun <= 0 {
 		t.Error("no data periods simulated")

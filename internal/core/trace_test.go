@@ -42,16 +42,10 @@ func traceCases() []traceCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink := nearestTo(g, topo.Point{X: side / 2, Y: side / 2})
-			source, best := sink, 0
-			for id, d := range g.BFSFrom(sink) {
-				if d > best {
-					source, best = topo.NodeID(id), d
-				}
-			}
+			sink := g.Nearest(topo.Point{X: side / 2, Y: side / 2})
 			cfg := DefaultSLP(3)
 			cfg.FastCollisionResolve = fast
-			net, err := NewNetwork(g, sink, source, cfg, 1)
+			net, err := NewNetwork(g, sink, g.HopFarthest(sink, 0), cfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

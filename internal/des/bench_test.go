@@ -44,9 +44,9 @@ func BenchmarkScheduleFanout(b *testing.B) {
 	}
 }
 
-// tdmaNode schedules the queue traffic of one mac.SlotTask: a
-// period-boundary event that arms the node's slot event at its offset
-// into the period and re-arms itself one period later.
+// tdmaNode schedules the queue traffic of one node's TDMA period in
+// core: a period-boundary event that schedules the node's slot event at
+// its offset into the period and schedules itself one period later.
 type tdmaNode struct {
 	s      *Simulator
 	offset time.Duration

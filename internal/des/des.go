@@ -27,7 +27,7 @@
 // one allocation per instant would show in the allocation count of every
 // run; per-instant state, if it is ever needed, comes from a pool filled in
 // slabs. Hot paths that would otherwise allocate a closure per event (the
-// radio frame path, the TDMA slot tasks, the GCN timers) schedule a
+// radio frame path, the nodes' TDMA periods, the GCN timers) schedule a
 // pre-allocated Runner instead.
 package des
 
@@ -84,11 +84,7 @@ func (b *eventBox) reset() {
 type Event struct {
 	box *eventBox
 	gen uint64
-	at  time.Duration
 }
-
-// Time returns the virtual time the event is scheduled for.
-func (e Event) Time() time.Duration { return e.at }
 
 // Cancel prevents the callback from running. Safe to call multiple times,
 // and a no-op once the event has executed.
@@ -96,11 +92,6 @@ func (e Event) Cancel() {
 	if e.box != nil && e.box.gen == e.gen {
 		e.box.cancelled = true
 	}
-}
-
-// Cancelled reports whether the event was cancelled before executing.
-func (e Event) Cancelled() bool {
-	return e.box != nil && e.box.gen == e.gen && e.box.cancelled
 }
 
 // Pending reports whether the event is still queued: scheduled, not yet
@@ -168,17 +159,12 @@ func (s *Simulator) SetEventBudget(n uint64) { s.maxEvents = n }
 // (the boxes, and the heap's and the index's capacity) — the point of
 // reusing one simulator across arena runs. Event handles issued before the Reset
 // become inert: never Pending, never able to cancel a recycled box's next
-// occupant. Cancelled boxes are dropped without recycling, exactly as
-// RunUntil reaps them, so Cancelled() keeps answering truthfully across
-// resets. The event budget is preserved; use SetEventBudget to change it.
+// occupant. The event budget is preserved; use SetEventBudget to change it.
 func (s *Simulator) Reset() {
 	for i := range s.heap {
 		for b := s.heap[i].box; b != nil; {
 			next := b.next
-			b.next = nil
-			if !b.cancelled {
-				s.releaseBox(b)
-			}
+			s.releaseBox(b)
 			b = next
 		}
 	}
@@ -326,9 +312,8 @@ func (s *Simulator) getBox() *eventBox {
 	return &eventBox{}
 }
 
-// releaseBox recycles an executed box. Cancelled boxes are deliberately
-// not recycled (see RunUntil): their handles must keep reporting
-// Cancelled() == true indefinitely.
+// releaseBox recycles an executed, reaped or discarded box. Bumping its
+// generation leaves every handle to its old occupant inert.
 //
 //slp:hotpath
 func (s *Simulator) releaseBox(b *eventBox) {
@@ -388,7 +373,7 @@ func (s *Simulator) Schedule(at time.Duration, fn func()) (Event, error) {
 	b := s.getBox()
 	b.fn = fn
 	s.schedule(at, b)
-	return Event{box: b, gen: b.gen, at: at}, nil
+	return Event{box: b, gen: b.gen}, nil
 }
 
 // ScheduleAfter queues fn to run d after the current time. Negative d is
@@ -432,7 +417,7 @@ func (s *Simulator) ScheduleRunnerAfter(d time.Duration, r Runner) Event {
 	b := s.getBox()
 	b.run = r
 	s.schedule(s.now+d, b)
-	return Event{box: b, gen: b.gen, at: s.now + d}
+	return Event{box: b, gen: b.gen}
 }
 
 // Stop makes the current Run return after the in-flight event completes.
@@ -453,9 +438,9 @@ func (s *Simulator) RunUntil(deadline time.Duration) error {
 	for len(s.heap) > 0 && !s.stopped {
 		at, b := s.heap[0].at, s.heap[0].box
 		if b.cancelled {
-			// Reap without touching the clock or the budget. The box is
-			// not recycled so stale handles keep answering Cancelled().
+			// Reap without touching the clock or the budget.
 			s.popHead()
+			s.releaseBox(b)
 			continue
 		}
 		if deadline >= 0 && at > deadline {

@@ -95,8 +95,8 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Error("cancelled event ran")
 	}
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after Cancel")
+	if e.Pending() {
+		t.Error("Pending() = true after Cancel")
 	}
 }
 
@@ -270,8 +270,8 @@ func TestRunnerHandleCancels(t *testing.T) {
 	var order []int
 	e := s.ScheduleRunnerAfter(time.Second, &appendRunner{out: &order, v: 1})
 	s.ScheduleRunnerAfter(2*time.Second, &appendRunner{out: &order, v: 2})
-	if !e.Pending() || e.Time() != time.Second {
-		t.Fatalf("handle Pending=%v Time=%v, want true, 1s", e.Pending(), e.Time())
+	if !e.Pending() {
+		t.Fatal("handle not Pending before Cancel")
 	}
 	e.Cancel()
 	if err := s.Run(); err != nil {
@@ -280,8 +280,8 @@ func TestRunnerHandleCancels(t *testing.T) {
 	if len(order) != 1 || order[0] != 2 || s.Executed() != 1 {
 		t.Errorf("order = %v, Executed = %d; want [2] and 1", order, s.Executed())
 	}
-	if e.Pending() || !e.Cancelled() {
-		t.Errorf("after reap Pending=%v Cancelled=%v, want false, true", e.Pending(), e.Cancelled())
+	if e.Pending() {
+		t.Error("handle Pending after its event was reaped")
 	}
 }
 
@@ -305,10 +305,10 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	ran := false
-	s.ScheduleAfter(time.Second, func() { ran = true }) // reuses e1's box
+	e2 := s.ScheduleAfter(time.Second, func() { ran = true }) // reuses e1's box
 	e1.Cancel()
-	if e1.Cancelled() {
-		t.Error("stale handle reports Cancelled after its event executed")
+	if e1.Pending() || !e2.Pending() {
+		t.Errorf("stale handle Pending=%v, recycled event Pending=%v; want false, true", e1.Pending(), e2.Pending())
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -318,18 +318,30 @@ func TestStaleHandleCannotCancelRecycledEvent(t *testing.T) {
 	}
 }
 
-func TestCancelledReportedAfterReap(t *testing.T) {
+// TestReapedBoxIsRecycled: the reaper returns a cancelled event's box to
+// the pool, and the cancelled handle stays inert against its next
+// occupant.
+func TestReapedBoxIsRecycled(t *testing.T) {
 	s := New()
 	e := s.ScheduleAfter(time.Second, func() {})
 	e.Cancel()
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false after the cancelled event was reaped")
+	if e.Pending() || len(s.free) != 1 {
+		t.Fatalf("after reap Pending=%v, %d free boxes; want false, 1", e.Pending(), len(s.free))
 	}
-	if e.Pending() {
-		t.Error("Pending() = true after reap")
+	ran := false
+	next := s.ScheduleAfter(time.Second, func() { ran = true }) // reuses e's box
+	e.Cancel()
+	if !next.Pending() {
+		t.Fatal("the cancelled handle's Cancel reached the recycled box")
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !ran {
+		t.Error("recycled event did not run")
 	}
 }
 
@@ -458,14 +470,6 @@ func TestPendingAndExecutedCounters(t *testing.T) {
 	}
 }
 
-func TestEventTimeAccessor(t *testing.T) {
-	s := New()
-	e := s.ScheduleAfter(42*time.Millisecond, func() {})
-	if e.Time() != 42*time.Millisecond {
-		t.Errorf("Time() = %v, want 42ms", e.Time())
-	}
-}
-
 // TestResetRewindsSimulator: after Reset the simulator behaves exactly
 // like a fresh New — clock at zero, empty queue, counters cleared, old
 // handles inert — while keeping its recycled boxes warm.
@@ -490,18 +494,16 @@ func TestResetRewindsSimulator(t *testing.T) {
 	if s.Now() != 0 || s.Pending() != 0 || s.Executed() != 0 {
 		t.Errorf("after Reset: now=%v pending=%d executed=%d", s.Now(), s.Pending(), s.Executed())
 	}
-	// Handles from before the Reset are inert: not pending, and a
-	// previously cancelled handle keeps answering Cancelled() truthfully
-	// (its box is dropped un-recycled, as RunUntil's reaper does).
-	if ev.Pending() || ev.Cancelled() || stale.Pending() {
-		t.Errorf("stale handles still live: ev(%v,%v) stale pending=%v",
-			ev.Pending(), ev.Cancelled(), stale.Pending())
+	// Handles from before the Reset are inert, and every box is back in
+	// the pool: the executed one, and the cancelled one the Reset dropped.
+	if ev.Pending() || stale.Pending() {
+		t.Errorf("stale handles still live: ev pending=%v, stale pending=%v", ev.Pending(), stale.Pending())
 	}
-	if !stale.Cancelled() {
-		t.Errorf("cancelled handle lost its truthful answer across Reset")
+	if len(s.free) != 2 {
+		t.Errorf("%d free boxes after Reset, want 2", len(s.free))
 	}
 	// Cancelling a stale handle must not touch the recycled box's next
-	// occupant.
+	// occupant, here the cancelled event's box.
 	next := s.ScheduleAfter(time.Millisecond, func() { fired += 10 })
 	stale.Cancel()
 	ev.Cancel()

@@ -36,7 +36,7 @@ type modelEvent struct {
 	at        time.Duration
 	seq       int
 	cancelled bool
-	gone      bool // executed, or dropped by a Reset
+	gone      bool // executed, reaped, or dropped by a Reset
 }
 
 type queueModel struct {
@@ -67,6 +67,7 @@ func (m *queueModel) runUntil(deadline time.Duration) error {
 		})
 		next := m.queue[0]
 		if next.cancelled {
+			next.gone = true
 			m.queue = m.queue[1:]
 			continue
 		}
@@ -133,8 +134,10 @@ func (b *fuzzBody) Run() {
 // ScheduleRunnerAfter, Cancel, RunUntil, SetEventBudget, Reset and
 // Stop-ing events, and checks the Simulator against the reference model:
 // execution order, Now, Pending, Executed, returned errors and every
-// handle's Pending and Cancelled. checkQueue adds the queue's own
-// invariants, so an index fault shows before it misorders a run.
+// handle's Pending. Executed, reaped and discarded boxes are all recycled,
+// so a stale handle's Cancel that reached a box's next occupant would
+// show as a misordered run. checkQueue adds the queue's own invariants,
+// so an index fault shows before it misorders a run.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 3, 0})
 	f.Add([]byte{0, 3, 1, 3, 0, 3, 2, 0, 3, 1, 1, 0x17, 3, 0})
@@ -198,9 +201,6 @@ func FuzzQueueOrder(f *testing.F) {
 				}
 				events = append(events, ev)
 				m.schedule(ev)
-				if handles[id].Time() != ev.at {
-					t.Fatalf("op %d: handle Time() = %v, want %v", i/2, handles[id].Time(), ev.at)
-				}
 			case 2: // Cancel a live, cancelled or stale handle
 				if len(handles) == 0 {
 					continue
@@ -247,10 +247,8 @@ func FuzzQueueOrder(f *testing.F) {
 			checkQueue(t, s)
 			for k, h := range handles {
 				ev := events[k]
-				pending := !ev.gone && !ev.cancelled
-				if h.Pending() != pending || h.Cancelled() != ev.cancelled {
-					t.Fatalf("op %d: handle %d Pending %v Cancelled %v; model %v %v",
-						i/2, k, h.Pending(), h.Cancelled(), pending, ev.cancelled)
+				if pending := !ev.gone && !ev.cancelled; h.Pending() != pending {
+					t.Fatalf("op %d: handle %d Pending %v; model %v", i/2, k, h.Pending(), pending)
 				}
 			}
 		}

@@ -1,6 +1,6 @@
 // Package energy defines the per-node energy accounting model: a battery
-// capacity and the tx/rx/idle costs the radio medium and the TDMA slot
-// machinery charge against it. Like internal/fault it is a declarative
+// capacity and the tx/rx/idle costs the radio medium and each node's TDMA
+// period boundary charge against it. Like internal/fault it is a declarative
 // value Spec with a canonical textual grammar shared by the campaign
 // engine and the CLIs:
 //
@@ -51,7 +51,8 @@ type Spec struct {
 	// survives).
 	RxCost float64
 	// IdleCost is charged once per TDMA data period a node is up (idle
-	// listening); event-driven data phases accrue no idle charge.
+	// listening), at the period's boundary; event-driven data phases run
+	// no TDMA periods and accrue no idle charge.
 	IdleCost float64
 }
 

@@ -27,7 +27,7 @@ func TestFailStopsComputation(t *testing.T) {
 	p.expired = 1 << tick
 	p.Fail()
 
-	if !p.dead {
+	if !p.Dead() {
 		t.Fatal("Dead() false after Fail")
 	}
 	if p.expired != 0 {
@@ -62,7 +62,7 @@ func TestReviveRestartsProcess(t *testing.T) {
 	p.Fail()
 	e.Deliver(p, 2, 0, "lost")
 	p.Revive()
-	if p.dead {
+	if p.Dead() {
 		t.Fatal("Dead() true after Revive")
 	}
 	e.Deliver(p, 2, 0, "heard")
@@ -80,7 +80,7 @@ func TestResetClearsDead(t *testing.T) {
 	p := newProcess(e, 1, &node{})
 	p.Fail()
 	e.Reset()
-	if p.dead {
+	if p.Dead() {
 		t.Error("dead flag survived Reset")
 	}
 }
@@ -98,7 +98,7 @@ func TestFailInsideOwnActionStops(t *testing.T) {
 	p = newProcess(e, 1, &node{})
 
 	e.Deliver(p, 2, 0, "last words")
-	if !p.dead {
+	if !p.Dead() {
 		t.Fatal("receive action did not crash its process")
 	}
 	if ran != 0 {

@@ -182,6 +182,10 @@ func (p *Process[C]) ID() topo.NodeID { return p.id }
 // Timer returns the process's instance of program timer id.
 func (p *Process[C]) Timer(id TimerID) *Timer[C] { return &p.timers[id] }
 
+// Dead reports whether the process is crashed: failed by Fail and not yet
+// revived.
+func (p *Process[C]) Dead() bool { return p.dead }
+
 // Err returns the sticky error if the process overran its step budget.
 func (p *Process[C]) Err() error { return p.failed }
 

@@ -616,6 +616,32 @@ func (g *Graph) BFSFrom(root NodeID) []int {
 	return dist
 }
 
+// Nearest returns the node closest to p, the lowest-numbered on a tie.
+func (g *Graph) Nearest(p Point) NodeID {
+	best, bestD := NodeID(0), math.Inf(1)
+	for id, q := range g.positions {
+		if d := q.DistanceTo(p); d < bestD {
+			best, bestD = NodeID(id), d
+		}
+	}
+	return best
+}
+
+// HopFarthest returns the node the most hops from from, within maxHops
+// of it when maxHops > 0: the lowest-numbered on a tie, and from itself
+// when no other node is in reach. With Nearest it is the endpoint rule of
+// the graphs that name no endpoints: the sink is the node nearest the
+// centre, the source the node hop-farthest from the sink.
+func (g *Graph) HopFarthest(from NodeID, maxHops int) NodeID {
+	best, bestHops := from, 0
+	for id, d := range g.BFSFrom(from) {
+		if d > bestHops && (maxHops <= 0 || d <= maxHops) {
+			best, bestHops = NodeID(id), d
+		}
+	}
+	return best
+}
+
 // HopDistance returns the hop distance between a and b, or -1 if
 // disconnected.
 func (g *Graph) HopDistance(a, b NodeID) int {

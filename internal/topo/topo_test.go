@@ -405,3 +405,37 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// TestEndpointRule pins the endpoint rule's tie-breaks and hop cap: the
+// nearest node and the hop-farthest node are the lowest-numbered of the
+// tied ones, a cap keeps the source within maxHops, and a node with
+// nothing in reach is its own farthest.
+func TestEndpointRule(t *testing.T) {
+	g := mustGrid(t, 3) // 0 1 2 / 3 4 5 / 6 7 8
+	gap, err := NewGraph("gap", []Point{{0, 0}, {1, 0}, {5, 0}}, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := DefaultSpacing
+	for _, c := range []struct {
+		name string
+		got  NodeID
+		want NodeID
+	}{
+		{"nearest exact", g.Nearest(Point{s, s}), 4},
+		{"nearest tie 0-1", g.Nearest(Point{s / 2, 0}), 0},
+		{"nearest tie 4-5-7-8", g.Nearest(Point{1.5 * s, 1.5 * s}), 4},
+		{"nearest far off", g.Nearest(Point{100 * s, -s}), 2},
+		{"farthest unique", g.HopFarthest(0, 0), 8},
+		{"farthest tie of four corners", g.HopFarthest(4, 0), 0},
+		{"farthest cap 1", g.HopFarthest(8, 1), 5},
+		{"farthest cap 3 tie 5-7", g.HopFarthest(0, 3), 5},
+		{"farthest cap past eccentricity", g.HopFarthest(0, 9), 8},
+		{"farthest skips unreachable", gap.HopFarthest(0, 0), 1},
+		{"farthest with nothing in reach", gap.HopFarthest(2, 0), 2},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: got node %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
