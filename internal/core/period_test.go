@@ -130,7 +130,7 @@ func TestSlotFiresAtOffsetEveryPeriod(t *testing.T) {
 
 // TestSlotReadAtEveryBoundary: a node reads its slot at each period
 // boundary, so a change made inside a period takes effect at the next
-// one, and an invalid slot skips its period.
+// one.
 func TestSlotReadAtEveryBoundary(t *testing.T) {
 	net, sends := intoDataPhase(t, Default())
 	src := &net.nodes[net.source]
@@ -138,10 +138,22 @@ func TestSlotReadAtEveryBoundary(t *testing.T) {
 	if s <= 0 {
 		t.Fatalf("source holds slot %d; the test needs one above 0", s)
 	}
-	scheduleAt(t, net, periodTime(net, 0, time.Nanosecond), func() { src.slot = noValue })
-	scheduleAt(t, net, periodTime(net, 1, time.Nanosecond), func() { src.slot = 0 })
+	scheduleAt(t, net, periodTime(net, 0, time.Nanosecond), func() { src.slot = 0 })
 	runPeriods(t, net, 3)
-	wantSends(t, net, sends, net.source, []int{0, 2}, []int32{s, 0})
+	wantSends(t, net, sends, net.source, []int{0, 1, 2}, []int32{s, 0, 0})
+}
+
+// TestSlotInvalidSkipsPeriod: a node that holds no valid slot at a
+// period's boundary sends nothing in that period, and sends again once
+// it holds one.
+func TestSlotInvalidSkipsPeriod(t *testing.T) {
+	net, sends := intoDataPhase(t, Default())
+	src := &net.nodes[net.source]
+	s := src.slot
+	scheduleAt(t, net, periodTime(net, 0, time.Nanosecond), func() { src.slot = noValue })
+	scheduleAt(t, net, periodTime(net, 1, time.Nanosecond), func() { src.slot = s })
+	runPeriods(t, net, 3)
+	wantSends(t, net, sends, net.source, []int{0, 2}, []int32{s, s})
 }
 
 // TestSlotSilentWhileCrashed: a crashed node's periods pass in silence,
