@@ -322,8 +322,8 @@ func BenchmarkGreedyDAS(b *testing.B) {
 	}
 }
 
-// BenchmarkWireRoundTrip measures the frame codec: Marshal into a fresh
-// frame, then one reused Decoder, as the simulator's receive path keeps.
+// BenchmarkWireRoundTrip measures the frame codec: encode into a fresh
+// 64-byte frame, then decode with one reused Decoder, as the simulator's receive path keeps.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	msg := &wire.Dissem{
 		From:   7,
@@ -339,7 +339,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	var dec wire.Decoder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		frame := wire.Marshal(msg)
+		frame := wire.AppendFrame(make([]byte, 0, 64), msg)
 		if _, err := dec.Unmarshal(frame); err != nil {
 			b.Fatal(err)
 		}

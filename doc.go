@@ -4,8 +4,8 @@
 //
 //   - a deterministic discrete-event WSN simulator (TOSSIM substitute)
 //     with a unit-disk radio, loss models and a TDMA MAC
-//     (internal/des, internal/radio, internal/mac; each node of
-//     internal/core runs its own TDMA period);
+//     (internal/des, internal/radio; each node of internal/core runs
+//     its own TDMA period);
 //   - the paper's guarded-command program model (internal/gcn) running
 //     the protectionless DAS protocol (Figure 2) and the 3-phase
 //     SLP-aware DAS protocol (Figures 2–4) (internal/core);

@@ -177,7 +177,7 @@ type Attacker struct {
 // (nil means first-heard). The instance must be fresh — strategies may
 // keep state. Index 0 draws from the "attacker" stream, so a
 // single-attacker run's draws depend only on the seed; higher indices get
-// independent streams. The attacker is inert until Activate; register it
+// independent streams. The attacker is inert until ActivateAt; register it
 // on the medium with radio.Medium.AddObserver.
 func New(g *topo.Graph, params Params, strat Strategy, source topo.NodeID, seed uint64, index int) (*Attacker, error) {
 	if err := params.Validate(); err != nil {
@@ -235,9 +235,6 @@ func (a *Attacker) SetPathCap(n int) {
 // Moves returns the total number of relocations over the whole hunt —
 // the walk length that survives any path cap.
 func (a *Attacker) Moves() int { return a.movesTotal }
-
-// Activate begins the hunt at virtual time zero; see ActivateAt.
-func (a *Attacker) Activate() { a.ActivateAt(0) }
 
 // ActivateAt begins the hunt: the attacker starts processing observations.
 // Call at source-activation time (the start of the data phase), passing

@@ -66,7 +66,7 @@ func TestInactiveAttackerIgnoresTraffic(t *testing.T) {
 
 func TestFollowsFirstHeardTransmission(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	// In one period node 3 transmits first (it is audible from 4).
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -79,7 +79,7 @@ func TestFollowsFirstHeardTransmission(t *testing.T) {
 
 func TestOneMovePerPeriod(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	// Two audible transmissions in the same period: only the first counts.
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	sim.ScheduleAfter(2*time.Second, func() { m.Broadcast(2, []byte{1}) })
@@ -102,7 +102,7 @@ func TestOneMovePerPeriod(t *testing.T) {
 
 func TestChaseEndsInCapture(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	var capturedAt time.Duration
 	a.OnCapture = func(at time.Duration) { capturedAt = at }
 	// Period p: node (4-p) transmits; the attacker walks down the line.
@@ -141,7 +141,7 @@ func TestChaseEndsInCapture(t *testing.T) {
 func TestRBoundsMessageBuffer(t *testing.T) {
 	// R=2: the attacker decides only after hearing two messages.
 	sim, _, m, a := lineWorld(t, Params{R: 2, M: 1}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -160,7 +160,7 @@ func TestRBoundsMessageBuffer(t *testing.T) {
 
 func TestPeriodResetDiscardsPartialBuffer(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 2, M: 1}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	sim.ScheduleAfter(2*time.Second, func() { a.NextPeriod() }) // discard
 	sim.ScheduleAfter(3*time.Second, func() { m.Broadcast(3, []byte{1}) })
@@ -174,7 +174,7 @@ func TestPeriodResetDiscardsPartialBuffer(t *testing.T) {
 
 func TestHistoryRing(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	for p := 0; p < 3; p++ {
 		p := p
 		at := time.Duration(p+1) * time.Second
@@ -214,7 +214,7 @@ func TestHistoryNotPollutedByStaysAndRejectedMoves(t *testing.T) {
 		}
 	}
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, flaky)
-	a.Activate()
+	a.ActivateAt(0)
 	for p := 0; p < 4; p++ {
 		at := time.Duration(p+1) * time.Second
 		if _, err := sim.Schedule(at, func() {
@@ -241,7 +241,7 @@ func TestHistoryNotPollutedByStaysAndRejectedMoves(t *testing.T) {
 
 func TestMMovesWithinOnePeriod(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 2}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	// Same period: 3 transmits, then (after the attacker moved to 3) 2.
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	sim.ScheduleAfter(2*time.Second, func() { m.Broadcast(2, []byte{1}) })
@@ -260,7 +260,7 @@ func TestCannotTeleportToUnheardNeighbour(t *testing.T) {
 	// teleport.
 	teleport := func([]Heard, []topo.NodeID, topo.NodeID, *rand.Rand) topo.NodeID { return 1 }
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, teleport)
-	a.Activate()
+	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -273,7 +273,7 @@ func TestCannotTeleportToUnheardNeighbour(t *testing.T) {
 func TestStayingConsumesMove(t *testing.T) {
 	stay := func(heard []Heard, _ []topo.NodeID, cur topo.NodeID, _ *rand.Rand) topo.NodeID { return cur }
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, stay)
-	a.Activate()
+	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	sim.ScheduleAfter(2*time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -351,7 +351,7 @@ func TestStartAtSourceStayDecisionStaysCaptured(t *testing.T) {
 
 func TestRandomHeardStaysWithinHeardSet(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, RandomHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -418,7 +418,7 @@ func TestPathCapBoundsRecordingNotTheHunt(t *testing.T) {
 		if cap != 0 {
 			a.SetPathCap(cap)
 		}
-		a.Activate()
+		a.ActivateAt(0)
 		for p := 0; p < 4; p++ {
 			p := p
 			at := time.Duration(p+1) * 5 * time.Second
@@ -470,7 +470,7 @@ func TestPathCapBoundsRecordingNotTheHunt(t *testing.T) {
 
 func TestSetPathCapTruncatesExistingWalk(t *testing.T) {
 	sim, _, m, a := lineWorld(t, Params{R: 1, M: 2}, FirstHeard)
-	a.Activate()
+	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	sim.ScheduleAfter(2*time.Second, func() { m.Broadcast(2, []byte{1}) })
 	if err := sim.Run(); err != nil {

@@ -75,7 +75,7 @@ func TestPatientIntegrationWithR(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	a.Activate()
+	a.ActivateAt(0)
 	a.Overhear(obsFrom(2, time.Second))
 	a.Overhear(obsFrom(3, 2*time.Second))
 	if a.cur != 4 {
@@ -121,7 +121,7 @@ func TestBacktrackAttackerWalksBackThroughNextPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	a.Activate()
+	a.ActivateAt(0)
 	// Hear node 3 directly (simulate the observation path via Overhear).
 	a.Overhear(obsFrom(3, time.Second))
 	if a.cur != 3 {
@@ -208,7 +208,7 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		a.ShareHistory(shared)
-		a.Activate()
+		a.ActivateAt(0)
 		return a
 	}
 	a0, a1 := mk(0), mk(1)

@@ -19,19 +19,15 @@ func steadyDataPhase(tb testing.TB) (nextPeriod func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := net.setup(); err != nil {
-		tb.Fatal(err)
-	}
-	if err := net.sim.RunUntil(net.dataStart); err != nil {
+	if err := net.runSetup(); err != nil {
 		tb.Fatal(err)
 	}
 	if err := net.startDataPhase(); err != nil {
 		tb.Fatal(err)
 	}
-	period := net.timing.PeriodDuration()
 	deadline := net.dataStart
 	nextPeriod = func() {
-		deadline += period
+		deadline += net.period
 		if err := net.sim.RunUntil(deadline); err != nil {
 			tb.Fatal(err)
 		}

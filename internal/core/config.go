@@ -14,7 +14,6 @@ import (
 	"slpdas/internal/channel"
 	"slpdas/internal/energy"
 	"slpdas/internal/fault"
-	"slpdas/internal/mac"
 	"slpdas/internal/protocol"
 )
 
@@ -143,11 +142,6 @@ func DefaultSLP(searchDistance int) Config {
 	c.Protocol = protocol.NameSLPDAS
 	c.SearchDistance = searchDistance
 	return c
-}
-
-// Timing returns the TDMA superframe implied by the config.
-func (c Config) Timing() mac.Timing {
-	return mac.Timing{Slots: c.Slots, SlotDuration: c.SlotPeriod}
 }
 
 // Validate reports the first invalid parameter.

@@ -62,9 +62,12 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestTableITiming(t *testing.T) {
-	cfg := Default()
-	if got := cfg.Timing().PeriodDuration(); got != 5*time.Second {
-		t.Errorf("period = %v, want 5s (100 slots × 0.05s)", got)
+	net, err := NewNetwork(grid(t, 5), 12, 0, Default(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.period != 5*time.Second {
+		t.Errorf("period = %v, want 5s (100 slots × 0.05s)", net.period)
 	}
 }
 
@@ -677,5 +680,48 @@ func TestSlotExhaustionDoesNotLivelock(t *testing.T) {
 	}
 	if res.ScheduleValid() {
 		t.Error("3-slot clique produced a valid schedule; the regression scenario no longer bites")
+	}
+}
+
+// TestSlotExhaustionPinnedAtZero pins two 500-node random geometric
+// graphs, built as the campaign's rgg topology builds them, on which
+// slp-das runs out of slot space under Table I's 100 slots: the settled
+// schedule keeps collisions, every one of them between nodes pushed down
+// to slot 0, the floor the protocol clamps at.
+func TestSlotExhaustionPinnedAtZero(t *testing.T) {
+	fast := DefaultSLP(3)
+	fast.FastCollisionResolve = true
+	for _, tc := range []struct {
+		name       string
+		layout     uint64
+		cfg        Config
+		collisions int
+	}{
+		{"unit-decrement", 1<<8 | 9, DefaultSLP(3), 3},
+		{"fast-resolve", 1<<8 | 3, fast, 1},
+	} {
+		const nodes = 500
+		side := math.Sqrt(nodes) * topo.DefaultSpacing
+		g, err := topo.RandomGeometric(nodes, side, side, 1.8*topo.DefaultSpacing, tc.layout)
+		if err != nil {
+			t.Fatalf("%s: rgg: %v", tc.name, err)
+		}
+		sink := g.Nearest(topo.Point{X: side / 2, Y: side / 2})
+		net, err := NewNetwork(g, sink, g.HopFarthest(sink, 0), tc.cfg, 1)
+		if err != nil {
+			t.Fatalf("%s: NewNetwork: %v", tc.name, err)
+		}
+		res, err := net.Run()
+		if err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		if res.CollisionViolations != tc.collisions {
+			t.Errorf("%s: %d collision violations, want %d", tc.name, res.CollisionViolations, tc.collisions)
+		}
+		for _, v := range schedule.CheckNonColliding(g, res.Assignment) {
+			if v.Slot != 0 {
+				t.Errorf("%s: collision off the floor: %v", tc.name, v)
+			}
+		}
 	}
 }

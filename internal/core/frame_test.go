@@ -110,12 +110,12 @@ func TestDecodeOncePerFrame(t *testing.T) {
 		for _, m := range others {
 			infos = append(infos, wire.NodeInfo{Node: m, Hop: hop, Slot: wire.NoSlot, Version: version})
 		}
-		return wire.Marshal(&wire.Dissem{From: sender, Normal: true, Parent: topo.None, Infos: infos})
+		return wire.AppendFrame(nil, &wire.Dissem{From: sender, Normal: true, Parent: topo.None, Infos: infos})
 	}
 	expect := func(step string, actions int, decodeErrors uint64, hop int32) {
 		t.Helper()
-		if net.decodeErrors != decodeErrors {
-			t.Errorf("%s: DecodeErrors = %d, want %d", step, net.decodeErrors, decodeErrors)
+		if net.res.DecodeErrors != decodeErrors {
+			t.Errorf("%s: DecodeErrors = %d, want %d", step, net.res.DecodeErrors, decodeErrors)
 		}
 		for _, r := range nbrs {
 			if fired[r] != actions {

@@ -11,7 +11,6 @@ import (
 	"slpdas/internal/des"
 	"slpdas/internal/fault"
 	"slpdas/internal/gcn"
-	"slpdas/internal/mac"
 	"slpdas/internal/protocol"
 	"slpdas/internal/radio"
 	"slpdas/internal/schedule"
@@ -54,9 +53,9 @@ type Network struct {
 	nodes  []node // lint:immutable: one line-aligned slab (see nodeSlab); nodes reset individually
 	atks   []*attacker.Attacker
 
-	timing    mac.Timing
-	deltaSS   int // lint:immutable: hop distance sink→source, fixed by the topology
-	sinkEcc   int // lint:immutable: max hop distance from the sink, fixed by the topology
+	period    time.Duration // one TDMA period: cfg.Slots × cfg.SlotPeriod
+	deltaSS   int           // lint:immutable: hop distance sink→source, fixed by the topology
+	sinkEcc   int           // lint:immutable: max hop distance from the sink, fixed by the topology
 	dataStart time.Duration
 	deadline  time.Duration
 	delta     float64 // safety period in TDMA periods
@@ -72,14 +71,13 @@ type Network struct {
 	proto      protocol.Instance
 	protoCache map[string]protocol.Instance
 
-	msgStats     [msgStatsSlots]MsgStats
-	decodeErrors uint64
-	changedNodes int
-	searchSent   bool
-
-	sourceDeliveries  int
-	lastDeliveredSeq  uint32
-	deliveryLatencies []int
+	// res is the run's Result as it is being written. Reset fills in the
+	// run's fixed facts and sentinels, the run counts straight into it
+	// (decode errors, changed nodes, deliveries and their latencies, fault
+	// and energy events), and collect adds the end-of-run facts to a copy.
+	// No counter it holds has a second copy on the Network.
+	res      Result
+	msgStats [msgStatsSlots]MsgStats
 
 	// Channel plumbing: the parsed model for cfg.Channel, cached per raw
 	// spec string so arena Resets reuse one instance (per-run state inside
@@ -93,7 +91,6 @@ type Network struct {
 	// the first depletion death partitioned source from sink — the
 	// network-lifetime verdict; lifetimeEnded latches it.
 	energyOn      bool
-	energyDeaths  int
 	firstDeathAt  time.Duration
 	lifetimeAt    time.Duration
 	lifetimeEnded bool
@@ -102,12 +99,10 @@ type Network struct {
 	// on the dedicated "fault" stream, nil when the spec injects nothing;
 	// non-nil, it gates every degradation-tracking branch so fault-free
 	// runs replay the pre-fault event order exactly.
-	faultPlan      *fault.Plan
-	nodesFailed    int
-	nodesRecovered int
-	firstFaultAt   time.Duration
-	lastFaultAt    time.Duration
-	lastRepairAt   time.Duration
+	faultPlan    *fault.Plan
+	firstFaultAt time.Duration
+	lastFaultAt  time.Duration
+	lastRepairAt time.Duration
 	// seqDelivered tracks which source sequence numbers (period indices)
 	// reached the sink, for the before/during/after delivery ratios.
 	seqDelivered []bool
@@ -253,7 +248,6 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	if n.energyOn {
 		meter = n
 	}
-	n.energyDeaths = 0
 	n.firstDeathAt = 0
 	n.lifetimeAt = 0
 	n.lifetimeEnded = false
@@ -263,11 +257,11 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	n.medium.Reset(seed, ch, cfg.Collisions, meter)
 	n.engine.Reset()
 
-	n.timing = cfg.Timing()
+	n.period = time.Duration(cfg.Slots) * cfg.SlotPeriod
 	// Safety period (§VI-B): C = period × (Δss + 1); δ = Cs · C.
 	n.delta = cfg.SafetyFactor * float64(n.deltaSS+1)
-	n.dataStart = time.Duration(cfg.MinimumSetupPeriods) * n.timing.PeriodDuration()
-	n.deadline = n.dataStart + time.Duration(n.delta*float64(n.timing.PeriodDuration()))
+	n.dataStart = time.Duration(cfg.MinimumSetupPeriods) * n.period
+	n.deadline = n.dataStart + time.Duration(n.delta*float64(n.period))
 
 	// Rewind the family instance alongside everything else on the arena
 	// path. Instances are cached per family so switching families between
@@ -281,7 +275,7 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 		SearchDistance: cfg.SearchDistance,
 		DataStart:      n.dataStart,
 		SlotDuration:   cfg.SlotPeriod,
-		Period:         n.timing.PeriodDuration(),
+		Period:         n.period,
 		Periods:        int(math.Ceil(n.delta)) + 2,
 	}, seed)
 	n.proto = inst
@@ -291,12 +285,22 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	}
 
 	n.msgStats = [msgStatsSlots]MsgStats{}
-	n.decodeErrors = 0
-	n.changedNodes = 0
-	n.searchSent = false
-	n.sourceDeliveries = 0
-	n.lastDeliveredSeq = 0
-	n.deliveryLatencies = n.deliveryLatencies[:0]
+	n.res = Result{
+		Protocol:     fam.Label,
+		Seed:         seed,
+		Nodes:        n.g.Len(),
+		DeltaSS:      n.deltaSS,
+		SafetyPeriod: n.delta,
+		DataStart:    n.dataStart,
+		Strategy:     cfg.StrategyLabel(),
+		Attackers:    cfg.Attackers(),
+		// -1: no capture, repair or depletion death seen (yet), and no
+		// lifetime verdict for energy-off runs.
+		CaptureBy:        -1,
+		RepairPeriods:    -1,
+		FirstDeathPeriod: -1,
+		LifetimePeriods:  -1,
+	}
 
 	// Mint the fault plan for this (config, seed). The expansion draws
 	// only from its own named stream — and only when the spec is non-empty
@@ -308,7 +312,7 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 			Sink:      n.sink,
 			Source:    n.source,
 			DataStart: n.dataStart,
-			Period:    n.timing.PeriodDuration(),
+			Period:    n.period,
 			Horizon:   n.horizon(),
 		}, seed)
 		if err != nil {
@@ -316,8 +320,6 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 		}
 		n.faultPlan = plan
 	}
-	n.nodesFailed = 0
-	n.nodesRecovered = 0
 	n.firstFaultAt = 0
 	n.lastFaultAt = 0
 	n.lastRepairAt = 0
@@ -351,7 +353,7 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 // horizon is the instant the run ends: the capture deadline plus one
 // period of settle margin (see Run). No fault event may land after it.
 func (n *Network) horizon() time.Duration {
-	return n.deadline + n.timing.PeriodDuration()
+	return n.deadline + n.period
 }
 
 // resolveChannel maps the config's Channel spec onto one channel.Model
@@ -408,8 +410,8 @@ func (n *Network) charge(id topo.NodeID, mJ float64) {
 func (n *Network) depleted(id topo.NodeID) {
 	nd := &n.nodes[id]
 	nd.energyDead = true
-	n.energyDeaths++
-	if n.energyDeaths == 1 {
+	n.res.EnergyDeaths++
+	if n.res.EnergyDeaths == 1 {
 		n.firstDeathAt = n.sim.Now()
 	}
 	n.crashNode(id)
@@ -426,7 +428,10 @@ func (n *Network) crashNode(id topo.NodeID) {
 	if nd.prc.Dead() {
 		return
 	}
-	n.nodesFailed++
+	// Fault-free runs report no failures, depletion deaths included.
+	if n.faultPlan != nil {
+		n.res.NodesFailed++
+	}
 	n.medium.DisableNode(id)
 	nd.prc.Fail()
 }
@@ -443,7 +448,7 @@ func (n *Network) recoverNode(id topo.NodeID) {
 		// permanent, churn recovery cannot resurrect it.
 		return
 	}
-	n.nodesRecovered++
+	n.res.NodesRecovered++
 	used := nd.energyUsed
 	nd.reset(n.seed)
 	// A reboot does not recharge the battery: the spend survives the
@@ -497,15 +502,11 @@ func (n *Network) broadcast(from topo.NodeID, msg wire.Message) {
 	st := &n.msgStats[msg.Kind()]
 	st.Count++
 	st.Bytes += uint64(len(n.frame))
-	if msg.Kind() == wire.TypeSearch {
-		n.searchSent = true
-	}
 	n.medium.Broadcast(from, n.frame)
 }
 
 func (n *Network) recordSourceDelivery(seq uint32) {
-	n.sourceDeliveries++
-	n.lastDeliveredSeq = seq
+	n.res.SourceDeliveries++
 	// Latency in periods: sequence numbers are period indices, so arrival
 	// period minus origination period. Event-driven families read the
 	// arrival period off the clock. TDMA families read the sink's
@@ -516,11 +517,12 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 	// (see ROADMAP.md, "TDMA delivery latency").
 	period := n.nodes[n.sink].dataPeriod
 	if !n.fam.TDMAData {
-		period = int((n.sim.Now() - n.dataStart) / n.timing.PeriodDuration())
+		period = int((n.sim.Now() - n.dataStart) / n.period)
 	}
 	lat := period - int(seq)
 	if lat >= 0 {
-		n.deliveryLatencies = append(n.deliveryLatencies, lat)
+		n.res.DeliveryCount++
+		n.res.DeliveryLatencySum += lat
 	}
 	// Unique-sequence tracking for the degradation windows (fault runs
 	// only): sequence numbers are origination period indices.
@@ -567,7 +569,7 @@ func (n *Network) receive(frame uint64, from, to topo.NodeID, edge int, payload 
 		}
 	}
 	if n.decMsg == nil {
-		n.decodeErrors++
+		n.res.DecodeErrors++
 		return
 	}
 	n.decRow = n.ranks.Row(from, edge)
@@ -656,9 +658,9 @@ func (n *Network) buildInfoTables() error {
 	return nil
 }
 
-// setup schedules boots, discovery, dissemination, search, data phase and
-// the attacker clock.
-func (n *Network) setup() error {
+// runSetup schedules boots, discovery, dissemination, search and the fault
+// plan, and runs the setup phases up to the data phase's start.
+func (n *Network) runSetup() error {
 	if err := n.buildInfoTables(); err != nil {
 		return err
 	}
@@ -724,7 +726,10 @@ func (n *Network) setup() error {
 			n.seqDelivered = make([]bool, periods)
 		}
 	}
-	return nil
+	if err := n.sim.RunUntil(n.dataStart); err != nil {
+		return err
+	}
+	return n.engine.Err()
 }
 
 // searchStartDelay derives when (after dissemination starts) the sink
@@ -754,9 +759,9 @@ func (n *Network) startDataPhase() error {
 
 	for _, atk := range n.atks {
 		n.medium.AddObserver(atk)
-		// ActivateAt (not Activate) so a capture that exists at activation —
-		// the attacker already standing on the source — is stamped with the
-		// data-phase start time.
+		// Activating at the data-phase start stamps a capture that exists
+		// at activation — the attacker already standing on the source —
+		// with that time.
 		atk := atk
 		if _, err := n.sim.Schedule(n.dataStart, func() { atk.ActivateAt(n.dataStart) }); err != nil {
 			return err
@@ -768,7 +773,7 @@ func (n *Network) startDataPhase() error {
 	// The attackers know the period length (§VI-C): align NextPeriod.
 	periods := int(math.Ceil(n.delta)) + 2
 	for k := 1; k <= periods; k++ {
-		at := n.dataStart + time.Duration(k)*n.timing.PeriodDuration()
+		at := n.dataStart + time.Duration(k)*n.period
 		if err := n.sim.ScheduleRunner(at, &n.periodTick); err != nil {
 			return err
 		}
@@ -806,13 +811,7 @@ func (n *Network) SendData(from, origin topo.NodeID, seq uint32, count uint16) {
 // for SLP — search and refinement) and returns the resulting slot
 // assignment. Used to extract schedules for VerifySchedule and benches.
 func (n *Network) RunSetup() (*schedule.Assignment, error) {
-	if err := n.setup(); err != nil {
-		return nil, err
-	}
-	if err := n.sim.RunUntil(n.dataStart); err != nil {
-		return nil, err
-	}
-	if err := n.engine.Err(); err != nil {
+	if err := n.runSetup(); err != nil {
 		return nil, err
 	}
 	return n.Assignment(), nil
@@ -834,13 +833,7 @@ func (n *Network) Assignment() *schedule.Assignment {
 
 // Run executes the complete lifecycle and gathers the result.
 func (n *Network) Run() (*Result, error) {
-	if err := n.setup(); err != nil {
-		return nil, err
-	}
-	if err := n.sim.RunUntil(n.dataStart); err != nil {
-		return nil, err
-	}
-	if err := n.engine.Err(); err != nil {
+	if err := n.runSetup(); err != nil {
 		return nil, err
 	}
 	if err := n.startDataPhase(); err != nil {
@@ -848,7 +841,7 @@ func (n *Network) Run() (*Result, error) {
 	}
 	// One extra period of margin lets in-flight frames settle; captures
 	// are judged against the deadline, not the simulation horizon.
-	if err := n.sim.RunUntil(n.deadline + n.timing.PeriodDuration()); err != nil {
+	if err := n.sim.RunUntil(n.deadline + n.period); err != nil {
 		return nil, err
 	}
 	if err := n.engine.Err(); err != nil {
@@ -857,26 +850,14 @@ func (n *Network) Run() (*Result, error) {
 	return n.collect(), nil
 }
 
+// collect returns the run's Result: a copy of res, so a later run on
+// this Network cannot write into it, with the end-of-run facts filled in.
 func (n *Network) collect() *Result {
-	res := &Result{
-		Protocol:     n.fam.Label,
-		Seed:         n.seed,
-		Nodes:        n.g.Len(),
-		DeltaSS:      n.deltaSS,
-		SafetyPeriod: n.delta,
-		DataStart:    n.dataStart,
-		Assignment:   n.Assignment(),
-		Messages:     make(map[wire.Type]MsgStats, msgStatsSlots),
-		RadioStats:   n.medium.Stats(),
-		DecodeErrors: n.decodeErrors,
-		ChangedNodes: n.changedNodes,
-		SearchSent:   n.searchSent,
-
-		SourceDeliveries: n.sourceDeliveries,
-		Strategy:         n.cfg.StrategyLabel(),
-		Attackers:        len(n.atks),
-		CaptureBy:        -1,
-	}
+	res := n.res
+	res.Assignment = n.Assignment()
+	res.Messages = make(map[wire.Type]MsgStats, msgStatsSlots)
+	res.RadioStats = n.medium.Stats()
+	res.SearchSent = n.msgStats[wire.TypeSearch].Count > 0
 	for t, s := range n.msgStats {
 		if s.Count > 0 {
 			res.Messages[wire.Type(t)] = s
@@ -895,7 +876,7 @@ func (n *Network) collect() *Result {
 			res.Captured = true
 			res.CaptureAt = at
 			res.CaptureBy = i
-			res.CapturePeriods = float64(at-n.dataStart) / float64(n.timing.PeriodDuration())
+			res.CapturePeriods = float64(at-n.dataStart) / float64(n.period)
 		}
 	}
 	// AttackerPath stays the single-attacker view: the capturing
@@ -906,12 +887,8 @@ func (n *Network) collect() *Result {
 		res.AttackerPath = res.AttackerPaths[0]
 	}
 	if now := n.sim.Now(); now > n.dataStart {
-		res.PeriodsRun = float64(now-n.dataStart) / float64(n.timing.PeriodDuration())
+		res.PeriodsRun = float64(now-n.dataStart) / float64(n.period)
 	}
-	for _, lat := range n.deliveryLatencies {
-		res.DeliveryLatencySum += lat
-	}
-	res.DeliveryCount = len(n.deliveryLatencies)
 
 	g, a := n.g, res.Assignment
 	res.WeakViolations = len(schedule.CheckWeakDAS(g, a))
@@ -921,8 +898,6 @@ func (n *Network) collect() *Result {
 
 	// Energy verdicts (energy runs only; energy-off runs report the zero
 	// totals and the -1 sentinels).
-	res.FirstDeathPeriod = -1
-	res.LifetimePeriods = -1
 	if n.energyOn {
 		var total, peak float64
 		for i := range n.nodes {
@@ -935,9 +910,8 @@ func (n *Network) collect() *Result {
 		res.EnergyTotalMJ = total
 		res.EnergyMaxMJ = peak
 		res.EnergyMeanMJ = total / float64(len(n.nodes))
-		res.EnergyDeaths = n.energyDeaths
-		period := float64(n.timing.PeriodDuration())
-		if n.energyDeaths > 0 {
+		period := float64(n.period)
+		if res.EnergyDeaths > 0 {
 			res.FirstDeathPeriod = float64(n.firstDeathAt-n.dataStart) / period
 		}
 		if n.lifetimeEnded {
@@ -949,17 +923,14 @@ func (n *Network) collect() *Result {
 
 	// Degradation verdicts (fault runs only; fault-free runs report the
 	// zero values and RepairPeriods = -1).
-	res.RepairPeriods = -1
 	if n.faultPlan != nil {
-		res.NodesFailed = n.nodesFailed
-		res.NodesRecovered = n.nodesRecovered
 		if n.lastRepairAt > n.firstFaultAt {
-			res.RepairPeriods = float64(n.lastRepairAt-n.firstFaultAt) / float64(n.timing.PeriodDuration())
+			res.RepairPeriods = float64(n.lastRepairAt-n.firstFaultAt) / float64(n.period)
 		}
 		res.PartitionDetected = n.partitioned()
 		res.DeliveryBefore, res.DeliveryDuring, res.DeliveryAfter = n.deliveryWindows(res.PeriodsRun)
 	}
-	return res
+	return &res
 }
 
 // deliveryWindows splits the unique-sequence delivery record at the fault
@@ -970,7 +941,7 @@ func (n *Network) deliveryWindows(periodsRun float64) (before, during, after flo
 	if total > len(n.seqDelivered) {
 		total = len(n.seqDelivered)
 	}
-	period := n.timing.PeriodDuration()
+	period := n.period
 	fp := int((n.firstFaultAt - n.dataStart) / period)
 	if fp < 0 {
 		fp = 0

@@ -772,7 +772,7 @@ func (n *node) onChange(sender topo.NodeID, m gcn.Message) {
 	n.normal = false
 	n.changed = true
 	n.setSlot(newSlot)
-	n.net.changedNodes++
+	n.net.res.ChangedNodes++
 
 	if c.Dist > 0 {
 		next := n.choose(relNeighbour, relFrom, n.par, sender)
@@ -813,22 +813,22 @@ func (p *periodStart) Run() {
 		}
 		// Re-check: the charge may have drained the battery, and a node
 		// that died at the boundary has no slot this period.
-		if !n.prc.Dead() && net.timing.ValidSlot(int(n.slot)) {
-			net.sim.ScheduleRunnerAfter(time.Duration(n.slot)*net.timing.SlotDuration, (*slotFire)(n))
+		if !n.prc.Dead() && n.slot >= 0 && int(n.slot) < net.cfg.Slots {
+			net.sim.ScheduleRunnerAfter(time.Duration(n.slot)*net.cfg.SlotPeriod, (*slotFire)(n))
 		}
 	}
-	net.sim.ScheduleRunnerAfter(net.timing.PeriodDuration(), p)
+	net.sim.ScheduleRunnerAfter(net.period, p)
 }
 
 // Run floods the node's DATA frame unless it crashed since the boundary.
-// Boundaries fall at dataStart + k·PeriodDuration and a slot's offset
+// Boundaries fall at dataStart + k·period and a slot's offset
 // stays inside its period, so the clock gives the period index k.
 //
 //slp:hotpath
 func (f *slotFire) Run() {
 	n := (*node)(f)
 	if !n.prc.Dead() {
-		n.fireDataSlot(int((n.net.sim.Now() - n.net.dataStart) / n.net.timing.PeriodDuration()))
+		n.fireDataSlot(int((n.net.sim.Now() - n.net.dataStart) / n.net.period))
 	}
 }
 

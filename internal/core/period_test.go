@@ -29,10 +29,7 @@ func intoDataPhase(t *testing.T, cfg Config) (*Network, map[topo.NodeID][]dataSe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.setup(); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.sim.RunUntil(net.dataStart); err != nil {
+	if err := net.runSetup(); err != nil {
 		t.Fatal(err)
 	}
 	if err := net.startDataPhase(); err != nil {
@@ -53,7 +50,7 @@ func intoDataPhase(t *testing.T, cfg Config) (*Network, map[topo.NodeID][]dataSe
 
 // periodTime returns the instant offset into the data phase's period k.
 func periodTime(net *Network, k int, offset time.Duration) time.Duration {
-	return net.dataStart + time.Duration(k)*net.timing.PeriodDuration() + offset
+	return net.dataStart + time.Duration(k)*net.period + offset
 }
 
 // scheduleAt runs fn at the given instant of the run.
@@ -86,7 +83,7 @@ func wantSends(t *testing.T, net *Network, sends map[topo.NodeID][]dataSend, id 
 		t.Fatalf("node %d sent %d DATA frames, want %d (periods %v): %v", id, len(got), len(periods), periods, got)
 	}
 	for i, p := range periods {
-		want := net.dataStart + net.timing.SlotStart(p, int(slots[i]))
+		want := periodTime(net, p, time.Duration(slots[i])*net.cfg.SlotPeriod)
 		if got[i].at != want {
 			t.Errorf("node %d's frame %d keyed up at %v, want %v (period %d, slot %d)", id, i, got[i].at, want, p, slots[i])
 		}
@@ -110,7 +107,7 @@ func TestSlotFiresAtOffsetEveryPeriod(t *testing.T) {
 	silent := 0
 	for i := range net.nodes {
 		nd := &net.nodes[i]
-		if !net.timing.ValidSlot(int(nd.slot)) {
+		if nd.slot < 0 || int(nd.slot) >= net.cfg.Slots {
 			silent++
 			if got := sends[nd.id]; len(got) != 0 {
 				t.Errorf("node %d holds invalid slot %d but sent %v", nd.id, nd.slot, got)
@@ -120,8 +117,8 @@ func TestSlotFiresAtOffsetEveryPeriod(t *testing.T) {
 		s := nd.slot
 		wantSends(t, net, sends, nd.id, []int{0, 1, 2}, []int32{s, s, s})
 	}
-	if net.nodes[net.sink].slot != int32(net.timing.Slots) {
-		t.Errorf("sink holds slot %d, want Δ = %d", net.nodes[net.sink].slot, net.timing.Slots)
+	if net.nodes[net.sink].slot != int32(net.cfg.Slots) {
+		t.Errorf("sink holds slot %d, want Δ = %d", net.nodes[net.sink].slot, net.cfg.Slots)
 	}
 	if silent != 1 {
 		t.Errorf("%d nodes hold no valid slot, want the sink alone", silent)
@@ -143,17 +140,27 @@ func TestSlotReadAtEveryBoundary(t *testing.T) {
 	wantSends(t, net, sends, net.source, []int{0, 1, 2}, []int32{s, 0, 0})
 }
 
-// TestSlotInvalidSkipsPeriod: a node that holds no valid slot at a
-// period's boundary sends nothing in that period, and sends again once
-// it holds one.
+// TestSlotInvalidSkipsPeriod: a node that holds no slot in [0, Slots) at
+// a period's boundary sends nothing in that period, and sends again once
+// it holds one; the range's two ends are slots it sends in.
 func TestSlotInvalidSkipsPeriod(t *testing.T) {
-	net, sends := intoDataPhase(t, Default())
-	src := &net.nodes[net.source]
-	s := src.slot
-	scheduleAt(t, net, periodTime(net, 0, time.Nanosecond), func() { src.slot = noValue })
-	scheduleAt(t, net, periodTime(net, 1, time.Nanosecond), func() { src.slot = s })
-	runPeriods(t, net, 3)
-	wantSends(t, net, sends, net.source, []int{0, 2}, []int32{s, s})
+	slots := int32(Default().Slots)
+	for _, tc := range []struct {
+		slot int32
+		sent bool
+	}{{noValue, false}, {slots, false}, {0, true}, {slots - 1, true}} {
+		net, sends := intoDataPhase(t, Default())
+		src := &net.nodes[net.source]
+		s := src.slot
+		scheduleAt(t, net, periodTime(net, 0, time.Nanosecond), func() { src.slot = tc.slot })
+		scheduleAt(t, net, periodTime(net, 1, time.Nanosecond), func() { src.slot = s })
+		runPeriods(t, net, 3)
+		if tc.sent {
+			wantSends(t, net, sends, net.source, []int{0, 1, 2}, []int32{s, tc.slot, s})
+		} else {
+			wantSends(t, net, sends, net.source, []int{0, 2}, []int32{s, s})
+		}
+	}
 }
 
 // TestSlotSilentWhileCrashed: a crashed node's periods pass in silence,

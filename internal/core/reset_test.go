@@ -56,6 +56,10 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgShadow.Energy = es
+	cfgDrain := Default()
+	if cfgDrain.Energy, err = energy.Parse("battery:2"); err != nil {
+		t.Fatal(err)
+	}
 
 	// The sequence deliberately alternates protocol, collision model,
 	// attacker team shape and seed so each Reset must rewind state the
@@ -75,6 +79,9 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 		// Shadowed SINR channel with battery depletion: Reset must redraw
 		// the per-link shadowing cache and rewind every energy field.
 		{"shadow-energy/seed5", cfgShadow, 5},
+		// Batteries that run flat: the deaths count as energy deaths, not
+		// as node failures, in a run without faults.
+		{"drain/seed6", cfgDrain, 6},
 		{"slp/seed1 again", cfgSLP, 1}, // exact replay of run 0, after faulted and energy runs
 	}
 
@@ -97,7 +104,8 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	}
 
 	for i, step := range sequence {
-		if want := len(step.cfg.Faults.Nodes); want > 0 && arenaResults[i].NodesFailed != want {
+		// A fault-free run reports no failures, battery deaths included.
+		if want := len(step.cfg.Faults.Nodes); (want > 0 || step.cfg.Faults.Empty()) && arenaResults[i].NodesFailed != want {
 			t.Errorf("%s: %d nodes failed, want %d", step.name, arenaResults[i].NodesFailed, want)
 		}
 		fresh := freshResult(t, g, sink, source, step.cfg, step.seed)
@@ -110,5 +118,36 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	if !reflect.DeepEqual(arenaResults[0], arenaResults[last]) {
 		t.Errorf("replaying (cfg, seed) on the same network diverged:\nfirst: %+v\nagain: %+v",
 			arenaResults[0], arenaResults[last])
+	}
+}
+
+// TestResultOutlivesNextRun: a Result a Network returned stays as it was
+// when the Network is Reset and run again. The copy to compare it with is
+// an identical run on a second network.
+func TestResultOutlivesNextRun(t *testing.T) {
+	g, err := topo.DefaultGrid(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, source := topo.GridCentre(7), topo.GridTopLeft()
+	cfg := DefaultSLP(2)
+	cfg.Faults = fault.Spec{Kind: fault.Churn, Rate: 0.2, MTTR: 2}
+	net, err := NewNetwork(g, sink, source, cfg, 1)
+	if err != nil {
+		t.Fatalf("NewNetwork: %v", err)
+	}
+	first, err := net.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := freshResult(t, g, sink, source, cfg, 1)
+	if err := net.Reset(cfg, 2); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if _, err := net.Run(); err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Errorf("the next run changed an earlier Result:\nnow:  %+v\nwant: %+v", first, want)
 	}
 }

@@ -63,7 +63,6 @@ var simPackages = map[string]bool{
 	"slpdas/internal/channel":    true,
 	"slpdas/internal/energy":     true,
 	"slpdas/internal/gcn":        true,
-	"slpdas/internal/mac":        true,
 	"slpdas/internal/protocol":   true,
 	"slpdas/internal/attacker":   true,
 	"slpdas/internal/topo":       true,

@@ -21,7 +21,7 @@ func FuzzUnmarshal(f *testing.F) {
 		&Change{From: 7, ANode: 8, NSlot: 12, Dist: 1},
 		&Data{From: 2, Origin: 0, Seq: 99, Count: 3},
 	} {
-		f.Add(Marshal(m))
+		f.Add(AppendFrame(nil, m))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff})
@@ -32,7 +32,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		frame := Marshal(m)
+		frame := AppendFrame(nil, m)
 		var again Decoder
 		m2, err := again.Unmarshal(frame)
 		if err != nil {
@@ -41,7 +41,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("%x decodes to %+v, whose frame %x decodes to %+v", data, m, frame, m2)
 		}
-		if re := Marshal(m2); !bytes.Equal(re, frame) {
+		if re := AppendFrame(nil, m2); !bytes.Equal(re, frame) {
 			t.Fatalf("%+v encodes to %x, then to %x", m, frame, re)
 		}
 		for _, extra := range []byte{0, 0x80, data[0]} {

@@ -150,11 +150,6 @@ var (
 	_ Message = (*Data)(nil)
 )
 
-// Marshal encodes m into a fresh frame.
-func Marshal(m Message) []byte {
-	return AppendFrame(make([]byte, 0, 64), m)
-}
-
 // AppendFrame encodes m onto buf and returns the extended slice. Hot
 // senders keep one scratch buffer and call AppendFrame(buf[:0], m) so
 // steady-state framing allocates nothing (the radio copies payloads, so

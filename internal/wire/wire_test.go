@@ -13,7 +13,7 @@ import (
 
 func roundTrip(t *testing.T, m Message) Message {
 	t.Helper()
-	data := Marshal(m)
+	data := AppendFrame(nil, m)
 	got, err := new(Decoder).Unmarshal(data)
 	if err != nil {
 		t.Fatalf("Unmarshal(%v): %v", m, err)
@@ -81,11 +81,11 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 	// Truncate every valid frame at every length and require a clean error.
 	frames := [][]byte{
-		Marshal(&Hello{From: 300}),
-		Marshal(&Dissem{From: 1, Normal: true, Parent: 2, Infos: []NodeInfo{{Node: 3, Hop: 4, Slot: 5, Version: 6}}}),
-		Marshal(&Search{From: 1, ANode: 2, Dist: 3, TTL: 4}),
-		Marshal(&Change{From: 1, ANode: 2, NSlot: 3, Dist: 4}),
-		Marshal(&Data{From: 1, Origin: 2, Seq: 3, Count: 4}),
+		AppendFrame(nil, &Hello{From: 300}),
+		AppendFrame(nil, &Dissem{From: 1, Normal: true, Parent: 2, Infos: []NodeInfo{{Node: 3, Hop: 4, Slot: 5, Version: 6}}}),
+		AppendFrame(nil, &Search{From: 1, ANode: 2, Dist: 3, TTL: 4}),
+		AppendFrame(nil, &Change{From: 1, ANode: 2, NSlot: 3, Dist: 4}),
+		AppendFrame(nil, &Data{From: 1, Origin: 2, Seq: 3, Count: 4}),
 	}
 	for _, frame := range frames {
 		for cut := 1; cut < len(frame); cut++ {
@@ -97,7 +97,7 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 func TestTrailingBytesRejected(t *testing.T) {
-	frame := Marshal(&Hello{From: 1})
+	frame := AppendFrame(nil, &Hello{From: 1})
 	frame = append(frame, 0x00)
 	if _, err := new(Decoder).Unmarshal(frame); !errors.Is(err, ErrTrailingBytes) {
 		t.Errorf("trailing bytes: err = %v, want ErrTrailingBytes", err)
@@ -117,13 +117,14 @@ func TestCorruptInfoCountRejected(t *testing.T) {
 }
 
 // TestSizeMatchesMarshal: the frame a hot sender appends into its reused
-// scratch buffer has Marshal's size and bytes, whatever the buffer held.
+// scratch buffer has a fresh frame's size and bytes, whatever the buffer
+// held.
 func TestSizeMatchesMarshal(t *testing.T) {
-	scratch := Marshal(&Dissem{From: 9, Infos: make([]NodeInfo, 10)})
+	scratch := AppendFrame(nil, &Dissem{From: 9, Infos: make([]NodeInfo, 10)})
 	for _, m := range []Message{&Hello{From: 3}, &Dissem{From: 9, Infos: make([]NodeInfo, 10)}} {
 		scratch = AppendFrame(scratch[:0], m)
-		if want := Marshal(m); !bytes.Equal(scratch, want) {
-			t.Errorf("%T: AppendFrame wrote %d bytes %x, Marshal %d bytes %x", m, len(scratch), scratch, len(want), want)
+		if want := AppendFrame(nil, m); !bytes.Equal(scratch, want) {
+			t.Errorf("%T: AppendFrame wrote %d bytes %x, a fresh frame %d bytes %x", m, len(scratch), scratch, len(want), want)
 		}
 	}
 }
@@ -167,7 +168,7 @@ func TestQuickDissemRoundTrip(t *testing.T) {
 		for i := 0; i < int(nInfos%32); i++ {
 			in.Infos = append(in.Infos, randomNodeInfo(r))
 		}
-		out, err := new(Decoder).Unmarshal(Marshal(in))
+		out, err := new(Decoder).Unmarshal(AppendFrame(nil, in))
 		if err != nil {
 			return false
 		}
@@ -193,7 +194,7 @@ func TestQuickScalarMessagesRoundTrip(t *testing.T) {
 			&Data{From: topo.NodeID(a), Origin: topo.NodeID(b), Seq: seq, Count: count},
 		}
 		for _, in := range msgs {
-			out, err := new(Decoder).Unmarshal(Marshal(in))
+			out, err := new(Decoder).Unmarshal(AppendFrame(nil, in))
 			if err != nil || !reflect.DeepEqual(in, out) {
 				return false
 			}
