@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
 	"slpdas/internal/schedule"
@@ -120,7 +121,7 @@ func BenchmarkAblationSearchDistance(b *testing.B) {
 // the decision procedure over a fixed settled schedule: stronger
 // (R, M)-attackers explore more of the slot landscape.
 func BenchmarkAblationAttacker(b *testing.B) {
-	params := []verify.Params{
+	params := []attacker.Params{
 		{R: 1, H: 0, M: 1},
 		{R: 2, H: 0, M: 1},
 		{R: 2, H: 0, M: 2},
@@ -130,7 +131,7 @@ func BenchmarkAblationAttacker(b *testing.B) {
 		p := params[i]
 		b.Run(fmt.Sprintf("R%d_H%d_M%d", p.R, p.H, p.M), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				points, err := experiment.AttackerSweep(11, core.DefaultSLP(3), benchSeed, []verify.Params{p})
+				points, err := experiment.AttackerSweep(11, core.DefaultSLP(3), benchSeed, []attacker.Params{p})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -182,7 +183,7 @@ func BenchmarkVerifySchedule(b *testing.B) {
 				b.Fatal(err)
 			}
 			delta := 2 * side
-			p := verify.Params{R: 2, H: 0, M: 1, Start: sink}
+			p := attacker.Params{R: 2, H: 0, M: 1, Start: sink}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := verify.VerifySchedule(g, a, p, verify.AnyHeardD, delta, source, verify.Options{}); err != nil {

@@ -70,7 +70,6 @@ import (
 	"slpdas/internal/experiment"
 	"slpdas/internal/metrics"
 	"slpdas/internal/protocol"
-	"slpdas/internal/verify"
 )
 
 func main() {
@@ -315,7 +314,7 @@ func runSweep(args []string) error {
 		fmt.Print(tbl)
 	case "attacker":
 		fmt.Printf("attacker-strength ablation (exhaustive worst case), %d×%d grid, seed %d\n\n", *size, *size, *seed)
-		points, err := experiment.AttackerSweep(*size, core.DefaultSLP(*sd), *seed, []verify.Params{
+		points, err := experiment.AttackerSweep(*size, core.DefaultSLP(*sd), *seed, []attacker.Params{
 			{R: 1, H: 0, M: 1},
 			{R: 2, H: 0, M: 1},
 			{R: 2, H: 0, M: 2},

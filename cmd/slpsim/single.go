@@ -289,7 +289,8 @@ func runVerify(args []string) error {
 	if *delta == 0 {
 		*delta = int(net.SafetyPeriods())
 	}
-	p := verify.Params{R: cfg.Attacker.R, H: cfg.Attacker.H, M: cfg.Attacker.M, Start: sink}
+	p := cfg.Attacker
+	p.Start = sink
 	res, err := verify.VerifySchedule(g, assignment, p, d, *delta, source, verify.Options{AllowWait: *allowWait})
 	if err != nil {
 		return err

@@ -151,7 +151,7 @@ func Example_verify() {
 		sink   = topo.NodeID(4)
 		delta  = 10 // safety period in TDMA periods
 	)
-	atk := verify.Params{R: 1, H: 0, M: 1, Start: sink}
+	atk := attacker.Params{R: 1, H: 0, M: 1, Start: sink}
 
 	// Schedule F: a slot gradient pulling the eavesdropper 4→1→0. It is a
 	// valid weak DAS — and a homing beacon.
@@ -201,7 +201,7 @@ func Example_verify() {
 	fmt.Printf("\nDefinition 5: Fs is an SLP-aware DAS w.r.t. F: %v\n", aware)
 
 	// A stronger attacker (R=3, M=2) may climb out of the decoy basin.
-	strong := verify.Params{R: 3, H: 0, M: 2, Start: sink}
+	strong := attacker.Params{R: 3, H: 0, M: 2, Start: sink}
 	res, err = verify.VerifySchedule(g, fs, strong, verify.AnyHeardD, delta, source, verify.Options{})
 	if err != nil {
 		log.Fatalf("verify Fs vs strong attacker: %v", err)
@@ -391,7 +391,7 @@ func Example_attackerSweep() {
 
 	fmt.Printf("\nexhaustive verification of one SLP schedule (δ=%d periods):\n\n", delta)
 	vt := metrics.NewTable("attacker (R,H,M)", "verdict", "states explored")
-	for _, p := range []verify.Params{
+	for _, p := range []attacker.Params{
 		{R: 1, H: 0, M: 1, Start: sink},
 		{R: 2, H: 0, M: 1, Start: sink},
 		{R: 2, H: 0, M: 2, Start: sink},

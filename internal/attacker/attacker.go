@@ -68,15 +68,13 @@ type Heard struct {
 	At   time.Duration
 }
 
-// Decision is the D function: given the messages captured this round, the
-// recent-location history (most recent last) and the current location,
-// return the next location. Returning the current location means "stay".
-type Decision func(heard []Heard, history []topo.NodeID, cur topo.NodeID, rng *rand.Rand) topo.NodeID
-
 // FirstHeard moves to the origin of the first message heard — the D of the
 // (1, 0, 1, s0, D)-attacker in the paper: "when the attacker hears the
 // first message coming from a location j, it will move to j".
-func FirstHeard(heard []Heard, _ []topo.NodeID, cur topo.NodeID, _ *rand.Rand) topo.NodeID {
+type FirstHeard struct{}
+
+// Decide implements Strategy.
+func (FirstHeard) Decide(heard []Heard, _ []topo.NodeID, cur topo.NodeID, _ *rand.Rand) topo.NodeID {
 	if len(heard) == 0 {
 		return cur
 	}
@@ -85,7 +83,10 @@ func FirstHeard(heard []Heard, _ []topo.NodeID, cur topo.NodeID, _ *rand.Rand) t
 
 // RandomHeard moves to a uniformly random heard origin — a weaker,
 // non-gradient-following eavesdropper used in the attacker-strength study.
-func RandomHeard(heard []Heard, _ []topo.NodeID, cur topo.NodeID, rng *rand.Rand) topo.NodeID {
+type RandomHeard struct{}
+
+// Decide implements Strategy.
+func (RandomHeard) Decide(heard []Heard, _ []topo.NodeID, cur topo.NodeID, rng *rand.Rand) topo.NodeID {
 	if len(heard) == 0 {
 		return cur
 	}
@@ -95,7 +96,10 @@ func RandomHeard(heard []Heard, _ []topo.NodeID, cur topo.NodeID, rng *rand.Rand
 // UnvisitedFirst moves to the first heard origin not in the history,
 // falling back to the first heard origin. With H > 0 this attacker avoids
 // ping-ponging between two loud nodes.
-func UnvisitedFirst(heard []Heard, history []topo.NodeID, cur topo.NodeID, _ *rand.Rand) topo.NodeID {
+type UnvisitedFirst struct{}
+
+// Decide implements Strategy.
+func (UnvisitedFirst) Decide(heard []Heard, history []topo.NodeID, cur topo.NodeID, _ *rand.Rand) topo.NodeID {
 	if len(heard) == 0 {
 		return cur
 	}
@@ -141,11 +145,6 @@ func (s *HistoryStore) Record(n topo.NodeID) {
 	}
 }
 
-// Snapshot returns a copy of the window, most recent last.
-func (s *HistoryStore) Snapshot() []topo.NodeID {
-	return append([]topo.NodeID(nil), s.buf...)
-}
-
 // Attacker is the live eavesdropper process driven by radio observations.
 // It implements radio.Observer.
 type Attacker struct {
@@ -166,7 +165,6 @@ type Attacker struct {
 	movesTotal int           // relocations over the whole hunt, never capped
 	captured   bool
 	capAt      time.Duration
-	lastAt     time.Duration // latest observation time seen
 
 	// OnCapture, when non-nil, fires once at the capture instant.
 	OnCapture func(at time.Duration)
@@ -190,7 +188,7 @@ func New(g *topo.Graph, params Params, strat Strategy, source topo.NodeID, seed 
 		return nil, fmt.Errorf("attacker: invalid source node %d", source)
 	}
 	if strat == nil {
-		strat = funcStrategy{FirstHeard}
+		strat = FirstHeard{}
 	}
 	if ga, ok := strat.(GraphAware); ok {
 		ga.Bind(g, params.Start)
@@ -259,21 +257,15 @@ func (a *Attacker) checkCapture(now time.Duration) {
 	}
 }
 
-// NextPeriod implements the NextP action of Figure 1: at each period
-// boundary the message buffer and the move budget reset, and PeriodAware
-// strategies may relocate (stamped with the latest observation time).
-// The caller (who knows the period length, as the paper's attacker does)
-// schedules this; callers that track virtual time themselves should
-// prefer NextPeriodAt.
-func (a *Attacker) NextPeriod() { a.NextPeriodAt(a.lastAt) }
-
-// NextPeriodAt is NextPeriod with an explicit boundary time, used to
-// stamp a PeriodAware strategy's boundary relocation (and any capture it
-// causes) with the true virtual time.
+// NextPeriodAt implements the NextP action of Figure 1 at the period
+// boundary now: the message buffer and the move budget reset, and a
+// PeriodAware strategy may relocate, stamped (with any capture it causes)
+// at now. The caller, who knows the period length as the paper's attacker
+// does, schedules it.
 func (a *Attacker) NextPeriodAt(now time.Duration) {
 	if a.active && !a.captured {
 		if pa, ok := a.strat.(PeriodAware); ok {
-			next := pa.PeriodEnd(a.moved, a.cur, a.path, a.rng)
+			next := pa.PeriodEnd(a.moved, a.cur)
 			if next != a.cur && a.g.HasEdge(a.cur, next) {
 				a.relocate(next, now)
 			}
@@ -293,7 +285,6 @@ func (a *Attacker) Overhear(obs radio.Observation) {
 	if !a.active || a.captured {
 		return
 	}
-	a.lastAt = obs.At
 	if len(a.msgs) < a.params.R {
 		a.msgs = append(a.msgs, Heard{From: obs.From, At: obs.At})
 	}
@@ -302,9 +293,10 @@ func (a *Attacker) Overhear(obs radio.Observation) {
 	}
 }
 
-// decideMove is the Decide action of Figure 1.
+// decideMove is the Decide action of Figure 1. The strategy reads the live
+// H-window: it changes only in relocate, after Decide returns.
 func (a *Attacker) decideMove(now time.Duration) {
-	next := a.strat.Decide(a.msgs, a.History(), a.cur, a.rng)
+	next := a.strat.Decide(a.msgs, a.hist.buf, a.cur, a.rng)
 	a.moves++
 	a.msgs = a.msgs[:0]
 	if next == a.cur {
@@ -342,12 +334,6 @@ func (a *Attacker) Captured() (bool, time.Duration) { return a.captured, a.capAt
 // full walk.
 func (a *Attacker) Path() []topo.NodeID {
 	return append([]topo.NodeID(nil), a.path...)
-}
-
-// History returns the H-window contents, most recent last. With a shared
-// store this is the whole team's window, not just this attacker's.
-func (a *Attacker) History() []topo.NodeID {
-	return a.hist.Snapshot()
 }
 
 var _ radio.Observer = (*Attacker)(nil)

@@ -12,7 +12,7 @@ import (
 
 // lineWorld builds a 0-1-2-3-4 line with a medium and an attacker at node 4
 // hunting node 0.
-func lineWorld(t *testing.T, params Params, d Decision) (*des.Simulator, *topo.Graph, *radio.Medium, *Attacker) {
+func lineWorld(t *testing.T, params Params, d Strategy) (*des.Simulator, *topo.Graph, *radio.Medium, *Attacker) {
 	t.Helper()
 	g, err := topo.Line(5, 4.5, 4.5)
 	if err != nil {
@@ -21,12 +21,19 @@ func lineWorld(t *testing.T, params Params, d Decision) (*des.Simulator, *topo.G
 	sim := des.New()
 	m := radio.New(sim, g, 1)
 	params.Start = 4
-	a, err := New(g, params, funcStrategy{d}, 0, 1, 0)
+	a, err := New(g, params, d, 0, 1, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	m.AddObserver(a)
 	return sim, g, m, a
+}
+
+// decideFunc is a Strategy made of one Decide function.
+type decideFunc func(heard []Heard, history []topo.NodeID, cur topo.NodeID, rng *rand.Rand) topo.NodeID
+
+func (f decideFunc) Decide(heard []Heard, history []topo.NodeID, cur topo.NodeID, rng *rand.Rand) topo.NodeID {
+	return f(heard, history, cur, rng)
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -54,7 +61,7 @@ func TestNewRejectsInvalidNodes(t *testing.T) {
 }
 
 func TestInactiveAttackerIgnoresTraffic(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard{})
 	sim.ScheduleAfter(0, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -65,7 +72,7 @@ func TestInactiveAttackerIgnoresTraffic(t *testing.T) {
 }
 
 func TestFollowsFirstHeardTransmission(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard{})
 	a.ActivateAt(0)
 	// In one period node 3 transmits first (it is audible from 4).
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
@@ -78,7 +85,7 @@ func TestFollowsFirstHeardTransmission(t *testing.T) {
 }
 
 func TestOneMovePerPeriod(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard{})
 	a.ActivateAt(0)
 	// Two audible transmissions in the same period: only the first counts.
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
@@ -90,7 +97,7 @@ func TestOneMovePerPeriod(t *testing.T) {
 		t.Errorf("attacker at %d, want 3 (M=1 exhausted)", a.cur)
 	}
 	// After a period reset it may move again.
-	a.NextPeriod()
+	a.NextPeriodAt(sim.Now())
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(2, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -101,7 +108,7 @@ func TestOneMovePerPeriod(t *testing.T) {
 }
 
 func TestChaseEndsInCapture(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, FirstHeard{})
 	a.ActivateAt(0)
 	var capturedAt time.Duration
 	a.OnCapture = func(at time.Duration) { capturedAt = at }
@@ -110,7 +117,7 @@ func TestChaseEndsInCapture(t *testing.T) {
 		p := p
 		at := time.Duration(p+1) * 5 * time.Second
 		if _, err := sim.Schedule(at, func() {
-			a.NextPeriod()
+			a.NextPeriodAt(sim.Now())
 			m.Broadcast(topo.NodeID(3-p), []byte{1})
 		}); err != nil {
 			t.Fatalf("Schedule: %v", err)
@@ -140,7 +147,7 @@ func TestChaseEndsInCapture(t *testing.T) {
 
 func TestRBoundsMessageBuffer(t *testing.T) {
 	// R=2: the attacker decides only after hearing two messages.
-	sim, _, m, a := lineWorld(t, Params{R: 2, M: 1}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 2, M: 1}, FirstHeard{})
 	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -159,10 +166,10 @@ func TestRBoundsMessageBuffer(t *testing.T) {
 }
 
 func TestPeriodResetDiscardsPartialBuffer(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 2, M: 1}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 2, M: 1}, FirstHeard{})
 	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
-	sim.ScheduleAfter(2*time.Second, func() { a.NextPeriod() }) // discard
+	sim.ScheduleAfter(2*time.Second, func() { a.NextPeriodAt(sim.Now()) }) // discard
 	sim.ScheduleAfter(3*time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -173,13 +180,13 @@ func TestPeriodResetDiscardsPartialBuffer(t *testing.T) {
 }
 
 func TestHistoryRing(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, FirstHeard{})
 	a.ActivateAt(0)
 	for p := 0; p < 3; p++ {
 		p := p
 		at := time.Duration(p+1) * time.Second
 		if _, err := sim.Schedule(at, func() {
-			a.NextPeriod()
+			a.NextPeriodAt(sim.Now())
 			m.Broadcast(topo.NodeID(3-p), []byte{1})
 		}); err != nil {
 			t.Fatalf("Schedule: %v", err)
@@ -189,7 +196,7 @@ func TestHistoryRing(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// Visited 4 -> 3 -> 2 -> 1; history keeps the last H=2 departures.
-	h := a.History()
+	h := a.hist.buf
 	if len(h) != 2 || h[0] != 3 || h[1] != 2 {
 		t.Errorf("history = %v, want [3 2]", h)
 	}
@@ -213,12 +220,12 @@ func TestHistoryNotPollutedByStaysAndRejectedMoves(t *testing.T) {
 			return 0 // two hops away: edge-rejected
 		}
 	}
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, flaky)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, decideFunc(flaky))
 	a.ActivateAt(0)
 	for p := 0; p < 4; p++ {
 		at := time.Duration(p+1) * time.Second
 		if _, err := sim.Schedule(at, func() {
-			a.NextPeriod()
+			a.NextPeriodAt(sim.Now())
 			m.Broadcast(3, []byte{1})
 		}); err != nil {
 			t.Fatalf("Schedule: %v", err)
@@ -233,14 +240,14 @@ func TestHistoryNotPollutedByStaysAndRejectedMoves(t *testing.T) {
 	if a.cur != 3 {
 		t.Fatalf("attacker at %d, want 3", a.cur)
 	}
-	h := a.History()
+	h := a.hist.buf
 	if len(h) != 1 || h[0] != 4 {
 		t.Errorf("history = %v, want [4] (only the genuine departure)", h)
 	}
 }
 
 func TestMMovesWithinOnePeriod(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 2}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 2}, FirstHeard{})
 	a.ActivateAt(0)
 	// Same period: 3 transmits, then (after the attacker moved to 3) 2.
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
@@ -256,10 +263,10 @@ func TestMMovesWithinOnePeriod(t *testing.T) {
 
 func TestCannotTeleportToUnheardNeighbour(t *testing.T) {
 	// Node 1 is two hops from the attacker at 4 — not reachable in one
-	// move. Even if a hostile Decision returns it, the attacker must not
+	// move. Even if a hostile strategy returns it, the attacker must not
 	// teleport.
 	teleport := func([]Heard, []topo.NodeID, topo.NodeID, *rand.Rand) topo.NodeID { return 1 }
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, teleport)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, decideFunc(teleport))
 	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -272,7 +279,7 @@ func TestCannotTeleportToUnheardNeighbour(t *testing.T) {
 
 func TestStayingConsumesMove(t *testing.T) {
 	stay := func(heard []Heard, _ []topo.NodeID, cur topo.NodeID, _ *rand.Rand) topo.NodeID { return cur }
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, stay)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, decideFunc(stay))
 	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	sim.ScheduleAfter(2*time.Second, func() { m.Broadcast(3, []byte{1}) })
@@ -296,7 +303,7 @@ func TestStartAtSourceCapturedOnActivation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("line: %v", err)
 	}
-	a, err := New(g, Params{R: 1, M: 1, Start: 0}, funcStrategy{FirstHeard}, 0, 1, 0)
+	a, err := New(g, Params{R: 1, M: 1, Start: 0}, FirstHeard{}, 0, 1, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -329,7 +336,7 @@ func TestStartAtSourceStayDecisionStaysCaptured(t *testing.T) {
 	}
 	sim := des.New()
 	m := radio.New(sim, g, 1)
-	a, err := New(g, Params{R: 1, M: 1, Start: 0}, funcStrategy{stay}, 0, 1, 0)
+	a, err := New(g, Params{R: 1, M: 1, Start: 0}, decideFunc(stay), 0, 1, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -350,7 +357,7 @@ func TestStartAtSourceStayDecisionStaysCaptured(t *testing.T) {
 }
 
 func TestRandomHeardStaysWithinHeardSet(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, RandomHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 1}, RandomHeard{})
 	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -364,18 +371,18 @@ func TestRandomHeardStaysWithinHeardSet(t *testing.T) {
 func TestUnvisitedFirstAvoidsHistory(t *testing.T) {
 	history := []topo.NodeID{3}
 	heard := []Heard{{From: 3}, {From: 2}}
-	if got := UnvisitedFirst(heard, history, 4, nil); got != 2 {
+	if got := (UnvisitedFirst{}).Decide(heard, history, 4, nil); got != 2 {
 		t.Errorf("UnvisitedFirst = %d, want 2", got)
 	}
 	// All visited: fall back to first heard.
-	if got := UnvisitedFirst(heard, []topo.NodeID{3, 2}, 4, nil); got != 3 {
+	if got := (UnvisitedFirst{}).Decide(heard, []topo.NodeID{3, 2}, 4, nil); got != 3 {
 		t.Errorf("UnvisitedFirst fallback = %d, want 3", got)
 	}
 	// Empty heard: stay.
-	if got := UnvisitedFirst(nil, nil, 4, nil); got != 4 {
+	if got := (UnvisitedFirst{}).Decide(nil, nil, 4, nil); got != 4 {
 		t.Errorf("UnvisitedFirst empty = %d, want 4", got)
 	}
-	if got := FirstHeard(nil, nil, 4, nil); got != 4 {
+	if got := (FirstHeard{}).Decide(nil, nil, 4, nil); got != 4 {
 		t.Errorf("FirstHeard empty = %d, want 4", got)
 	}
 }
@@ -385,26 +392,26 @@ func TestUnvisitedFirstEdgeCases(t *testing.T) {
 	// visited or the current location itself, and the first heard origin
 	// IS cur, so the decision burns the move budget standing still.
 	heard := []Heard{{From: 4}, {From: 3}}
-	if got := UnvisitedFirst(heard, []topo.NodeID{3}, 4, nil); got != 4 {
+	if got := (UnvisitedFirst{}).Decide(heard, []topo.NodeID{3}, 4, nil); got != 4 {
 		t.Errorf("wasted-move fallback = %d, want cur 4", got)
 	}
 	// Every heard origin is in the history: the fallback takes the first
 	// heard origin even though it was visited (re-entering is better than
 	// freezing forever).
 	heard = []Heard{{From: 2}, {From: 3}}
-	if got := UnvisitedFirst(heard, []topo.NodeID{2, 3}, 4, nil); got != 2 {
+	if got := (UnvisitedFirst{}).Decide(heard, []topo.NodeID{2, 3}, 4, nil); got != 2 {
 		t.Errorf("all-visited fallback = %d, want 2 (first heard)", got)
 	}
 	// History containing the current node must not stop the attacker from
 	// taking a genuinely unvisited origin.
 	heard = []Heard{{From: 4}, {From: 1}}
-	if got := UnvisitedFirst(heard, []topo.NodeID{4}, 4, nil); got != 1 {
+	if got := (UnvisitedFirst{}).Decide(heard, []topo.NodeID{4}, 4, nil); got != 1 {
 		t.Errorf("cur-in-history decision = %d, want 1", got)
 	}
 	// An unvisited origin equal to cur is skipped in favour of a later
 	// unvisited one — moving to where you stand extracts nothing.
 	heard = []Heard{{From: 4}, {From: 2}}
-	if got := UnvisitedFirst(heard, nil, 4, nil); got != 2 {
+	if got := (UnvisitedFirst{}).Decide(heard, nil, 4, nil); got != 2 {
 		t.Errorf("origin-equals-cur decision = %d, want 2", got)
 	}
 }
@@ -414,7 +421,7 @@ func TestPathCapBoundsRecordingNotTheHunt(t *testing.T) {
 	// same capture, same move count, same H-window — with only the
 	// recorded walk truncated.
 	chase := func(cap int) *Attacker {
-		sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, FirstHeard)
+		sim, _, m, a := lineWorld(t, Params{R: 1, M: 1, H: 2}, FirstHeard{})
 		if cap != 0 {
 			a.SetPathCap(cap)
 		}
@@ -423,7 +430,7 @@ func TestPathCapBoundsRecordingNotTheHunt(t *testing.T) {
 			p := p
 			at := time.Duration(p+1) * 5 * time.Second
 			if _, err := sim.Schedule(at, func() {
-				a.NextPeriod()
+				a.NextPeriodAt(sim.Now())
 				m.Broadcast(topo.NodeID(3-p), []byte{1})
 			}); err != nil {
 				t.Fatalf("Schedule: %v", err)
@@ -449,7 +456,7 @@ func TestPathCapBoundsRecordingNotTheHunt(t *testing.T) {
 		if a.Moves() != full.Moves() {
 			t.Errorf("cap %d changed Moves: %d vs %d", cap, a.Moves(), full.Moves())
 		}
-		if got, want := a.History(), full.History(); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		if got, want := a.hist.buf, full.hist.buf; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 			t.Errorf("cap %d changed the H-window: %v vs %v", cap, got, want)
 		}
 		wantLen := cap
@@ -469,7 +476,7 @@ func TestPathCapBoundsRecordingNotTheHunt(t *testing.T) {
 }
 
 func TestSetPathCapTruncatesExistingWalk(t *testing.T) {
-	sim, _, m, a := lineWorld(t, Params{R: 1, M: 2}, FirstHeard)
+	sim, _, m, a := lineWorld(t, Params{R: 1, M: 2}, FirstHeard{})
 	a.ActivateAt(0)
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(3, []byte{1}) })
 	sim.ScheduleAfter(2*time.Second, func() { m.Broadcast(2, []byte{1}) })

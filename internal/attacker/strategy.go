@@ -14,8 +14,12 @@ import (
 // may keep state across decisions (Backtrack does), so every eavesdropper
 // gets a fresh instance from its Factory.
 type Strategy interface {
-	// Decide is the Decide action of Figure 1; see Decision for the
-	// contract. Returning cur means "stay" (which still consumes a move).
+	// Decide is the Decide action of Figure 1, the D function: given the
+	// messages captured this round, the H-window of departed locations
+	// (most recent last) and the current location, it returns the next
+	// location. Returning cur means "stay" (which still consumes a move).
+	// heard and history are the attacker's live buffers, valid only
+	// during the call: Decide must neither modify nor keep them.
 	Decide(heard []Heard, history []topo.NodeID, cur topo.NodeID, rng *rand.Rand) topo.NodeID
 }
 
@@ -33,7 +37,7 @@ type GraphAware interface {
 // to stay put. Boundary moves do not consume the new period's move
 // budget: the attacker walks during the silence between periods.
 type PeriodAware interface {
-	PeriodEnd(moved bool, cur topo.NodeID, path []topo.NodeID, rng *rand.Rand) topo.NodeID
+	PeriodEnd(moved bool, cur topo.NodeID) topo.NodeID
 }
 
 // Factory creates a fresh Strategy instance for one attacker.
@@ -59,15 +63,15 @@ var strategies = [...]Entry{
 	{"cautious", "move only to origins strictly farther from s0 (never lured backwards)",
 		func() Strategy { return &Cautious{} }},
 	{DefaultStrategy, "move to the origin of the first message heard (the paper's D)",
-		func() Strategy { return funcStrategy{FirstHeard} }},
+		func() Strategy { return FirstHeard{} }},
 	{"patient", "commit only once an origin is heard twice in the R-buffer (needs R >= 2)",
 		func() Strategy { return Patient{} }},
 	{"random-heard", "move to a uniformly random heard origin",
-		func() Strategy { return funcStrategy{RandomHeard} }},
+		func() Strategy { return RandomHeard{} }},
 	{"random-walk", "uniform random neighbour each decision; the noise-floor baseline",
 		func() Strategy { return &RandomWalk{} }},
 	{"unvisited-first", "first heard origin not in the H-window, falling back to first heard",
-		func() Strategy { return funcStrategy{UnvisitedFirst} }},
+		func() Strategy { return UnvisitedFirst{} }},
 }
 
 // Strategies lists every named strategy, sorted by name.
@@ -90,13 +94,6 @@ func ByName(name string) (Factory, error) {
 		}
 	}
 	return nil, fmt.Errorf("attacker: unknown strategy %q (have %v)", name, StrategyNames())
-}
-
-// funcStrategy adapts a stateless Decision function.
-type funcStrategy struct{ d Decision }
-
-func (s funcStrategy) Decide(heard []Heard, history []topo.NodeID, cur topo.NodeID, rng *rand.Rand) topo.NodeID {
-	return s.d(heard, history, cur, rng)
 }
 
 // Patient commits only to corroborated origins: it moves to the origin
@@ -146,7 +143,7 @@ func (b *Backtrack) Decide(heard []Heard, _ []topo.NodeID, cur topo.NodeID, _ *r
 }
 
 // PeriodEnd implements PeriodAware: after a silent period, pop the trail.
-func (b *Backtrack) PeriodEnd(moved bool, cur topo.NodeID, _ []topo.NodeID, _ *rand.Rand) topo.NodeID {
+func (b *Backtrack) PeriodEnd(moved bool, cur topo.NodeID) topo.NodeID {
 	if moved || len(b.trail) == 0 {
 		return cur
 	}

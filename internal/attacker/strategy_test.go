@@ -97,17 +97,17 @@ func TestBacktrackRetreatsOnSilentPeriod(t *testing.T) {
 		t.Fatalf("Decide = %d, want 2", got)
 	}
 	// A period with a move: no retreat.
-	if got := b.PeriodEnd(true, 2, nil, nil); got != 2 {
+	if got := b.PeriodEnd(true, 2); got != 2 {
 		t.Errorf("PeriodEnd(moved) = %d, want stay at 2", got)
 	}
 	// Silent periods retreat along the trail: 2 -> 3 -> 4, then stall.
-	if got := b.PeriodEnd(false, 2, nil, nil); got != 3 {
+	if got := b.PeriodEnd(false, 2); got != 3 {
 		t.Errorf("first retreat = %d, want 3", got)
 	}
-	if got := b.PeriodEnd(false, 3, nil, nil); got != 4 {
+	if got := b.PeriodEnd(false, 3); got != 4 {
 		t.Errorf("second retreat = %d, want 4", got)
 	}
-	if got := b.PeriodEnd(false, 4, nil, nil); got != 4 {
+	if got := b.PeriodEnd(false, 4); got != 4 {
 		t.Errorf("empty-trail retreat = %d, want stay at 4", got)
 	}
 }
@@ -203,7 +203,7 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 	shared := NewHistoryStore(4)
 	mk := func(index int) *Attacker {
 		a, err := New(g, Params{R: 1, M: 1, H: 4, Start: 4},
-			funcStrategy{UnvisitedFirst}, 0, 1, index)
+			UnvisitedFirst{}, 0, 1, index)
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -217,7 +217,7 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 	if a0.cur != 3 {
 		t.Fatalf("a0 at %d, want 3", a0.cur)
 	}
-	h := a1.History()
+	h := a1.hist.buf
 	if len(h) != 1 || h[0] != 4 {
 		t.Fatalf("a1 sees shared history %v, want [4]", h)
 	}
@@ -226,7 +226,7 @@ func TestSharedHistoryPoolsAcrossAttackers(t *testing.T) {
 	if a1.cur != 3 {
 		t.Errorf("a1 at %d, want 3", a1.cur)
 	}
-	if h := shared.Snapshot(); len(h) != 2 || h[0] != 4 || h[1] != 4 {
+	if h := shared.buf; len(h) != 2 || h[0] != 4 || h[1] != 4 {
 		t.Errorf("shared window = %v, want [4 4] (both departures)", h)
 	}
 }
@@ -236,12 +236,12 @@ func TestHistoryStoreEvictsBeyondH(t *testing.T) {
 	for _, n := range []topo.NodeID{1, 2, 3} {
 		s.Record(n)
 	}
-	if h := s.Snapshot(); len(h) != 2 || h[0] != 2 || h[1] != 3 {
-		t.Errorf("Snapshot = %v, want [2 3]", h)
+	if h := s.buf; len(h) != 2 || h[0] != 2 || h[1] != 3 {
+		t.Errorf("window = %v, want [2 3]", h)
 	}
 	empty := NewHistoryStore(0)
 	empty.Record(7)
-	if h := empty.Snapshot(); len(h) != 0 {
+	if h := empty.buf; len(h) != 0 {
 		t.Errorf("memoryless store recorded %v", h)
 	}
 }

@@ -232,12 +232,6 @@ func (c Config) Attackers() int {
 	return c.AttackerCount
 }
 
-// strategyFactory resolves the configured strategy name, or the
-// first-heard default, to one per-attacker instance factory.
-func (c Config) strategyFactory() (attacker.Factory, error) {
-	return attacker.ByName(c.StrategyLabel())
-}
-
 // StrategyLabel names the attacker behaviour for reporting: the Strategy
 // name, else the default.
 func (c Config) StrategyLabel() string {

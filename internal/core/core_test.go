@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/fault"
 	"slpdas/internal/protocol"
 	"slpdas/internal/schedule"
@@ -204,7 +205,7 @@ func TestSimulatedAttackerAgreesWithVerify(t *testing.T) {
 		}
 		delta := int(res.SafetyPeriod) // floor of 1.5·(Δss+1)
 		vres, err := verify.VerifySchedule(g, res.Assignment,
-			verify.Params{R: 1, M: 1, Start: sink}, verify.FirstHeardD, delta, source, verify.Options{})
+			attacker.Params{R: 1, M: 1, Start: sink}, verify.FirstHeardD, delta, source, verify.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: VerifySchedule: %v", seed, err)
 		}

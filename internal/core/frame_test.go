@@ -66,9 +66,10 @@ func TestExecutedEventsCountEveryReception(t *testing.T) {
 // medium: frames sent by a node with k neighbours are decoded once and
 // shared by all k receivers, a garbage frame counts one decode error per
 // reception and hands no receiver the previous frame's cached message, and
-// a valid frame after the garbage decodes fresh. A DISSEM with an entry
-// about a node that is not the sender's neighbour is garbage too: the
-// Ninfo tables have no place for it, so it merges nothing.
+// a valid frame after the garbage decodes fresh, also when a Reset of the
+// network comes between them. A DISSEM with an entry about a node that is
+// not the sender's neighbour is garbage too: the Ninfo tables have no
+// place for it, so it merges nothing.
 func TestDecodeOncePerFrame(t *testing.T) {
 	g, err := topo.DefaultGrid(5)
 	if err != nil {
@@ -152,4 +153,28 @@ func TestDecodeOncePerFrame(t *testing.T) {
 	if st := net.medium.Stats(); st.Deliveries != 5*k {
 		t.Errorf("Deliveries = %d, want %d: every reception reaches the receive path", st.Deliveries, 5*k)
 	}
+
+	// A Reset between a valid frame and a garbage one: the garbage frame
+	// is the new run's first, and its receivers must not be handed the
+	// DISSEM the previous run decoded last.
+	send(dissem(6, 4))
+	expect("valid before reset", 3, 3*k, 6)
+	if err := net.Reset(DefaultSLP(2), 1); err != nil {
+		t.Fatal(err)
+	}
+	clear(fired)
+	send([]byte{byte(wire.TypeDissem)})
+	if net.res.DecodeErrors != k {
+		t.Errorf("garbage after reset: DecodeErrors = %d, want %d", net.res.DecodeErrors, k)
+	}
+	for _, r := range nbrs {
+		if fired[r] != 0 {
+			t.Errorf("garbage after reset: node %d ran %d DISSEM receive actions, want 0", r, fired[r])
+		}
+		if in, ok := net.nodes[r].ninfo.get(sender); ok {
+			t.Errorf("garbage after reset: node %d learned %+v about the sender", r, in)
+		}
+	}
+	send(dissem(7, 1))
+	expect("valid after reset", 1, k, 7)
 }

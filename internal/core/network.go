@@ -36,10 +36,12 @@ const msgStatsSlots = int(wire.TypeData) + 1
 // wires the expensive immutable machinery — simulator, medium, engine,
 // node processes running the shared GCN program, the radio receiver — and
 // Reset rewinds everything mutable (clocks, pools, protocol state,
-// counters, random streams, attackers) for a new (config, seed) without
-// reallocating, so arena-style callers replay thousands of runs on one
-// Network. A fresh NewNetwork is itself implemented as wiring + Reset, so
-// the two paths cannot drift apart.
+// counters, random streams) for a new (config, seed) without reallocating
+// the wiring, so arena-style callers replay thousands of runs on one
+// Network. The attackers are the exception: Reset builds each one anew
+// with attacker.New, so each gets a fresh strategy instance. A fresh
+// NewNetwork is itself implemented as wiring + Reset, so the two paths
+// cannot drift apart.
 type Network struct {
 	cfg    Config
 	g      *topo.Graph // lint:immutable: topology wiring, fixed at construction
@@ -120,18 +122,17 @@ type Network struct {
 	outData   wire.Data    // lint:immutable: scratch, overwritten before every use
 	frame     []byte       // lint:immutable: marshal scratch, overwritten before every use
 
-	// Receive-path decode cache: decMsg is radio frame decFrame decoded
-	// (nil if it does not decode), shared read-only by all its receivers,
-	// and decKey its receive-action key. For a DISSEM, decPos places each
-	// entry in the sender's closed neighbourhood. decRow is the rank row of
-	// the edge being delivered, whose first entry places the sender in the
-	// receiver's Ninfo table (see receive). Frame ids never repeat, so the
-	// cache needs no rewinding between runs.
-	decFrame uint64       // lint:immutable: cache key, never matches a frame of another run
-	decMsg   wire.Message // lint:immutable: scratch, overwritten with decFrame
-	decKey   int          // lint:immutable: scratch, overwritten with decFrame
-	decPos   []int32      // lint:immutable: scratch, overwritten with decFrame
-	decRow   []uint16     // lint:immutable: scratch, overwritten before every delivery
+	// Receive-path decode cache: decMsg is the radio frame being delivered,
+	// decoded at its first reception (nil if it does not decode) and shared
+	// read-only by all its receivers, and decKey its receive-action key.
+	// For a DISSEM, decPos places each entry in the sender's closed
+	// neighbourhood. decRow is the rank row of the edge being delivered,
+	// whose first entry places the sender in the receiver's Ninfo table
+	// (see receive).
+	decMsg wire.Message // lint:immutable: scratch, overwritten at each frame's first reception
+	decKey int          // lint:immutable: scratch, overwritten at each frame's first reception
+	decPos []int32      // lint:immutable: scratch, overwritten at each frame's first reception
+	decRow []uint16     // lint:immutable: scratch, overwritten before every delivery
 
 	// The Ninfo tables (see infoTable), built on the first run: ranks are
 	// the graph's rank rows, and infoArena and relArena hold every node's
@@ -212,17 +213,18 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 
 // Reset rewinds the network for a fresh run with a new configuration and
 // seed on the same (graph, sink, source). Everything per-run — simulator
-// clock and queue, medium channel state and pools, GCN channels and
-// timers, node protocol state, random streams, counters, attackers — is
-// restored to its just-constructed state without reallocating the wiring,
-// so Reset costs a small fraction of NewNetwork. Two runs of the same
-// (config, seed) produce identical Results whether they share a Network
-// via Reset or use fresh ones; the arena tests pin this.
+// clock and queue, medium channel state and pools, GCN timers, node
+// protocol state, random streams, counters — is restored to its
+// just-constructed state without reallocating the wiring, and the
+// attackers are built anew, so Reset costs a small fraction of
+// NewNetwork. Two runs of the same (config, seed) produce identical
+// Results whether they share a Network via Reset or use fresh ones; the
+// arena tests pin this.
 func (n *Network) Reset(cfg Config, seed uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	factory, err := cfg.strategyFactory()
+	factory, err := attacker.ByName(cfg.StrategyLabel())
 	if err != nil {
 		return err
 	}
@@ -548,7 +550,7 @@ func nodeSlab(n int) []node {
 	return make([]node, n, max(n, minSlabNodes))
 }
 
-// receive is the medium's receiver: frame from node from reaches node to
+// receive is the medium's receiver: a frame from node from reaches node to
 // along edge, to's index among from's neighbours. The frame's first
 // reception decodes and classifies it for all of them and, for a DISSEM,
 // places its entries in the sender's closed neighbourhood; each reception
@@ -557,9 +559,8 @@ func nodeSlab(n int) []node {
 // runs the receive action at once.
 //
 //slp:hotpath
-func (n *Network) receive(frame uint64, from, to topo.NodeID, edge int, payload []byte) {
-	if frame != n.decFrame {
-		n.decFrame = frame
+func (n *Network) receive(first bool, from, to topo.NodeID, edge int, payload []byte) {
+	if first {
 		n.decMsg, _ = n.dec.Unmarshal(payload)
 		if d, ok := n.decMsg.(*wire.Dissem); ok && !n.placeDissem(from, d.Infos) {
 			n.decMsg = nil

@@ -36,11 +36,9 @@ func intoDataPhase(t *testing.T, cfg Config) (*Network, map[topo.NodeID][]dataSe
 		t.Fatal(err)
 	}
 	sends := map[topo.NodeID][]dataSend{}
-	last := ^uint64(0)
-	net.medium.SetReceiver(func(frame uint64, from, to topo.NodeID, edge int, payload []byte) {
-		net.receive(frame, from, to, edge, payload)
-		if d, ok := net.decMsg.(*wire.Data); ok && frame != last {
-			last = frame
+	net.medium.SetReceiver(func(first bool, from, to topo.NodeID, edge int, payload []byte) {
+		net.receive(first, from, to, edge, payload)
+		if d, ok := net.decMsg.(*wire.Data); ok && first {
 			at := net.sim.Now() - net.medium.Airtime(len(payload)) - radio.DefaultPropagationDelay
 			sends[from] = append(sends[from], dataSend{at: at, seq: d.Seq})
 		}

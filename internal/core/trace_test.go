@@ -124,8 +124,8 @@ func TestActionTraceGolden(t *testing.T) {
 func runCheckingActors(t *testing.T, net *Network, check func(nd *node)) (delivered [msgStatsSlots]int) {
 	t.Helper()
 	misplaced := 0
-	net.medium.SetReceiver(func(frame uint64, from, to topo.NodeID, edge int, payload []byte) {
-		net.receive(frame, from, to, edge, payload)
+	net.medium.SetReceiver(func(first bool, from, to topo.NodeID, edge int, payload []byte) {
+		net.receive(first, from, to, edge, payload)
 		if net.decMsg == nil {
 			return // undecodable: never reaches the node program
 		}

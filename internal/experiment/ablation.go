@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/core"
 	"slpdas/internal/metrics"
 	"slpdas/internal/topo"
@@ -87,7 +88,7 @@ func Ablation(gridSize, repeats int, baseSeed uint64, labelHeaders []string, arm
 // (DESIGN.md A2): the exhaustive worst case of Algorithm 1 over one
 // settled schedule.
 type AttackerPoint struct {
-	Params         verify.Params
+	Params         attacker.Params
 	Captured       bool
 	CapturePeriod  int
 	StatesExplored int
@@ -96,7 +97,7 @@ type AttackerPoint struct {
 // AttackerSweep builds one schedule with the given config and seed, then
 // verifies it against every attacker parameterisation using the
 // nondeterministic any-heard decision set.
-func AttackerSweep(gridSize int, cfg core.Config, seed uint64, params []verify.Params) ([]AttackerPoint, error) {
+func AttackerSweep(gridSize int, cfg core.Config, seed uint64, params []attacker.Params) ([]AttackerPoint, error) {
 	g, err := topo.DefaultGrid(gridSize)
 	if err != nil {
 		return nil, err

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/core"
-	"slpdas/internal/verify"
 )
 
 func TestSearchDistanceSweep(t *testing.T) {
@@ -45,7 +45,7 @@ func TestAblationRejectsUnknownColumnAndLabelMismatch(t *testing.T) {
 }
 
 func TestAttackerSweepMonotoneInStrength(t *testing.T) {
-	params := []verify.Params{
+	params := []attacker.Params{
 		{R: 1, H: 0, M: 1},
 		{R: 3, H: 0, M: 2},
 	}

@@ -51,7 +51,7 @@ func newBroadcastOp(tb testing.TB, c broadcastCase) func() {
 	sim := des.New()
 	m := New(sim, g, 1)
 	m.Reset(1, ch, c.collisions, nil)
-	m.SetReceiver(func(uint64, topo.NodeID, topo.NodeID, int, []byte) {})
+	m.SetReceiver(func(bool, topo.NodeID, topo.NodeID, int, []byte) {})
 	centre := topo.GridCentre(11)
 	if c.observed {
 		m.AddObserver(nopObserver{pos: g.Position(centre)})

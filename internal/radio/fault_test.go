@@ -21,7 +21,7 @@ func TestSenderDiesMidFrameDropsTail(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableNode(0) })
 	if err := sim.Run(); err != nil {
@@ -42,7 +42,7 @@ func TestReceiverDiesMidFlightDropsReception(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableNode(1) })
 	if err := sim.Run(); err != nil {
@@ -85,7 +85,7 @@ func TestEnableNodeRestoresTraffic(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 10)
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	m.DisableNode(0)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) }) // suppressed: sender down
 	sim.ScheduleAfter(time.Millisecond, func() { m.EnableNode(0) })
@@ -109,7 +109,7 @@ func TestDisableLinkBlocksBothDirections(t *testing.T) {
 	right := topo.GridIndex(3, 1, 2)
 	up := topo.GridIndex(3, 0, 1)
 	received := make(map[topo.NodeID]int)
-	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) {
+	m.SetReceiver(func(_ bool, _, to topo.NodeID, _ int, _ []byte) {
 		if to == centre || to == right || to == up {
 			received[to]++
 		}
@@ -142,7 +142,7 @@ func TestLinkFailsMidFlightDropsFrame(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	payload := make([]byte, 50)
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	sim.ScheduleAfter(midFlight(m, len(payload)), func() { m.DisableLink(0, 1) })
 	if err := sim.Run(); err != nil {
@@ -163,7 +163,7 @@ func TestResetClearsDownLinks(t *testing.T) {
 	}
 	payload := make([]byte, 10)
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

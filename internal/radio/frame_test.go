@@ -50,7 +50,7 @@ func TestRecycledFrameCorruptsLikeFreshReceptions(t *testing.T) {
 			m := New(sim, g, 1)
 			h := fnv.New64a()
 			pair := 0
-			m.SetReceiver(func(_ uint64, from, to topo.NodeID, _ int, _ []byte) {
+			m.SetReceiver(func(_ bool, from, to topo.NodeID, _ int, _ []byte) {
 				h.Write([]byte{byte(pair), byte(pair >> 8), byte(to), byte(from)})
 			})
 			var total Stats
@@ -91,7 +91,7 @@ func TestFrameRunsReceiversInNeighbourOrderThenScan(t *testing.T) {
 	sim, g, m := newTestMedium(t, 5)
 	var log []topo.NodeID
 	const scan = topo.NodeID(-2)
-	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) { log = append(log, to) })
+	m.SetReceiver(func(_ bool, _, to topo.NodeID, _ int, _ []byte) { log = append(log, to) })
 	// The observer sits between the two senders and hears both.
 	m.AddObserver(logObserver{pos: g.Position(topo.GridIndex(5, 1, 2)), log: &log, mark: scan})
 	first, second := topo.GridCentre(5), topo.GridIndex(5, 0, 2)
@@ -158,7 +158,7 @@ func TestReceiverDyingOnChargeRxSparesLaterReceivers(t *testing.T) {
 	m.Reset(1, nil, false, em)
 	em.m = m
 	got := map[topo.NodeID]int{}
-	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) { got[to]++ })
+	m.SetReceiver(func(_ bool, _, to topo.NodeID, _ int, _ []byte) { got[to]++ })
 	sim.ScheduleAfter(0, func() { m.Broadcast(centre, []byte{1, 2}) })
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
@@ -202,7 +202,7 @@ func TestDeliveredCandidateLeavesNoStaleRxLatest(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, ch, false, nil)
 	var got []topo.NodeID
-	m.SetReceiver(receiverAt(0, func(_ uint64, from topo.NodeID, _ []byte) { got = append(got, from) }))
+	m.SetReceiver(receiverAt(0, func(_ bool, from topo.NodeID, _ []byte) { got = append(got, from) }))
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(1, []byte{1})
 		m.Broadcast(2, make([]byte, 100))
@@ -221,12 +221,13 @@ func TestDeliveredCandidateLeavesNoStaleRxLatest(t *testing.T) {
 
 // TestReceiverEdgeIndexesSendersNeighbours checks every receiver call
 // against the graph: the edge it names is the receiver's index among the
-// sender's neighbours, and one frame's calls arrive in ascending edge
-// order. Every node broadcasts, in overlapping waves, on an 11×11 grid
-// and a 500-node random geometric graph, under an ideal channel, under
-// loss with collisions, and under SINR capture. One node is disabled and
-// one link downed, so some frames skip a neighbour and their later
-// receptions' edges run ahead of their places in the frame.
+// sender's neighbours, and one frame's calls arrive back to back, in
+// ascending edge order, the first flagged first and no other. Every node
+// broadcasts once, so the sender names the frame, in overlapping waves on
+// an 11×11 grid and a 500-node random geometric graph, under an ideal
+// channel, under loss with collisions, and under SINR capture. One node
+// is disabled and one link downed, so some frames skip a neighbour and
+// their later receptions' edges run ahead of their places in the frame.
 func TestReceiverEdgeIndexesSendersNeighbours(t *testing.T) {
 	grid, err := topo.DefaultGrid(11)
 	if err != nil {
@@ -262,17 +263,20 @@ func TestReceiverEdgeIndexesSendersNeighbours(t *testing.T) {
 				}
 				m.DisableNode(off)
 
-				var lastFrame uint64
-				lastEdge, place, calls, skipped, bad := -1, 0, 0, 0, 0
-				m.SetReceiver(func(frame uint64, from, to topo.NodeID, edge int, _ []byte) {
+				lastFrom := topo.None
+				delivered := make(map[topo.NodeID]bool) // frames with a reception
+				lastEdge, place, calls, firsts, skipped, bad := -1, 0, 0, 0, 0, 0
+				m.SetReceiver(func(first bool, from, to topo.NodeID, edge int, _ []byte) {
 					calls++
-					if frame != lastFrame {
-						lastFrame, lastEdge, place = frame, -1, 0
+					if first {
+						firsts++
+						lastFrom, lastEdge, place = from, -1, 0
 					}
+					delivered[from] = true
 					nbrs := g.Neighbors(from)
-					if edge < 0 || edge >= len(nbrs) || nbrs[edge] != to || edge <= lastEdge {
+					if from != lastFrom || edge < 0 || edge >= len(nbrs) || nbrs[edge] != to || edge <= lastEdge {
 						if bad++; bad <= 5 {
-							t.Errorf("frame %d %d→%d: edge %d after edge %d, sender's neighbours %v", frame, from, to, edge, lastEdge, nbrs)
+							t.Errorf("%d→%d (first %v): edge %d after edge %d of frame from %d, sender's neighbours %v", from, to, first, edge, lastEdge, lastFrom, nbrs)
 						}
 					}
 					if edge != place {
@@ -293,6 +297,9 @@ func TestReceiverEdgeIndexesSendersNeighbours(t *testing.T) {
 				st := m.Stats()
 				if calls == 0 || uint64(calls) != st.Deliveries {
 					t.Errorf("%d receiver calls, Deliveries = %d", calls, st.Deliveries)
+				}
+				if firsts != len(delivered) {
+					t.Errorf("%d calls flagged first, %d frames delivered a reception", firsts, len(delivered))
 				}
 				if skipped == 0 {
 					t.Error("no frame skipped a neighbour: no edge differed from its reception's place")

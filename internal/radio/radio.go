@@ -12,10 +12,10 @@
 // frame, a typed des.Runner that at the end of the reception window runs
 // every in-range reception in neighbour order and then the eavesdropper
 // scan. The frame owns the payload bytes, so all its receivers see one
-// buffer and one frame id, and a receiver that decodes needs to decode each
-// frame only once. The SINR accumulator keeps that discipline: contention
-// is float accumulation into per-receiver arrays, and the capture verdict
-// at delivery is branch-and-multiply only.
+// buffer, back to back, and the first of them is flagged: a receiver that
+// decodes needs to decode each frame only once. The SINR accumulator keeps
+// that discipline: contention is float accumulation into per-receiver
+// arrays, and the capture verdict at delivery is branch-and-multiply only.
 package radio
 
 import (
@@ -50,13 +50,13 @@ const (
 //
 // The payload slice is owned by the medium's frame pool and is only valid
 // for the duration of the call; receivers that keep payload bytes must
-// copy them. frame identifies the broadcast: every reception of one frame
-// gets the same non-zero id and the same payload, and no other frame of
-// this medium, in this or any later run after Reset, reuses the id.
-// Receivers that decode may therefore decode once per frame and share the
-// decoded message among that frame's receptions, which must treat it as
-// read-only.
-type Receiver func(frame uint64, from, to topo.NodeID, edge int, payload []byte)
+// copy them. A frame's receptions are delivered back to back, with no
+// other frame's between them, and first is true on the first delivered
+// reception of each frame and false on the rest, which get the same
+// payload. Receivers that decode may therefore decode when first is true
+// and share the decoded message among that frame's receptions, which must
+// treat it as read-only.
+type Receiver func(first bool, from, to topo.NodeID, edge int, payload []byte)
 
 // Observation is what an eavesdropper perceives about one transmission:
 // who transmitted, from where, and when — never the payload (the paper
@@ -143,9 +143,6 @@ type Medium struct {
 	rxBest   []float64
 
 	freeFrames []*frame // lint:immutable: free list; pooled objects carry no cross-run state
-	// frames numbers the broadcasts this medium has carried; the latest
-	// is the id handed to the receivers of the newest frame.
-	frames uint64 // lint:immutable: frame ids must never repeat, not even across Reset, so receivers can cache per frame
 
 	stats Stats
 }
@@ -155,7 +152,6 @@ type Medium struct {
 // loss draw, in neighbour order. Frames are pooled and recycled whole.
 type frame struct {
 	m    *Medium
-	id   uint64
 	from topo.NodeID
 	buf  []byte
 	rx   []reception // capacity ≥ sender degree before rxLatest takes &rx[i]
@@ -181,7 +177,8 @@ const maxDegree = math.MaxUint16 + 1
 // would share one instant and hold consecutive sequence numbers, so no
 // other event could run between them: running them as one event keeps the
 // event order. Each is still charged to the simulator as one executed
-// event, so Executed and the event budget count the same work.
+// event, so Executed and the event budget count the same work. The first
+// reception delivered is flagged first (see Receiver).
 //
 // A reception only counts if both endpoints are still up and the link is
 // still intact at the end of the reception window: a sender that died
@@ -204,6 +201,7 @@ const maxDegree = math.MaxUint16 + 1
 func (f *frame) Run() {
 	m := f.m
 	m.sim.CountExecuted(uint64(len(f.rx)))
+	first := true
 	for i := range f.rx {
 		r := &f.rx[i]
 		if !m.disabled[r.to] && !m.disabled[f.from] && !m.linkDown(f.from, r.to) {
@@ -218,7 +216,8 @@ func (f *frame) Run() {
 			default:
 				if m.recv != nil && !m.disabled[r.to] {
 					m.stats.Deliveries++
-					m.recv(f.id, f.from, r.to, int(r.edge), f.buf)
+					m.recv(first, f.from, r.to, int(r.edge), f.buf)
+					first = false
 				}
 			}
 		}
@@ -321,12 +320,10 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64) *Medium {
 // redraws), and all per-run state — failed nodes, collision windows, SINR
 // accumulators, observers, counters — cleared. The receiver survives (it
 // is wiring, not run state), as does the frame pool, which is the point:
-// a Reset medium broadcasts with warm pools from its first frame. Frame
-// ids keep counting, so a receiver's per-frame cache can never match a
-// frame of the previous run. The owning simulator must be
-// Reset alongside so in-flight frame events from the previous run are
-// discarded. A nil channel selects channel.Ideal; a nil meter disables
-// energy charging.
+// a Reset medium broadcasts with warm pools from its first frame. The
+// owning simulator must be Reset alongside so in-flight frame events from
+// the previous run are discarded. A nil channel selects channel.Ideal; a
+// nil meter disables energy charging.
 func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter EnergyMeter) {
 	if ch == nil {
 		ch = channel.Ideal{}
@@ -505,8 +502,6 @@ func (m *Medium) getFrame(from topo.NodeID, payload []byte, degree int) *frame {
 	} else {
 		f = &frame{m: m}
 	}
-	m.frames++
-	f.id = m.frames
 	f.from = from
 	f.buf = append(f.buf[:0], payload...)
 	if cap(f.rx) < degree {

@@ -14,10 +14,10 @@ import (
 
 // receiverAt returns a receiver that hands f the receptions at node n and
 // ignores every other.
-func receiverAt(n topo.NodeID, f func(frame uint64, from topo.NodeID, payload []byte)) Receiver {
-	return func(frame uint64, from, to topo.NodeID, _ int, payload []byte) {
+func receiverAt(n topo.NodeID, f func(first bool, from topo.NodeID, payload []byte)) Receiver {
+	return func(first bool, from, to topo.NodeID, _ int, payload []byte) {
 		if to == n {
-			f(frame, from, payload)
+			f(first, from, payload)
 		}
 	}
 }
@@ -35,7 +35,7 @@ func newTestMedium(t *testing.T, side int) (*des.Simulator, *topo.Graph, *Medium
 func TestBroadcastReachesOnlyNeighbours(t *testing.T) {
 	sim, g, m := newTestMedium(t, 5)
 	received := make(map[topo.NodeID][]byte)
-	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, payload []byte) {
+	m.SetReceiver(func(_ bool, _, to topo.NodeID, _ int, payload []byte) {
 		received[to] = payload
 	})
 	centre := topo.GridIndex(5, 2, 2)
@@ -73,7 +73,7 @@ func TestAirtimeScalesWithPayload(t *testing.T) {
 func TestDeliveryDelayedByAirtime(t *testing.T) {
 	sim, _, m := newTestMedium(t, 3)
 	var deliveredAt time.Duration
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { deliveredAt = sim.Now() }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { deliveredAt = sim.Now() }))
 	payload := make([]byte, 50)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, payload) })
 	if err := sim.Run(); err != nil {
@@ -94,7 +94,7 @@ func TestBernoulliLossRate(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, channel.Bernoulli{P: 0.3}, false, nil)
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	const trials = 5000
 	for i := 0; i < trials; i++ {
 		at := time.Duration(i) * time.Second
@@ -117,7 +117,7 @@ func TestBernoulliLossRate(t *testing.T) {
 func TestIdealLossless(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	for i := 0; i < 100; i++ {
 		at := time.Duration(i) * time.Second
 		if _, err := sim.Schedule(at, func() { m.Broadcast(0, []byte{1}) }); err != nil {
@@ -167,7 +167,7 @@ func TestCollisionCorruptsBothFrames(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, nil, true, nil)
 	got := map[topo.NodeID]int{}
-	m.SetReceiver(func(_ uint64, _, to topo.NodeID, _ int, _ []byte) { got[to]++ })
+	m.SetReceiver(func(_ bool, _, to topo.NodeID, _ int, _ []byte) { got[to]++ })
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, make([]byte, 20))
 		m.Broadcast(2, make([]byte, 20))
@@ -192,7 +192,7 @@ func TestNoCollisionWhenSeparatedInTime(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, nil, true, nil)
 	count := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { count++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { count++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, make([]byte, 20)) })
 	sim.ScheduleAfter(time.Second, func() { m.Broadcast(2, make([]byte, 20)) })
 	if err := sim.Run(); err != nil {
@@ -224,7 +224,7 @@ func TestThreeTransmissionTailOverlap(t *testing.T) {
 	m.Reset(1, nil, true, nil)
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
-	m.SetReceiver(receiverAt(centre, func(uint64, topo.NodeID, []byte) { got++ }))
+	m.SetReceiver(receiverAt(centre, func(bool, topo.NodeID, []byte) { got++ }))
 	// Fail the corner nodes so the three senders' frames meet only at the
 	// centre and the global drop counter isolates that receiver.
 	for _, corner := range []topo.NodeID{0, 2, 6, 8} {
@@ -261,7 +261,7 @@ func TestTailTransmissionAfterWindowCloses(t *testing.T) {
 	m.Reset(1, nil, true, nil)
 	centre := topo.GridIndex(3, 1, 1)
 	got := 0
-	m.SetReceiver(receiverAt(centre, func(uint64, topo.NodeID, []byte) { got++ }))
+	m.SetReceiver(receiverAt(centre, func(bool, topo.NodeID, []byte) { got++ }))
 	for _, corner := range []topo.NodeID{0, 2, 6, 8} {
 		m.DisableNode(corner)
 	}
@@ -289,7 +289,7 @@ func TestCollisionsDisabledByDefault(t *testing.T) {
 	sim := des.New()
 	m := New(sim, g, 1)
 	count := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { count++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { count++ }))
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, make([]byte, 20))
 		m.Broadcast(2, make([]byte, 20))
@@ -489,7 +489,7 @@ func TestBroadcastSteadyStateAllocFree(t *testing.T) {
 func TestDisabledNodeNeitherSendsNorReceives(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	count := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { count++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { count++ }))
 	m.DisableNode(1)
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1}) })
 	if err := sim.Run(); err != nil {
@@ -514,7 +514,7 @@ func TestDisabledNodeNeitherSendsNorReceives(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
-	m.SetReceiver(func(uint64, topo.NodeID, topo.NodeID, int, []byte) {})
+	m.SetReceiver(func(bool, topo.NodeID, topo.NodeID, int, []byte) {})
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, make([]byte, 10)) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -529,7 +529,7 @@ func TestStatsCounters(t *testing.T) {
 func TestPayloadCopiedNotAliased(t *testing.T) {
 	sim, _, m := newTestMedium(t, 2)
 	var got []byte
-	m.SetReceiver(receiverAt(1, func(_ uint64, _ topo.NodeID, p []byte) { got = p }))
+	m.SetReceiver(receiverAt(1, func(_ bool, _ topo.NodeID, p []byte) { got = p }))
 	buf := []byte{1, 2, 3}
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, buf)
@@ -556,7 +556,7 @@ func TestMediumResetClearsRunState(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, nil, true, nil)
 	var got int
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { got++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { got++ }))
 	obs := &fixedObserver{pos: g.Position(0)}
 	m.AddObserver(obs)
 	m.DisableNode(2)

@@ -38,7 +38,7 @@ func TestSINRCaptureStrongerFrameSurvives(t *testing.T) {
 	// 4.5m and node 3 at 9m.
 	sim, m := sinrMedium(t, 4, 4.5, 9, "logdist:2.4:0@sinr:3")
 	var got []topo.NodeID
-	m.SetReceiver(receiverAt(1, func(_ uint64, from topo.NodeID, _ []byte) { got = append(got, from) }))
+	m.SetReceiver(receiverAt(1, func(_ bool, from topo.NodeID, _ []byte) { got = append(got, from) }))
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, []byte{1})
 		m.Broadcast(3, []byte{2})
@@ -67,7 +67,7 @@ func TestSINRNearEqualPowersBothDrop(t *testing.T) {
 	// exactly 4.5m.
 	sim, m := sinrMedium(t, 3, 4.5, 4.5, "logdist:2.4:0@sinr:3")
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, []byte{1})
 		m.Broadcast(2, []byte{2})
@@ -96,7 +96,7 @@ func TestSINRNearEqualPowersBothDrop(t *testing.T) {
 func TestSINRLoneFrameDelivers(t *testing.T) {
 	sim, m := sinrMedium(t, 2, 4.5, 4.5, "logdist:2.4:0@sinr:3")
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -143,7 +143,7 @@ func TestEnergyMeterChargesTxAndRx(t *testing.T) {
 	m := New(sim, g, 1)
 	m.Reset(1, nil, false, em)
 	em.m = m
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) {}))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) {}))
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1, 2, 3}) })
 	if err := sim.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -169,7 +169,7 @@ func TestEnergyMeterChargesRxForCorruptedFrames(t *testing.T) {
 	m.Reset(1, nil, true, em)
 	em.m = m
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	sim.ScheduleAfter(0, func() {
 		m.Broadcast(0, []byte{1})
 		m.Broadcast(2, []byte{2})
@@ -199,7 +199,7 @@ func TestEnergyMeterSelfKillOnTx(t *testing.T) {
 	m.Reset(1, nil, false, em)
 	em.m = m
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	heard := 0
 	m.AddObserver(&staticObserver{pos: g.Position(0), heard: &heard})
 	sim.ScheduleAfter(0, func() { m.Broadcast(0, []byte{1}) })
@@ -230,7 +230,7 @@ func (o *staticObserver) Overhear(Observation) { *o.heard++ }
 func TestSINRWindowResetBetweenPeriods(t *testing.T) {
 	sim, m := sinrMedium(t, 2, 4.5, 4.5, "logdist:2.4:0@sinr:3")
 	delivered := 0
-	m.SetReceiver(receiverAt(1, func(uint64, topo.NodeID, []byte) { delivered++ }))
+	m.SetReceiver(receiverAt(1, func(bool, topo.NodeID, []byte) { delivered++ }))
 	for i := 0; i < 10; i++ {
 		at := time.Duration(i) * time.Second
 		if _, err := sim.Schedule(at, func() { m.Broadcast(0, []byte{7}) }); err != nil {

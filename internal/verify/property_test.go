@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/schedule"
 	"slpdas/internal/topo"
 )
@@ -12,7 +13,7 @@ import (
 // rules: every step is an edge, every destination is among the R
 // lowest-slot audible transmitters, and the period arithmetic reproduces
 // the reported capture period within δ.
-func replayTrace(g *topo.Graph, a *schedule.Assignment, p Params, trace []topo.NodeID, delta int) (int, bool) {
+func replayTrace(g *topo.Graph, a *schedule.Assignment, p attacker.Params, trace []topo.NodeID, delta int) (int, bool) {
 	if len(trace) < 2 || trace[0] != p.Start {
 		return 0, false
 	}
@@ -68,7 +69,7 @@ func TestQuickCounterexamplesReplay(t *testing.T) {
 				source = topo.NodeID(n)
 			}
 		}
-		p := Params{R: int(rRaw%3) + 1, M: int(mRaw%2) + 1, Start: sink}
+		p := attacker.Params{R: int(rRaw%3) + 1, M: int(mRaw%2) + 1, Start: sink}
 		delta := 3 * dist[source]
 		res, err := VerifySchedule(g, a, p, AnyHeardD, delta, source, Options{})
 		if err != nil {
@@ -106,7 +107,7 @@ func TestQuickMinimalityNeverBeatsHopDistance(t *testing.T) {
 				source = topo.NodeID(n)
 			}
 		}
-		p := Params{R: 2, M: 1, Start: sink}
+		p := attacker.Params{R: 2, M: 1, Start: sink}
 		res, err := VerifySchedule(g, a, p, AnyHeardD, 4*dist[source], source, Options{})
 		if err != nil {
 			return false

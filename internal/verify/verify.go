@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sort"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/schedule"
 	"slpdas/internal/topo"
 )
@@ -84,14 +85,6 @@ func UnvisitedD(candidates []Candidate, history []topo.NodeID) []topo.NodeID {
 	return out
 }
 
-// Params are the attacker parameters for verification.
-type Params struct {
-	R     int
-	H     int
-	M     int
-	Start topo.NodeID // s0
-}
-
 // Options tune the exploration.
 type Options struct {
 	// AllowWait permits the attacker to defer a later-slot move to the
@@ -124,9 +117,9 @@ type state struct {
 // VerifySchedule is Algorithm 1: it decides whether assignment a is
 // δ-SLP-aware for source against the given attacker on graph g, returning
 // a minimal-period counterexample when it is not.
-func VerifySchedule(g *topo.Graph, a *schedule.Assignment, p Params, d DecisionSet, delta int, source topo.NodeID, opts Options) (Result, error) {
-	if p.R < 1 || p.M < 1 || p.H < 0 {
-		return Result{}, fmt.Errorf("verify: invalid attacker params %+v", p)
+func VerifySchedule(g *topo.Graph, a *schedule.Assignment, p attacker.Params, d DecisionSet, delta int, source topo.NodeID, opts Options) (Result, error) {
+	if err := p.Validate(); err != nil {
+		return Result{}, fmt.Errorf("verify: %w", err)
 	}
 	if !g.Valid(p.Start) || !g.Valid(source) {
 		return Result{}, fmt.Errorf("verify: invalid start %d or source %d", p.Start, source)
@@ -191,7 +184,7 @@ type item struct {
 type explorer struct {
 	g       *topo.Graph
 	assign  *schedule.Assignment
-	params  Params
+	params  attacker.Params
 	decide  DecisionSet
 	delta   int
 	source  topo.NodeID
@@ -315,7 +308,12 @@ func (e *explorer) rebuild(idx int) []topo.NodeID {
 	return out
 }
 
-// --- binary heap ordered by (period, moves, insertion) ---
+// --- binary min-heap ordered by (period, moves) ---
+//
+// Items with equal (period, moves) leave the heap in whatever order the
+// sift-up and sift-down swaps leave them, not in insertion order; that
+// order is deterministic, and it picks which of several minimal-period
+// counterexamples VerifySchedule returns.
 
 func (e *explorer) push(it item) {
 	e.heap = append(e.heap, it)
@@ -366,7 +364,7 @@ func less(a, b item) bool {
 // periods. ok is false if no trace captures within the horizon. This is
 // the capture time δ(G,P,A) of Definition 4 measured in periods, and the
 // quantity compared in Definition 5.
-func MinCapturePeriod(g *topo.Graph, a *schedule.Assignment, p Params, d DecisionSet, source topo.NodeID, horizon int, opts Options) (int, bool, error) {
+func MinCapturePeriod(g *topo.Graph, a *schedule.Assignment, p attacker.Params, d DecisionSet, source topo.NodeID, horizon int, opts Options) (int, bool, error) {
 	res, err := VerifySchedule(g, a, p, d, horizon, source, opts)
 	if err != nil {
 		return 0, false, err
@@ -382,8 +380,8 @@ func MinCapturePeriod(g *topo.Graph, a *schedule.Assignment, p Params, d Decisio
 // DAS property and (2) its capture time strictly exceeds that of the
 // reference schedule F. The DAS property is checked at the weak level
 // (Definition 3); callers wanting the strong variant can check
-// schedule.IsStrongDAS separately.
-func IsSLPAwareDAS(g *topo.Graph, fs, f *schedule.Assignment, p Params, d DecisionSet, source topo.NodeID, horizon int, opts Options) (bool, error) {
+// len(schedule.CheckStrongDAS(g, fs)) == 0 separately.
+func IsSLPAwareDAS(g *topo.Graph, fs, f *schedule.Assignment, p attacker.Params, d DecisionSet, source topo.NodeID, horizon int, opts Options) (bool, error) {
 	if !schedule.IsWeakDAS(g, fs) {
 		return false, nil
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"testing"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/schedule"
 	"slpdas/internal/topo"
 )
@@ -44,7 +45,7 @@ func decoyLine(t *testing.T) (*topo.Graph, *schedule.Assignment) {
 
 func TestGradientLineCaptured(t *testing.T) {
 	g, a := gradientLine(t)
-	res, err := VerifySchedule(g, a, Params{R: 1, M: 1, Start: 4}, FirstHeardD, 10, 0, Options{})
+	res, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 1, Start: 4}, FirstHeardD, 10, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
 	}
@@ -67,7 +68,7 @@ func TestGradientLineCaptured(t *testing.T) {
 
 func TestCounterexampleReplays(t *testing.T) {
 	g, a := gradientLine(t)
-	res, err := VerifySchedule(g, a, Params{R: 1, M: 1, Start: 4}, FirstHeardD, 10, 0, Options{})
+	res, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 1, Start: 4}, FirstHeardD, 10, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
 	}
@@ -84,7 +85,7 @@ func TestCounterexampleReplays(t *testing.T) {
 
 func TestSafetyPeriodBoundary(t *testing.T) {
 	g, a := gradientLine(t)
-	p := Params{R: 1, M: 1, Start: 4}
+	p := attacker.Params{R: 1, M: 1, Start: 4}
 	// Capture takes exactly 4 periods: δ = 4 captures, δ = 3 does not.
 	res4, err := VerifySchedule(g, a, p, FirstHeardD, 4, 0, Options{})
 	if err != nil {
@@ -104,7 +105,7 @@ func TestSafetyPeriodBoundary(t *testing.T) {
 
 func TestDecoyAbsorbsFirstHeardAttacker(t *testing.T) {
 	g, a := decoyLine(t)
-	res, err := VerifySchedule(g, a, Params{R: 1, M: 1, Start: 4}, FirstHeardD, 100, 0, Options{})
+	res, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 1, Start: 4}, FirstHeardD, 100, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
 	}
@@ -117,7 +118,7 @@ func TestStrongerAttackerBreaksDecoyOnlyWithEnoughR(t *testing.T) {
 	g, a := decoyLine(t)
 	// R=2: node 1 (slot 4) is never among the two lowest audible slots at
 	// node 2 ({2:1, 3:2}), so even the nondeterministic attacker is safe.
-	res2, err := VerifySchedule(g, a, Params{R: 2, M: 2, Start: 4}, AnyHeardD, 100, 0, Options{})
+	res2, err := VerifySchedule(g, a, attacker.Params{R: 2, M: 2, Start: 4}, AnyHeardD, 100, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule R=2: %v", err)
 	}
@@ -126,7 +127,7 @@ func TestStrongerAttackerBreaksDecoyOnlyWithEnoughR(t *testing.T) {
 	}
 	// R=3 with two moves per period: node 1 becomes audible-and-eligible
 	// (uphill move 2→1 within the period), then 1→0 captures.
-	res3, err := VerifySchedule(g, a, Params{R: 3, M: 2, Start: 4}, AnyHeardD, 100, 0, Options{})
+	res3, err := VerifySchedule(g, a, attacker.Params{R: 3, M: 2, Start: 4}, AnyHeardD, 100, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule R=3: %v", err)
 	}
@@ -135,7 +136,7 @@ func TestStrongerAttackerBreaksDecoyOnlyWithEnoughR(t *testing.T) {
 	}
 	// With M=1 under strict Algorithm 1 semantics the uphill escape is
 	// discarded (move budget spent), so the decoy holds even at R=3.
-	res3m1, err := VerifySchedule(g, a, Params{R: 3, M: 1, Start: 4}, AnyHeardD, 100, 0, Options{})
+	res3m1, err := VerifySchedule(g, a, attacker.Params{R: 3, M: 1, Start: 4}, AnyHeardD, 100, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule R=3 M=1: %v", err)
 	}
@@ -172,7 +173,7 @@ func TestMovesWithinPeriodRequireLaterSlots(t *testing.T) {
 	// second hop must wait for the next period even with M=2. Total
 	// capture: period 1 (4→3), then periods 2,3,4.
 	g, a := gradientLine(t)
-	res, err := VerifySchedule(g, a, Params{R: 1, M: 2, Start: 4}, AnyHeardD, 10, 0, Options{})
+	res, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 2, Start: 4}, AnyHeardD, 10, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
 	}
@@ -199,7 +200,7 @@ func TestUphillMovesChainWithinPeriod(t *testing.T) {
 	a.Set(2, 3)
 	a.Set(3, 4)
 	a.Set(4, 100)
-	res, err := VerifySchedule(g, a, Params{R: 3, M: 2, Start: 0}, AnyHeardD, 1, 2, Options{})
+	res, err := VerifySchedule(g, a, attacker.Params{R: 3, M: 2, Start: 0}, AnyHeardD, 1, 2, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
 	}
@@ -210,7 +211,7 @@ func TestUphillMovesChainWithinPeriod(t *testing.T) {
 		t.Errorf("CapturePeriod = %d, want 0 (uphill moves stay in the opening period)", res.CapturePeriod)
 	}
 	// With M=1 the second uphill hop is discarded under strict semantics.
-	res1, err := VerifySchedule(g, a, Params{R: 3, M: 1, Start: 0}, AnyHeardD, 1, 2, Options{})
+	res1, err := VerifySchedule(g, a, attacker.Params{R: 3, M: 1, Start: 0}, AnyHeardD, 1, 2, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule M=1: %v", err)
 	}
@@ -233,14 +234,14 @@ func TestAllowWaitExploresDeferredMoves(t *testing.T) {
 	a.Set(2, 3)
 	a.Set(3, 4)
 	a.Set(4, 100)
-	strict, err := VerifySchedule(g, a, Params{R: 3, M: 1, Start: 0}, AnyHeardD, 5, 2, Options{})
+	strict, err := VerifySchedule(g, a, attacker.Params{R: 3, M: 1, Start: 0}, AnyHeardD, 5, 2, Options{})
 	if err != nil {
 		t.Fatalf("strict: %v", err)
 	}
 	if !strict.SLPAware {
 		t.Error("strict semantics: uphill chain with M=1 should not capture")
 	}
-	wait, err := VerifySchedule(g, a, Params{R: 3, M: 1, Start: 0}, AnyHeardD, 5, 2, Options{AllowWait: true})
+	wait, err := VerifySchedule(g, a, attacker.Params{R: 3, M: 1, Start: 0}, AnyHeardD, 5, 2, Options{AllowWait: true})
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}
@@ -254,7 +255,7 @@ func TestAllowWaitExploresDeferredMoves(t *testing.T) {
 
 func TestUnvisitedDWithHistory(t *testing.T) {
 	g, a := gradientLine(t)
-	res, err := VerifySchedule(g, a, Params{R: 2, M: 1, H: 1, Start: 4}, UnvisitedD, 10, 0, Options{})
+	res, err := VerifySchedule(g, a, attacker.Params{R: 2, M: 1, H: 1, Start: 4}, UnvisitedD, 10, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
 	}
@@ -265,7 +266,7 @@ func TestUnvisitedDWithHistory(t *testing.T) {
 
 func TestMinCapturePeriod(t *testing.T) {
 	g, a := gradientLine(t)
-	p := Params{R: 1, M: 1, Start: 4}
+	p := attacker.Params{R: 1, M: 1, Start: 4}
 	cap4, ok, err := MinCapturePeriod(g, a, p, FirstHeardD, 0, 100, Options{})
 	if err != nil {
 		t.Fatalf("MinCapturePeriod: %v", err)
@@ -288,7 +289,7 @@ func TestIsSLPAwareDAS(t *testing.T) {
 	// rejected regardless of its privacy.
 	gl, base := gradientLine(t)
 	_, decoy := decoyLine(t)
-	p := Params{R: 1, M: 1, Start: 4}
+	p := attacker.Params{R: 1, M: 1, Start: 4}
 	aware, err := IsSLPAwareDAS(gl, decoy, base, p, FirstHeardD, 0, 100, Options{})
 	if err != nil {
 		t.Fatalf("IsSLPAwareDAS: %v", err)
@@ -321,7 +322,7 @@ func TestIsSLPAwareDAS(t *testing.T) {
 	if !schedule.IsWeakDAS(g, f) {
 		t.Fatalf("baseline should be weak DAS: %v", schedule.CheckWeakDAS(g, f))
 	}
-	capF, okF, err := MinCapturePeriod(g, f, Params{R: 1, M: 1, Start: 4}, FirstHeardD, 0, 100, Options{})
+	capF, okF, err := MinCapturePeriod(g, f, attacker.Params{R: 1, M: 1, Start: 4}, FirstHeardD, 0, 100, Options{})
 	if err != nil {
 		t.Fatalf("MinCapturePeriod baseline: %v", err)
 	}
@@ -338,7 +339,7 @@ func TestIsSLPAwareDAS(t *testing.T) {
 	if !schedule.IsWeakDAS(g, fs) {
 		t.Fatalf("Fs should be weak DAS: %v", schedule.CheckWeakDAS(g, fs))
 	}
-	aware, err = IsSLPAwareDAS(g, fs, f, Params{R: 1, M: 1, Start: 4}, FirstHeardD, 0, 100, Options{})
+	aware, err = IsSLPAwareDAS(g, fs, f, attacker.Params{R: 1, M: 1, Start: 4}, FirstHeardD, 0, 100, Options{})
 	if err != nil {
 		t.Fatalf("IsSLPAwareDAS grid: %v", err)
 	}
@@ -357,7 +358,7 @@ func TestGreedyGridVerification(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GreedyDAS: %v", err)
 	}
-	p := Params{R: 1, M: 1, Start: sink}
+	p := attacker.Params{R: 1, M: 1, Start: sink}
 	res, err := VerifySchedule(g, a, p, FirstHeardD, 16, topo.GridTopLeft(), Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
@@ -381,23 +382,23 @@ func TestGreedyGridVerification(t *testing.T) {
 
 func TestVerifyErrors(t *testing.T) {
 	g, a := gradientLine(t)
-	if _, err := VerifySchedule(g, a, Params{R: 0, M: 1, Start: 4}, nil, 10, 0, Options{}); err == nil {
+	if _, err := VerifySchedule(g, a, attacker.Params{R: 0, M: 1, Start: 4}, nil, 10, 0, Options{}); err == nil {
 		t.Error("R=0 accepted")
 	}
-	if _, err := VerifySchedule(g, a, Params{R: 1, M: 1, Start: 99}, nil, 10, 0, Options{}); err == nil {
+	if _, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 1, Start: 99}, nil, 10, 0, Options{}); err == nil {
 		t.Error("invalid start accepted")
 	}
-	if _, err := VerifySchedule(g, a, Params{R: 1, M: 1, Start: 4}, nil, -1, 0, Options{}); err == nil {
+	if _, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 1, Start: 4}, nil, -1, 0, Options{}); err == nil {
 		t.Error("negative delta accepted")
 	}
-	if _, err := VerifySchedule(g, a, Params{R: 1, M: 1, Start: 4}, AnyHeardD, 10, 0, Options{MaxStates: 2}); err == nil {
+	if _, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 1, Start: 4}, AnyHeardD, 10, 0, Options{MaxStates: 2}); err == nil {
 		t.Error("state budget not enforced")
 	}
 }
 
 func TestNilDecisionDefaultsToFirstHeard(t *testing.T) {
 	g, a := gradientLine(t)
-	res, err := VerifySchedule(g, a, Params{R: 1, M: 1, Start: 4}, nil, 10, 0, Options{})
+	res, err := VerifySchedule(g, a, attacker.Params{R: 1, M: 1, Start: 4}, nil, 10, 0, Options{})
 	if err != nil {
 		t.Fatalf("VerifySchedule: %v", err)
 	}

@@ -64,8 +64,6 @@ type Message interface {
 	Kind() Type
 	// appendBody encodes the fields (without the type byte) onto buf.
 	appendBody(buf []byte) []byte
-	// decodeBody parses the fields from data, returning leftover bytes.
-	decodeBody(data []byte) ([]byte, error)
 }
 
 // NoSlot is the ⊥ slot/hop marker used inside messages.
@@ -183,27 +181,32 @@ func (d *Decoder) Unmarshal(data []byte) (Message, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
 	}
+	r := reader{data: data[1:]}
 	var m Message
 	switch Type(data[0]) {
 	case TypeHello:
+		d.hello.decodeBody(&r)
 		m = &d.hello
 	case TypeDissem:
+		d.dissem.decodeBody(&r)
 		m = &d.dissem
 	case TypeSearch:
+		d.search.decodeBody(&r)
 		m = &d.search
 	case TypeChange:
+		d.change.decodeBody(&r)
 		m = &d.change
 	case TypeData:
+		d.data.decodeBody(&r)
 		m = &d.data
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, data[0])
 	}
-	rest, err := m.decodeBody(data[1:])
-	if err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTrailingBytes, len(rest))
+	if len(r.data) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTrailingBytes, len(r.data))
 	}
 	return m, nil
 }
@@ -218,22 +221,6 @@ func appendUint(buf []byte, v uint64) []byte {
 	return binary.AppendUvarint(buf, v)
 }
 
-func readInt(data []byte) (int64, []byte, error) {
-	v, n := binary.Varint(data)
-	if n <= 0 {
-		return 0, nil, ErrTruncated
-	}
-	return v, data[n:], nil
-}
-
-func readUint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, ErrTruncated
-	}
-	return v, data[n:], nil
-}
-
 func appendBool(buf []byte, v bool) []byte {
 	if v {
 		return append(buf, 1)
@@ -241,11 +228,50 @@ func appendBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-func readBool(data []byte) (bool, []byte, error) {
-	if len(data) == 0 {
-		return false, nil, ErrTruncated
+// reader reads a frame's fields in order. Its error is sticky: the first
+// short field sets ErrTruncated, and every later read returns 0 and
+// consumes nothing, so a decodeBody is a straight list of reads with one
+// error check, in Unmarshal. Unmarshal calls each decodeBody on its
+// concrete type: a *reader passed through a Message interface method
+// would move the reader to the heap on every frame.
+type reader struct {
+	data []byte
+	err  error
+}
+
+// int reads a zig-zag varint, the encoding binary.AppendVarint writes.
+func (r *reader) int() int64 {
+	u := r.uint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (r *reader) uint() uint64 {
+	v, n := binary.Uvarint(r.data)
+	if n <= 0 {
+		r.fail(ErrTruncated)
+		return 0
 	}
-	return data[0] != 0, data[1:], nil
+	r.data = r.data[n:]
+	return v
+}
+
+func (r *reader) bool() bool {
+	if len(r.data) == 0 {
+		r.fail(ErrTruncated)
+		return false
+	}
+	v := r.data[0] != 0
+	r.data = r.data[1:]
+	return v
+}
+
+// fail records err unless an earlier read already failed, and empties
+// the data so every later read fails too.
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.data = nil
 }
 
 // --- per-message codecs ---
@@ -254,13 +280,8 @@ func (h *Hello) appendBody(buf []byte) []byte {
 	return appendInt(buf, int64(h.From))
 }
 
-func (h *Hello) decodeBody(data []byte) ([]byte, error) {
-	v, rest, err := readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	h.From = topo.NodeID(v)
-	return rest, nil
+func (h *Hello) decodeBody(r *reader) {
+	h.From = topo.NodeID(r.int())
 }
 
 func (d *Dissem) appendBody(buf []byte) []byte {
@@ -277,28 +298,15 @@ func (d *Dissem) appendBody(buf []byte) []byte {
 	return buf
 }
 
-func (d *Dissem) decodeBody(data []byte) ([]byte, error) {
-	v, data, err := readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	d.From = topo.NodeID(v)
-	d.Normal, data, err = readBool(data)
-	if err != nil {
-		return nil, err
-	}
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	d.Parent = topo.NodeID(v)
-	count, data, err := readUint(data)
-	if err != nil {
-		return nil, err
-	}
+func (d *Dissem) decodeBody(r *reader) {
+	d.From = topo.NodeID(r.int())
+	d.Normal = r.bool()
+	d.Parent = topo.NodeID(r.int())
+	count := r.uint()
 	const maxInfos = 1 << 16 // sanity bound against corrupt length prefixes
 	if count > maxInfos {
-		return nil, fmt.Errorf("%w: info count %d", ErrTruncated, count)
+		r.fail(fmt.Errorf("%w: info count %d", ErrTruncated, count))
+		count = 0
 	}
 	// Reuse the Infos backing array when decoding into a recycled message
 	// (Decoder scratch); fresh messages allocate exactly as before.
@@ -307,32 +315,16 @@ func (d *Dissem) decodeBody(data []byte) ([]byte, error) {
 	} else {
 		d.Infos = d.Infos[:0]
 	}
-	for i := uint64(0); i < count; i++ {
-		var info NodeInfo
-		v, data, err = readInt(data)
-		if err != nil {
-			return nil, err
-		}
-		info.Node = topo.NodeID(v)
-		v, data, err = readInt(data)
-		if err != nil {
-			return nil, err
-		}
-		info.Hop = int32(v)
-		v, data, err = readInt(data)
-		if err != nil {
-			return nil, err
-		}
-		info.Slot = int32(v)
-		u, rest, err := readUint(data)
-		if err != nil {
-			return nil, err
-		}
-		info.Version = uint32(u)
-		data = rest
-		d.Infos = append(d.Infos, info)
+	// The loop stops at the first short field, so a count the frame
+	// cannot hold appends no run of empty entries.
+	for i := uint64(0); i < count && r.err == nil; i++ {
+		d.Infos = append(d.Infos, NodeInfo{
+			Node:    topo.NodeID(r.int()),
+			Hop:     int32(r.int()),
+			Slot:    int32(r.int()),
+			Version: uint32(r.uint()),
+		})
 	}
-	return data, nil
 }
 
 func (s *Search) appendBody(buf []byte) []byte {
@@ -343,28 +335,11 @@ func (s *Search) appendBody(buf []byte) []byte {
 	return buf
 }
 
-func (s *Search) decodeBody(data []byte) ([]byte, error) {
-	v, data, err := readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	s.From = topo.NodeID(v)
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	s.ANode = topo.NodeID(v)
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	s.Dist = int32(v)
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	s.TTL = int32(v)
-	return data, nil
+func (s *Search) decodeBody(r *reader) {
+	s.From = topo.NodeID(r.int())
+	s.ANode = topo.NodeID(r.int())
+	s.Dist = int32(r.int())
+	s.TTL = int32(r.int())
 }
 
 func (c *Change) appendBody(buf []byte) []byte {
@@ -375,28 +350,11 @@ func (c *Change) appendBody(buf []byte) []byte {
 	return buf
 }
 
-func (c *Change) decodeBody(data []byte) ([]byte, error) {
-	v, data, err := readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	c.From = topo.NodeID(v)
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	c.ANode = topo.NodeID(v)
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	c.NSlot = int32(v)
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	c.Dist = int32(v)
-	return data, nil
+func (c *Change) decodeBody(r *reader) {
+	c.From = topo.NodeID(r.int())
+	c.ANode = topo.NodeID(r.int())
+	c.NSlot = int32(r.int())
+	c.Dist = int32(r.int())
 }
 
 func (d *Data) appendBody(buf []byte) []byte {
@@ -407,26 +365,9 @@ func (d *Data) appendBody(buf []byte) []byte {
 	return buf
 }
 
-func (d *Data) decodeBody(data []byte) ([]byte, error) {
-	v, data, err := readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	d.From = topo.NodeID(v)
-	v, data, err = readInt(data)
-	if err != nil {
-		return nil, err
-	}
-	d.Origin = topo.NodeID(v)
-	u, data, err := readUint(data)
-	if err != nil {
-		return nil, err
-	}
-	d.Seq = uint32(u)
-	u, data, err = readUint(data)
-	if err != nil {
-		return nil, err
-	}
-	d.Count = uint16(u)
-	return data, nil
+func (d *Data) decodeBody(r *reader) {
+	d.From = topo.NodeID(r.int())
+	d.Origin = topo.NodeID(r.int())
+	d.Seq = uint32(r.uint())
+	d.Count = uint16(r.uint())
 }

@@ -107,12 +107,55 @@ func TestTrailingBytesRejected(t *testing.T) {
 func TestCorruptInfoCountRejected(t *testing.T) {
 	// Hand-craft a DISSEM with an absurd info count.
 	buf := []byte{byte(TypeDissem)}
-	buf = appendInt(buf, 1)      // from
-	buf = appendBool(buf, true)  // normal
-	buf = appendInt(buf, 2)      // parent
+	buf = appendInt(buf, 1)     // from
+	buf = appendBool(buf, true) // normal
+	buf = appendInt(buf, 2)     // parent
+	head := buf
 	buf = appendUint(buf, 1<<40) // count, way past sanity bound
-	if _, err := new(Decoder).Unmarshal(buf); err == nil {
-		t.Error("absurd info count decoded without error")
+	if _, err := new(Decoder).Unmarshal(buf); !errors.Is(err, ErrTruncated) {
+		t.Errorf("absurd info count: err = %v, want ErrTruncated", err)
+	}
+	// A count within the bound but past the frame's end stops at the
+	// first missing entry instead of appending empty ones.
+	buf = appendUint(head, 1<<16)
+	var dec Decoder
+	if _, err := dec.Unmarshal(buf); !errors.Is(err, ErrTruncated) {
+		t.Errorf("count past the frame: err = %v, want ErrTruncated", err)
+	}
+	if n := len(dec.dissem.Infos); n > 1 {
+		t.Errorf("count past the frame appended %d entries, want at most 1", n)
+	}
+}
+
+// TestUnmarshalAllocFree: a warm Decoder decodes a frame of every type,
+// a DISSEM with 10 entries among them, without allocating. The reader
+// each frame is decoded through must stay on the stack.
+func TestUnmarshalAllocFree(t *testing.T) {
+	infos := make([]NodeInfo, 10)
+	for i := range infos {
+		infos[i] = NodeInfo{Node: topo.NodeID(i), Hop: int32(i), Slot: int32(2 * i), Version: uint32(i + 1)}
+	}
+	var frames [][]byte
+	for _, m := range []Message{
+		&Hello{From: 3},
+		&Dissem{From: 0, Normal: true, Parent: 4, Infos: infos},
+		&Search{From: 5, ANode: 6, Dist: 3, TTL: 20},
+		&Change{From: 7, ANode: 8, NSlot: 12, Dist: 1},
+		&Data{From: 2, Origin: 0, Seq: 99, Count: 3},
+	} {
+		frames = append(frames, AppendFrame(nil, m))
+	}
+	var dec Decoder
+	decodeAll := func() {
+		for _, f := range frames {
+			if _, err := dec.Unmarshal(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	decodeAll() // warm: the DISSEM scratch grows its Infos once
+	if allocs := testing.AllocsPerRun(100, decodeAll); allocs != 0 {
+		t.Errorf("decoding one frame of each type allocates %.1f times, want 0", allocs)
 	}
 }
 
