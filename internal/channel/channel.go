@@ -64,7 +64,10 @@ type CaptureParams struct {
 // deterministic: any per-frame randomness comes from the supplied stream
 // (the medium's shared "radio" stream), and any per-link state must be a
 // pure function of the Reset seed so arena reuse and worker scheduling
-// cannot change a draw.
+// cannot change a draw. A capture model (Capture returns ok) draws nothing
+// in Lost, and both its Lost and RxPowerMW are pure functions of (Reset
+// seed, from, to, dist), so the medium asks them once per directed edge
+// per run and keeps the verdict.
 type Model interface {
 	// Spec returns the canonical grammar string; Parse(Spec()) is the
 	// identity on canonical specs.

@@ -56,6 +56,8 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgShadow.Energy = es
+	cfgSINR := Default()
+	cfgSINR.Channel = "logdist:2.4:4@sinr:3"
 	cfgDrain := Default()
 	if cfgDrain.Energy, err = energy.Parse("battery:2"); err != nil {
 		t.Fatal(err)
@@ -79,6 +81,9 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 		// Shadowed SINR channel with battery depletion: Reset must redraw
 		// the per-link shadowing cache and rewind every energy field.
 		{"shadow-energy/seed5", cfgShadow, 5},
+		// The same capture channel straight after, at another seed: the
+		// medium's per-edge verdicts from seed 5 must not carry over.
+		{"sinr/seed7", cfgSINR, 7},
 		// Batteries that run flat: the deaths count as energy deaths, not
 		// as node failures, in a run without faults.
 		{"drain/seed6", cfgDrain, 6},

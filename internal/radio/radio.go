@@ -142,6 +142,15 @@ type Medium struct {
 	rxSum    []float64
 	rxBest   []float64
 
+	// edgePower holds, under a capture channel, each directed edge's
+	// verdict for the run, indexed by g.FirstEdge(from)+k for the edge to
+	// Neighbors(from)[k]: 0 until the edge's first candidate reception asks
+	// the channel, then the received power in mW, or lostEdge. A capture
+	// channel's verdict is fixed for the run (see channel.Model), so every
+	// later reception reads it back. Allocated by the first Reset that
+	// installs a capture channel; other media never touch it.
+	edgePower []float64
+
 	freeFrames []*frame // lint:immutable: free list; pooled objects carry no cross-run state
 
 	stats Stats
@@ -170,6 +179,10 @@ type reception struct {
 
 // maxDegree is the largest sender degree a reception's edge can index.
 const maxDegree = math.MaxUint16 + 1
+
+// lostEdge is the edgePower entry of an edge the channel loses: every
+// frame across it is dropped for the rest of the run.
+const lostEdge = -1
 
 // Run implements des.Runner at the end of the reception window: the frame
 // arrives at each receiver in neighbour order, then ends at the
@@ -318,12 +331,12 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64) *Medium {
 // stream is reseeded in place, the channel model swapped for the new run's
 // configuration (and itself Reset to the new seed so per-link shadowing
 // redraws), and all per-run state — failed nodes, collision windows, SINR
-// accumulators, observers, counters — cleared. The receiver survives (it
-// is wiring, not run state), as does the frame pool, which is the point:
-// a Reset medium broadcasts with warm pools from its first frame. The
-// owning simulator must be Reset alongside so in-flight frame events from
-// the previous run are discarded. A nil channel selects channel.Ideal; a
-// nil meter disables energy charging.
+// accumulators, capture verdicts, observers, counters — cleared. The
+// receiver survives (it is wiring, not run state), as does the frame
+// pool, which is the point: a Reset medium broadcasts with warm pools
+// from its first frame. The owning simulator must be Reset alongside so
+// in-flight frame events from the previous run are discarded. A nil
+// channel selects channel.Ideal; a nil meter disables energy charging.
 func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter EnergyMeter) {
 	if ch == nil {
 		ch = channel.Ideal{}
@@ -334,6 +347,10 @@ func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter Ene
 	m.capture, m.sinr = ch.Capture()
 	ch.Reset(seed)
 	m.pcg.Seed(xrand.SeedsNamed(seed, "radio"))
+	clear(m.edgePower)
+	if m.sinr && m.edgePower == nil {
+		m.edgePower = make([]float64, 2*m.g.EdgeCount())
+	}
 	for i := range m.disabled {
 		m.disabled[i] = false
 		m.rxEnd[i] = 0
@@ -439,6 +456,7 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 	endAt := now + delay
 	nbrs := m.g.Neighbors(from)
 	dists := m.g.NeighborDistances(from)[:len(nbrs)] // one bounds check for the loop
+	base := m.g.FirstEdge(from)
 	f := m.getFrame(from, payload, len(nbrs))
 
 	// Collect receptions at in-range nodes, applying loss and collisions.
@@ -447,15 +465,19 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 		if m.disabled[to] || m.linkDown(from, to) {
 			continue
 		}
-		dist := dists[j]
-		if m.ch.Lost(from, to, dist, m.rng) {
+		var power float64
+		if m.sinr {
+			power = m.edgeVerdict(base+j, from, to, dists[j])
+		} else if m.ch.Lost(from, to, dists[j], m.rng) {
+			power = lostEdge
+		}
+		if power == lostEdge {
 			m.stats.LossDrops++
 			continue
 		}
-		f.rx = append(f.rx, reception{to: to, edge: uint16(j)})
+		f.rx = append(f.rx, reception{to: to, edge: uint16(j), power: power})
 		r := &f.rx[len(f.rx)-1]
 		if m.sinr {
-			r.power = m.ch.RxPowerMW(from, to, dist)
 			m.contend(r, now, endAt)
 		} else if m.collisions {
 			if m.rxEnd[to] > now {
@@ -485,6 +507,27 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 	// positions (see Observer), so an observer registered while the frame
 	// is on the air must hear it, as the convention promises.
 	m.sim.ScheduleRunnerAfter(delay, f)
+}
+
+// edgeVerdict returns the capture channel's verdict on directed edge e,
+// from→to at dist metres, for this run: the received power in mW, or
+// lostEdge. The channel is asked, Lost then RxPowerMW, on the edge's first
+// candidate reception after Reset, and every later one reads edgePower.
+// Only capture channels come here: their Lost draws nothing from the
+// shared stream, so asking once per edge leaves its draw sequence as it
+// was.
+//
+//slp:hotpath
+func (m *Medium) edgeVerdict(e int, from, to topo.NodeID, dist float64) float64 {
+	v := m.edgePower[e]
+	if v == 0 {
+		v = lostEdge
+		if !m.ch.Lost(from, to, dist, m.rng) {
+			v = m.ch.RxPowerMW(from, to, dist)
+		}
+		m.edgePower[e] = v
+	}
+	return v
 }
 
 // getFrame draws a frame from the pool for a broadcast by a sender of the

@@ -472,6 +472,100 @@ func TestChannelSeesPositionDistances(t *testing.T) {
 	}
 }
 
+// verdictRecorder is a channel that counts the Lost and RxPowerMW calls
+// on each directed link and loses the links lostLink names. capture says
+// whether it reports itself a capture channel.
+type verdictRecorder struct {
+	channel.Ideal
+	capture     bool
+	lost, power map[[2]topo.NodeID]int
+}
+
+// lostLink names the links verdictRecorder loses: those whose endpoint
+// IDs sum to a multiple of three.
+func lostLink(from, to topo.NodeID) bool { return (from+to)%3 == 0 }
+
+func (c *verdictRecorder) Lost(from, to topo.NodeID, _ float64, _ *rand.Rand) bool {
+	c.lost[[2]topo.NodeID{from, to}]++
+	return lostLink(from, to)
+}
+
+func (c *verdictRecorder) RxPowerMW(from, to topo.NodeID, _ float64) float64 {
+	c.power[[2]topo.NodeID{from, to}]++
+	return 1
+}
+
+func (c *verdictRecorder) Capture() (channel.CaptureParams, bool) {
+	return channel.CaptureParams{ThresholdMW: 1, NoiseMW: 1e-9}, c.capture
+}
+
+// TestCaptureChannelAskedOncePerEdgePerRun broadcasts three times from
+// every node of a grid, in two runs, and counts the calls the channel gets
+// on each directed edge. A capture channel is asked Lost once per edge and
+// RxPowerMW once per edge it did not lose, however many frames cross the
+// edge, and is asked again after Reset; every later frame gets the verdict
+// it gave. A non-capture channel is asked Lost on every candidate
+// reception, so its draws from the shared stream stay one per frame.
+func TestCaptureChannelAskedOncePerEdgePerRun(t *testing.T) {
+	const rounds = 3
+	g, err := topo.DefaultGrid(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capture := range []bool{true, false} {
+		ch := &verdictRecorder{capture: capture}
+		sim := des.New()
+		m := New(sim, g, 1)
+		m.SetReceiver(func(bool, topo.NodeID, topo.NodeID, int, []byte) {})
+		for run := uint64(1); run <= 2; run++ {
+			sim.Reset()
+			m.Reset(run, ch, false, nil)
+			ch.lost, ch.power = map[[2]topo.NodeID]int{}, map[[2]topo.NodeID]int{}
+			for r := 0; r < rounds; r++ {
+				for n := topo.NodeID(0); int(n) < g.Len(); n++ {
+					at := time.Duration(r*g.Len()+int(n)) * time.Millisecond
+					sim.ScheduleAfter(at, func() { m.Broadcast(n, []byte{1}) })
+				}
+			}
+			if err := sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+			wantLost := rounds
+			if capture {
+				wantLost = 1
+			}
+			var lostEdges uint64
+			for from := topo.NodeID(0); int(from) < g.Len(); from++ {
+				for _, to := range g.Neighbors(from) {
+					link := [2]topo.NodeID{from, to}
+					wantPower := wantLost
+					if lostLink(from, to) {
+						wantPower = 0
+						lostEdges++
+					}
+					if !capture {
+						wantPower = 0
+					}
+					if got := ch.lost[link]; got != wantLost {
+						t.Errorf("capture=%v run %d: Lost(%d, %d) asked %d times, want %d", capture, run, from, to, got, wantLost)
+					}
+					if got := ch.power[link]; got != wantPower {
+						t.Errorf("capture=%v run %d: RxPowerMW(%d, %d) asked %d times, want %d", capture, run, from, to, got, wantPower)
+					}
+				}
+			}
+			if len(ch.lost) != 2*g.EdgeCount() {
+				t.Errorf("capture=%v run %d: Lost asked on %d links, want the %d directed edges", capture, run, len(ch.lost), 2*g.EdgeCount())
+			}
+			st := m.Stats()
+			if st.LossDrops != rounds*lostEdges || st.Deliveries != rounds*(uint64(2*g.EdgeCount())-lostEdges) {
+				t.Errorf("capture=%v run %d: %d loss drops and %d deliveries, want %d and %d",
+					capture, run, st.LossDrops, st.Deliveries, rounds*lostEdges, rounds*(uint64(2*g.EdgeCount())-lostEdges))
+			}
+		}
+	}
+}
+
 // TestBroadcastSteadyStateAllocFree holds every broadcastCase at zero
 // allocations once the pools are warm: the frame pool, the collision and
 // SINR windows and the observer scan must all reuse their storage.

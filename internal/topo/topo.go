@@ -455,6 +455,12 @@ func (g *Graph) NeighborDistances(n NodeID) []float64 {
 	return g.distFlat[lo:hi:hi]
 }
 
+// FirstEdge returns the index of n's first directed edge: the edge from n
+// to Neighbors(n)[k] is FirstEdge(n)+k, and the indexes of all directed
+// edges run from 0 to 2·EdgeCount()−1 without gaps. Per-edge tables sized
+// 2·EdgeCount() index by it, in the order of NeighborDistances.
+func (g *Graph) FirstEdge(n NodeID) int { return g.off[n] }
+
 // HasEdge reports whether nodes a and b are within communication range.
 func (g *Graph) HasEdge(a, b NodeID) bool {
 	if a == b {

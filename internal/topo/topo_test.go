@@ -360,7 +360,8 @@ func TestPointDistance(t *testing.T) {
 // one length per edge, computed from the lower-numbered end, and both
 // directions serve it, which holds only because DistanceTo is symmetric to
 // the last bit (a-b and b-a differ only in sign; Hypot takes absolute
-// values).
+// values). FirstEdge numbers the directed edges in the same order, without
+// gaps.
 func TestNeighborDistancesMatchPositions(t *testing.T) {
 	var graphs []*Graph
 	add := func(g *Graph, err error) {
@@ -382,6 +383,9 @@ func TestNeighborDistancesMatchPositions(t *testing.T) {
 			nbrs, dists := g.Neighbors(a), g.NeighborDistances(a)
 			if len(dists) != len(nbrs) {
 				t.Fatalf("%s: node %d has %d neighbours but %d distances", g.Name(), a, len(nbrs), len(dists))
+			}
+			if got := g.FirstEdge(a); got != edges {
+				t.Fatalf("%s: FirstEdge(%d) = %d, want %d, the directed edges before it", g.Name(), a, got, edges)
 			}
 			for j, b := range nbrs {
 				got := math.Float64bits(dists[j])

@@ -303,9 +303,10 @@ func (d *Dissem) decodeBody(r *reader) {
 	d.Normal = r.bool()
 	d.Parent = topo.NodeID(r.int())
 	count := r.uint()
-	const maxInfos = 1 << 16 // sanity bound against corrupt length prefixes
-	if count > maxInfos {
-		r.fail(fmt.Errorf("%w: info count %d", ErrTruncated, count))
+	// Each entry takes at least four bytes, so a count the rest of the
+	// frame cannot hold is refused before the scratch grows to fit it.
+	if count > uint64(len(r.data)/4) {
+		r.fail(ErrTruncated)
 		count = 0
 	}
 	// Reuse the Infos backing array when decoding into a recycled message

@@ -111,19 +111,51 @@ func TestCorruptInfoCountRejected(t *testing.T) {
 	buf = appendBool(buf, true) // normal
 	buf = appendInt(buf, 2)     // parent
 	head := buf
-	buf = appendUint(buf, 1<<40) // count, way past sanity bound
+	buf = appendUint(buf, 1<<40) // count, far past what the frame holds
 	if _, err := new(Decoder).Unmarshal(buf); !errors.Is(err, ErrTruncated) {
 		t.Errorf("absurd info count: err = %v, want ErrTruncated", err)
 	}
-	// A count within the bound but past the frame's end stops at the
-	// first missing entry instead of appending empty ones.
-	buf = appendUint(head, 1<<16)
+	// A count the bytes could hold at four per entry, whose second entry
+	// runs short, stops there instead of appending a third, empty one.
+	buf = appendUint(head, 3)
+	buf = append(buf, 1, 1, 1, 1)                                     // one whole entry
+	buf = append(buf, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80) // an unterminated varint
 	var dec Decoder
 	if _, err := dec.Unmarshal(buf); !errors.Is(err, ErrTruncated) {
-		t.Errorf("count past the frame: err = %v, want ErrTruncated", err)
+		t.Errorf("short entry: err = %v, want ErrTruncated", err)
 	}
-	if n := len(dec.dissem.Infos); n > 1 {
-		t.Errorf("count past the frame appended %d entries, want at most 1", n)
+	if n := len(dec.dissem.Infos); n > 2 {
+		t.Errorf("short entry: decoded %d entries, want at most 2", n)
+	}
+}
+
+// TestOversizedInfoCountAllocatesNothing: a 7-byte DISSEM whose info
+// count is 65,536 cannot hold its entries. A warm Decoder refuses it with
+// ErrTruncated before growing its Infos scratch, and allocates nothing.
+func TestOversizedInfoCountAllocatesNothing(t *testing.T) {
+	var dec Decoder
+	if _, err := dec.Unmarshal(AppendFrame(nil, &Dissem{From: 1, Parent: 2, Infos: make([]NodeInfo, 10)})); err != nil {
+		t.Fatal(err)
+	}
+	warm := cap(dec.dissem.Infos)
+	buf := []byte{byte(TypeDissem)}
+	buf = appendInt(buf, 1)     // from
+	buf = appendBool(buf, true) // normal
+	buf = appendInt(buf, 2)     // parent
+	buf = appendUint(buf, 1<<16)
+	if len(buf) != 7 {
+		t.Fatalf("corrupt frame is %d bytes, want 7", len(buf))
+	}
+	var err error
+	allocs := testing.AllocsPerRun(10, func() { _, err = dec.Unmarshal(buf) })
+	if !errors.Is(err, ErrTruncated) {
+		t.Errorf("err = %v, want ErrTruncated", err)
+	}
+	if got := cap(dec.dissem.Infos); got != warm {
+		t.Errorf("Infos capacity %d after the corrupt frame, want %d as before", got, warm)
+	}
+	if allocs != 0 {
+		t.Errorf("refusing the corrupt frame allocates %.1f/op, want 0", allocs)
 	}
 }
 
