@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"slpdas/internal/attacker"
+	"slpdas/internal/channel"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
 	"slpdas/internal/schedule"
@@ -150,9 +151,8 @@ func BenchmarkAblationAttacker(b *testing.B) {
 // paper evaluates the ideal channel; this quantifies robustness under the
 // casino-lab substitute and Bernoulli loss.
 func BenchmarkAblationLossModel(b *testing.B) {
-	for _, loss := range []string{"ideal", "bernoulli:0.05", "rssi"} {
-		loss := loss
-		b.Run(loss, func(b *testing.B) {
+	for _, loss := range []channel.Model{channel.Ideal{}, channel.Bernoulli{P: 0.05}, channel.RSSI{}} {
+		b.Run(loss.Spec(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := core.DefaultSLP(3)
 				cfg.Channel = loss

@@ -20,7 +20,7 @@ func channelCampaignSpec(workers int) campaign.Spec {
 		GridSizes:       []int{5},
 		SearchDistances: []int{2},
 		Protocols:       []string{"protectionless", "slp"},
-		Channels:        []string{"logdist:2.4:4@sinr:3"},
+		Channels:        []string{"logdist:2.4:4", "logdist:2.4:4@sinr:3"},
 		Faults:          []string{"none", "churn:0.25:2"},
 		Energy:          []string{"battery:8"},
 		Repeats:         6,
@@ -47,12 +47,15 @@ func renderChannelCampaign(t *testing.T, spec campaign.Spec) []byte {
 // faults × protocols with batteries live is byte-identical across 1, 2, 4
 // and 8 workers, across a 2-way shard+merge, and across a kill+resume —
 // all against the single-worker reference. The non-vacuity guards prove
-// the new physics actually fired: SINR captures occurred and batteries
-// actually depleted nodes.
+// the new physics actually fired: SINR captures occurred in every capture
+// cell, none in the plain shadowed cells, and batteries actually depleted
+// nodes.
 func TestChannelEnergyCampaignDeterministic(t *testing.T) {
 	want := renderChannelCampaign(t, channelCampaignSpec(1))
-	if !strings.Contains(string(want), `"loss_model":"logdist:2.4:4@sinr:3"`) {
-		t.Fatalf("rows do not carry the canonical channel coordinate:\n%s", want)
+	for _, coord := range []string{`"loss_model":"logdist:2.4:4"`, `"loss_model":"logdist:2.4:4@sinr:3"`} {
+		if !strings.Contains(string(want), coord) {
+			t.Fatalf("rows do not carry the canonical channel coordinate %s:\n%s", coord, want)
+		}
 	}
 	if !strings.Contains(string(want), `"energy":"battery:8"`) {
 		t.Fatalf("rows do not carry the canonical energy coordinate:\n%s", want)
@@ -67,8 +70,8 @@ func TestChannelEnergyCampaignDeterministic(t *testing.T) {
 		if r.EnergyTotal <= 0 {
 			t.Fatalf("cell %d reports zero energy spend; the meter is vacuous", r.Cell)
 		}
-		if r.CaptureWins <= 0 {
-			t.Fatalf("cell %d reports zero SINR captures; the capture path is vacuous", r.Cell)
+		if capture := strings.HasSuffix(r.LossModel, "@sinr:3"); capture != (r.CaptureWins > 0) {
+			t.Fatalf("cell %d (%s) reports %v SINR captures; captures must come from capture cells only", r.Cell, r.LossModel, r.CaptureWins)
 		}
 	}
 	if deaths <= 0 {
@@ -128,8 +131,8 @@ func TestChannelEnergyResumeVerification(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScanResumable rejected its own output: %v", err)
 	}
-	if len(completed) != 4 {
-		t.Errorf("recovered %d cells, want 4", len(completed))
+	if len(completed) != 8 {
+		t.Errorf("recovered %d cells, want 8", len(completed))
 	}
 	other := channelCampaignSpec(2)
 	other.Energy = []string{"battery:100"}

@@ -66,6 +66,7 @@ import (
 	"strings"
 
 	"slpdas/internal/attacker"
+	"slpdas/internal/channel"
 	"slpdas/internal/core"
 	"slpdas/internal/experiment"
 	"slpdas/internal/metrics"
@@ -357,10 +358,13 @@ func runSweep(args []string) error {
 		// The paper-era trio: ideal, 5% Bernoulli loss and the rssi noise
 		// substitute, labelled in alphabetical order.
 		var arms []experiment.Arm
-		for _, m := range [][2]string{{"bernoulli-0.05", "bernoulli:0.05"}, {"ideal", "ideal"}, {"rssi-noise", "rssi"}} {
+		for _, m := range []struct {
+			label string
+			ch    channel.Model
+		}{{"bernoulli-0.05", channel.Bernoulli{P: 0.05}}, {"ideal", channel.Ideal{}}, {"rssi-noise", channel.RSSI{}}} {
 			cfg := core.DefaultSLP(*sd)
-			cfg.Channel = m[1]
-			arms = append(arms, experiment.Arm{Labels: []string{m[0]}, Config: cfg})
+			cfg.Channel = m.ch
+			arms = append(arms, experiment.Arm{Labels: []string{m.label}, Config: cfg})
 		}
 		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, []string{"channel model"}, arms, []experiment.Column{
 			{Header: "capture ratio", Metric: "capture_ratio"},

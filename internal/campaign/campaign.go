@@ -277,7 +277,7 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 	if err != nil {
 		return core.Config{}, fmt.Errorf("campaign: %w", err)
 	}
-	cfg.Channel = ch.Spec()
+	cfg.Channel = ch
 	fs, err := fault.Parse(faults)
 	if err != nil {
 		return core.Config{}, fmt.Errorf("campaign: %w", err)

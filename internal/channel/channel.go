@@ -1,10 +1,10 @@
 // Package channel declares the physical-layer families as one table in
 // name order — the channel-side mirror of internal/protocol and
-// internal/attacker. A Model decides, per link and per transmission,
-// whether a frame reaches a receiver, and (for power-based models) at what
-// received power, which is what SINR capture in the radio medium
-// consumes. Families are named by keyword and parse from the shared
-// textual grammar used by the campaign engine and the CLIs:
+// internal/attacker. A Model decides whether a frame reaches a receiver,
+// and (for power-based models) at what received power, which is what SINR
+// capture in the radio medium consumes. Families are named by keyword and
+// parse from the shared textual grammar used by the campaign engine and
+// the CLIs:
 //
 //	ideal                                  perfectly reliable channel
 //	bernoulli:<p>                          i.i.d. loss with probability p
@@ -15,13 +15,16 @@
 //	                                       binary collisions to SINR capture with
 //	                                       threshold t dB
 //
-// Determinism contract: ideal, bernoulli and rssi draw from the medium's
-// shared "radio" stream in exactly the sequence the original loss models
-// drew, so default campaigns stay byte-identical. logdist draws
-// nothing from shared streams: its per-link shadowing is a pure function
-// of (run seed, link), minted through a dedicated labelled xrand stream
-// and cached, so the value is independent of the order links are first
-// used in and of how many other links a run touches.
+// Every family is an immutable value of one of two kinds, told apart by
+// type. A frame family (ideal, bernoulli, rssi) is a FrameModel: it
+// decides each candidate reception from the link's length and the
+// medium's shared "radio" stream, drawing from it in exactly the sequence
+// the original loss models drew, so default campaigns stay byte-identical.
+// A link family (logdist) is a LinkModel: it turns a link's length and
+// fade into a verdict that holds for the whole run. It never sees the
+// shared stream; the medium draws each link's fade from a stream keyed by
+// (run seed, link) and asks the model once per directed edge per run. No
+// model holds run state, so one value serves any number of runs at once.
 package channel
 
 import (
@@ -31,9 +34,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"slpdas/internal/topo"
-	"slpdas/internal/xrand"
 )
 
 // Log-distance channel constants, shared with the calibrated rssi model:
@@ -60,28 +60,31 @@ type CaptureParams struct {
 	NoiseMW float64
 }
 
-// Model is one physical-layer channel. Implementations must be
-// deterministic: any per-frame randomness comes from the supplied stream
-// (the medium's shared "radio" stream), and any per-link state must be a
-// pure function of the Reset seed so arena reuse and worker scheduling
-// cannot change a draw. A capture model (Capture returns ok) draws nothing
-// in Lost, and both its Lost and RxPowerMW are pure functions of (Reset
-// seed, from, to, dist), so the medium asks them once per directed edge
-// per run and keeps the verdict.
+// Model is one physical-layer channel: a FrameModel or a LinkModel, never
+// both (Validate checks). Models are immutable values.
 type Model interface {
 	// Spec returns the canonical grammar string; Parse(Spec()) is the
 	// identity on canonical specs.
 	Spec() string
-	// Reset rewinds per-run channel state (shadowing caches) for a new run
-	// seed. Stateless models no-op.
-	Reset(seed uint64)
-	// Lost reports whether the frame from→to at distance dist metres is
-	// dropped before reception (below sensitivity, or unlucky).
-	Lost(from, to topo.NodeID, dist float64, rng *rand.Rand) bool
-	// RxPowerMW returns the linear received power of a surviving frame,
-	// consumed by the medium's SINR accumulator. Models without a power
-	// axis return a nominal constant.
-	RxPowerMW(from, to topo.NodeID, dist float64) float64
+}
+
+// FrameModel is a channel that decides each candidate reception on its
+// own.
+type FrameModel interface {
+	Model
+	// Lost reports whether a frame crossing a link dist metres long is
+	// dropped before reception. Any randomness comes from rng, the
+	// medium's shared "radio" stream.
+	Lost(dist float64, rng *rand.Rand) bool
+}
+
+// LinkModel is a channel whose verdict on a link holds for the whole run.
+type LinkModel interface {
+	Model
+	// RxPowerMW returns the linear received power of a frame crossing a
+	// link dist metres long whose fade is fade, a standard normal drawn
+	// once per (run seed, link), and false when the frame is lost.
+	RxPowerMW(dist, fade float64) (float64, bool)
 	// Capture returns the SINR capture parameters and whether capture is
 	// enabled; ok=false leaves the medium on its binary collision model.
 	Capture() (CaptureParams, bool)
@@ -91,7 +94,7 @@ type Model interface {
 // summary for listings, and the argument parser. Parse receives the text
 // after "name:" with hasArgs distinguishing "name" from "name:"; it must
 // consume the arguments completely — trailing garbage is a parse error,
-// never silently ignored.
+// never silently ignored. Parameter ranges are Validate's to check.
 type Family struct {
 	Name    string
 	Summary string
@@ -108,8 +111,8 @@ var families = [...]Family{
 			if !hasArgs {
 				return nil, fmt.Errorf("channel: bernoulli needs a probability (bernoulli:<p>)")
 			}
-			p, err := parseFinite(args)
-			if err != nil || p < 0 || p > 1 {
+			p, err := strconv.ParseFloat(args, 64)
+			if err != nil {
 				return nil, fmt.Errorf("channel: bad bernoulli probability %q (want a finite p in [0, 1])", args)
 			}
 			return Bernoulli{P: p}, nil
@@ -136,15 +139,15 @@ var families = [...]Family{
 			if !ok {
 				return nil, fmt.Errorf("channel: logdist wants two arguments (logdist:<n>:<sigma>), got %q", args)
 			}
-			exp, err := parseFinite(expStr)
-			if err != nil || exp <= 0 {
+			exp, err := strconv.ParseFloat(expStr, 64)
+			if err != nil {
 				return nil, fmt.Errorf("channel: bad logdist path-loss exponent %q (want a finite n > 0)", expStr)
 			}
-			sigma, err := parseFinite(sigmaStr)
-			if err != nil || sigma < 0 {
+			sigma, err := strconv.ParseFloat(sigmaStr, 64)
+			if err != nil {
 				return nil, fmt.Errorf("channel: bad logdist shadowing sigma %q (want a finite sigma >= 0)", sigmaStr)
 			}
-			return NewLogDistance(exp, sigma), nil
+			return LogDistance{Exp: exp, Sigma: sigma}, nil
 		},
 	},
 	{
@@ -172,7 +175,8 @@ func Names() []string {
 // ideal. The optional "@sinr:<t>" suffix enables SINR capture and is only
 // meaningful on power-based families (logdist). Parse is strict: trailing
 // garbage after a valid prefix ("bernoulli:0.5x", "rssi:", "idealx") is
-// an error, and Parse∘Spec is the identity on every canonical spec.
+// an error, every model it returns passes Validate, and Parse∘Spec is the
+// identity on every canonical spec.
 func Parse(s string) (Model, error) {
 	t := strings.TrimSpace(s)
 	if t == "" {
@@ -188,37 +192,55 @@ func Parse(s string) (Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !hasCap {
-		return m, nil
+	if hasCap {
+		ld, ok := m.(LogDistance)
+		if !ok {
+			return nil, fmt.Errorf("channel: %q: SINR capture needs a power-based channel (logdist)", s)
+		}
+		thrStr, ok := strings.CutPrefix(capSpec, "sinr:")
+		if !ok {
+			return nil, fmt.Errorf("channel: bad capture suffix %q in %q (want @sinr:<threshold dB>)", capSpec, s)
+		}
+		if ld.sinrDB, err = strconv.ParseFloat(thrStr, 64); err != nil {
+			return nil, fmt.Errorf("channel: bad SINR threshold %q in %q (want a finite dB value)", thrStr, s)
+		}
+		ld.sinrOn = true
+		m = ld
 	}
-	ld, ok := m.(*LogDistance)
-	if !ok {
-		return nil, fmt.Errorf("channel: %q: SINR capture needs a power-based channel (logdist)", s)
+	if err := Validate(m); err != nil {
+		return nil, err
 	}
-	thrStr, ok := strings.CutPrefix(capSpec, "sinr:")
-	if !ok {
-		return nil, fmt.Errorf("channel: bad capture suffix %q in %q (want @sinr:<threshold dB>)", capSpec, s)
-	}
-	thr, err := parseFinite(thrStr)
-	if err != nil {
-		return nil, fmt.Errorf("channel: bad SINR threshold %q in %q (want a finite dB value)", thrStr, s)
-	}
-	ld.sinrOn = true
-	ld.sinrDB = thr
-	return ld, nil
+	return m, nil
 }
 
-// parseFinite is strconv.ParseFloat rejecting NaN and ±Inf, which
-// otherwise parse successfully and then slip past every range comparison.
-func parseFinite(s string) (float64, error) {
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, err
+// Validate reports a model that is not exactly one of a FrameModel and a
+// LinkModel, or whose parameters fall outside its family's range: a
+// bernoulli p outside [0, 1], a logdist exponent that is not a finite
+// n > 0 or a sigma that is not a finite σ >= 0, or a SINR threshold that
+// is not finite. NaN and ±Inf fail every check.
+func Validate(m Model) error {
+	_, frame := m.(FrameModel)
+	_, link := m.(LinkModel)
+	if frame == link {
+		return fmt.Errorf("channel: %T must be exactly one of a frame and a link model", m)
 	}
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("non-finite value %q", s)
+	switch m := m.(type) {
+	case Bernoulli:
+		if !(m.P >= 0 && m.P <= 1) {
+			return fmt.Errorf("channel: bad bernoulli probability %v (want a finite p in [0, 1])", m.P)
+		}
+	case LogDistance:
+		if !(m.Exp > 0) || math.IsInf(m.Exp, 0) {
+			return fmt.Errorf("channel: bad logdist path-loss exponent %v (want a finite n > 0)", m.Exp)
+		}
+		if !(m.Sigma >= 0) || math.IsInf(m.Sigma, 0) {
+			return fmt.Errorf("channel: bad logdist shadowing sigma %v (want a finite sigma >= 0)", m.Sigma)
+		}
+		if math.IsNaN(m.sinrDB) || math.IsInf(m.sinrDB, 0) {
+			return fmt.Errorf("channel: bad SINR threshold %v (want a finite dB value)", m.sinrDB)
+		}
 	}
-	return v, nil
+	return nil
 }
 
 // formatFloat renders a parameter the way Parse reads it back: shortest
@@ -235,17 +257,8 @@ type Ideal struct{}
 // Spec implements Model.
 func (Ideal) Spec() string { return "ideal" }
 
-// Reset implements Model; Ideal carries no run state.
-func (Ideal) Reset(uint64) {}
-
-// Lost implements Model; it always returns false and draws nothing.
-func (Ideal) Lost(_, _ topo.NodeID, _ float64, _ *rand.Rand) bool { return false }
-
-// RxPowerMW implements Model with a nominal constant power.
-func (Ideal) RxPowerMW(_, _ topo.NodeID, _ float64) float64 { return 1 }
-
-// Capture implements Model; Ideal has no power axis.
-func (Ideal) Capture() (CaptureParams, bool) { return CaptureParams{}, false }
+// Lost implements FrameModel; it always returns false and draws nothing.
+func (Ideal) Lost(float64, *rand.Rand) bool { return false }
 
 // --- bernoulli ---
 
@@ -260,19 +273,10 @@ type Bernoulli struct {
 // Spec implements Model.
 func (b Bernoulli) Spec() string { return "bernoulli:" + formatFloat(b.P) }
 
-// Reset implements Model; Bernoulli carries no run state.
-func (Bernoulli) Reset(uint64) {}
-
-// Lost implements Model.
-func (b Bernoulli) Lost(_, _ topo.NodeID, _ float64, rng *rand.Rand) bool {
+// Lost implements FrameModel.
+func (b Bernoulli) Lost(_ float64, rng *rand.Rand) bool {
 	return rng.Float64() < b.P
 }
-
-// RxPowerMW implements Model with a nominal constant power.
-func (Bernoulli) RxPowerMW(_, _ topo.NodeID, _ float64) float64 { return 1 }
-
-// Capture implements Model; Bernoulli has no power axis.
-func (Bernoulli) Capture() (CaptureParams, bool) { return CaptureParams{}, false }
 
 // --- rssi ---
 
@@ -283,7 +287,8 @@ func (Bernoulli) Capture() (CaptureParams, bool) { return CaptureParams{}, false
 //
 // drawn fresh per frame, and the frame is lost when RSSI falls below the
 // −70 dBm sensitivity. One NormFloat64 per candidate reception from the
-// shared stream — the exact sequence the original rssi model drew.
+// shared stream — the exact sequence the original rssi model drew. It
+// keeps binary collisions.
 type RSSI struct{}
 
 // rssiPathLossExp and rssiSigma are the calibrated casino-lab substitute
@@ -296,12 +301,8 @@ const (
 // Spec implements Model.
 func (RSSI) Spec() string { return "rssi" }
 
-// Reset implements Model; RSSI redraws shadowing per frame and carries no
-// run state.
-func (RSSI) Reset(uint64) {}
-
-// Lost implements Model.
-func (RSSI) Lost(_, _ topo.NodeID, dist float64, rng *rand.Rand) bool {
+// Lost implements FrameModel.
+func (RSSI) Lost(dist float64, rng *rand.Rand) bool {
 	if dist < refDistM {
 		dist = refDistM
 	}
@@ -310,75 +311,35 @@ func (RSSI) Lost(_, _ topo.NodeID, dist float64, rng *rand.Rand) bool {
 	return rssi < sensitivityDBm
 }
 
-// RxPowerMW implements Model with the mean (shadowing-free) received
-// power; rssi predates the SINR path and keeps binary collisions.
-func (RSSI) RxPowerMW(_, _ topo.NodeID, dist float64) float64 {
-	if dist < refDistM {
-		dist = refDistM
-	}
-	return dbmToMilliwatt(txPowerDBm - (refLossDB + 10*rssiPathLossExp*math.Log10(dist/refDistM)))
-}
-
-// Capture implements Model; rssi keeps the binary collision model.
-func (RSSI) Capture() (CaptureParams, bool) { return CaptureParams{}, false }
-
 // --- logdist ---
-
-// shadowLabel derives the per-link shadowing stream from the run seed;
-// the link key is mixed in alongside it.
-const shadowLabel = 0x73686477 // "shdw"
 
 // LogDistance is log-distance path loss with per-link log-normal
 // shadowing: a link's received power is
 //
-//	P(from→to) = txPower − (refLoss + 10·Exp·log10(d/refDist)) + S(link)
+//	P(link) = txPower − (refLoss + 10·Exp·log10(d/refDist)) + fade·Sigma
 //
-// where S(link) ~ N(0, Sigma²) dB is drawn once per (run seed, link) —
-// the shadowing a static deployment actually experiences: some links are
-// durably good, some durably marginal, rather than re-rolled per frame.
-// A frame is lost when its received power falls below the −70 dBm
-// sensitivity; this is deterministic per link, so logdist draws nothing
-// from the medium's shared stream and fault-free default campaigns stay
-// byte-identical when it is not selected.
+// where fade ~ N(0, 1) is drawn once per (run seed, link) — the shadowing
+// a static deployment actually experiences: some links are durably good,
+// some durably marginal, rather than re-rolled per frame. A frame is lost
+// when its received power falls below the −70 dBm sensitivity, so the
+// verdict is fixed per link for the run.
 //
 // With sinrOn (the @sinr:<t> grammar suffix) the model also switches the
 // radio medium from binary collisions to capture: the strongest frame of
 // a reception window survives if its power clears t dB over noise plus
-// the window's other frames.
+// the window's other frames. Only Parse sets the suffix.
 type LogDistance struct {
 	// Exp is the path-loss exponent n.
-	Exp float64 // lint:immutable: channel parameter, not run state
+	Exp float64
 	// Sigma is the shadowing standard deviation in dB.
-	Sigma float64 // lint:immutable: channel parameter, not run state
+	Sigma float64
 
-	sinrOn bool    // lint:immutable: channel parameter, not run state
-	sinrDB float64 // lint:immutable: channel parameter, not run state
-
-	seed uint64
-	// pcg is the scratch generator behind the per-link shadowing draws:
-	// reseeded to the (seed, link) stream before each draw, so the shadow
-	// value is a pure function of (seed, link) no matter which link is
-	// drawn first.
-	pcg rand.PCG   // lint:immutable: reseeded from (seed, link) before every draw
-	rng *rand.Rand // lint:immutable: wraps &pcg; reseeding the pcg rewinds it
-
-	// shadow caches S(link) by packed link key for the current seed; the
-	// map is cleared, not reallocated, on Reset, so a warm arena draws
-	// each link's shadow with no steady-state allocation.
-	shadow map[uint64]float64
-}
-
-// NewLogDistance builds a log-distance channel with path-loss exponent
-// exp and shadowing stddev sigma dB (no capture; Parse enables it from
-// the @sinr suffix).
-func NewLogDistance(exp, sigma float64) *LogDistance {
-	m := &LogDistance{Exp: exp, Sigma: sigma, shadow: make(map[uint64]float64)}
-	m.rng = xrand.Wrap(&m.pcg)
-	return m
+	sinrOn bool
+	sinrDB float64
 }
 
 // Spec implements Model.
-func (m *LogDistance) Spec() string {
+func (m LogDistance) Spec() string {
 	s := "logdist:" + formatFloat(m.Exp) + ":" + formatFloat(m.Sigma)
 	if m.sinrOn {
 		s += "@sinr:" + formatFloat(m.sinrDB)
@@ -386,70 +347,23 @@ func (m *LogDistance) Spec() string {
 	return s
 }
 
-// Reset implements Model: the shadowing cache is invalidated and future
-// draws derive from the new run seed.
-func (m *LogDistance) Reset(seed uint64) {
-	m.seed = seed
-	clear(m.shadow)
-}
-
-// linkKey packs an undirected link into a cache key, ordering the
-// endpoints so shadowing is symmetric: S(a→b) = S(b→a).
-func linkKey(a, b topo.NodeID) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-// shadowDB returns the link's shadowing in dB, drawing and caching it on
-// first use. The draw reseeds the scratch generator to the labelled
-// (seed, link) stream, so the value is order-independent.
-//
-//slp:hotpath
-func (m *LogDistance) shadowDB(a, b topo.NodeID) float64 {
-	if m.Sigma == 0 {
-		return 0
-	}
-	k := linkKey(a, b)
-	if v, ok := m.shadow[k]; ok {
-		return v
-	}
-	m.pcg.Seed(xrand.Seeds(m.seed, k, shadowLabel))
-	v := m.rng.NormFloat64() * m.Sigma
-	m.shadow[k] = v
-	return v
-}
-
-// rxPowerDBm is the link's received power in dBm.
-//
-//slp:hotpath
-func (m *LogDistance) rxPowerDBm(from, to topo.NodeID, dist float64) float64 {
+// RxPowerMW implements LinkModel. The shadowing term is rounded on its
+// own before the sum (the conversion forbids a fused multiply-add), and
+// with Sigma 0 it is ±0, which leaves the sum unchanged.
+func (m LogDistance) RxPowerMW(dist, fade float64) (float64, bool) {
 	if dist < refDistM {
 		dist = refDistM
 	}
 	pathLoss := refLossDB + 10*m.Exp*math.Log10(dist/refDistM)
-	return txPowerDBm - pathLoss + m.shadowDB(from, to)
+	dbm := txPowerDBm - pathLoss + float64(fade*m.Sigma)
+	if dbm < sensitivityDBm {
+		return 0, false
+	}
+	return dbmToMilliwatt(dbm), true
 }
 
-// Lost implements Model: a frame is lost when the link's (deterministic,
-// per-seed) received power is below sensitivity. Draws nothing from the
-// shared stream.
-//
-//slp:hotpath
-func (m *LogDistance) Lost(from, to topo.NodeID, dist float64, _ *rand.Rand) bool {
-	return m.rxPowerDBm(from, to, dist) < sensitivityDBm
-}
-
-// RxPowerMW implements Model.
-//
-//slp:hotpath
-func (m *LogDistance) RxPowerMW(from, to topo.NodeID, dist float64) float64 {
-	return dbmToMilliwatt(m.rxPowerDBm(from, to, dist))
-}
-
-// Capture implements Model.
-func (m *LogDistance) Capture() (CaptureParams, bool) {
+// Capture implements LinkModel.
+func (m LogDistance) Capture() (CaptureParams, bool) {
 	if !m.sinrOn {
 		return CaptureParams{}, false
 	}
@@ -467,8 +381,8 @@ func dbToLinear(db float64) float64 { return math.Pow(10, db/10) }
 
 // Interface compliance.
 var (
-	_ Model = Ideal{}
-	_ Model = Bernoulli{}
-	_ Model = RSSI{}
-	_ Model = (*LogDistance)(nil)
+	_ FrameModel = Ideal{}
+	_ FrameModel = Bernoulli{}
+	_ FrameModel = RSSI{}
+	_ LinkModel  = LogDistance{}
 )

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"slpdas/internal/topo"
 	"slpdas/internal/xrand"
 )
 
@@ -112,9 +111,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
-// FuzzParse: every accepted spec has finite, in-range parameters
-// (bernoulli p ∈ [0, 1], logdist n > 0 and σ ≥ 0, a finite SINR
-// threshold), and its canonical Spec parses back to itself.
+// FuzzParse: every accepted spec is exactly one kind, frame or link, has
+// finite, in-range parameters (bernoulli p ∈ [0, 1], logdist n > 0 and
+// σ ≥ 0, a finite SINR threshold), and its canonical Spec parses back to
+// an equal value with the same Spec.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		"ideal", "rssi", "bernoulli:0.5", "bernoulli:NaN", "bernoulli:+Inf", "bernoulli:1", "bernoulli:1e-3",
@@ -127,12 +127,17 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		_, frame := m.(FrameModel)
+		_, link := m.(LinkModel)
+		if frame == link {
+			t.Errorf("Parse(%q) = %T: frame model %v, link model %v, want exactly one", s, m, frame, link)
+		}
 		switch m := m.(type) {
 		case Bernoulli:
 			if !(m.P >= 0 && m.P <= 1) { // NaN fails this form too
 				t.Errorf("Parse(%q) produced p=%v outside [0,1]", s, m.P)
 			}
-		case *LogDistance:
+		case LogDistance:
 			if !(m.Exp > 0) || math.IsInf(m.Exp, 0) || !(m.Sigma >= 0) || math.IsInf(m.Sigma, 0) {
 				t.Errorf("Parse(%q) produced n=%v σ=%v", s, m.Exp, m.Sigma)
 			}
@@ -144,21 +149,48 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Parse(%q).Spec() = %q does not parse back: %v", s, m.Spec(), err)
 		}
-		if back.Spec() != m.Spec() {
-			t.Errorf("Parse(%q): Spec %q reparses as %q", s, m.Spec(), back.Spec())
+		if back != m || back.Spec() != m.Spec() {
+			t.Errorf("Parse(%q) = %#v (Spec %q) reparses as %#v (Spec %q)", s, m, m.Spec(), back, back.Spec())
 		}
 	})
 }
+
+// TestValidateRanges: Validate refuses each out-of-range or non-finite
+// parameter of a model built without Parse, and a model of neither kind,
+// and accepts the range's edges.
+func TestValidateRanges(t *testing.T) {
+	for _, m := range []Model{
+		Bernoulli{P: -0.1}, Bernoulli{P: 2}, Bernoulli{P: math.NaN()}, Bernoulli{P: math.Inf(1)},
+		LogDistance{Exp: 0, Sigma: 4}, LogDistance{Exp: math.Inf(1), Sigma: 4},
+		LogDistance{Exp: 2.4, Sigma: -1}, LogDistance{Exp: 2.4, Sigma: math.NaN()},
+		LogDistance{Exp: 2.4, Sigma: 4, sinrOn: true, sinrDB: math.Inf(-1)},
+		specOnly{},
+	} {
+		if err := Validate(m); err == nil {
+			t.Errorf("Validate(%#v) accepted it", m)
+		}
+	}
+	for _, m := range []Model{Ideal{}, RSSI{}, Bernoulli{P: 0}, Bernoulli{P: 1}, LogDistance{Exp: 2.4, Sigma: 0}} {
+		if err := Validate(m); err != nil {
+			t.Errorf("Validate(%#v): %v", m, err)
+		}
+	}
+}
+
+// specOnly is a Model of neither kind.
+type specOnly struct{}
+
+func (specOnly) Spec() string { return "spec-only" }
 
 // TestBernoulliExtremes: the admitted bounds really mean what they say —
 // p=0 never loses a frame, p=1 loses every frame.
 func TestBernoulliExtremes(t *testing.T) {
 	r := xrand.NewNamed(1, "radio")
 	for i := 0; i < 1000; i++ {
-		if (Bernoulli{P: 0}).Lost(0, 1, 1, r) {
+		if (Bernoulli{P: 0}).Lost(1, r) {
 			t.Fatal("bernoulli:0 lost a frame")
 		}
-		if !(Bernoulli{P: 1}).Lost(0, 1, 1, r) {
+		if !(Bernoulli{P: 1}).Lost(1, r) {
 			t.Fatal("bernoulli:1 delivered a frame")
 		}
 	}
@@ -182,79 +214,66 @@ func TestFamiliesSorted(t *testing.T) {
 	}
 }
 
-// TestLogDistanceShadowDeterministic: per-link shadowing is a pure
-// function of (seed, link) — symmetric, order-independent, stable across
-// Reset to the same seed, and different under a different seed.
-func TestLogDistanceShadowDeterministic(t *testing.T) {
-	a := NewLogDistance(2.4, 4)
-	a.Reset(7)
-	// Draw links in one order...
-	s01 := a.shadowDB(0, 1)
-	s12 := a.shadowDB(1, 2)
-	s02 := a.shadowDB(0, 2)
-	if s01 == s12 && s12 == s02 {
-		t.Fatalf("distinct links share one shadow value %v; stream labelling is broken", s01)
-	}
-	if got := a.shadowDB(1, 0); got != s01 {
-		t.Errorf("shadow not symmetric: S(0,1)=%v, S(1,0)=%v", s01, got)
-	}
-
-	// ...and in the reverse order on a fresh model: values must match.
-	b := NewLogDistance(2.4, 4)
-	b.Reset(7)
-	if got := b.shadowDB(0, 2); got != s02 {
-		t.Errorf("draw order changed S(0,2): %v vs %v", got, s02)
-	}
-	if got := b.shadowDB(1, 2); got != s12 {
-		t.Errorf("draw order changed S(1,2): %v vs %v", got, s12)
-	}
-	if got := b.shadowDB(0, 1); got != s01 {
-		t.Errorf("draw order changed S(0,1): %v vs %v", got, s01)
-	}
-
-	// Reset to the same seed replays; a different seed redraws.
-	a.Reset(7)
-	if got := a.shadowDB(0, 1); got != s01 {
-		t.Errorf("Reset(same seed) changed S(0,1): %v vs %v", got, s01)
-	}
-	a.Reset(8)
-	if got := a.shadowDB(0, 1); got == s01 {
-		t.Errorf("Reset(different seed) kept S(0,1) = %v", got)
-	}
-}
-
-// TestLogDistanceLostDrawsNothing: logdist loss is deterministic per link
-// and must not consume the shared stream — the property that keeps
-// default goldens byte-identical when logdist cells run beside them.
+// TestLogDistanceLostDrawsNothing: logdist is a link model, never a
+// frame model, so it is never handed the medium's shared stream — the
+// property that keeps default goldens byte-identical when logdist cells
+// run beside them. ideal, bernoulli and rssi are frame models.
 func TestLogDistanceLostDrawsNothing(t *testing.T) {
-	m := NewLogDistance(2.4, 4)
-	m.Reset(3)
-	rng := xrand.NewNamed(99, "probe")
-	before := rng.Uint64()
-	rng = xrand.NewNamed(99, "probe")
-	_ = m.Lost(0, 1, 4.5, rng)
-	_ = m.Lost(1, 2, 4.5, rng)
-	if after := rng.Uint64(); after != before {
-		t.Errorf("logdist.Lost consumed the shared stream: next draw %v, want %v", after, before)
+	for _, spec := range []string{"logdist:2.4:4", "logdist:2.4:4@sinr:3"} {
+		m, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, frame := m.(FrameModel); frame {
+			t.Errorf("%s is a frame model; it would draw from the shared stream", spec)
+		}
+	}
+	for _, spec := range []string{"ideal", "bernoulli:0.5", "rssi"} {
+		m, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, frame := m.(FrameModel); !frame {
+			t.Errorf("%s is not a frame model", spec)
+		}
 	}
 }
 
-// TestLogDistanceSensitivity: with zero shadowing, loss is a pure
-// threshold on distance — near links deliver, far links drop.
+// TestLogDistanceSensitivity: with zero fade, loss is a pure threshold on
+// distance — near links deliver, far links drop — and a fade shifts the
+// received power by fade·Sigma dB.
 func TestLogDistanceSensitivity(t *testing.T) {
-	m := NewLogDistance(2.4, 0)
-	m.Reset(1)
+	m := LogDistance{Exp: 2.4, Sigma: 0}
 	// rx(d) = −40 − 24·log10(d); sensitivity −70 → cutoff d = 10^(30/24) ≈ 17.8 m.
-	if m.Lost(0, 1, 4.5, nil) {
+	if _, ok := m.RxPowerMW(4.5, 0); !ok {
 		t.Errorf("grid-spacing link (4.5 m) lost under logdist:2.4:0")
 	}
-	if !m.Lost(0, 1, 30, nil) {
+	if _, ok := m.RxPowerMW(30, 0); ok {
 		t.Errorf("30 m link delivered under logdist:2.4:0; sensitivity threshold broken")
 	}
 	// Power is monotone decreasing in distance.
-	if p1, p2 := m.RxPowerMW(0, 1, 4.5), m.RxPowerMW(0, 1, 9); p1 <= p2 {
+	if p1, p2 := mustPower(t, m, 4.5, 0), mustPower(t, m, 9, 0); p1 <= p2 {
 		t.Errorf("RxPowerMW not decreasing: %v at 4.5 m, %v at 9 m", p1, p2)
 	}
+	// With Sigma 0 the fade does not matter; with Sigma 4 a fade of −1
+	// costs 4 dB.
+	if p, q := mustPower(t, m, 4.5, 0), mustPower(t, m, 4.5, -3); p != q {
+		t.Errorf("logdist:2.4:0 power moved with the fade: %v vs %v", p, q)
+	}
+	shadowed := LogDistance{Exp: 2.4, Sigma: 4}
+	if p, q := mustPower(t, shadowed, 4.5, 0), mustPower(t, shadowed, 4.5, -1); math.Abs(10*math.Log10(p/q)-4) > 1e-9 {
+		t.Errorf("fade −1 under σ=4 moved the power by %v dB, want 4", 10*math.Log10(p/q))
+	}
+}
+
+// mustPower returns m's received power over a link it must not lose.
+func mustPower(t *testing.T, m LogDistance, dist, fade float64) float64 {
+	t.Helper()
+	p, ok := m.RxPowerMW(dist, fade)
+	if !ok {
+		t.Fatalf("%s lost a %v m link at fade %v", m.Spec(), dist, fade)
+	}
+	return p
 }
 
 // TestCaptureParams: the @sinr suffix yields linear parameters, absent
@@ -264,14 +283,14 @@ func TestCaptureParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Capture(); ok {
+	if _, ok := m.(LinkModel).Capture(); ok {
 		t.Error("logdist without @sinr reports capture enabled")
 	}
 	m, err = Parse("logdist:2.4:4@sinr:3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, ok := m.Capture()
+	cp, ok := m.(LinkModel).Capture()
 	if !ok {
 		t.Fatal("logdist@sinr reports capture disabled")
 	}
@@ -288,31 +307,33 @@ func TestCaptureParams(t *testing.T) {
 // stream (the byte-compat contract is pinned end-to-end by the goldens;
 // this is the unit-level view).
 func TestStatelessModels(t *testing.T) {
-	var ni, nb topo.NodeID = 0, 1
-
-	ideal, _ := Parse("ideal")
-	if ideal.Lost(ni, nb, 1e9, nil) {
+	frame := func(spec string) FrameModel {
+		m, err := Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(FrameModel)
+	}
+	if frame("ideal").Lost(1e9, nil) {
 		t.Error("ideal lost a frame")
 	}
 
-	bern, _ := Parse("bernoulli:1")
 	rng := xrand.NewNamed(1, "radio")
-	if !bern.Lost(ni, nb, 1, rng) {
+	if !frame("bernoulli:1").Lost(1, rng) {
 		t.Error("bernoulli:1 delivered a frame")
 	}
-	bern, _ = Parse("bernoulli:0")
-	if bern.Lost(ni, nb, 1, rng) {
+	if frame("bernoulli:0").Lost(1, rng) {
 		t.Error("bernoulli:0 lost a frame")
 	}
 
 	// rssi at grid spacing: overwhelmingly delivered, and each call draws
 	// exactly one NormFloat64 — the legacy sequence.
-	rssi, _ := Parse("rssi")
+	rssi := frame("rssi")
 	r1 := xrand.NewNamed(42, "radio")
 	r2 := xrand.NewNamed(42, "radio")
 	losses := 0
 	for i := 0; i < 1000; i++ {
-		if rssi.Lost(ni, nb, 4.5, r1) {
+		if rssi.Lost(4.5, r1) {
 			losses++
 		}
 		r2.NormFloat64()

@@ -64,13 +64,12 @@ type Config struct {
 	// collectively avoids anywhere any member has visited. Only meaningful
 	// with AttackerCount > 1 and Attacker.H > 0.
 	SharedHistory bool
-	// Channel selects the physical channel by textual spec (the
-	// internal/channel grammar: "ideal", "bernoulli:<p>", "rssi", or
-	// "logdist:<n>:<sigma>[@sinr:<threshold>]"). A string rather than a
-	// model value so Configs stay copyable across campaign workers: each
-	// Network parses and owns its instance. Empty means the ideal channel,
-	// the paper's reliable-network evaluation setting.
-	Channel string
+	// Channel is the physical channel (see internal/channel; channel.Parse
+	// reads the textual grammar). Nil means the ideal channel, the paper's
+	// reliable-network evaluation setting. Channel values are immutable and
+	// hold no run state, so Configs copied across campaign workers share
+	// nothing mutable.
+	Channel channel.Model
 	// Collisions enables receiver-side collision corruption. Ignored by
 	// channels with SINR capture, which replace the binary window with the
 	// interference accumulator.
@@ -188,8 +187,8 @@ func (c Config) Validate() error {
 	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
-	if c.Channel != "" {
-		if _, err := channel.Parse(c.Channel); err != nil {
+	if c.Channel != nil {
+		if err := channel.Validate(c.Channel); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"slpdas/internal/attacker"
+	"slpdas/internal/channel"
 	"slpdas/internal/fault"
 	"slpdas/internal/protocol"
 	"slpdas/internal/schedule"
@@ -52,6 +53,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Protocol = protocol.NameSLPDAS; c.SearchDistance = 0 },
 		func(c *Config) { c.SafetyFactor = 0 },
 		func(c *Config) { c.Attacker.R = 0 },
+		func(c *Config) { c.Channel = channel.Bernoulli{P: 2} },
+		func(c *Config) { c.Channel = channel.LogDistance{Exp: 2.4, Sigma: -1} },
 	}
 	for i, mutate := range bad {
 		c := Default()
@@ -59,6 +62,13 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d validated", i)
 		}
+	}
+	// Reset validates its Config on every run: a parsed channel is checked
+	// without rendering or parsing a string.
+	c := DefaultSLP(3)
+	c.Channel = mustChannel("logdist:2.4:4@sinr:3")
+	if allocs := testing.AllocsPerRun(10, func() { _ = c.Validate() }); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times per call, want 0", allocs)
 	}
 }
 
@@ -345,7 +355,7 @@ func TestLossyChannelStillConverges(t *testing.T) {
 	const runs = 10
 	for seed := uint64(0); seed < runs; seed++ {
 		cfg := Default()
-		cfg.Channel = "bernoulli:0.1"
+		cfg.Channel = channel.Bernoulli{P: 0.1}
 		res := run(t, g, side, cfg, seed)
 		if res.ScheduleValid() {
 			valid++
@@ -569,7 +579,7 @@ func TestStrategiesRunEndToEnd(t *testing.T) {
 func TestRunTerminatesUnderTotalLoss(t *testing.T) {
 	for _, mk := range []func() Config{Default, func() Config { return DefaultSLP(2) }} {
 		cfg := mk()
-		cfg.Channel = "bernoulli:1"
+		cfg.Channel = channel.Bernoulli{P: 1}
 		res := run(t, grid(t, 5), 5, cfg, 1)
 		if res.Captured {
 			t.Errorf("captured under 100%% loss (%s)", cfg.Protocol)

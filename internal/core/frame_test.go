@@ -26,7 +26,7 @@ func TestExecutedEventsCountEveryReception(t *testing.T) {
 	}
 	sink, source := topo.GridCentre(11), topo.GridTopLeft()
 	physical := DefaultSLP(3)
-	physical.Channel = "logdist:2.4:4@sinr:3"
+	physical.Channel = mustChannel("logdist:2.4:4@sinr:3")
 	if physical.Energy, err = energy.Parse("battery:25"); err != nil {
 		t.Fatal(err)
 	}

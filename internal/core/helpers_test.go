@@ -3,8 +3,18 @@ package core
 import (
 	"slices"
 
+	"slpdas/internal/channel"
 	"slpdas/internal/topo"
 )
+
+// mustChannel parses a channel spec the tests know to be valid.
+func mustChannel(spec string) channel.Model {
+	m, err := channel.Parse(spec)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
 
 // get returns the table's entry about id, and whether one is known.
 func (t *infoTable) get(id topo.NodeID) (info, bool) {

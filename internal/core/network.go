@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"slpdas/internal/attacker"
-	"slpdas/internal/channel"
 	"slpdas/internal/des"
 	"slpdas/internal/fault"
 	"slpdas/internal/gcn"
@@ -81,12 +80,6 @@ type Network struct {
 	res      Result
 	msgStats [msgStatsSlots]MsgStats
 
-	// Channel plumbing: the parsed model for cfg.Channel, cached per raw
-	// spec string so arena Resets reuse one instance (per-run state inside
-	// the model is rewound by Medium.Reset).
-	chanSpec  string        // lint:immutable: cache key, maintained by resolveChannel on the Reset path
-	chanModel channel.Model // lint:immutable: cached parse, maintained by resolveChannel on the Reset path
-
 	// Energy accounting state (cfg.Energy configured only). energyOn is
 	// latched at Reset and gates every charging branch so energy-off runs
 	// replay the pre-energy event order exactly. lifetimeAt is the instant
@@ -108,6 +101,9 @@ type Network struct {
 	// seqDelivered tracks which source sequence numbers (period indices)
 	// reached the sink, for the before/during/after delivery ratios.
 	seqDelivered []bool
+	// faultEvents holds the plan's events as des.Runners, so scheduling
+	// them allocates nothing once the slice has grown.
+	faultEvents []faultEvent // lint:immutable: refilled in full by runSetup before any is scheduled
 
 	// Wire scratch: one decoder for the receive path and one outgoing
 	// message per type for the send path. The simulation is
@@ -241,10 +237,6 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	if budget == 0 {
 		budget = 50_000_000
 	}
-	ch, err := n.resolveChannel(cfg)
-	if err != nil {
-		return err
-	}
 	n.energyOn = !cfg.Energy.Empty()
 	var meter radio.EnergyMeter
 	if n.energyOn {
@@ -256,7 +248,7 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 
 	n.sim.Reset()
 	n.sim.SetEventBudget(budget)
-	n.medium.Reset(seed, ch, cfg.Collisions, meter)
+	n.medium.Reset(seed, cfg.Channel, cfg.Collisions, meter)
 	n.engine.Reset()
 
 	n.period = time.Duration(cfg.Slots) * cfg.SlotPeriod
@@ -358,25 +350,6 @@ func (n *Network) horizon() time.Duration {
 	return n.deadline + n.period
 }
 
-// resolveChannel maps the config's Channel spec onto one channel.Model
-// (parsed, cached per spec string), or nil for an empty spec —
-// Medium.Reset's ideal default. The model is
-// owned by this Network, never shared: Config carries only the string,
-// so copied Configs on campaign workers cannot alias per-run state.
-func (n *Network) resolveChannel(cfg Config) (channel.Model, error) {
-	if cfg.Channel != "" {
-		if n.chanModel == nil || n.chanSpec != cfg.Channel {
-			m, err := channel.Parse(cfg.Channel)
-			if err != nil {
-				return nil, err
-			}
-			n.chanSpec, n.chanModel = cfg.Channel, m
-		}
-		return n.chanModel, nil
-	}
-	return nil, nil
-}
-
 // ChargeTx implements radio.EnergyMeter: bill the sender for one frame.
 //
 //slp:hotpath
@@ -459,14 +432,43 @@ func (n *Network) recoverNode(id topo.NodeID) {
 	nd.prc.Revive()
 	n.medium.EnableNode(id)
 	if id == n.sink {
-		nd.sinkInit()
-		n.engine.Kickstart(&nd.prc)
+		(*sinkStart)(nd).Run()
 	}
-	cfg := n.cfg
+	if err := n.scheduleDiscovery(nd, n.sim.Now()); err != nil {
+		panic(err) // unreachable: every instant is counted from now
+	}
+}
+
+// scheduleDiscovery schedules node nd's boot and neighbour discovery from
+// the instant start: a boot jitter, then NDP rounds of HELLO, one per
+// dissemination period, each jittered within the first half of its round.
+// The first boot and a rejoin after a crash run the same schedule.
+func (n *Network) scheduleDiscovery(nd *node, start time.Duration) error {
 	boot := nd.jitterDelay(bootJitter)
-	for k := 0; k < cfg.NeighbourDiscoveryPeriods; k++ {
-		delay := boot + time.Duration(k)*cfg.DisseminationPeriod + nd.jitterDelay(cfg.DisseminationPeriod/2)
-		n.sim.ScheduleAfter(delay, nd.helloFn)
+	for k := 0; k < n.cfg.NeighbourDiscoveryPeriods; k++ {
+		at := start + boot + time.Duration(k)*n.cfg.DisseminationPeriod + nd.jitterDelay(n.cfg.DisseminationPeriod/2)
+		if _, err := n.sim.Schedule(at, nd.helloFn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// faultEvent is one event of the run's fault plan as a des.Runner.
+type faultEvent struct {
+	n  *Network
+	ev fault.Event
+}
+
+// Run applies the event. runSetup refuses a plan with any other op.
+func (f *faultEvent) Run() {
+	switch f.ev.Op {
+	case fault.OpCrash:
+		f.n.crashNode(f.ev.Node)
+	case fault.OpRecover:
+		f.n.recoverNode(f.ev.Node)
+	case fault.OpLinkDown:
+		f.n.medium.DisableLink(f.ev.Node, f.ev.Peer)
 	}
 }
 
@@ -665,34 +667,24 @@ func (n *Network) runSetup() error {
 	if err := n.buildInfoTables(); err != nil {
 		return err
 	}
-	cfg := n.cfg
-	dissemStart := time.Duration(cfg.NeighbourDiscoveryPeriods)*cfg.DisseminationPeriod + bootJitter
+	dissemStart := time.Duration(n.cfg.NeighbourDiscoveryPeriods)*n.cfg.DisseminationPeriod + bootJitter
 
 	for i := range n.nodes {
-		nd := &n.nodes[i]
-		// Boot + neighbour discovery: NDP rounds of HELLO.
-		boot := nd.jitterDelay(bootJitter)
-		for k := 0; k < cfg.NeighbourDiscoveryPeriods; k++ {
-			at := boot + time.Duration(k)*cfg.DisseminationPeriod + nd.jitterDelay(cfg.DisseminationPeriod/2)
-			if _, err := n.sim.Schedule(at, nd.helloFn); err != nil {
-				return err
-			}
+		if err := n.scheduleDiscovery(&n.nodes[i], 0); err != nil {
+			return err
 		}
 	}
 
 	// Sink starts Phase 1 after discovery.
 	sinkNode := &n.nodes[n.sink]
-	if _, err := n.sim.Schedule(dissemStart, func() {
-		sinkNode.sinkInit()
-		n.engine.Kickstart(&sinkNode.prc)
-	}); err != nil {
+	if err := n.sim.ScheduleRunner(dissemStart, (*sinkStart)(sinkNode)); err != nil {
 		return err
 	}
 
 	// Phase 2 launch (families with a search phase only).
 	if n.fam.SearchPhase {
 		searchAt := dissemStart + n.searchStartDelay()
-		if _, err := n.sim.Schedule(searchAt, sinkNode.startSearch); err != nil {
+		if err := n.sim.ScheduleRunner(searchAt, (*searchStart)(sinkNode)); err != nil {
 			return err
 		}
 	}
@@ -700,21 +692,20 @@ func (n *Network) runSetup() error {
 	// Fault plan: schedule every event of the deterministic plan minted at
 	// Reset, in plan order so events sharing a time keep their (Op, Node)
 	// tie-break, and record the fault window for the degradation metrics.
+	// The events are scheduled only once faultEvents is full, so no
+	// scheduled pointer moves.
 	if n.faultPlan != nil {
+		n.faultEvents = n.faultEvents[:0]
 		for _, ev := range n.faultPlan.Events {
-			ev := ev
-			var fn func()
 			switch ev.Op {
-			case fault.OpCrash:
-				fn = func() { n.crashNode(ev.Node) }
-			case fault.OpRecover:
-				fn = func() { n.recoverNode(ev.Node) }
-			case fault.OpLinkDown:
-				fn = func() { n.medium.DisableLink(ev.Node, ev.Peer) }
+			case fault.OpCrash, fault.OpRecover, fault.OpLinkDown:
 			default:
 				return fmt.Errorf("core: fault plan holds unknown op %v", ev.Op)
 			}
-			if _, err := n.sim.Schedule(ev.At, fn); err != nil {
+			n.faultEvents = append(n.faultEvents, faultEvent{n: n, ev: ev})
+		}
+		for i := range n.faultEvents {
+			if err := n.sim.ScheduleRunner(n.faultEvents[i].ev.At, &n.faultEvents[i]); err != nil {
 				return err
 			}
 		}

@@ -263,6 +263,17 @@ func (n *node) sinkInit() {
 	n.resetDissemination()
 }
 
+// sinkStart is the sink's Phase 1 launch: a des.Runner reached by
+// converting the sink's pointer, like periodStart.
+type sinkStart node
+
+// Run runs the init action and starts the sink's GCN computation.
+func (s *sinkStart) Run() {
+	n := (*node)(s)
+	n.sinkInit()
+	n.net.engine.Kickstart(&n.prc)
+}
+
 // onDissemTimer implements the dissem action: broadcast state, re-arm.
 func (n *node) onDissemTimer() {
 	if n.dissemBudget > 0 && (n.isSink() || n.slot != noValue) {
@@ -590,6 +601,12 @@ func (n *node) startSearch() {
 	ttl := 4*n.net.cfg.SearchDistance + 8
 	n.broadcastSearch(c, int32(n.net.cfg.SearchDistance), int32(ttl))
 }
+
+// searchStart is the sink's Phase 2 launch, reached like sinkStart.
+type searchStart node
+
+// Run runs startSearch.
+func (s *searchStart) Run() { (*node)(s).startSearch() }
 
 func (n *node) broadcastSearch(aNode topo.NodeID, dist, ttl int32) {
 	s := &n.net.outSearch

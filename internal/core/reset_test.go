@@ -50,14 +50,14 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	cfgFail := Default()
 	cfgFail.Faults = fault.Spec{Kind: fault.Fail, Nodes: []topo.NodeID{1, 9}, At: 2 * time.Second}
 	cfgShadow := DefaultSLP(2)
-	cfgShadow.Channel = "logdist:2.4:4@sinr:3"
+	cfgShadow.Channel = mustChannel("logdist:2.4:4@sinr:3")
 	es, err := energy.Parse("battery:5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgShadow.Energy = es
 	cfgSINR := Default()
-	cfgSINR.Channel = "logdist:2.4:4@sinr:3"
+	cfgSINR.Channel = mustChannel("logdist:2.4:4@sinr:3")
 	cfgDrain := Default()
 	if cfgDrain.Energy, err = energy.Parse("battery:2"); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 		// next run alive.
 		{"fail/seed9", cfgFail, 9},
 		// Shadowed SINR channel with battery depletion: Reset must redraw
-		// the per-link shadowing cache and rewind every energy field.
+		// the link verdicts for the new seed and rewind every energy field.
 		{"shadow-energy/seed5", cfgShadow, 5},
 		// The same capture channel straight after, at another seed: the
 		// medium's per-edge verdicts from seed 5 must not carry over.

@@ -55,7 +55,7 @@ func traceCases() []traceCase {
 	churn := func(t *testing.T) *Network {
 		t.Helper()
 		cfg := DefaultSLP(3)
-		cfg.Channel = "logdist:2.4:4@sinr:3"
+		cfg.Channel = mustChannel("logdist:2.4:4@sinr:3")
 		var err error
 		if cfg.Faults, err = fault.Parse("churn:0.15:2"); err != nil {
 			t.Fatal(err)

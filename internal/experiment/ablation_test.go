@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"slpdas/internal/attacker"
+	"slpdas/internal/channel"
 	"slpdas/internal/core"
 )
 
@@ -73,10 +74,13 @@ func TestAttackerSweepMonotoneInStrength(t *testing.T) {
 
 func TestLossModelSweep(t *testing.T) {
 	var arms []Arm
-	for _, m := range [][2]string{{"ideal", "ideal"}, {"bern-0.05", "bernoulli:0.05"}} {
+	for _, m := range []struct {
+		label string
+		ch    channel.Model
+	}{{"ideal", channel.Ideal{}}, {"bern-0.05", channel.Bernoulli{P: 0.05}}} {
 		cfg := core.DefaultSLP(2)
-		cfg.Channel = m[1]
-		arms = append(arms, Arm{Labels: []string{m[0]}, Config: cfg})
+		cfg.Channel = m.ch
+		arms = append(arms, Arm{Labels: []string{m.label}, Config: cfg})
 	}
 	tbl, aggs, err := Ablation(5, 2, 9, []string{"channel model"}, arms, []Column{
 		{Header: "capture ratio", Metric: "capture_ratio"},

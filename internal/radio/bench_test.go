@@ -34,8 +34,8 @@ var broadcastCases = []broadcastCase{
 
 // newBroadcastOp wires a medium for c and returns one op: the case's
 // broadcasts, scheduled and run to completion. The op is run a few times
-// first to warm the event and frame pools and, under a capture channel,
-// the medium's per-edge verdicts, which are read-only from then on.
+// first to warm the event and frame pools and, under a link channel, the
+// medium's per-edge verdicts, which are read-only from then on.
 func newBroadcastOp(tb testing.TB, c broadcastCase) func() {
 	tb.Helper()
 	g, err := topo.DefaultGrid(11)

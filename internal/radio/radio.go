@@ -110,15 +110,24 @@ type EnergyMeter interface {
 // Medium is the shared broadcast channel. It is not safe for concurrent
 // use; the simulator is single-threaded by design.
 type Medium struct {
-	sim        *des.Simulator // lint:immutable: simulator wiring, fixed at construction
-	g          *topo.Graph    // lint:immutable: topology wiring, fixed at construction
-	ch         channel.Model
+	sim *des.Simulator // lint:immutable: simulator wiring, fixed at construction
+	g   *topo.Graph    // lint:immutable: topology wiring, fixed at construction
+	// The run's channel, by kind (see channel.Model): a frame model is
+	// asked on every candidate reception, a link model once per directed
+	// edge per run through edgePower.
+	frameCh    channel.FrameModel
+	linkCh     channel.LinkModel
 	collisions bool
-	sinr       bool                  // capture model active (derived from ch)
-	capture    channel.CaptureParams // cached ch.Capture() parameters
+	sinr       bool                  // capture model active (derived from linkCh)
+	capture    channel.CaptureParams // cached linkCh.Capture() parameters
 	meter      EnergyMeter
 	pcg        rand.PCG   // owned so Reset can reseed rng in place
 	rng        *rand.Rand // lint:immutable: wraps &pcg; Reset reseeds the pcg in place
+	// seed is the run seed, which keys every link's fade (see linkFade);
+	// fadePCG is the scratch generator behind the fade draws.
+	seed    uint64
+	fadePCG rand.PCG   // lint:immutable: reseeded from (seed, link) before every draw
+	fadeRng *rand.Rand // lint:immutable: wraps &fadePCG; reseeding the pcg rewinds it
 
 	recv     Receiver // lint:immutable: registration wiring, set once by SetReceiver
 	disabled []bool
@@ -142,13 +151,12 @@ type Medium struct {
 	rxSum    []float64
 	rxBest   []float64
 
-	// edgePower holds, under a capture channel, each directed edge's
-	// verdict for the run, indexed by g.FirstEdge(from)+k for the edge to
+	// edgePower holds, under a link channel, each directed edge's verdict
+	// for the run, indexed by g.FirstEdge(from)+k for the edge to
 	// Neighbors(from)[k]: 0 until the edge's first candidate reception asks
-	// the channel, then the received power in mW, or lostEdge. A capture
-	// channel's verdict is fixed for the run (see channel.Model), so every
-	// later reception reads it back. Allocated by the first Reset that
-	// installs a capture channel; other media never touch it.
+	// the channel, then the received power in mW, or lostEdge. It is the
+	// medium's one per-run link cache. Allocated by the first Reset that
+	// installs a link channel; media that never run one never touch it.
 	edgePower []float64
 
 	freeFrames []*frame // lint:immutable: free list; pooled objects carry no cross-run state
@@ -174,7 +182,7 @@ type reception struct {
 	to        topo.NodeID
 	edge      uint16
 	corrupted bool
-	power     float64 // received power in mW; set only under SINR capture
+	power     float64 // received power in mW; set under a link channel, read only under SINR capture
 }
 
 // maxDegree is the largest sender degree a reception's edge can index.
@@ -323,32 +331,38 @@ func New(sim *des.Simulator, g *topo.Graph, seed uint64) *Medium {
 		rxBest:   make([]float64, g.Len()),
 	}
 	m.rng = xrand.Wrap(&m.pcg)
+	m.fadeRng = xrand.Wrap(&m.fadePCG)
 	m.Reset(seed, nil, false, nil)
 	return m
 }
 
 // Reset rewinds the medium for a fresh run on the same graph: the random
-// stream is reseeded in place, the channel model swapped for the new run's
-// configuration (and itself Reset to the new seed so per-link shadowing
-// redraws), and all per-run state — failed nodes, collision windows, SINR
-// accumulators, capture verdicts, observers, counters — cleared. The
-// receiver survives (it is wiring, not run state), as does the frame
+// stream is reseeded in place, the channel swapped for the new run's
+// configuration, and all per-run state — failed nodes, collision windows,
+// SINR accumulators, link verdicts, observers, counters — cleared. The
+// new seed keys every link's fade, so a link channel's verdicts redraw.
+// The receiver survives (it is wiring, not run state), as does the frame
 // pool, which is the point: a Reset medium broadcasts with warm pools
 // from its first frame. The owning simulator must be Reset alongside so
 // in-flight frame events from the previous run are discarded. A nil
-// channel selects channel.Ideal; a nil meter disables energy charging.
+// channel selects channel.Ideal; any other must be a channel.FrameModel
+// or a channel.LinkModel. A nil meter disables energy charging.
 func (m *Medium) Reset(seed uint64, ch channel.Model, collisions bool, meter EnergyMeter) {
 	if ch == nil {
 		ch = channel.Ideal{}
 	}
-	m.ch = ch
+	m.frameCh, _ = ch.(channel.FrameModel)
+	m.linkCh, _ = ch.(channel.LinkModel)
+	m.capture, m.sinr = channel.CaptureParams{}, false
+	if m.linkCh != nil {
+		m.capture, m.sinr = m.linkCh.Capture()
+	}
 	m.collisions = collisions
 	m.meter = meter
-	m.capture, m.sinr = ch.Capture()
-	ch.Reset(seed)
+	m.seed = seed
 	m.pcg.Seed(xrand.SeedsNamed(seed, "radio"))
 	clear(m.edgePower)
-	if m.sinr && m.edgePower == nil {
+	if m.linkCh != nil && m.edgePower == nil {
 		m.edgePower = make([]float64, 2*m.g.EdgeCount())
 	}
 	for i := range m.disabled {
@@ -466,9 +480,9 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 			continue
 		}
 		var power float64
-		if m.sinr {
+		if m.linkCh != nil {
 			power = m.edgeVerdict(base+j, from, to, dists[j])
-		} else if m.ch.Lost(from, to, dists[j], m.rng) {
+		} else if m.frameCh.Lost(dists[j], m.rng) {
 			power = lostEdge
 		}
 		if power == lostEdge {
@@ -509,25 +523,39 @@ func (m *Medium) Broadcast(from topo.NodeID, payload []byte) {
 	m.sim.ScheduleRunnerAfter(delay, f)
 }
 
-// edgeVerdict returns the capture channel's verdict on directed edge e,
+// edgeVerdict returns the link channel's verdict on directed edge e,
 // from→to at dist metres, for this run: the received power in mW, or
-// lostEdge. The channel is asked, Lost then RxPowerMW, on the edge's first
-// candidate reception after Reset, and every later one reads edgePower.
-// Only capture channels come here: their Lost draws nothing from the
-// shared stream, so asking once per edge leaves its draw sequence as it
-// was.
+// lostEdge. The channel is asked on the edge's first candidate reception
+// after Reset, and every later one reads edgePower. A link channel never
+// sees the shared stream, so asking once per edge leaves its draw
+// sequence as it was.
 //
 //slp:hotpath
 func (m *Medium) edgeVerdict(e int, from, to topo.NodeID, dist float64) float64 {
 	v := m.edgePower[e]
 	if v == 0 {
 		v = lostEdge
-		if !m.ch.Lost(from, to, dist, m.rng) {
-			v = m.ch.RxPowerMW(from, to, dist)
+		if mw, ok := m.linkCh.RxPowerMW(dist, m.linkFade(from, to)); ok {
+			v = mw
 		}
 		m.edgePower[e] = v
 	}
 	return v
+}
+
+// fadeLabel derives each link's fade stream from the run seed; the link
+// key is mixed in alongside it.
+const fadeLabel = 0x73686477 // "shdw"
+
+// linkFade returns the undirected link a–b's fade for the run: one
+// standard normal from the (run seed, link) stream. It is symmetric and
+// independent of the order in which links are first used, because the
+// scratch generator is reseeded before each draw.
+//
+//slp:hotpath
+func (m *Medium) linkFade(a, b topo.NodeID) float64 {
+	m.fadePCG.Seed(xrand.Seeds(m.seed, linkKey(a, b), fadeLabel))
+	return m.fadeRng.NormFloat64()
 }
 
 // getFrame draws a frame from the pool for a broadcast by a sender of the

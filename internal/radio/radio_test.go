@@ -3,6 +3,7 @@ package radio
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 
@@ -139,7 +140,7 @@ func TestRSSINoiseMonotonicInDistance(t *testing.T) {
 		lost := 0
 		const trials = 4000
 		for i := 0; i < trials; i++ {
-			if model.Lost(0, 1, d, r) {
+			if model.Lost(d, r) {
 				lost++
 			}
 		}
@@ -410,159 +411,212 @@ func TestObserverAddedMidFrameHearsFrame(t *testing.T) {
 	}
 }
 
-// distanceRecorder is a lossless capture channel that records the link
-// length the medium hands each Lost and RxPowerMW call.
-type distanceRecorder struct {
-	channel.Ideal
-	lost, power []linkCall
+// frameRecorder is a frame channel that records the link length of each
+// call and loses a frame with probability loss, drawn from the shared
+// stream; lost counts the frames it lost.
+type frameRecorder struct {
+	loss  float64
+	dists []float64
+	lost  int
 }
 
-type linkCall struct {
-	from, to topo.NodeID
-	dist     float64
-}
+func (*frameRecorder) Spec() string { return "frame-recorder" }
 
-func (c *distanceRecorder) Lost(from, to topo.NodeID, dist float64, _ *rand.Rand) bool {
-	c.lost = append(c.lost, linkCall{from, to, dist})
+func (c *frameRecorder) Lost(dist float64, rng *rand.Rand) bool {
+	c.dists = append(c.dists, dist)
+	if rng.Float64() < c.loss {
+		c.lost++
+		return true
+	}
 	return false
 }
 
-func (c *distanceRecorder) RxPowerMW(from, to topo.NodeID, dist float64) float64 {
-	c.power = append(c.power, linkCall{from, to, dist})
-	return 1
+// linkRecorder is a link channel that records the link length of each
+// call and loses the links whose fade is negative; lost counts the links
+// it lost. capture says whether it reports itself a capture channel.
+type linkRecorder struct {
+	capture bool
+	dists   []float64
+	lost    int
 }
 
-func (c *distanceRecorder) Capture() (channel.CaptureParams, bool) {
-	return channel.CaptureParams{ThresholdMW: 1, NoiseMW: 1e-9}, true
+func (*linkRecorder) Spec() string { return "link-recorder" }
+
+func (c *linkRecorder) RxPowerMW(dist, fade float64) (float64, bool) {
+	c.dists = append(c.dists, dist)
+	if fade < 0 {
+		c.lost++
+		return 0, false
+	}
+	return 1, true
+}
+
+func (c *linkRecorder) Capture() (channel.CaptureParams, bool) {
+	return channel.CaptureParams{ThresholdMW: 1, NoiseMW: 1e-9}, c.capture
 }
 
 // TestChannelSeesPositionDistances broadcasts once from every node of a
-// 500-node random geometric graph and checks that each channel call gets
-// the link length the positions give, bit for bit, though the medium reads
-// it from the graph's edge instead of computing it.
+// 500-node random geometric graph, under a frame and under a link
+// channel, and checks that the channel calls get the link lengths the
+// positions give, bit for bit, though the medium reads them from the
+// graph's edges instead of computing them. Calls carry no endpoints, so
+// the sorted lengths are compared with the sorted lengths of all
+// directed edges.
 func TestChannelSeesPositionDistances(t *testing.T) {
 	side := math.Sqrt(500) * topo.DefaultSpacing
 	g, err := topo.RandomGeometric(500, side, side, 1.8*topo.DefaultSpacing, 1<<8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := des.New()
-	m := New(sim, g, 1)
-	ch := &distanceRecorder{}
-	m.Reset(1, ch, false, nil)
-	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		sim.ScheduleAfter(time.Duration(n)*time.Millisecond, func() { m.Broadcast(n, []byte{1}) })
-	}
-	if err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, calls := range []struct {
-		name string
-		got  []linkCall
-	}{{"Lost", ch.lost}, {"RxPowerMW", ch.power}} {
-		if len(calls.got) != 2*g.EdgeCount() {
-			t.Errorf("%s called %d times, want one per directed edge, %d", calls.name, len(calls.got), 2*g.EdgeCount())
-		}
-		for _, c := range calls.got {
-			want := g.Position(c.from).DistanceTo(g.Position(c.to))
-			if math.Float64bits(c.dist) != math.Float64bits(want) {
-				t.Fatalf("%s(%d, %d) got distance %v, positions give %v", calls.name, c.from, c.to, c.dist, want)
-			}
+	var want []uint64
+	for from := topo.NodeID(0); int(from) < g.Len(); from++ {
+		for _, to := range g.Neighbors(from) {
+			want = append(want, math.Float64bits(g.Position(from).DistanceTo(g.Position(to))))
 		}
 	}
-}
-
-// verdictRecorder is a channel that counts the Lost and RxPowerMW calls
-// on each directed link and loses the links lostLink names. capture says
-// whether it reports itself a capture channel.
-type verdictRecorder struct {
-	channel.Ideal
-	capture     bool
-	lost, power map[[2]topo.NodeID]int
-}
-
-// lostLink names the links verdictRecorder loses: those whose endpoint
-// IDs sum to a multiple of three.
-func lostLink(from, to topo.NodeID) bool { return (from+to)%3 == 0 }
-
-func (c *verdictRecorder) Lost(from, to topo.NodeID, _ float64, _ *rand.Rand) bool {
-	c.lost[[2]topo.NodeID{from, to}]++
-	return lostLink(from, to)
-}
-
-func (c *verdictRecorder) RxPowerMW(from, to topo.NodeID, _ float64) float64 {
-	c.power[[2]topo.NodeID{from, to}]++
-	return 1
-}
-
-func (c *verdictRecorder) Capture() (channel.CaptureParams, bool) {
-	return channel.CaptureParams{ThresholdMW: 1, NoiseMW: 1e-9}, c.capture
+	slices.Sort(want)
+	frameCh, linkCh := &frameRecorder{}, &linkRecorder{capture: true}
+	for _, tc := range []struct {
+		ch    channel.Model
+		dists *[]float64
+	}{{frameCh, &frameCh.dists}, {linkCh, &linkCh.dists}} {
+		sim := des.New()
+		m := New(sim, g, 1)
+		m.Reset(1, tc.ch, false, nil)
+		for n := topo.NodeID(0); int(n) < g.Len(); n++ {
+			sim.ScheduleAfter(time.Duration(n)*time.Millisecond, func() { m.Broadcast(n, []byte{1}) })
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]uint64, len(*tc.dists))
+		for i, d := range *tc.dists {
+			got[i] = math.Float64bits(d)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the %d link lengths asked differ from the %d the positions give", tc.ch.Spec(), len(got), len(want))
+		}
+	}
 }
 
 // TestCaptureChannelAskedOncePerEdgePerRun broadcasts three times from
-// every node of a grid, in two runs, and counts the calls the channel gets
-// on each directed edge. A capture channel is asked Lost once per edge and
-// RxPowerMW once per edge it did not lose, however many frames cross the
-// edge, and is asked again after Reset; every later frame gets the verdict
-// it gave. A non-capture channel is asked Lost on every candidate
-// reception, so its draws from the shared stream stay one per frame.
+// every node of a grid, in two runs, and counts the calls the channel
+// gets. A link channel, capture or not, is asked once per directed edge
+// per run however many frames cross the edge, and asked afresh after
+// Reset; every later frame gets the verdict it gave. A frame channel is
+// asked on every candidate reception, so its draws from the shared stream
+// stay one per frame.
 func TestCaptureChannelAskedOncePerEdgePerRun(t *testing.T) {
 	const rounds = 3
 	g, err := topo.DefaultGrid(5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	edges := 2 * g.EdgeCount()
+	// run broadcasts rounds times from every node on a fresh run of m.
+	run := func(sim *des.Simulator, m *Medium, seed uint64, ch channel.Model) Stats {
+		sim.Reset()
+		m.Reset(seed, ch, false, nil)
+		for r := 0; r < rounds; r++ {
+			for n := topo.NodeID(0); int(n) < g.Len(); n++ {
+				at := time.Duration(r*g.Len()+int(n)) * time.Millisecond
+				sim.ScheduleAfter(at, func() { m.Broadcast(n, []byte{1}) })
+			}
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Stats()
+	}
 	for _, capture := range []bool{true, false} {
-		ch := &verdictRecorder{capture: capture}
+		ch := &linkRecorder{capture: capture}
 		sim := des.New()
 		m := New(sim, g, 1)
 		m.SetReceiver(func(bool, topo.NodeID, topo.NodeID, int, []byte) {})
-		for run := uint64(1); run <= 2; run++ {
-			sim.Reset()
-			m.Reset(run, ch, false, nil)
-			ch.lost, ch.power = map[[2]topo.NodeID]int{}, map[[2]topo.NodeID]int{}
-			for r := 0; r < rounds; r++ {
-				for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-					at := time.Duration(r*g.Len()+int(n)) * time.Millisecond
-					sim.ScheduleAfter(at, func() { m.Broadcast(n, []byte{1}) })
-				}
+		for seed := uint64(1); seed <= 2; seed++ {
+			ch.dists, ch.lost = nil, 0
+			st := run(sim, m, seed, ch)
+			if len(ch.dists) != edges {
+				t.Errorf("capture=%v run %d: link channel asked %d times, want once per directed edge, %d", capture, seed, len(ch.dists), edges)
 			}
-			if err := sim.Run(); err != nil {
-				t.Fatal(err)
+			if ch.lost == 0 || ch.lost == edges {
+				t.Fatalf("capture=%v run %d: %d of %d edges lost; the fades do not split the links", capture, seed, ch.lost, edges)
 			}
-			wantLost := rounds
-			if capture {
-				wantLost = 1
-			}
-			var lostEdges uint64
-			for from := topo.NodeID(0); int(from) < g.Len(); from++ {
-				for _, to := range g.Neighbors(from) {
-					link := [2]topo.NodeID{from, to}
-					wantPower := wantLost
-					if lostLink(from, to) {
-						wantPower = 0
-						lostEdges++
-					}
-					if !capture {
-						wantPower = 0
-					}
-					if got := ch.lost[link]; got != wantLost {
-						t.Errorf("capture=%v run %d: Lost(%d, %d) asked %d times, want %d", capture, run, from, to, got, wantLost)
-					}
-					if got := ch.power[link]; got != wantPower {
-						t.Errorf("capture=%v run %d: RxPowerMW(%d, %d) asked %d times, want %d", capture, run, from, to, got, wantPower)
-					}
-				}
-			}
-			if len(ch.lost) != 2*g.EdgeCount() {
-				t.Errorf("capture=%v run %d: Lost asked on %d links, want the %d directed edges", capture, run, len(ch.lost), 2*g.EdgeCount())
-			}
-			st := m.Stats()
-			if st.LossDrops != rounds*lostEdges || st.Deliveries != rounds*(uint64(2*g.EdgeCount())-lostEdges) {
-				t.Errorf("capture=%v run %d: %d loss drops and %d deliveries, want %d and %d",
-					capture, run, st.LossDrops, st.Deliveries, rounds*lostEdges, rounds*(uint64(2*g.EdgeCount())-lostEdges))
+			if wantLoss, wantDel := uint64(rounds*ch.lost), uint64(rounds*(edges-ch.lost)); st.LossDrops != wantLoss || st.Deliveries != wantDel {
+				t.Errorf("capture=%v run %d: %d loss drops and %d deliveries, want %d and %d", capture, seed, st.LossDrops, st.Deliveries, wantLoss, wantDel)
 			}
 		}
+	}
+	ch := &frameRecorder{loss: 0.3}
+	sim := des.New()
+	m := New(sim, g, 1)
+	m.SetReceiver(func(bool, topo.NodeID, topo.NodeID, int, []byte) {})
+	st := run(sim, m, 1, ch)
+	if len(ch.dists) != rounds*edges {
+		t.Errorf("frame channel asked %d times, want once per candidate reception, %d", len(ch.dists), rounds*edges)
+	}
+	if st.LossDrops != uint64(ch.lost) || st.Deliveries != uint64(rounds*edges-ch.lost) {
+		t.Errorf("frame channel: %d loss drops and %d deliveries, want %d and %d", st.LossDrops, st.Deliveries, ch.lost, rounds*edges-ch.lost)
+	}
+}
+
+// TestLinkFadeDeterministic: a link's fade is a pure function of (seed,
+// link) — symmetric, independent of the order in which links are first
+// used, replayed by Reset to the same seed, and different under another
+// seed. The link verdicts a shadowed channel leaves in edgePower after a
+// broadcast from every node show it through the medium.
+func TestLinkFadeDeterministic(t *testing.T) {
+	g, err := topo.DefaultGrid(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := channel.LogDistance{Exp: 2.4, Sigma: 4}
+	sim := des.New()
+	m := New(sim, g, 1)
+	// verdicts runs one broadcast from every node, in the given order, and
+	// returns a copy of the medium's link verdicts.
+	verdicts := func(seed uint64, reverse bool) []float64 {
+		sim.Reset()
+		m.Reset(seed, ch, false, nil)
+		for i := 0; i < g.Len(); i++ {
+			n := topo.NodeID(i)
+			if reverse {
+				n = topo.NodeID(g.Len() - 1 - i)
+			}
+			sim.ScheduleAfter(time.Duration(i)*time.Millisecond, func() { m.Broadcast(n, []byte{1}) })
+		}
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return slices.Clone(m.edgePower)
+	}
+	first := verdicts(7, false)
+	if slices.Contains(first, 0) {
+		t.Fatal("an edge was never asked")
+	}
+	for from := topo.NodeID(0); int(from) < g.Len(); from++ {
+		for k, to := range g.Neighbors(from) {
+			back := slices.Index(g.Neighbors(to), from)
+			if a, b := first[g.FirstEdge(from)+k], first[g.FirstEdge(to)+back]; a != b {
+				t.Errorf("verdict not symmetric: %d→%d %v, %d→%d %v", from, to, a, to, from, b)
+			}
+			if a, b := m.linkFade(from, to), m.linkFade(to, from); a != b {
+				t.Errorf("fade not symmetric: %d–%d %v, %d–%d %v", from, to, a, to, from, b)
+			}
+		}
+	}
+	if slices.Min(first) == slices.Max(first) {
+		t.Fatalf("every edge has verdict %v; the fade streams are not keyed by link", first[0])
+	}
+	if got := verdicts(7, true); !slices.Equal(got, first) {
+		t.Error("the order links were first used in changed their verdicts")
+	}
+	if got := verdicts(7, false); !slices.Equal(got, first) {
+		t.Error("Reset to the same seed did not replay the verdicts")
+	}
+	if got := verdicts(8, false); slices.Equal(got, first) {
+		t.Error("Reset to another seed kept every verdict")
 	}
 }
 

@@ -74,8 +74,8 @@ func TestSimConfigAcceptsLegacyLossSpellings(t *testing.T) {
 			t.Errorf("channel %q: %v", tc.in, err)
 			continue
 		}
-		if cfg.Channel != tc.want {
-			t.Errorf("channel %q: canonical %q, want %q", tc.in, cfg.Channel, tc.want)
+		if got := cfg.Channel.Spec(); got != tc.want {
+			t.Errorf("channel %q: canonical %q, want %q", tc.in, got, tc.want)
 		}
 	}
 }
