@@ -734,5 +734,21 @@ func TestSlotExhaustionPinnedAtZero(t *testing.T) {
 				t.Errorf("%s: collision off the floor: %v", tc.name, v)
 			}
 		}
+		// The one-pass counts collect stores must be the lengths of the
+		// lists the definitions' own checks give on the settled schedule.
+		a := res.Assignment
+		for _, c := range []struct {
+			name      string
+			got, want int
+		}{
+			{"weak", res.WeakViolations, len(schedule.CheckWeakDAS(g, a))},
+			{"strong", res.StrongViolations, len(schedule.CheckStrongDAS(g, a))},
+			{"collision", res.CollisionViolations, len(schedule.CheckNonColliding(g, a))},
+			{"range", res.RangeViolations, len(schedule.CheckSlotRange(g, a, tc.cfg.Slots))},
+		} {
+			if c.got != c.want {
+				t.Errorf("%s: %d %s violations, the list has %d", tc.name, c.got, c.name, c.want)
+			}
+		}
 	}
 }

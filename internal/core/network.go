@@ -130,6 +130,9 @@ type Network struct {
 	decPos []int32      // lint:immutable: scratch, overwritten at each frame's first reception
 	decRow []uint16     // lint:immutable: scratch, overwritten before every delivery
 
+	partSeen  []bool        // lint:immutable: partitioned's scratch, cleared before every use
+	partQueue []topo.NodeID // lint:immutable: partitioned's scratch, emptied before every use
+
 	// The Ninfo tables (see infoTable), built on the first run: ranks are
 	// the graph's rank rows, and infoArena and relArena hold every node's
 	// entries and relation bits back to back. Node resets rewind both.
@@ -192,6 +195,8 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 			SinkDist: sinkDist,
 		},
 		protoCache: make(map[string]protocol.Instance),
+		partSeen:   make([]bool, g.Len()),
+		partQueue:  make([]topo.NodeID, 0, g.Len()),
 	}
 	net.periodTick = periodTick{n: net}
 	net.medium.SetReceiver(net.receive)
@@ -882,11 +887,8 @@ func (n *Network) collect() *Result {
 		res.PeriodsRun = float64(now-n.dataStart) / float64(n.period)
 	}
 
-	g, a := n.g, res.Assignment
-	res.WeakViolations = len(schedule.CheckWeakDAS(g, a))
-	res.StrongViolations = len(schedule.CheckStrongDAS(g, a))
-	res.CollisionViolations = len(schedule.CheckNonColliding(g, a))
-	res.RangeViolations = len(schedule.CheckSlotRange(g, a, n.cfg.Slots))
+	res.WeakViolations, res.StrongViolations, res.CollisionViolations, res.RangeViolations =
+		schedule.Count(n.g, res.Assignment, n.env.SinkDist, n.cfg.Slots)
 
 	// Energy verdicts (energy runs only; energy-off runs report the zero
 	// totals and the -1 sentinels).
@@ -963,20 +965,20 @@ func (n *Network) deliveryWindows(periodsRun float64) (before, during, after flo
 	return ratio(0, fp), ratio(fp, lp+1), ratio(lp+1, total)
 }
 
-// partitioned reports whether source and sink ended the run separated:
-// one of them dead, or no path of alive nodes over intact links between
-// them. Evaluated once at collect — a cold path.
+// partitioned reports whether source and sink are separated: one of them
+// dead, or no path of alive nodes over intact links between them. It runs
+// at collect on fault runs, and after each depletion death until the
+// lifetime verdict latches, searching on the network's scratch.
 func (n *Network) partitioned() bool {
 	if n.nodes[n.sink].prc.Dead() || n.nodes[n.source].prc.Dead() {
 		return true
 	}
-	visited := make([]bool, n.g.Len())
-	queue := make([]topo.NodeID, 0, 64)
+	visited := n.partSeen
+	clear(visited)
 	visited[n.sink] = true
-	queue = append(queue, n.sink)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
+	queue := append(n.partQueue[:0], n.sink) // each node is queued at most once
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
 		if v == n.source {
 			return false
 		}

@@ -48,8 +48,8 @@ func GreedyDAS(g *topo.Graph, sink topo.NodeID, slots int) (*Assignment, error) 
 	for level := 1; level <= maxDist; level++ {
 		for _, n := range byLevel[level] {
 			slot := slots // upper bound: strictly below every next hop
-			for _, m := range g.ShortestPathNextHops(n, dist) {
-				if a.Slot(m) < slot {
+			for _, m := range g.Neighbors(n) {
+				if dist[m] == level-1 && a.Slot(m) < slot {
 					slot = a.Slot(m)
 				}
 			}

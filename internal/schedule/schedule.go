@@ -16,7 +16,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 
 	"slpdas/internal/topo"
 )
@@ -173,63 +172,76 @@ func CheckSlotRange(g *topo.Graph, a *Assignment, slots int) []Violation {
 	return out
 }
 
+// Count returns the lengths of the lists CheckWeakDAS, CheckStrongDAS,
+// CheckNonColliding and CheckSlotRange(slots) return, walking each
+// property once. dist is the graph's hop distances from the sink, as
+// g.BFSFrom(a.Sink()) returns them.
+func Count(g *topo.Graph, a *Assignment, dist []int, slots int) (weak, strong, collision, outOfRange int) {
+	unassigned := len(CheckAssigned(g, a))
+	collision = len(CheckNonColliding(g, a))
+	weak = unassigned + len(noRoute(g, a)) + collision
+	strong = unassigned + len(earlierParent(g, a, dist)) + collision
+	return weak, strong, collision, len(CheckSlotRange(g, a, slots))
+}
+
 // CheckStrongDAS verifies Definition 2: conditions 1–2 via CheckAssigned,
 // condition 3 (every shortest-path next hop towards the sink transmits
 // later or is the sink), and condition 4 via CheckNonColliding.
 func CheckStrongDAS(g *topo.Graph, a *Assignment) []Violation {
-	out := CheckAssigned(g, a)
-	dist := g.BFSFrom(a.sink)
-	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		if n == a.sink || !a.Assigned(n) {
-			continue
-		}
-		for _, m := range g.ShortestPathNextHops(n, dist) {
-			if m == a.sink {
-				continue
-			}
-			if !a.Assigned(m) || a.Slot(m) <= a.Slot(n) {
-				out = append(out, Violation{Kind: KindEarlierShortestParent, Node: n, Other: m, Slot: a.Slot(n)})
-			}
-		}
-	}
-	out = append(out, CheckNonColliding(g, a)...)
-	return out
+	out := append(CheckAssigned(g, a), earlierParent(g, a, g.BFSFrom(a.sink))...)
+	return append(out, CheckNonColliding(g, a)...)
 }
 
 // CheckWeakDAS verifies Definition 3: conditions 1–2 via CheckAssigned,
 // condition 3 as sink reachability through strictly-later slots, and
 // condition 4 via CheckNonColliding.
 func CheckWeakDAS(g *topo.Graph, a *Assignment) []Violation {
-	out := CheckAssigned(g, a)
-	// Reverse reachability: start from the sink and walk edges backwards
-	// (m reaches sink directly; n reaches sink if some neighbour m with
-	// slot(m) > slot(n) reaches it).
-	canReach := make([]bool, g.Len())
-	canReach[a.sink] = true
-	// Process nodes in decreasing slot order: a node's reachability only
-	// depends on strictly-larger-slot neighbours (or sink adjacency), so a
-	// single ordered pass suffices.
-	order := make([]topo.NodeID, 0, g.Len())
+	out := append(CheckAssigned(g, a), noRoute(g, a)...)
+	return append(out, CheckNonColliding(g, a)...)
+}
+
+// earlierParent reports Definition 2's condition 3: a shortest-path next
+// hop m of an assigned node n (a neighbour with dist[m] == dist[n]-1, dist
+// counted from the sink) that is not the sink and does not transmit later.
+func earlierParent(g *topo.Graph, a *Assignment, dist []int) []Violation {
+	var out []Violation
 	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
-		if n != a.sink && a.Assigned(n) {
-			order = append(order, n)
+		if n == a.sink || !a.Assigned(n) {
+			continue
 		}
-	}
-	sort.Slice(order, func(i, j int) bool { return a.Slot(order[i]) > a.Slot(order[j]) })
-	for _, n := range order {
 		for _, m := range g.Neighbors(n) {
-			if m == a.sink || (a.Assigned(m) && a.Slot(m) > a.Slot(n) && canReach[m]) {
-				canReach[n] = true
-				break
+			if dist[m] == dist[n]-1 && m != a.sink && (!a.Assigned(m) || a.Slot(m) <= a.Slot(n)) {
+				out = append(out, Violation{Kind: KindEarlierShortestParent, Node: n, Other: m, Slot: a.Slot(n)})
 			}
 		}
 	}
-	for _, n := range order {
-		if !canReach[n] {
+	return out
+}
+
+// noRoute reports Definition 3's condition 3, in node order: the assigned
+// nodes with no path of strictly later slots to the sink. It searches
+// backwards from the sink, stepping from a reached m to an assigned
+// neighbour n when m is the sink or transmits after n.
+func noRoute(g *topo.Graph, a *Assignment) []Violation {
+	reached := make([]bool, g.Len())
+	reached[a.sink] = true
+	stack := append(make([]topo.NodeID, 0, g.Len()), a.sink) // each node is pushed at most once
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, n := range g.Neighbors(m) {
+			if !reached[n] && a.Assigned(n) && (m == a.sink || a.Slot(m) > a.Slot(n)) {
+				reached[n] = true
+				stack = append(stack, n)
+			}
+		}
+	}
+	var out []Violation
+	for n := topo.NodeID(0); int(n) < g.Len(); n++ {
+		if !reached[n] && a.Assigned(n) {
 			out = append(out, Violation{Kind: KindNoRouteToSink, Node: n, Other: topo.None, Slot: a.Slot(n)})
 		}
 	}
-	out = append(out, CheckNonColliding(g, a)...)
 	return out
 }
 

@@ -680,17 +680,3 @@ func (g *Graph) Diameter() int {
 	}
 	return diam
 }
-
-// ShortestPathNextHops returns the neighbours of n that lie on a shortest
-// path from n towards the root of the supplied BFS distance vector, i.e.
-// neighbours m with dist[m] == dist[n]-1. This is the neighbour set used by
-// condition 3 of the strong DAS definition.
-func (g *Graph) ShortestPathNextHops(n NodeID, dist []int) []NodeID {
-	var out []NodeID
-	for _, m := range g.Neighbors(n) {
-		if dist[m] >= 0 && dist[n] >= 0 && dist[m] == dist[n]-1 {
-			out = append(out, m)
-		}
-	}
-	return out
-}

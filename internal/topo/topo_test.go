@@ -291,26 +291,6 @@ func TestDiameterGrid(t *testing.T) {
 	}
 }
 
-func TestShortestPathNextHops(t *testing.T) {
-	const side = 5
-	g := mustGrid(t, side)
-	dist := g.BFSFrom(GridCentre(side))
-	// The corner has two shortest-path next hops towards the centre.
-	hops := g.ShortestPathNextHops(GridTopLeft(), dist)
-	if len(hops) != 2 {
-		t.Fatalf("corner next hops = %v, want 2 entries", hops)
-	}
-	for _, m := range hops {
-		if dist[m] != dist[GridTopLeft()]-1 {
-			t.Errorf("next hop %d at distance %d, want %d", m, dist[m], dist[GridTopLeft()]-1)
-		}
-	}
-	// The sink itself has none.
-	if hops := g.ShortestPathNextHops(GridCentre(side), dist); len(hops) != 0 {
-		t.Errorf("sink next hops = %v, want none", hops)
-	}
-}
-
 func TestInvalidBuilders(t *testing.T) {
 	if _, err := Grid(1, 4.5, 4.5); err == nil {
 		t.Error("Grid(1) succeeded, want error")
