@@ -337,12 +337,12 @@ func runSweep(args []string) error {
 		fmt.Printf("attacker-strategy ablation (simulated), %d×%d grid, SD=%d, attacker (%d,%d,%d), %d repeats/cell\n\n",
 			*size, *size, *sd, base.Attacker.R, base.Attacker.H, base.Attacker.M, *repeats)
 		var arms []experiment.Arm
-		for _, name := range attacker.StrategyNames() {
+		for _, strat := range attacker.Strategies() {
 			for _, count := range []int{1, 2} {
 				cfg := base
-				cfg.Strategy = name
+				cfg.Strategy = strat
 				cfg.AttackerCount = count
-				arms = append(arms, experiment.Arm{Labels: []string{name, strconv.Itoa(count)}, Config: cfg})
+				arms = append(arms, experiment.Arm{Labels: []string{strat.Name, strconv.Itoa(count)}, Config: cfg})
 			}
 		}
 		tbl, _, err := experiment.Ablation(*size, *repeats, *seed, []string{"strategy", "attackers"}, arms, []experiment.Column{

@@ -116,11 +116,7 @@ func runCustom(args []string) error {
 	}
 	atkDesc := fmt.Sprintf("attacker %d,%d,%d", cfg.Attacker.R, cfg.Attacker.H, cfg.Attacker.M)
 	if f.strategy != "" || f.nattackers > 1 {
-		name := f.strategy
-		if name == "" {
-			name = "first-heard"
-		}
-		atkDesc = fmt.Sprintf("%s %s x%d", atkDesc, name, f.nattackers)
+		atkDesc = fmt.Sprintf("%s %s x%d", atkDesc, cfg.Strategy.Name, cfg.AttackerCount)
 		if f.sharedHistory {
 			atkDesc += " shared-history"
 		}
@@ -135,7 +131,7 @@ func runCustom(args []string) error {
 	}
 	fmt.Printf("  valid schedules   : %.0f%%\n", agg.ScheduleValid.Value()*100)
 	fmt.Printf("  control traffic   : %.1f msgs (%.0f bytes) per run\n", agg.ControlMessages.Mean, agg.ControlBytes.Mean)
-	if cfg.Protocol == protocol.NameSLPDAS {
+	if cfg.Protocol.SearchPhase {
 		fmt.Printf("  slots changed     : %.1f nodes per run\n", agg.ChangedNodes.Mean)
 	}
 	return nil

@@ -171,9 +171,8 @@ type Attacker struct {
 }
 
 // New creates the index-th eavesdropper of a (possibly multi-attacker)
-// hunt for source on graph g, deciding with the given strategy instance
-// (nil means first-heard). The instance must be fresh — strategies may
-// keep state. Index 0 draws from the "attacker" stream, so a
+// hunt for source on graph g, deciding with the given strategy instance.
+// The instance must be fresh — strategies may keep state. Index 0 draws from the "attacker" stream, so a
 // single-attacker run's draws depend only on the seed; higher indices get
 // independent streams. The attacker is inert until ActivateAt; register it
 // on the medium with radio.Medium.AddObserver.
@@ -186,9 +185,6 @@ func New(g *topo.Graph, params Params, strat Strategy, source topo.NodeID, seed 
 	}
 	if !g.Valid(source) {
 		return nil, fmt.Errorf("attacker: invalid source node %d", source)
-	}
-	if strat == nil {
-		strat = FirstHeard{}
 	}
 	if ga, ok := strat.(GraphAware); ok {
 		ga.Bind(g, params.Start)

@@ -43,8 +43,9 @@ type PeriodAware interface {
 // Factory creates a fresh Strategy instance for one attacker.
 type Factory func() Strategy
 
-// DefaultStrategy is the name of the paper's first-heard attacker, the
-// default everywhere a strategy is not named explicitly.
+// DefaultStrategy is the name of the paper's first-heard attacker: the
+// strategy of core.Default, and the one an unnamed campaign or CLI
+// strategy resolves to.
 const DefaultStrategy = "first-heard"
 
 // Entry is one named strategy: a one-line summary for listings and the
@@ -86,14 +87,14 @@ func StrategyNames() []string {
 	return out
 }
 
-// ByName resolves a strategy name to its factory.
-func ByName(name string) (Factory, error) {
+// ByName resolves a strategy name to its table entry.
+func ByName(name string) (Entry, error) {
 	for i := range strategies {
 		if strategies[i].Name == name {
-			return strategies[i].New, nil
+			return strategies[i], nil
 		}
 	}
-	return nil, fmt.Errorf("attacker: unknown strategy %q (have %v)", name, StrategyNames())
+	return Entry{}, fmt.Errorf("attacker: unknown strategy %q (have %v)", name, StrategyNames())
 }
 
 // Patient commits only to corroborated origins: it moves to the origin

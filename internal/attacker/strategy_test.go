@@ -27,12 +27,15 @@ func TestRegistryListsAndResolves(t *testing.T) {
 		}
 	}
 	for _, want := range []string{DefaultStrategy, "random-heard", "unvisited-first", "patient", "backtrack", "random-walk", "cautious"} {
-		f, err := ByName(want)
+		e, err := ByName(want)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", want, err)
 			continue
 		}
-		if f() == nil {
+		if e.Name != want {
+			t.Errorf("ByName(%q).Name = %q", want, e.Name)
+		}
+		if e.New() == nil {
 			t.Errorf("factory for %q built nil", want)
 		}
 	}

@@ -58,10 +58,12 @@ type Spec struct {
 	// the paper's (1, 0, 1).
 	Attackers []attacker.Params
 	// Strategies is the attacker decision axis, by name (see
-	// attacker.Strategies). Default the paper's first-heard.
+	// attacker.Strategies; "" is first-heard). Default the paper's
+	// first-heard.
 	Strategies []string
-	// AttackerCounts is the eavesdropper-team-size axis; capture is the
-	// first of the team to reach the source. Default {1}.
+	// AttackerCounts is the eavesdropper-team-size axis (0 is one
+	// attacker); capture is the first of the team to reach the source.
+	// Default {1}.
 	AttackerCounts []int
 	// SharedHistories is the pooled-H-window axis. Default {false}.
 	SharedHistories []bool
@@ -240,7 +242,7 @@ func (c Cell) config() (core.Config, error) {
 // AttackerSetup groups the attacker-side coordinates of a cell: the
 // (R, H, M) tuple, the decision strategy by name (empty =
 // first-heard), the team size (0 = single) and whether the team pools
-// one H-window.
+// one H-window. resolveTeam applies both defaults.
 type AttackerSetup struct {
 	Params        attacker.Params
 	Strategy      string
@@ -250,8 +252,9 @@ type AttackerSetup struct {
 
 // BuildConfig maps one cell's coordinates — protocol name, search
 // distance, attacker setup, channel spec, collisions, fault spec, energy
-// spec — onto a validated core.Config. It is the single protocol-name
-// switch shared by the campaign engine and slpsim's single-run commands.
+// spec — onto a validated core.Config. It is where the campaign engine
+// and slpsim's single-run commands turn protocol and strategy names into
+// the table entries core.Config carries.
 // channelSpec uses the internal/channel grammar (which subsumes the old
 // loss-model syntax); faults the fault.Parse grammar; energySpec the
 // energy.Parse grammar. "" and "none" mean off for the latter two.
@@ -260,8 +263,12 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 	if err != nil {
 		return core.Config{}, fmt.Errorf("campaign: %w", err)
 	}
+	strat, count, err := resolveTeam(atk.Strategy, atk.Count)
+	if err != nil {
+		return core.Config{}, err
+	}
 	cfg := core.Default()
-	cfg.Protocol = fam.Name
+	cfg.Protocol = fam
 	// The SD coordinate only lands in the config for families it
 	// parameterises; others keep the Table I default, so their rows do
 	// not depend on the SD axis.
@@ -269,8 +276,8 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 		cfg.SearchDistance = searchDistance
 	}
 	cfg.Attacker = atk.Params
-	cfg.Strategy = atk.Strategy
-	cfg.AttackerCount = atk.Count
+	cfg.Strategy = strat
+	cfg.AttackerCount = count
 	cfg.SharedHistory = atk.SharedHistory
 	cfg.Collisions = collisions
 	ch, err := channel.Parse(channelSpec)
@@ -294,17 +301,36 @@ func BuildConfig(protoName string, searchDistance int, atk AttackerSetup, channe
 	return cfg, nil
 }
 
+// resolveTeam applies the attacker axes' defaults — an empty strategy is
+// first-heard, a team size of 0 is one attacker — and resolves the
+// strategy's table entry. BuildConfig and Expand both call it, so a cell
+// carries the strategy and team size its runs report.
+func resolveTeam(strategy string, count int) (attacker.Entry, int, error) {
+	if strategy == "" {
+		strategy = attacker.DefaultStrategy
+	}
+	e, err := attacker.ByName(strategy)
+	if err != nil {
+		return attacker.Entry{}, 0, fmt.Errorf("campaign: %w", err)
+	}
+	if count == 0 {
+		count = 1
+	}
+	return e, count, nil
+}
+
 // Expand materialises the job matrix: the Cartesian product of all axes,
 // with defaults applied, in a deterministic order (topology outermost,
 // energy innermost). Repeats and the per-cell seed ranges are fixed
 // here, so Expand alone determines every seed a campaign will run.
 // Channel, fault and energy axis values are canonicalised through their
-// Parse/String round trips here, so cells (and rows, and resume
-// verification) always carry the canonical spelling regardless of how
-// the axis was written. Expand also refuses an unknown topology kind, a
-// topology size below its kind's floor, an unknown protocol or strategy
-// name and a bad shard, so a caller can check a spec before it commits to
-// running it.
+// Parse/String round trips here, and strategies and team sizes through
+// resolveTeam, so cells (and rows, and resume verification) always carry
+// the canonical spelling regardless of how the axis was written.
+// Protocol names are kept as written: rows record the user's spelling.
+// Expand also refuses an unknown topology kind, a topology size below its
+// kind's floor, an unknown protocol or strategy name and a bad shard, so
+// a caller can check a spec before it commits to running it.
 func (s Spec) Expand() ([]Cell, error) {
 	s = s.withDefaults()
 	if s.Repeats < 0 {
@@ -313,9 +339,20 @@ func (s Spec) Expand() ([]Cell, error) {
 	if err := s.Shard.check(); err != nil {
 		return nil, err
 	}
+	// The strategy and team-size axes nest next to each other, so they
+	// are resolved as pairs.
+	type team struct {
+		strategy string
+		count    int
+	}
+	teams := make([]team, 0, len(s.Strategies)*len(s.AttackerCounts))
 	for _, strat := range s.Strategies {
-		if _, err := attacker.ByName(core.Config{Strategy: strat}.StrategyLabel()); err != nil {
-			return nil, fmt.Errorf("campaign: %w", err)
+		for _, count := range s.AttackerCounts {
+			e, n, err := resolveTeam(strat, count)
+			if err != nil {
+				return nil, err
+			}
+			teams = append(teams, team{e.Name, n})
 		}
 	}
 	channelAxis := make([]string, len(s.Channels))
@@ -353,31 +390,29 @@ func (s Spec) Expand() ([]Cell, error) {
 			}
 			for _, sd := range s.SearchDistances {
 				for _, atk := range s.Attackers {
-					for _, strat := range s.Strategies {
-						for _, count := range s.AttackerCounts {
-							for _, sharedH := range s.SharedHistories {
-								for _, loss := range channelAxis {
-									for _, coll := range s.Collisions {
-										for _, flt := range faultAxis {
-											for _, en := range energyAxis {
-												idx := len(cells)
-												cells = append(cells, Cell{
-													Index:          idx,
-													Topology:       top,
-													Protocol:       proto,
-													SearchDistance: sd,
-													Attacker:       atk,
-													Strategy:       strat,
-													AttackerCount:  count,
-													SharedHistory:  sharedH,
-													LossModel:      loss,
-													Collisions:     coll,
-													Faults:         flt,
-													Energy:         en,
-													Repeats:        s.Repeats,
-													BaseSeed:       s.BaseSeed + uint64(idx)*uint64(s.Repeats),
-												})
-											}
+					for _, tm := range teams {
+						for _, sharedH := range s.SharedHistories {
+							for _, loss := range channelAxis {
+								for _, coll := range s.Collisions {
+									for _, flt := range faultAxis {
+										for _, en := range energyAxis {
+											idx := len(cells)
+											cells = append(cells, Cell{
+												Index:          idx,
+												Topology:       top,
+												Protocol:       proto,
+												SearchDistance: sd,
+												Attacker:       atk,
+												Strategy:       tm.strategy,
+												AttackerCount:  tm.count,
+												SharedHistory:  sharedH,
+												LossModel:      loss,
+												Collisions:     coll,
+												Faults:         flt,
+												Energy:         en,
+												Repeats:        s.Repeats,
+												BaseSeed:       s.BaseSeed + uint64(idx)*uint64(s.Repeats),
+											})
 										}
 									}
 								}

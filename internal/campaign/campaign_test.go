@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -338,6 +339,34 @@ func TestExpandStrategyAndTeamAxes(t *testing.T) {
 	for i, c := range cells {
 		if want := uint64(10 + 2*i); c.BaseSeed != want {
 			t.Errorf("cell %d BaseSeed = %d, want %d", i, c.BaseSeed, want)
+		}
+	}
+}
+
+// TestExpandResolvesTeamDefaults: an empty strategy and a team size of 0
+// expand to the cells their runs report — first-heard and one attacker —
+// at the indices and seeds the explicit spelling gets.
+func TestExpandResolvesTeamDefaults(t *testing.T) {
+	spec := Spec{GridSizes: []int{5}, Strategies: []string{""}, AttackerCounts: []int{0}, Repeats: 3, BaseSeed: 7}
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	explicit := spec
+	explicit.Strategies, explicit.AttackerCounts = []string{attacker.DefaultStrategy}, []int{1}
+	want, err := explicit.Expand()
+	if err != nil {
+		t.Fatalf("Expand: %v", err)
+	}
+	if !reflect.DeepEqual(cells, want) {
+		t.Errorf("default spelling expands to\n%+v\nwant\n%+v", cells, want)
+	}
+	for i, c := range cells {
+		if c.Strategy != "first-heard" || c.AttackerCount != 1 {
+			t.Errorf("cell %d: strategy %q, team %d, want first-heard, 1", i, c.Strategy, c.AttackerCount)
+		}
+		if c.Index != i || c.BaseSeed != 7+uint64(3*i) {
+			t.Errorf("cell %d: index %d, base seed %d", i, c.Index, c.BaseSeed)
 		}
 	}
 }

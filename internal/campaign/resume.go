@@ -7,8 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"slpdas/internal/attacker"
 )
 
 // This file is the read side of the sink contract: recovering the
@@ -132,19 +130,9 @@ func (s Spec) ScanResumable(r io.Reader, format string) (map[int]bool, int64, er
 // cellRowMismatch reports how row r's coordinate fields differ from what
 // cell c would emit, or "" when they all match. Only coordinates are
 // compared — the measured metrics legitimately vary with nothing but the
-// seed, which the BaseSeed check pins. Rows carry the *resolved* attacker
-// coordinates (core.Config normalizes a zero team size to 1 and an empty
-// strategy to the default), so the cell's values are normalized the same
-// way before comparing — a spec must accept the very file it produced.
+// seed, which the BaseSeed check pins. Expand resolves a cell's strategy
+// and team size as its runs do, so they compare as they stand.
 func cellRowMismatch(c Cell, r Row) string {
-	wantStrategy := c.Strategy
-	if wantStrategy == "" {
-		wantStrategy = attacker.DefaultStrategy
-	}
-	wantAttackers := c.AttackerCount
-	if wantAttackers <= 0 {
-		wantAttackers = 1
-	}
 	// Files written before the fault axis existed carry no faults field;
 	// those campaigns were all fault-free, so "" reads as the "none" that
 	// Expand writes into every fault-free cell.
@@ -170,8 +158,8 @@ func cellRowMismatch(c Cell, r Row) string {
 		{"attacker_r", r.AttackerR, c.Attacker.R},
 		{"attacker_h", r.AttackerH, c.Attacker.H},
 		{"attacker_m", r.AttackerM, c.Attacker.M},
-		{"strategy", r.Strategy, wantStrategy},
-		{"attackers", r.Attackers, wantAttackers},
+		{"strategy", r.Strategy, c.Strategy},
+		{"attackers", r.Attackers, c.AttackerCount},
 		{"shared_history", r.SharedHistory, c.SharedHistory},
 		{"loss_model", r.LossModel, c.LossModel},
 		{"collisions", r.Collisions, c.Collisions},

@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -42,23 +43,24 @@ type Config struct {
 	// sink: 3 or 5 in the paper. Only consulted by families for which
 	// Protocol.UsesSearchDistance is true (slp-das, phantom).
 	SearchDistance int
-	// Protocol selects the routing family by name (see
-	// protocol.Protocols). Empty means protectionless DAS.
-	Protocol string
+	// Protocol is the routing family's table entry (see
+	// protocol.Protocols; protocol.ByName resolves a name). Default sets
+	// protectionless DAS, DefaultSLP the 3-phase SLP-aware DAS.
+	Protocol protocol.Protocol
 	// SafetyFactor (Cs) scales the protectionless capture time into the
 	// safety period: 1.5.
 	SafetyFactor float64
 	// Attacker carries (R, H, M); the start location s0 is set by the
 	// network to the sink, as in the paper.
 	Attacker attacker.Params
-	// Strategy selects the attacker decision behaviour by name (see
-	// attacker.Strategies). Empty means first-heard, the paper's
-	// (1,0,1,s0,D) attacker.
-	Strategy string
-	// AttackerCount is the number of simultaneous eavesdroppers, all
-	// starting at the sink with independent random streams and fresh
-	// strategy instances. 0 means the paper's single attacker. Capture is
-	// scored for the first to reach the source.
+	// Strategy is the attacker decision behaviour's table entry (see
+	// attacker.Strategies; attacker.ByName resolves a name). Default sets
+	// first-heard, the D of the paper's (1,0,1,s0,D) attacker.
+	Strategy attacker.Entry
+	// AttackerCount is the number of simultaneous eavesdroppers, at least
+	// 1, all starting at the sink with independent random streams and
+	// fresh strategy instances. Default sets the paper's single attacker.
+	// Capture is scored for the first to reach the source.
 	AttackerCount int
 	// SharedHistory pools one H-window across all attackers, so the team
 	// collectively avoids anywhere any member has visited. Only meaningful
@@ -118,7 +120,8 @@ const bootJitter = 50 * time.Millisecond
 // walk recording (paths keep only the start location).
 const PathRecordingOff = -1
 
-// Default returns the Table I parameters with SD = 3.
+// Default returns the Table I parameters with SD = 3: protectionless DAS
+// hunted by one first-heard attacker.
 func Default() Config {
 	return Config{
 		SlotPeriod:                50 * time.Millisecond,
@@ -128,9 +131,11 @@ func Default() Config {
 		NeighbourDiscoveryPeriods: 4,
 		DisseminationTimeout:      5,
 		SearchDistance:            3,
-		Protocol:                  protocol.NameProtectionless,
+		Protocol:                  must(protocol.ByName(protocol.NameProtectionless)),
 		SafetyFactor:              1.5,
 		Attacker:                  attacker.Params{R: 1, H: 0, M: 1},
+		Strategy:                  must(attacker.ByName(attacker.DefaultStrategy)),
+		AttackerCount:             1,
 	}
 }
 
@@ -138,9 +143,18 @@ func Default() Config {
 // the given search distance.
 func DefaultSLP(searchDistance int) Config {
 	c := Default()
-	c.Protocol = protocol.NameSLPDAS
+	c.Protocol = must(protocol.ByName(protocol.NameSLPDAS))
 	c.SearchDistance = searchDistance
 	return c
+}
+
+// must returns v, panicking on err: Default and DefaultSLP resolve names
+// the tables always hold.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // Validate reports the first invalid parameter.
@@ -160,12 +174,11 @@ func (c Config) Validate() error {
 	if c.DisseminationTimeout < 1 {
 		return fmt.Errorf("core: DT must be >= 1, got %d", c.DisseminationTimeout)
 	}
-	fam, err := c.ProtocolFamily()
-	if err != nil {
-		return err
+	if c.Protocol.Name == "" {
+		return errors.New("core: no routing family (start from Default or DefaultSLP)")
 	}
-	if fam.UsesSearchDistance && c.SearchDistance < 1 {
-		return fmt.Errorf("core: protocol %q needs SearchDistance >= 1, got %d", fam.Name, c.SearchDistance)
+	if c.Protocol.UsesSearchDistance && c.SearchDistance < 1 {
+		return fmt.Errorf("core: protocol %q needs SearchDistance >= 1, got %d", c.Protocol.Name, c.SearchDistance)
 	}
 	if c.SafetyFactor <= 0 {
 		return fmt.Errorf("core: safety factor must be positive, got %v", c.SafetyFactor)
@@ -173,13 +186,11 @@ func (c Config) Validate() error {
 	if err := (attacker.Params{R: c.Attacker.R, H: c.Attacker.H, M: c.Attacker.M, Start: 0}).Validate(); err != nil {
 		return err
 	}
-	if c.Strategy != "" {
-		if _, err := attacker.ByName(c.Strategy); err != nil {
-			return err
-		}
+	if c.Strategy.New == nil {
+		return errors.New("core: no attacker strategy (start from Default or DefaultSLP)")
 	}
-	if c.AttackerCount < 0 {
-		return fmt.Errorf("core: attacker count must be >= 0, got %d", c.AttackerCount)
+	if c.AttackerCount < 1 {
+		return fmt.Errorf("core: attacker count must be >= 1, got %d", c.AttackerCount)
 	}
 	if c.PathCap < PathRecordingOff {
 		return fmt.Errorf("core: path cap must be >= %d (off), got %d", PathRecordingOff, c.PathCap)
@@ -196,46 +207,4 @@ func (c Config) Validate() error {
 		return err
 	}
 	return nil
-}
-
-// ProtocolName returns the canonical name of the configured routing
-// family: the Protocol field resolved through protocol.ByName (so the
-// "slp" alias reports "slp-das"), protectionless when it is empty.
-func (c Config) ProtocolName() string {
-	if c.Protocol == "" {
-		return protocol.NameProtectionless
-	}
-	if fam, err := protocol.ByName(c.Protocol); err == nil {
-		return fam.Name
-	}
-	return c.Protocol
-}
-
-// ProtocolFamily resolves the configured routing family's table entry.
-func (c Config) ProtocolFamily() (protocol.Protocol, error) {
-	return protocol.ByName(c.ProtocolName())
-}
-
-// HasSearchPhase reports whether the configured family runs the SLP
-// search phase (Phase 2) during setup.
-func (c Config) HasSearchPhase() bool {
-	fam, err := c.ProtocolFamily()
-	return err == nil && fam.SearchPhase
-}
-
-// Attackers returns the effective eavesdropper count (0 means 1).
-func (c Config) Attackers() int {
-	if c.AttackerCount <= 0 {
-		return 1
-	}
-	return c.AttackerCount
-}
-
-// StrategyLabel names the attacker behaviour for reporting: the Strategy
-// name, else the default.
-func (c Config) StrategyLabel() string {
-	if c.Strategy != "" {
-		return c.Strategy
-	}
-	return attacker.DefaultStrategy
 }

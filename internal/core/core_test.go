@@ -50,7 +50,10 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.MinimumSetupPeriods = 0 },
 		func(c *Config) { c.NeighbourDiscoveryPeriods = 0 },
 		func(c *Config) { c.DisseminationTimeout = 0 },
-		func(c *Config) { c.Protocol = protocol.NameSLPDAS; c.SearchDistance = 0 },
+		func(c *Config) { c.Protocol = must(protocol.ByName(protocol.NameSLPDAS)); c.SearchDistance = 0 },
+		func(c *Config) { c.Protocol = protocol.Protocol{} },
+		func(c *Config) { c.Strategy = attacker.Entry{} },
+		func(c *Config) { c.AttackerCount = 0 },
 		func(c *Config) { c.SafetyFactor = 0 },
 		func(c *Config) { c.Attacker.R = 0 },
 		func(c *Config) { c.Channel = channel.Bernoulli{P: 2} },
@@ -494,56 +497,25 @@ func TestMultiAttackerCollectsEveryPath(t *testing.T) {
 	}
 }
 
-func TestSingleAttackerUnchangedByMultiAttackerPlumbing(t *testing.T) {
-	// Backward compatibility: AttackerCount 0 (legacy zero value) and 1
-	// must produce identical results — same capture outcome, same path.
-	side := 7
-	g := grid(t, side)
-	legacy := run(t, g, side, Default(), 3)
-	one := Default()
-	one.AttackerCount = 1
-	explicit := run(t, g, side, one, 3)
-	if legacy.Captured != explicit.Captured || legacy.CaptureAt != explicit.CaptureAt {
-		t.Errorf("capture differs: legacy %v@%v vs explicit %v@%v",
-			legacy.Captured, legacy.CaptureAt, explicit.Captured, explicit.CaptureAt)
-	}
-	if len(legacy.AttackerPath) != len(explicit.AttackerPath) {
-		t.Fatalf("paths differ: %v vs %v", legacy.AttackerPath, explicit.AttackerPath)
-	}
-	for i := range legacy.AttackerPath {
-		if legacy.AttackerPath[i] != explicit.AttackerPath[i] {
-			t.Fatalf("paths differ: %v vs %v", legacy.AttackerPath, explicit.AttackerPath)
-		}
-	}
-}
-
-func TestNamedStrategyMatchesLegacyDecision(t *testing.T) {
-	// Naming first-heard explicitly must behave exactly like leaving the
-	// strategy empty.
-	side := 7
-	g := grid(t, side)
-	named := Default()
-	named.Strategy = "first-heard"
-	a := run(t, g, side, named, 1)
-	b := run(t, g, side, Default(), 1)
-	if a.Captured != b.Captured || a.CaptureAt != b.CaptureAt {
-		t.Errorf("named strategy diverges: %v@%v vs %v@%v", a.Captured, a.CaptureAt, b.Captured, b.CaptureAt)
-	}
-	if a.Strategy != "first-heard" || b.Strategy != "first-heard" {
-		t.Errorf("strategy labels = %q, %q", a.Strategy, b.Strategy)
-	}
-}
-
+// TestUnknownStrategyRejected: names are resolved at the campaign edge
+// (see TestNamedStrategyMatchesLegacyDecision), so what reaches core is
+// an entry; one with no factory, or a team below one attacker, fails
+// validation and NewNetwork.
 func TestUnknownStrategyRejected(t *testing.T) {
 	cfg := Default()
-	cfg.Strategy = "teleport"
+	cfg.Strategy = attacker.Entry{Name: "teleport"}
 	if err := cfg.Validate(); err == nil {
-		t.Error("unknown strategy validated")
+		t.Error("strategy without a factory validated")
 	}
-	cfg = Default()
-	cfg.AttackerCount = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative attacker count validated")
+	if _, err := NewNetwork(grid(t, 5), 12, 0, cfg, 1); err == nil {
+		t.Error("NewNetwork accepted a strategy without a factory")
+	}
+	for _, count := range []int{0, -1} {
+		cfg = Default()
+		cfg.AttackerCount = count
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("attacker count %d validated", count)
+		}
 	}
 }
 
@@ -555,7 +527,7 @@ func TestStrategiesRunEndToEnd(t *testing.T) {
 	g := grid(t, side)
 	for _, s := range []string{"patient", "backtrack", "random-walk", "cautious", "unvisited-first", "random-heard"} {
 		cfg := Default()
-		cfg.Strategy = s
+		cfg.Strategy = must(attacker.ByName(s))
 		cfg.Attacker.H = 2
 		cfg.Attacker.R = 2
 		cfg.AttackerCount = 2
@@ -582,13 +554,13 @@ func TestRunTerminatesUnderTotalLoss(t *testing.T) {
 		cfg.Channel = channel.Bernoulli{P: 1}
 		res := run(t, grid(t, 5), 5, cfg, 1)
 		if res.Captured {
-			t.Errorf("captured under 100%% loss (%s)", cfg.Protocol)
+			t.Errorf("captured under 100%% loss (%s)", cfg.Protocol.Name)
 		}
 		if res.ScheduleValid() {
-			t.Errorf("schedule formed under 100%% loss (%s)", cfg.Protocol)
+			t.Errorf("schedule formed under 100%% loss (%s)", cfg.Protocol.Name)
 		}
 		if res.SourceDeliveries != 0 {
-			t.Errorf("%d deliveries under 100%% loss (%s)", res.SourceDeliveries, cfg.Protocol)
+			t.Errorf("%d deliveries under 100%% loss (%s)", res.SourceDeliveries, cfg.Protocol.Name)
 		}
 	}
 }

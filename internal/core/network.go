@@ -61,16 +61,9 @@ type Network struct {
 	deadline  time.Duration
 	delta     float64 // safety period in TDMA periods
 
-	// Routing family plumbing: env is the immutable world handed to family
-	// instances, fam/proto are the active family and its per-network
-	// instance, and protoCache keeps one instance per family so arena
-	// callers switching families between runs reuse state (instances must
-	// make Reset equivalent to fresh construction, like everything else on
-	// the arena path).
-	env        protocol.Env
-	fam        protocol.Protocol
-	proto      protocol.Instance
-	protoCache map[string]protocol.Instance
+	// env is the world handed to the routing family's StartData
+	// (cfg.Protocol), which builds its run state afresh from it.
+	env protocol.Env // lint:immutable: topology wiring, fixed at construction
 
 	// res is the run's Result as it is being written. Reset fills in the
 	// run's fixed facts and sentinels, the run counts straight into it
@@ -194,9 +187,8 @@ func NewNetwork(g *topo.Graph, sink, source topo.NodeID, cfg Config, seed uint64
 			Source:   source,
 			SinkDist: sinkDist,
 		},
-		protoCache: make(map[string]protocol.Instance),
-		partSeen:   make([]bool, g.Len()),
-		partQueue:  make([]topo.NodeID, 0, g.Len()),
+		partSeen:  make([]bool, g.Len()),
+		partQueue: make([]topo.NodeID, 0, g.Len()),
 	}
 	net.periodTick = periodTick{n: net}
 	net.medium.SetReceiver(net.receive)
@@ -225,18 +217,9 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	factory, err := attacker.ByName(cfg.StrategyLabel())
-	if err != nil {
-		return err
-	}
-	fam, err := cfg.ProtocolFamily()
-	if err != nil {
-		return err
-	}
 
 	n.cfg = cfg
 	n.seed = seed
-	n.fam = fam
 
 	budget := cfg.EventBudget
 	if budget == 0 {
@@ -262,37 +245,20 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	n.dataStart = time.Duration(cfg.MinimumSetupPeriods) * n.period
 	n.deadline = n.dataStart + time.Duration(n.delta*float64(n.period))
 
-	// Rewind the family instance alongside everything else on the arena
-	// path. Instances are cached per family so switching families between
-	// runs on one Network reuses (and must fully rewind) state.
-	inst, ok := n.protoCache[fam.Name]
-	if !ok {
-		inst = fam.New()
-		n.protoCache[fam.Name] = inst
-	}
-	inst.Reset(&n.env, protocol.Params{
-		SearchDistance: cfg.SearchDistance,
-		DataStart:      n.dataStart,
-		SlotDuration:   cfg.SlotPeriod,
-		Period:         n.period,
-		Periods:        int(math.Ceil(n.delta)) + 2,
-	}, seed)
-	n.proto = inst
-
 	for i := range n.nodes {
 		n.nodes[i].reset(seed)
 	}
 
 	n.msgStats = [msgStatsSlots]MsgStats{}
 	n.res = Result{
-		Protocol:     fam.Label,
+		Protocol:     cfg.Protocol.Label,
 		Seed:         seed,
 		Nodes:        n.g.Len(),
 		DeltaSS:      n.deltaSS,
 		SafetyPeriod: n.delta,
 		DataStart:    n.dataStart,
-		Strategy:     cfg.StrategyLabel(),
-		Attackers:    cfg.Attackers(),
+		Strategy:     cfg.Strategy.Name,
+		Attackers:    cfg.AttackerCount,
 		// -1: no capture, repair or depletion death seen (yet), and no
 		// lifetime verdict for energy-off runs.
 		CaptureBy:        -1,
@@ -330,10 +296,9 @@ func (n *Network) Reset(cfg Config, seed uint64) error {
 	if cfg.SharedHistory {
 		shared = attacker.NewHistoryStore(params.H)
 	}
-	count := cfg.Attackers()
 	n.atks = n.atks[:0]
-	for i := 0; i < count; i++ {
-		atk, err := attacker.New(n.g, params, factory(), n.source, seed, i)
+	for i := 0; i < cfg.AttackerCount; i++ {
+		atk, err := attacker.New(n.g, params, cfg.Strategy.New(), n.source, seed, i)
 		if err != nil {
 			return err
 		}
@@ -525,7 +490,7 @@ func (n *Network) recordSourceDelivery(seq uint32) {
 	// fault, kept because the benchmark digests pin the counts it yields
 	// (see ROADMAP.md, "TDMA delivery latency").
 	period := n.nodes[n.sink].dataPeriod
-	if !n.fam.TDMAData {
+	if !n.cfg.Protocol.TDMAData {
 		period = int((n.sim.Now() - n.dataStart) / n.period)
 	}
 	lat := period - int(seq)
@@ -687,7 +652,7 @@ func (n *Network) runSetup() error {
 	}
 
 	// Phase 2 launch (families with a search phase only).
-	if n.fam.SearchPhase {
+	if n.cfg.Protocol.SearchPhase {
 		searchAt := dissemStart + n.searchStartDelay()
 		if err := n.sim.ScheduleRunner(searchAt, (*searchStart)(sinkNode)); err != nil {
 			return err
@@ -746,7 +711,7 @@ func (n *Network) startDataPhase() error {
 	// Pure-TDMA families start each node's first period, in node order;
 	// event-driven families start none and drive all DATA traffic through
 	// StartData.
-	if n.fam.TDMAData {
+	if n.cfg.Protocol.TDMAData {
 		for i := range n.nodes {
 			if err := n.sim.ScheduleRunner(n.dataStart, (*periodStart)(&n.nodes[i])); err != nil {
 				return err
@@ -775,9 +740,19 @@ func (n *Network) startDataPhase() error {
 			return err
 		}
 	}
-	// Family-driven traffic (a no-op for the pure-TDMA paper pair, so
-	// their event order is that of the TDMA schedule alone).
-	return n.proto.StartData(n)
+	// Family-driven traffic. The paper's pair has none, so their event
+	// order is that of the TDMA schedule alone.
+	start := n.cfg.Protocol.StartData
+	if start == nil {
+		return nil
+	}
+	return start(n, &n.env, protocol.Params{
+		SearchDistance: n.cfg.SearchDistance,
+		DataStart:      n.dataStart,
+		SlotDuration:   n.cfg.SlotPeriod,
+		Period:         n.period,
+		Periods:        periods,
+	}, n.seed)
 }
 
 // --- protocol.Host ---

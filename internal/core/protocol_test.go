@@ -11,7 +11,7 @@ import (
 // familyConfig builds a small-grid config for one protocol family.
 func familyConfig(name string) Config {
 	cfg := Default()
-	cfg.Protocol = name
+	cfg.Protocol = must(protocol.ByName(name))
 	cfg.SearchDistance = 2
 	return cfg
 }
@@ -92,52 +92,5 @@ func TestResetAcrossFamilies(t *testing.T) {
 	if !reflect.DeepEqual(arena[0], arena[len(arena)-1]) {
 		t.Errorf("replaying %s after cycling every family diverged:\nfirst: %+v\nagain: %+v",
 			sequence[0], arena[0], arena[len(arena)-1])
-	}
-}
-
-// TestProtocolFieldAliasesBool pins the compatibility contract:
-// DefaultSLP, the canonical Protocol name and the "slp" alias select the
-// same family, and an empty Protocol means protectionless.
-func TestProtocolFieldAliasesBool(t *testing.T) {
-	g, err := topo.DefaultGrid(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink, source := topo.GridCentre(5), topo.GridTopLeft()
-
-	viaDefault := DefaultSLP(2)
-	viaString := Default()
-	viaString.Protocol = protocol.NameSLPDAS
-	viaString.SearchDistance = 2
-	viaAlias := viaString
-	viaAlias.Protocol = protocol.AliasSLP
-
-	want := freshResult(t, g, sink, source, viaDefault, 5)
-	for name, cfg := range map[string]Config{"string": viaString, "alias": viaAlias} {
-		got := freshResult(t, g, sink, source, cfg, 5)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s config diverged from DefaultSLP:\ngot: %+v\nwant: %+v", name, got, want)
-		}
-	}
-
-	if got := (Config{}).ProtocolName(); got != protocol.NameProtectionless {
-		t.Errorf("zero config should be protectionless, got %q", got)
-	}
-}
-
-// TestUnknownProtocolRejected mirrors the attacker-strategy check: a
-// config naming an unknown family fails validation and NewNetwork.
-func TestUnknownProtocolRejected(t *testing.T) {
-	cfg := Default()
-	cfg.Protocol = "bogus-routing"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted an unknown protocol")
-	}
-	g, err := topo.DefaultGrid(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewNetwork(g, topo.GridCentre(5), topo.GridTopLeft(), cfg, 1); err == nil {
-		t.Fatal("NewNetwork accepted an unknown protocol")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"slpdas/internal/attacker"
 	"slpdas/internal/energy"
 	"slpdas/internal/fault"
 	"slpdas/internal/topo"
@@ -44,7 +45,7 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 	cfgTeam.AttackerCount = 2
 	cfgTeam.Attacker.H = 2
 	cfgTeam.SharedHistory = true
-	cfgTeam.Strategy = "unvisited-first"
+	cfgTeam.Strategy = must(attacker.ByName("unvisited-first"))
 	cfgChurn := DefaultSLP(2)
 	cfgChurn.Faults = fault.Spec{Kind: fault.Churn, Rate: 0.2, MTTR: 2}
 	cfgFail := Default()

@@ -110,7 +110,7 @@ func TestStrategySweepCoversRegistryAndCounts(t *testing.T) {
 	for _, s := range []string{"first-heard", "random-walk"} {
 		for _, n := range []int{1, 2} {
 			cfg := core.Default()
-			cfg.Strategy = s
+			cfg.Strategy = strategy(t, s)
 			cfg.AttackerCount = n
 			arms = append(arms, Arm{Labels: []string{s, strconv.Itoa(n)}, Config: cfg})
 		}
@@ -127,7 +127,7 @@ func TestStrategySweepCoversRegistryAndCounts(t *testing.T) {
 	}
 	lines := strings.Split(tbl.String(), "\n")[2:]
 	for i, agg := range aggs {
-		if agg.Strategy != arms[i].Config.Strategy || agg.Attackers != arms[i].Config.AttackerCount {
+		if agg.Strategy != arms[i].Config.Strategy.Name || agg.Attackers != arms[i].Config.AttackerCount {
 			t.Errorf("arm %d ran (%s, %d), want %v", i, agg.Strategy, agg.Attackers, arms[i].Labels)
 		}
 		if agg.CaptureRatio.Trials != 2 {
@@ -140,9 +140,19 @@ func TestStrategySweepCoversRegistryAndCounts(t *testing.T) {
 	}
 }
 
+// strategy resolves a strategy name the table holds.
+func strategy(t *testing.T, name string) attacker.Entry {
+	t.Helper()
+	e, err := attacker.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestAggregateCarriesAttackerCoordinates(t *testing.T) {
 	cfg := core.Default()
-	cfg.Strategy = "cautious"
+	cfg.Strategy = strategy(t, "cautious")
 	cfg.AttackerCount = 3
 	cfg.SharedHistory = true
 	agg, err := Run(Spec{GridSize: 5, Config: cfg, Repeats: 1, BaseSeed: 1})

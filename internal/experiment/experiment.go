@@ -84,8 +84,8 @@ func NewAccumulator(spec Spec, g *topo.Graph) *Accumulator {
 		Nodes:          g.Len(),
 		GridSize:       spec.GridSize,
 		Repeats:        spec.Repeats,
-		Strategy:       spec.Config.StrategyLabel(),
-		Attackers:      spec.Config.Attackers(),
+		Strategy:       spec.Config.Strategy.Name,
+		Attackers:      spec.Config.AttackerCount,
 		SharedHistory:  spec.Config.SharedHistory,
 		MessagesByType: make(map[wire.Type]metrics.Summary),
 	}
@@ -264,10 +264,7 @@ func runAll(specs []Spec, workers int, what func(i int) string) ([]*Aggregate, e
 // its Label. Families parameterised by SearchDistance carry it as a
 // suffix (e.g. "slp-das-sd3").
 func protocolLabel(c core.Config) string {
-	fam, err := c.ProtocolFamily()
-	if err != nil {
-		return c.ProtocolName()
-	}
+	fam := c.Protocol
 	if fam.UsesSearchDistance {
 		return fmt.Sprintf("%s-sd%d", fam.Label, c.SearchDistance)
 	}

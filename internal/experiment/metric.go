@@ -56,7 +56,7 @@ var metricTable = [...]Metric{
 	// Whether a CHANGE path was laid; only families with a search phase
 	// count trials.
 	{"", "SearchSucceeded", Proportion, func(r *core.Result, c *core.Config) (float64, bool) {
-		return b2f(r.ChangedNodes > 0), c.HasSearchPhase()
+		return b2f(r.ChangedNodes > 0), c.Protocol.SearchPhase
 	}},
 	{"control_messages", "ControlMessages", Mean, func(r *core.Result, _ *core.Config) (float64, bool) { return float64(r.ControlMessages()), true }},
 	{"control_bytes", "ControlBytes", Mean, func(r *core.Result, _ *core.Config) (float64, bool) { return float64(r.ControlBytes()), true }},

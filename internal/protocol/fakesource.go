@@ -17,32 +17,6 @@ const (
 	fakeCaptureThreshold = 1e-4
 )
 
-// fakeSourceInstance runs fake-source routing: the real traffic is the
-// unmodified TDMA convergecast, but a backbone of nodes leading *away*
-// from the real source broadcasts decoy DATA at the start of every
-// period — before any real slot fires — so a traffic-tracing attacker at
-// the sink hears the backbone first and is drawn outward along it,
-// period by period, away from the source.
-type fakeSourceInstance struct {
-	env *Env
-	p   Params
-	// backbone holds the active fake sources, sink-adjacent first. It is a
-	// pure function of the topology, so it is computed once per network
-	// and shared across runs without risking fresh-vs-reset drift.
-	backbone []topo.NodeID
-}
-
-// Reset implements Instance. The family is deterministic given the
-// topology — backbone construction and scheduling use no randomness — so
-// reset only rebinds the run parameters.
-func (fi *fakeSourceInstance) Reset(env *Env, p Params, _ uint64) {
-	if fi.env != env {
-		fi.env = env
-		fi.backbone = buildBackbone(env)
-	}
-	fi.p = p
-}
-
 // buildBackbone walks greedily from the sink towards the node farthest
 // from the real source (the anti-source), keeping the nodes whose depth d
 // satisfies alpha^d >= the capture threshold. Ties break towards the
@@ -77,24 +51,30 @@ func buildBackbone(env *Env) []topo.NodeID {
 	return backbone
 }
 
-// StartData implements Instance: every period, each backbone node
-// broadcasts one fake DATA frame within the first slot, deepest node
-// first — the attacker, wherever it stands on the backbone, hears its
+// startFakeSource is fake-source's StartData. The real traffic is the
+// unmodified TDMA convergecast, but a backbone of nodes leading *away*
+// from the real source broadcasts decoy DATA at the start of every
+// period — before any real slot fires — so a traffic-tracing attacker at
+// the sink hears the backbone first and is drawn outward along it,
+// period by period, away from the source. Every period, each backbone
+// node broadcasts one fake DATA frame within the first slot, deepest node
+// first: the attacker, wherever it stands on the backbone, hears its
 // outward neighbour before its inward one, and before any real traffic.
 // The decoys carry their own node as wire origin, so the sink never
-// mistakes them for source deliveries.
-func (fi *fakeSourceInstance) StartData(h Host) error {
-	n := len(fi.backbone)
+// mistakes them for source deliveries. The family draws no randomness.
+func startFakeSource(h Host, env *Env, p Params, _ uint64) error {
+	backbone := buildBackbone(env)
+	n := len(backbone)
 	if n == 0 {
 		return nil
 	}
-	for k := 0; k < fi.p.Periods; k++ {
+	for k := 0; k < p.Periods; k++ {
 		seq := uint32(k)
-		start := fi.p.DataStart + time.Duration(k)*fi.p.Period
-		for idx, f := range fi.backbone {
+		start := p.DataStart + time.Duration(k)*p.Period
+		for idx, f := range backbone {
 			f := f
 			// Offsets strictly inside slot 0, ordered deepest-first.
-			at := start + fi.p.SlotDuration*time.Duration(n-idx)/time.Duration(n+1)
+			at := start + p.SlotDuration*time.Duration(n-idx)/time.Duration(n+1)
 			if err := h.Schedule(at, func() {
 				h.SendData(f, f, seq, 1)
 			}); err != nil {

@@ -3,13 +3,12 @@ package protocol
 import (
 	"math"
 	"math/rand/v2"
-	"time"
 
 	"slpdas/internal/topo"
 	"slpdas/internal/xrand"
 )
 
-// phantomInstance runs sector phantom routing (PSSPR, see PAPERS.md): every
+// phantomWalk is sector phantom routing (PSSPR, see PAPERS.md): every
 // source message first random-walks SearchDistance hops *away* from the
 // sink inside a per-message directed sector, reaching a phantom source,
 // and only then follows the shortest path to the sink. An eavesdropper
@@ -20,54 +19,40 @@ import (
 // The data phase is event-driven: the TDMA schedule is still built (all
 // families share the control plane) but slot tasks stay unarmed; the only
 // DATA traffic is the per-period route broadcasts, spaced one slot apart
-// hop by hop.
-type phantomInstance struct {
-	env *Env
-	p   Params
-	pcg rand.PCG
-	rng *rand.Rand
+// hop by hop. A walk lives for one run: startPhantom builds it.
+type phantomWalk struct {
+	env  *Env
+	hops int // walk length: the run's SearchDistance
+	pcg  rand.PCG
+	rng  *rand.Rand
 }
 
-// Reset implements Instance: rebind the world and reseed the walk stream.
-func (pi *phantomInstance) Reset(env *Env, p Params, seed uint64) {
-	pi.env = env
-	pi.p = p
-	pi.pcg.Seed(xrand.Seeds(seed, 0x7068616e746f6d))
-	if pi.rng == nil {
-		pi.rng = xrand.Wrap(&pi.pcg)
-	}
-}
-
-// StartData implements Instance: one source message per TDMA period.
-func (pi *phantomInstance) StartData(h Host) error {
-	for k := 0; k < pi.p.Periods; k++ {
-		seq := uint32(k)
-		at := pi.p.DataStart + time.Duration(k)*pi.p.Period
-		if err := h.Schedule(at, func() {
-			route := pi.buildRoute()
-			_ = scheduleRoute(h, route, pi.env.Source, seq, pi.p.SlotDuration)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+// startPhantom is phantom's StartData: one source message per TDMA
+// period, each walking on the run's "phantom" stream.
+func startPhantom(h Host, env *Env, p Params, seed uint64) error {
+	w := &phantomWalk{env: env, hops: p.SearchDistance}
+	w.pcg.Seed(xrand.Seeds(seed, 0x7068616e746f6d))
+	w.rng = xrand.Wrap(&w.pcg)
+	return perPeriod(h, p, func(seq uint32) {
+		_ = scheduleRoute(h, w.buildRoute(), env.Source, seq, p.SlotDuration)
+	})
 }
 
 // buildRoute computes one message's transmitter chain: the directed random
 // walk, then the descent to the sink. The sink itself never appears — it
 // receives the final hop's broadcast.
-func (pi *phantomInstance) buildRoute() []topo.NodeID {
-	g, dist := pi.env.Graph, pi.env.SinkDist
+func (w *phantomWalk) buildRoute() []topo.NodeID {
+	g, dist := w.env.Graph, w.env.SinkDist
 	// The PSSPR sector: a per-message random direction; walk steps prefer
 	// neighbours whose displacement projects positively onto it.
-	theta := pi.rng.Float64() * 2 * math.Pi
+	theta := w.rng.Float64() * 2 * math.Pi
 	dx, dy := math.Cos(theta), math.Sin(theta)
 
-	cur, prev := pi.env.Source, topo.None
-	route := make([]topo.NodeID, 0, pi.p.SearchDistance+dist[pi.env.Source])
+	cur, prev := w.env.Source, topo.None
+	route := make([]topo.NodeID, 0, w.hops+dist[w.env.Source])
 	route = append(route, cur)
-	for i := 0; i < pi.p.SearchDistance; i++ {
-		next := pi.walkStep(cur, prev, dx, dy)
+	for i := 0; i < w.hops; i++ {
+		next := w.walkStep(cur, prev, dx, dy)
 		if next == topo.None {
 			break
 		}
@@ -81,8 +66,8 @@ func (pi *phantomInstance) buildRoute() []topo.NodeID {
 // do not step back towards the sink (hop distance non-decreasing) and are
 // not the previous hop, prefer those inside the message's sector, chosen
 // uniformly; fall back to any non-approaching neighbour, then stall.
-func (pi *phantomInstance) walkStep(cur, prev topo.NodeID, dx, dy float64) topo.NodeID {
-	g, dist := pi.env.Graph, pi.env.SinkDist
+func (w *phantomWalk) walkStep(cur, prev topo.NodeID, dx, dy float64) topo.NodeID {
+	g, dist := w.env.Graph, w.env.SinkDist
 	pos := g.Position(cur)
 	var away, sector []topo.NodeID
 	for _, m := range g.Neighbors(cur) {
@@ -102,5 +87,5 @@ func (pi *phantomInstance) walkStep(cur, prev topo.NodeID, dx, dy float64) topo.
 	if len(cands) == 0 {
 		return topo.None
 	}
-	return cands[pi.rng.IntN(len(cands))]
+	return cands[w.rng.IntN(len(cands))]
 }

@@ -7,14 +7,13 @@
 // on every axis above: core.Config, experiment labels, the campaign
 // protocol axis and the CLIs.
 //
-// A Protocol describes one family statically: its name, result label,
-// whether it runs the SLP search phase during setup, whether the data
-// phase is the TDMA convergecast or family-driven event traffic, and
-// whether SearchDistance parameterises it. New mints one Instance per
-// core.Network; the Instance is the per-run state holder, rewound by Reset
-// on the arena path exactly like nodes and attackers — Network.Reset
-// delegates the rewind, so the fresh-vs-reset no-drift invariant extends
-// to protocol state by construction.
+// A Protocol is one table entry: its name, result label, whether it runs
+// the SLP search phase during setup, whether the data phase is the TDMA
+// convergecast, whether SearchDistance parameterises it, and StartData,
+// the one function that drives the family's own traffic. StartData builds
+// whatever state the data phase needs from (env, params, seed) each time
+// it is called, so a family keeps nothing between runs and the
+// fresh-vs-reset no-drift invariant holds for it by construction.
 //
 // All families share the same control plane: neighbour discovery,
 // dissemination and DAS slot assignment always run, so every family is
@@ -53,7 +52,7 @@ const (
 	AliasSLP = "slp"
 )
 
-// Host is the slice of core.Network an Instance drives event traffic
+// Host is the slice of core.Network a family's StartData drives traffic
 // through: the simulator clock and one frame-accounted DATA broadcast.
 // SendData routes through the network's outgoing wire scratch, so family
 // traffic is counted in message stats and audible to attackers exactly
@@ -70,7 +69,7 @@ type Host interface {
 	SendData(from, origin topo.NodeID, seq uint32, count uint16)
 }
 
-// Env is the immutable world an Instance routes over: the topology, the
+// Env is the immutable world a family routes over: the topology, the
 // endpoints, and the sink's hop gradient (computed once at network wiring).
 // SourceDist is derived lazily and cached — it is a pure function of the
 // topology, so sharing it across runs cannot drift results.
@@ -93,7 +92,7 @@ func (e *Env) SourceDist() []int {
 	return e.srcDist
 }
 
-// Params carries the per-run coordinates an Instance needs to schedule its
+// Params carries the per-run coordinates a family needs to schedule its
 // data phase.
 type Params struct {
 	// SearchDistance is the SD knob, reused by families that take a
@@ -112,18 +111,9 @@ type Params struct {
 	Periods int
 }
 
-// Instance is one family's per-network state: Reset rewinds it for a new
-// (config, seed) on the arena path, StartData schedules the family's data
-// phase traffic at the start of the data phase (a no-op for pure-TDMA
-// families).
-type Instance interface {
-	Reset(env *Env, p Params, seed uint64)
-	StartData(h Host) error
-}
-
 // Protocol describes one routing family: its static shape, consulted on
-// the hot path as plain field reads, and the factory of its per-network
-// Instance.
+// the hot path as plain field reads, and the function that starts its
+// data-phase traffic.
 type Protocol struct {
 	// Name is the canonical name (also the campaign axis value).
 	Name string
@@ -142,8 +132,11 @@ type Protocol struct {
 	// (every node broadcasts in its slot). Families without it drive all
 	// DATA traffic themselves via StartData.
 	TDMAData bool
-	// New mints the per-network Instance.
-	New func() Instance
+	// StartData, when non-nil, schedules the family's own data-phase
+	// traffic through h at the start of the data phase, drawing any
+	// randomness from a stream of seed. It is nil for the paper's pair,
+	// whose behaviour lives wholly in the slot schedule.
+	StartData func(h Host, env *Env, p Params, seed uint64) error
 }
 
 // families is every routing family, declared in name order: Names and
@@ -152,25 +145,24 @@ type Protocol struct {
 // fig5a_compat.golden and sweep_compat.golden byte-identical.
 var families = [...]Protocol{
 	{
-		Name:     NameFakeSource,
-		Summary:  "TDMA convergecast plus a decoy backbone away from the source broadcasting fake DATA each period",
-		Label:    "fake-source",
-		TDMAData: true,
-		New:      func() Instance { return &fakeSourceInstance{} },
+		Name:      NameFakeSource,
+		Summary:   "TDMA convergecast plus a decoy backbone away from the source broadcasting fake DATA each period",
+		Label:     "fake-source",
+		TDMAData:  true,
+		StartData: startFakeSource,
 	},
 	{
 		Name:               NamePhantom,
 		Summary:            "sector phantom routing (PSSPR): directed random walk to a phantom source, then shortest path",
 		Label:              "phantom",
 		UsesSearchDistance: true,
-		New:                func() Instance { return &phantomInstance{} },
+		StartData:          startPhantom,
 	},
 	{
 		Name:     NameProtectionless,
 		Summary:  "baseline GCN data aggregation scheduling with no SLP protection (Figure 2)",
 		Label:    "protectionless-das",
 		TDMAData: true,
-		New:      func() Instance { return idleInstance{} },
 	},
 	{
 		Name:               NameSLPDAS,
@@ -179,13 +171,12 @@ var families = [...]Protocol{
 		UsesSearchDistance: true,
 		SearchPhase:        true,
 		TDMAData:           true,
-		New:                func() Instance { return idleInstance{} },
 	},
 	{
-		Name:    NameTier,
-		Summary: "tier-based intermediary routing: each message detours via a random node of a random sink-distance tier",
-		Label:   "tier",
-		New:     func() Instance { return &tierInstance{} },
+		Name:      NameTier,
+		Summary:   "tier-based intermediary routing: each message detours via a random node of a random sink-distance tier",
+		Label:     "tier",
+		StartData: startTier,
 	},
 }
 
@@ -236,6 +227,18 @@ func descend(route []topo.NodeID, g *topo.Graph, dist []int, cur topo.NodeID) []
 		route = append(route, cur)
 	}
 	return route
+}
+
+// perPeriod schedules send at the start of each of the run's data
+// periods, one source message per period, numbered by period index.
+func perPeriod(h Host, p Params, send func(seq uint32)) error {
+	for k := 0; k < p.Periods; k++ {
+		seq := uint32(k)
+		if err := h.Schedule(p.DataStart+time.Duration(k)*p.Period, func() { send(seq) }); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scheduleRoute broadcasts one message along route, one transmitter per

@@ -17,8 +17,16 @@ func TestByNameKnownFamilies(t *testing.T) {
 		if fam.Summary == "" || fam.Label == "" {
 			t.Errorf("%q: empty summary or label", name)
 		}
-		if fam.New() == nil {
-			t.Errorf("%q: New returned nil", name)
+		// A family that does not run the TDMA convergecast must drive its
+		// own traffic, or its data phase would be silent.
+		if !fam.TDMAData && fam.StartData == nil {
+			t.Errorf("%q: no TDMA data phase and no StartData", name)
+		}
+	}
+	// The paper's pair lives wholly in the slot schedule.
+	for _, name := range []string{NameProtectionless, NameSLPDAS} {
+		if fam, _ := ByName(name); fam.StartData != nil {
+			t.Errorf("%q has a StartData", name)
 		}
 	}
 }
@@ -33,9 +41,10 @@ func TestByNameResolvesAlias(t *testing.T) {
 	}
 }
 
-// TestByNameAllocFree holds the table lookup the run hot path pays per
-// Reset at zero allocations: name resolution through ByName, alias
-// included, plus the static shape fields the network reads.
+// TestByNameAllocFree holds the table lookup paid at the campaign and CLI
+// edge, where a family name becomes the core.Config value, at zero
+// allocations: name resolution through ByName, alias included, plus the
+// static shape fields the network reads.
 func TestByNameAllocFree(t *testing.T) {
 	names := [...]string{NameProtectionless, NameSLPDAS, AliasSLP, NamePhantom, NameFakeSource, NameTier}
 	sink := 0

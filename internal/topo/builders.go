@@ -82,27 +82,27 @@ func Ring(n int, spacing, radioRange float64) (*Graph, error) {
 // The layout is deterministic for a given seed. It retries a bounded number
 // of times to obtain a connected graph and returns an error otherwise.
 func RandomGeometric(n int, width, height, radioRange float64, seed uint64) (*Graph, error) {
-	g, _, err := randomGeometric(n, width, height, radioRange, seed)
-	return g, err
+	var sc scan // one scratch for every attempt
+	return randomGeometric(n, width, height, radioRange, seed, &sc, nil)
 }
 
-// randomGeometric is RandomGeometric, also reporting the layouts it drew.
-func randomGeometric(n int, width, height, radioRange float64, seed uint64) (*Graph, int, error) {
+// randomGeometric is RandomGeometric on the scratch sc, calling rejected
+// (when non-nil) after each layout it turns down.
+func randomGeometric(n int, width, height, radioRange float64, seed uint64, sc *scan, rejected func()) (*Graph, error) {
 	if n < 2 {
-		return nil, 0, fmt.Errorf("topo: random geometric graph needs at least 2 nodes, got %d", n)
+		return nil, fmt.Errorf("topo: random geometric graph needs at least 2 nodes, got %d", n)
 	}
 	// Raw PCG seeding, not xrand's label mixing: this stream layout
 	// predates xrand and is pinned by the committed topology goldens.
 	rng := xrand.NewRaw(seed, 0x9e3779b97f4a7c15)
 	const maxAttempts = 64
 	positions := make([]Point, n)
-	var sc scan // one scratch for every attempt
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		for i := range positions {
 			positions[i] = Point{X: rng.Float64() * width, Y: rng.Float64() * height}
 		}
 		if err := validateGraphInput(positions, radioRange); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		// Rejected layouts only pay for the raw edge scan plus a
 		// union-find connectivity pass, on the scratch the first attempt
@@ -110,9 +110,12 @@ func randomGeometric(n int, width, height, radioRange float64, seed uint64) (*Gr
 		// construction) happens once, on the accepted layout.
 		edges, degree := sc.unitDiskEdges(positions, radioRange)
 		if !sc.connected(n, edges) {
+			if rejected != nil {
+				rejected()
+			}
 			continue
 		}
-		return assembleGraph(fmt.Sprintf("rgg-%d", n), positions, radioRange, edges, degree), attempt + 1, nil
+		return assembleGraph(fmt.Sprintf("rgg-%d", n), positions, radioRange, edges, degree), nil
 	}
-	return nil, maxAttempts, fmt.Errorf("topo: failed to build a connected random geometric graph (n=%d range=%.2f) after %d attempts", n, radioRange, maxAttempts)
+	return nil, fmt.Errorf("topo: failed to build a connected random geometric graph (n=%d range=%.2f) after %d attempts", n, radioRange, maxAttempts)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 )
 
@@ -240,41 +241,50 @@ func FuzzSpatialHashEquivalence(f *testing.F) {
 }
 
 // TestRejectedLayoutsReuseScan: RandomGeometric scans every layout it
-// draws on one scratch, so a call whose seed needs three or more layouts
-// allocates exactly as often as one whose first layout is connected. The
-// graphs are 500-node layouts at 1.8 grid spacings of range, where more
-// than one seed in four needs a second layout.
+// draws on one scratch, so a layout it rejects leaves every scratch slice
+// (and the bucket map) on the backing array the first rejected layout
+// left it on. The graphs are 500-node layouts at 1.8 grid spacings of
+// range, where more than one seed in four needs a second layout; the test
+// takes the first seed that needs three or more.
 func TestRejectedLayoutsReuseScan(t *testing.T) {
 	const n = 500
 	side := math.Sqrt(n) * DefaultSpacing
 	radioRange := 1.8 * DefaultSpacing
-	first, retried := uint64(0), uint64(0)
-	found := 0
-	for seed := uint64(1); seed < 400 && found < 2; seed++ {
-		_, attempts, err := randomGeometric(n, side, side, radioRange, seed)
-		if err != nil {
+	for seed := uint64(1); seed < 400; seed++ {
+		var sc scan
+		var first []uintptr // backing arrays after the first rejection
+		rejections := 0
+		if _, err := randomGeometric(n, side, side, radioRange, seed, &sc, func() {
+			rejections++
+			arrays := scratchArrays(&sc)
+			if first == nil {
+				first = arrays
+				return
+			}
+			for i := range arrays {
+				if arrays[i] != first[i] {
+					t.Errorf("seed %d: rejected layout %d moved scratch %d to a new array", seed, rejections, i)
+				}
+			}
+		}); err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case attempts == 1 && first == 0:
-			first = seed
-			found++
-		case attempts >= 3 && retried == 0:
-			retried = seed
-			found++
+		if rejections >= 2 {
+			if first[0] == 0 {
+				t.Fatalf("seed %d: the rejected layouts filled no scratch", seed)
+			}
+			return
 		}
 	}
-	if found < 2 {
-		t.Fatalf("no first-attempt seed (%d) or no seed needing 3+ layouts (%d) below 400", first, retried)
+	t.Fatal("no seed below 400 needs 3+ layouts")
+}
+
+// scratchArrays returns the address of the array behind each of the
+// scan's slices and of its bucket map (0 when unset).
+func scratchArrays(sc *scan) []uintptr {
+	var out []uintptr
+	for _, v := range []any{sc.degree, sc.cx, sc.cy, sc.start, sc.next, sc.ids, sc.edges, sc.parent, sc.buckets} {
+		out = append(out, reflect.ValueOf(v).Pointer())
 	}
-	allocs := func(seed uint64) float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := RandomGeometric(n, side, side, radioRange, seed); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if a, b := allocs(first), allocs(retried); a != b {
-		t.Errorf("seed %d (one layout) allocates %v times, seed %d (3+ layouts) %v", first, a, retried, b)
-	}
+	return out
 }
